@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): substrate costs underpinning the
 // experiment harnesses — clock operations, runtime message round trips,
-// wildcard matching, and instrumented vs native per-message wall cost.
+// wildcard matching, instrumented vs native per-message wall cost, and
+// the coop scheduler's fiber switch.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -10,7 +11,9 @@
 #include "core/decision.hpp"
 #include "clocks/vector_clock.hpp"
 #include "core/dampi_layer.hpp"
+#include "mpism/engine_lock.hpp"
 #include "mpism/runtime.hpp"
+#include "mpism/scheduler.hpp"
 #include "workloads/patterns.hpp"
 
 namespace {
@@ -223,6 +226,39 @@ void BM_WatchdogOverheadRanks256(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WatchdogOverheadRanks256)->Arg(0)->Arg(1)->ArgNames({"armed"});
+
+/// Coop dispatch round trip: a lone rank yields back to the dispatch
+/// loop, which picks it again — fiber to scheduler to fiber, with the
+/// engine guard dropped and retaken around each switch. The round_trip
+/// counter is the time per round trip (printed in ns).
+void BM_CoopSwitch(benchmark::State& state) {
+  if (!mpism::coop_supported()) {
+    state.SkipWithError("coop fibers unsupported in this build");
+    return;
+  }
+  constexpr int kRoundTrips = 4096;
+  mpism::SchedOptions sched;
+  sched.kind = mpism::SchedulerKind::kCoop;
+  mpism::EngineLock lock(mpism::EngineLockKind::kSharded, 1);
+  for (auto _ : state) {
+    const auto scheduler = mpism::make_scheduler(sched, 1);
+    mpism::RankScheduler::Callbacks cb;
+    cb.body = [&](mpism::Rank r) {
+      mpism::EngineGuard g(lock, r);
+      for (int i = 0; i < kRoundTrips; ++i) scheduler->yield(g, r);
+    };
+    cb.wake_ready = [](mpism::Rank) { return true; };
+    cb.stop = [] { return false; };
+    cb.on_stall = [] {};
+    scheduler->run(cb);
+  }
+  state.SetItemsProcessed(state.iterations() * kRoundTrips);
+  state.counters["round_trip"] = benchmark::Counter(
+      kRoundTrips,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CoopSwitch);
 
 }  // namespace
 

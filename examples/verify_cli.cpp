@@ -647,7 +647,8 @@ int main(int argc, char** argv) {
   if (!replay_path.empty()) {
     std::string error;
     const auto schedule = core::load_schedule(replay_path, &error);
-    if (!schedule.has_value()) {
+    if (!schedule.has_value() ||
+        !core::validate_schedule(*schedule, explorer_options.nprocs, &error)) {
       std::printf("cannot load %s: %s\n", replay_path.c_str(), error.c_str());
       stop_bridge();
       return 3;

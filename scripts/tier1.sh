@@ -7,7 +7,8 @@
 # the single-mutex engine baseline, once with DAMPI_POR=off so every
 # test also runs on the unpruned cross-product walk), the resilience
 # stage (resil-labelled tests, the verify_cli
-# exit-code contract, a livelock watchdog sweep across schedulers and
+# exit-code contract, a repeat-until-fail flake stage for the sched
+# label, a livelock watchdog sweep across schedulers and
 # jobs widths, and a SIGINT kill + --resume determinism smoke), a trace
 # smoke test (a real workload exported with --trace
 # must validate under trace_check), a DAMPI_TRACE=OFF configure+build
@@ -82,7 +83,23 @@ expect_exit 1 build/examples/verify_cli --program fig3 --procs 3
 expect_exit 2 build/examples/verify_cli --program fig3-benign --procs 3 \
   --max-interleavings 1
 expect_exit 3 build/examples/verify_cli --program no-such-program
+# A decisions file naming a rank outside [0, --procs) is rejected before
+# anything runs (it used to write past a per-rank table).
+bad_replay="build/tier1-bad-replay.txt"
+printf '# dampi-epoch-decisions v1\n9 0 1\n' > "${bad_replay}"
+expect_exit 3 build/examples/verify_cli --program fig3-benign --procs 3 \
+  --replay "${bad_replay}"
+rm -f "${bad_replay}"
 echo "tier1: exit-code contract OK"
+
+# Flake stage: the scheduler tests must pass 20 times in a row, and
+# TestAny.ReturnsLowestReadyIndex, which once raced an eager send under
+# the thread scheduler, 500 times.
+(cd build && ctest --output-on-failure -L sched --repeat until-fail:20 \
+  -j "${jobs}")
+(cd build && ctest --output-on-failure \
+  -R '^TestAny\.ReturnsLowestReadyIndex$' --repeat until-fail:500)
+echo "tier1: repeat (flake) stage OK"
 
 # Watchdog end-to-end: the livelocked example must become a HANG verdict
 # (exit 1) under both schedulers at every jobs width, well inside the

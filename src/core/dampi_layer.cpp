@@ -15,6 +15,9 @@ DampiShared::DampiShared(ExplorerOptions opts, Schedule sched,
       sink(std::move(trace_sink)) {
   max_decided_index.assign(static_cast<std::size_t>(options.nprocs), -1);
   for (const auto& [key, src] : schedule.forced) {
+    DAMPI_CHECK_MSG(key.rank >= 0 && key.rank < options.nprocs,
+                    strfmt("forced decision for rank %d at nprocs %d",
+                           key.rank, options.nprocs));
     auto& slot = max_decided_index[static_cast<std::size_t>(key.rank)];
     slot = std::max(slot, static_cast<std::int64_t>(key.nd_index));
   }

@@ -78,6 +78,22 @@ std::optional<Schedule> parse_schedule(const std::string& text,
   return schedule;
 }
 
+bool validate_schedule(const Schedule& schedule, int nprocs,
+                       std::string* error) {
+  for (const auto& [key, src] : schedule.forced) {
+    if (key.rank < 0 || key.rank >= nprocs || src < 0 || src >= nprocs) {
+      if (error != nullptr) {
+        *error = strfmt("decision '%d %llu %d' names a rank outside [0, %d)",
+                        key.rank,
+                        static_cast<unsigned long long>(key.nd_index), src,
+                        nprocs);
+      }
+      return false;
+    }
+  }
+  return true;
+}
+
 bool save_schedule(const Schedule& schedule, const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;

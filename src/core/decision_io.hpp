@@ -25,6 +25,13 @@ std::string serialize_schedule(const Schedule& schedule);
 std::optional<Schedule> parse_schedule(const std::string& text,
                                        std::string* error = nullptr);
 
+/// True when every decision names a rank and a source in [0, nprocs);
+/// otherwise false with *error (when non-null) naming the first bad
+/// decision. The parser cannot check this itself: it does not know the
+/// run's rank count.
+bool validate_schedule(const Schedule& schedule, int nprocs,
+                       std::string* error = nullptr);
+
 /// Write/read a schedule to/from a file. save returns false on I/O
 /// failure; load returns nullopt on I/O or parse failure.
 bool save_schedule(const Schedule& schedule, const std::string& path);

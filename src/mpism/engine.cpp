@@ -304,15 +304,41 @@ void Engine::rank_body(Rank r, const ProgramFn& program) {
 // Blocking / abort machinery
 // ---------------------------------------------------------------------------
 
+Engine::BlockKind Engine::BlockDesc::kind() const {
+  switch (op) {
+    case Op::kSsend:
+    case Op::kRecv:
+    case Op::kWaitany: return BlockKind::kWait;
+    case Op::kProbe: return BlockKind::kProbe;
+    case Op::kColl: return BlockKind::kColl;
+  }
+  return BlockKind::kNone;
+}
+
+std::string Engine::BlockDesc::describe() const {
+  switch (op) {
+    case Op::kSsend: return strfmt("wait(ssend comm=%d)", comm);
+    case Op::kRecv:
+      return strfmt("wait(recv src=%d tag=%d comm=%d)", src, tag, comm);
+    case Op::kWaitany: return "waitany";
+    case Op::kProbe:
+      return strfmt("probe(src=%d tag=%d comm=%d)", src, tag, comm);
+    case Op::kColl:
+      return strfmt("collective %s comm=%d gen=%llu", coll_kind_name(coll),
+                    comm, static_cast<unsigned long long>(gen));
+  }
+  return "?";
+}
+
 template <typename Pred>
-void Engine::blocking_wait(EngineGuard& g, Rank r, BlockKind kind,
-                           std::string desc, Pred pred) {
+void Engine::blocking_wait(EngineGuard& g, Rank r, const BlockDesc& desc,
+                           Pred pred) {
   if (pred()) return;
   check_abort(g);
   PerRank& me = pr(r);
+  const BlockKind kind = desc.kind();
   me.blocked = true;
-  me.block_kind = kind;
-  me.block_desc = std::move(desc);
+  me.block_desc = desc;
   me.block_pred = pred;
   blocked_count_.fetch_add(1, std::memory_order_acq_rel);
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kBegin, r,
@@ -323,7 +349,6 @@ void Engine::blocking_wait(EngineGuard& g, Rank r, BlockKind kind,
                static_cast<std::int32_t>(kind));
   blocked_count_.fetch_sub(1, std::memory_order_acq_rel);
   me.blocked = false;
-  me.block_kind = BlockKind::kNone;
   me.block_pred = nullptr;
   if (stopped()) {
     g.unlock();
@@ -399,7 +424,8 @@ void Engine::declare_deadlock(EngineGuard& g) {
     for (Rank r = 0; r < opts_.nprocs; ++r) {
       const PerRank& p = pr(r);
       if (p.blocked) {
-        detail += strfmt("rank %d blocked in %s\n", r, p.block_desc.c_str());
+        detail += strfmt("rank %d blocked in %s\n", r,
+                         p.block_desc.describe().c_str());
       }
     }
     deadlock_detail_ = detail;
@@ -653,12 +679,16 @@ void Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
   DAMPI_CHECK(it != me.reqs.end());
   RequestRecord* rec = it->second.get();
   if (rec->complete.load(std::memory_order_acquire)) return;
-  const std::string desc =
-      rec->kind == ReqKind::kSend
-          ? strfmt("wait(ssend comm=%d)", rec->comm)
-          : strfmt("wait(recv src=%d tag=%d comm=%d)", rec->posted_src_world,
-                   rec->posted_tag, rec->comm);
-  blocking_wait(g, r, BlockKind::kWait, desc, [rec] {
+  BlockDesc desc;
+  desc.comm = rec->comm;
+  if (rec->kind == ReqKind::kSend) {
+    desc.op = BlockDesc::Op::kSsend;
+  } else {
+    desc.op = BlockDesc::Op::kRecv;
+    desc.src = rec->posted_src_world;
+    desc.tag = rec->posted_tag;
+  }
+  blocking_wait(g, r, desc, [rec] {
     return rec->complete.load(std::memory_order_acquire);
   });
 }
@@ -902,7 +932,7 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
     }
     return recs.size();
   };
-  blocking_wait(g, r, BlockKind::kWait, "waitany",
+  blocking_wait(g, r, BlockDesc{BlockDesc::Op::kWaitany},
                 [&] { return ready_index() < recs.size(); });
   const std::size_t idx = ready_index();
   DAMPI_CHECK(idx < recs.size());
@@ -990,9 +1020,12 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
 
   bool found = exists();
   if (!found && call.blocking) {
-    const std::string desc =
-        strfmt("probe(src=%d tag=%d comm=%d)", call.src, call.tag, call.comm);
-    blocking_wait(g, r, BlockKind::kProbe, desc, exists);
+    BlockDesc desc;
+    desc.op = BlockDesc::Op::kProbe;
+    desc.src = call.src;
+    desc.tag = call.tag;
+    desc.comm = call.comm;
+    blocking_wait(g, r, desc, exists);
     found = true;
   } else if (!found) {
     sched_->yield(g, r);  // iprobe miss: see api_test
@@ -1204,10 +1237,12 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
     return cr != root_rel || slot.arrived == size;  // leaves_to_root
   };
   if (!my_pred()) {
-    const std::string desc = strfmt("collective %s comm=%d gen=%llu",
-                                    coll_kind_name(kind), comm,
-                                    static_cast<unsigned long long>(gen));
-    blocking_wait(g, r, BlockKind::kColl, desc, my_pred);
+    BlockDesc desc;
+    desc.op = BlockDesc::Op::kColl;
+    desc.coll = kind;
+    desc.comm = comm;
+    desc.gen = gen;
+    blocking_wait(g, r, desc, my_pred);
   }
 
   // Completion virtual time.

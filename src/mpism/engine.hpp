@@ -123,6 +123,22 @@ class Engine {
  private:
   enum class BlockKind { kNone, kWait, kProbe, kColl };
 
+  /// What a blocked rank waits for, kept as plain fields so blocking
+  /// never formats text; describe() renders it only when a deadlock is
+  /// declared.
+  struct BlockDesc {
+    enum class Op : std::uint8_t { kSsend, kRecv, kWaitany, kProbe, kColl };
+    Op op = Op::kWaitany;
+    Rank src = 0;  ///< kRecv: posted world source; kProbe: comm-relative
+    Tag tag = 0;
+    CommId comm = 0;
+    CollKind coll = CollKind::kBarrier;
+    std::uint64_t gen = 0;
+
+    BlockKind kind() const;
+    std::string describe() const;
+  };
+
   struct PerRank {
     /// Pools are declared before the request table and match index so
     /// they outlive the structures that release into them at teardown.
@@ -135,8 +151,7 @@ class Engine {
     std::atomic<double> vtime{0.0};
     bool finished = false;
     bool blocked = false;
-    BlockKind block_kind = BlockKind::kNone;
-    std::string block_desc;
+    BlockDesc block_desc;
     /// Wake predicate of the blocked operation; consulted by the deadlock
     /// detector so a satisfied-but-not-yet-woken rank is not misread as
     /// stuck.
@@ -213,7 +228,7 @@ class Engine {
   /// Enter the blocked state and wait for `pred`; throws AbortRun when the
   /// run aborts or deadlocks while waiting.
   template <typename Pred>
-  void blocking_wait(EngineGuard& g, Rank r, BlockKind kind, std::string desc,
+  void blocking_wait(EngineGuard& g, Rank r, const BlockDesc& desc,
                      Pred pred);
   /// Called right before a rank would block (or after it finishes); if
   /// every other live rank is already blocked, declares a deadlock.

@@ -1,10 +1,12 @@
 #include "mpism/scheduler.hpp"
 
-#include <ucontext.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <thread>
@@ -17,10 +19,10 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-// Sanitizers instrument the OS-thread stack; swapcontext moves execution
-// onto a heap stack they know nothing about, so shadow state corrupts
-// (TSan) or redzones fire (ASan). Rather than annotate fibers we fall
-// back to ThreadScheduler in sanitized builds — the coop paths are
+// Sanitizers instrument the OS-thread stack; a fiber switch moves
+// execution onto an mmap'd stack they know nothing about, so shadow state
+// corrupts (TSan) or redzones fire (ASan). Rather than annotate fibers we
+// fall back to ThreadScheduler in sanitized builds — the coop paths are
 // exercised by the unsanitized tier-1 stages.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define DAMPI_COOP_UNSUPPORTED 1
@@ -32,8 +34,234 @@
 #endif
 #endif
 
+// ---------------------------------------------------------------------------
+// Fiber switch primitive.
+//
+// On x86-64 a fiber switch saves only what the SysV ABI makes callee-saved
+// — rbx, rbp, r12–r15, rsp, the MXCSR and the x87 control word — on the
+// outgoing stack and restores the same from the incoming one. It never
+// enters the kernel: glibc's swapcontext saves and restores the signal
+// mask with an rt_sigprocmask syscall on every switch, and a replay makes
+// dozens of switches. A fresh fiber's stack holds a hand-built frame that
+// "returns" into dampi_fiber_start, which calls entry(arg) (passed in r13
+// and r12) with the stack 16-byte aligned as the ABI requires. Elsewhere
+// swapcontext stays the switch.
+// ---------------------------------------------------------------------------
+#if defined(__x86_64__)
+extern "C" {
+__attribute__((visibility("hidden"))) void dampi_fiber_switch(void** save_sp,
+                                                              void* load_sp);
+__attribute__((visibility("hidden"))) void dampi_fiber_start();
+}
+
+asm(R"(
+  .pushsection .text
+  .globl dampi_fiber_switch
+  .hidden dampi_fiber_switch
+  .type dampi_fiber_switch, @function
+  .p2align 4
+dampi_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbp, 0
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %rbx, 0
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r12, 0
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r13, 0
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r14, 0
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  .cfi_rel_offset %r15, 0
+  subq $16, %rsp
+  .cfi_adjust_cfa_offset 16
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  .cfi_adjust_cfa_offset -16
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r15
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r14
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r13
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %r12
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %rbx
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  .cfi_restore %rbp
+  ret
+  .cfi_endproc
+  .size dampi_fiber_switch, .-dampi_fiber_switch
+
+  .globl dampi_fiber_start
+  .hidden dampi_fiber_start
+  .type dampi_fiber_start, @function
+  .p2align 4
+dampi_fiber_start:
+  .cfi_startproc
+  .cfi_undefined %rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size dampi_fiber_start, .-dampi_fiber_start
+  .popsection
+)");
+
 namespace dampi::mpism {
 namespace {
+
+struct FiberContext {
+  void* sp = nullptr;
+};
+
+void switch_context(FiberContext* from, FiberContext* to) {
+  dampi_fiber_switch(&from->sp, to->sp);
+}
+
+/// Lays out the nine words dampi_fiber_switch pops — x87 control word,
+/// MXCSR, r15, r14, r13 = entry, r12 = arg, rbx, rbp = 0, return address
+/// = dampi_fiber_start — 16 bytes below the aligned stack top, so that
+/// after its `ret` rsp is top - 16, 16-byte aligned. The fiber starts
+/// with the creating thread's floating-point modes.
+void make_context(FiberContext* ctx, char* stack, std::size_t bytes,
+                  void (*entry)(void*), void* arg) {
+  const std::uintptr_t top =
+      reinterpret_cast<std::uintptr_t>(stack + bytes) & ~std::uintptr_t{15};
+  auto* frame = reinterpret_cast<std::uint64_t*>(top - 16 - 9 * 8);
+  std::uint16_t fpu_cw = 0;
+  std::uint32_t mxcsr = 0;
+  asm volatile("fnstcw %0" : "=m"(fpu_cw));
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  frame[0] = fpu_cw;
+  frame[1] = mxcsr;
+  frame[2] = 0;  // r15
+  frame[3] = 0;  // r14
+  frame[4] = reinterpret_cast<std::uint64_t>(entry);  // r13
+  frame[5] = reinterpret_cast<std::uint64_t>(arg);    // r12
+  frame[6] = 0;  // rbx
+  frame[7] = 0;  // rbp: ends frame-pointer walks
+  frame[8] = reinterpret_cast<std::uint64_t>(&dampi_fiber_start);
+  ctx->sp = frame;
+}
+#else
+#include <ucontext.h>
+
+namespace dampi::mpism {
+namespace {
+
+struct FiberContext {
+  ucontext_t uc = {};
+};
+
+void switch_context(FiberContext* from, FiberContext* to) {
+  swapcontext(&from->uc, &to->uc);
+}
+
+/// makecontext passes int arguments only, so entry and arg each travel
+/// as two 32-bit halves.
+void start_trampoline(int entry_hi, int entry_lo, int arg_hi, int arg_lo) {
+  const auto join = [](int hi, int lo) {
+    return (static_cast<std::uintptr_t>(static_cast<std::uint32_t>(hi))
+            << 32) |
+           static_cast<std::uintptr_t>(static_cast<std::uint32_t>(lo));
+  };
+  reinterpret_cast<void (*)(void*)>(join(entry_hi, entry_lo))(
+      reinterpret_cast<void*>(join(arg_hi, arg_lo)));
+}
+
+void make_context(FiberContext* ctx, char* stack, std::size_t bytes,
+                  void (*entry)(void*), void* arg) {
+  getcontext(&ctx->uc);
+  ctx->uc.uc_stack.ss_sp = stack;
+  ctx->uc.uc_stack.ss_size = bytes;
+  ctx->uc.uc_link = nullptr;
+  const auto e = reinterpret_cast<std::uintptr_t>(entry);
+  const auto a = reinterpret_cast<std::uintptr_t>(arg);
+  makecontext(&ctx->uc, reinterpret_cast<void (*)()>(&start_trampoline), 4,
+              static_cast<int>(static_cast<std::uint32_t>(e >> 32)),
+              static_cast<int>(static_cast<std::uint32_t>(e)),
+              static_cast<int>(static_cast<std::uint32_t>(a >> 32)),
+              static_cast<int>(static_cast<std::uint32_t>(a)));
+}
+#endif
+
+// ---------------------------------------------------------------------------
+// Fiber stacks.
+//
+// Every fiber stack is kFiberStackBytes mmap'd with a PROT_NONE guard page
+// below it, so a rank that recurses past its stack dies with SIGSEGV
+// instead of overwriting whatever lies below. Stacks are reused through a
+// per-thread cache: a scheduler takes one on each fiber's first dispatch
+// and hands all of them back when it is destroyed, so a thread replaying
+// thousands of runs maps its stacks once and then takes no page faults on
+// them. The cache keeps as many stacks as the thread's largest run used
+// and unmaps them when the thread exits.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
+class StackCache {
+ public:
+  StackCache() : guard_bytes_(static_cast<std::size_t>(sysconf(_SC_PAGESIZE))) {}
+  ~StackCache() {
+    for (char* stack : free_) munmap(stack - guard_bytes_, mapping_bytes());
+  }
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+
+  /// The low end of a kFiberStackBytes usable stack.
+  char* take() {
+    if (!free_.empty()) {
+      char* stack = free_.back();
+      free_.pop_back();
+      return stack;
+    }
+    void* base = mmap(nullptr, mapping_bytes(), PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    DAMPI_CHECK_MSG(base != MAP_FAILED, "coop scheduler: fiber stack mmap");
+    DAMPI_CHECK_MSG(mprotect(base, guard_bytes_, PROT_NONE) == 0,
+                    "coop scheduler: fiber stack guard page");
+    static obs::Counter& mapped_metric =
+        obs::Registry::instance().counter("scheduler.stacks_mapped");
+    mapped_metric.add(1);
+    return static_cast<char*>(base) + guard_bytes_;
+  }
+
+  void give(char* stack) { free_.push_back(stack); }
+
+ private:
+  std::size_t mapping_bytes() const { return guard_bytes_ + kFiberStackBytes; }
+
+  std::size_t guard_bytes_;
+  std::vector<char*> free_;
+};
+
+/// Function-local so it is constructed on the thread's first coop run and
+/// destroyed at thread exit, after every scheduler that ran there.
+StackCache& stack_cache() {
+  thread_local StackCache cache;
+  return cache;
+}
 
 // ---------------------------------------------------------------------------
 // ThreadScheduler: one OS thread per rank, per-rank eventcount waiters
@@ -136,8 +364,8 @@ class ThreadScheduler final : public RankScheduler {
 };
 
 // ---------------------------------------------------------------------------
-// CoopScheduler: one ucontext fiber per rank, all multiplexed onto the
-// thread that called run(). A fiber executes until its rank blocks in an
+// CoopScheduler: one fiber per rank, all multiplexed onto the thread that
+// called run(). A fiber executes until its rank blocks in an
 // MPI operation (block() swaps back here), then the policy picks the
 // next runnable rank. Everything the policy consumes — fiber states,
 // wake hints, predicate results — is a deterministic function of program
@@ -172,6 +400,7 @@ class CoopScheduler final : public RankScheduler {
   ~CoopScheduler() override {
     for (Fiber& f : fibers_) {
       if (f.lane != nullptr) obs::Tracer::instance().release(f.lane);
+      if (f.stack != nullptr) stack_cache().give(f.stack);
     }
   }
 
@@ -227,7 +456,7 @@ class CoopScheduler final : public RankScheduler {
       // next dispatched rank may need the same shard, and it runs on
       // this very OS thread.
       g.unlock();
-      swapcontext(&f.ctx, &sched_ctx_);
+      switch_context(&f.ctx, &sched_ctx_);
       g.lock();
     }
   }
@@ -236,7 +465,7 @@ class CoopScheduler final : public RankScheduler {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
     f.state = State::kYielded;
     g.unlock();
-    swapcontext(&f.ctx, &sched_ctx_);
+    switch_context(&f.ctx, &sched_ctx_);
     g.lock();
   }
 
@@ -270,8 +499,10 @@ class CoopScheduler final : public RankScheduler {
     /// predicate, and an empty hinted set triggers a full scan. Atomic
     /// because external cancellation calls wake_all from its own thread.
     std::atomic<bool> hint{false};
-    std::unique_ptr<char[]> stack;
-    ucontext_t ctx = {};
+    /// Taken from the thread's stack cache on first dispatch, so
+    /// unstarted ranks cost nothing; returned when the scheduler dies.
+    char* stack = nullptr;
+    FiberContext ctx;
     obs::Lane* lane = nullptr;
   };
 
@@ -368,7 +599,7 @@ class CoopScheduler final : public RankScheduler {
     log::set_thread_rank(r);
     obs::Lane* host_lane = nullptr;
     if (f.lane != nullptr) host_lane = obs::exchange_thread_lane(f.lane);
-    swapcontext(&sched_ctx_, &f.ctx);
+    switch_context(&sched_ctx_, &f.ctx);
     if (f.lane != nullptr) obs::exchange_thread_lane(host_lane);
     log::set_thread_rank(host_rank);
     DAMPI_TEVENT(obs::EventKind::kSchedSwitch, obs::Phase::kEnd, r);
@@ -376,24 +607,13 @@ class CoopScheduler final : public RankScheduler {
   }
 
   void prepare_fiber(Fiber& f) {
-    f.stack.reset(new char[opts_.stack_bytes]);
-    getcontext(&f.ctx);
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = opts_.stack_bytes;
-    f.ctx.uc_link = &sched_ctx_;
-    // makecontext takes int arguments; smuggle `this` through two
-    // halves (the classic portable idiom).
-    const auto self = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&f.ctx, reinterpret_cast<void (*)()>(&CoopScheduler::tramp),
-                2, static_cast<int>(static_cast<std::uint32_t>(self >> 32)),
-                static_cast<int>(static_cast<std::uint32_t>(self)));
+    f.stack = stack_cache().take();
+    make_context(&f.ctx, f.stack, kFiberStackBytes, &CoopScheduler::fiber_entry,
+                 this);
   }
 
-  static void tramp(int hi, int lo) {
-    const std::uintptr_t bits =
-        (static_cast<std::uintptr_t>(static_cast<std::uint32_t>(hi)) << 32) |
-        static_cast<std::uintptr_t>(static_cast<std::uint32_t>(lo));
-    reinterpret_cast<CoopScheduler*>(bits)->fiber_main();
+  static void fiber_entry(void* self) {
+    static_cast<CoopScheduler*>(self)->fiber_main();
   }
 
   void fiber_main() {
@@ -402,10 +622,10 @@ class CoopScheduler final : public RankScheduler {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
     f.state = State::kFinished;
     ++finished_;
-    // Yield for good; the scheduler never resumes a finished fiber, so
-    // the loop is unreachable after the first swap (it exists so the
-    // trampoline can never fall off the end of its makecontext frame).
-    for (;;) swapcontext(&f.ctx, &sched_ctx_);
+    // Switch away for good; the scheduler never resumes a finished
+    // fiber, so the loop is unreachable after the first switch (it keeps
+    // the fiber from ever returning into its start frame).
+    for (;;) switch_context(&f.ctx, &sched_ctx_);
   }
 
   SchedOptions opts_;
@@ -414,7 +634,7 @@ class CoopScheduler final : public RankScheduler {
   std::vector<Fiber> fibers_;
   std::vector<std::uint64_t> priorities_;
   std::vector<Rank> candidates_;
-  ucontext_t sched_ctx_ = {};
+  FiberContext sched_ctx_;
   const Callbacks* cb_ = nullptr;
   Rank current_ = -1;
   Rank rr_cursor_ = 0;
@@ -437,9 +657,7 @@ std::unique_ptr<RankScheduler> make_scheduler(const SchedOptions& options,
   DAMPI_CHECK(nprocs > 0);
   if (options.kind == SchedulerKind::kCoop) {
     if (coop_supported()) {
-      SchedOptions coop = options;
-      coop.stack_bytes = std::max<std::size_t>(coop.stack_bytes, 64 * 1024);
-      return std::make_unique<CoopScheduler>(coop, nprocs);
+      return std::make_unique<CoopScheduler>(options, nprocs);
     }
     static bool warned = false;
     if (!warned) {

@@ -6,10 +6,11 @@
 //  - ThreadScheduler: one OS thread per rank (the original engine
 //    behaviour). Preemption points are wherever the OS puts them, so
 //    wildcard match order on a native run depends on host scheduling.
-//  - CoopScheduler: every rank is a ucontext fiber on the *calling*
-//    thread. A rank runs until it blocks in an MPI operation, then
-//    yields to the scheduler, which deterministically picks the next
-//    runnable rank (round-robin, seeded-random, or seeded-priority).
+//  - CoopScheduler: every rank is a fiber on the *calling* thread, with
+//    its own guard-paged stack. A rank runs until it blocks in an MPI
+//    operation, then yields to the scheduler, which deterministically
+//    picks the next runnable rank (round-robin, seeded-random, or
+//    seeded-priority).
 //    Native runs become bit-reproducible by construction, and rank
 //    counts in the hundreds cost fibers instead of OS threads — the
 //    run-to-block discipline of centralized-scheduler verifiers (ISP,
@@ -34,7 +35,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,9 +56,6 @@ struct SchedOptions {
   SchedulerKind kind = SchedulerKind::kThread;
   SchedPolicy pick = SchedPolicy::kRoundRobin;
   std::uint64_t seed = 1;
-  /// Per-fiber stack size (coop only); allocated lazily on first
-  /// dispatch, so unstarted ranks cost nothing.
-  std::size_t stack_bytes = 256 * 1024;
 };
 
 class RankScheduler {
@@ -126,7 +123,7 @@ class RankScheduler {
 };
 
 /// False when fibers cannot work in this build (thread/address sanitizer
-/// instrumentation does not track ucontext stack switches); callers fall
+/// instrumentation does not track fiber stack switches); callers fall
 /// back to ThreadScheduler.
 bool coop_supported();
 

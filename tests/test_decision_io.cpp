@@ -116,6 +116,27 @@ TEST(DecisionIo, LoadMissingFileFails) {
   EXPECT_FALSE(error.empty());
 }
 
+// Regression: a decision naming rank 9 at 4 ranks used to write past the
+// end of DampiShared's per-rank table on --replay. Loaders reject it
+// against the run's rank count, and DampiShared refuses it outright.
+TEST(DecisionIo, OutOfRangeRankOrSourceIsRejected) {
+  std::string error;
+  const auto bad_rank =
+      core::parse_schedule("# dampi-epoch-decisions v1\n9 0 1\n", &error);
+  ASSERT_TRUE(bad_rank.has_value()) << error;  // well-formed text
+  EXPECT_FALSE(core::validate_schedule(*bad_rank, 4, &error));
+  EXPECT_NE(error.find("9 0 1"), std::string::npos) << error;
+
+  const auto bad_src =
+      core::parse_schedule("# dampi-epoch-decisions v1\n1 0 4\n", &error);
+  ASSERT_TRUE(bad_src.has_value()) << error;
+  EXPECT_FALSE(core::validate_schedule(*bad_src, 4, &error));
+  EXPECT_TRUE(core::validate_schedule(*bad_src, 5, &error)) << error;
+
+  core::ExplorerOptions options = explorer_options(4);
+  EXPECT_THROW(core::DampiShared(options, *bad_rank, nullptr), InternalError);
+}
+
 TEST(DecisionIo, SavedReproducerReplaysTheBug) {
   // Find the fig3 bug, save its reproducer, reload it, replay it.
   core::ExplorerOptions options = explorer_options(3);

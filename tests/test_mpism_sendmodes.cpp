@@ -187,6 +187,7 @@ TEST(TestAny, ReturnsLowestReadyIndex) {
     if (p.rank() == 0) {
       std::vector<RequestId> reqs = {p.irecv(1, 1), p.irecv(1, 2)};
       EXPECT_EQ(p.testany(reqs), reqs.size());  // nothing ready yet
+      p.send(1, 5, pack<int>(0));               // "go": rank 1 may send
       p.recv(1, 3);                             // tag-2 sent, then tag-3
       Bytes data;
       Status st;
@@ -196,6 +197,8 @@ TEST(TestAny, ReturnsLowestReadyIndex) {
       p.send(1, 4, pack<int>(0));
       p.waitall(reqs);
     } else {
+      // Wait for "go" so no send can race rank 0's first testany.
+      p.recv(0, 5);
       p.send(0, 2, pack<int>(2));
       p.send(0, 3, pack<int>(0));
       p.recv(0, 4);

@@ -9,7 +9,10 @@
 //  - deadlock: the scheduler's stall scan reports genuine deadlocks and
 //    never flags a runnable-but-unscheduled rank at large nprocs;
 //  - scale: a 512-rank wavefront verification completes on one host
-//    thread (ranks are fibers, not OS threads).
+//    thread (ranks are fibers, not OS threads);
+//  - fibers: stacks are reused across runs from the thread's cache
+//    without moving any fingerprint, an overflowing rank dies at its
+//    guard page, and floating-point modes stay per fiber.
 //
 // Fingerprints deliberately exclude wall-clock fields (wall_seconds,
 // total_wall_seconds) and the replay-pool counters: speculation timing
@@ -17,12 +20,16 @@
 // Doubles print as %a so "bit-identical" means bit-identical.
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <csignal>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/strutil.hpp"
 #include "core/explorer.hpp"
+#include "obs/metrics.hpp"
 #include "support/reference_enumerator.hpp"
 #include "support/run_helpers.hpp"
 #include "support/verify_helpers.hpp"
@@ -413,6 +420,132 @@ TEST(SchedScale, Wavefront512RankVerificationCompletes) {
   EXPECT_TRUE(result.bugs.empty());
   EXPECT_GE(result.interleavings, 1u);
   EXPECT_GT(result.wildcard_recv_epochs, 0u);
+}
+
+/// Runs `fn` on a new thread, whose fiber-stack cache starts empty.
+template <typename Fn>
+void on_fresh_thread(Fn fn) {
+  std::thread(fn).join();
+}
+
+std::uint64_t stacks_mapped() {
+  return obs::Registry::instance().counter("scheduler.stacks_mapped").value();
+}
+
+// Back-to-back coop runs on one thread take their fiber stacks from the
+// thread's cache: growing from 4 to 64 ranks maps only the 60 missing
+// stacks, and shrinking back maps none. Reuse must be invisible to the
+// program: every fingerprint equals that of a run on a fresh thread.
+TEST(SchedStacks, BackToBackRunsReuseCachedStacksBitIdentically) {
+  SKIP_WITHOUT_COOP();
+  const auto program = [](Proc& p) { workloads::fan_in_rounds(p, 3); };
+  const auto run_fp = [&program](int nprocs) {
+    return fingerprint(run_program(run_options(nprocs, coop()), program));
+  };
+  std::string fresh_4;
+  std::string fresh_64;
+  on_fresh_thread([&] { fresh_4 = run_fp(4); });
+  on_fresh_thread([&] { fresh_64 = run_fp(64); });
+
+  on_fresh_thread([&] {
+    const struct {
+      int nprocs;
+      std::uint64_t newly_mapped;
+      const std::string& want;
+    } steps[] = {{4, 4, fresh_4}, {64, 60, fresh_64}, {4, 0, fresh_4}};
+    for (const auto& step : steps) {
+      const std::uint64_t before = stacks_mapped();
+      EXPECT_EQ(run_fp(step.nprocs), step.want) << "nprocs " << step.nprocs;
+      EXPECT_EQ(stacks_mapped() - before, step.newly_mapped)
+          << "nprocs " << step.nprocs;
+    }
+
+    // An exploration at jobs 4 on a warm thread: every pool thread maps
+    // its stacks once and reuses them for each later replay, and the
+    // result equals a fresh single-threaded exploration.
+    core::ExplorerOptions options = explorer_options(4);
+    options.sched = coop();
+    const auto explore_fp = [&options] {
+      core::Explorer explorer(options);
+      return fingerprint(explorer.explore(
+          [](Proc& p) { workloads::fan_in_rounds(p, 2); }));
+    };
+    std::string fresh_explore;
+    on_fresh_thread([&] { fresh_explore = explore_fp(); });
+    options.jobs = 4;
+    obs::Counter& coop_runs =
+        obs::Registry::instance().counter("scheduler.coop_runs");
+    const std::uint64_t runs_before = coop_runs.value();
+    const std::uint64_t mapped_before = stacks_mapped();
+    EXPECT_EQ(explore_fp(), fresh_explore);
+    const std::uint64_t runs = coop_runs.value() - runs_before;
+    const std::uint64_t mapped = stacks_mapped() - mapped_before;
+    EXPECT_GT(runs, 10u);
+    EXPECT_LE(mapped, std::uint64_t{4} * 4) << "over " << runs << " runs";
+  });
+}
+
+/// Touches every byte of a 512-byte frame per level, so the descent
+/// cannot step over a guard page.
+int recurse_deep(int depth) {
+  volatile char pad[512];
+  for (auto& c : pad) c = static_cast<char>(depth);
+  if (depth == 0) return pad[0];
+  return recurse_deep(depth - 1) + pad[depth % 512];
+}
+
+// A rank that recurses past its fiber stack dies at the guard page below
+// it instead of overwriting whatever memory lies there. The overflow is
+// modest — 640 frames of over 512 bytes, some 64 KiB past the 256 KiB
+// stack — and rank 0 makes it only after rank 1, whose stack was mapped
+// just below rank 0's, has finished: without the guard the write would
+// land in that dead stack and the run would complete.
+TEST(SchedStacksDeathTest, OverflowDiesAtGuardPage) {
+  SKIP_WITHOUT_COOP();
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        run_program(run_options(2, coop()), [](Proc& p) {
+          if (p.rank() == 0) {
+            p.recv(1, 1);  // rank 1 runs to completion meanwhile
+            p.require(recurse_deep(640) != 1, "");
+          } else {
+            p.send(0, 1, pack<int>(0));
+          }
+        });
+      },
+      ::testing::KilledBySignal(SIGSEGV), "");
+}
+
+// Floating-point control state (MXCSR and the x87 control word) belongs
+// to the fiber: a rank that switches to upward rounding and then blocks
+// must not hand that mode to the next rank dispatched, and gets its own
+// mode back when it resumes.
+TEST(SchedFloatingPoint, RoundingModeStaysWithItsFiber) {
+  SKIP_WITHOUT_COOP();
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest_third = one / three;
+  int rank1_mode = -1;
+  double rank1_third = 0.0;
+  int rank0_mode_after_block = -1;
+  const auto report = run_program(run_options(2, coop()), [&](Proc& p) {
+    if (p.rank() == 0) {
+      std::fesetround(FE_UPWARD);
+      p.recv(1, 1);  // blocks; round-robin dispatches rank 1 next
+      rank0_mode_after_block = std::fegetround();
+      std::fesetround(FE_TONEAREST);
+    } else {
+      rank1_mode = std::fegetround();
+      rank1_third = one / three;
+      p.send(0, 1, pack<int>(0));
+    }
+  });
+  ASSERT_TRUE(report.ok()) << report.deadlock_detail;
+  EXPECT_EQ(rank1_mode, FE_TONEAREST);
+  EXPECT_EQ(rank1_third, nearest_third);
+  EXPECT_EQ(rank0_mode_after_block, FE_UPWARD);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
 }  // namespace
