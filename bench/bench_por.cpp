@@ -1,4 +1,4 @@
-// Sleep-set pruning: interleavings explored with --por off vs sleep on
+// Sleep-set pruning: interleavings explored with POR off vs sleep on
 // the POR workload family, under vector clocks (the mode where the
 // independence relation has evidence to act on).
 //
@@ -121,7 +121,7 @@ Row measure(const std::string& name, int nprocs,
 
 int main() {
   dampi::bench::banner(
-      "Sleep-set POR: interleavings --por off vs sleep (vector clocks)",
+      "Sleep-set POR: interleavings POR off vs sleep (vector clocks)",
       "pruning commuting decisions shrinks the walk geometrically on "
       "disjoint wildcard groups while preserving bug and outcome sets");
 
@@ -188,7 +188,7 @@ int main() {
 
   if (!all_equivalent) {
     std::fprintf(stderr,
-                 "bench_por: --por sleep diverged from --por off\n");
+                 "bench_por: POR sleep diverged from POR off\n");
     return 1;
   }
   return 0;

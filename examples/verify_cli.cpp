@@ -10,14 +10,18 @@
 // ParMETIS proxy, and every Table II suite entry by name (104.milc, BT,
 // LU, ...).
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "core/checkpoint.hpp"
 #include "core/decision_io.hpp"
@@ -102,31 +106,15 @@ int usage(const char* argv0) {
       "  --jobs N               replay-worker pool width (default 1; "
       "results\n"
       "                         are identical at every width)\n"
-      "  --sched KIND           rank scheduler: thread (OS thread per "
-      "rank),\n"
-      "                         coop / coop-rr, coop-random, coop-priority\n"
-      "                         (deterministic run-to-block fibers; "
-      "default\n"
-      "                         thread, or $DAMPI_SCHED when set)\n"
+      "  --sched KIND           rank scheduler: coop / coop-rr, "
+      "coop-random,\n"
+      "                         coop-priority (deterministic run-to-block "
+      "fibers;\n"
+      "                         default coop-rr, or $DAMPI_SCHED when "
+      "set) or\n"
+      "                         thread (OS thread per rank)\n"
       "  --sched-seed N         seed for coop-random / coop-priority "
       "picks\n"
-      "  --match KIND           message matcher: indexed (O(1) lanes, "
-      "default)\n"
-      "                         or linear (scan oracle; $DAMPI_MATCH when "
-      "set)\n"
-      "  --engine-lock KIND     engine locking: sharded (per-rank shards, "
-      "default)\n"
-      "                         or global (single-mutex baseline; "
-      "$DAMPI_ENGINE_LOCK\n"
-      "                         when set); verdicts are identical across "
-      "modes\n"
-      "  --por MODE             partial-order reduction: sleep "
-      "(commuting-decision\n"
-      "                         sleep sets, default) or off (full "
-      "cross-product\n"
-      "                         baseline; $DAMPI_POR when set); same bugs "
-      "and\n"
-      "                         per-epoch outcomes in <= interleavings\n"
       "  --isp                  use the centralized ISP baseline instead\n"
       "  --save-repro FILE      write the first bug's epoch-decisions "
       "file\n"
@@ -210,6 +198,28 @@ int usage(const char* argv0) {
   return 3;
 }
 
+/// Parses all of `text` as a number no smaller than `lo` into *out.
+/// Trailing junk, a sign on an unsigned flag, and out-of-range or
+/// non-finite values are rejected with a diagnostic naming `flag`.
+template <typename T>
+bool parse_number(const std::string& flag, const char* text, T lo, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end && ptr != text && value >= lo;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::ostringstream want;
+    want << (std::is_integral_v<T> ? "an integer" : "a number") << " >= "
+         << lo;
+    std::printf("bad %s value '%s': want %s\n", flag.c_str(), text,
+                want.str().c_str());
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 /// SIGINT lands here; a bridge thread polls the flag and fires the
 /// CancelSource (not async-signal-safe, so it cannot run in the
 /// handler). A second ^C gets the default disposition: immediate death.
@@ -234,9 +244,6 @@ int main(int argc, char** argv) {
   int auto_loop = 0;
   int jobs = 1;
   mpism::SchedOptions sched = mpism::default_sched_options();
-  mpism::MatchKind match = mpism::default_match_kind();
-  mpism::EngineLockKind engine_lock = mpism::default_engine_lock_kind();
-  core::PorMode por = core::default_por_mode();
   bool use_isp = false;
   std::string save_repro_path;
   std::string replay_path;
@@ -268,6 +275,17 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Reads this flag's value into *out; false once a missing or bad
+    // value has been reported.
+    auto number = [&](auto* out, auto lo) {
+      using T = std::remove_pointer_t<decltype(out)>;
+      const char* v = next();
+      if (v == nullptr) {
+        usage(argv[0]);
+        return false;
+      }
+      return parse_number<T>(arg, v, static_cast<T>(lo), out);
+    };
     if (arg == "--list") {
       for (const auto& [prog_name, fn] : programs) {
         std::printf("%s\n", prog_name.c_str());
@@ -278,36 +296,30 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       name = v;
     } else if (arg == "--procs") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      procs = std::atoi(v);
+      if (!number(&procs, 1)) return 3;
     } else if (arg == "--k") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      k = std::atoi(v);
+      int window = 0;
+      if (!number(&window, 0)) return 3;
+      k = window;
     } else if (arg == "--clock") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
-      clock_mode = std::strcmp(v, "vector") == 0 ? core::ClockMode::kVector
-                                                 : core::ClockMode::kLamport;
+      if (std::strcmp(v, "lamport") == 0) {
+        clock_mode = core::ClockMode::kLamport;
+      } else if (std::strcmp(v, "vector") == 0) {
+        clock_mode = core::ClockMode::kVector;
+      } else {
+        std::printf("unknown --clock value: %s (want lamport or vector)\n", v);
+        return 3;
+      }
     } else if (arg == "--max-interleavings") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      max_interleavings = std::strtoull(v, nullptr, 10);
+      if (!number(&max_interleavings, 0)) return 3;
     } else if (arg == "--deferred-sync") {
       deferred_sync = true;
     } else if (arg == "--auto-loop") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      auto_loop = std::atoi(v);
+      if (!number(&auto_loop, 0)) return 3;
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      jobs = std::atoi(v);
-      if (jobs < 1) {
-        std::printf("--jobs must be >= 1\n");
-        return usage(argv[0]);
-      }
+      if (!number(&jobs, 1)) return 3;
     } else if (arg == "--sched") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -316,30 +328,7 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--sched-seed") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      sched.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--match") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      if (!mpism::parse_match_spec(v, &match)) {
-        std::printf("unknown --match value: %s\n", v);
-        return usage(argv[0]);
-      }
-    } else if (arg == "--engine-lock") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      if (!mpism::parse_engine_lock_spec(v, &engine_lock)) {
-        std::printf("unknown --engine-lock value: %s\n", v);
-        return usage(argv[0]);
-      }
-    } else if (arg == "--por") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      if (!core::parse_por_spec(v, &por)) {
-        std::printf("unknown --por value: %s\n", v);
-        return usage(argv[0]);
-      }
+      if (!number(&sched.seed, 0)) return 3;
     } else if (arg == "--isp") {
       use_isp = true;
     } else if (arg == "--save-repro") {
@@ -355,27 +344,17 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       trace_path = v;
     } else if (arg == "--trace-capacity") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      trace_capacity = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!number(&trace_capacity, 0)) return 3;
     } else if (arg == "--metrics") {
       print_metrics = true;
     } else if (arg == "--run-deadline") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      run_deadline_seconds = std::atof(v);
+      if (!number(&run_deadline_seconds, 0)) return 3;
     } else if (arg == "--run-max-ops") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      run_max_ops = std::strtoull(v, nullptr, 10);
+      if (!number(&run_max_ops, 0)) return 3;
     } else if (arg == "--max-wall-seconds") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      max_wall_seconds = std::atof(v);
+      if (!number(&max_wall_seconds, 0)) return 3;
     } else if (arg == "--retries") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      retries = std::atoi(v);
+      if (!number(&retries, 0)) return 3;
     } else if (arg == "--fault") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -385,25 +364,15 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       checkpoint_path = v;
     } else if (arg == "--checkpoint-interval") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      checkpoint_interval = std::strtoull(v, nullptr, 10);
+      if (!number(&checkpoint_interval, 1)) return 3;
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--sweep-faults") {
       sweep_faults = true;
     } else if (arg == "--sweep-budget") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      sweep_budget = std::strtoull(v, nullptr, 10);
-      if (sweep_budget == 0) {
-        std::printf("--sweep-budget must be >= 1\n");
-        return usage(argv[0]);
-      }
+      if (!number(&sweep_budget, 1)) return 3;
     } else if (arg == "--sweep-seed") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      sweep_seed = std::strtoull(v, nullptr, 10);
+      if (!number(&sweep_seed, 0)) return 3;
     } else if (arg == "--sweep-kinds") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -421,13 +390,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       sweep_journal_path = v;
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      workers = std::atoi(v);
-      if (workers < 1) {
-        std::printf("--workers must be >= 1\n");
-        return usage(argv[0]);
-      }
+      if (!number(&workers, 1)) return 3;
     } else if (arg == "--dist-socket") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -435,9 +398,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--worker") {
       worker_mode = true;
     } else if (arg == "--worker-id") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      worker_id = std::atoi(v);
+      if (!number(&worker_id, 0)) return 3;
     } else if (arg == "--coordinator-socket") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -491,9 +452,6 @@ int main(int argc, char** argv) {
   explorer_options.auto_loop_threshold = auto_loop;
   explorer_options.jobs = jobs;
   explorer_options.sched = sched;
-  explorer_options.match = match;
-  explorer_options.engine_lock = engine_lock;
-  explorer_options.por = por;
   explorer_options.run_deadline_seconds = run_deadline_seconds;
   explorer_options.max_run_ops = run_max_ops;
   if (max_wall_seconds > 0.0) {
@@ -564,7 +522,7 @@ int main(int argc, char** argv) {
     std::string error;
     auto cp = core::load_checkpoint(
         checkpoint_path, core::options_fingerprint(explorer_options), &error);
-    if (!cp.has_value()) {
+    if (!cp.has_value() || !core::validate_checkpoint(*cp, procs, &error)) {
       std::printf("cannot resume from %s: %s\n", checkpoint_path.c_str(),
                   error.c_str());
       return 3;
@@ -697,22 +655,8 @@ int main(int argc, char** argv) {
   if (distributed) {
     // Native baseline first (same as Verifier::verify), then the
     // sharded campaign instead of the in-process walk.
-    {
-      mpism::RunOptions native;
-      native.nprocs = explorer_options.nprocs;
-      native.cost = explorer_options.cost;
-      native.policy = explorer_options.policy;
-      native.policy_seed = explorer_options.policy_seed;
-      native.sched = explorer_options.sched;
-      native.match = explorer_options.match;
-      native.engine_lock = explorer_options.engine_lock;
-      native.max_run_wall_seconds = explorer_options.run_deadline_seconds;
-      native.max_run_vtime_us = explorer_options.max_run_vtime_us;
-      native.max_ops = explorer_options.max_run_ops;
-      native.cancel = explorer_options.cancel;
-      mpism::Runtime runtime(std::move(native));
-      result.native_vtime_us = runtime.run(it->second).vtime_us;
-    }
+    const double native_vtime_us =
+        core::measure_native_vtime(explorer_options, it->second);
 
     dist::DistOptions dist_options;
     dist_options.workers = workers;
@@ -740,21 +684,8 @@ int main(int argc, char** argv) {
     for (const auto& [wid, dump] : dist_result.worker_metrics) {
       obs::Registry::instance().merge_dump(dump, "w" + std::to_string(wid));
     }
-    result.exploration = std::move(dist_result.exploration);
-    result.instrumented_vtime_us = result.exploration.first_run_vtime_us;
-    if (result.native_vtime_us > 0.0) {
-      result.slowdown =
-          result.instrumented_vtime_us / result.native_vtime_us;
-    }
-    result.comm_leaks = result.exploration.first_report.comm_leaks;
-    result.request_leaks = result.exploration.first_report.request_leaks;
-    for (const core::BugRecord& bug : result.exploration.bugs) {
-      if (bug.kind == core::BugRecord::Kind::kDeadlock) {
-        result.deadlock_found = true;
-      }
-      if (bug.kind == core::BugRecord::Kind::kError) result.error_found = true;
-      if (bug.kind == core::BugRecord::Kind::kHang) result.hang_found = true;
-    }
+    result = core::summarize_verify(std::move(dist_result.exploration),
+                                    native_vtime_us);
   } else if (use_isp) {
     isp::IspOptions options;
     options.explorer = explorer_options;
@@ -768,12 +699,9 @@ int main(int argc, char** argv) {
   }
   stop_bridge();
 
-  std::printf("program                : %s (%d ranks, %s, sched %s, match "
-              "%s, lock %s, por %s)\n",
+  std::printf("program                : %s (%d ranks, %s, sched %s)\n",
               name.c_str(), procs, use_isp ? "ISP baseline" : "DAMPI",
-              mpism::sched_spec(sched).c_str(), mpism::match_spec(match),
-              mpism::engine_lock_spec(engine_lock).c_str(),
-              core::por_spec(por));
+              mpism::sched_spec(sched).c_str());
   if (distributed) {
     std::printf(
         "distributed campaign   : %d workers (%d spawned), %llu shards "

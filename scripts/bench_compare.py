@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Perf smoke for the matching index: indexed must not lose to linear.
 
-Runs `bench_micro` twice — DAMPI_MATCH=linear, then DAMPI_MATCH=indexed —
-over the engine-path benchmarks the matcher sits on, and compares
-per-benchmark real_time. The indexed matcher is the default, so a run
-where it is meaningfully slower than the linear oracle is a regression
-worth failing on.
+By default it reads the BENCH_matching.json that `bench_matching` emits
+(the bench times the linear oracle and the indexed matcher in one
+process, cell by cell over queue depth and wildcard fan-in) and compares
+ns/op per cell. The indexed matcher is the default, so a cell where it
+is meaningfully slower than the linear oracle is a regression worth
+failing on, and so is an indexed scan-length p99 above one entry.
 
 With --distributed PATH it instead reads the BENCH_distributed.json that
 bench_distributed emits and checks the campaign-equivalence contract:
@@ -22,7 +23,7 @@ losing to global beyond the tolerance is flagged as a regression.
 
 With --por PATH it reads the BENCH_por.json that bench_por emits and
 checks the sleep-set pruning contract: every row must be marked
-equivalent (same bug set and per-epoch outcome sets as --por off) and
+equivalent (same bug set and per-epoch outcome sets as POR off) and
 never explore more interleavings than off. The reduction ratio is
 reported per row; all-dependent workloads legitimately sit at 1.0x.
 
@@ -34,7 +35,8 @@ summary numbers from the JSON). Plans/sec is reported but never failed
 on — scaling is conditional on cores.
 
 Usage:
-  scripts/bench_compare.py [--bench PATH] [--tolerance FRAC] [--warn-only]
+  scripts/bench_compare.py [BENCH_matching.json] [--tolerance FRAC]
+                           [--warn-only]
   scripts/bench_compare.py --distributed BENCH_distributed.json [--warn-only]
   scripts/bench_compare.py --contention BENCH_contention.json [--warn-only]
   scripts/bench_compare.py --por BENCH_por.json [--warn-only]
@@ -45,36 +47,54 @@ Exit codes: 0 ok (or --warn-only), 1 regression, 2 cannot run bench.
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 
-# Engine-path benchmarks: deep-queue wildcard matching is where the index
-# must win; ping-pong is the shallow-queue path where it must at least
-# not lose (within tolerance — it does constant hash work per message).
-FILTER = "BM_WildcardMatchDepth|BM_RuntimePingPong"
 
-
-def run_bench(bench, match_kind):
-    env = dict(os.environ, DAMPI_MATCH=match_kind)
-    cmd = [
-        bench,
-        f"--benchmark_filter={FILTER}",
-        "--benchmark_format=json",
-    ]
+def check_matching(path, tolerance, warn_only):
     try:
-        out = subprocess.run(
-            cmd, env=env, capture_output=True, text=True, check=True
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as err:
-        print(f"bench_compare: cannot run {bench} ({err})", file=sys.stderr)
+        with open(path) as f:
+            data = json.load(f)
+    except (OSError, ValueError) as err:
+        print(f"bench_compare: cannot read {path} ({err})", file=sys.stderr)
         sys.exit(2)
-    results = {}
-    for entry in json.loads(out).get("benchmarks", []):
-        if entry.get("run_type") == "aggregate":
-            continue
-        results[entry["name"]] = float(entry["real_time"])
-    return results
+
+    cells = data.get("cells", [])
+    if not cells:
+        print("bench_compare: no matcher cells to compare", file=sys.stderr)
+        sys.exit(2)
+
+    regressions = []
+    print(f"{'scenario':<22} {'depth':>6} {'fan-in':>6} {'linear':>10} "
+          f"{'indexed':>10} {'ratio':>7}")
+    for cell in cells:
+        name = (f"{cell['scenario']}@{cell['depth']}"
+                + (f"/{cell['fanin']}" if cell.get("fanin") else ""))
+        ratio = cell["indexed_ns"] / cell["linear_ns"]
+        flag = ""
+        if ratio > 1.0 + tolerance:
+            regressions.append((name, ratio))
+            flag = "  <-- REGRESSION"
+        print(f"{cell['scenario']:<22} {cell['depth']:>6} "
+              f"{cell.get('fanin') or '-':>6} {cell['linear_ns']:>8.1f}ns "
+              f"{cell['indexed_ns']:>8.1f}ns {ratio:>6.2f}x{flag}")
+    if not data.get("scan_p99_is_one", False):
+        regressions.append(("indexed match.scan_length p99",
+                            data.get("scan_length_p99_bound_indexed", 0.0)))
+
+    if regressions:
+        print(
+            f"bench_compare: indexed matcher regressed on "
+            f"{len(regressions)} check(s) (ratio tolerance "
+            f"{tolerance:.0%}, scan p99 bound 2.0):",
+            file=sys.stderr,
+        )
+        for name, ratio in regressions:
+            print(f"  {name}: {ratio:.2f}", file=sys.stderr)
+        if not warn_only:
+            sys.exit(1)
+        print("bench_compare: --warn-only set, not failing", file=sys.stderr)
+    else:
+        print("bench_compare: indexed matcher holds up on every cell")
 
 
 def check_distributed(path, warn_only):
@@ -195,7 +215,7 @@ def check_por(path, warn_only):
               f"{'  ok' if ok else '  <-- DIVERGENT'}")
 
     if bad:
-        print(f"bench_compare: --por sleep diverged from off on {bad} — "
+        print(f"bench_compare: POR sleep diverged from off on {bad} — "
               f"pruning dropped coverage", file=sys.stderr)
         if not warn_only:
             sys.exit(1)
@@ -271,9 +291,11 @@ def main():
         help="check a BENCH_sweep.json instead of the matcher bench",
     )
     parser.add_argument(
-        "--bench",
-        default="build/bench/bench_micro",
-        help="path to the bench_micro binary",
+        "matching",
+        nargs="?",
+        default="build/bench/BENCH_matching.json",
+        help="BENCH_matching.json written by bench_matching "
+             "(default build/bench/BENCH_matching.json)",
     )
     parser.add_argument(
         "--tolerance",
@@ -304,45 +326,7 @@ def main():
         check_sweep(args.sweep, args.warn_only)
         return
 
-    if not os.path.exists(args.bench):
-        print(f"bench_compare: {args.bench} not built", file=sys.stderr)
-        sys.exit(2)
-
-    linear = run_bench(args.bench, "linear")
-    indexed = run_bench(args.bench, "indexed")
-    names = sorted(set(linear) & set(indexed))
-    if not names:
-        print("bench_compare: no comparable benchmarks ran", file=sys.stderr)
-        sys.exit(2)
-
-    regressions = []
-    print(f"{'benchmark':<40} {'linear':>12} {'indexed':>12} {'ratio':>7}")
-    for name in names:
-        ratio = indexed[name] / linear[name]
-        flag = ""
-        if ratio > 1.0 + args.tolerance:
-            regressions.append((name, ratio))
-            flag = "  <-- REGRESSION"
-        print(
-            f"{name:<40} {linear[name]:>10.0f}ns {indexed[name]:>10.0f}ns "
-            f"{ratio:>6.2f}x{flag}"
-        )
-
-    if regressions:
-        print(
-            f"bench_compare: indexed matcher slower than linear on "
-            f"{len(regressions)} benchmark(s) "
-            f"(tolerance {args.tolerance:.0%}):",
-            file=sys.stderr,
-        )
-        for name, ratio in regressions:
-            print(f"  {name}: {ratio:.2f}x", file=sys.stderr)
-        if not args.warn_only:
-            sys.exit(1)
-        print("bench_compare: --warn-only set, not failing", file=sys.stderr)
-    else:
-        print("bench_compare: indexed matcher holds up on every benchmark")
-
+    check_matching(args.matching, args.tolerance, args.warn_only)
 
 if __name__ == "__main__":
     main()

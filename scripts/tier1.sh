@@ -1,27 +1,29 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the full build + test sweep (once under the default
-# thread-per-rank scheduler, once with DAMPI_SCHED=coop so every test
-# also runs on the cooperative fiber scheduler, once with
-# DAMPI_MATCH=linear so every test also runs on the linear matching
-# oracle, once with DAMPI_ENGINE_LOCK=global so every test also runs on
-# the single-mutex engine baseline, once with DAMPI_POR=off so every
-# test also runs on the unpruned cross-product walk), the resilience
-# stage (resil-labelled tests, the verify_cli
-# exit-code contract, a repeat-until-fail flake stage for the sched
-# label, a livelock watchdog sweep across schedulers and
-# jobs widths, and a SIGINT kill + --resume determinism smoke), a trace
-# smoke test (a real workload exported with --trace
-# must validate under trace_check), a DAMPI_TRACE=OFF configure+build
-# check, a warn-only matcher perf smoke (bench_compare.py), a
-# fault-sweep stage (sweep-labelled tests, the --sweep-faults exit-code
-# contract, a SIGINT kill + --resume byte-identity smoke, and the
-# bench_sweep worker-count determinism check), then the
-# concurrent explorer tests again under ThreadSanitizer
-# (-DDAMPI_SANITIZE=thread; only the
-# `concurrency`/`obs`/`match`/`enginelock` labelled tests rerun there,
-# so the TSan stage stays fast; coop fibers
-# are unsupported under TSan and fall back to the thread scheduler,
-# which is exactly the path TSan can check).
+# Tier-1 gate: the full build + test sweep, twice: once on the default
+# cooperative fiber scheduler and once with DAMPI_SCHED=thread so every
+# test also runs on OS threads. The differential oracles (linear
+# matcher, global engine lock, unpruned walk) get no sweep of their own;
+# their labelled suites (match, enginelock, por) compare them against
+# the defaults inside both sweeps. Then:
+#  - the resilience stage: resil-labelled tests, the verify_cli
+#    exit-code contract (including bad flag values and corrupt
+#    checkpoints), a repeat-until-fail flake stage for the sched label,
+#    a livelock watchdog sweep across schedulers and jobs widths, and a
+#    SIGINT kill + --resume determinism smoke;
+#  - the distributed stage: 4-worker equivalence, kill-a-worker, and
+#    the dist label;
+#  - a trace smoke test (a real workload exported with --trace must
+#    validate under trace_check) and a DAMPI_TRACE=OFF configure+build;
+#  - warn-only perf smokes: matcher (bench_matching read by
+#    bench_compare.py), lock contention, distributed scaling, and the
+#    POR soundness smoke;
+#  - a fault-sweep stage: sweep-labelled tests, the --sweep-faults
+#    exit-code contract, a SIGINT kill + --resume byte-identity smoke,
+#    and the bench_sweep worker-count determinism check;
+#  - the concurrency, obs, match, enginelock, por and sweep labels again
+#    under ThreadSanitizer (-DDAMPI_SANITIZE=thread). Coop fibers are
+#    unsupported under TSan, so those builds default to the thread
+#    scheduler, which is exactly the path TSan can check.
 #
 # Usage: scripts/tier1.sh [--skip-tsan]
 set -euo pipefail
@@ -33,33 +35,11 @@ cmake -B build -S .
 cmake --build build -j "${jobs}"
 (cd build && ctest --output-on-failure -j "${jobs}")
 
-# The whole suite again under the cooperative scheduler: DAMPI_SCHED
-# switches the default SchedOptions every engine picks up, so any test
-# not pinning a scheduler reruns on coop fibers.
-(cd build && DAMPI_SCHED=coop ctest --output-on-failure -j "${jobs}")
-echo "tier1: coop-scheduler sweep OK"
-
-# And again with the linear matcher: DAMPI_MATCH swaps the default
-# matching structure, so every test not pinning one reruns on the
-# O(queue) scan oracle. Any behavioural gap between the matchers shows
-# up as a suite difference here.
-(cd build && DAMPI_MATCH=linear ctest --output-on-failure -j "${jobs}")
-echo "tier1: linear-matcher sweep OK"
-
-# And with the global-mutex engine baseline: DAMPI_ENGINE_LOCK swaps the
-# default engine concurrency control, so every test not pinning a lock
-# mode reruns on the pre-sharding single-mutex path. Verdicts are
-# identical across modes by contract.
-(cd build && DAMPI_ENGINE_LOCK=global ctest --output-on-failure -j "${jobs}")
-echo "tier1: global-engine-lock sweep OK"
-
-# And with sleep-set pruning disabled: DAMPI_POR swaps the default
-# partial-order reduction mode, so every test not pinning one reruns on
-# the full cross-product walk. Bug sets and per-epoch outcome sets are
-# identical across modes by contract (the default suite already runs
-# --por sleep, which prunes nothing without vector clocks).
-(cd build && DAMPI_POR=off ctest --output-on-failure -j "${jobs}")
-echo "tier1: por-off sweep OK"
+# The whole suite again on OS threads: DAMPI_SCHED switches the default
+# SchedOptions every engine picks up, so any test not pinning a
+# scheduler reruns with one thread per rank and real preemption.
+(cd build && DAMPI_SCHED=thread ctest --output-on-failure -j "${jobs}")
+echo "tier1: thread-scheduler sweep OK"
 
 # Resilience tests on their own label, so the stage shows up by name in
 # the log even though the default sweep above already ran them.
@@ -90,6 +70,35 @@ printf '# dampi-epoch-decisions v1\n9 0 1\n' > "${bad_replay}"
 expect_exit 3 build/examples/verify_cli --program fig3-benign --procs 3 \
   --replay "${bad_replay}"
 rm -f "${bad_replay}"
+# Every numeric flag takes exactly one number in range, --clock one of
+# its two names; the retired backend flags are unknown options.
+for bad in "--procs 0" "--procs abc" "--clock bogus" "--k -3" "--jobs 2x" \
+  "--max-interleavings -1" "--sched-seed x" "--run-deadline abc" \
+  "--retries -2" "--checkpoint-interval 0" "--match linear" \
+  "--engine-lock global" "--por off"; do
+  # shellcheck disable=SC2086  # split "--flag value" into two words
+  expect_exit 3 build/examples/verify_cli --program fig3-benign ${bad}
+done
+# A checkpoint frame naming a rank or source outside [0, --procs) is
+# rejected at load: rank 9 used to abort (exit 134), an untried source
+# of 99 used to report a false bug (exit 1).
+bad_ckpt="build/tier1-bad.ckpt"
+rm -f "${bad_ckpt}" "${bad_ckpt}.good"
+build/examples/verify_cli --program matmult --procs 4 \
+  --max-interleavings 10 --checkpoint "${bad_ckpt}.good" > /dev/null || true
+awk '!done && $1 == "frame" { $2 = 9; done = 1 } 1' \
+  "${bad_ckpt}.good" > "${bad_ckpt}"
+expect_exit 3 build/examples/verify_cli --program matmult --procs 4 \
+  --checkpoint "${bad_ckpt}" --resume
+awk '!done && $1 == "frame" && $8 == "u" && $9 > 0 { $10 = 99; done = 1 } 1' \
+  "${bad_ckpt}.good" > "${bad_ckpt}"
+if cmp -s "${bad_ckpt}" "${bad_ckpt}.good"; then
+  echo "tier1: FAIL: matmult checkpoint has no untried source to corrupt" >&2
+  exit 1
+fi
+expect_exit 3 build/examples/verify_cli --program matmult --procs 4 \
+  --checkpoint "${bad_ckpt}" --resume
+rm -f "${bad_ckpt}" "${bad_ckpt}.good"
 echo "tier1: exit-code contract OK"
 
 # Flake stage: the scheduler tests must pass 20 times in a row, and
@@ -230,10 +239,13 @@ cmake --build build-off -j "${jobs}" --target verify_cli trace_check
 echo "tier1: DAMPI_TRACE=OFF build OK"
 
 # Perf smoke: the indexed matcher (the default) must not lose to the
-# linear oracle on the engine-path microbenchmarks. Warn-only — shared
-# CI hosts are too noisy to gate on, but the table lands in the log.
+# linear oracle; bench_matching times both in one process. Warn-only —
+# shared CI hosts are too noisy to gate on, but the table lands in the
+# log.
+(cd build/bench && DAMPI_BENCH_QUICK=1 ./bench_matching > /dev/null)
 if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/bench_compare.py --warn-only
+  python3 scripts/bench_compare.py build/bench/BENCH_matching.json \
+    --warn-only
   echo "tier1: matcher perf smoke OK"
 else
   echo "tier1: python3 unavailable, skipping matcher perf smoke"
@@ -260,9 +272,9 @@ if command -v python3 > /dev/null 2>&1; then
 fi
 echo "tier1: distributed scaling smoke OK"
 
-# POR soundness smoke: the bench exits non-zero if --por sleep ever
-# diverges from off (equivalence is the gate; the reduction ratio is
-# informational and re-printed by the compare step).
+# POR soundness smoke: the bench exits non-zero if sleep-set pruning
+# ever diverges from the unpruned walk (equivalence is the gate; the
+# reduction ratio is informational and re-printed by the compare step).
 DAMPI_BENCH_QUICK=1 DAMPI_BENCH_OUT=build/BENCH_por.json \
   build/bench/bench_por
 if command -v python3 > /dev/null 2>&1; then

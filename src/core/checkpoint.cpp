@@ -167,16 +167,14 @@ std::string options_fingerprint(const ExplorerOptions& options) {
   }
   std::string fp = strfmt(
       "nprocs=%d clock=%d transport=%d mix=%s loopabs=%d unsafe=%d "
-      "autoloop=%d defsync=%d sched=%s schedseed=%llu match=%s lock=%s "
-      "por=%s policy=%d pseed=%llu init=%016llx",
+      "autoloop=%d defsync=%d sched=%s schedseed=%llu por=%s policy=%d "
+      "pseed=%llu init=%016llx",
       options.nprocs, static_cast<int>(options.clock_mode),
       static_cast<int>(options.transport), mix.c_str(),
       options.loop_abstraction ? 1 : 0, options.unsafe_monitor ? 1 : 0,
       options.auto_loop_threshold, options.deferred_clock_sync ? 1 : 0,
       mpism::sched_spec(options.sched).c_str(),
       static_cast<unsigned long long>(options.sched.seed),
-      mpism::match_spec(options.match),
-      mpism::engine_lock_spec(options.engine_lock).c_str(),
       por_spec(options.por),
       static_cast<int>(options.policy),
       static_cast<unsigned long long>(options.policy_seed),
@@ -394,6 +392,45 @@ std::optional<Checkpoint> load_checkpoint(
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return parse_checkpoint(buffer.str(), expected_fingerprint, error);
+}
+
+bool validate_checkpoint(const Checkpoint& checkpoint, int nprocs,
+                         std::string* error) {
+  std::string what;
+  auto check = [&](const char* field, mpism::Rank rank) {
+    if (rank_in_range(rank, nprocs)) return true;
+    what = strfmt("%s %d outside [0, %d)", field, rank, nprocs);
+    return false;
+  };
+  auto frame_ok = [&](const DfsFrame& f) {
+    if (!check("rank", f.key.rank)) return false;
+    if (f.taken_src != -1 && !check("taken source", f.taken_src)) {
+      return false;
+    }
+    for (const mpism::Rank src : f.untried) {
+      if (!check("untried source", src)) return false;
+    }
+    for (const mpism::Rank src : f.seen) {
+      if (src != -1 && !check("seen source", src)) return false;
+    }
+    for (const mpism::Rank src : f.sleep) {
+      if (!check("sleep source", src)) return false;
+    }
+    return true;
+  };
+  for (const auto* frames : {&checkpoint.frames, &checkpoint.pending_sleep}) {
+    for (std::size_t i = 0; i < frames->size(); ++i) {
+      if (!frame_ok((*frames)[i])) {
+        if (error != nullptr) {
+          *error = strfmt("%s %zu: %s",
+                          frames == &checkpoint.frames ? "frame" : "pframe",
+                          i + 1, what.c_str());
+        }
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace dampi::core

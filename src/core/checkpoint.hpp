@@ -38,7 +38,7 @@ struct Checkpoint {
   std::uint64_t prefix_mismatches = 0;
   std::vector<DfsFrame> frames;
   /// Fully explored frames harvested at the walk's last stack
-  /// truncation, not yet consumed by an extension (--por sleep). A kill
+  /// truncation, not yet consumed by an extension (POR sleep). A kill
   /// landing between the truncation and the next extend_stack would
   /// otherwise lose them — and the resumed walk would explore *more*
   /// interleavings than the uninterrupted one, breaking the kill/resume
@@ -56,10 +56,12 @@ struct Checkpoint {
 };
 
 /// Canonical, human-readable fingerprint of the options that determine
-/// search semantics (nprocs, clocks, mixing, scheduler/matcher/policy
-/// specs + seeds, fault plan, pinned initial schedule, checkpoint_tag).
+/// search semantics (nprocs, clocks, mixing, scheduler/POR/policy specs
+/// + seeds, fault plan, pinned initial schedule, checkpoint_tag).
 /// Excludes anything a resume may legitimately change: jobs, budgets,
-/// retry limits, checkpoint knobs.
+/// retry limits, checkpoint knobs, and the matcher and engine lock,
+/// whose modes walk bit-identically (the match and enginelock
+/// differential suites).
 std::string options_fingerprint(const ExplorerOptions& options);
 
 std::string serialize_checkpoint(const Checkpoint& checkpoint);
@@ -76,5 +78,16 @@ bool save_checkpoint(const Checkpoint& checkpoint, const std::string& path);
 std::optional<Checkpoint> load_checkpoint(
     const std::string& path, const std::string& expected_fingerprint,
     std::string* error);
+
+/// True when every frame (live and pending-sleep) names a rank, a taken
+/// source, and untried, seen and sleep sources in [0, nprocs) — the
+/// bound validate_schedule checks. A taken (and so seen) source of -1
+/// is accepted: it marks an epoch the creating run never completed.
+/// Otherwise false with *error (when non-null) naming the first bad
+/// frame. The parser cannot check this itself: it does not know the
+/// campaign's rank count. Every loader calls it before a walk uses the
+/// frames.
+bool validate_checkpoint(const Checkpoint& checkpoint, int nprocs,
+                         std::string* error = nullptr);
 
 }  // namespace dampi::core

@@ -81,7 +81,7 @@ std::optional<Schedule> parse_schedule(const std::string& text,
 bool validate_schedule(const Schedule& schedule, int nprocs,
                        std::string* error) {
   for (const auto& [key, src] : schedule.forced) {
-    if (key.rank < 0 || key.rank >= nprocs || src < 0 || src >= nprocs) {
+    if (!rank_in_range(key.rank, nprocs) || !rank_in_range(src, nprocs)) {
       if (error != nullptr) {
         *error = strfmt("decision '%d %llu %d' names a rank outside [0, %d)",
                         key.rank,

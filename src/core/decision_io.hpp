@@ -25,6 +25,11 @@ std::string serialize_schedule(const Schedule& schedule);
 std::optional<Schedule> parse_schedule(const std::string& text,
                                        std::string* error = nullptr);
 
+/// The bound every loader checks a rank or source against: [0, nprocs).
+inline bool rank_in_range(mpism::Rank rank, int nprocs) {
+  return rank >= 0 && rank < nprocs;
+}
+
 /// True when every decision names a rank and a source in [0, nprocs);
 /// otherwise false with *error (when non-null) naming the first bad
 /// decision. The parser cannot check this itself: it does not know the

@@ -167,16 +167,7 @@ DecisionFootprint frame_footprint(const DfsFrame& frame) {
 
 Explorer::Explorer(ExplorerOptions options) : options_(std::move(options)) {}
 
-SingleRun run_guided_once(const ExplorerOptions& options,
-                          const Schedule& schedule,
-                          const mpism::ProgramFn& program) {
-  auto sink = std::make_shared<TraceSink>();
-  auto shared = std::make_shared<DampiShared>(options, schedule, sink);
-  std::shared_ptr<piggyback::TelepathicBoard> board;
-  if (options.transport == piggyback::TransportKind::kTelepathic) {
-    board = std::make_shared<piggyback::TelepathicBoard>();
-  }
-
+mpism::RunOptions run_options_for(const ExplorerOptions& options) {
   mpism::RunOptions run_options;
   run_options.nprocs = options.nprocs;
   run_options.cost = options.cost;
@@ -189,6 +180,20 @@ SingleRun run_guided_once(const ExplorerOptions& options,
   run_options.max_run_vtime_us = options.max_run_vtime_us;
   run_options.max_ops = options.max_run_ops;
   run_options.cancel = options.cancel;
+  return run_options;
+}
+
+SingleRun run_guided_once(const ExplorerOptions& options,
+                          const Schedule& schedule,
+                          const mpism::ProgramFn& program) {
+  auto sink = std::make_shared<TraceSink>();
+  auto shared = std::make_shared<DampiShared>(options, schedule, sink);
+  std::shared_ptr<piggyback::TelepathicBoard> board;
+  if (options.transport == piggyback::TransportKind::kTelepathic) {
+    board = std::make_shared<piggyback::TelepathicBoard>();
+  }
+
+  mpism::RunOptions run_options = run_options_for(options);
   run_options.tools = make_dampi_setup(shared, board);
   if (options.fault) {
     // Fault layers sit at the very top of each rank's stack so an
@@ -222,7 +227,7 @@ void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
   std::map<EpochKey, const EpochRecord*> by_key;
   for (const EpochRecord* e : sorted) by_key[e->key] = e;
 
-  // Sleep-set pruning (--por sleep, DESIGN.md §4.14): the frames
+  // Sleep-set pruning (POR sleep, DESIGN.md §4.14): the frames
   // truncated when this flip was chosen were fully explored subtrees.
   // A decision site reappearing below the new sibling whose decision
   // provably commutes with the flip need not re-enumerate the sources
@@ -618,7 +623,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     if (flip < 0) break;  // all epoch decisions exhausted
 
     // Frames deeper than the flip are fully explored (the flip is the
-    // deepest frame with untried work). Under --por sleep they are
+    // deepest frame with untried work). Under POR sleep they are
     // harvested before the truncation discards them: the next
     // extend_stack at this flip inherits their covered sources into the
     // sibling subtree's sleep sets where the decisions commute.

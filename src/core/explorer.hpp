@@ -105,7 +105,7 @@ struct DfsFrame {
 /// The independence relation's view of one pending decision (por.hpp):
 /// candidates are every source ever seen at the site. Shared with the
 /// campaign coordinator, which uses it to canonicalize escape site ids
-/// under --por sleep.
+/// under POR sleep.
 DecisionFootprint frame_footprint(const DfsFrame& frame);
 
 /// An alternative revealed for an escape_alts frame: the walk did not
@@ -125,7 +125,7 @@ struct ExploreResult {
   std::uint64_t interleavings = 0;
   std::vector<BugRecord> bugs;
 
-  /// --- Partial-order reduction (--por sleep) ----------------------------
+  /// --- Partial-order reduction (sleep mode) ----------------------------
   /// Sources put to sleep instead of re-enumerated (each is one whole
   /// replay subtree the walk skipped re-rooting).
   std::uint64_t por_pruned = 0;
@@ -192,6 +192,12 @@ struct SingleRun {
   std::uint64_t divergences = 0;
 };
 
+/// The engine options every run of an exploration shares: rank count,
+/// cost model, match policy and seed, scheduler, matcher, engine lock,
+/// per-run watchdog budgets and cancellation. The tool stack is left
+/// empty, so the result as-is describes a native run.
+mpism::RunOptions run_options_for(const ExplorerOptions& options);
+
 SingleRun run_guided_once(const ExplorerOptions& options,
                           const Schedule& schedule,
                           const mpism::ProgramFn& program);
@@ -226,7 +232,7 @@ class Explorer {
   ExplorerOptions options_;
   std::vector<DfsFrame> stack_;
   /// Fully explored frames harvested at the last stack truncation
-  /// (--por sleep): each carries the seen set of a subtree that is done.
+  /// (POR sleep): each carries the seen set of a subtree that is done.
   /// extend_stack() puts those sources to sleep in the sibling subtree's
   /// matching frames when the decision commutes with the flip, then
   /// clears the harvest. Journalled in the checkpoint so a kill between

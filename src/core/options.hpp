@@ -103,33 +103,28 @@ struct ExplorerOptions {
   Schedule initial_schedule;
 
   /// Rank execution model for every run this exploration performs
-  /// (discovery and replays alike). Thread-per-rank reproduces the
-  /// original engine; coop fibers make each run a deterministic function
-  /// of (program, schedule, sched policy, sched seed) and scale to
-  /// hundreds of ranks on one core. Defaults honor DAMPI_SCHED.
+  /// (discovery and replays alike). Coop fibers (the default) make each
+  /// run a deterministic function of (program, schedule, sched policy,
+  /// sched seed) and scale to hundreds of ranks on one core;
+  /// thread-per-rank reproduces the original engine. Defaults honor
+  /// DAMPI_SCHED.
   mpism::SchedOptions sched = mpism::default_sched_options();
 
-  /// Message-matching structure for every run (discovery and replays):
-  /// indexed O(1) lanes (default) or the linear-scan oracle, bit-for-bit
-  /// equivalent and selectable for differential checks. Honors
-  /// DAMPI_MATCH.
-  mpism::MatchKind match = mpism::default_match_kind();
-
-  /// Engine concurrency control for every run: per-destination-rank lock
-  /// shards (default) or the single global mutex kept as the
-  /// differential baseline; verdicts and fingerprints are identical
-  /// across modes. Honors DAMPI_ENGINE_LOCK.
-  mpism::EngineLockKind engine_lock = mpism::default_engine_lock_kind();
+  /// Matcher and engine lock for every run (discovery and replays). The
+  /// linear matcher and the global lock are differential oracles that
+  /// tests select here; both walk bit-identically to the defaults.
+  mpism::MatchKind match = mpism::MatchKind::kIndexed;
+  mpism::EngineLockKind engine_lock = mpism::EngineLockKind::kSharded;
 
   /// Partial-order reduction of the DFS walk (core/por.hpp): sleep-set
-  /// pruning over provably commuting epoch decisions (default), or the
-  /// full cross-product walk kept as the differential baseline. Pruning
-  /// needs vector timestamps — under Lamport clocks every decision is
-  /// conservatively dependent and the two modes walk identically. The
-  /// pruned walk finds the same bug set and the same per-epoch outcome
-  /// sets in ≤ interleavings (tests/test_por.cpp gates this). Honors
-  /// DAMPI_POR.
-  PorMode por = default_por_mode();
+  /// pruning over provably commuting epoch decisions, or the full
+  /// cross-product walk kept as the differential oracle for tests.
+  /// Pruning needs vector timestamps — under Lamport clocks every
+  /// decision is conservatively dependent and the two modes walk
+  /// identically. The pruned walk finds the same bug set and the same
+  /// per-epoch outcome sets in ≤ interleavings (tests/test_por.cpp
+  /// gates this).
+  PorMode por = PorMode::kSleep;
 
   /// Search budget.
   std::uint64_t max_interleavings = 1u << 20;

@@ -1,38 +1,11 @@
 #include "core/por.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-
-#include "common/logging.hpp"
 
 namespace dampi::core {
 
-bool parse_por_spec(const std::string& spec, PorMode* out) {
-  if (spec == "off") {
-    *out = PorMode::kOff;
-  } else if (spec == "sleep") {
-    *out = PorMode::kSleep;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* por_spec(PorMode mode) {
   return mode == PorMode::kOff ? "off" : "sleep";
-}
-
-PorMode default_por_mode() {
-  static const PorMode cached = [] {
-    PorMode mode = PorMode::kSleep;
-    const char* env = std::getenv("DAMPI_POR");
-    if (env != nullptr && env[0] != '\0' && !parse_por_spec(env, &mode)) {
-      DAMPI_LOG(kWarn) << "ignoring unrecognized DAMPI_POR value '" << env
-                       << "' (want off|sleep)";
-    }
-    return mode;
-  }();
-  return cached;
 }
 
 namespace {

@@ -12,11 +12,10 @@
 // The relation is deliberately conservative. Whenever the evidence for
 // independence is missing — Lamport-only mode records no vector
 // timestamps — the answer is "dependent" and nothing is pruned, which
-// keeps `--por sleep` behaviourally identical to `--por off` there.
+// keeps sleep mode behaviourally identical to `kOff` there.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/epoch.hpp"
@@ -25,14 +24,12 @@
 namespace dampi::core {
 
 /// kOff is the compiled-in differential baseline (repo convention, like
-/// --match linear): the full cross-product walk, selectable per campaign
-/// for equivalence sweeps.
+/// MatchKind::kLinear): the full cross-product walk, selectable per
+/// campaign through ExplorerOptions::por for equivalence tests.
 enum class PorMode { kOff, kSleep };
 
-bool parse_por_spec(const std::string& spec, PorMode* out);
+/// "off" or "sleep", for reports, benchmark context and fingerprints.
 const char* por_spec(PorMode mode);
-/// Process default: sleep, unless DAMPI_POR says otherwise.
-PorMode default_por_mode();
 
 /// Everything the independence relation may consult about one epoch
 /// decision, extracted from data the run already left behind (the

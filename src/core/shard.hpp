@@ -34,7 +34,7 @@ namespace dampi::core {
 /// accounts only the runs the shard itself performed. Returns an empty
 /// vector when the frontier has no untried alternatives.
 ///
-/// Under --por sleep every shard's skeleton spans the FULL frontier, not
+/// Under POR sleep every shard's skeleton spans the FULL frontier, not
 /// just its deepest assigned frame: the suffix frames carry no untried
 /// work (their alternatives belong to other shards) but their seen sets
 /// travel with the shard, so the worker's harvest-at-truncation can put
@@ -51,7 +51,7 @@ std::vector<Checkpoint> split_frontier(const Checkpoint& root,
 /// prefix denote the same site, whichever worker runs them.
 std::string site_id(const std::vector<DfsFrame>& frames, std::size_t pos);
 
-/// Site identity modulo commuting prefix decisions. Under --por sleep a
+/// Site identity modulo commuting prefix decisions. Under POR sleep a
 /// worker can reveal an alternative for a prefix site while a commuting
 /// decision above it sits flipped; the raw site_id then differs from the
 /// id the site was registered under and the coordinator would resurrect

@@ -2,34 +2,20 @@
 
 namespace dampi::core {
 
-VerifyResult Verifier::verify(const mpism::ProgramFn& program,
-                              const Explorer::RunObserver& observer) {
+double measure_native_vtime(const ExplorerOptions& options,
+                            const mpism::ProgramFn& program) {
+  // Watchdog budgets and external cancellation also guard the native
+  // measurement run: a program that livelocks natively must not wedge
+  // the verifier before exploration even starts.
+  mpism::Runtime runtime(run_options_for(options));
+  return runtime.run(program).vtime_us;
+}
+
+VerifyResult summarize_verify(ExploreResult exploration,
+                              double native_vtime_us) {
   VerifyResult result;
-
-  if (options_.measure_native) {
-    mpism::RunOptions native;
-    native.nprocs = options_.explorer.nprocs;
-    native.cost = options_.explorer.cost;
-    native.policy = options_.explorer.policy;
-    native.policy_seed = options_.explorer.policy_seed;
-    native.sched = options_.explorer.sched;
-    native.match = options_.explorer.match;
-    native.engine_lock = options_.explorer.engine_lock;
-    // Watchdog budgets and external cancellation also guard the native
-    // measurement run: a program that livelocks natively must not wedge
-    // the verifier before exploration even starts.
-    native.max_run_wall_seconds = options_.explorer.run_deadline_seconds;
-    native.max_run_vtime_us = options_.explorer.max_run_vtime_us;
-    native.max_ops = options_.explorer.max_run_ops;
-    native.cancel = options_.explorer.cancel;
-    mpism::Runtime runtime(std::move(native));
-    const mpism::RunReport report = runtime.run(program);
-    result.native_vtime_us = report.vtime_us;
-  }
-
-  Explorer explorer(options_.explorer);
-  result.exploration = explorer.explore(program, observer);
-
+  result.exploration = std::move(exploration);
+  result.native_vtime_us = native_vtime_us;
   result.instrumented_vtime_us = result.exploration.first_run_vtime_us;
   if (result.native_vtime_us > 0.0) {
     result.slowdown = result.instrumented_vtime_us / result.native_vtime_us;
@@ -42,6 +28,16 @@ VerifyResult Verifier::verify(const mpism::ProgramFn& program,
     if (bug.kind == BugRecord::Kind::kHang) result.hang_found = true;
   }
   return result;
+}
+
+VerifyResult Verifier::verify(const mpism::ProgramFn& program,
+                              const Explorer::RunObserver& observer) {
+  const double native_vtime_us =
+      options_.measure_native ? measure_native_vtime(options_.explorer, program)
+                              : 0.0;
+  Explorer explorer(options_.explorer);
+  return summarize_verify(explorer.explore(program, observer),
+                          native_vtime_us);
 }
 
 }  // namespace dampi::core

@@ -48,6 +48,17 @@ struct VerifyResult {
   }
 };
 
+/// Virtual time of one uninstrumented run under the exploration's own
+/// engine options (run_options_for): the Table II overhead baseline.
+double measure_native_vtime(const ExplorerOptions& options,
+                            const mpism::ProgramFn& program);
+
+/// A VerifyResult from a finished exploration (in-process or sharded)
+/// and the native baseline (0 = not measured): the slowdown, the first
+/// run's leaks, and one flag per bug kind found.
+VerifyResult summarize_verify(ExploreResult exploration,
+                              double native_vtime_us);
+
 class Verifier {
  public:
   explicit Verifier(VerifyOptions options) : options_(std::move(options)) {}

@@ -268,13 +268,17 @@ DistResult run_distributed(const DistOptions& options,
         // Prefer the dead worker's own journal: everything it already
         // explored (runs, bugs, counters) is in there, so the resumed
         // shard re-executes only the unflushed tail. Escapes were
-        // shipped eagerly and need no recovery.
+        // shipped eagerly and need no recovery. A journal that does not
+        // parse or names ranks outside the campaign is ignored: the
+        // shard is requeued as it was first sent.
         if (!options.explorer.checkpoint_path.empty()) {
           const std::string journal = options.explorer.checkpoint_path +
                                       ".w" + std::to_string(w.id);
           std::string jerr;
           auto cp = core::load_checkpoint(journal, fingerprint, &jerr);
-          if (cp.has_value()) {
+          if (cp.has_value() &&
+              core::validate_checkpoint(*cp, options.explorer.nprocs,
+                                        &jerr)) {
             st.cp = std::move(*cp);
             st.text = core::serialize_checkpoint(st.cp);
             merge.register_shard_sites(st.cp);

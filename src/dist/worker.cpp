@@ -64,7 +64,9 @@ int run_worker(const WorkerConfig& config, const mpism::ProgramFn& program) {
       case MsgType::kShard: {
         std::uint64_t shard_id = 0;
         auto shard = parse_shard(msg.payload, fingerprint, &shard_id, &error);
-        if (!shard.has_value()) {
+        if (!shard.has_value() ||
+            !core::validate_checkpoint(*shard, config.options.nprocs,
+                                       &error)) {
           DAMPI_LOG(kError) << "worker " << config.worker_id
                             << ": bad shard: " << error;
           return 3;

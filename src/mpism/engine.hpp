@@ -1,7 +1,7 @@
 // Engine: internal implementation of the mpism runtime.
 //
 // Shared state is guarded by an EngineLock (engine_lock.hpp): either one
-// global mutex (the pre-shard baseline, --engine-lock global) or
+// global mutex (the pre-shard baseline, EngineLockKind::kGlobal) or
 // per-destination-rank shards (the default). Under sharding, everything
 // owned by rank r — its match index, unexpected/posted queues, request
 // table, pools, virtual clock, and block/wake bookkeeping — lives behind

@@ -1,39 +1,9 @@
 #include "mpism/engine_lock.hpp"
 
-#include <cstdlib>
-
-#include "common/logging.hpp"
-
 namespace dampi::mpism {
-
-bool parse_engine_lock_spec(const std::string& spec, EngineLockKind* out) {
-  if (spec == "global") {
-    *out = EngineLockKind::kGlobal;
-    return true;
-  }
-  if (spec == "sharded") {
-    *out = EngineLockKind::kSharded;
-    return true;
-  }
-  return false;
-}
 
 std::string engine_lock_spec(EngineLockKind kind) {
   return kind == EngineLockKind::kGlobal ? "global" : "sharded";
-}
-
-EngineLockKind default_engine_lock_kind() {
-  static const EngineLockKind cached = [] {
-    EngineLockKind kind = EngineLockKind::kSharded;
-    const char* env = std::getenv("DAMPI_ENGINE_LOCK");
-    if (env != nullptr && env[0] != '\0' &&
-        !parse_engine_lock_spec(env, &kind)) {
-      DAMPI_LOG(kWarn) << "ignoring unrecognized DAMPI_ENGINE_LOCK value '"
-                       << env << "' (want global|sharded)";
-    }
-    return kind;
-  }();
-  return cached;
 }
 
 }  // namespace dampi::mpism

@@ -22,8 +22,8 @@
 //
 // kGlobal degenerates every guard form to the single mutex, preserving
 // the pre-shard engine behaviour as a compiled-in differential baseline
-// (RunOptions::engine_lock / --engine-lock / DAMPI_ENGINE_LOCK, mirroring
-// the --match linear-vs-indexed pattern).
+// that tests select through RunOptions::engine_lock (mirroring the
+// MatchKind::kLinear matcher oracle).
 #pragma once
 
 #include <atomic>
@@ -194,17 +194,7 @@ class EngineGuard {
   int b_ = -1;  ///< Second held shard index (pair guards only), > a_.
 };
 
-/// Parse "global" | "sharded". Returns false (leaving out untouched) on
-/// anything else.
-bool parse_engine_lock_spec(const std::string& spec, EngineLockKind* out);
-
-/// Canonical spec string (inverse of parse).
+/// "global" or "sharded", for reports and benchmark context.
 std::string engine_lock_spec(EngineLockKind kind);
-
-/// Process-wide default: kSharded unless the DAMPI_ENGINE_LOCK
-/// environment variable holds a valid spec (read once, cached). Lets
-/// tier-1 re-run the full suite on the global-mutex baseline without
-/// touching every call site.
-EngineLockKind default_engine_lock_kind();
 
 }  // namespace dampi::mpism

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <deque>
 #include <unordered_map>
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
 namespace dampi::mpism {
@@ -558,32 +556,8 @@ class IndexedMatchIndex final : public MatchIndex {
 
 }  // namespace
 
-bool parse_match_spec(const std::string& spec, MatchKind* out) {
-  if (spec == "linear") {
-    *out = MatchKind::kLinear;
-  } else if (spec == "indexed") {
-    *out = MatchKind::kIndexed;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* match_spec(MatchKind kind) {
   return kind == MatchKind::kLinear ? "linear" : "indexed";
-}
-
-MatchKind default_match_kind() {
-  static const MatchKind cached = [] {
-    MatchKind kind = MatchKind::kIndexed;
-    const char* env = std::getenv("DAMPI_MATCH");
-    if (env != nullptr && env[0] != '\0' && !parse_match_spec(env, &kind)) {
-      DAMPI_LOG(kWarn) << "ignoring unrecognized DAMPI_MATCH value '" << env
-                       << "' (want linear|indexed)";
-    }
-    return kind;
-  }();
-  return cached;
 }
 
 std::unique_ptr<MatchIndex> make_match_index(MatchKind kind) {

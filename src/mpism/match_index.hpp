@@ -3,8 +3,9 @@
 // implementations.
 //
 //  - LinearMatchIndex: the original deque walk. O(queue length) per
-//    lookup; kept compiled in as the differential oracle (select with
-//    DAMPI_MATCH=linear) because its correctness is self-evident.
+//    lookup; kept compiled in as the differential oracle (tests select
+//    it with RunOptions::match = kLinear) because its correctness is
+//    self-evident.
 //  - IndexedMatchIndex: per-source FIFO lanes hashed by (comm, tag,
 //    src) plus (comm, src), so specific-receive lookup, removal by
 //    msg_id, and posted-receive matching are O(1) amortized and
@@ -55,11 +56,8 @@ namespace dampi::mpism {
 
 enum class MatchKind { kLinear, kIndexed };
 
-/// Parses "linear" / "indexed" into *out (untouched on failure).
-bool parse_match_spec(const std::string& spec, MatchKind* out);
+/// "linear" or "indexed", for reports and benchmark context.
 const char* match_spec(MatchKind kind);
-/// Process default: indexed, unless DAMPI_MATCH says otherwise.
-MatchKind default_match_kind();
 
 /// One rank's matching state: queued unexpected messages (owned) and
 /// pending posted receives (non-owning pointers into the engine's

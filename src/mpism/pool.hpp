@@ -11,10 +11,11 @@
 // to the next engine-internal copy.
 //
 // Thread safety: none. Pools are per-rank in the engine and guarded by
-// that rank's lock shard (or the global engine mutex in --engine-lock
-// global mode), exactly like the structures they feed. Stats are plain
-// integers for the same reason; the engine aggregates them across ranks
-// and publishes to the obs::Registry (`engine.pool.*`) once per run.
+// that rank's lock shard (or the global engine mutex under
+// EngineLockKind::kGlobal), exactly like the structures they feed. Stats
+// are plain integers for the same reason; the engine aggregates them
+// across ranks and publishes to the obs::Registry (`engine.pool.*`) once
+// per run.
 #pragma once
 
 #include <cstddef>

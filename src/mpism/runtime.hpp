@@ -31,17 +31,17 @@ struct RunOptions {
   /// eligible (SELF_RUN behaviour).
   PolicyKind policy = PolicyKind::kLowestSource;
   std::uint64_t policy_seed = 1;
-  /// How ranks execute and who advances next (thread-per-rank, or
-  /// deterministic run-to-block fibers). Defaults honor DAMPI_SCHED.
+  /// How ranks execute and who advances next (deterministic
+  /// run-to-block fibers by default, or thread-per-rank). Defaults
+  /// honor DAMPI_SCHED.
   SchedOptions sched = default_sched_options();
-  /// Message-matching structure: indexed O(1) lanes (default) or the
-  /// linear scan kept as the differential oracle. Honors DAMPI_MATCH.
-  MatchKind match = default_match_kind();
-  /// Engine concurrency control: per-destination-rank lock shards
-  /// (default) or the single global mutex kept as the differential
-  /// baseline. Honors DAMPI_ENGINE_LOCK. Verdicts and RunReport
-  /// fingerprints are identical across modes.
-  EngineLockKind engine_lock = default_engine_lock_kind();
+  /// Message-matching structure: indexed O(1) lanes, or the linear scan
+  /// kept as the differential oracle for tests.
+  MatchKind match = MatchKind::kIndexed;
+  /// Engine concurrency control: per-destination-rank lock shards, or
+  /// the single global mutex kept as the differential oracle for tests.
+  /// Verdicts and RunReport fingerprints are identical across modes.
+  EngineLockKind engine_lock = EngineLockKind::kSharded;
   /// Interposition stack; empty means a native (uninstrumented) run.
   ToolSetup tools;
   /// Per-run budgets, all 0 = unlimited. A run that exceeds any of them

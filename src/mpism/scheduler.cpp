@@ -702,6 +702,7 @@ std::string sched_spec(const SchedOptions& options) {
 const SchedOptions& default_sched_options() {
   static const SchedOptions cached = [] {
     SchedOptions options;
+    if (!coop_supported()) options.kind = SchedulerKind::kThread;
     const char* env = std::getenv("DAMPI_SCHED");
     if (env != nullptr && env[0] != '\0' &&
         !parse_sched_spec(env, &options)) {

@@ -53,7 +53,7 @@ enum class SchedulerKind { kThread, kCoop };
 enum class SchedPolicy { kRoundRobin, kRandomSeeded, kPriority };
 
 struct SchedOptions {
-  SchedulerKind kind = SchedulerKind::kThread;
+  SchedulerKind kind = SchedulerKind::kCoop;
   SchedPolicy pick = SchedPolicy::kRoundRobin;
   std::uint64_t seed = 1;
 };
@@ -138,10 +138,11 @@ bool parse_sched_spec(const std::string& spec, SchedOptions* out);
 /// Canonical spec string for the given options (inverse of parse).
 std::string sched_spec(const SchedOptions& options);
 
-/// Process-wide default: SchedOptions{} unless the DAMPI_SCHED
-/// environment variable holds a valid spec (read once, cached). Lets
-/// tier-1 re-run the full test suite under the coop scheduler without
-/// touching every call site.
+/// Process-wide default: SchedOptions{} (coop round-robin), or thread
+/// where coop_supported() is false, unless the DAMPI_SCHED environment
+/// variable holds a valid spec (read once, cached). DAMPI_SCHED=thread
+/// lets tier-1 re-run the full test suite on OS threads without touching
+/// every call site.
 const SchedOptions& default_sched_options();
 
 }  // namespace dampi::mpism

@@ -56,7 +56,7 @@ void fan_in_rounds(mpism::Proc& p, int rounds);
 /// 3g+2}; the two non-root members send to root 3g (tag g) before a
 /// global barrier, then the root drains them with two wildcard
 /// receives. The groups never exchange a message, so under vector
-/// clocks every cross-group decision pair commutes: --por off walks the
+/// clocks every cross-group decision pair commutes: POR off walks the
 /// full 2^groups cross-product while sleep-set pruning needs only
 /// groups+1 interleavings for the same per-epoch coverage. Ranks beyond
 /// 3*groups just hit the barrier.
@@ -66,7 +66,7 @@ void fan_in_groups(mpism::Proc& p, int groups);
 /// to every other rank, a barrier, then every rank drains its size-1
 /// incoming with wildcard receives. All candidate sets overlap, so no
 /// decision pair commutes — sleep-set pruning must prune nothing and
-/// match --por off exactly.
+/// match POR off exactly.
 void all_pairs_churn(mpism::Proc& p, int rounds);
 
 /// Distributed-campaign fixture: fan_in_rounds plus `spin_us` of

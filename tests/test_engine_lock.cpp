@@ -1,6 +1,5 @@
 // Engine-lock equivalence suite (ctest label `enginelock`):
 //
-//  - spec round-trip for --engine-lock / DAMPI_ENGINE_LOCK parsing;
 //  - program-level differential: >= 600 randomized small programs run
 //    under the deterministic coop scheduler with both lock modes across
 //    the match sweep, asserting bit-identical RunReport fingerprints
@@ -66,20 +65,6 @@ std::string fingerprint(const mpism::RunReport& r) {
     }
   }
   return s;
-}
-
-TEST(EngineLockSpec, ParseAndFormatRoundTrip) {
-  EngineLockKind kind = EngineLockKind::kGlobal;
-  ASSERT_TRUE(mpism::parse_engine_lock_spec("sharded", &kind));
-  EXPECT_EQ(kind, EngineLockKind::kSharded);
-  EXPECT_EQ(mpism::engine_lock_spec(kind), "sharded");
-  ASSERT_TRUE(mpism::parse_engine_lock_spec("global", &kind));
-  EXPECT_EQ(kind, EngineLockKind::kGlobal);
-  EXPECT_EQ(mpism::engine_lock_spec(kind), "global");
-  kind = EngineLockKind::kSharded;
-  EXPECT_FALSE(mpism::parse_engine_lock_spec("spin", &kind));
-  EXPECT_FALSE(mpism::parse_engine_lock_spec("", &kind));
-  EXPECT_EQ(kind, EngineLockKind::kSharded);  // failed parse leaves *out alone
 }
 
 // ---------------------------------------------------------------------

@@ -373,20 +373,6 @@ TEST(MatchIndexProperty, EarliestPostedWinsAcrossLaneShapes) {
   }
 }
 
-TEST(MatchSpec, ParseAndFormatRoundTrip) {
-  mpism::MatchKind kind = MatchKind::kIndexed;
-  ASSERT_TRUE(mpism::parse_match_spec("linear", &kind));
-  EXPECT_EQ(kind, MatchKind::kLinear);
-  EXPECT_STREQ(mpism::match_spec(kind), "linear");
-  ASSERT_TRUE(mpism::parse_match_spec("indexed", &kind));
-  EXPECT_EQ(kind, MatchKind::kIndexed);
-  EXPECT_STREQ(mpism::match_spec(kind), "indexed");
-  kind = MatchKind::kLinear;
-  EXPECT_FALSE(mpism::parse_match_spec("hashed", &kind));
-  EXPECT_FALSE(mpism::parse_match_spec("", &kind));
-  EXPECT_EQ(kind, MatchKind::kLinear);  // failed parse leaves *out alone
-}
-
 // ---------------------------------------------------------------------
 // Program-level differential: randomized programs, both matchers, same
 // deterministic coop schedule => bit-identical reports.

@@ -1,11 +1,10 @@
 // Partial-order reduction suite (ctest label `por`):
 //
-//  - spec round-trip for --por / DAMPI_POR parsing;
 //  - unit coverage of the independence relation's dependent cases
 //    (Lamport fallback, same rank, contested sender, receiver
 //    involvement, causal order) and its one independent case;
 //  - exact interleaving counts on the disjoint fan-in-groups fixture:
-//    --por off walks the 2^k cross-product, sleep-set pruning walks
+//    POR off walks the 2^k cross-product, sleep-set pruning walks
 //    k+1 runs with the same per-epoch outcome sets;
 //  - the adversarial all-pairs fixture where nothing commutes and sleep
 //    must equal off run-for-run;
@@ -14,7 +13,7 @@
 //    either schedule-construction order yields bit-identical reports;
 //  - a 64-seed differential (thread|coop x linear|indexed, vector
 //    clocks): same bug set, same per-epoch outcome sets, never more
-//    interleavings than --por off;
+//    interleavings than POR off;
 //  - checkpoint round-trip of sleep sets, footprints, and pending-sleep
 //    frames (the kill/resume exactness surface).
 #include <gtest/gtest.h>
@@ -76,20 +75,6 @@ std::string fingerprint(const mpism::RunReport& r) {
     }
   }
   return s;
-}
-
-TEST(PorSpec, ParseAndFormatRoundTrip) {
-  PorMode mode = PorMode::kSleep;
-  ASSERT_TRUE(core::parse_por_spec("off", &mode));
-  EXPECT_EQ(mode, PorMode::kOff);
-  EXPECT_STREQ(core::por_spec(mode), "off");
-  ASSERT_TRUE(core::parse_por_spec("sleep", &mode));
-  EXPECT_EQ(mode, PorMode::kSleep);
-  EXPECT_STREQ(core::por_spec(mode), "sleep");
-  mode = PorMode::kOff;
-  EXPECT_FALSE(core::parse_por_spec("persistent", &mode));
-  EXPECT_FALSE(core::parse_por_spec("", &mode));
-  EXPECT_EQ(mode, PorMode::kOff);  // failed parse leaves *out alone
 }
 
 // ---------------------------------------------------------------------
@@ -214,7 +199,7 @@ TEST(Por, FanInGroupsPrunesTheCrossProduct) {
 
 TEST(Por, LamportModePrunesNothingEvenUnderSleep) {
   // Default clocks record no vectors, so the relation has no evidence
-  // and --por sleep must walk exactly the off cross-product.
+  // and POR sleep must walk exactly the off cross-product.
   const auto program = [](mpism::Proc& p) {
     workloads::fan_in_groups(p, 3);
   };
@@ -320,7 +305,7 @@ TEST(Por, IndependentPairsCommuteOnRandomPrograms) {
 }
 
 // ---------------------------------------------------------------------
-// 64-seed differential: --por sleep ≡ --por off on bug sets and
+// 64-seed differential: POR sleep ≡ POR off on bug sets and
 // per-epoch outcome sets, never with more interleavings, across the
 // scheduler x matcher grid under vector clocks (the mode where pruning
 // actually fires).
@@ -352,7 +337,7 @@ TEST(Por, DifferentialSleepEqualsOffAcrossSchedAndMatch) {
 }
 
 // ---------------------------------------------------------------------
-// Distributed campaigns under --por sleep: sharding must not resurrect
+// Distributed campaigns under POR sleep: sharding must not resurrect
 // schedules the sequential sleep walk prunes. Full-depth shard
 // skeletons carry the frontier's seen sets into every worker's harvest,
 // and the coordinator dedups escapes by canonical site id (commuting

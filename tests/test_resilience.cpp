@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "core/checkpoint.hpp"
+#include "core/report_format.hpp"
 #include "mpism/cancel.hpp"
 #include "mpism/fault.hpp"
 #include "support/run_helpers.hpp"
@@ -466,6 +467,47 @@ TEST(Checkpoint, LoadRefusesCorruptOrForeignFiles) {
           .has_value());
 }
 
+// Rank bounds are the loaders' job, since the parser cannot know
+// nprocs: a frame naming rank 9 used to corrupt per-rank tables and
+// abort, and an untried source of 99 used to be forced and reported as
+// a false bug.
+TEST(Checkpoint, ValidateRejectsRanksOutsideTheCampaign) {
+  const Checkpoint good = sample_checkpoint();
+  std::string error;
+  EXPECT_TRUE(core::validate_checkpoint(good, 3, &error)) << error;
+  EXPECT_FALSE(core::validate_checkpoint(good, 2, &error));
+
+  const auto rejects = [&good](const auto& mutate, const char* what) {
+    Checkpoint cp = good;
+    mutate(cp);
+    std::string why;
+    EXPECT_FALSE(core::validate_checkpoint(cp, 3, &why)) << what;
+    EXPECT_NE(why.find(what), std::string::npos) << why;
+  };
+  rejects([](Checkpoint& cp) { cp.frames[0].key.rank = 9; }, "rank 9");
+  rejects([](Checkpoint& cp) { cp.frames[0].taken_src = 3; },
+          "taken source 3");
+  rejects([](Checkpoint& cp) { cp.frames[0].untried.push_back(99); },
+          "untried source 99");
+  rejects([](Checkpoint& cp) { cp.frames[0].seen.insert(-2); },
+          "seen source -2");
+  rejects([](Checkpoint& cp) { cp.frames[0].sleep.insert(5); },
+          "sleep source 5");
+  rejects(
+      [](Checkpoint& cp) {
+        cp.pending_sleep.push_back(cp.frames[0]);
+        cp.pending_sleep[0].key.rank = -1;
+      },
+      "pframe 1: rank -1");
+
+  // A taken source of -1 marks an epoch the creating run never
+  // completed; extend_stack records it as taken and seen.
+  Checkpoint incomplete = good;
+  incomplete.frames[0].taken_src = -1;
+  incomplete.frames[0].seen.insert(-1);
+  EXPECT_TRUE(core::validate_checkpoint(incomplete, 3, &error)) << error;
+}
+
 TEST(Checkpoint, KillAtKThenResumeMatchesTheUninterruptedWalk) {
   SKIP_WITHOUT_COOP();  // pin the deterministic scheduler for equality
   auto base_options = [] {
@@ -553,6 +595,57 @@ TEST(Checkpoint, ResumeFindsABugTheInterruptedWalkHadNotReached) {
   EXPECT_EQ(resumed.bugs.front().kind, baseline.bugs.front().kind);
   EXPECT_EQ(resumed.bugs.front().interleaving,
             baseline.bugs.front().interleaving);
+  std::remove(path.c_str());
+}
+
+// The matcher and the engine lock are not part of the options
+// fingerprint, because their oracle modes walk bit-identically: a
+// journal written on the linear matcher and the global lock resumes
+// under the defaults and ends with the uninterrupted walk's report.
+TEST(Checkpoint, OracleBackendJournalResumesUnderTheDefaults) {
+  SKIP_WITHOUT_COOP();
+  auto base_options = [] {
+    ExplorerOptions options = explorer_options(3);
+    options.sched = sched_named("coop");
+    return options;
+  };
+  const ExploreResult baseline =
+      Explorer(base_options()).explore(workloads::fig3_wildcard_bug);
+  ASSERT_TRUE(baseline.found_bug());
+
+  const std::string path = temp_path("oracle.ckpt");
+  ExplorerOptions oracle = base_options();
+  oracle.match = mpism::MatchKind::kLinear;
+  oracle.engine_lock = mpism::EngineLockKind::kGlobal;
+  oracle.checkpoint_path = path;
+  oracle.checkpoint_interval = 1;
+  oracle.cancel = std::make_shared<CancelSource>();
+  auto cancel = oracle.cancel;
+  const ExploreResult partial = Explorer(oracle).explore(
+      workloads::fig3_wildcard_bug,
+      [&](auto&, auto&, auto&) { cancel->cancel("^C"); });
+  EXPECT_TRUE(partial.interrupted);
+
+  ExplorerOptions resume_options = base_options();
+  ASSERT_EQ(resume_options.match, mpism::MatchKind::kIndexed);
+  ASSERT_EQ(resume_options.engine_lock, mpism::EngineLockKind::kSharded);
+  std::string error;
+  auto cp = core::load_checkpoint(
+      path, core::options_fingerprint(resume_options), &error);
+  ASSERT_TRUE(cp.has_value()) << error;
+  resume_options.resume_from = std::make_shared<Checkpoint>(std::move(*cp));
+  const ExploreResult resumed =
+      Explorer(resume_options).explore(workloads::fig3_wildcard_bug);
+
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.interleavings, baseline.interleavings);
+  EXPECT_EQ(resumed.unsafe_alerts, baseline.unsafe_alerts);
+  ASSERT_EQ(resumed.bugs.size(), baseline.bugs.size());
+  for (std::size_t i = 0; i < baseline.bugs.size(); ++i) {
+    EXPECT_EQ(resumed.bugs[i].interleaving, baseline.bugs[i].interleaving);
+    EXPECT_EQ(core::format_bug(resumed.bugs[i]),
+              core::format_bug(baseline.bugs[i]));
+  }
   std::remove(path.c_str());
 }
 

@@ -10,6 +10,8 @@
 //    never flags a runnable-but-unscheduled rank at large nprocs;
 //  - scale: a 512-rank wavefront verification completes on one host
 //    thread (ranks are fibers, not OS threads);
+//  - defaults: default-constructed options select coop round-robin,
+//    the indexed matcher, the sharded lock and sleep-set POR;
 //  - fibers: stacks are reused across runs from the thread's cache
 //    without moving any fingerprint, an overflowing rank dies at its
 //    guard page, and floating-point modes stay per fiber.
@@ -22,6 +24,7 @@
 
 #include <cfenv>
 #include <csignal>
+#include <cstdlib>
 #include <optional>
 #include <set>
 #include <string>
@@ -153,6 +156,34 @@ TEST(SchedSpec, ParseAndFormatRoundTrip) {
   EXPECT_FALSE(mpism::parse_sched_spec("fifo", &untouched));
   EXPECT_FALSE(mpism::parse_sched_spec("", &untouched));
   EXPECT_EQ(untouched.seed, 99u);  // failed parse leaves *out alone
+}
+
+// A default-constructed options struct gets the product backend: coop
+// round-robin, the indexed matcher, the sharded engine lock and
+// sleep-set POR. Builds without fiber support (sanitizers) fall back to
+// the thread scheduler, and DAMPI_SCHED overrides the scheduler (the
+// tier-1 thread sweep sets it).
+TEST(Defaults, OptionsDefaultToTheProductBackend) {
+  EXPECT_EQ(mpism::SchedOptions{}.kind, mpism::SchedulerKind::kCoop);
+  EXPECT_EQ(mpism::SchedOptions{}.pick, mpism::SchedPolicy::kRoundRobin);
+
+  mpism::SchedOptions want;
+  if (!mpism::coop_supported()) want.kind = mpism::SchedulerKind::kThread;
+  if (const char* env = std::getenv("DAMPI_SCHED");
+      env != nullptr && env[0] != '\0') {
+    ASSERT_TRUE(mpism::parse_sched_spec(env, &want)) << env;
+  }
+  const mpism::RunOptions run;
+  const core::ExplorerOptions explore;
+  for (const mpism::SchedOptions* sched : {&run.sched, &explore.sched}) {
+    EXPECT_EQ(mpism::sched_spec(*sched), mpism::sched_spec(want));
+    EXPECT_EQ(sched->seed, want.seed);
+  }
+  EXPECT_EQ(run.match, mpism::MatchKind::kIndexed);
+  EXPECT_EQ(explore.match, mpism::MatchKind::kIndexed);
+  EXPECT_EQ(run.engine_lock, mpism::EngineLockKind::kSharded);
+  EXPECT_EQ(explore.engine_lock, mpism::EngineLockKind::kSharded);
+  EXPECT_EQ(explore.por, core::PorMode::kSleep);
 }
 
 // Acceptance bar: same seed => bit-identical RunReport, 100/100, with
