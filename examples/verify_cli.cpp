@@ -9,6 +9,7 @@
 // Programs: the paper's pattern fixtures, matmult, mini-ADLB, the
 // ParMETIS proxy, and every Table II suite entry by name (104.milc, BT,
 // LU, ...).
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <chrono>
@@ -146,7 +147,9 @@ int usage(const char* argv0) {
       "64)\n"
       "  --resume               continue from --checkpoint FILE instead "
       "of\n"
-      "                         starting over (options must match); in "
+      "                         starting over (options must match; a "
+      "worker's\n"
+      "                         FILE.wN shard journal is refused); in "
       "sweep\n"
       "                         mode, continue from --sweep-journal "
       "without\n"
@@ -184,13 +187,11 @@ int usage(const char* argv0) {
       "                         merged report and exit code are identical "
       "to a\n"
       "                         single-process run's\n"
-      "  --dist-socket PATH     rendezvous over an AF_UNIX socket at PATH\n"
-      "                         instead of inherited socketpairs\n"
       "  --worker               run as a campaign worker (spawned by the\n"
       "                         coordinator; not for direct use)\n"
       "  --worker-id N          this worker's id within the campaign\n"
-      "  --coordinator-socket S worker-side channel: fd:N or a socket "
-      "path\n"
+      "  --coordinator-socket fd:N  worker-side channel: the inherited\n"
+      "                         socketpair end (set by the coordinator)\n"
       "exit codes: 0 clean, 1 bug(s) found, 2 budget exhausted / "
       "interrupted /\n"
       "            quarantined subtrees, 3 usage or internal error\n",
@@ -265,7 +266,6 @@ int main(int argc, char** argv) {
   std::string sweep_report_path;
   std::string sweep_journal_path;
   int workers = 0;  // 0 = in-process exploration (the default)
-  std::string dist_socket;
   bool worker_mode = false;
   int worker_id = 0;
   std::string coordinator_socket;
@@ -391,10 +391,6 @@ int main(int argc, char** argv) {
       sweep_journal_path = v;
     } else if (arg == "--workers") {
       if (!number(&workers, 1)) return 3;
-    } else if (arg == "--dist-socket") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      dist_socket = v;
     } else if (arg == "--worker") {
       worker_mode = true;
     } else if (arg == "--worker-id") {
@@ -487,7 +483,6 @@ int main(int argc, char** argv) {
     if (!replay_path.empty()) conflict = "--replay";
     if (worker_mode) conflict = "--worker";
     if (!checkpoint_path.empty()) conflict = "--checkpoint";
-    if (!dist_socket.empty()) conflict = "--dist-socket";
     if (!save_repro_path.empty()) conflict = "--save-repro";
     if (conflict != nullptr) {
       std::printf("--sweep-faults cannot be combined with %s\n", conflict);
@@ -525,6 +520,19 @@ int main(int argc, char** argv) {
     if (!cp.has_value() || !core::validate_checkpoint(*cp, procs, &error)) {
       std::printf("cannot resume from %s: %s\n", checkpoint_path.c_str(),
                   error.c_str());
+      return 3;
+    }
+    // A frame flagged `e 1` (escape_alts) belongs to a coordinator-owned
+    // site: only a campaign worker's <ckpt>.wN journal has one, and a
+    // standalone walk over it could not hand its escapes to anyone.
+    const auto shard_frame =
+        std::find_if(cp->frames.begin(), cp->frames.end(),
+                     [](const core::DfsFrame& f) { return f.escape_alts; });
+    if (shard_frame != cp->frames.end()) {
+      std::printf(
+          "cannot resume from %s: frame %td has the escape flag (e 1): "
+          "worker shard journal; resume the campaign, not the shard\n",
+          checkpoint_path.c_str(), shard_frame - cp->frames.begin());
       return 3;
     }
     explorer_options.resume_from =
@@ -660,7 +668,6 @@ int main(int argc, char** argv) {
 
     dist::DistOptions dist_options;
     dist_options.workers = workers;
-    dist_options.socket_path = dist_socket;
     dist_options.explorer = explorer_options;
     // Workers re-parse this binary's own arguments, minus anything that
     // is coordinator-only (reporting, the distributed flags themselves,
@@ -668,7 +675,7 @@ int main(int argc, char** argv) {
     dist_options.worker_argv.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--workers" || arg == "--dist-socket" || arg == "--trace" ||
+      if (arg == "--workers" || arg == "--trace" ||
           arg == "--trace-capacity" || arg == "--save-repro") {
         ++i;  // skip the flag's value too
         continue;

@@ -7,7 +7,8 @@
 # the defaults inside both sweeps. Then:
 #  - the resilience stage: resil-labelled tests, the verify_cli
 #    exit-code contract (including bad flag values and corrupt
-#    checkpoints), a repeat-until-fail flake stage for the sched label,
+#    checkpoints), a repeat-until-fail flake stage for the sched and
+#    dist labels,
 #    a livelock watchdog sweep across schedulers and jobs widths, and a
 #    SIGINT kill + --resume determinism smoke;
 #  - the distributed stage: 4-worker equivalence, kill-a-worker, and
@@ -75,7 +76,7 @@ rm -f "${bad_replay}"
 for bad in "--procs 0" "--procs abc" "--clock bogus" "--k -3" "--jobs 2x" \
   "--max-interleavings -1" "--sched-seed x" "--run-deadline abc" \
   "--retries -2" "--checkpoint-interval 0" "--match linear" \
-  "--engine-lock global" "--por off"; do
+  "--engine-lock global" "--por off" "--dist-socket /tmp/x"; do
   # shellcheck disable=SC2086  # split "--flag value" into two words
   expect_exit 3 build/examples/verify_cli --program fig3-benign ${bad}
 done
@@ -98,13 +99,32 @@ if cmp -s "${bad_ckpt}" "${bad_ckpt}.good"; then
 fi
 expect_exit 3 build/examples/verify_cli --program matmult --procs 4 \
   --checkpoint "${bad_ckpt}" --resume
+# A worker's shard journal (<ckpt>.wN) flags its coordinator-owned frames
+# with `e 1`, which serialize_frame writes right after the seen set.
+# Resuming one standalone dropped every alternative those sites revealed
+# (a false "clean", exit 0); it is refused by name instead.
+awk '!done && $1 == "frame" { n = $9; f = 11 + n + $(11 + n); $f = $f " e 1"
+  done = 1 } 1' "${bad_ckpt}.good" > "${bad_ckpt}"
+expect_exit 3 build/examples/verify_cli --program matmult --procs 4 \
+  --checkpoint "${bad_ckpt}" --resume
+shard_out="$(build/examples/verify_cli --program matmult --procs 4 \
+  --checkpoint "${bad_ckpt}" --resume)" || true
+if ! grep -q "escape flag (e 1): worker shard journal" <<< "${shard_out}" || \
+   grep -q ": line [0-9]*:" <<< "${shard_out}"; then
+  echo "tier1: FAIL: shard journal not refused by its escape flag:" \
+    "${shard_out}" >&2
+  exit 1
+fi
 rm -f "${bad_ckpt}" "${bad_ckpt}.good"
 echo "tier1: exit-code contract OK"
 
-# Flake stage: the scheduler tests must pass 20 times in a row, and
-# TestAny.ReturnsLowestReadyIndex, which once raced an eager send under
-# the thread scheduler, 500 times.
+# Flake stage: the scheduler tests must pass 20 times in a row, the
+# distributed tests (worker spawn, death detection, stealing) 10 times,
+# and TestAny.ReturnsLowestReadyIndex, which once raced an eager send
+# under the thread scheduler, 500 times.
 (cd build && ctest --output-on-failure -L sched --repeat until-fail:20 \
+  -j "${jobs}")
+(cd build && ctest --output-on-failure -L dist --repeat until-fail:10 \
   -j "${jobs}")
 (cd build && ctest --output-on-failure \
   -R '^TestAny\.ReturnsLowestReadyIndex$' --repeat until-fail:500)

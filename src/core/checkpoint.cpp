@@ -160,6 +160,28 @@ bool parse_frame(std::istringstream& ls, DfsFrame* frame,
 
 }  // namespace
 
+void store_counters(const ExploreResult& result, Checkpoint* checkpoint) {
+  checkpoint->interleavings = result.interleavings;
+  checkpoint->retries = result.retries;
+  checkpoint->timeouts = result.timeouts;
+  checkpoint->quarantined = result.quarantined;
+  checkpoint->divergences = result.divergences;
+  checkpoint->prefix_mismatches = result.prefix_mismatches;
+  checkpoint->bugs = result.bugs;
+  checkpoint->unsafe_alerts = result.unsafe_alerts;
+}
+
+void restore_counters(const Checkpoint& checkpoint, ExploreResult* result) {
+  result->interleavings = checkpoint.interleavings;
+  result->retries = checkpoint.retries;
+  result->timeouts = checkpoint.timeouts;
+  result->quarantined = checkpoint.quarantined;
+  result->divergences = checkpoint.divergences;
+  result->prefix_mismatches = checkpoint.prefix_mismatches;
+  result->bugs = checkpoint.bugs;
+  result->unsafe_alerts = checkpoint.unsafe_alerts;
+}
+
 std::string options_fingerprint(const ExplorerOptions& options) {
   std::string mix = "none";
   if (options.mixing_bound.has_value()) {

@@ -55,6 +55,15 @@ struct Checkpoint {
   std::vector<std::uint64_t> fault_fires;
 };
 
+/// The resumable counters — interleavings, retries, timeouts,
+/// quarantined, divergences, prefix mismatches, bugs and alerts — copied
+/// from a walk's result into a checkpoint, and back. Every
+/// ExploreResult<->Checkpoint copy (the explorer's journal and resume,
+/// the DMP1 result payload, the campaign's final journal) goes through
+/// this pair, so a counter added later is added here once.
+void store_counters(const ExploreResult& result, Checkpoint* checkpoint);
+void restore_counters(const Checkpoint& checkpoint, ExploreResult* result);
+
 /// Canonical, human-readable fingerprint of the options that determine
 /// search semantics (nprocs, clocks, mixing, scheduler/POR/policy specs
 /// + seeds, fault plan, pinned initial schedule, checkpoint_tag).

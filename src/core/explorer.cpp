@@ -9,6 +9,7 @@
 #include <thread>
 #include <unordered_set>
 
+#include "common/check.hpp"
 #include "common/logging.hpp"
 #include "core/checkpoint.hpp"
 #include "core/dampi_layer.hpp"
@@ -275,16 +276,16 @@ void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
           if (frame.escape_alts) {
             // Coordinator-owned site: report instead of exploring, so a
             // sharded campaign explores the alternative exactly once no
-            // matter how many workers' runs reveal it.
-            EscapedAlt escape{
+            // matter how many workers' runs reveal it. Without a hook
+            // the alternative would be lost and the walk would report
+            // a coverage it never had.
+            DAMPI_CHECK_MSG(options_.on_escape,
+                            "an escape_alts frame revealed a new source "
+                            "but ExplorerOptions::on_escape is unset");
+            options_.on_escape(EscapedAlt{
                 {stack_.begin(),
                  stack_.begin() + static_cast<std::ptrdiff_t>(j) + 1},
-                src};
-            if (options_.on_escape) {
-              options_.on_escape(escape);
-            } else {
-              result.escaped.push_back(std::move(escape));
-            }
+                src});
           } else {
             frame.untried.push_back(src);
           }
@@ -461,16 +462,9 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     if (options_.checkpoint_path.empty()) return;
     Checkpoint cp;
     cp.fingerprint = fingerprint;
-    cp.interleavings = result.interleavings;
-    cp.retries = result.retries;
-    cp.timeouts = result.timeouts;
-    cp.quarantined = result.quarantined;
-    cp.divergences = result.divergences;
-    cp.prefix_mismatches = result.prefix_mismatches;
+    store_counters(result, &cp);
     cp.frames = stack_;
     cp.pending_sleep = pending_sleep_;
-    cp.bugs = result.bugs;
-    cp.unsafe_alerts = result.unsafe_alerts;
     if (options_.fault) cp.fault_fires = options_.fault->fire_counts();
     DAMPI_TEVENT(obs::EventKind::kCheckpoint, obs::Phase::kBegin,
                  static_cast<std::int32_t>(stack_.size()), 0, 0,
@@ -524,13 +518,10 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     const Checkpoint& cp = *options_.resume_from;
     stack_ = cp.frames;
     pending_sleep_ = cp.pending_sleep;
-    result.interleavings = cp.interleavings;
-    result.bugs = cp.bugs;
-    result.retries = cp.retries;
-    result.timeouts = cp.timeouts;
-    result.quarantined = cp.quarantined;
-    result.divergences = cp.divergences;
-    result.prefix_mismatches = cp.prefix_mismatches;
+    restore_counters(cp, &result);
+    // Alerts are re-admitted through the walk's dedup set, which the
+    // runs below keep extending.
+    result.unsafe_alerts.clear();
     for (const std::string& alert : cp.unsafe_alerts) {
       if (alert_keys.insert(alert).second) {
         result.unsafe_alerts.push_back(alert);

@@ -94,7 +94,7 @@ struct DfsFrame {
   int mix_budget = 0;
   /// Sharded exploration: this frame's decision site is owned by the
   /// campaign coordinator, not this walk. Newly revealed alternatives
-  /// are reported in ExploreResult::escaped (for central dedup and
+  /// are handed to ExplorerOptions::on_escape (for central dedup and
   /// re-sharding) instead of being merged into `untried` locally — the
   /// mechanism behind the exactly-once shard accounting invariant
   /// (DESIGN.md §4.12). Set on every prefix frame of a shard checkpoint
@@ -172,9 +172,6 @@ struct ExploreResult {
   PoolStats pool;
 
   /// --- Distributed sharding ---------------------------------------------
-  /// Alternatives revealed for coordinator-owned (escape_alts) frames;
-  /// empty outside sharded walks. See EscapedAlt.
-  std::vector<EscapedAlt> escaped;
   /// Final frame stack, exported when ExplorerOptions::export_frontier
   /// (or discovery_only) is set — the unit of work split_frontier()
   /// shards across worker processes.

@@ -217,12 +217,14 @@ struct ExplorerOptions {
   /// walk exit (cheap; off by default because the stack can be large).
   bool export_frontier = false;
 
-  /// Invoked the moment an alternative is escaped (instead of recording
-  /// it in ExploreResult::escaped), on the exploring thread. A
-  /// distributed worker ships each escape to the coordinator eagerly
-  /// through this hook: the send happens before the revealing run can
-  /// reach the checkpoint journal, so a worker death never strands an
-  /// escape inside a journalled (never re-executed) run.
+  /// Invoked the moment an alternative is escaped, on the exploring
+  /// thread — the only way an escape leaves a walk. A distributed worker
+  /// ships each escape to the coordinator eagerly through this hook: the
+  /// send happens before the revealing run can reach the checkpoint
+  /// journal, so a worker death never strands an escape inside a
+  /// journalled (never re-executed) run. A walk over escape_alts frames
+  /// (a shard, or a victim of a steal) must set it: an escape with no
+  /// hook fails the walk with an InternalError rather than vanish.
   std::function<void(const EscapedAlt&)> on_escape;
 
   /// Work-stealing hooks, polled between runs. When steal_poll() returns

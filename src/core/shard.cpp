@@ -132,7 +132,6 @@ CampaignMerge::CampaignMerge(ExploreResult discovery, PorMode por)
   // The frontier travels to split_frontier separately; the merged report
   // must not carry a stale copy of it.
   merged_.frontier.clear();
-  merged_.escaped.clear();
 }
 
 void CampaignMerge::register_shard_sites(const Checkpoint& shard) {

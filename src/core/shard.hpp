@@ -95,8 +95,8 @@ class CampaignMerge {
   bool escape_is_new(const EscapedAlt& escape);
 
   /// Fold one shard walk's results in (bug/alert dedup, counter sums,
-  /// partial-coverage flags OR'd). ExploreResult::escaped is NOT
-  /// consumed here — route it through escape_is_new/make_escape_shard.
+  /// partial-coverage flags OR'd). Escapes never reach here: the walk's
+  /// on_escape hook routes them through escape_is_new/make_escape_shard.
   void add(const ExploreResult& shard);
 
   /// Record a shard dropped after repeated worker deaths.

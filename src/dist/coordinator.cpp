@@ -105,26 +105,11 @@ DistResult run_distributed(const DistOptions& options,
   }
 
   // --- Worker pool ---------------------------------------------------------
-  int listen_fd = -1;
-  if (!options.socket_path.empty()) {
-    std::string lerr;
-    listen_fd = listen_socket(options.socket_path, &lerr);
-    if (listen_fd < 0) {
-      out.error = lerr;
-      out.exploration = merge.finish();
-      return out;
-    }
-    ::fcntl(listen_fd, F_SETFD, FD_CLOEXEC);
-    ::fcntl(listen_fd, F_SETFL, O_NONBLOCK);
-  }
-
   std::vector<WorkerProc> workers(
       static_cast<std::size_t>(std::max(1, options.workers)));
   for (std::size_t i = 0; i < workers.size(); ++i) {
     workers[i].id = static_cast<int>(i);
   }
-  // Channels accepted on the listener, not yet identified by a HELLO.
-  std::vector<std::unique_ptr<MessageChannel>> pending;
 
   bool cancel_broadcast = false;
   bool budget_cancel = false;
@@ -143,66 +128,38 @@ DistResult run_distributed(const DistOptions& options,
   };
 
   auto spawn_worker = [&](WorkerProc& w) {
-    int parent_fd = -1;
-    std::string spec = options.socket_path;
-    std::vector<std::string> argv_strings = options.worker_argv;
-    if (spec.empty()) {
-      int sv[2];
-      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-        fatal("socketpair failed");
-        return;
-      }
-      parent_fd = sv[0];
-      // Coordinator-side ends must not leak into workers: a sibling
-      // holding a copy would keep the channel open past its owner's
-      // death and mask the EOF the death detection relies on.
-      ::fcntl(parent_fd, F_SETFD, FD_CLOEXEC);
-      spec = "fd:" + std::to_string(sv[1]);
-      argv_strings.push_back("--worker");
-      argv_strings.push_back("--worker-id");
-      argv_strings.push_back(std::to_string(w.id));
-      argv_strings.push_back("--coordinator-socket");
-      argv_strings.push_back(spec);
-      std::vector<char*> argv;
-      argv.reserve(argv_strings.size() + 1);
-      for (std::string& s : argv_strings) argv.push_back(s.data());
-      argv.push_back(nullptr);
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        ::close(parent_fd);
-        ::close(sv[1]);
-        fatal("fork failed");
-        return;
-      }
-      if (pid == 0) {
-        ::execvp(argv[0], argv.data());
-        _exit(127);
-      }
-      ::close(sv[1]);
-      w.pid = pid;
-      w.chan = std::make_unique<MessageChannel>(parent_fd);
-    } else {
-      argv_strings.push_back("--worker");
-      argv_strings.push_back("--worker-id");
-      argv_strings.push_back(std::to_string(w.id));
-      argv_strings.push_back("--coordinator-socket");
-      argv_strings.push_back(spec);
-      std::vector<char*> argv;
-      argv.reserve(argv_strings.size() + 1);
-      for (std::string& s : argv_strings) argv.push_back(s.data());
-      argv.push_back(nullptr);
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        fatal("fork failed");
-        return;
-      }
-      if (pid == 0) {
-        ::execvp(argv[0], argv.data());
-        _exit(127);
-      }
-      w.pid = pid;
-      w.chan.reset();  // attached at accept + HELLO
+    int sv[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+      fatal("socketpair failed");
+      return;
     }
+    // Coordinator-side ends must not leak into workers: a sibling
+    // holding a copy would keep the channel open past its owner's
+    // death and mask the EOF the death detection relies on.
+    ::fcntl(sv[0], F_SETFD, FD_CLOEXEC);
+    std::vector<std::string> argv_strings = options.worker_argv;
+    argv_strings.insert(
+        argv_strings.end(),
+        {"--worker", "--worker-id", std::to_string(w.id),
+         "--coordinator-socket", "fd:" + std::to_string(sv[1])});
+    std::vector<char*> argv;
+    argv.reserve(argv_strings.size() + 1);
+    for (std::string& s : argv_strings) argv.push_back(s.data());
+    argv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid < 0) {
+      ::close(sv[0]);
+      ::close(sv[1]);
+      fatal("fork failed");
+      return;
+    }
+    if (pid == 0) {
+      ::execvp(argv[0], argv.data());
+      _exit(127);
+    }
+    ::close(sv[1]);
+    w.pid = pid;
+    w.chan = std::make_unique<MessageChannel>(sv[0]);
     w.reaped = false;
     w.hello = false;
     w.assigned.reset();
@@ -359,14 +316,6 @@ DistResult run_distributed(const DistOptions& options,
           return;
         }
         merge.add(result->result);
-        // Escapes normally arrive eagerly (kEscape); any that rode in
-        // the result (in-process configurations) get the same dedup.
-        for (const core::EscapedAlt& escape : result->result.escaped) {
-          if (!cancel_broadcast && merge.escape_is_new(escape)) {
-            add_shard(core::make_escape_shard(escape, fingerprint));
-            ++out.stats.shards_escaped;
-          }
-        }
         if (!result->metrics_dump.empty()) {
           out.worker_metrics.emplace_back(w.id, result->metrics_dump);
         }
@@ -448,46 +397,6 @@ DistResult run_distributed(const DistOptions& options,
       start_cancel();
     }
 
-    // Accept + identify externally connected workers (path mode).
-    if (listen_fd >= 0) {
-      for (;;) {
-        const int cfd = ::accept(listen_fd, nullptr, nullptr);
-        if (cfd < 0) break;
-        ::fcntl(cfd, F_SETFD, FD_CLOEXEC);
-        pending.push_back(std::make_unique<MessageChannel>(cfd));
-      }
-      for (std::size_t i = 0; i < pending.size();) {
-        WireMessage msg;
-        const auto status = pending[i]->recv(&msg, 0);
-        if (status == MessageChannel::RecvStatus::kMessage &&
-            msg.type == MsgType::kHello) {
-          std::string perr;
-          const auto hello = parse_hello(msg.payload, &perr);
-          bool attached = false;
-          if (hello.has_value() && hello->fingerprint == fingerprint) {
-            for (WorkerProc& w : workers) {
-              if (w.id == hello->worker_id && !w.chan) {
-                w.chan = std::move(pending[i]);
-                w.hello = true;
-                w.spawn_failures = 0;
-                attached = true;
-                break;
-              }
-            }
-          } else if (hello.has_value()) {
-            fatal("worker options fingerprint mismatch\n  worker:      " +
-                  hello->fingerprint + "\n  coordinator: " + fingerprint);
-          }
-          pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-          (void)attached;
-        } else if (status == MessageChannel::RecvStatus::kClosed) {
-          pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-    }
-
     // Drain every channel, then reap, then hand out work.
     for (WorkerProc& w : workers) {
       if (!w.chan || w.pid < 0) continue;
@@ -511,16 +420,9 @@ DistResult run_distributed(const DistOptions& options,
     pid_t reaped_pid;
     while ((reaped_pid = ::waitpid(-1, &wstatus, WNOHANG)) > 0) {
       for (WorkerProc& w : workers) {
-        if (w.pid != reaped_pid) continue;
-        w.reaped = true;
-        // A path-mode worker that dies before connecting (e.g. execvp
-        // failed) has no channel, so the EOF-based death detection can
-        // never see it. Account for it here so the slot is respawned
-        // and spawn_failures/max_spawn_failures still apply.
-        if (!w.chan) handle_death(w);
+        if (w.pid == reaped_pid) w.reaped = true;
       }
     }
-    if (!out.error.empty()) break;
 
     assign_work();
     if (!out.error.empty()) break;
@@ -566,8 +468,6 @@ DistResult run_distributed(const DistOptions& options,
         pfds.push_back({w.chan->fd(), POLLIN, 0});
       }
     }
-    if (listen_fd >= 0) pfds.push_back({listen_fd, POLLIN, 0});
-    for (auto& p : pending) pfds.push_back({p->fd(), POLLIN, 0});
     if (!pfds.empty()) {
       ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 50);
     }
@@ -585,10 +485,6 @@ DistResult run_distributed(const DistOptions& options,
     }
     if (w.chan) w.chan->close();
   }
-  if (listen_fd >= 0) {
-    ::close(listen_fd);
-    ::unlink(options.socket_path.c_str());
-  }
 
   out.exploration = merge.finish();
   if (budget_cancel) out.exploration.interleaving_budget_exhausted = true;
@@ -599,14 +495,7 @@ DistResult run_distributed(const DistOptions& options,
     // campaign journal (empty frontier = nothing left to resume).
     core::Checkpoint final_cp;
     final_cp.fingerprint = fingerprint;
-    final_cp.interleavings = out.exploration.interleavings;
-    final_cp.retries = out.exploration.retries;
-    final_cp.timeouts = out.exploration.timeouts;
-    final_cp.quarantined = out.exploration.quarantined;
-    final_cp.divergences = out.exploration.divergences;
-    final_cp.prefix_mismatches = out.exploration.prefix_mismatches;
-    final_cp.bugs = out.exploration.bugs;
-    final_cp.unsafe_alerts = out.exploration.unsafe_alerts;
+    core::store_counters(out.exploration, &final_cp);
     core::save_checkpoint(final_cp, options.explorer.checkpoint_path);
     // Every shard's result is merged; retire the per-worker journals so
     // they can't shadow a later campaign sharing this checkpoint path.

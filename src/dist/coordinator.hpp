@@ -29,12 +29,10 @@ namespace dampi::dist {
 struct DistOptions {
   int workers = 2;
   /// Base argv of a worker (argv[0] = executable). The coordinator
-  /// appends `--worker --worker-id N --coordinator-socket <spec>`.
+  /// spawns every worker itself, appending `--worker --worker-id N
+  /// --coordinator-socket fd:M`, where M is the worker's end of a
+  /// socketpair it inherits across exec.
   std::vector<std::string> worker_argv;
-  /// Empty: one inherited socketpair per worker (the default). Set: a
-  /// filesystem AF_UNIX path the coordinator listens on — workers (or
-  /// externally launched ones) connect and identify via HELLO.
-  std::string socket_path;
   /// A shard survives this many worker deaths before it is quarantined.
   int max_shard_respawns = 2;
   /// A worker slot that keeps dying before completing HELLO (e.g. the

@@ -1,13 +1,12 @@
 #include "dist/protocol.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <sstream>
 
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/strutil.hpp"
@@ -134,68 +133,17 @@ MessageChannel::RecvStatus MessageChannel::recv(WireMessage* out,
 }
 
 int connect_socket(const std::string& spec, std::string* error) {
+  int fd = -1;
   if (spec.rfind("fd:", 0) == 0) {
-    const int fd = std::atoi(spec.c_str() + 3);
-    if (fd < 0) {
-      if (error != nullptr) *error = "bad fd spec: " + spec;
-      return -1;
-    }
-    return fd;
-  }
-  struct sockaddr_un addr;
-  if (spec.size() >= sizeof addr.sun_path) {
-    if (error != nullptr) *error = "socket path too long: " + spec;
-    return -1;
-  }
-  // The coordinator binds before spawning workers, but an externally
-  // launched worker may race it — retry for a couple of seconds.
-  for (int attempt = 0; attempt < 40; ++attempt) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) break;
-    std::memset(&addr, 0, sizeof addr);
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, spec.c_str(), sizeof addr.sun_path - 1);
-    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof addr) == 0) {
-      return fd;
-    }
-    ::close(fd);
-    struct timespec ts = {0, 50 * 1000 * 1000};
-    ::nanosleep(&ts, nullptr);
+    const char* first = spec.data() + 3;
+    const char* last = spec.data() + spec.size();
+    const auto [ptr, ec] = std::from_chars(first, last, fd);
+    if (ec == std::errc() && ptr == last && fd >= 0) return fd;
   }
   if (error != nullptr) {
-    *error = strfmt("cannot connect to %s: %s", spec.c_str(),
-                    std::strerror(errno));
+    *error = "bad coordinator socket spec '" + spec + "': want fd:N";
   }
   return -1;
-}
-
-int listen_socket(const std::string& path, std::string* error) {
-  struct sockaddr_un addr;
-  if (path.size() >= sizeof addr.sun_path) {
-    if (error != nullptr) *error = "socket path too long: " + path;
-    return -1;
-  }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    if (error != nullptr) *error = std::strerror(errno);
-    return -1;
-  }
-  ::unlink(path.c_str());
-  std::memset(&addr, 0, sizeof addr);
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof addr) !=
-          0 ||
-      ::listen(fd, 64) != 0) {
-    if (error != nullptr) {
-      *error = strfmt("cannot listen on %s: %s", path.c_str(),
-                      std::strerror(errno));
-    }
-    ::close(fd);
-    return -1;
-  }
-  return fd;
 }
 
 // --- Payloads --------------------------------------------------------------
@@ -292,16 +240,6 @@ std::string serialize_worker_result(const WorkerResult& result,
                 static_cast<unsigned long long>(r.pool.speculative_hits),
                 static_cast<unsigned long long>(r.pool.speculative_waste),
                 r.pool.max_in_flight, r.pool.max_queue_depth);
-  for (const core::EscapedAlt& escape : r.escaped) {
-    // An escape travels as the candidate shard it would become — a full
-    // checkpoint — because its site identity is the frame prefix in
-    // force at escape time, not anything the coordinator could
-    // reconstruct from the shard it originally assigned.
-    const std::string text = core::serialize_checkpoint(
-        core::make_escape_shard(escape, fingerprint));
-    out += strfmt("escape %zu\n", text.size());
-    out += text;
-  }
   {
     std::istringstream metrics(result.metrics_dump);
     std::string line;
@@ -313,14 +251,7 @@ std::string serialize_worker_result(const WorkerResult& result,
   // wire format reuses the journal grammar instead of duplicating it.
   core::Checkpoint cp;
   cp.fingerprint = fingerprint;
-  cp.interleavings = r.interleavings;
-  cp.retries = r.retries;
-  cp.timeouts = r.timeouts;
-  cp.quarantined = r.quarantined;
-  cp.divergences = r.divergences;
-  cp.prefix_mismatches = r.prefix_mismatches;
-  cp.bugs = r.bugs;
-  cp.unsafe_alerts = r.unsafe_alerts;
+  core::store_counters(r, &cp);
   const std::string inner = core::serialize_checkpoint(cp);
   out += strfmt("ckpt %zu\n", inner.size());
   out += inner;
@@ -376,25 +307,6 @@ std::optional<WorkerResult> parse_worker_result(
             r.pool.max_in_flight >> r.pool.max_queue_depth)) {
         return fail("bad pool line");
       }
-    } else if (keyword == "escape") {
-      std::size_t nbytes = 0;
-      if (!(ls >> nbytes) || pos + nbytes > payload.size()) {
-        return fail("bad escape length");
-      }
-      std::string inner_err;
-      const auto cp = core::parse_checkpoint(payload.substr(pos, nbytes),
-                                             expected_fingerprint, &inner_err);
-      if (!cp.has_value() || cp->frames.empty() ||
-          cp->frames.back().untried.size() != 1) {
-        return fail("embedded escape: " +
-                    (inner_err.empty() ? "not a one-alternative shard"
-                                       : inner_err));
-      }
-      core::EscapedAlt escape;
-      escape.src = cp->frames.back().untried.front();
-      escape.frames = std::move(cp->frames);
-      r.escaped.push_back(std::move(escape));
-      pos += nbytes;
     } else if (keyword == "metric") {
       if (line.size() > keyword.size() + 1) {
         wr.metrics_dump += line.substr(keyword.size() + 1);
@@ -409,14 +321,7 @@ std::optional<WorkerResult> parse_worker_result(
       const auto cp = core::parse_checkpoint(payload.substr(pos, nbytes),
                                              expected_fingerprint, &inner_err);
       if (!cp.has_value()) return fail("embedded checkpoint: " + inner_err);
-      r.interleavings = cp->interleavings;
-      r.retries = cp->retries;
-      r.timeouts = cp->timeouts;
-      r.quarantined = cp->quarantined;
-      r.divergences = cp->divergences;
-      r.prefix_mismatches = cp->prefix_mismatches;
-      r.bugs = cp->bugs;
-      r.unsafe_alerts = cp->unsafe_alerts;
+      core::restore_counters(*cp, &r);
       pos += nbytes;
       saw_ckpt = true;
     } else if (keyword == "end") {

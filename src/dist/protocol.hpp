@@ -1,11 +1,10 @@
 // Wire protocol between the campaign coordinator and its worker
 // processes (DESIGN.md §4.12).
 //
-// Transport: a connected AF_UNIX stream per worker — either one end of
-// a socketpair inherited across exec (`--coordinator-socket fd:N`, the
-// default when the coordinator spawns its own workers) or a filesystem
-// socket the coordinator listens on (`--coordinator-socket PATH`, which
-// also lets externally launched workers join a campaign).
+// Transport: one AF_UNIX socketpair per worker. The coordinator spawns
+// every worker itself and the worker inherits its end across exec
+// (`--coordinator-socket fd:N`); there is no listener, so only the
+// process the coordinator spawned for a slot can ever speak for it.
 //
 // Framing: little machine-endian binary header {magic "DMP1", u16 type,
 // u32 payload length} followed by the payload. Payloads are the same
@@ -17,8 +16,9 @@
 // Conversation:
 //   worker     -> coordinator   HELLO   {worker id, options fingerprint}
 //   coordinator-> worker        SHARD   {shard id, checkpoint}
+//   worker     -> coordinator   ESCAPE  {candidate shard checkpoint}
 //   worker     -> coordinator   RESULT  {shard id, counters, bugs,
-//                                        escapes, metrics, checkpoint}
+//                                        metrics, checkpoint}
 //   coordinator-> worker        STEAL   (carve off frontier work)
 //   worker     -> coordinator   STOLEN  {checkpoint} | NO_STEAL
 //   coordinator-> worker        CANCEL  (unwind the in-flight shard)
@@ -86,13 +86,11 @@ class MessageChannel {
   std::string rx_;
 };
 
-/// "fd:N" (inherited descriptor) or a filesystem path to connect() to.
-/// Returns -1 and sets `error` on failure; path connects are retried
-/// briefly so a worker can win the race with the coordinator's bind.
+/// The descriptor N of an "fd:N" spec: the worker's end of the
+/// socketpair it inherited from the coordinator. Anything else — empty,
+/// trailing junk, a negative N, a path — returns -1 and sets `error`
+/// (naming the spec).
 int connect_socket(const std::string& spec, std::string* error);
-
-/// Bound + listening AF_UNIX socket at `path` (stale file replaced).
-int listen_socket(const std::string& path, std::string* error);
 
 // --- Payload formats -------------------------------------------------------
 
@@ -125,9 +123,10 @@ std::optional<core::EscapedAlt> parse_escape(
     std::string* error);
 
 /// Everything one shard walk sends home. `result` carries the subset of
-/// ExploreResult a merge consumes (counts, bugs, alerts, escapes, pool
-/// counters, partial-coverage flags); discovery-run statistics stay
-/// zero — only the coordinator executed a discovery run.
+/// ExploreResult a merge consumes (counts, bugs, alerts, pool counters,
+/// partial-coverage flags); discovery-run statistics stay zero — only
+/// the coordinator executed a discovery run. Escapes never ride here:
+/// they went out eagerly as ESCAPE messages during the walk.
 struct WorkerResult {
   std::uint64_t shard_id = 0;
   core::ExploreResult result;

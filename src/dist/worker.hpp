@@ -1,8 +1,9 @@
-// Worker side of a distributed campaign: connect to the coordinator,
-// introduce ourselves (worker id + options fingerprint), then loop —
-// resume each assigned shard checkpoint with the ordinary Explorer,
-// serving steal requests between runs, and ship the walk's result
-// (counters, bugs, escapes, metrics increment) home. The worker
+// Worker side of a distributed campaign: take over the socketpair end
+// the coordinator passed down, introduce ourselves (worker id + options
+// fingerprint), then loop — resume each assigned shard checkpoint with
+// the ordinary Explorer, serving steal requests and shipping escapes
+// eagerly between runs, and send the walk's result (counters, bugs,
+// metrics increment) home. The worker
 // journals to `<checkpoint>.w<id>` so concurrent workers never race on
 // one tmp+rename path, and so the coordinator can requeue a dead
 // worker's shard from its last flushed frontier.
@@ -16,7 +17,7 @@
 namespace dampi::dist {
 
 struct WorkerConfig {
-  /// --coordinator-socket value: "fd:N" or a filesystem path.
+  /// --coordinator-socket value: "fd:N", the inherited socketpair end.
   std::string socket_spec;
   int worker_id = 0;
   /// Search options, identical (same fingerprint) to the coordinator's.

@@ -22,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/check.hpp"
 #include "core/checkpoint.hpp"
 #include "core/decision_io.hpp"
 #include "core/explorer.hpp"
@@ -661,6 +662,36 @@ TEST(Dist, EscapeShardAndSiteDedup) {
   EXPECT_FALSE(fresh.escape_is_new(third));
 }
 
+// on_escape is the one way out of a walk for an escaped alternative. A
+// coordinator-owned root site whose other sources are still unseen
+// escapes them as soon as a deeper flip replays it; without the hook
+// the walk must fail with an internal-check error, not finish with a
+// "clean" result missing those subtrees.
+TEST(Dist, EscapeWithoutHookFailsTheWalk) {
+  ExplorerOptions options = explorer_options(4);
+  ExplorerOptions disc = options;
+  disc.discovery_only = true;
+  const ExploreResult discovered = Explorer(disc).explore(fan_in(2));
+  ASSERT_GE(discovered.frontier.size(), 2u);
+
+  auto shard = std::make_shared<Checkpoint>();
+  shard->fingerprint = core::options_fingerprint(options);
+  shard->frames = discovered.frontier;
+  core::DfsFrame& site = shard->frames.front();
+  site.untried.clear();
+  site.seen = {site.taken_src};
+  site.escape_alts = true;
+  options.resume_from = shard;
+
+  std::vector<EscapedAlt> escapes;
+  ExplorerOptions hooked = options;
+  hooked.on_escape = [&](const EscapedAlt& e) { escapes.push_back(e); };
+  Explorer(hooked).explore(fan_in(2));
+  ASSERT_FALSE(escapes.empty());
+
+  EXPECT_THROW(Explorer(options).explore(fan_in(2)), InternalError);
+}
+
 // --- Wire protocol over a real socketpair ----------------------------------
 
 TEST(Dist, ProtocolRoundTripOverSocketpair) {
@@ -764,6 +795,22 @@ TEST(Dist, ProtocolRoundTripOverSocketpair) {
   EXPECT_EQ(a.recv(&msg, 1000), dist::MessageChannel::RecvStatus::kClosed);
 }
 
+// Escapes travel only as eager ESCAPE messages; a RESULT payload that
+// carries one is malformed.
+TEST(Dist, WorkerResultRejectsEscapeLines) {
+  const std::string good =
+      dist::serialize_worker_result(dist::WorkerResult{}, "fp");
+  std::string error;
+  ASSERT_TRUE(dist::parse_worker_result(good, "fp", &error).has_value())
+      << error;
+  std::string bad = good;
+  bad.insert(bad.find("ckpt "), "escape 0\n");
+  EXPECT_FALSE(dist::parse_worker_result(bad, "fp", &error).has_value());
+  EXPECT_NE(error.find("unknown dist-result keyword 'escape'"),
+            std::string::npos)
+      << error;
+}
+
 TEST(Dist, ProtocolRejectsFingerprintMismatch) {
   Checkpoint cp;
   cp.fingerprint = "fp-a";
@@ -809,23 +856,65 @@ TEST(Dist, CancelWithSigkilledStragglerTerminates) {
   EXPECT_EQ(result.stats.shards_quarantined, 0u);
 }
 
-// Regression: in --dist-socket (path) mode a worker whose exec fails
-// dies before it ever connects, so it has no channel and the EOF-based
-// death detection never fires. The waitpid reap loop must route such
-// workers through handle_death so spawn-failure accounting aborts the
-// campaign instead of polling forever on a non-empty queue.
-TEST(Dist, PathModeSpawnFailureAborts) {
+// A worker whose exec fails dies before HELLO, and its inherited
+// socketpair end closes with it. Each respawn fails the same way, so the
+// spawn-failure cap must end the campaign with an error after exactly
+// max_spawn_failures attempts instead of polling forever on a non-empty
+// queue.
+TEST(Dist, SpawnFailureAborts) {
   dist::DistOptions dopt;
   dopt.workers = 1;
-  dopt.socket_path = ::testing::TempDir() + "/dampi_spawnfail.sock";
   dopt.explorer = explorer_options(4);
   dopt.worker_argv = {"/nonexistent-dampi-worker-binary"};
 
   dist::DistResult result = dist::run_distributed(dopt, fan_in(2));
-  EXPECT_FALSE(result.error.empty());
   EXPECT_NE(result.error.find("died before HELLO"), std::string::npos)
       << result.error;
+  EXPECT_EQ(result.stats.workers_spawned, dopt.max_spawn_failures);
+  EXPECT_EQ(result.stats.worker_deaths, dopt.max_spawn_failures);
 }
+
+// --- Worker channel spec ----------------------------------------------------
+
+TEST(Dist, CoordinatorSocketSpecTakesAnInheritedFd) {
+  std::string error;
+  EXPECT_EQ(dist::connect_socket("fd:0", &error), 0);
+  EXPECT_EQ(dist::connect_socket("fd:17", &error), 17);
+}
+
+// Every malformed spec is refused with an error naming it — none may
+// fall back to some descriptor the worker would then write HELLO to.
+struct BadSpec {
+  const char* name;  ///< test-name suffix
+  const char* spec;
+};
+
+void PrintTo(const BadSpec& bad, std::ostream* os) {
+  *os << '\'' << bad.spec << '\'';
+}
+
+class BadCoordinatorSocketSpec : public ::testing::TestWithParam<BadSpec> {};
+
+TEST_P(BadCoordinatorSocketSpec, IsRejectedByName) {
+  const std::string spec = GetParam().spec;
+  std::string error;
+  EXPECT_EQ(dist::connect_socket(spec, &error), -1);
+  EXPECT_NE(error.find("'" + spec + "'"), std::string::npos) << error;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Dist, BadCoordinatorSocketSpec,
+    ::testing::Values(BadSpec{"Empty", ""}, BadSpec{"NoNumber", "fd:"},
+                      BadSpec{"Letters", "fd:abc"},
+                      BadSpec{"TrailingJunk", "fd:3x"},
+                      BadSpec{"Negative", "fd:-1"},
+                      BadSpec{"PlusSign", "fd:+3"},
+                      BadSpec{"LeadingSpace", "fd: 3"},
+                      BadSpec{"SocketPath", "/tmp/dampi.sock"},
+                      BadSpec{"BareNumber", "3"}),
+    [](const ::testing::TestParamInfo<BadSpec>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace
 
