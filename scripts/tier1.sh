@@ -21,10 +21,15 @@
 #  - a fault-sweep stage: sweep-labelled tests, the --sweep-faults
 #    exit-code contract, a SIGINT kill + --resume byte-identity smoke,
 #    and the bench_sweep worker-count determinism check;
-#  - the concurrency, obs, match, enginelock, por and sweep labels again
-#    under ThreadSanitizer (-DDAMPI_SANITIZE=thread). Coop fibers are
-#    unsupported under TSan, so those builds default to the thread
-#    scheduler, which is exactly the path TSan can check.
+#  - the concurrency, obs, match, enginelock, por, sweep and alloc labels
+#    again under ThreadSanitizer (-DDAMPI_SANITIZE=thread). Coop fibers
+#    are unsupported under TSan, so those builds default to the thread
+#    scheduler, which is exactly the path TSan can check — including one
+#    replay context reused across runs, whose rank threads must happen
+#    after the previous run's;
+#  - the alloc, match and sched labels under AddressSanitizer plus
+#    UndefinedBehaviorSanitizer (-DDAMPI_SANITIZE=address,undefined), where
+#    recycled pool memory is poisoned until it is handed out again.
 #
 # Usage: scripts/tier1.sh [--skip-tsan]
 set -euo pipefail
@@ -119,12 +124,15 @@ rm -f "${bad_ckpt}" "${bad_ckpt}.good"
 echo "tier1: exit-code contract OK"
 
 # Flake stage: the scheduler tests must pass 20 times in a row, the
-# distributed tests (worker spawn, death detection, stealing) 10 times,
-# and TestAny.ReturnsLowestReadyIndex, which once raced an eager send
-# under the thread scheduler, 500 times.
+# distributed tests (worker spawn, death detection, stealing) and the
+# reused-replay-context tests 10 times, and
+# TestAny.ReturnsLowestReadyIndex, which once raced an eager send under
+# the thread scheduler, 500 times.
 (cd build && ctest --output-on-failure -L sched --repeat until-fail:20 \
   -j "${jobs}")
 (cd build && ctest --output-on-failure -L dist --repeat until-fail:10 \
+  -j "${jobs}")
+(cd build && ctest --output-on-failure -L alloc --repeat until-fail:10 \
   -j "${jobs}")
 (cd build && ctest --output-on-failure \
   -R '^TestAny\.ReturnsLowestReadyIndex$' --repeat until-fail:500)
@@ -381,7 +389,18 @@ fi
 cmake -B build-tsan -S . -DDAMPI_SANITIZE=thread
 cmake --build build-tsan -j "${jobs}" \
   --target test_explorer_parallel test_obs test_match_index \
-           test_engine_lock test_por test_sweep
+           test_engine_lock test_por test_sweep test_alloc
 (cd build-tsan && ctest --output-on-failure \
-  -L 'concurrency|obs|match|enginelock|por|sweep' -j "${jobs}")
-echo "tier1: OK (including TSan concurrency + obs + match + enginelock + por + sweep stage)"
+  -L 'concurrency|obs|match|enginelock|por|sweep|alloc' -j "${jobs}")
+echo "tier1: TSan stage OK"
+
+# AddressSanitizer + UndefinedBehaviorSanitizer on the reused-storage
+# paths: pools poison what they recycle, so a stale request or envelope
+# pointer into a recycled slot is reported instead of silently reading
+# the next run's object. Any UBSan report fails the stage.
+cmake -B build-asan -S . -DDAMPI_SANITIZE=address,undefined
+cmake --build build-asan -j "${jobs}" \
+  --target test_alloc test_match_index test_sched
+(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --output-on-failure -L 'alloc|match|sched' -j "${jobs}")
+echo "tier1: OK (including the TSan and ASan+UBSan stages)"

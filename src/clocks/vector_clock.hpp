@@ -6,6 +6,7 @@
 // completeness oracle in tests.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,6 +37,9 @@ class VectorClock {
 
   /// Local event at the owning process.
   void tick();
+
+  /// Back to the zero clock (same size and owner).
+  void reset() { std::fill(v_.begin(), v_.end(), Value{0}); }
 
   /// Component-wise max with a remote timestamp (message receipt).
   void merge(const VectorClock& remote);

@@ -15,14 +15,20 @@ std::vector<VcValue> decode_vc(const mpism::Bytes& bytes) {
 
 }  // namespace
 
-ClockState::ClockState(ClockMode mode, int nprocs, int rank)
-    : mode_(mode), vector_(nprocs, rank) {}
+ClockState::ClockState(ClockMode mode, int nprocs, int rank) : mode_(mode) {
+  if (mode_ == ClockMode::kVector) vector_ = clocks::VectorClock(nprocs, rank);
+}
+
+void ClockState::reset() {
+  lamport_ = clocks::LamportClock();
+  vector_.reset();
+}
 
 void ClockState::tick() {
-  // Both trackers advance so either view stays usable (the Lamport value
-  // is the trace-ordering key even in vector mode).
+  // The Lamport value advances in both modes: it is the trace-ordering
+  // key even in vector mode.
   lamport_.tick();
-  vector_.tick();
+  if (mode_ == ClockMode::kVector) vector_.tick();
 }
 
 void ClockState::merge(const mpism::Bytes& remote) {

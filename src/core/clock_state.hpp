@@ -1,6 +1,8 @@
 // Unified view over Lamport / vector clocks for the DAMPI layer: tick,
 // merge serialized remote clocks, and decide lateness ("is this message
-// not causally after that epoch?") under either mode.
+// not causally after that epoch?") under either mode. Only the selected
+// mode's clock is kept: the Lamport scalar always (it orders traces),
+// the vector only in vector mode.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,9 @@ class ClockState {
  public:
   ClockState(ClockMode mode, int nprocs, int rank);
 
+  /// Back to the zero clock (a replay context reuses its layers).
+  void reset();
+
   void tick();
   /// Merge a serialized remote clock (no-op if empty — e.g. a message
   /// that predates instrumentation in tests).
@@ -28,6 +33,7 @@ class ClockState {
   void serialize_into(mpism::Bytes* out) const;
 
   std::uint64_t lamport_value() const { return lamport_.value(); }
+  /// Vector mode only (empty under Lamport clocks).
   const std::vector<clocks::VectorClock::Value>& vector_components() const {
     return vector_.components();
   }
@@ -60,7 +66,7 @@ class ClockState {
  private:
   ClockMode mode_;
   clocks::LamportClock lamport_;
-  clocks::VectorClock vector_;
+  clocks::VectorClock vector_;  ///< empty under Lamport clocks
 };
 
 }  // namespace dampi::core

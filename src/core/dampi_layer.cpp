@@ -10,9 +10,12 @@ namespace dampi::core {
 
 DampiShared::DampiShared(ExplorerOptions opts, Schedule sched,
                          std::shared_ptr<TraceSink> trace_sink)
-    : options(std::move(opts)),
-      schedule(std::move(sched)),
-      sink(std::move(trace_sink)) {
+    : options(std::move(opts)), sink(std::move(trace_sink)) {
+  reset(sched);
+}
+
+void DampiShared::reset(const Schedule& sched) {
+  schedule = sched;
   max_decided_index.assign(static_cast<std::size_t>(options.nprocs), -1);
   for (const auto& [key, src] : schedule.forced) {
     DAMPI_CHECK_MSG(key.rank >= 0 && key.rank < options.nprocs,
@@ -21,6 +24,7 @@ DampiShared::DampiShared(ExplorerOptions opts, Schedule sched,
     auto& slot = max_decided_index[static_cast<std::size_t>(key.rank)];
     slot = std::max(slot, static_cast<std::int64_t>(key.nd_index));
   }
+  divergences.store(0, std::memory_order_relaxed);
 }
 
 DampiLayer::DampiLayer(int rank, int nprocs,
@@ -66,7 +70,7 @@ void DampiLayer::drain_unreceived(mpism::ToolCtx& ctx) {
       c.msg_id = got.msg_id;
       c.status = got;
       c.payload = &payload;
-      const mpism::Bytes msg_clock = transport_->on_recv_complete(ctx, c);
+      const mpism::Bytes& msg_clock = transport_->on_recv_complete(ctx, c);
       find_potential_matches(ctx, c.src_world, c.seq, c.tag, comm, msg_clock);
       merge_incoming(msg_clock);
     }
@@ -88,9 +92,31 @@ void DampiLayer::flush(bool) {
   epochs_probe_metric.add(probe_epoch_count_);
   potential_metric.add(potential_count_);
   late_metric.add(late_count_);
-  shared_->sink->flush_rank(std::move(epochs_), std::move(alerts_),
+  shared_->sink->flush_rank({epochs_.data(), epoch_count_}, alerts_,
                             recv_epoch_count_, probe_epoch_count_,
                             potential_count_, late_count_);
+  epoch_count_ = 0;
+}
+
+bool DampiLayer::reset_for_next_run() {
+  flush(/*from_finalize=*/false);
+  transport_->reset();
+  clock_.reset();
+  xmit_clock_.reset();
+  nd_index_ = 0;
+  recv_epoch_count_ = 0;
+  probe_epoch_count_ = 0;
+  potential_count_ = 0;
+  late_count_ = 0;
+  flushed_ = false;
+  wildcard_reqs_.clear();
+  latch_irecv_was_wildcard_ = false;
+  latch_probe_was_wildcard_ = false;
+  region_depth_ = 0;
+  last_signature_ = EpochSignature{};
+  signature_streak_ = 0;
+  known_comms_.assign(1, mpism::kCommWorld);
+  return true;
 }
 
 mpism::Rank DampiLayer::guided_source() {
@@ -117,16 +143,21 @@ EpochRecord& DampiLayer::record_epoch(mpism::CommId comm, mpism::Tag tag,
   // concurrent sends of the paper's Fig. 3 (sender clocks 0) late with
   // respect to the epoch (clock 1): late iff m.LC < epoch.LC.
   clock_.tick();
-  EpochRecord rec;
+  // Every field is assigned: the slot may be a spare record from an
+  // earlier run (see TraceSink).
+  if (epoch_count_ == epochs_.size()) epochs_.emplace_back();
+  EpochRecord& rec = epochs_[epoch_count_++];
   rec.key = EpochKey{rank_, nd_index_++};
   rec.lc = clock_.lamport_value();
-  if (options_.clock_mode == ClockMode::kVector) {
-    rec.vc = clock_.vector_components();
-  }
+  rec.vc = clock_.vector_components();  // empty under Lamport clocks
   rec.comm = comm;
   rec.tag = tag;
   rec.is_probe = is_probe;
   rec.in_ignored_region = options_.loop_abstraction && region_depth_ > 0;
+  rec.auto_abstracted = false;
+  rec.matched_src_world = -1;
+  rec.matched_seq = 0;
+  rec.alternatives.clear();
   // Automatic loop detection: after `auto_loop_threshold` consecutive ND
   // events with the same signature, the streak is a fixed communication
   // pattern; keep its self-run matches (the first `threshold` events of
@@ -143,16 +174,14 @@ EpochRecord& DampiLayer::record_epoch(mpism::CommId comm, mpism::Tag tag,
     rec.in_ignored_region = true;
     rec.auto_abstracted = true;
   }
-  epochs_.push_back(std::move(rec));
   if (is_probe) {
     ++probe_epoch_count_;
   } else {
     ++recv_epoch_count_;
   }
   DAMPI_TEVENT(obs::EventKind::kEpochOpen, obs::Phase::kInstant, rank_,
-               static_cast<std::int32_t>(epochs_.back().key.nd_index), 0,
-               epochs_.back().lc);
-  return epochs_.back();
+               static_cast<std::int32_t>(rec.key.nd_index), 0, rec.lc);
+  return rec;
 }
 
 // --- sends -----------------------------------------------------------------
@@ -190,8 +219,7 @@ void DampiLayer::post_irecv(mpism::ToolCtx& ctx, const mpism::RecvCall& call,
   if (!latch_irecv_was_wildcard_) return;
   latch_irecv_was_wildcard_ = false;
   record_epoch(call.comm, call.tag, /*is_probe=*/false);
-  wildcard_reqs_[id] = epochs_.size() - 1;
-  pending_wildcards_.insert(id);
+  wildcard_reqs_[id] = epoch_count_ - 1;
   ctx.add_cost(options_.epoch_record_cost_us);
 }
 
@@ -199,20 +227,18 @@ void DampiLayer::post_wait(mpism::ToolCtx& ctx, mpism::ReqCompletion& c) {
   if (c.kind != mpism::ReqKind::kRecv) return;
   // Retrieve the sender's clock (deferred until the source is known —
   // the paper's wildcard piggyback rule).
-  const mpism::Bytes msg_clock = transport_->on_recv_complete(ctx, c);
+  const mpism::Bytes& msg_clock = transport_->on_recv_complete(ctx, c);
 
   // If this completion resolves one of our wildcard epochs, bind its
   // outcome first so it cannot be recorded as its own alternative.
-  auto it = wildcard_reqs_.find(c.id);
-  if (it != wildcard_reqs_.end()) {
-    EpochRecord& epoch = epochs_[it->second];
+  std::size_t index = 0;
+  if (wildcard_reqs_.erase(c.id, &index)) {
+    EpochRecord& epoch = epochs_[index];
     epoch.matched_src_world = c.src_world;
     epoch.matched_seq = c.seq;
     DAMPI_TEVENT(obs::EventKind::kEpochClose, obs::Phase::kInstant, rank_,
                  static_cast<std::int32_t>(epoch.key.nd_index),
                  c.src_world, c.seq);
-    wildcard_reqs_.erase(it);
-    pending_wildcards_.erase(c.id);
     if (options_.deferred_clock_sync) {
       // §V: the Wait/Test is the synchronization point — only now may
       // outgoing traffic advertise this epoch's tick.
@@ -236,8 +262,8 @@ void DampiLayer::find_potential_matches(mpism::ToolCtx& ctx,
   // Newest-to-oldest; epochs of one rank are totally ordered by program
   // order, so once the message is causally after an epoch it is after all
   // older ones too.
-  for (auto rit = epochs_.rbegin(); rit != epochs_.rend(); ++rit) {
-    EpochRecord& epoch = *rit;
+  for (std::size_t i = epoch_count_; i-- > 0;) {
+    EpochRecord& epoch = epochs_[i];
     if (clock_.is_after(msg_clock, epoch.lc, epoch.vc)) break;
     ctx.add_cost(options_.late_analysis_cost_us);
     if (!clock_.is_late(msg_clock, epoch.lc, epoch.vc)) continue;
@@ -329,7 +355,7 @@ void DampiLayer::on_pcontrol(mpism::ToolCtx&, int level, const std::string&) {
 }
 
 void DampiLayer::unsafe_check(mpism::ToolCtx&, const char* op) {
-  if (pending_wildcards_.empty()) return;
+  if (wildcard_reqs_.empty()) return;
   // With deferred clock sync the transmitted clock excludes pending
   // epochs, so the pattern is handled, not merely detected.
   if (options_.deferred_clock_sync) return;
@@ -340,7 +366,7 @@ void DampiLayer::unsafe_check(mpism::ToolCtx&, const char* op) {
   alerts_.push_back(UnsafeAlert{
       rank_, strfmt("rank %d issued a clock-transmitting %s while %zu "
                     "wildcard receive(s) were pending completion",
-                    rank_, op, pending_wildcards_.size())});
+                    rank_, op, wildcard_reqs_.size())});
 }
 
 // --- setup -------------------------------------------------------------------

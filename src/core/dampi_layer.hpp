@@ -12,10 +12,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "core/clock_state.hpp"
 #include "core/decision.hpp"
 #include "core/epoch.hpp"
@@ -25,7 +24,8 @@
 
 namespace dampi::core {
 
-/// State shared by all ranks of one run.
+/// State shared by all ranks of one run; a replay context keeps one and
+/// resets it per run.
 struct DampiShared {
   ExplorerOptions options;  ///< run configuration (owned copy)
   Schedule schedule;
@@ -39,6 +39,9 @@ struct DampiShared {
 
   DampiShared(ExplorerOptions opts, Schedule sched,
               std::shared_ptr<TraceSink> trace_sink);
+
+  /// Arms the next run with `sched` (storage reused).
+  void reset(const Schedule& sched);
 };
 
 class DampiLayer final : public mpism::ToolLayer {
@@ -70,6 +73,11 @@ class DampiLayer final : public mpism::ToolLayer {
 
   void on_pcontrol(mpism::ToolCtx& ctx, int level,
                    const std::string& what) override;
+
+  /// Flushes this run's trace (an aborted run never reached
+  /// on_finalize) and rewinds every per-run field; the epoch records,
+  /// tables and transport keep their storage.
+  bool reset_for_next_run() override;
 
  private:
   /// Guided-mode lookup for the ND event about to happen (at the current
@@ -117,8 +125,11 @@ class DampiLayer final : public mpism::ToolLayer {
   ClockState xmit_clock_;
   std::uint64_t nd_index_ = 0;
 
-  /// Epochs recorded by this rank this run (flushed at finalize/teardown).
+  /// Epochs recorded by this rank this run: epochs_[0, epoch_count_)
+  /// (flushed at finalize or reset). Records past the count are spares
+  /// whose buffers the next epochs reuse.
   std::vector<EpochRecord> epochs_;
+  std::size_t epoch_count_ = 0;
   std::vector<UnsafeAlert> alerts_;
   std::uint64_t recv_epoch_count_ = 0;
   std::uint64_t probe_epoch_count_ = 0;
@@ -126,11 +137,9 @@ class DampiLayer final : public mpism::ToolLayer {
   std::uint64_t late_count_ = 0;
   bool flushed_ = false;
 
-  /// Wildcard receive request -> index into epochs_.
-  std::unordered_map<mpism::RequestId, std::size_t> wildcard_reqs_;
-  /// Pending wildcard receives whose Wait/Test has not completed — the
-  /// §V monitor's watch set.
-  std::set<mpism::RequestId> pending_wildcards_;
+  /// Pending wildcard receive (Wait/Test not completed yet) -> index
+  /// into epochs_. Its key set is the §V monitor's watch set.
+  IdMap<std::size_t> wildcard_reqs_;
 
   /// One-slot latches carrying pre-hook context into the matching post
   /// hook (hooks on a rank are strictly sequential).

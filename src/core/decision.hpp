@@ -4,10 +4,7 @@
 // guided_epoch frontier, expressed per key.
 #pragma once
 
-#include <algorithm>
-#include <utility>
-#include <vector>
-
+#include "common/flat_map.hpp"
 #include "core/epoch.hpp"
 #include "mpism/types.hpp"
 
@@ -22,56 +19,34 @@ namespace dampi::core {
 /// file format, checkpoint grammar, and bug keys are unchanged.
 class ForcedDecisions {
  public:
-  using value_type = std::pair<EpochKey, mpism::Rank>;
-  using const_iterator = std::vector<value_type>::const_iterator;
+  using value_type = FlatMap<EpochKey, mpism::Rank>::value_type;
+  using const_iterator = FlatMap<EpochKey, mpism::Rank>::const_iterator;
 
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
   const_iterator begin() const { return entries_.begin(); }
   const_iterator end() const { return entries_.end(); }
+  /// Drops every decision, keeping the buffer.
+  void clear() { entries_.clear(); }
 
-  const_iterator find(const EpochKey& key) const {
-    auto it = lower_bound(key);
-    return (it != entries_.end() && it->first == key) ? it : entries_.end();
-  }
+  const_iterator find(const EpochKey& key) const { return entries_.find(key); }
+  std::size_t count(const EpochKey& key) const { return entries_.count(key); }
 
-  std::size_t count(const EpochKey& key) const {
-    return find(key) == entries_.end() ? 0 : 1;
-  }
-
-  /// Insert-or-assign, map-style.
+  /// Insert-or-assign, map-style (a new key starts as kAnySource).
   mpism::Rank& operator[](const EpochKey& key) {
-    auto it = lower_bound(key);
-    if (it == entries_.end() || it->first != key) {
-      it = entries_.insert(it, {key, mpism::kAnySource});
-    }
-    return it->second;
+    return entries_.try_emplace(key, mpism::kAnySource).first->second;
   }
 
   /// Insert-if-absent; returns whether the key was new.
   bool emplace(const EpochKey& key, mpism::Rank src) {
-    auto it = lower_bound(key);
-    if (it != entries_.end() && it->first == key) return false;
-    entries_.insert(it, {key, src});
-    return true;
+    return entries_.try_emplace(key, src).second;
   }
 
   friend bool operator==(const ForcedDecisions&,
                          const ForcedDecisions&) = default;
 
  private:
-  std::vector<value_type>::iterator lower_bound(const EpochKey& key) {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const value_type& e, const EpochKey& k) { return e.first < k; });
-  }
-  const_iterator lower_bound(const EpochKey& key) const {
-    return std::lower_bound(
-        entries_.begin(), entries_.end(), key,
-        [](const value_type& e, const EpochKey& k) { return e.first < k; });
-  }
-
-  std::vector<value_type> entries_;  ///< sorted by key, unique
+  FlatMap<EpochKey, mpism::Rank> entries_;
 };
 
 struct Schedule {

@@ -11,12 +11,13 @@
 
 #include <compare>
 #include <cstdint>
-#include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "clocks/vector_clock.hpp"
+#include "common/flat_map.hpp"
 #include "mpism/types.hpp"
 
 namespace dampi::core {
@@ -67,8 +68,10 @@ struct EpochRecord {
   mpism::Rank matched_src_world = -1;
   std::uint64_t matched_seq = 0;
 
-  /// Earliest late send per source (excluding the matched source).
-  std::map<mpism::Rank, PotentialMatch> alternatives;
+  /// Earliest late send per source (excluding the matched source),
+  /// ascending by source — the order the explorer pushes alternatives
+  /// onto its DFS stack.
+  FlatMap<mpism::Rank, PotentialMatch> alternatives;
 };
 
 /// One unsafe-pattern alert (paper §V).
@@ -96,18 +99,25 @@ struct RunTrace {
   /// invalidate it (it never travels — the cached pointers would dangle
   /// into the source's buffer), and in-place growth of an already-sorted
   /// trace trips a DAMPI_CHECK, because mutating epochs after sorted()
-  /// invalidates pointers callers may still hold.
-  std::vector<const EpochRecord*> sorted() const;
+  /// invalidates pointers callers may still hold. The returned vector
+  /// lives until the trace is next sorted, copied into or moved.
+  const std::vector<const EpochRecord*>& sorted() const;
 
  private:
   /// Memoized canonical order; see sorted(). Deliberately non-copying:
-  /// any copy/move of the trace starts with a cold cache.
+  /// any copy/move of the trace starts with a cold cache. A move still
+  /// carries the order buffer's capacity along with the epochs, so a
+  /// trace recycled across replays sorts without allocating.
   struct SortCache {
     SortCache() = default;
     SortCache(const SortCache&) {}
-    SortCache(SortCache&& other) noexcept { other.reset(); }
+    SortCache(SortCache&& other) noexcept : order(std::move(other.order)) {
+      reset();
+      other.reset();
+    }
     SortCache& operator=(const SortCache&) { return reset(); }
     SortCache& operator=(SortCache&& other) noexcept {
+      if (this != &other) order.swap(other.order);
       other.reset();
       return reset();
     }
@@ -126,20 +136,32 @@ struct RunTrace {
   mutable SortCache sort_cache_;
 };
 
-/// Thread-safe sink the per-rank layers flush into. One per run.
+/// Thread-safe sink the per-rank layers flush into: one per replay
+/// context, reused across its runs. Epoch records circulate instead of
+/// being reallocated — reset() adopts the buffers of a trace the last
+/// run's consumer is done with, flush_rank() swaps each rank's records
+/// into it (handing the rank spare records back), take() hands the
+/// filled trace out.
 class TraceSink {
  public:
-  void flush_rank(std::vector<EpochRecord> epochs,
-                  std::vector<UnsafeAlert> alerts, std::uint64_t recv_epochs,
+  /// Starts a run with an empty trace built on `spare`'s storage.
+  void reset(RunTrace&& spare);
+
+  /// Appends one rank's epochs and alerts plus its counters. The
+  /// records are swapped, not copied: `epochs` comes back holding spare
+  /// records (stale contents, warm buffers); `alerts` comes back empty.
+  void flush_rank(std::span<EpochRecord> epochs,
+                  std::vector<UnsafeAlert>& alerts, std::uint64_t recv_epochs,
                   std::uint64_t probe_epochs, std::uint64_t potentials,
                   std::uint64_t lates);
 
-  /// Take the accumulated trace (call after the run's Runtime is gone).
+  /// Take the accumulated trace (call once every rank has flushed).
   RunTrace take();
 
  private:
   std::mutex mu_;
   RunTrace trace_;
+  std::size_t filled_ = 0;  ///< trace_.epochs[0, filled_) are this run's
 };
 
 }  // namespace dampi::core

@@ -4,21 +4,19 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <unordered_set>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "core/checkpoint.hpp"
-#include "core/dampi_layer.hpp"
 #include "core/por.hpp"
 #include "core/replay_pool.hpp"
 #include "mpism/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "piggyback/telepathic.hpp"
 
 namespace dampi::core {
 namespace {
@@ -168,65 +166,17 @@ DecisionFootprint frame_footprint(const DfsFrame& frame) {
 
 Explorer::Explorer(ExplorerOptions options) : options_(std::move(options)) {}
 
-mpism::RunOptions run_options_for(const ExplorerOptions& options) {
-  mpism::RunOptions run_options;
-  run_options.nprocs = options.nprocs;
-  run_options.cost = options.cost;
-  run_options.policy = options.policy;
-  run_options.policy_seed = options.policy_seed;
-  run_options.sched = options.sched;
-  run_options.match = options.match;
-  run_options.engine_lock = options.engine_lock;
-  run_options.max_run_wall_seconds = options.run_deadline_seconds;
-  run_options.max_run_vtime_us = options.max_run_vtime_us;
-  run_options.max_ops = options.max_run_ops;
-  run_options.cancel = options.cancel;
-  return run_options;
-}
-
-SingleRun run_guided_once(const ExplorerOptions& options,
-                          const Schedule& schedule,
-                          const mpism::ProgramFn& program) {
-  auto sink = std::make_shared<TraceSink>();
-  auto shared = std::make_shared<DampiShared>(options, schedule, sink);
-  std::shared_ptr<piggyback::TelepathicBoard> board;
-  if (options.transport == piggyback::TransportKind::kTelepathic) {
-    board = std::make_shared<piggyback::TelepathicBoard>();
-  }
-
-  mpism::RunOptions run_options = run_options_for(options);
-  run_options.tools = make_dampi_setup(shared, board);
-  if (options.fault) {
-    // Fault layers sit at the very top of each rank's stack so an
-    // injected abort/error/delay hits before DAMPI's bookkeeping, the
-    // same place a PnMPI fault tool would wrap the application.
-    auto base = run_options.tools.make_stack;
-    auto plan = options.fault;
-    run_options.tools.make_stack = [base, plan](int rank, int nprocs) {
-      auto stack = base(rank, nprocs);
-      stack.insert(stack.begin(), std::make_unique<mpism::FaultLayer>(
-                                      plan, static_cast<mpism::Rank>(rank)));
-      return stack;
-    };
-  }
-
-  SingleRun outcome;
-  {
-    // Scope the Runtime so every DampiLayer flushes (even on abort)
-    // before the sink is drained.
-    mpism::Runtime runtime(std::move(run_options));
-    outcome.report = runtime.run(program);
-  }
-  outcome.trace = sink->take();
-  outcome.divergences = shared->divergences.load(std::memory_order_relaxed);
-  return outcome;
-}
-
 void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
                             ExploreResult& result) {
-  const auto sorted = trace.sorted();
-  std::map<EpochKey, const EpochRecord*> by_key;
-  for (const EpochRecord* e : sorted) by_key[e->key] = e;
+  const std::vector<const EpochRecord*>& sorted = trace.sorted();
+  // Epoch lookup by key for the prefix frames: a sorted flat index into
+  // `sorted`, rebuilt in place each run (keys are unique per trace).
+  by_key_.clear();
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    by_key_.emplace_back(sorted[i]->key, i);
+  }
+  std::sort(by_key_.begin(), by_key_.end());
+  in_prefix_.assign(sorted.size(), 0);
 
   // Sleep-set pruning (POR sleep, DESIGN.md §4.14): the frames
   // truncated when this flip was chosen were fully explored subtrees.
@@ -253,13 +203,19 @@ void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
   // promised without a mixing bound; with one, accumulating prefix
   // alternatives would defeat the window and re-explode the search.
   const bool merge_prefix_alts = !options_.mixing_bound.has_value();
-  std::set<EpochKey> prefix_keys;
   for (int j = 0; j <= flip_pos; ++j) {
     DfsFrame& frame = stack_[static_cast<std::size_t>(j)];
-    prefix_keys.insert(frame.key);
-    auto it = by_key.find(frame.key);
-    if (it == by_key.end() ||
-        it->second->matched_src_world != frame.taken_src) {
+    auto hit = std::lower_bound(by_key_.begin(), by_key_.end(), frame.key,
+                                [](const auto& entry, const EpochKey& key) {
+                                  return entry.first < key;
+                                });
+    const EpochRecord* prefix_epoch = nullptr;
+    if (hit != by_key_.end() && hit->first == frame.key) {
+      in_prefix_[hit->second] = 1;
+      prefix_epoch = sorted[hit->second];
+    }
+    if (prefix_epoch == nullptr ||
+        prefix_epoch->matched_src_world != frame.taken_src) {
       ++result.prefix_mismatches;
       DAMPI_LOG(kWarn) << "replay prefix mismatch at epoch (rank "
                        << frame.key.rank << ", nd " << frame.key.nd_index
@@ -267,7 +223,7 @@ void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
       continue;
     }
     if (merge_prefix_alts && frame.record_alts) {
-      for (const auto& [src, match] : it->second->alternatives) {
+      for (const auto& [src, match] : prefix_epoch->alternatives) {
         if (frame.seen.count(src) != 0) {
           if (frame.sleep.count(src) != 0) ++result.por_sleep_hits;
           continue;
@@ -305,8 +261,9 @@ void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
                    : stack_[static_cast<std::size_t>(flip_pos)].mix_budget;
 
   int new_depth = 0;
-  for (const EpochRecord* epoch : sorted) {
-    if (prefix_keys.count(epoch->key) != 0) continue;
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if (in_prefix_[i] != 0) continue;
+    const EpochRecord* epoch = sorted[i];
     ++new_depth;
     DfsFrame frame;
     frame.key = epoch->key;
@@ -368,14 +325,14 @@ void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
   if (flip_pos >= 0) pending_sleep_.clear();
 }
 
-Schedule Explorer::schedule_for(int frame_pos, mpism::Rank alt) const {
-  Schedule schedule;
+void Explorer::schedule_for(int frame_pos, mpism::Rank alt,
+                            Schedule* out) const {
+  out->forced.clear();
   for (int j = 0; j < frame_pos; ++j) {
     const DfsFrame& f = stack_[static_cast<std::size_t>(j)];
-    schedule.forced[f.key] = f.taken_src;
+    out->forced[f.key] = f.taken_src;
   }
-  schedule.forced[stack_[static_cast<std::size_t>(frame_pos)].key] = alt;
-  return schedule;
+  out->forced[stack_[static_cast<std::size_t>(frame_pos)].key] = alt;
 }
 
 void Explorer::speculate_frontier(ReplayPool& pool,
@@ -388,11 +345,13 @@ void Explorer::speculate_frontier(ReplayPool& pool,
   // consumption order; untried is consumed back() first.
   std::uint64_t planned =
       result.interleavings + static_cast<std::uint64_t>(pool.outstanding());
+  Schedule schedule;
   for (int i = static_cast<int>(stack_.size()) - 1; i >= 0; --i) {
     const DfsFrame& frame = stack_[static_cast<std::size_t>(i)];
     for (auto it = frame.untried.rbegin(); it != frame.untried.rend(); ++it) {
       if (planned + 1 >= options_.max_interleavings) return;
-      if (!pool.speculate(schedule_for(i, *it))) return;
+      schedule_for(i, *it, &schedule);
+      if (!pool.speculate(schedule)) return;
       ++planned;
     }
   }
@@ -505,6 +464,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(backoff_ms));
       }
+      pool.recycle(std::move(out));
       out = pool.take(schedule, index);
     }
     return out;
@@ -561,6 +521,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
       extend_stack(first.trace, /*flip_pos=*/-1, result);
       flush_checkpoint();
     }
+    pool.recycle(std::move(first));
   }
 
   const bool stop_now = aborted_discovery || options_.discovery_only ||
@@ -633,7 +594,8 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
                  static_cast<std::int32_t>(frame.key.nd_index),
                  frame.taken_src);
 
-    const Schedule schedule = schedule_for(flip, frame.taken_src);
+    schedule_for(flip, frame.taken_src, &schedule_);
+    const Schedule& schedule = schedule_;
     if (pool.workers() > 0) speculate_frontier(pool, result);
 
     SingleRun outcome = take_with_retry(schedule, result.interleavings + 1);
@@ -674,6 +636,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     if (outcome.report.completed) {
       extend_stack(outcome.trace, flip, result);
     }
+    pool.recycle(std::move(outcome));
     if (options_.checkpoint_interval > 0 &&
         result.interleavings % options_.checkpoint_interval == 0) {
       flush_checkpoint();

@@ -5,8 +5,9 @@
 // step; and so on until all Epoch Decisions are exhausted" (§II-B).
 //
 // Stateless search: every interleaving is a fresh run of the program
-// under a decision file. Bounded mixing caps how deep below a freshly
-// flipped decision new alternatives are recorded.
+// under a decision file (executed in a reused ReplayContext, so "fresh"
+// costs a reset, not a rebuild). Bounded mixing caps how deep below a
+// freshly flipped decision new alternatives are recorded.
 #pragma once
 
 #include <functional>
@@ -19,6 +20,7 @@
 #include "core/epoch.hpp"
 #include "core/options.hpp"
 #include "core/por.hpp"
+#include "core/replay_context.hpp"
 #include "mpism/report.hpp"
 #include "mpism/runtime.hpp"
 
@@ -180,25 +182,6 @@ struct ExploreResult {
   bool found_bug() const { return !bugs.empty(); }
 };
 
-/// One instrumented execution under an explicit decision file — the
-/// replay primitive (used by the explorer, by tests, and by
-/// verify_cli --replay to re-run saved reproducers).
-struct SingleRun {
-  mpism::RunReport report;
-  RunTrace trace;
-  std::uint64_t divergences = 0;
-};
-
-/// The engine options every run of an exploration shares: rank count,
-/// cost model, match policy and seed, scheduler, matcher, engine lock,
-/// per-run watchdog budgets and cancellation. The tool stack is left
-/// empty, so the result as-is describes a native run.
-mpism::RunOptions run_options_for(const ExplorerOptions& options);
-
-SingleRun run_guided_once(const ExplorerOptions& options,
-                          const Schedule& schedule,
-                          const mpism::ProgramFn& program);
-
 class Explorer {
  public:
   explicit Explorer(ExplorerOptions options);
@@ -218,8 +201,9 @@ class Explorer {
                     ExploreResult& result);
 
   /// Prefix of the schedule a flip of stack_[i] would force: decisions of
-  /// frames 0..i-1 plus frame i's key mapped to `alt`.
-  Schedule schedule_for(int frame_pos, mpism::Rank alt) const;
+  /// frames 0..i-1 plus frame i's key mapped to `alt` (into `*out`,
+  /// whose storage is reused).
+  void schedule_for(int frame_pos, mpism::Rank alt, Schedule* out) const;
 
   /// Feed the worker pool every untried alternative currently on the
   /// stack (deepest first — the order DFS will consume them), up to the
@@ -228,6 +212,13 @@ class Explorer {
 
   ExplorerOptions options_;
   std::vector<DfsFrame> stack_;
+  /// extend_stack scratch, kept across runs: the trace's epochs by key
+  /// (binary-searched for the prefix frames) and which of the sorted
+  /// epochs the prefix already covers.
+  std::vector<std::pair<EpochKey, std::size_t>> by_key_;
+  std::vector<char> in_prefix_;
+  /// The schedule being replayed (storage reused across flips).
+  Schedule schedule_;
   /// Fully explored frames harvested at the last stack truncation
   /// (POR sleep): each carries the seen set of a subtree that is done.
   /// extend_stack() puts those sources to sleep in the sibling subtree's

@@ -1,0 +1,87 @@
+#include "core/replay_context.hpp"
+
+#include "core/dampi_layer.hpp"
+#include "mpism/engine.hpp"
+#include "mpism/fault.hpp"
+#include "piggyback/telepathic.hpp"
+
+namespace dampi::core {
+
+mpism::RunOptions run_options_for(const ExplorerOptions& options) {
+  mpism::RunOptions run_options;
+  run_options.nprocs = options.nprocs;
+  run_options.cost = options.cost;
+  run_options.policy = options.policy;
+  run_options.policy_seed = options.policy_seed;
+  run_options.sched = options.sched;
+  run_options.match = options.match;
+  run_options.engine_lock = options.engine_lock;
+  run_options.max_run_wall_seconds = options.run_deadline_seconds;
+  run_options.max_run_vtime_us = options.max_run_vtime_us;
+  run_options.max_ops = options.max_run_ops;
+  run_options.cancel = options.cancel;
+  return run_options;
+}
+
+ReplayContext::ReplayContext(const ExplorerOptions& options)
+    : sink_(std::make_shared<TraceSink>()),
+      shared_(std::make_shared<DampiShared>(options, Schedule{}, sink_)) {
+  if (options.transport == piggyback::TransportKind::kTelepathic) {
+    board_ = std::make_shared<piggyback::TelepathicBoard>();
+  }
+  mpism::RunOptions run_options = run_options_for(options);
+  run_options.tools = make_tools();
+  engine_ = std::make_unique<mpism::Engine>(std::move(run_options));
+}
+
+ReplayContext::~ReplayContext() = default;
+
+mpism::ToolSetup ReplayContext::make_tools() const {
+  mpism::ToolSetup tools = make_dampi_setup(shared_, board_);
+  if (shared_->options.fault) {
+    // Fault layers sit at the very top of each rank's stack so an
+    // injected abort/error/delay hits before DAMPI's bookkeeping, the
+    // same place a PnMPI fault tool would wrap the application.
+    auto base = tools.make_stack;
+    auto plan = shared_->options.fault;
+    tools.make_stack = [base, plan](int rank, int nprocs) {
+      auto stack = base(rank, nprocs);
+      stack.insert(stack.begin(), std::make_unique<mpism::FaultLayer>(
+                                      plan, static_cast<mpism::Rank>(rank)));
+      return stack;
+    };
+  }
+  return tools;
+}
+
+void ReplayContext::run(const Schedule& schedule,
+                        const mpism::ProgramFn& program, SingleRun* out) {
+  if (shared_->options.extra_layers_per_run) {
+    // Extra layers are made per run (the ISP baseline shares one
+    // scheduler model among a run's ranks), so their stacks are too.
+    engine_->set_tools(make_tools());
+  }
+  shared_->reset(schedule);
+  sink_->reset(std::move(out->trace));
+  if (board_) board_->clear();
+  // The run ends with every layer flushed into the sink (the engine's
+  // reset flushes aborted ranks too) before the trace is taken.
+  engine_->run(program, &out->report);
+  out->trace = sink_->take();
+  out->divergences = shared_->divergences.load(std::memory_order_relaxed);
+}
+
+std::uint64_t ReplayContext::pooled_live() const {
+  return engine_->pooled_live();
+}
+
+SingleRun run_guided_once(const ExplorerOptions& options,
+                          const Schedule& schedule,
+                          const mpism::ProgramFn& program) {
+  ReplayContext context(options);
+  SingleRun out;
+  context.run(schedule, program, &out);
+  return out;
+}
+
+}  // namespace dampi::core

@@ -22,7 +22,7 @@ double now_seconds() {
 
 ReplayPool::ReplayPool(const ExplorerOptions& options,
                        const mpism::ProgramFn& program)
-    : options_(options), program_(program) {
+    : options_(options), program_(program), inline_context_(options) {
   const int workers = std::max(options.jobs, 1) - 1;
   stats_.jobs = std::max(options.jobs, 1);
   // Backlog cap: enough speculation to keep every worker busy across a
@@ -57,8 +57,22 @@ std::size_t ReplayPool::outstanding() const {
   return entries_.size();  // queued + running + done-unconsumed
 }
 
-SingleRun ReplayPool::execute(const Schedule& schedule,
+SingleRun ReplayPool::spare() {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (spares_.empty()) return {};
+  SingleRun out = std::move(spares_.back());
+  spares_.pop_back();
+  return out;
+}
+
+void ReplayPool::recycle(SingleRun&& run) {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (spares_.size() < threads_.size() + 1) spares_.push_back(std::move(run));
+}
+
+SingleRun ReplayPool::execute(ReplayContext& context, const Schedule& schedule,
                               std::uint64_t interleaving, bool speculative) {
+  SingleRun run = spare();
   std::size_t in_flight = 0;
   std::size_t queue_depth = 0;
   {
@@ -69,7 +83,7 @@ SingleRun ReplayPool::execute(const Schedule& schedule,
   DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kBegin,
                static_cast<std::int32_t>(speculative), 0, 0, interleaving);
   const double t0 = now_seconds();
-  SingleRun run = run_guided_once(options_, schedule, program_);
+  context.run(schedule, program_, &run);
   const double wall = now_seconds() - t0;
   DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kEnd,
                static_cast<std::int32_t>(speculative), 0, 0, interleaving);
@@ -111,6 +125,9 @@ SingleRun ReplayPool::execute(const Schedule& schedule,
 
 void ReplayPool::worker_main(int index) {
   DAMPI_TRACE_THREAD_LANE(strfmt("worker %d", index));
+  // Built and destroyed on this thread: its fiber stacks come from and
+  // return to this thread's cache.
+  ReplayContext context(options_);
   std::unique_lock<std::mutex> lk(mu_);
   while (true) {
     cv_work_.wait(lk, [this] { return stop_ || !queue_.empty(); });
@@ -122,7 +139,7 @@ void ReplayPool::worker_main(int index) {
     it->second.state = Entry::State::kRunning;
     const Schedule schedule = it->second.schedule;
     lk.unlock();
-    SingleRun run = execute(schedule, /*interleaving=*/0,
+    SingleRun run = execute(context, schedule, /*interleaving=*/0,
                             /*speculative=*/true);
     lk.lock();
     // The entry may only have been erased by shutdown(); take() waits for
@@ -139,6 +156,11 @@ void ReplayPool::worker_main(int index) {
 
 SingleRun ReplayPool::take(const Schedule& schedule,
                            std::uint64_t interleaving) {
+  if (threads_.empty()) {
+    // Nothing is ever speculated without workers: skip the cache key.
+    return execute(inline_context_, schedule, interleaving,
+                   /*speculative=*/false);
+  }
   const std::string key = serialize_schedule(schedule);
   std::unique_lock<std::mutex> lk(mu_);
   auto it = entries_.find(key);
@@ -151,7 +173,8 @@ SingleRun ReplayPool::take(const Schedule& schedule,
   }
   if (it == entries_.end()) {
     lk.unlock();
-    return execute(schedule, interleaving, /*speculative=*/false);
+    return execute(inline_context_, schedule, interleaving,
+                   /*speculative=*/false);
   }
   cv_done_.wait(lk, [&] { return it->second.state == Entry::State::kDone; });
   SingleRun out = std::move(it->second.outcome);

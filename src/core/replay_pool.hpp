@@ -1,7 +1,8 @@
 // ReplayPool: a deterministic speculative-replay worker pool.
 //
-// Guided replays are embarrassingly parallel — run_guided_once builds a
-// fresh DampiShared/TraceSink/Runtime per call — but the explorer's DFS
+// Guided replays are embarrassingly parallel — each replay executor owns
+// a ReplayContext (the exploring thread one, every worker one), and a
+// context's runs never see each other's state — but the explorer's DFS
 // must consume outcomes in a fixed order to stay reproducible. The pool
 // reconciles the two: the exploring thread *speculates* schedules it
 // knows it will need later (every untried sibling alternative on the DFS
@@ -57,6 +58,10 @@ class ReplayPool {
   /// RunStats callback.
   SingleRun take(const Schedule& schedule, std::uint64_t interleaving);
 
+  /// Hands back an outcome the caller is done with; its storage is
+  /// reused by a later replay.
+  void recycle(SingleRun&& run);
+
   /// Stop the workers: queued-but-unstarted speculations are dropped,
   /// running ones finish into the cache (counted as waste). Idempotent;
   /// the destructor calls it. After shutdown, stats() is final.
@@ -74,14 +79,18 @@ class ReplayPool {
   };
 
   void worker_main(int index);
-  /// Execute one replay (any thread), record its histogram samples, and
-  /// deliver the RunStats callback.
-  SingleRun execute(const Schedule& schedule, std::uint64_t interleaving,
-                    bool speculative);
+  /// Execute one replay in `context` (the calling thread's own), record
+  /// its histogram samples, and deliver the RunStats callback.
+  SingleRun execute(ReplayContext& context, const Schedule& schedule,
+                    std::uint64_t interleaving, bool speculative);
+  /// A recycled outcome to run into (or an empty one).
+  SingleRun spare();
 
   const ExplorerOptions& options_;
   const mpism::ProgramFn& program_;
   std::size_t backlog_cap_ = 0;
+  /// The exploring thread's context (workers own theirs).
+  ReplayContext inline_context_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_work_;  ///< workers: queue non-empty or stop
@@ -92,6 +101,8 @@ class ReplayPool {
   std::size_t in_flight_ = 0;  ///< replays executing now (workers + inline)
   bool stop_ = false;
   PoolStats stats_;
+  /// Recycled outcomes, at most one per job.
+  std::vector<SingleRun> spares_;
 
   /// Serializes ExplorerOptions::run_stats delivery without holding mu_.
   std::mutex callback_mu_;

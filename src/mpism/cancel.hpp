@@ -3,8 +3,8 @@
 // A CancelSource is a thread-safe, shareable token: anything holding a
 // reference may request cancellation once (SIGINT bridge, the explorer's
 // global wall-budget watchdog, a test); every Engine whose RunOptions
-// carry the token subscribes for the duration of its run and aborts the
-// run when the token fires. One token may span many concurrent runs —
+// carry the token subscribes for its lifetime and aborts its current (or
+// next) run when the token fires. One token may span many concurrent runs —
 // the replay pool hands the same source to every speculative worker, so
 // a single cancel() stops the whole campaign.
 #pragma once

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "mpism/types.hpp"
@@ -30,16 +32,22 @@ struct CommRecord {
 
 /// Owns all communicators of one run. Not thread-safe by itself; the
 /// engine serializes access under its global mutex.
+///
+/// Records are address-stable for the whole run (a rank may hold a
+/// reference across a blocking collective while others create
+/// communicators) and are recycled, not freed, by init(): the next run's
+/// communicators reuse their member vectors.
 class CommTable {
  public:
-  /// Sets up kCommWorld over `nprocs` ranks.
+  /// Sets up kCommWorld over `nprocs` ranks, dropping every other
+  /// communicator.
   void init(int nprocs);
 
   const CommRecord& get(CommId id) const;
   bool valid(CommId id) const;
 
   /// New communicator with the given member list (world ranks).
-  CommId create(std::vector<Rank> members, bool tool_internal);
+  CommId create(std::span<const Rank> members, bool tool_internal);
 
   void free(CommId id);
 
@@ -56,10 +64,13 @@ class CommTable {
   /// and tool-internal ones) — the C-Leak count.
   int leaked_user_comms() const;
 
-  int count() const { return static_cast<int>(comms_.size()); }
+  int count() const { return static_cast<int>(count_); }
 
  private:
-  std::vector<CommRecord> comms_;
+  /// comms_[0, count_) are this run's communicators; the rest are spare
+  /// records kept for their capacity.
+  std::vector<std::unique_ptr<CommRecord>> comms_;
+  std::size_t count_ = 0;
   int world_size_ = 0;
 };
 

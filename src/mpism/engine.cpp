@@ -67,8 +67,9 @@ class ToolCtxImpl final : public ToolCtx {
     return e_->to_rel(comm, world);
   }
 
-  RequestId raw_isend(Rank dst, Tag tag, CommId comm, Bytes payload) override {
-    return e_->raw_isend(r_, dst, tag, comm, std::move(payload));
+  RequestId raw_isend(Rank dst, Tag tag, CommId comm,
+                      const Bytes& payload) override {
+    return e_->raw_isend(r_, dst, tag, comm, payload);
   }
   RequestId raw_irecv(Rank src, Tag tag, CommId comm) override {
     return e_->raw_irecv(r_, src, tag, comm);
@@ -105,57 +106,79 @@ Engine::Engine(RunOptions options)
   for (int i = 0; i < opts_.nprocs; ++i) {
     ranks_.push_back(std::make_unique<PerRank>());
     ranks_.back()->match = make_match_index(opts_.match);
+    ranks_.back()->ctx = std::make_unique<ToolCtxImpl>(*this, i);
   }
   comms_.init(opts_.nprocs);
   policy_ = make_policy(opts_.policy, opts_.policy_seed);
   stats_.init(opts_.nprocs);
   sched_ = make_scheduler(opts_.sched, opts_.nprocs);
-}
 
-Engine::~Engine() = default;
-
-RunReport Engine::run(const ProgramFn& program) {
-  const auto t0 = std::chrono::steady_clock::now();
-  has_wall_deadline_ = opts_.max_run_wall_seconds > 0.0;
-  if (has_wall_deadline_) {
-    run_deadline_ =
-        t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                 std::chrono::duration<double>(opts_.max_run_wall_seconds));
-  }
-  budgets_armed_ = has_wall_deadline_ || opts_.max_run_vtime_us > 0.0 ||
-                   opts_.max_ops > 0;
-  // Subscribe for the run's duration; if the source already fired, this
-  // cancels on the spot and every rank unwinds at its first MPI call.
-  std::uint64_t cancel_sub = 0;
-  if (opts_.cancel) {
-    cancel_sub = opts_.cancel->subscribe(
-        [this](const std::string& reason) { cancel(reason); });
-  }
-  RankScheduler::Callbacks cb;
-  cb.body = [this, &program](Rank r) { rank_body(r, program); };
-  cb.wake_ready = [this](Rank r) {
+  callbacks_.body = [this](Rank r) { rank_body(r, *program_); };
+  callbacks_.wake_ready = [this](Rank r) {
     const PerRank& p = pr(r);
     return p.block_pred && p.block_pred();
   };
-  cb.stop = [this] { return stopped(); };
-  cb.on_stall = [this] {
+  callbacks_.stop = [this] { return stopped(); };
+  callbacks_.on_stall = [this] {
     // Coop stall: every fiber is parked (none holds a shard), so the
     // all-shards section is uncontended; the verdict mutex arbitrates
     // against a concurrent external cancel.
     EngineGuard all(lock_, EngineGuard::kAllShards);
     declare_deadlock(all);
   };
-  if (has_wall_deadline_) {
-    cb.deadline = run_deadline_;
-    cb.on_deadline = [this] {
-      declare_timeout(strfmt("run wall deadline exceeded (%.3f s)",
-                             opts_.max_run_wall_seconds));
-    };
-  }
-  sched_->run(cb);
-  if (opts_.cancel) opts_.cancel->unsubscribe(cancel_sub);
+  callbacks_.on_deadline = [this] {
+    declare_timeout(strfmt("run wall deadline exceeded (%.3f s)",
+                           opts_.max_run_wall_seconds));
+  };
 
+  // Subscribe once for the engine's lifetime; if the source already
+  // fired, this cancels on the spot and every rank of the first run
+  // unwinds at its first MPI call (reset() re-arms later runs).
+  if (opts_.cancel) {
+    cancel_sub_ = opts_.cancel->subscribe(
+        [this](const std::string& reason) { cancel(reason); });
+  }
+}
+
+Engine::~Engine() {
+  if (opts_.cancel) opts_.cancel->unsubscribe(cancel_sub_);
+}
+
+void Engine::set_tools(ToolSetup tools) {
+  opts_.tools = std::move(tools);
+  for (const auto& p : ranks_) p->tools.clear();
+}
+
+std::uint64_t Engine::pooled_live() const {
+  std::uint64_t live = 0;
+  for (const auto& p : ranks_) {
+    live += p->req_pool.stats().live + p->match->pool_stats().live;
+  }
+  return live;
+}
+
+RunReport Engine::run(const ProgramFn& program) {
   RunReport report;
+  run(program, &report);
+  return report;
+}
+
+void Engine::run(const ProgramFn& program, RunReport* out) {
+  const auto t0 = std::chrono::steady_clock::now();
+  program_ = &program;
+  has_wall_deadline_ = opts_.max_run_wall_seconds > 0.0;
+  callbacks_.deadline = {};
+  if (has_wall_deadline_) {
+    run_deadline_ =
+        t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                 std::chrono::duration<double>(opts_.max_run_wall_seconds));
+    callbacks_.deadline = run_deadline_;
+  }
+  budgets_armed_ = has_wall_deadline_ || opts_.max_run_vtime_us > 0.0 ||
+                   opts_.max_ops > 0;
+  sched_->run(callbacks_);
+
+  RunReport& report = *out;
   report.completed = !stopped();
   report.deadlocked = deadlocked_.load(std::memory_order_acquire);
   report.errors = errors_;
@@ -163,6 +186,7 @@ RunReport Engine::run(const ProgramFn& program) {
   report.timed_out = timed_out_.load(std::memory_order_acquire);
   report.cancelled = cancelled_.load(std::memory_order_acquire);
   report.stop_reason = stop_reason_;
+  report.vtime_us = 0.0;
   for (const auto& pr_ptr : ranks_) {
     report.vtime_us = std::max(report.vtime_us, pr_ptr->vt());
   }
@@ -172,6 +196,8 @@ RunReport Engine::run(const ProgramFn& program) {
   report.stats = stats_;
   report.stats.tool_messages = tool_messages_.load(std::memory_order_relaxed);
   report.messages_sent = messages_sent_.load(std::memory_order_relaxed);
+  report.comm_leaks = 0;
+  report.request_leaks = 0;
   if (report.completed) {
     report.comm_leaks = comms_.leaked_user_comms();
     report.request_leaks = request_leaks_.load(std::memory_order_relaxed);
@@ -193,7 +219,33 @@ RunReport Engine::run(const ProgramFn& program) {
   if (report.deadlocked) deadlocks_metric.add(1);
   if (report.timed_out) timeouts_metric.add(1);
   if (report.cancelled) cancelled_metric.add(1);
+  publish_run_metrics();
+  reset();
+}
 
+void Engine::rebalance_buffers() {
+  // Payload buffers travel with the messages: a sender's pool recycles
+  // what the receiver's pool then has to acquire, so one-directional
+  // traffic (servers handing out work) fills some freelists and drains
+  // others, run after run. With no rank executing, every rank whose pool
+  // ran dry this run is topped up by its shortfall from ranks holding
+  // spares, so the same traffic next run finds a buffer every time.
+  std::size_t donor = 0;
+  for (const auto& p : ranks_) {
+    for (std::int64_t need = p->buf_pool.shortfall(); need > 0; --need) {
+      while (donor < ranks_.size() &&
+             ranks_[donor]->buf_pool.shortfall() >= 0) {
+        ++donor;
+      }
+      if (donor == ranks_.size() ||
+          !ranks_[donor]->buf_pool.give_one(p->buf_pool)) {
+        return;
+      }
+    }
+  }
+}
+
+void Engine::publish_run_metrics() {
   // Pool effectiveness: acquired vs freelist-reused. A warm steady state
   // shows reused converging on acquired (allocation-free matching).
   static obs::Counter& req_acquired_metric =
@@ -219,6 +271,7 @@ RunReport Engine::run(const ProgramFn& program) {
     nodes.reused += s.reused;
     buf_total.acquired += pr_ptr->buf_pool.stats().acquired;
     buf_total.reused += pr_ptr->buf_pool.stats().reused;
+    pr_ptr->match->publish_scans();
   }
   req_acquired_metric.add(req_total.acquired);
   req_reused_metric.add(req_total.reused);
@@ -244,15 +297,73 @@ RunReport Engine::run(const ProgramFn& program) {
   lock_all_shards_metric.add(ls.all_shards);
   env_inline_metric.add(payload_inline_hits_.load(std::memory_order_relaxed));
   env_spill_metric.add(payload_heap_spills_.load(std::memory_order_relaxed));
-  return report;
+}
+
+void Engine::reset() {
+  rebalance_buffers();
+  for (const auto& p : ranks_) {
+    PerRank& me = *p;
+    // Every layer flushes and resets (no short-circuit); one that cannot
+    // makes the whole stack rebuild at this rank's next start.
+    bool keep = !me.tools.empty();
+    for (const auto& t : me.tools) keep = t->reset_for_next_run() && keep;
+    if (!keep) me.tools.clear();
+    // Unconsumed requests (leaks, aborted runs) and unmatched messages
+    // go back to the pools; the tables keep their capacity.
+    me.reqs.for_each([&me](std::uint64_t, RequestRecord* rec) {
+      me.req_pool.release(rec);
+    });
+    me.reqs.clear();
+    me.match->reset();
+    me.req_pool.reset_counts();
+    me.buf_pool.reset_counts();
+    me.seq_counters.clear();
+    me.coll_gen.clear();
+    me.vt_store(0.0);
+    me.finished = false;
+    me.blocked = false;
+    me.block_desc = BlockDesc{};
+    me.block_pred = nullptr;
+  }
+  for (const auto& slot : coll_slots_) slot->in_use = false;
+  comms_.init(opts_.nprocs);
+  policy_->reset();
+  stats_.init(opts_.nprocs);
+  lock_.reset_stats();
+  next_msg_id_.store(1, std::memory_order_relaxed);
+  next_req_id_.store(1, std::memory_order_relaxed);
+  blocked_count_.store(0, std::memory_order_relaxed);
+  finished_count_.store(0, std::memory_order_relaxed);
+  ops_executed_.store(0, std::memory_order_relaxed);
+  messages_sent_.store(0, std::memory_order_relaxed);
+  tool_messages_.store(0, std::memory_order_relaxed);
+  request_leaks_.store(0, std::memory_order_relaxed);
+  payload_inline_hits_.store(0, std::memory_order_relaxed);
+  payload_heap_spills_.store(0, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> vl(verdict_mu_);
+    aborted_.store(false, std::memory_order_relaxed);
+    deadlocked_.store(false, std::memory_order_relaxed);
+    timed_out_.store(false, std::memory_order_relaxed);
+    cancelled_.store(false, std::memory_order_release);
+    stop_reason_.clear();
+    deadlock_detail_.clear();
+    errors_.clear();
+  }
+  // A cancellation that fired during or after this run also ends the
+  // next one on entry (outside the verdict mutex: reason() takes the
+  // source's lock, which its callbacks hold while taking ours).
+  if (opts_.cancel && opts_.cancel->requested()) {
+    cancel(opts_.cancel->reason());
+  }
+  program_ = nullptr;
 }
 
 void Engine::rank_body(Rank r, const ProgramFn& program) {
   PerRank& me = pr(r);
-  if (opts_.tools.make_stack) {
+  if (me.tools.empty() && opts_.tools.make_stack) {
     me.tools = opts_.tools.make_stack(r, opts_.nprocs);
   }
-  me.ctx = std::make_unique<ToolCtxImpl>(*this, r);
 
   bool finished_normally = false;
   try {
@@ -289,11 +400,11 @@ void Engine::rank_body(Rank r, const ProgramFn& program) {
   me.finished = true;
   finished_count_.fetch_add(1, std::memory_order_acq_rel);
   if (finished_normally && !stopped()) {
-    for (const auto& [id, rec] : me.reqs) {
+    me.reqs.for_each([this](std::uint64_t, const RequestRecord* rec) {
       if (!rec->tool_internal) {
         request_leaks_.fetch_add(1, std::memory_order_relaxed);
       }
-    }
+    });
   }
   if (blocked_count_.load(std::memory_order_acquire) > 0) {
     maybe_declare_deadlock(g, r);
@@ -517,8 +628,47 @@ std::uint64_t& Engine::seq_counter(PerRank& sender, Rank dst, CommId comm) {
   return sender.seq_counters[key];
 }
 
+void Engine::CollSlot::open(CommId c, std::uint64_t g) {
+  in_use = true;
+  comm = c;
+  gen = g;
+  kind = CollKind::kBarrier;
+  root_world = -1;
+  arrived = 0;
+  departed = 0;
+  root_arrived = false;
+  max_arrival_vtime = 0.0;
+  root_arrival_vtime = 0.0;
+  op = ReduceOp::kSumU64;
+  op_set = false;
+  merged_pb_done = false;
+  merged_pb.clear();
+  reduced_done = false;
+  reduced.clear();
+  split_done = false;
+  comm_of_member.clear();
+  dup_comm = kCommNull;
+}
+
+Engine::CollSlot& Engine::coll_slot(CommId comm, std::uint64_t gen) {
+  CollSlot* spare = nullptr;
+  for (const auto& slot : coll_slots_) {
+    if (slot->in_use) {
+      if (slot->comm == comm && slot->gen == gen) return *slot;
+    } else if (spare == nullptr) {
+      spare = slot.get();
+    }
+  }
+  if (spare == nullptr) {
+    coll_slots_.push_back(std::make_unique<CollSlot>());
+    spare = coll_slots_.back().get();
+  }
+  spare->open(comm, gen);
+  return *spare;
+}
+
 RequestId Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
-                           CommId comm, Bytes payload, bool tool_internal,
+                           CommId comm, Payload payload, bool tool_internal,
                            bool synchronous, SendInfo* info) {
   (void)g;  // Covers shards r and dst_world (EngineGuard::add).
   PerRank& me = pr(r);
@@ -534,7 +684,7 @@ RequestId Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
   env.msg_id = next_msg_id_.fetch_add(1, std::memory_order_relaxed);
   env.arrival_vtime =
       me.vt() + opts_.cost.message_transit_us(payload.size());
-  env.payload = Payload(std::move(payload), &me.buf_pool);
+  env.payload = std::move(payload);
   env.tool_internal = tool_internal;
   if (env.payload.is_inline()) {
     payload_inline_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -558,20 +708,17 @@ RequestId Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
     // Eager sends complete immediately; synchronous sends only complete
     // when matched (rendezvous). Either way the user must still consume
     // the request (wait/test) — unconsumed send requests are leaks.
-    PoolPtr<RequestRecord> rec = new_request(me);
-    rec->id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-    rec->kind = ReqKind::kSend;
-    rec->owner_world = r;
-    rec->comm = comm;
-    rec->complete.store(!synchronous, std::memory_order_relaxed);
-    rec->post_vtime = me.vt();
-    id = rec->id;
-    RequestRecord* rec_raw = rec.get();
-    me.reqs.emplace(id, std::move(rec));
+    RequestRecord& rec = new_request(me);
+    rec.kind = ReqKind::kSend;
+    rec.owner_world = r;
+    rec.comm = comm;
+    rec.complete.store(!synchronous, std::memory_order_relaxed);
+    rec.post_vtime = me.vt();
+    id = rec.id;
     if (synchronous) {
       env.sender_req = id;
       env.sender_world = r;
-      env.sender_rec = rec_raw;
+      env.sender_rec = &rec;
     }
   }
 
@@ -579,9 +726,11 @@ RequestId Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
   return id;
 }
 
-PoolPtr<RequestRecord> Engine::new_request(PerRank& me) {
-  return PoolPtr<RequestRecord>(me.req_pool.acquire(),
-                                PoolDeleter<RequestRecord>(&me.req_pool));
+RequestRecord& Engine::new_request(PerRank& me) {
+  RequestRecord* rec = me.req_pool.acquire();
+  rec->id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
+  me.reqs[rec->id] = rec;
+  return *rec;
 }
 
 bool Engine::match_arrival(Rank dst, Envelope&& env) {
@@ -628,18 +777,15 @@ RequestId Engine::do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
                            CommId comm, bool tool_internal) {
   (void)g;  // Covers shard r.
   PerRank& me = pr(r);
-  PoolPtr<RequestRecord> rec = new_request(me);
-  rec->id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-  rec->kind = ReqKind::kRecv;
-  rec->owner_world = r;
-  rec->posted_src_world = src_world;
-  rec->posted_tag = tag;
-  rec->comm = comm;
-  rec->tool_internal = tool_internal;
-  rec->post_vtime = me.vt();
-  const RequestId id = rec->id;
-  RequestRecord& rec_ref = *rec;
-  me.reqs.emplace(id, std::move(rec));
+  RequestRecord& rec_ref = new_request(me);
+  rec_ref.kind = ReqKind::kRecv;
+  rec_ref.owner_world = r;
+  rec_ref.posted_src_world = src_world;
+  rec_ref.posted_tag = tag;
+  rec_ref.comm = comm;
+  rec_ref.tool_internal = tool_internal;
+  rec_ref.post_vtime = me.vt();
+  const RequestId id = rec_ref.id;
 
   if (src_world == kAnySource) {
     std::vector<MatchCandidate>& cands = me.cand_buf;
@@ -674,10 +820,9 @@ RequestId Engine::do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
 }
 
 void Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
-  PerRank& me = pr(r);
-  auto it = me.reqs.find(req);
-  DAMPI_CHECK(it != me.reqs.end());
-  RequestRecord* rec = it->second.get();
+  RequestRecord* const* found = pr(r).reqs.find(req);
+  DAMPI_CHECK(found != nullptr);
+  RequestRecord* rec = *found;
   if (rec->complete.load(std::memory_order_acquire)) return;
   BlockDesc desc;
   desc.comm = rec->comm;
@@ -696,10 +841,12 @@ void Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
 Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
                               bool run_hooks) {
   PerRank& me = pr(r);
-  // Extract the record so hook-issued raw operations cannot invalidate it.
-  auto node = me.reqs.extract(req);
-  DAMPI_CHECK_MSG(!node.empty(), "request vanished during completion");
-  PoolPtr<RequestRecord> rec = std::move(node.mapped());
+  // Take the record out of the table so hook-issued raw operations
+  // cannot invalidate it; the guard returns it to the pool.
+  RequestRecord* taken = nullptr;
+  DAMPI_CHECK_MSG(me.reqs.erase(req, &taken),
+                  "request vanished during completion");
+  PoolPtr<RequestRecord> rec(taken, PoolDeleter<RequestRecord>(&me.req_pool));
   DAMPI_CHECK(rec->complete.load(std::memory_order_acquire));
 
   Status status;
@@ -732,22 +879,22 @@ Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
     completion.msg_id = rec->msg.msg_id;
     completion.status = status;
     // Materialize the payload (hooks mutate it in place — piggyback
-    // strip); pool access stays inside the critical section.
-    Bytes hook_payload = rec->msg.payload.release(&me.buf_pool);
+    // strip) straight into the receiver's buffer when there is one; pool
+    // access stays inside the critical section.
+    const bool deliver = rec->kind == ReqKind::kRecv && out != nullptr;
+    Bytes dropped;
+    Bytes& hook_payload = deliver ? *out : dropped;
+    rec->msg.payload.release_into(&hook_payload, &me.buf_pool);
     completion.payload = &hook_payload;
     g.unlock();
     hooks_post_wait(r, completion);
     g.lock();
     status = completion.status;
-    if (rec->kind == ReqKind::kRecv && out != nullptr) {
-      *out = std::move(hook_payload);
-    } else {
-      // Dropped payload: keep its capacity for the next internal copy.
-      me.buf_pool.recycle(std::move(hook_payload));
-    }
+    // Dropped payload: keep its capacity for the next internal copy.
+    if (!deliver) me.buf_pool.recycle(std::move(dropped));
   } else if (rec->kind == ReqKind::kRecv) {
     if (out != nullptr) {
-      *out = rec->msg.payload.release(&me.buf_pool);
+      rec->msg.payload.release_into(out, &me.buf_pool);
     } else {
       rec->msg.payload.recycle_into(me.buf_pool);
     }
@@ -800,9 +947,10 @@ RequestId Engine::api_isend(Rank r, Rank dst, Tag tag, Bytes payload,
   // is collective over its members, which include the rank sending here).
   g.add(dst_world);
   SendInfo info;
-  const RequestId id = do_isend(g, r, dst_world, call.tag, call.comm,
-                                std::move(*call.payload), false, synchronous,
-                                &info);
+  const RequestId id =
+      do_isend(g, r, dst_world, call.tag, call.comm,
+               Payload(std::move(*call.payload), &pr(r).buf_pool), false,
+               synchronous, &info);
   g.unlock();
   hooks_post_isend(r, call, id, info);
   return id;
@@ -843,7 +991,7 @@ Status Engine::api_wait(Rank r, RequestId req, Bytes* out, bool count_stat) {
   EngineGuard g(lock_, r);
   check_abort(g);
   charge_op(g, r);
-  if (pr(r).reqs.find(req) == pr(r).reqs.end()) {
+  if (pr(r).reqs.find(req) == nullptr) {
     throw_program_error(g, r, "wait on invalid or consumed request");
   }
   if (count_stat) stats_.bump(OpCategory::kWait, r);
@@ -858,13 +1006,13 @@ bool Engine::api_test(Rank r, RequestId req, Status* status, Bytes* out) {
   EngineGuard g(lock_, r);
   check_abort(g);
   charge_op(g, r);
-  auto it = pr(r).reqs.find(req);
-  if (it == pr(r).reqs.end()) {
+  RequestRecord* const* found = pr(r).reqs.find(req);
+  if (found == nullptr) {
     throw_program_error(g, r, "test on invalid or consumed request");
   }
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
-  if (!it->second->complete.load(std::memory_order_acquire)) {
+  if (!(*found)->complete.load(std::memory_order_acquire)) {
     // A failed poll is a scheduling point: under run-to-block execution
     // the polling rank must cede the host or a test loop starves the
     // very ranks that would complete the request.
@@ -884,7 +1032,7 @@ void Engine::api_waitall(Rank r, std::span<RequestId> reqs) {
     EngineGuard g(lock_, r);
     check_abort(g);
     charge_op(g, r);
-    if (pr(r).reqs.find(req) == pr(r).reqs.end()) {
+    if (pr(r).reqs.find(req) == nullptr) {
       throw_program_error(g, r, "waitall on invalid or consumed request");
     }
     if (first) {
@@ -909,15 +1057,16 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
 
-  std::vector<RequestRecord*> recs(reqs.size(), nullptr);
+  std::vector<RequestRecord*>& recs = pr(r).wait_buf;
+  recs.assign(reqs.size(), nullptr);
   bool any_live = false;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (reqs[i] == kNullRequest) continue;
-    auto it = pr(r).reqs.find(reqs[i]);
-    if (it == pr(r).reqs.end()) {
+    RequestRecord* const* found = pr(r).reqs.find(reqs[i]);
+    if (found == nullptr) {
       throw_program_error(g, r, "waitany on invalid or consumed request");
     }
-    recs[i] = it->second.get();
+    recs[i] = *found;
     any_live = true;
   }
   if (!any_live) {
@@ -951,11 +1100,11 @@ bool Engine::api_testall(Rank r, std::span<RequestId> reqs) {
   pr(r).vt_add(opts_.cost.local_op_us);
   for (const RequestId req : reqs) {
     if (req == kNullRequest) continue;
-    auto it = pr(r).reqs.find(req);
-    if (it == pr(r).reqs.end()) {
+    RequestRecord* const* found = pr(r).reqs.find(req);
+    if (found == nullptr) {
       throw_program_error(g, r, "testall on invalid or consumed request");
     }
-    if (!it->second->complete.load(std::memory_order_acquire)) {
+    if (!(*found)->complete.load(std::memory_order_acquire)) {
       // MPI: consume all or none.
       sched_->yield(g, r);
       return false;
@@ -979,11 +1128,11 @@ std::size_t Engine::api_testany(Rank r, std::span<RequestId> reqs,
   pr(r).vt_add(opts_.cost.local_op_us);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (reqs[i] == kNullRequest) continue;
-    auto it = pr(r).reqs.find(reqs[i]);
-    if (it == pr(r).reqs.end()) {
+    RequestRecord* const* found = pr(r).reqs.find(reqs[i]);
+    if (found == nullptr) {
       throw_program_error(g, r, "testany on invalid or consumed request");
     }
-    if (it->second->complete.load(std::memory_order_acquire)) {
+    if ((*found)->complete.load(std::memory_order_acquire)) {
       Status st = finish_request(g, r, reqs[i], out, /*run_hooks=*/true);
       if (status != nullptr) *status = st;
       reqs[i] = kNullRequest;
@@ -1010,12 +1159,20 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
   pr(r).vt_add(opts_.cost.local_op_us);
   const Rank src_world = comms_.to_world(call.comm, call.src);
 
-  auto exists = [this, r, src_world, &call]() -> bool {
-    if (src_world == kAnySource) {
-      return pr(r).match->has_candidates(call.tag, call.comm);
+  // The wake predicate captures one pointer so it fits std::function's
+  // inline storage (blocking must not allocate).
+  struct Target {
+    MatchIndex* match;
+    Rank src_world;
+    Tag tag;
+    CommId comm;
+  } const target{pr(r).match.get(), src_world, call.tag, call.comm};
+  auto exists = [&target]() -> bool {
+    if (target.src_world == kAnySource) {
+      return target.match->has_candidates(target.tag, target.comm);
     }
-    return pr(r).match->find_specific(src_world, call.tag, call.comm) !=
-           nullptr;
+    return target.match->find_specific(target.src_world, target.tag,
+                                       target.comm) != nullptr;
   };
 
   bool found = exists();
@@ -1156,8 +1313,9 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
   validate_comm_member(g, r, comm);
   DAMPI_TEVENT(obs::EventKind::kCollective, obs::Phase::kBegin,
                static_cast<std::int32_t>(kind), comm);
-  // Copy what we need: the comm table may grow (reallocate) while we wait.
-  const CommRecord comm_rec = comms_.get(comm);
+  // Records are address-stable for the run: the table may grow while we
+  // wait, and freeing is itself collective over this rank.
+  const CommRecord& comm_rec = comms_.get(comm);
   const int size = comm_rec.size();
   const Rank cr = comm_rec.world_to_comm[static_cast<std::size_t>(r)];
   const bool rooted = root_to_leaves(kind) || leaves_to_root(kind);
@@ -1173,8 +1331,12 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
   }
   pr(r).vt_add(opts_.cost.local_op_us);
 
-  const std::uint64_t gen = pr(r).coll_gen[comm]++;
-  CollSlot& slot = coll_slots_[{comm, gen}];
+  std::vector<std::uint64_t>& gens = pr(r).coll_gen;
+  if (static_cast<std::size_t>(comm) >= gens.size()) {
+    gens.resize(static_cast<std::size_t>(comm) + 1, 0);
+  }
+  const std::uint64_t gen = gens[static_cast<std::size_t>(comm)]++;
+  CollSlot& slot = coll_slot(comm, gen);
   if (slot.arrived == 0) {
     slot.kind = kind;
     slot.root_world = root_world;
@@ -1230,11 +1392,23 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
     sched_->wake(root_world);
   }
 
-  // Completion predicate for this rank.
-  auto my_pred = [&slot, kind, cr, root_rel, size]() -> bool {
-    if (is_all_style(kind)) return slot.arrived == size;
-    if (root_to_leaves(kind)) return cr == root_rel || slot.root_arrived;
-    return cr != root_rel || slot.arrived == size;  // leaves_to_root
+  // Completion predicate for this rank. It captures one pointer so it
+  // fits std::function's inline storage (blocking must not allocate).
+  struct Arrival {
+    const CollSlot* slot;
+    CollKind kind;
+    Rank cr;
+    Rank root_rel;
+    int size;
+  } const arrival{&slot, kind, cr, root_rel, size};
+  auto my_pred = [&arrival]() -> bool {
+    const CollSlot& s = *arrival.slot;
+    if (is_all_style(arrival.kind)) return s.arrived == arrival.size;
+    if (root_to_leaves(arrival.kind)) {
+      return arrival.cr == arrival.root_rel || s.root_arrived;
+    }
+    // leaves_to_root
+    return arrival.cr != arrival.root_rel || s.arrived == arrival.size;
   };
   if (!my_pred()) {
     BlockDesc desc;
@@ -1348,11 +1522,13 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
       if (!slot.merged_pb_done && any_pb()) {
         DAMPI_CHECK_MSG(static_cast<bool>(opts_.tools.coll_merge),
                         "collective piggyback requires a merge function");
-        std::vector<Bytes> present;
-        for (const Bytes& b : slot.pb) {
-          if (!b.empty()) present.push_back(b);
+        // The contributions move (nothing reads slot.pb once merged);
+        // the slot recycles them when the last member departs.
+        slot.present.clear();
+        for (Bytes& b : slot.pb) {
+          if (!b.empty()) slot.present.push_back(std::move(b));
         }
-        slot.merged_pb = opts_.tools.coll_merge(present);
+        slot.merged_pb = opts_.tools.coll_merge(slot.present);
         slot.merged_pb_done = true;
       }
       if (slot.merged_pb_done) {
@@ -1377,9 +1553,10 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
     for (auto& v : slot.multi) {
       for (Bytes& b : v) bufs.recycle(std::move(b));
     }
+    for (Bytes& b : slot.present) bufs.recycle(std::move(b));
     bufs.recycle(std::move(slot.merged_pb));
     bufs.recycle(std::move(slot.reduced));
-    coll_slots_.erase({comm, gen});
+    slot.in_use = false;
   }
   DAMPI_TEVENT(obs::EventKind::kCollective, obs::Phase::kEnd,
                static_cast<std::int32_t>(kind), comm);
@@ -1398,6 +1575,11 @@ CollUserResult Engine::api_collective(Rank r, CollKind kind, CommId comm,
       collective_impl(r, kind, call.comm, call.root, std::move(data),
                       std::move(call.pb_contribution), false, &tool_result);
   hooks_post_collective(r, call, tool_result);
+  if (tool_result.incoming.capacity() != 0) {
+    // The routed piggyback copy is dead: keep its capacity.
+    EngineGuard g(lock_, r);
+    pr(r).buf_pool.recycle(std::move(tool_result.incoming));
+  }
   return result;
 }
 
@@ -1479,14 +1661,19 @@ Rank Engine::to_rel(CommId comm, Rank world) {
 // ---------------------------------------------------------------------------
 
 RequestId Engine::raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
-                            Bytes payload) {
+                            const Bytes& payload) {
   EngineGuard g(lock_, r);
   check_abort(g);
   const Rank dst_world = comms_.to_world(comm, dst);
   g.add(dst_world);
+  // Tool payloads (piggybacked clocks) are copied: inline when small,
+  // else into a recycled buffer, so the tool keeps its own buffer.
+  Payload copy = payload.size() <= Payload::kInlineCapacity
+                     ? Payload(payload)
+                     : Payload(pr(r).buf_pool.copy_of(payload), nullptr);
   // Tool sends are eager and auto-consumed: piggyback senders never wait
   // on them (the paper's pb sends are waited trivially in MPI_Wait).
-  do_isend(g, r, dst_world, tag, comm, std::move(payload), true,
+  do_isend(g, r, dst_world, tag, comm, std::move(copy), true,
            /*synchronous=*/false, nullptr);
   return kNullRequest;
 }
@@ -1501,7 +1688,7 @@ RequestId Engine::raw_irecv(Rank r, Rank src, Tag tag, CommId comm) {
 Status Engine::raw_wait(Rank r, RequestId req, Bytes* out) {
   EngineGuard g(lock_, r);
   check_abort(g);
-  DAMPI_CHECK_MSG(pr(r).reqs.find(req) != pr(r).reqs.end(),
+  DAMPI_CHECK_MSG(pr(r).reqs.find(req) != nullptr,
                   "raw_wait on invalid request");
   block_until_complete(g, r, req);
   return finish_request(g, r, req, out, /*run_hooks=*/false);

@@ -18,18 +18,24 @@
 // receive is compatible with any queued unexpected message" holds at all
 // times. Under eager sends this makes "every live rank is blocked" an
 // exact deadlock criterion.
+//
+// An Engine runs any number of times (the reset contract of
+// runtime.hpp): every run ends with reset(), which returns each rank's
+// requests, queued messages and collective slots to their pools and
+// flat tables, rewinds ids, clocks, counters and verdicts, and resets
+// the scheduler, the match policy and every reusable tool layer — so the
+// next run starts exactly where a freshly constructed engine would,
+// minus the allocations.
 #pragma once
 
 #include <atomic>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "mpism/comm.hpp"
 #include "mpism/engine_lock.hpp"
 #include "mpism/envelope.hpp"
@@ -74,6 +80,16 @@ class Engine {
   ~Engine();
 
   RunReport run(const ProgramFn& program);
+  /// run() into a caller-owned report, whose buffers are reused.
+  void run(const ProgramFn& program, RunReport* report);
+
+  /// Replaces the tool setup for the following runs; every rank's stack
+  /// is rebuilt from it. Call between runs only.
+  void set_tools(ToolSetup tools);
+
+  /// Objects currently checked out of this engine's slab pools (request
+  /// records and match-index lane nodes) — zero between runs.
+  std::uint64_t pooled_live() const;
 
   /// External cancellation: ends the run (RunReport::cancelled) from any
   /// thread. Safe at any time — before run() (the run aborts on entry),
@@ -110,7 +126,8 @@ class Engine {
   Rank to_rel(CommId comm, Rank world);
 
   // --- ToolCtx raw services (bypass the tool stack) ------------------------
-  RequestId raw_isend(Rank r, Rank dst, Tag tag, CommId comm, Bytes payload);
+  RequestId raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
+                      const Bytes& payload);
   RequestId raw_irecv(Rank r, Rank src, Tag tag, CommId comm);
   Status raw_wait(Rank r, RequestId req, Bytes* out);
   Status raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out);
@@ -163,11 +180,19 @@ class Engine {
     /// Wildcard-candidate out-buffer, reused across queries so the hot
     /// path stops allocating a vector per receive/probe.
     std::vector<MatchCandidate> cand_buf;
-    std::unordered_map<RequestId, PoolPtr<RequestRecord>> reqs;
-    std::unordered_map<CommId, std::uint64_t> coll_gen;
+    /// waitany's record scratch, reused the same way.
+    std::vector<RequestRecord*> wait_buf;
+    /// Live requests by id. Records come from req_pool; the table owns
+    /// them (finish_request and reset() release them).
+    IdMap<RequestRecord*> reqs;
+    /// Next collective generation per communicator id.
+    std::vector<std::uint64_t> coll_gen;
     /// Per-(dst, comm) send sequence counters, owned by the *sender*
     /// shard (key packs dst and comm).
-    std::unordered_map<std::uint64_t, std::uint64_t> seq_counters;
+    IdMap<std::uint64_t> seq_counters;
+    /// Kept across runs while every layer resets itself (see
+    /// ToolLayer::reset_for_next_run); empty means "build from
+    /// RunOptions::tools at this rank's next start".
     std::vector<std::unique_ptr<ToolLayer>> tools;
     std::unique_ptr<ToolCtx> ctx;
 
@@ -179,7 +204,13 @@ class Engine {
     }
   };
 
+  /// One in-flight collective (comm, gen). Slots are pooled: a departed
+  /// slot keeps its vectors' capacity for the next collective, and a
+  /// slot's address is stable while ranks block on it.
   struct CollSlot {
+    bool in_use = false;
+    CommId comm = kCommNull;
+    std::uint64_t gen = 0;
     CollKind kind = CollKind::kBarrier;
     Rank root_world = -1;
     int arrived = 0;
@@ -202,13 +233,18 @@ class Engine {
     bool split_done = false;
     std::vector<CommId> comm_of_member;
     CommId dup_comm = kCommNull;
+    /// Scratch for the piggyback merge (contributions present).
+    std::vector<Bytes> present;
+
+    /// Claims the slot for (comm, gen) with freshly zeroed state.
+    void open(CommId c, std::uint64_t g);
   };
 
   // Internal primitives; `g` must cover the shards named per method (at
   // minimum shard r; do_isend additionally dst_world; collective paths
   // hold all shards).
   RequestId do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
-                     CommId comm, Bytes payload, bool tool_internal,
+                     CommId comm, Payload payload, bool tool_internal,
                      bool synchronous, SendInfo* info);
   RequestId do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
                      CommId comm, bool tool_internal);
@@ -222,8 +258,9 @@ class Engine {
   /// completed).
   bool match_arrival(Rank dst, Envelope&& env);
   void complete_recv(Rank r, RequestRecord& rec, Envelope&& env);
-  /// Fresh pooled request record from r's slab (shard r held).
-  PoolPtr<RequestRecord> new_request(PerRank& me);
+  /// Fresh pooled request record from r's slab, entered into r's
+  /// request table under a new id (shard r held).
+  RequestRecord& new_request(PerRank& me);
 
   /// Enter the blocked state and wait for `pred`; throws AbortRun when the
   /// run aborts or deadlocks while waiting.
@@ -287,6 +324,18 @@ class Engine {
 
   void validate_comm_member(EngineGuard& g, Rank r, CommId comm);
   std::uint64_t& seq_counter(PerRank& sender, Rank dst, CommId comm);
+  /// The slot of collective (comm, gen), claiming a free one on first
+  /// arrival (all shards held).
+  CollSlot& coll_slot(CommId comm, std::uint64_t gen);
+
+  /// Publishes the run's engine.* metrics (pools, locks, envelopes,
+  /// match scans).
+  void publish_run_metrics();
+  /// End-of-run reset (see the header comment). No rank is executing.
+  void reset();
+  /// Part of reset(): moves recycled payload buffers from ranks with
+  /// spares to ranks whose pools ran dry this run.
+  void rebalance_buffers();
 
   PerRank& pr(Rank r) { return *ranks_[static_cast<std::size_t>(r)]; }
 
@@ -298,6 +347,12 @@ class Engine {
   RunOptions opts_;
   EngineLock lock_;
   std::unique_ptr<RankScheduler> sched_;
+  /// Built once; run() only re-arms the deadline fields.
+  RankScheduler::Callbacks callbacks_;
+  /// The program of the run in progress.
+  const ProgramFn* program_ = nullptr;
+  /// RunOptions::cancel subscription, held for the engine's lifetime.
+  std::uint64_t cancel_sub_ = 0;
   std::vector<std::unique_ptr<PerRank>> ranks_;
   /// Guarded by all-shards sections for writes; readers hold any shard
   /// (writers exclude them by holding every shard).
@@ -307,7 +362,7 @@ class Engine {
   std::mutex policy_mu_;
   std::unique_ptr<MatchPolicy> policy_;
   /// Collective bookkeeping: only touched under all-shards sections.
-  std::map<std::pair<CommId, std::uint64_t>, CollSlot> coll_slots_;
+  std::vector<std::unique_ptr<CollSlot>> coll_slots_;
   std::atomic<std::uint64_t> next_msg_id_{1};
   std::atomic<RequestId> next_req_id_{1};
 

@@ -70,6 +70,13 @@ class EngineLock {
     return s;
   }
 
+  /// Zeroes the counters (the engine publishes them per run).
+  void reset_stats() {
+    acquires_.store(0, std::memory_order_relaxed);
+    contended_.store(0, std::memory_order_relaxed);
+    all_shards_.store(0, std::memory_order_relaxed);
+  }
+
  private:
   friend class EngineGuard;
 

@@ -70,22 +70,22 @@ class Payload {
     return inline_ ? sbo_.data() : heap_.data();
   }
 
-  /// Extracts the content as a Bytes, leaving the payload empty. Inline
-  /// content is copied into a (pool-recycled, if given) buffer; heap
-  /// content moves out without copying.
-  Bytes release(BufferPool* pool) {
-    Bytes out;
+  /// Moves the content into `*out`, leaving the payload empty. Inline
+  /// content is copied into out's existing capacity (out takes a
+  /// recycled buffer from `pool`, if given, when it is too small); heap
+  /// content moves in without copying and out's old buffer is donated
+  /// to `pool`.
+  void release_into(Bytes* out, BufferPool* pool) {
     if (inline_) {
-      out = pool != nullptr ? pool->acquire() : Bytes();
-      out.resize(size_);
-      if (size_ != 0) std::memcpy(out.data(), sbo_.data(), size_);
+      if (out->capacity() < size_ && pool != nullptr) *out = pool->acquire();
+      out->assign(sbo_.data(), sbo_.data() + size_);
     } else {
-      out = std::move(heap_);
+      if (pool != nullptr) pool->recycle(std::move(*out));
+      *out = std::move(heap_);
       heap_ = Bytes();
     }
     size_ = 0;
     inline_ = true;
-    return out;
   }
 
   /// Drops the content, donating heap capacity to `pool`.

@@ -272,6 +272,11 @@ void FaultLayer::pre_collective(ToolCtx& ctx, CollCall&) {
   on_op(ctx, "collective");
 }
 
+bool FaultLayer::reset_for_next_run() {
+  ops_ = 0;
+  return true;
+}
+
 void FaultLayer::on_op(ToolCtx& ctx, const char* what) {
   ++ops_;
   const std::vector<FaultPoint>& points = plan_->points();

@@ -114,6 +114,8 @@ class FaultLayer final : public ToolLayer {
   void pre_wait(ToolCtx& ctx, RequestId) override;
   void pre_probe(ToolCtx& ctx, ProbeCall&) override;
   void pre_collective(ToolCtx& ctx, CollCall&) override;
+  /// Rewinds the op counter; fire accounting lives in the shared plan.
+  bool reset_for_next_run() override;
 
  private:
   void on_op(ToolCtx& ctx, const char* what);

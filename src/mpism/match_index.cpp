@@ -25,67 +25,57 @@ bool env_matches(const Envelope& env, Rank src_world, Tag tag, CommId comm) {
          (tag == kAnyTag || env.tag == tag);
 }
 
-/// Queue entries examined per matcher query. Indexed lookups always
-/// record 1 (hash probes, no scan); the linear matcher records its walk
-/// length, so this histogram is the direct evidence that the index
-/// collapsed the scans. first_limit=2.0 puts the length-1 samples alone
-/// in the first bucket: `quantile_bound(q) <= 2.0` ⇔ every length == 1.
-obs::FixedHistogram& scan_hist() {
-  static obs::FixedHistogram& h =
-      obs::Registry::instance().histogram("match.scan_length", 2.0, 24);
-  return h;
-}
-
-void record_scan(std::size_t examined) {
-  scan_hist().add(static_cast<double>(examined < 1 ? 1 : examined));
-}
-
 // ---------------------------------------------------------------------------
-// Linear deque walks: the original engine algorithms, shared between the
-// LinearMatchIndex oracle and the indexed matcher's small-queue mode (so
-// the two stay identical by construction, not by parallel maintenance).
+// Linear queue walks: the original engine algorithms, shared between the
+// LinearMatchIndex oracle (deques) and the indexed matcher's small-queue
+// mode (flat vectors that keep their capacity across runs), so the two
+// stay identical by construction, not by parallel maintenance. Every
+// walk records how many entries it examined.
 // ---------------------------------------------------------------------------
 
-const Envelope* linear_find_specific(const std::deque<Envelope>& q,
+template <typename Queue>
+const Envelope* linear_find_specific(const Queue& q, ScanTally& scans,
                                      Rank src_world, Tag tag, CommId comm) {
   std::size_t examined = 0;
   for (const Envelope& env : q) {
     ++examined;
     if (env_matches(env, src_world, tag, comm)) {
-      record_scan(examined);
+      scans.add(examined);
       return &env;
     }
   }
-  record_scan(examined);
+  scans.add(examined);
   return nullptr;
 }
 
-const Envelope* linear_find_by_id(const std::deque<Envelope>& q,
+template <typename Queue>
+const Envelope* linear_find_by_id(const Queue& q, ScanTally& scans,
                                   std::uint64_t msg_id) {
   std::size_t examined = 0;
   for (const Envelope& env : q) {
     ++examined;
     if (env.msg_id == msg_id) {
-      record_scan(examined);
+      scans.add(examined);
       return &env;
     }
   }
-  record_scan(examined);
+  scans.add(examined);
   return nullptr;
 }
 
-bool linear_has_candidates(const std::deque<Envelope>& q, Tag tag,
+template <typename Queue>
+bool linear_has_candidates(const Queue& q, ScanTally& scans, Tag tag,
                            CommId comm) {
   std::size_t examined = 0;
   for (const Envelope& env : q) {
     ++examined;
     if (env.tool_internal) continue;
     if (env_matches(env, kAnySource, tag, comm)) {
-      record_scan(examined);
+      scans.add(examined);
       return true;
     }
   }
-  record_scan(examined);
+  scans.add(examined);
   return false;
 }
 
@@ -94,7 +84,8 @@ bool linear_has_candidates(const std::deque<Envelope>& q, Tag tag,
 /// a wildcard receive to exactly these heads. Sorted insertion keeps
 /// the by-source ordering the policies rely on without rebuilding a
 /// map per call.
-void linear_candidates(const std::deque<Envelope>& q, Tag tag, CommId comm,
+template <typename Queue>
+void linear_candidates(const Queue& q, ScanTally& scans, Tag tag, CommId comm,
                        std::vector<MatchCandidate>* out) {
   out->clear();
   for (const Envelope& env : q) {
@@ -107,15 +98,16 @@ void linear_candidates(const std::deque<Envelope>& q, Tag tag, CommId comm,
     out->insert(it,
                 MatchCandidate{env.src_world, env.tag, env.seq, env.msg_id});
   }
-  record_scan(q.size());
+  scans.add(q.size());
 }
 
-Envelope linear_take(std::deque<Envelope>& q, std::uint64_t msg_id) {
+template <typename Queue>
+Envelope linear_take(Queue& q, ScanTally& scans, std::uint64_t msg_id) {
   std::size_t examined = 0;
   for (auto it = q.begin(); it != q.end(); ++it) {
     ++examined;
     if (it->msg_id == msg_id) {
-      record_scan(examined);
+      scans.add(examined);
       Envelope env = std::move(*it);
       q.erase(it);
       return env;
@@ -125,19 +117,20 @@ Envelope linear_take(std::deque<Envelope>& q, std::uint64_t msg_id) {
   return {};
 }
 
-RequestRecord* linear_match_posted(std::deque<RequestRecord*>& q,
+template <typename Queue>
+RequestRecord* linear_match_posted(Queue& q, ScanTally& scans,
                                    const Envelope& env) {
   std::size_t examined = 0;
   for (auto it = q.begin(); it != q.end(); ++it) {
     ++examined;
     if (compatible(**it, env)) {
-      record_scan(examined);
+      scans.add(examined);
       RequestRecord* rec = *it;
       q.erase(it);
       return rec;
     }
   }
-  record_scan(examined);
+  scans.add(examined);
   return nullptr;
 }
 
@@ -147,36 +140,41 @@ RequestRecord* linear_match_posted(std::deque<RequestRecord*>& q,
 
 class LinearMatchIndex final : public MatchIndex {
  public:
+  void reset() override {
+    unexpected_.clear();
+    posted_.clear();
+  }
+
   void push_unexpected(Envelope&& env) override {
     unexpected_.push_back(std::move(env));
   }
 
   const Envelope* find_specific(Rank src_world, Tag tag,
                                 CommId comm) const override {
-    return linear_find_specific(unexpected_, src_world, tag, comm);
+    return linear_find_specific(unexpected_, scans_, src_world, tag, comm);
   }
 
   const Envelope* find_by_id(std::uint64_t msg_id) const override {
-    return linear_find_by_id(unexpected_, msg_id);
+    return linear_find_by_id(unexpected_, scans_, msg_id);
   }
 
   bool has_candidates(Tag tag, CommId comm) const override {
-    return linear_has_candidates(unexpected_, tag, comm);
+    return linear_has_candidates(unexpected_, scans_, tag, comm);
   }
 
   void wildcard_candidates(Tag tag, CommId comm,
                            std::vector<MatchCandidate>* out) const override {
-    linear_candidates(unexpected_, tag, comm, out);
+    linear_candidates(unexpected_, scans_, tag, comm, out);
   }
 
   Envelope take(std::uint64_t msg_id) override {
-    return linear_take(unexpected_, msg_id);
+    return linear_take(unexpected_, scans_, msg_id);
   }
 
   void post_recv(RequestRecord* rec) override { posted_.push_back(rec); }
 
   RequestRecord* match_posted(const Envelope& env) override {
-    return linear_match_posted(posted_, env);
+    return linear_match_posted(posted_, scans_, env);
   }
 
   PoolStats pool_stats() const override { return {}; }
@@ -253,17 +251,21 @@ class SrcBitmap {
 /// (no hashing, no per-message map-node traffic) and allocation-free —
 /// shallow-queue workloads (ping-pong, wavefront) never leave it, so
 /// they pay nothing for the index. Crossing the threshold migrates the
-/// queue into the lanes once and is permanent for this index's lifetime
-/// (one engine run): a queue that got deep once tends to get deep again.
+/// queue into the lanes once and is permanent until the run ends
+/// (reset() returns to small-queue mode): a queue that got deep once
+/// tends to get deep again.
 constexpr std::size_t kSmallQueueThreshold = 32;
 
 class IndexedMatchIndex final : public MatchIndex {
  public:
-  ~IndexedMatchIndex() override {
-    if (lanes_ == nullptr) return;
-    // Unmatched messages at teardown (aborted/deadlocked runs) still own
-    // pooled nodes; destroy them properly so payloads are freed.
-    for (auto& [id, node] : lanes_->by_id) lanes_->nodes.release(node);
+  ~IndexedMatchIndex() override { reset(); }
+
+  void reset() override {
+    small_.clear();
+    small_posted_.clear();
+    migrated_ = false;
+    posted_migrated_ = false;
+    if (lanes_ != nullptr) lanes_->clear();
   }
 
   void push_unexpected(Envelope&& env) override {
@@ -285,13 +287,13 @@ class IndexedMatchIndex final : public MatchIndex {
   const Envelope* find_specific(Rank src_world, Tag tag,
                                 CommId comm) const override {
     if (!migrated_) {
-      return linear_find_specific(small_, src_world, tag, comm);
+      return linear_find_specific(small_, scans_, src_world, tag, comm);
     }
     // Tool traffic is visible to specific receives, so the winner is the
     // queue-order-earliest of the user and tool lane heads. Queue order
     // == msg_id order (ids are assigned in the same critical section as
     // the insertion), so comparing head ids is exact.
-    record_scan(1);
+    scans_.add(1);
     const Node* a = nullptr;
     const Node* b = nullptr;
     if (tag == kAnyTag) {
@@ -309,15 +311,15 @@ class IndexedMatchIndex final : public MatchIndex {
   }
 
   const Envelope* find_by_id(std::uint64_t msg_id) const override {
-    if (!migrated_) return linear_find_by_id(small_, msg_id);
-    record_scan(1);
+    if (!migrated_) return linear_find_by_id(small_, scans_, msg_id);
+    scans_.add(1);
     auto it = lanes_->by_id.find(msg_id);
     return it == lanes_->by_id.end() ? nullptr : &it->second->env;
   }
 
   bool has_candidates(Tag tag, CommId comm) const override {
-    if (!migrated_) return linear_has_candidates(small_, tag, comm);
-    record_scan(1);
+    if (!migrated_) return linear_has_candidates(small_, scans_, tag, comm);
+    scans_.add(1);
     const SrcBitmap* bm = lanes_->sources_for(tag, comm);
     return bm != nullptr && bm->any();
   }
@@ -325,10 +327,10 @@ class IndexedMatchIndex final : public MatchIndex {
   void wildcard_candidates(Tag tag, CommId comm,
                            std::vector<MatchCandidate>* out) const override {
     if (!migrated_) {
-      linear_candidates(small_, tag, comm, out);
+      linear_candidates(small_, scans_, tag, comm, out);
       return;
     }
-    record_scan(1);
+    scans_.add(1);
     out->clear();
     const SrcBitmap* bm = lanes_->sources_for(tag, comm);
     if (bm == nullptr) return;
@@ -343,8 +345,8 @@ class IndexedMatchIndex final : public MatchIndex {
   }
 
   Envelope take(std::uint64_t msg_id) override {
-    if (!migrated_) return linear_take(small_, msg_id);
-    record_scan(1);
+    if (!migrated_) return linear_take(small_, scans_, msg_id);
+    scans_.add(1);
     auto it = lanes_->by_id.find(msg_id);
     DAMPI_CHECK_MSG(it != lanes_->by_id.end(), "unexpected message vanished");
     Node* n = it->second;
@@ -371,11 +373,13 @@ class IndexedMatchIndex final : public MatchIndex {
   }
 
   RequestRecord* match_posted(const Envelope& env) override {
-    if (!posted_migrated_) return linear_match_posted(small_posted_, env);
+    if (!posted_migrated_) {
+      return linear_match_posted(small_posted_, scans_, env);
+    }
     // Every compatible posted receive lives in exactly one of these four
     // lanes; each lane is FIFO in post order, so the overall
     // earliest-posted match is the min-post-seq lane head.
-    record_scan(1);
+    scans_.add(1);
     const LaneKey keys[4] = {
         {env.comm, env.tag, env.src_world},
         {env.comm, kAnyTag, env.src_world},
@@ -471,6 +475,24 @@ class IndexedMatchIndex final : public MatchIndex {
     PostedMap posted;
     std::uint64_t next_post_seq = 0;
 
+    /// Back to empty lanes and zero per-run pool counts. Unmatched
+    /// messages (aborted or deadlocked runs) still own pooled nodes;
+    /// destroy them properly so payloads are freed and the pool's live
+    /// count returns to zero.
+    void clear() {
+      for (auto& [id, node] : by_id) nodes.release(node);
+      by_id.clear();
+      user_tag.clear();
+      tool_tag.clear();
+      user_src.clear();
+      tool_src.clear();
+      user_tag_sources.clear();
+      user_comm_sources.clear();
+      posted.clear();
+      next_post_seq = 0;
+      nodes.reset_counts();
+    }
+
     void index_push(Envelope&& env) {
       Node* n = nodes.acquire(std::move(env));
       const Envelope& e = n->env;
@@ -545,16 +567,41 @@ class IndexedMatchIndex final : public MatchIndex {
     if (lanes_ == nullptr) lanes_ = std::make_unique<Lanes>();
   }
 
-  // Small-queue mode: the original deque algorithms until the queue
-  // first crosses kSmallQueueThreshold, then lanes forever (see above).
-  std::deque<Envelope> small_;
-  std::deque<RequestRecord*> small_posted_;
+  // Small-queue mode: the original linear algorithms until the queue
+  // first crosses kSmallQueueThreshold, then lanes for the rest of the
+  // run (see above). Flat vectors: erasing inside a queue of at most 32
+  // entries is cheap, and their capacity outlives reset().
+  std::vector<Envelope> small_;
+  std::vector<RequestRecord*> small_posted_;
   bool migrated_ = false;
   bool posted_migrated_ = false;
   std::unique_ptr<Lanes> lanes_;  ///< null until the first migration
 };
 
 }  // namespace
+
+void ScanTally::add(std::size_t examined) {
+  const auto width = std::bit_width(examined < 1 ? std::size_t{1} : examined);
+  buckets[static_cast<std::size_t>(std::min(width, std::size_t{kBuckets})) -
+          1]++;
+}
+
+void MatchIndex::publish_scans() {
+  // first_limit=2.0 puts the length-1 samples alone in the first bucket:
+  // `quantile_bound(q) <= 2.0` ⇔ every length == 1. Indexed lookups
+  // always record 1 (hash probes, no scan); the linear walks record
+  // their length, so this histogram is the direct evidence that the
+  // index collapsed the scans.
+  static obs::FixedHistogram& hist =
+      obs::Registry::instance().histogram("match.scan_length", 2.0,
+                                          ScanTally::kBuckets);
+  double lower = 1.0;
+  for (std::uint64_t& n : scans_.buckets) {
+    if (n != 0) hist.add(lower, n);
+    n = 0;
+    lower *= 2.0;
+  }
+}
 
 const char* match_spec(MatchKind kind) {
   return kind == MatchKind::kLinear ? "linear" : "indexed";

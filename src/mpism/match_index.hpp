@@ -41,6 +41,7 @@
 // All methods assume the engine mutex is held. Not thread-safe.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -59,12 +60,35 @@ enum class MatchKind { kLinear, kIndexed };
 /// "linear" or "indexed", for reports and benchmark context.
 const char* match_spec(MatchKind kind);
 
+/// Queue entries examined per matcher query, counted in plain buckets
+/// with the geometry of the `match.scan_length` histogram (bucket i holds
+/// lengths in [2^i, 2^(i+1)), the last one is a catch-all). Counting
+/// here instead of in the shared atomic histogram keeps the per-query
+/// path free of atomics; MatchIndex::publish_scans moves the counts into
+/// the histogram once per run.
+struct ScanTally {
+  static constexpr int kBuckets = 24;
+  std::array<std::uint64_t, kBuckets> buckets{};
+
+  void add(std::size_t examined);
+};
+
 /// One rank's matching state: queued unexpected messages (owned) and
 /// pending posted receives (non-owning pointers into the engine's
 /// request table; a record stays indexed until match_posted removes it).
 class MatchIndex {
  public:
   virtual ~MatchIndex() = default;
+
+  /// Drops every queued message and posted receive, zeroes the lane-node
+  /// pool's per-run counts and returns to the freshly constructed state,
+  /// keeping allocated storage for the next run. The posted records
+  /// themselves belong to the engine.
+  virtual void reset() = 0;
+
+  /// Adds this index's scan lengths to the `match.scan_length`
+  /// histogram and zeroes them.
+  void publish_scans();
 
   // --- unexpected-message queue ---------------------------------------
   virtual void push_unexpected(Envelope&& env) = 0;
@@ -91,6 +115,9 @@ class MatchIndex {
 
   /// Lane-node pool stats (zero for the linear matcher).
   virtual PoolStats pool_stats() const = 0;
+
+ protected:
+  mutable ScanTally scans_;
 };
 
 std::unique_ptr<MatchIndex> make_match_index(MatchKind kind);

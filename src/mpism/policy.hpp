@@ -35,6 +35,9 @@ class MatchPolicy {
  public:
   virtual ~MatchPolicy() = default;
   virtual std::size_t choose(const std::vector<MatchCandidate>& c) = 0;
+  /// Back to the state make_policy() returned (the engine resets its
+  /// policy between runs).
+  virtual void reset() {}
 };
 
 /// Deterministically picks the lowest source rank — models an MPI library
@@ -54,10 +57,13 @@ class FifoArrivalPolicy final : public MatchPolicy {
 /// Seeded uniform choice; reproducible per seed.
 class SeededRandomPolicy final : public MatchPolicy {
  public:
-  explicit SeededRandomPolicy(std::uint64_t seed) : rng_(seed) {}
+  explicit SeededRandomPolicy(std::uint64_t seed)
+      : seed_(seed), rng_(seed) {}
   std::size_t choose(const std::vector<MatchCandidate>& c) override;
+  void reset() override { rng_ = Rng(seed_); }
 
  private:
+  std::uint64_t seed_;
   Rng rng_;
 };
 

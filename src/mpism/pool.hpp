@@ -14,8 +14,14 @@
 // that rank's lock shard (or the global engine mutex under
 // EngineLockKind::kGlobal), exactly like the structures they feed. Stats
 // are plain integers for the same reason; the engine aggregates them
-// across ranks and publishes to the obs::Registry (`engine.pool.*`) once
-// per run.
+// across ranks, publishes them to the obs::Registry (`engine.pool.*`)
+// once per run, and zeroes the per-run counts for the next run.
+//
+// A pool outlives many runs (the engine is reused across a walk's
+// replays), so a stale pointer into a released slot would silently read
+// the next run's object. Under AddressSanitizer, released slots and
+// recycled buffer capacity are poisoned until the next acquire hands
+// them out again, which turns such a read into a use-after-poison report.
 #pragma once
 
 #include <cstddef>
@@ -28,12 +34,21 @@
 #include "common/check.hpp"
 #include "mpism/types.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define DAMPI_POOL_POISON(addr, size) ASAN_POISON_MEMORY_REGION(addr, size)
+#define DAMPI_POOL_UNPOISON(addr, size) ASAN_UNPOISON_MEMORY_REGION(addr, size)
+#else
+#define DAMPI_POOL_POISON(addr, size) ((void)(addr), (void)(size))
+#define DAMPI_POOL_UNPOISON(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace dampi::mpism {
 
 /// Allocation/reuse counters published as `engine.pool.*` metrics.
 struct PoolStats {
-  std::uint64_t acquired = 0;  ///< total acquire() calls
-  std::uint64_t reused = 0;    ///< acquires served from the freelist
+  std::uint64_t acquired = 0;  ///< acquire() calls since reset_counts()
+  std::uint64_t reused = 0;    ///< of those, served from the freelist
   std::uint64_t slabs = 0;     ///< slab allocations (the only mallocs)
   std::uint64_t live = 0;      ///< objects currently checked out
 };
@@ -52,10 +67,14 @@ class SlabPool {
   SlabPool& operator=(const SlabPool&) = delete;
 
   // Owners must release everything they acquired before the pool dies
-  // (the engine tears its tables down before the pools; `live` in the
-  // published stats is the audit trail). Destroying with live objects
-  // skips their destructors — never throw from here.
-  ~SlabPool() = default;
+  // (the engine releases its tables at every run's reset; `live` is the
+  // audit trail). Destroying with live objects skips their destructors —
+  // never throw from here.
+  ~SlabPool() {
+    for (auto& slab : slabs_) {
+      DAMPI_POOL_UNPOISON(slab.get(), per_slab_ * sizeof(Slot));
+    }
+  }
 
   template <typename... Args>
   T* acquire(Args&&... args) {
@@ -63,6 +82,7 @@ class SlabPool {
     ++stats_.live;
     Slot* slot = free_;
     if (slot != nullptr) {
+      DAMPI_POOL_UNPOISON(slot, sizeof(Slot));
       free_ = slot->next;
       ++stats_.reused;
     } else {
@@ -82,11 +102,19 @@ class SlabPool {
     auto* slot = std::launder(reinterpret_cast<Slot*>(obj));
     slot->next = free_;
     free_ = slot;
+    DAMPI_POOL_POISON(slot, sizeof(Slot));
     DAMPI_CHECK(stats_.live > 0);
     --stats_.live;
   }
 
   const PoolStats& stats() const { return stats_; }
+
+  /// Zeroes the per-run counts (acquired, reused); `slabs` and `live`
+  /// describe the pool itself and carry over.
+  void reset_counts() {
+    stats_.acquired = 0;
+    stats_.reused = 0;
+  }
 
  private:
   union Slot {
@@ -133,6 +161,13 @@ class BufferPool {
                       std::size_t max_buffer_bytes = 1 << 20)
       : max_buffers_(max_buffers), max_buffer_bytes_(max_buffer_bytes) {}
 
+  BufferPool(const BufferPool&) = delete;
+  BufferPool& operator=(const BufferPool&) = delete;
+
+  ~BufferPool() {
+    for (Bytes& buf : free_) DAMPI_POOL_UNPOISON(buf.data(), buf.capacity());
+  }
+
   /// An empty buffer, reusing recycled capacity when available.
   Bytes acquire() {
     ++stats_.acquired;
@@ -140,7 +175,7 @@ class BufferPool {
     ++stats_.reused;
     Bytes out = std::move(free_.back());
     free_.pop_back();
-    out.clear();  // keeps capacity
+    DAMPI_POOL_UNPOISON(out.data(), out.capacity());
     return out;
   }
 
@@ -167,8 +202,9 @@ class BufferPool {
       return;
     }
     ++stats_.recycled;
+    buf.clear();  // keeps capacity
+    DAMPI_POOL_POISON(buf.data(), buf.capacity());
     free_.push_back(std::move(buf));
-    free_.back().clear();
   }
 
   struct Stats {
@@ -178,10 +214,38 @@ class BufferPool {
   };
   const Stats& stats() const { return stats_; }
 
+  /// Zeroes the per-run counts; the recycled buffers themselves stay.
+  void reset_counts() {
+    stats_ = Stats{};
+    start_free_ = free_.size();
+  }
+
+  /// Buffers this pool needs so the next run starts with what this run
+  /// started with plus what it missed: positive after the freelist ran
+  /// dry or was drawn down, negative when it holds spares.
+  std::int64_t shortfall() const {
+    const auto misses = static_cast<std::int64_t>(stats_.acquired) -
+                        static_cast<std::int64_t>(stats_.reused);
+    return static_cast<std::int64_t>(start_free_) + misses -
+           static_cast<std::int64_t>(free_.size());
+  }
+
+  /// Moves one recycled buffer to `other`; false when there is none or
+  /// `other` is full.
+  bool give_one(BufferPool& other) {
+    if (free_.empty() || other.free_.size() >= other.max_buffers_) {
+      return false;
+    }
+    other.free_.push_back(std::move(free_.back()));
+    free_.pop_back();
+    return true;
+  }
+
  private:
   std::size_t max_buffers_;
   std::size_t max_buffer_bytes_;
   std::vector<Bytes> free_;
+  std::size_t start_free_ = 0;  ///< free_.size() at reset_counts()
   Stats stats_;
 };
 

@@ -58,8 +58,20 @@ struct RunOptions {
   std::shared_ptr<CancelSource> cancel;
 };
 
-/// One Runtime executes one run. Construct fresh per run (replays build a
-/// new Runtime so no state bleeds between interleavings).
+/// A Runtime executes runs of one configuration, any number of times.
+///
+/// Reset contract: every run() ends by resetting the runtime, so each
+/// run observes exactly the state a freshly constructed Runtime would —
+/// the same report, the same virtual times, the same message and request
+/// ids, the same tool-visible call sequence — whatever the previous run
+/// did (completed, deadlocked, failed, timed out or was cancelled). What
+/// survives a reset is storage, never state: per-rank request and message
+/// pools, match indexes, flat tables, communicator records, fiber stacks,
+/// and the tool stacks of layers that reset themselves
+/// (ToolLayer::reset_for_next_run). Repeated runs therefore stop
+/// allocating once warm; guided replays keep one Runtime's engine per
+/// replay executor for exactly that reason. A cancellation that fires
+/// between runs (RunOptions::cancel) ends the next run on entry.
 class Runtime {
  public:
   explicit Runtime(RunOptions options);
@@ -69,7 +81,7 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   /// Blocks until every rank finishes, a deadlock is detected, or the
-  /// program under test fails.
+  /// program under test fails; then resets for the next run.
   RunReport run(const ProgramFn& program);
 
  private:

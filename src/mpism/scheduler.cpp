@@ -211,11 +211,11 @@ void make_context(FiberContext* ctx, char* stack, std::size_t bytes,
 // Every fiber stack is kFiberStackBytes mmap'd with a PROT_NONE guard page
 // below it, so a rank that recurses past its stack dies with SIGSEGV
 // instead of overwriting whatever lies below. Stacks are reused through a
-// per-thread cache: a scheduler takes one on each fiber's first dispatch
-// and hands all of them back when it is destroyed, so a thread replaying
-// thousands of runs maps its stacks once and then takes no page faults on
-// them. The cache keeps as many stacks as the thread's largest run used
-// and unmaps them when the thread exits.
+// per-thread cache: a scheduler takes one on each fiber's first dispatch,
+// keeps it for every later run, and hands all of them back when it is
+// destroyed, so a thread replaying thousands of runs maps its stacks once
+// and then takes no page faults on them. The cache keeps as many stacks
+// as the thread's largest run used and unmaps them when the thread exits.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kFiberStackBytes = 256 * 1024;
@@ -406,6 +406,7 @@ class CoopScheduler final : public RankScheduler {
 
   void run(const Callbacks& cb) override {
     cb_ = &cb;
+    restart();
     if (obs::trace_on()) {
       for (Rank r = 0; r < nprocs_; ++r) {
         fibers_[static_cast<std::size_t>(r)].lane =
@@ -500,11 +501,26 @@ class CoopScheduler final : public RankScheduler {
     /// because external cancellation calls wake_all from its own thread.
     std::atomic<bool> hint{false};
     /// Taken from the thread's stack cache on first dispatch, so
-    /// unstarted ranks cost nothing; returned when the scheduler dies.
+    /// unstarted ranks cost nothing; kept across runs and returned when
+    /// the scheduler dies.
     char* stack = nullptr;
     FiberContext ctx;
     obs::Lane* lane = nullptr;
   };
+
+  /// Back to the state of a fresh scheduler, keeping each fiber's stack
+  /// (every fiber of the previous run has finished).
+  void restart() {
+    for (Fiber& f : fibers_) {
+      f.state = State::kUnstarted;
+      f.hint.store(false, std::memory_order_relaxed);
+    }
+    rng_ = Rng(opts_.seed);
+    current_ = -1;
+    rr_cursor_ = 0;
+    finished_ = 0;
+    stalls_ = 0;
+  }
 
   /// Selects the next rank to dispatch, declaring a stall first if
   /// nothing is runnable. Returns -1 only when every rank has finished
@@ -607,7 +623,7 @@ class CoopScheduler final : public RankScheduler {
   }
 
   void prepare_fiber(Fiber& f) {
-    f.stack = stack_cache().take();
+    if (f.stack == nullptr) f.stack = stack_cache().take();
     make_context(&f.ctx, f.stack, kFiberStackBytes, &CoopScheduler::fiber_entry,
                  this);
   }

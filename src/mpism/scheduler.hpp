@@ -95,6 +95,8 @@ class RankScheduler {
   virtual ~RankScheduler() = default;
 
   /// Executes `body` for ranks 0..nprocs-1; returns when all finished.
+  /// Called once per run of a reused engine: every call starts from the
+  /// scheduler's initial state (same picks for the same program).
   virtual void run(const Callbacks& cb) = 0;
   /// Parks the calling rank until wake_ready(r) or stop(). `g` holds
   /// the rank's engine guard on entry and on return; the scheduler

@@ -116,7 +116,7 @@ class ToolCtx {
   virtual Rank to_rel(CommId comm, Rank world) const = 0;
 
   virtual RequestId raw_isend(Rank dst, Tag tag, CommId comm,
-                              Bytes payload) = 0;
+                              const Bytes& payload) = 0;
   virtual RequestId raw_irecv(Rank src, Tag tag, CommId comm) = 0;
   /// Blocks until the request completes; returns its status.
   virtual Status raw_wait(RequestId req, Bytes* out) = 0;
@@ -166,6 +166,15 @@ class ToolLayer {
   virtual void post_collective(ToolCtx&, const CollCall&, const CollResult&) {}
 
   virtual void on_pcontrol(ToolCtx&, int /*level*/, const std::string&) {}
+
+  /// Called on every rank's stack once the run has ended — completed,
+  /// failed, deadlocked, timed out or cancelled — before Runtime::run
+  /// returns, with no rank executing. A layer that returns true has
+  /// finished its per-run work and reset itself to its constructed
+  /// state, and the runtime keeps the stack for its next run. With the
+  /// default (false) anywhere in a stack, that stack is destroyed and
+  /// rebuilt from ToolSetup::make_stack before the rank's next run.
+  virtual bool reset_for_next_run() { return false; }
 };
 
 /// Per-run tool configuration: a factory producing each rank's layer

@@ -11,14 +11,14 @@ FixedHistogram::FixedHistogram(double first_limit, int buckets)
     : first_limit_(first_limit),
       counts_(static_cast<std::size_t>(std::max(buckets, 2))) {}
 
-void FixedHistogram::add(double x) {
+void FixedHistogram::add(double x, std::uint64_t n) {
   std::size_t i = 0;
   double limit = first_limit_;
   while (x >= limit && i + 1 < counts_.size()) {
     limit *= 2.0;
     ++i;
   }
-  counts_[i].fetch_add(1, std::memory_order_relaxed);
+  counts_[i].fetch_add(n, std::memory_order_relaxed);
 }
 
 std::uint64_t FixedHistogram::count() const {

@@ -60,7 +60,8 @@ class FixedHistogram {
  public:
   FixedHistogram(double first_limit, int buckets);
 
-  void add(double x);
+  /// Records `n` samples of value `x`.
+  void add(double x, std::uint64_t n = 1);
   std::uint64_t count() const;
   /// Smallest bucket upper bound covering fraction `q` of samples.
   double quantile_bound(double q) const;

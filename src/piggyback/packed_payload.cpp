@@ -31,8 +31,8 @@ void PackedPayloadTransport::on_pre_send(mpism::ToolCtx& ctx,
   *call.payload = std::move(packed);
 }
 
-mpism::Bytes PackedPayloadTransport::on_recv_complete(mpism::ToolCtx&,
-                                                      mpism::ReqCompletion& c) {
+const mpism::Bytes& PackedPayloadTransport::on_recv_complete(
+    mpism::ToolCtx&, mpism::ReqCompletion& c) {
   mpism::Bytes& payload = *c.payload;
   DAMPI_CHECK_MSG(payload.size() >= kLenBytes,
                   "packed piggyback prefix missing");
@@ -40,13 +40,13 @@ mpism::Bytes PackedPayloadTransport::on_recv_complete(mpism::ToolCtx&,
   std::memcpy(&len, payload.data(), kLenBytes);
   DAMPI_CHECK_MSG(payload.size() >= kLenBytes + len,
                   "packed piggyback prefix truncated");
-  mpism::Bytes clock(payload.begin() + kLenBytes,
-                     payload.begin() + static_cast<std::ptrdiff_t>(
-                                           kLenBytes + len));
+  clock_.assign(payload.begin() + kLenBytes,
+                payload.begin() +
+                    static_cast<std::ptrdiff_t>(kLenBytes + len));
   payload.erase(payload.begin(),
                 payload.begin() + static_cast<std::ptrdiff_t>(kLenBytes + len));
   c.status.bytes = payload.size();
-  return clock;
+  return clock_;
 }
 
 }  // namespace dampi::piggyback

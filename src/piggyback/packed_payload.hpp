@@ -14,8 +14,11 @@ class PackedPayloadTransport final : public Transport {
  public:
   void on_pre_send(mpism::ToolCtx& ctx, mpism::SendCall& call,
                    const mpism::Bytes& clock) override;
-  mpism::Bytes on_recv_complete(mpism::ToolCtx& ctx,
-                                mpism::ReqCompletion& c) override;
+  const mpism::Bytes& on_recv_complete(mpism::ToolCtx& ctx,
+                                       mpism::ReqCompletion& c) override;
+
+ private:
+  mpism::Bytes clock_;  ///< the last stripped clock (capacity reused)
 };
 
 }  // namespace dampi::piggyback

@@ -14,14 +14,14 @@ mpism::Tag pb_tag(std::uint64_t seq) {
 }  // namespace
 
 void SeparateMessageTransport::on_init(mpism::ToolCtx& ctx) {
-  shadow_[mpism::kCommWorld] = ctx.raw_comm_dup(mpism::kCommWorld);
+  on_new_comm(ctx, mpism::kCommWorld);
 }
 
 mpism::CommId SeparateMessageTransport::shadow_of(mpism::CommId comm) const {
-  auto it = shadow_.find(comm);
-  DAMPI_CHECK_MSG(it != shadow_.end(),
+  const auto i = static_cast<std::size_t>(comm);
+  DAMPI_CHECK_MSG(i < shadow_.size() && shadow_[i] != mpism::kCommNull,
                   "no shadow communicator for payload communicator");
-  return it->second;
+  return shadow_[i];
 }
 
 void SeparateMessageTransport::on_post_send(mpism::ToolCtx& ctx,
@@ -31,16 +31,17 @@ void SeparateMessageTransport::on_post_send(mpism::ToolCtx& ctx,
   ctx.raw_isend(call.dst, pb_tag(info.seq), shadow_of(call.comm), clock);
 }
 
-mpism::Bytes SeparateMessageTransport::on_recv_complete(
+const mpism::Bytes& SeparateMessageTransport::on_recv_complete(
     mpism::ToolCtx& ctx, mpism::ReqCompletion& c) {
-  mpism::Bytes clock;
-  ctx.raw_recv(c.status.source, pb_tag(c.seq), shadow_of(c.comm), &clock);
-  return clock;
+  ctx.raw_recv(c.status.source, pb_tag(c.seq), shadow_of(c.comm), &clock_);
+  return clock_;
 }
 
 void SeparateMessageTransport::on_new_comm(mpism::ToolCtx& ctx,
                                            mpism::CommId comm) {
-  shadow_[comm] = ctx.raw_comm_dup(comm);
+  const auto i = static_cast<std::size_t>(comm);
+  if (i >= shadow_.size()) shadow_.resize(i + 1, mpism::kCommNull);
+  shadow_[i] = ctx.raw_comm_dup(comm);
 }
 
 }  // namespace dampi::piggyback

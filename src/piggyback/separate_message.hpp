@@ -9,7 +9,7 @@
 // its requests out of post order — a hazard the order-based scheme has.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "piggyback/transport.hpp"
 
@@ -21,15 +21,18 @@ class SeparateMessageTransport final : public Transport {
   void on_post_send(mpism::ToolCtx& ctx, const mpism::SendCall& call,
                     const mpism::SendInfo& info,
                     const mpism::Bytes& clock) override;
-  mpism::Bytes on_recv_complete(mpism::ToolCtx& ctx,
-                                mpism::ReqCompletion& c) override;
+  const mpism::Bytes& on_recv_complete(mpism::ToolCtx& ctx,
+                                       mpism::ReqCompletion& c) override;
   void on_new_comm(mpism::ToolCtx& ctx, mpism::CommId comm) override;
+  void reset() override { shadow_.clear(); }
 
  private:
   mpism::CommId shadow_of(mpism::CommId comm) const;
 
-  /// payload comm -> shadow comm.
-  std::unordered_map<mpism::CommId, mpism::CommId> shadow_;
+  /// Indexed by payload comm id: its shadow comm, or kCommNull.
+  std::vector<mpism::CommId> shadow_;
+  /// The last received piggyback (its capacity is reused).
+  mpism::Bytes clock_;
 };
 
 }  // namespace dampi::piggyback

@@ -14,7 +14,8 @@
 
 namespace dampi::piggyback {
 
-/// Run-wide shared clock table. Thread-safe. take() blocks until the
+/// Run-wide shared clock table (cleared between the runs of a replay
+/// context). Thread-safe. take() blocks until the
 /// sender has deposited: a receiver can observe a message's completion
 /// before the sender's post-injection hook has run (hooks execute outside
 /// the engine lock), and the deposit always follows injection in the
@@ -38,6 +39,13 @@ class TelepathicBoard {
     return clock;
   }
 
+  /// Forgets every deposit (clocks of messages a run never received), so
+  /// the board can serve the next run, whose message ids start over.
+  void clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    clocks_.clear();
+  }
+
  private:
   std::mutex mu_;
   std::condition_variable cv_;
@@ -55,13 +63,15 @@ class TelepathicTransport final : public Transport {
     board_->put(info.msg_id, clock);
   }
 
-  mpism::Bytes on_recv_complete(mpism::ToolCtx&,
-                                mpism::ReqCompletion& c) override {
-    return board_->take(c.msg_id);
+  const mpism::Bytes& on_recv_complete(mpism::ToolCtx&,
+                                       mpism::ReqCompletion& c) override {
+    clock_ = board_->take(c.msg_id);
+    return clock_;
   }
 
  private:
   std::shared_ptr<TelepathicBoard> board_;
+  mpism::Bytes clock_;
 };
 
 }  // namespace dampi::piggyback

@@ -10,7 +10,8 @@
 // also handy as a test oracle.
 //
 // A transport is owned and driven by the DAMPI tool layer; it is not a
-// ToolLayer itself. One instance per rank per run.
+// ToolLayer itself. One instance per rank, reused across the runs of a
+// replay context (reset() between runs).
 #pragma once
 
 #include <memory>
@@ -40,17 +41,21 @@ class Transport {
                             const mpism::Bytes& /*clock*/) {}
 
   /// Called when a receive completes; returns the sender's clock for this
-  /// message. May rewrite the completion's payload/status (the packed
-  /// mechanism strips its prefix here). For a wildcard receive this runs
-  /// only once the source is known — the paper's deferred-posting rule
-  /// that avoids tool-induced deadlock falls out of this placement.
-  virtual mpism::Bytes on_recv_complete(mpism::ToolCtx&,
-                                        mpism::ReqCompletion&) = 0;
+  /// message, in a transport-owned buffer valid until the next call. May
+  /// rewrite the completion's payload/status (the packed mechanism strips
+  /// its prefix here). For a wildcard receive this runs only once the
+  /// source is known — the paper's deferred-posting rule that avoids
+  /// tool-induced deadlock falls out of this placement.
+  virtual const mpism::Bytes& on_recv_complete(mpism::ToolCtx&,
+                                               mpism::ReqCompletion&) = 0;
 
   /// Called when the program created a communicator (dup/split product),
   /// in collective order across its members; transports that keep shadow
   /// communicators mirror it here.
   virtual void on_new_comm(mpism::ToolCtx&, mpism::CommId) {}
+
+  /// Back to the constructed state for the next run (buffers stay).
+  virtual void reset() {}
 };
 
 enum class TransportKind { kSeparateMessage, kPackedPayload, kTelepathic };

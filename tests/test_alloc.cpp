@@ -1,0 +1,529 @@
+// Allocation-free steady-state replays (DESIGN.md §4, item 16).
+//
+// A guided replay reuses one warm ReplayContext — engine, scheduler, tool
+// stacks, DampiShared, TraceSink — and resets it between runs. These
+// tests pin what that buys and what it must never cost:
+//
+//  - a counting operator new (this binary only) pins the heap
+//    allocations per steady-state interleaving of the benchmark's
+//    explore-adlb and dist-fanout walks, and checks that the storage a
+//    context retains stops growing once warm;
+//  - a state-bleed differential replays failing runs of every kind
+//    (deadlock, program error, watchdog timeout, injected fault,
+//    external cancel) through one context, each followed by a clean
+//    schedule, and requires every report and trace to equal a fresh
+//    context's, with every pooled object back in its pool after reset;
+//  - under AddressSanitizer, touching recycled pool memory is reported.
+//
+// Count assertions are skipped under sanitizers (which interpose the
+// allocator and force the thread scheduler).
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "common/strutil.hpp"
+#include "core/explorer.hpp"
+#include "core/replay_context.hpp"
+#include "mpism/cancel.hpp"
+#include "mpism/engine.hpp"
+#include "mpism/fault.hpp"
+#include "mpism/pool.hpp"
+#include "workloads/adlb.hpp"
+#include "workloads/patterns.hpp"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DAMPI_TEST_SANITIZED 1
+#endif
+
+namespace dampi {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Counting allocator. Every operator new/delete of this binary goes through
+// a size header, so the tests can read both the number of allocations and
+// the bytes currently live. Sanitized builds keep their own allocator.
+// ---------------------------------------------------------------------------
+
+std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+#if !defined(DAMPI_TEST_SANITIZED)
+
+/// Header before every block: the requested size and the malloc'd base
+/// (aligned blocks start past an alignment gap). 16 bytes keep malloc's
+/// alignment for ordinary blocks.
+struct Header {
+  std::size_t size;
+  void* base;
+};
+static_assert(sizeof(Header) == 16);
+
+void* counted_alloc(std::size_t size, std::size_t align) {
+  const std::size_t slack = align > alignof(std::max_align_t) ? align : 0;
+  void* base = std::malloc(sizeof(Header) + slack + size);
+  if (base == nullptr) throw std::bad_alloc();
+  auto user = reinterpret_cast<std::uintptr_t>(base) + sizeof(Header);
+  if (slack != 0) user = (user + align - 1) & ~(std::uintptr_t{align} - 1);
+  auto* header = reinterpret_cast<Header*>(user - sizeof(Header));
+  header->size = size;
+  header->base = base;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
+                         std::memory_order_relaxed);
+  return reinterpret_cast<void*>(user);
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  const auto* header = reinterpret_cast<const Header*>(
+      reinterpret_cast<std::uintptr_t>(p) - sizeof(Header));
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(header->size),
+                         std::memory_order_relaxed);
+  std::free(header->base);
+}
+
+#endif  // !DAMPI_TEST_SANITIZED
+
+}  // namespace
+}  // namespace dampi
+
+#if !defined(DAMPI_TEST_SANITIZED)
+void* operator new(std::size_t n) { return dampi::counted_alloc(n, 0); }
+void* operator new[](std::size_t n) { return dampi::counted_alloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return dampi::counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return dampi::counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { dampi::counted_free(p); }
+void operator delete[](void* p) noexcept { dampi::counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { dampi::counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  dampi::counted_free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept {
+  dampi::counted_free(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  dampi::counted_free(p);
+}
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  dampi::counted_free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  dampi::counted_free(p);
+}
+#endif
+
+namespace dampi {
+namespace {
+
+using core::ExplorerOptions;
+using core::ReplayContext;
+using core::Schedule;
+using core::SingleRun;
+
+#define SKIP_WHEN_SANITIZED()                                             \
+  do {                                                                    \
+    if (DAMPI_SANITIZED_BUILD) {                                          \
+      GTEST_SKIP() << "sanitizers interpose the allocator";               \
+    }                                                                     \
+  } while (false)
+
+#if defined(DAMPI_TEST_SANITIZED)
+constexpr bool DAMPI_SANITIZED_BUILD = true;
+#else
+constexpr bool DAMPI_SANITIZED_BUILD = false;
+#endif
+
+/// The benchmark's backend pins (perfbench pinned_options): coop
+/// round-robin, indexed matcher, sharded lock, sleep-set POR, Lamport
+/// clocks, separate-message piggyback, jobs 1.
+ExplorerOptions pinned_options(int nprocs) {
+  ExplorerOptions o;
+  o.nprocs = nprocs;
+  o.clock_mode = core::ClockMode::kLamport;
+  o.transport = piggyback::TransportKind::kSeparateMessage;
+  o.sched = mpism::SchedOptions{};
+  o.sched.kind = mpism::SchedulerKind::kCoop;
+  o.match = mpism::MatchKind::kIndexed;
+  o.engine_lock = mpism::EngineLockKind::kSharded;
+  o.por = core::PorMode::kSleep;
+  o.jobs = 1;
+  return o;
+}
+
+void adlb_program(mpism::Proc& p) {
+  workloads::adlb::Config config;
+  config.roots_per_server = 4;
+  workloads::adlb::run(p, config);
+}
+
+void fanout_program(mpism::Proc& p) {
+  workloads::dist_fanout(p, /*rounds=*/2, /*spin_us=*/200.0);
+}
+
+/// Allocations per interleaving once warm: the difference between a
+/// walk of 2n and one of n interleavings, so discovery, explorer and
+/// context construction cancel out.
+double steady_allocs_per_interleaving(ExplorerOptions options,
+                                      const mpism::ProgramFn& program,
+                                      std::uint64_t n) {
+  auto walk = [&](std::uint64_t budget) {
+    options.max_interleavings = budget;
+    const std::uint64_t before = g_allocs.load();
+    const core::ExploreResult result = core::Explorer(options).explore(program);
+    EXPECT_EQ(result.interleavings, budget);
+    EXPECT_FALSE(result.found_bug());
+    return g_allocs.load() - before;
+  };
+  const std::uint64_t small = walk(n);
+  const std::uint64_t large = walk(2 * n);
+  return static_cast<double>(large - small) / static_cast<double>(n);
+}
+
+// The explore-adlb workload made 443 heap allocations per interleaving
+// when every replay built its engine, tool stacks and tables from
+// nothing; a warm context makes 31 (x86-64, GCC 12), 23 of them the
+// program's own.
+TEST(AllocSteadyState, ExploreAdlbInterleaving) {
+  SKIP_WHEN_SANITIZED();
+  ExplorerOptions options = pinned_options(4);
+  options.policy = mpism::PolicyKind::kSeededRandom;
+  options.policy_seed = 1;
+  const double per = steady_allocs_per_interleaving(options, adlb_program, 500);
+  EXPECT_LE(per, 40.0);
+}
+
+// dist-fanout at 6 ranks (the campaign-fanout workload's program): 435
+// allocations per interleaving before, 25 with a warm context.
+TEST(AllocSteadyState, DistFanoutInterleaving) {
+  SKIP_WHEN_SANITIZED();
+  const double per =
+      steady_allocs_per_interleaving(pinned_options(6), fanout_program, 500);
+  EXPECT_LE(per, 32.0);
+}
+
+// A warm context keeps at most one run's high-water storage: replaying
+// the same schedules over and over must not grow what it retains.
+TEST(AllocSteadyState, RetainedStorageDoesNotGrowAcross2000Replays) {
+  SKIP_WHEN_SANITIZED();
+  ExplorerOptions options = pinned_options(4);
+  options.policy = mpism::PolicyKind::kSeededRandom;
+  options.policy_seed = 1;
+  options.max_interleavings = 64;
+  std::vector<Schedule> schedules;
+  core::Explorer(options).explore(
+      adlb_program, [&schedules](const core::RunTrace&,
+                                 const mpism::RunReport&,
+                                 const Schedule& schedule) {
+        schedules.push_back(schedule);
+      });
+  ASSERT_EQ(schedules.size(), 64u);
+
+  ReplayContext context(options);
+  SingleRun run;
+  std::int64_t warm_bytes = 0;
+  for (int i = 0; i < 2000; ++i) {
+    context.run(schedules[static_cast<std::size_t>(i) % schedules.size()],
+                adlb_program, &run);
+    ASSERT_TRUE(run.report.completed);
+    if (i == 2 * static_cast<int>(schedules.size()) - 1) {
+      warm_bytes = g_live_bytes.load();
+    }
+  }
+  EXPECT_LE(g_live_bytes.load(), warm_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// State-bleed differential
+// ---------------------------------------------------------------------------
+
+/// Every deterministic field of a report (wall time excluded), doubles
+/// in %a form.
+std::string fingerprint(const mpism::RunReport& r) {
+  std::string s = strfmt(
+      "completed=%d deadlocked=%d timed_out=%d cancelled=%d vtime=%a "
+      "comm_leaks=%d req_leaks=%llu msgs=%llu tool_msgs=%llu",
+      r.completed ? 1 : 0, r.deadlocked ? 1 : 0, r.timed_out ? 1 : 0,
+      r.cancelled ? 1 : 0, r.vtime_us, r.comm_leaks,
+      static_cast<unsigned long long>(r.request_leaks),
+      static_cast<unsigned long long>(r.messages_sent),
+      static_cast<unsigned long long>(r.stats.tool_messages));
+  s += "\nstop=" + r.stop_reason + "\ndeadlock=" + r.deadlock_detail;
+  for (const auto& e : r.errors) {
+    s += strfmt("\nerror rank=%d ", e.rank) + e.message;
+  }
+  for (std::size_t c = 0; c < mpism::OpStats::kNumCategories; ++c) {
+    s += strfmt("\ncat%zu:", c);
+    for (const auto v : r.stats.counts[c]) {
+      s += strfmt(" %llu", static_cast<unsigned long long>(v));
+    }
+  }
+  return s;
+}
+
+std::string fingerprint(const core::RunTrace& t) {
+  std::string s = strfmt(
+      "recv=%llu probe=%llu pm=%llu late=%llu auto=%llu",
+      static_cast<unsigned long long>(t.wildcard_recv_epochs),
+      static_cast<unsigned long long>(t.wildcard_probe_epochs),
+      static_cast<unsigned long long>(t.potential_matches),
+      static_cast<unsigned long long>(t.late_messages_seen),
+      static_cast<unsigned long long>(t.auto_abstracted_epochs));
+  for (const core::EpochRecord& e : t.epochs) {
+    s += strfmt("\nepoch (%d,%llu) lc=%llu comm=%d tag=%d probe=%d "
+                "ignored=%d auto=%d matched=%d/%llu vc=",
+                e.key.rank, static_cast<unsigned long long>(e.key.nd_index),
+                static_cast<unsigned long long>(e.lc), e.comm, e.tag,
+                e.is_probe ? 1 : 0, e.in_ignored_region ? 1 : 0,
+                e.auto_abstracted ? 1 : 0, e.matched_src_world,
+                static_cast<unsigned long long>(e.matched_seq));
+    for (const auto v : e.vc) {
+      s += strfmt("%llu,", static_cast<unsigned long long>(v));
+    }
+    for (const auto& [src, m] : e.alternatives) {
+      s += strfmt(" alt %d seq=%llu tag=%d", src,
+                  static_cast<unsigned long long>(m.seq), m.tag);
+    }
+  }
+  for (const core::UnsafeAlert& a : t.alerts) {
+    s += strfmt("\nalert rank=%d ", a.rank) + a.detail;
+  }
+  return s;
+}
+
+std::string fingerprint(const SingleRun& run) {
+  return fingerprint(run.report) + "\n--\n" + fingerprint(run.trace) +
+         strfmt("\ndivergences=%llu",
+                static_cast<unsigned long long>(run.divergences));
+}
+
+Schedule forced(std::initializer_list<std::pair<core::EpochKey, int>> pins) {
+  Schedule s;
+  for (const auto& [key, src] : pins) s.forced[key] = src;
+  return s;
+}
+
+/// The source the cancel scenario fires from inside its run.
+mpism::CancelSource* g_cancel_target = nullptr;
+
+/// Rank 0 issues 12 sends, each drained by a specific receive; the
+/// fault plan below aborts rank 0 at its 9th operation, which no other
+/// scenario's program reaches.
+void long_program(mpism::Proc& p) {
+  for (int i = 0; i < 6; ++i) {
+    if (p.rank() == 0) {
+      p.send(1, 5, mpism::pack<int>(i));
+      p.send(2, 5, mpism::pack<int>(i));
+    } else if (p.rank() <= 2) {
+      p.recv(0, 5);
+    }
+  }
+}
+
+/// Everyone meets at a barrier, then rank 0 cancels the campaign while
+/// ranks 1 and 2 wait for a message that never comes.
+void cancel_program(mpism::Proc& p) {
+  p.barrier();
+  if (p.rank() == 0) {
+    g_cancel_target->cancel("cancelled from inside the run");
+    p.compute(1.0);  // unwinds: the run is cancelled
+  } else {
+    p.recv(0, 9);
+  }
+}
+
+struct Scenario {
+  const char* name;
+  mpism::ProgramFn program;
+  Schedule schedule;
+  bool (*failed)(const mpism::RunReport&);
+};
+
+// One context replays a failing run of every kind, each followed by a
+// clean, fully pinned schedule; every outcome must equal a fresh
+// context's, and every pooled request and lane node must be back in its
+// pool after the reset. Under the coop scheduler every run is
+// deterministic and compared exactly; under the thread scheduler (the
+// DAMPI_SCHED=thread sweep, sanitized builds) a failing run's stopping
+// point is timing-dependent, so those compare by verdict, while the
+// clean runs after them — the state-bleed check proper — stay exact.
+TEST(AllocStateBleed, FailingRunsLeaveNothingBehind) {
+  ExplorerOptions options;
+  options.nprocs = 3;
+  options.max_run_ops = 400;  // the per-run watchdog the livelock trips
+  std::string error;
+  options.fault = mpism::parse_fault_plan("flaky@0:9:1", &error);
+  ASSERT_NE(options.fault, nullptr) << error;
+  auto source = std::make_shared<mpism::CancelSource>();
+  options.cancel = source;
+  const bool exact_failures =
+      options.sched.kind == mpism::SchedulerKind::kCoop &&
+      mpism::coop_supported();
+
+  // Fresh-context twin: its own fault plan (the context's fires once and
+  // is then spent) and its own cancel source.
+  ExplorerOptions fresh_options = options;
+  fresh_options.fault = mpism::parse_fault_plan("flaky@0:9:1", &error);
+  fresh_options.cancel = std::make_shared<mpism::CancelSource>();
+  ExplorerOptions spent_options = options;  // shares the context's plan
+
+  // The clean runs: fig3 with both wildcard receives pinned, and the
+  // fault scenario's program (no wildcards), whose one-shot fault the
+  // first scenario spends.
+  const std::vector<std::pair<mpism::ProgramFn, Schedule>> clean_runs = {
+      {workloads::fig3_benign, forced({{{1, 0}, 0}, {{1, 1}, 2}})},
+      {long_program, Schedule{}},
+  };
+  const std::vector<Scenario> failing = {
+      {"injected fault", long_program, Schedule{},
+       [](const mpism::RunReport& r) {
+         return !r.errors.empty() &&
+                r.errors.front().message.find("fault injected") !=
+                    std::string::npos;
+       }},
+      {"deadlock", workloads::wildcard_dependent_deadlock,
+       forced({{{1, 0}, 2}}),
+       [](const mpism::RunReport& r) { return r.deadlocked; }},
+      {"program error", workloads::fig3_wildcard_bug, forced({{{1, 0}, 2}}),
+       [](const mpism::RunReport& r) {
+         return !r.errors.empty() &&
+                r.errors.front().message == "fig3: x == 33";
+       }},
+      {"watchdog timeout", workloads::livelock, Schedule{},
+       [](const mpism::RunReport& r) { return r.timed_out; }},
+  };
+
+  ReplayContext context(options);
+  SingleRun run;  // recycled through every replay
+  for (const Scenario& s : failing) {
+    SCOPED_TRACE(s.name);
+    context.run(s.schedule, s.program, &run);
+    EXPECT_TRUE(s.failed(run.report)) << fingerprint(run.report);
+    EXPECT_EQ(context.pooled_live(), 0u);
+    const SingleRun fresh =
+        core::run_guided_once(fresh_options, s.schedule, s.program);
+    EXPECT_TRUE(s.failed(fresh.report)) << fingerprint(fresh.report);
+    if (exact_failures) {
+      EXPECT_EQ(fingerprint(run), fingerprint(fresh));
+    }
+
+    for (const auto& [program, schedule] : clean_runs) {
+      context.run(schedule, program, &run);
+      EXPECT_TRUE(run.report.ok()) << fingerprint(run.report);
+      EXPECT_EQ(context.pooled_live(), 0u);
+      EXPECT_EQ(fingerprint(run),
+                fingerprint(core::run_guided_once(spent_options, schedule,
+                                                  program)));
+    }
+  }
+
+  // External cancel last: a campaign's source stays fired, so every later
+  // run of the context is cancelled on entry, exactly like a fresh one.
+  g_cancel_target = source.get();
+  context.run(Schedule{}, cancel_program, &run);
+  EXPECT_TRUE(run.report.cancelled);
+  EXPECT_EQ(run.report.stop_reason, "cancelled from inside the run");
+  EXPECT_EQ(context.pooled_live(), 0u);
+  auto fresh_source = std::make_shared<mpism::CancelSource>();
+  fresh_options.cancel = fresh_source;
+  g_cancel_target = fresh_source.get();
+  const SingleRun fresh =
+      core::run_guided_once(fresh_options, Schedule{}, cancel_program);
+  EXPECT_TRUE(fresh.report.cancelled);
+  if (exact_failures) {
+    EXPECT_EQ(fingerprint(run), fingerprint(fresh));
+  }
+
+  const auto& [program, schedule] = clean_runs.front();
+  context.run(schedule, program, &run);
+  EXPECT_TRUE(run.report.cancelled);
+  EXPECT_EQ(context.pooled_live(), 0u);
+  EXPECT_EQ(fingerprint(run), fingerprint(core::run_guided_once(
+                                  fresh_options, schedule, program)));
+}
+
+// Self-runs draw wildcard matches from the seeded policy; a context must
+// restart that stream (and the coop pick order) every run. Coop only:
+// under threads a self-run's matches race by design.
+TEST(AllocStateBleed, SelfRunsReplayTheSameMatchStream) {
+  if (!mpism::coop_supported() ||
+      mpism::default_sched_options().kind != mpism::SchedulerKind::kCoop) {
+    GTEST_SKIP() << "self-run matches are only deterministic under coop";
+  }
+  ExplorerOptions options;
+  options.nprocs = 4;
+  options.policy = mpism::PolicyKind::kSeededRandom;
+  options.policy_seed = 3;
+  options.sched.pick = mpism::SchedPolicy::kRandomSeeded;
+  options.sched.seed = 5;
+  const std::string fresh =
+      fingerprint(core::run_guided_once(options, Schedule{}, adlb_program));
+  ReplayContext context(options);
+  SingleRun run;
+  for (int i = 0; i < 3; ++i) {
+    context.run(Schedule{}, adlb_program, &run);
+    EXPECT_EQ(fingerprint(run), fresh) << "run " << i;
+  }
+}
+
+// Engine::cancel ends only the run in progress: the engine's reset
+// clears the verdict, so the next run on the same engine is clean and
+// identical to a fresh engine's.
+TEST(AllocStateBleed, EngineCancelDoesNotOutliveItsRun) {
+  mpism::RunOptions options;
+  options.nprocs = 3;
+  mpism::Engine engine(options);
+  const mpism::RunReport cancelled = engine.run([&engine](mpism::Proc& p) {
+    p.barrier();
+    if (p.rank() == 0) engine.cancel("engine cancel");
+    p.barrier();
+  });
+  EXPECT_TRUE(cancelled.cancelled);
+  EXPECT_EQ(cancelled.stop_reason, "engine cancel");
+  EXPECT_EQ(engine.pooled_live(), 0u);
+
+  const mpism::RunReport again = engine.run(workloads::fig3_benign);
+  mpism::Engine fresh(options);
+  EXPECT_TRUE(again.ok());
+  EXPECT_EQ(fingerprint(again), fingerprint(fresh.run(workloads::fig3_benign)));
+}
+
+// ---------------------------------------------------------------------------
+// AddressSanitizer: recycled pool memory stays visible
+// ---------------------------------------------------------------------------
+
+TEST(AllocPoison, TouchingReleasedPoolMemoryIsReported) {
+#if defined(__SANITIZE_ADDRESS__)
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        mpism::SlabPool<std::uint64_t> pool;
+        std::uint64_t* slot = pool.acquire(std::uint64_t{7});
+        pool.release(slot);
+        *static_cast<volatile std::uint64_t*>(slot) = 8;
+      },
+      "use-after-poison");
+  EXPECT_DEATH(
+      {
+        mpism::BufferPool pool;
+        mpism::Bytes buf(16);
+        std::byte* stale = buf.data();
+        pool.recycle(std::move(buf));
+        *static_cast<volatile std::byte*>(stale) = std::byte{1};
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
+}
+
+}  // namespace
+}  // namespace dampi

@@ -3,7 +3,10 @@
 // trace ordering, and schedules.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "common/check.hpp"
+#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/strutil.hpp"
@@ -193,6 +196,59 @@ TEST(EpochTrace, SortedIsMemoizedAndCopySafe) {
     EXPECT_GE(e, moved.epochs.data());
     EXPECT_LT(e, moved.epochs.data() + moved.epochs.size());
   }
+}
+
+// IdMap against std::unordered_map under a long random mix of inserts,
+// lookups, erases and clears on a small key range, so probe runs collide,
+// wrap around the slot array and get backward-shifted on erase.
+TEST(IdMap, MatchesUnorderedMapUnderRandomChurn) {
+  IdMap<std::uint64_t> table;
+  std::unordered_map<std::uint64_t, std::uint64_t> oracle;
+  Rng rng(11);
+  for (int step = 0; step < 200000; ++step) {
+    const std::uint64_t key = rng.next_below(64);
+    switch (rng.next_below(8)) {
+      case 0:
+      case 1:
+      case 2:
+        table[key] = static_cast<std::uint64_t>(step);
+        oracle[key] = static_cast<std::uint64_t>(step);
+        break;
+      case 3:
+      case 4: {
+        std::uint64_t out = 0;
+        const bool erased = table.erase(key, &out);
+        auto it = oracle.find(key);
+        ASSERT_EQ(erased, it != oracle.end());
+        if (erased) {
+          EXPECT_EQ(out, it->second);
+          oracle.erase(it);
+        }
+        break;
+      }
+      case 5:
+        if (rng.next_below(500) == 0) {
+          table.clear();
+          oracle.clear();
+        }
+        break;
+      default: {
+        const std::uint64_t* found = table.find(key);
+        auto it = oracle.find(key);
+        ASSERT_EQ(found != nullptr, it != oracle.end());
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second);
+        }
+      }
+    }
+    ASSERT_EQ(table.size(), oracle.size());
+  }
+  std::size_t visited = 0;
+  table.for_each([&](std::uint64_t key, std::uint64_t value) {
+    ++visited;
+    EXPECT_EQ(oracle.at(key), value);
+  });
+  EXPECT_EQ(visited, oracle.size());
 }
 
 TEST(ForcedDecisions, FlatMapSemantics) {

@@ -27,6 +27,7 @@
 #include "common/rng.hpp"
 #include "common/strutil.hpp"
 #include "mpism/match_index.hpp"
+#include "obs/metrics.hpp"
 #include "support/run_helpers.hpp"
 #include "workloads/patterns.hpp"
 
@@ -616,6 +617,53 @@ TEST(MatchDifferentialPrograms, DeadlockVerdictParity) {
         }
       }
     }
+  }
+}
+
+// match.scan_length is counted per MatchIndex and published once per run.
+// bench_matching reads it after its deep-queue wildcard program (3 ranks
+// each queue `queued` messages before a barrier, then rank 0 drains all
+// 3*queued with wildcard receives); the counts and bounds below are the
+// ones the per-query atomic histogram recorded for that program. Every
+// query counts once: one match_posted per send, and a candidate scan plus
+// a take per receive.
+TEST(MatchScanHistogram, DeepQueueProgramMatchesBenchMatching) {
+  struct Case {
+    MatchKind kind;
+    int queued;
+    double p99_bound;
+  };
+  for (const Case c : {Case{MatchKind::kIndexed, 128, 2.0},
+                       Case{MatchKind::kIndexed, 1024, 2.0},
+                       Case{MatchKind::kLinear, 128, 512.0},
+                       Case{MatchKind::kLinear, 1024, 4096.0}}) {
+    SCOPED_TRACE(strfmt("%s queued=%d", mpism::match_spec(c.kind), c.queued));
+    obs::Registry::instance().reset();
+    RunOptions options;
+    options.nprocs = 4;
+    options.match = c.kind;
+    Runtime runtime(std::move(options));
+    const int queued = c.queued;
+    auto program = [queued](Proc& p) {
+      if (p.rank() == 0) {
+        p.barrier();
+        for (int i = 0; i < 3 * queued; ++i) p.recv(kAnySource, 7);
+      } else {
+        for (int i = 0; i < queued; ++i) p.send(0, 7, pack<int>(i));
+        p.barrier();
+      }
+    };
+    const obs::FixedHistogram& hist =
+        obs::Registry::instance().histogram("match.scan_length", 2.0, 24);
+    ASSERT_TRUE(runtime.run(program).ok());
+    const auto per_run = static_cast<std::uint64_t>(9 * queued);
+    EXPECT_EQ(hist.count(), per_run);
+    EXPECT_EQ(hist.quantile_bound(0.99), c.p99_bound);
+    // A second run of the same Runtime starts from a reset index and
+    // publishes the same histogram again.
+    ASSERT_TRUE(runtime.run(program).ok());
+    EXPECT_EQ(hist.count(), 2 * per_run);
+    EXPECT_EQ(hist.quantile_bound(0.99), c.p99_bound);
   }
 }
 
