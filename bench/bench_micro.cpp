@@ -228,8 +228,9 @@ void BM_WatchdogOverheadRanks256(benchmark::State& state) {
 BENCHMARK(BM_WatchdogOverheadRanks256)->Arg(0)->Arg(1)->ArgNames({"armed"});
 
 /// Coop dispatch round trip: a lone rank yields back to the dispatch
-/// loop, which picks it again — fiber to scheduler to fiber, with the
-/// engine guard dropped and retaken around each switch. The round_trip
+/// loop, which picks it again — fiber to scheduler to fiber, through the
+/// engine guard's release and retake around each switch (no-ops: the
+/// lock is built unlocked, as a coop engine builds it). The round_trip
 /// counter is the time per round trip (printed in ns).
 void BM_CoopSwitch(benchmark::State& state) {
   if (!mpism::coop_supported()) {
@@ -239,7 +240,8 @@ void BM_CoopSwitch(benchmark::State& state) {
   constexpr int kRoundTrips = 4096;
   mpism::SchedOptions sched;
   sched.kind = mpism::SchedulerKind::kCoop;
-  mpism::EngineLock lock(mpism::EngineLockKind::kSharded, 1);
+  mpism::EngineLock lock(mpism::EngineLockKind::kSharded, 1,
+                        /*single_threaded=*/true);
   for (auto _ : state) {
     const auto scheduler = mpism::make_scheduler(sched, 1);
     mpism::RankScheduler::Callbacks cb;

@@ -7,8 +7,8 @@
 # the defaults inside both sweeps. Then:
 #  - the resilience stage: resil-labelled tests, the verify_cli
 #    exit-code contract (including bad flag values and corrupt
-#    checkpoints), a repeat-until-fail flake stage for the sched and
-#    dist labels,
+#    checkpoints), a repeat-until-fail flake stage for the sched, dist,
+#    alloc and enginelock labels,
 #    a livelock watchdog sweep across schedulers and jobs widths, and a
 #    SIGINT kill + --resume determinism smoke;
 #  - the distributed stage: 4-worker equivalence, kill-a-worker, and
@@ -26,7 +26,10 @@
 #    are unsupported under TSan, so those builds default to the thread
 #    scheduler, which is exactly the path TSan can check — including one
 #    replay context reused across runs, whose rank threads must happen
-#    after the previous run's;
+#    after the previous run's. The engine lock follows the scheduler:
+#    coop engines are single-threaded and take no lock, so the locking
+#    itself (global and sharded) is only exercised, and checked, here and
+#    in the DAMPI_SCHED=thread sweep;
 #  - the alloc, match and sched labels under AddressSanitizer plus
 #    UndefinedBehaviorSanitizer (-DDAMPI_SANITIZE=address,undefined), where
 #    recycled pool memory is poisoned until it is handed out again.
@@ -124,8 +127,9 @@ rm -f "${bad_ckpt}" "${bad_ckpt}.good"
 echo "tier1: exit-code contract OK"
 
 # Flake stage: the scheduler tests must pass 20 times in a row, the
-# distributed tests (worker spawn, death detection, stealing) and the
-# reused-replay-context tests 10 times, and
+# distributed tests (worker spawn, death detection, stealing), the
+# reused-replay-context tests and the engine-lock tests (the coop
+# fingerprint pin and the thread-mode lock stress) 10 times, and
 # TestAny.ReturnsLowestReadyIndex, which once raced an eager send under
 # the thread scheduler, 500 times.
 (cd build && ctest --output-on-failure -L sched --repeat until-fail:20 \
@@ -133,6 +137,8 @@ echo "tier1: exit-code contract OK"
 (cd build && ctest --output-on-failure -L dist --repeat until-fail:10 \
   -j "${jobs}")
 (cd build && ctest --output-on-failure -L alloc --repeat until-fail:10 \
+  -j "${jobs}")
+(cd build && ctest --output-on-failure -L enginelock --repeat until-fail:10 \
   -j "${jobs}")
 (cd build && ctest --output-on-failure \
   -R '^TestAny\.ReturnsLowestReadyIndex$' --repeat until-fail:500)

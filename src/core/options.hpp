@@ -112,7 +112,9 @@ struct ExplorerOptions {
 
   /// Matcher and engine lock for every run (discovery and replays). The
   /// linear matcher and the global lock are differential oracles that
-  /// tests select here; both walk bit-identically to the defaults.
+  /// tests select here; both walk bit-identically to the defaults. The
+  /// lock selects thread-mode locking only: under coop the engine takes
+  /// no lock.
   mpism::MatchKind match = mpism::MatchKind::kIndexed;
   mpism::EngineLockKind engine_lock = mpism::EngineLockKind::kSharded;
 

@@ -100,7 +100,9 @@ class ToolCtxImpl final : public ToolCtx {
 // ---------------------------------------------------------------------------
 
 Engine::Engine(RunOptions options)
-    : opts_(std::move(options)), lock_(opts_.engine_lock, opts_.nprocs) {
+    : opts_(std::move(options)),
+      sched_(make_scheduler(opts_.sched, opts_.nprocs)),
+      lock_(opts_.engine_lock, opts_.nprocs, sched_->single_threaded()) {
   DAMPI_CHECK(opts_.nprocs > 0);
   ranks_.reserve(static_cast<std::size_t>(opts_.nprocs));
   for (int i = 0; i < opts_.nprocs; ++i) {
@@ -111,7 +113,6 @@ Engine::Engine(RunOptions options)
   comms_.init(opts_.nprocs);
   policy_ = make_policy(opts_.policy, opts_.policy_seed);
   stats_.init(opts_.nprocs);
-  sched_ = make_scheduler(opts_.sched, opts_.nprocs);
 
   callbacks_.body = [this](Rank r) { rank_body(r, *program_); };
   callbacks_.wake_ready = [this](Rank r) {
@@ -120,8 +121,8 @@ Engine::Engine(RunOptions options)
   };
   callbacks_.stop = [this] { return stopped(); };
   callbacks_.on_stall = [this] {
-    // Coop stall: every fiber is parked (none holds a shard), so the
-    // all-shards section is uncontended; the verdict mutex arbitrates
+    // Coop stall: every fiber is parked and the engine is unlocked, so
+    // the all-shards guard takes nothing; the verdict mutex arbitrates
     // against a concurrent external cancel.
     EngineGuard all(lock_, EngineGuard::kAllShards);
     declare_deadlock(all);
@@ -474,6 +475,8 @@ void Engine::maybe_declare_deadlock(EngineGuard& g, Rank) {
   // blocked nor finished — at large nprocs the last scheduled rank
   // blocking must not read "everyone is stuck".
   if (sched_->detects_stall()) return;
+  DAMPI_CHECK_MSG(lock_.locked(),
+                  "count-based deadlock scan on an unlocked engine");
   // A deadlock needs at least one blocked rank: without the > 0 guard,
   // "everyone finished" also sums to nprocs, and the escalation below
   // could reach that state if the last blocked rank wakes and finishes
@@ -791,13 +794,7 @@ RequestId Engine::do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
     std::vector<MatchCandidate>& cands = me.cand_buf;
     me.match->wildcard_candidates(tag, comm, &cands);
     if (!cands.empty()) {
-      std::size_t pick = 0;
-      if (cands.size() > 1) {
-        // The policy RNG is engine-global mutable state; a leaf mutex
-        // keeps wildcard draws well-defined under sharded locking.
-        std::lock_guard<std::mutex> pl(policy_mu_);
-        pick = policy_->choose(cands);
-      }
+      const std::size_t pick = choose_wildcard(cands);
       DAMPI_CHECK(pick < cands.size());
       DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
                    cands[pick].src_world, r, cands[pick].tag);
@@ -817,6 +814,16 @@ RequestId Engine::do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
                tag);
   me.match->post_recv(&rec_ref);
   return id;
+}
+
+std::size_t Engine::choose_wildcard(
+    const std::vector<MatchCandidate>& cands) {
+  if (cands.size() < 2) return 0;
+  // The policy RNG is engine-global mutable state; a leaf mutex keeps
+  // wildcard draws well-defined under thread-mode locking.
+  std::unique_lock<std::mutex> pl(policy_mu_, std::defer_lock);
+  if (lock_.locked()) pl.lock();
+  return policy_->choose(cands);
 }
 
 void Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
@@ -1195,12 +1202,7 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
       std::vector<MatchCandidate>& cands = pr(r).cand_buf;
       pr(r).match->wildcard_candidates(call.tag, call.comm, &cands);
       DAMPI_CHECK(!cands.empty());
-      std::size_t pick = 0;
-      if (cands.size() > 1) {
-        std::lock_guard<std::mutex> pl(policy_mu_);
-        pick = policy_->choose(cands);
-      }
-      env = pr(r).match->find_by_id(cands[pick].msg_id);
+      env = pr(r).match->find_by_id(cands[choose_wildcard(cands)].msg_id);
     } else {
       env = pr(r).match->find_specific(src_world, call.tag, call.comm);
     }

@@ -1,8 +1,11 @@
 // Engine: internal implementation of the mpism runtime.
 //
-// Shared state is guarded by an EngineLock (engine_lock.hpp): either one
-// global mutex (the pre-shard baseline, EngineLockKind::kGlobal) or
-// per-destination-rank shards (the default). Under sharding, everything
+// Shared state is guarded by an EngineLock (engine_lock.hpp) built after
+// the scheduler and following it: under coop (every rank a fiber on one
+// host thread) the engine is single-threaded by construction and takes
+// no lock — every guard is a no-op. Under the thread scheduler the lock
+// is one global mutex (the pre-shard baseline, EngineLockKind::kGlobal)
+// or per-destination-rank shards (the default). Under sharding, everything
 // owned by rank r — its match index, unexpected/posted queues, request
 // table, pools, virtual clock, and block/wake bookkeeping — lives behind
 // shard r; a send acquires the {sender, receiver} shard pair in
@@ -273,7 +276,8 @@ class Engine {
   /// when it holds fewer). A no-op under schedulers that detect stalls
   /// themselves (coop): there a rank can be runnable-but-unscheduled,
   /// which this count-based check cannot see, so the scheduler's
-  /// no-candidate scan is authoritative.
+  /// no-candidate scan is authoritative. The scan is thread-mode only: an
+  /// unlocked engine reaching it is a bug (checked).
   void maybe_declare_deadlock(EngineGuard& g, Rank r);
   /// Declares the deadlock verdict; `g` must hold all shards.
   void declare_deadlock(EngineGuard& g);
@@ -322,6 +326,9 @@ class Engine {
   Bytes apply_reduce(EngineGuard& g, Rank r, const CollSlot& slot,
                      const CommRecord& comm_rec);
 
+  /// The policy's pick among wildcard candidates (0 for a lone one);
+  /// takes policy_mu_ only when the engine is locked.
+  std::size_t choose_wildcard(const std::vector<MatchCandidate>& cands);
   void validate_comm_member(EngineGuard& g, Rank r, CommId comm);
   std::uint64_t& seq_counter(PerRank& sender, Rank dst, CommId comm);
   /// The slot of collective (comm, gen), claiming a free one on first
@@ -345,8 +352,9 @@ class Engine {
   void rank_body(Rank r, const ProgramFn& program);
 
   RunOptions opts_;
-  EngineLock lock_;
+  /// Built before lock_, whose mode follows sched_->single_threaded().
   std::unique_ptr<RankScheduler> sched_;
+  EngineLock lock_;
   /// Built once; run() only re-arms the deadline fields.
   RankScheduler::Callbacks callbacks_;
   /// The program of the run in progress.
@@ -358,7 +366,8 @@ class Engine {
   /// (writers exclude them by holding every shard).
   CommTable comms_;
   /// choose() mutates the policy RNG; serialized by a leaf mutex so
-  /// wildcard draws stay well-defined under sharded locking.
+  /// wildcard draws stay well-defined under sharded locking (skipped on
+  /// an unlocked engine, see choose_wildcard).
   std::mutex policy_mu_;
   std::unique_ptr<MatchPolicy> policy_;
   /// Collective bookkeeping: only touched under all-shards sections.

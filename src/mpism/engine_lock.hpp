@@ -1,4 +1,12 @@
-// Engine locking strategies: one global mutex vs. destination-rank shards.
+// Engine locking strategies: none under the coop scheduler; one global
+// mutex or destination-rank shards under the thread scheduler.
+//
+// Which one an engine gets follows the scheduler it built, not a knob.
+// Under coop every rank is a fiber on the calling thread, so the engine is
+// single-threaded by construction: the lock is built unlocked, every
+// EngineGuard form is a no-op that counts nothing, and all() is true.
+// Only the thread scheduler (the sanitized builds' fallback included) runs
+// ranks concurrently, and only there does EngineLockKind choose a mode.
 //
 // The engine's shared state decomposes almost perfectly by destination
 // rank: the match index, unexpected/posted queues, request table, pools,
@@ -22,8 +30,8 @@
 //
 // kGlobal degenerates every guard form to the single mutex, preserving
 // the pre-shard engine behaviour as a compiled-in differential baseline
-// that tests select through RunOptions::engine_lock (mirroring the
-// MatchKind::kLinear matcher oracle).
+// that thread-mode tests select through RunOptions::engine_lock
+// (mirroring the MatchKind::kLinear matcher oracle).
 #pragma once
 
 #include <atomic>
@@ -37,6 +45,8 @@
 
 namespace dampi::mpism {
 
+/// Thread-mode locking; an engine whose scheduler is single-threaded
+/// takes no lock whichever kind it names.
 enum class EngineLockKind {
   kGlobal,   ///< One mutex guards all engine state (pre-shard baseline).
   kSharded,  ///< Per-destination-rank shard mutexes + atomics.
@@ -44,15 +54,22 @@ enum class EngineLockKind {
 
 class EngineLock {
  public:
-  EngineLock(EngineLockKind kind, int nprocs)
+  /// `single_threaded`: every rank runs on one host thread (the coop
+  /// scheduler, RankScheduler::single_threaded), so the lock is built
+  /// unlocked and `kind` is moot.
+  EngineLock(EngineLockKind kind, int nprocs, bool single_threaded)
       : kind_(kind),
+        locked_(!single_threaded),
         nshards_(kind == EngineLockKind::kGlobal ? 1 : nprocs) {
     DAMPI_CHECK(nprocs > 0);
-    shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(nshards_));
+    if (locked_) {
+      shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(nshards_));
+    }
   }
 
   EngineLockKind kind() const { return kind_; }
-  int shards() const { return nshards_; }
+  /// False when built unlocked: guards take nothing and count nothing.
+  bool locked() const { return locked_; }
 
   /// Contention counters, accumulated relaxed on the hot path and
   /// published to obs once per run (engine.lock.*).
@@ -101,6 +118,7 @@ class EngineLock {
   void unlock_shard(int i) { shards_[static_cast<std::size_t>(i)].mu.unlock(); }
 
   EngineLockKind kind_;
+  bool locked_;
   int nshards_;
   std::unique_ptr<Shard[]> shards_;
   std::atomic<std::uint64_t> acquires_{0};
@@ -111,20 +129,25 @@ class EngineLock {
 /// RAII ownership of one shard, a (sorted) shard pair, or all shards.
 /// unlock()/lock() release and reacquire the whole held set — that is
 /// what the scheduler's block/yield paths use to park a rank — always in
-/// ascending order.
+/// ascending order. Over an unlocked EngineLock every member is a no-op
+/// (l_ is null) and all() is true.
 class EngineGuard {
  public:
   struct AllShardsTag {};
   static constexpr AllShardsTag kAllShards{};
 
   /// Acquires the shard owning rank r (global mode: the one mutex).
-  EngineGuard(EngineLock& l, Rank r) : l_(&l), a_(l.shard_of(r)) {
+  EngineGuard(EngineLock& l, Rank r) : l_(l.locked_ ? &l : nullptr) {
+    if (l_ == nullptr) return;
+    a_ = l_->shard_of(r);
     l_->lock_shard(a_);
     owned_ = true;
   }
 
   /// Acquires every shard in ascending order (a global engine section).
-  EngineGuard(EngineLock& l, AllShardsTag) : l_(&l), all_(true) {
+  EngineGuard(EngineLock& l, AllShardsTag)
+      : l_(l.locked_ ? &l : nullptr), all_(true) {
+    if (l_ == nullptr) return;
     l_->all_shards_.fetch_add(1, std::memory_order_relaxed);
     for (int i = 0; i < l_->nshards_; ++i) l_->lock_shard(i);
     owned_ = true;
@@ -142,6 +165,7 @@ class EngineGuard {
   /// order — after a false return, any references resolved under the old
   /// critical section must be re-validated by the caller.
   bool add(Rank r) {
+    if (l_ == nullptr) return true;
     DAMPI_CHECK(owned_);
     if (all_) return true;
     const int s = l_->shard_of(r);
@@ -167,6 +191,7 @@ class EngineGuard {
   /// Releases the entire held set (for parking in the scheduler, or for
   /// running tool hooks outside the engine's critical section).
   void unlock() {
+    if (l_ == nullptr) return;
     DAMPI_CHECK(owned_);
     if (all_) {
       for (int i = l_->nshards_ - 1; i >= 0; --i) l_->unlock_shard(i);
@@ -179,6 +204,7 @@ class EngineGuard {
 
   /// Reacquires the same set, ascending.
   void lock() {
+    if (l_ == nullptr) return;
     DAMPI_CHECK(!owned_);
     if (all_) {
       for (int i = 0; i < l_->nshards_; ++i) l_->lock_shard(i);
@@ -189,12 +215,11 @@ class EngineGuard {
     owned_ = true;
   }
 
-  bool owns() const { return owned_; }
   /// True when this guard covers every shard (a global section).
-  bool all() const { return all_ || l_->nshards_ == 1; }
+  bool all() const { return l_ == nullptr || all_ || l_->nshards_ == 1; }
 
  private:
-  EngineLock* l_;
+  EngineLock* l_;  ///< Null over an unlocked EngineLock.
   bool all_ = false;
   bool owned_ = false;
   int a_ = -1;  ///< First held shard index.

@@ -12,7 +12,8 @@
 //
 // Thread safety: none. Pools are per-rank in the engine and guarded by
 // that rank's lock shard (or the global engine mutex under
-// EngineLockKind::kGlobal), exactly like the structures they feed. Stats
+// EngineLockKind::kGlobal; under coop by the engine running on one
+// thread), exactly like the structures they feed. Stats
 // are plain integers for the same reason; the engine aggregates them
 // across ranks, publishes them to the obs::Registry (`engine.pool.*`)
 // once per run, and zeroes the per-run counts for the next run.

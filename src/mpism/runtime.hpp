@@ -38,9 +38,11 @@ struct RunOptions {
   /// Message-matching structure: indexed O(1) lanes, or the linear scan
   /// kept as the differential oracle for tests.
   MatchKind match = MatchKind::kIndexed;
-  /// Engine concurrency control: per-destination-rank lock shards, or
-  /// the single global mutex kept as the differential oracle for tests.
-  /// Verdicts and RunReport fingerprints are identical across modes.
+  /// Thread-mode engine locking only: per-destination-rank lock shards,
+  /// or the single global mutex kept as the differential oracle for
+  /// tests. Under the coop scheduler the engine is single-threaded and
+  /// takes no lock whichever mode this names. Verdicts and RunReport
+  /// fingerprints are identical across modes.
   EngineLockKind engine_lock = EngineLockKind::kSharded;
   /// Interposition stack; empty means a native (uninstrumented) run.
   ToolSetup tools;

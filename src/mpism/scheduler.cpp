@@ -349,6 +349,7 @@ class ThreadScheduler final : public RankScheduler {
   }
 
   bool detects_stall() const override { return false; }
+  bool single_threaded() const override { return false; }
   const char* name() const override { return "thread"; }
 
  private:
@@ -371,11 +372,12 @@ class ThreadScheduler final : public RankScheduler {
 // wake hints, predicate results — is a deterministic function of program
 // behaviour, so a (policy, seed) pair fixes the entire interleaving.
 //
-// The dispatch loop runs without any engine lock: fibers and the loop
-// share one OS thread, so rank state reads race only with external
-// cancellation — which publishes through atomics by contract. Fibers
-// release their engine guard before swapping back (block/yield) and
-// retake it on resume.
+// Fibers and the dispatch loop share one OS thread, so the engine built
+// over this scheduler is single-threaded by construction and takes no
+// lock (single_threaded() builds its EngineLock unlocked): the guard
+// release/retake around each swap in block/yield is a no-op. Rank state
+// reads race only with external cancellation, which publishes through
+// atomics and the verdict mutex by contract.
 // ---------------------------------------------------------------------------
 
 class CoopScheduler final : public RankScheduler {
@@ -453,9 +455,7 @@ class CoopScheduler final : public RankScheduler {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
     while (!(cb_->wake_ready(r) || cb_->stop())) {
       f.state = State::kBlocked;
-      // The fiber must release its engine guard before swapping: the
-      // next dispatched rank may need the same shard, and it runs on
-      // this very OS thread.
+      // Keeps the guard contract; a no-op over the unlocked coop engine.
       g.unlock();
       switch_context(&f.ctx, &sched_ctx_);
       g.lock();
@@ -480,6 +480,7 @@ class CoopScheduler final : public RankScheduler {
   }
 
   bool detects_stall() const override { return true; }
+  bool single_threaded() const override { return true; }
 
   const char* name() const override {
     switch (opts_.pick) {

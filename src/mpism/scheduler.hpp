@@ -16,11 +16,14 @@
 //    run-to-block discipline of centralized-scheduler verifiers (ISP,
 //    MPI-SV) applied to the paper's eager-matching simulator.
 //
-// Contract: the engine's state is guarded by an EngineLock (one global
-// mutex, or per-rank shards — see engine_lock.hpp). `block`/`yield` are
-// called by a rank holding an EngineGuard over its state and return with
-// the same guard held once `wake_ready(rank)` or `stop()` is true; the
-// scheduler releases and reacquires the guard around the actual park.
+// Contract: the engine's state is guarded by an EngineLock (see
+// engine_lock.hpp) whose mode follows `single_threaded()`: a scheduler
+// that runs every rank on the calling thread (coop) gets an unlocked
+// engine whose guards are no-ops; the thread scheduler gets one global
+// mutex or per-rank shards. `block`/`yield` are called by a rank holding
+// an EngineGuard over its state and return with the same guard held once
+// `wake_ready(rank)` or `stop()` is true; the scheduler releases and
+// reacquires the guard around the actual park.
 // `wake`/`wake_all` may be called from any thread, with or without
 // shards held (they only touch scheduler-internal leaf state), and are
 // hints — a scheduler may wake spuriously but must never lose a wakeup.
@@ -121,6 +124,11 @@ class RankScheduler {
   /// redundant and wrong (a runnable-but-unscheduled rank is neither
   /// blocked nor finished yet must not trip "everyone is stuck").
   virtual bool detects_stall() const = 0;
+  /// True when every rank runs on the thread that called run(), so
+  /// nothing but external cancellation (atomics, wake hints, the verdict
+  /// mutex) reaches the engine concurrently and its EngineLock is built
+  /// unlocked. Coop: true; thread: false.
+  virtual bool single_threaded() const = 0;
   virtual const char* name() const = 0;
 };
 
