@@ -11,16 +11,14 @@
 #    alloc and enginelock labels,
 #    a livelock watchdog sweep across schedulers and jobs widths, and a
 #    SIGINT kill + --resume determinism smoke;
-#  - the distributed stage: 4-worker equivalence, kill-a-worker, and
-#    the dist label;
+#  - the distributed stage: 2-, 4- and 8-worker campaigns must match
+#    the 1-worker one, kill-a-worker, and the dist label;
 #  - a trace smoke test (a real workload exported with --trace must
 #    validate under trace_check) and a DAMPI_TRACE=OFF configure+build;
-#  - warn-only perf smokes: matcher (bench_matching read by
-#    bench_compare.py), lock contention, distributed scaling, and the
-#    POR soundness smoke;
+#  - a perf_ledger.py smoke on an inline two-pair fixture (wall-clock
+#    speed itself is measured by perfbench/, not here);
 #  - a fault-sweep stage: sweep-labelled tests, the --sweep-faults
-#    exit-code contract, a SIGINT kill + --resume byte-identity smoke,
-#    and the bench_sweep worker-count determinism check;
+#    exit-code contract and a SIGINT kill + --resume byte-identity smoke;
 #  - the concurrency, obs, match, enginelock, por, sweep and alloc labels
 #    again under ThreadSanitizer (-DDAMPI_SANITIZE=thread). Coop fibers
 #    are unsupported under TSan, so those builds default to the thread
@@ -191,26 +189,31 @@ fi
 rm -f "${ckpt}"
 echo "tier1: SIGINT kill/resume smoke OK"
 
-# Distributed campaign stage. A 4-worker sharded campaign must report
-# exactly what the 1-worker campaign does on every example — same exit
-# code, same interleaving count, same verdict (coop scheduler: both
-# sides fully deterministic).
-for prog in fig3-benign fig3 fig4 wildcard-deadlock; do
+# Distributed campaign stage. A 2-, 4- and 8-worker sharded campaign
+# must report exactly what the 1-worker campaign does on every example —
+# same exit code, same interleaving count, same verdict (coop scheduler:
+# both sides fully deterministic). dist-fanout at 5 ranks (576
+# interleavings) gives the wider campaigns shards to split and steal.
+for prog in fig3-benign fig3 fig4 wildcard-deadlock "dist-fanout --procs 5"; do
   single_rc=0
-  single="$(build/examples/verify_cli --program "${prog}" --sched coop \
+  # shellcheck disable=SC2086  # split "name --procs N" into words
+  single="$(build/examples/verify_cli --program ${prog} --sched coop \
     --workers 1)" || single_rc=$?
-  multi_rc=0
-  multi="$(build/examples/verify_cli --program "${prog}" --sched coop \
-    --workers 4)" || multi_rc=$?
-  if [[ "${multi_rc}" != "${single_rc}" ]] || \
-     [[ "$(filter "${single}")" != "$(filter "${multi}")" ]]; then
-    echo "tier1: FAIL: distributed mismatch on ${prog}" \
-      "(rc ${single_rc} vs ${multi_rc})" >&2
-    diff <(filter "${single}") <(filter "${multi}") >&2 || true
-    exit 1
-  fi
+  for w in 2 4 8; do
+    multi_rc=0
+    # shellcheck disable=SC2086
+    multi="$(build/examples/verify_cli --program ${prog} --sched coop \
+      --workers "${w}")" || multi_rc=$?
+    if [[ "${multi_rc}" != "${single_rc}" ]] || \
+       [[ "$(filter "${single}")" != "$(filter "${multi}")" ]]; then
+      echo "tier1: FAIL: distributed mismatch on ${prog} at ${w} workers" \
+        "(rc ${single_rc} vs ${multi_rc})" >&2
+      diff <(filter "${single}") <(filter "${multi}") >&2 || true
+      exit 1
+    fi
+  done
 done
-echo "tier1: distributed 4-worker sweep OK"
+echo "tier1: distributed 2/4/8-worker sweep OK"
 
 # Kill-a-worker smoke: SIGKILL a worker process mid-campaign; the
 # coordinator must requeue its shard from the per-worker journal
@@ -272,49 +275,37 @@ cmake -B build-off -S . -DDAMPI_TRACE=OFF
 cmake --build build-off -j "${jobs}" --target verify_cli trace_check
 echo "tier1: DAMPI_TRACE=OFF build OK"
 
-# Perf smoke: the indexed matcher (the default) must not lose to the
-# linear oracle; bench_matching times both in one process. Warn-only —
-# shared CI hosts are too noisy to gate on, but the table lands in the
-# log.
-(cd build/bench && DAMPI_BENCH_QUICK=1 ./bench_matching > /dev/null)
+# Ledger smoke: perf_ledger.py pairs two results.jsonl files run by run
+# and reports quartiles, wins and the verdict. Two pairs on one fixture:
+# the change wins both interleavings_per_s pairs and one campaign_s pair.
 if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/bench_compare.py build/bench/BENCH_matching.json \
-    --warn-only
-  echo "tier1: matcher perf smoke OK"
+  ledger_dir="build/tier1-ledger"
+  mkdir -p "${ledger_dir}"
+  ledger_run() {  # seed campaign_s interleavings_per_s
+    printf '{"context": {"workload": "explore-adlb", "seed": %s, "trace": 0},'\
+' "result": {"correct": true, "attempted": 100, "failed": 0, "metrics":'\
+' {"campaign_s": {"value": %s, "unit": "s"}, "interleavings_per_s":'\
+' {"value": %s, "unit": "1/s"}}}}\n' "$@"
+  }
+  { ledger_run 1 1.0 100; ledger_run 2 1.2 110; } > "${ledger_dir}/parent.jsonl"
+  { ledger_run 1 0.9 120; ledger_run 2 1.3 130; } > "${ledger_dir}/change.jsonl"
+  python3 scripts/perf_ledger.py "${ledger_dir}/parent.jsonl" \
+    "${ledger_dir}/change.jsonl" > "${ledger_dir}/ledger.json"
+  python3 - "${ledger_dir}/ledger.json" << 'EOF'
+import json, sys
+block = json.load(open(sys.argv[1]))["workloads"]["explore-adlb"]
+rate, secs = block["interleavings_per_s"], block["campaign_s"]
+assert rate["parent"] == {"q1": 102.5, "median": 105.0, "q3": 107.5}, rate
+assert rate["change_wins"] == 2 and rate["pairs"] == 2, rate
+assert all(rate["verdict"].values()), rate
+assert secs["change_wins"] == 1 and not secs["verdict"]["wins_9_of_10"], secs
+assert block["failed_operations"] == 0, block
+EOF
+  rm -rf "${ledger_dir}"
+  echo "tier1: perf ledger smoke OK"
 else
-  echo "tier1: python3 unavailable, skipping matcher perf smoke"
+  echo "tier1: python3 unavailable, skipping perf ledger smoke"
 fi
-
-# Lock-contention smoke: global mutex vs sharded engine lock. Warn-only
-# for the same reason — and on a 1-core host the sharded curve is
-# legitimately flat (the JSON records hw_threads for exactly that).
-(cd build/bench && DAMPI_BENCH_QUICK=1 ./bench_contention > /dev/null)
-if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/bench_compare.py \
-    --contention build/bench/BENCH_contention.json --warn-only
-fi
-echo "tier1: lock-contention smoke OK"
-
-# Distributed scaling smoke: the bench itself fails on any cross-width
-# divergence; the compare step re-checks the JSON (warn-only for the
-# speedup column — scaling is conditional on cores, equivalence is not).
-DAMPI_BENCH_QUICK=1 DAMPI_BENCH_OUT=build/BENCH_distributed.json \
-  build/bench/bench_distributed
-if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/bench_compare.py \
-    --distributed build/BENCH_distributed.json --warn-only
-fi
-echo "tier1: distributed scaling smoke OK"
-
-# POR soundness smoke: the bench exits non-zero if sleep-set pruning
-# ever diverges from the unpruned walk (equivalence is the gate; the
-# reduction ratio is informational and re-printed by the compare step).
-DAMPI_BENCH_QUICK=1 DAMPI_BENCH_OUT=build/BENCH_por.json \
-  build/bench/bench_por
-if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/bench_compare.py --por build/BENCH_por.json --warn-only
-fi
-echo "tier1: POR soundness smoke OK"
 
 # Fault-sweep tests on their own label, same visibility rationale as the
 # resil and dist stages.
@@ -358,7 +349,10 @@ sweep_pid=$!
 sleep 0.35
 kill -INT "${sweep_pid}" 2> /dev/null || true
 wait "${sweep_pid}" || true
-journalled="$(grep -c '^plan ' "${sweep_journal}" 2> /dev/null || echo 0)"
+# grep -c prints 0 and exits 1 on a journal without plans, and prints
+# nothing on a missing one: default to 0 only in the second case.
+journalled="$(grep -c '^plan ' "${sweep_journal}" 2> /dev/null)" || true
+journalled="${journalled:-0}"
 resume_rc=0
 resume_out="$("${sweep_cmd[@]}" --sweep-journal "${sweep_journal}" \
   --resume --sweep-report "${sweep_resumed}")" || resume_rc=$?
@@ -368,7 +362,7 @@ if [[ "${resume_rc}" != "${ref_rc}" ]] || \
   diff "${sweep_ref}" "${sweep_resumed}" >&2 || true
   exit 1
 fi
-if ! grep -q "${journalled} resumed" <<< "${resume_out}"; then
+if ! grep -Eq "(^|[^0-9])${journalled} resumed" <<< "${resume_out}"; then
   echo "tier1: FAIL: sweep resume re-executed journalled plans" \
     "(expected ${journalled} resumed)" >&2
   grep "resumed" <<< "${resume_out}" >&2 || true
@@ -376,16 +370,6 @@ if ! grep -q "${journalled} resumed" <<< "${resume_out}"; then
 fi
 rm -f "${sweep_journal}" "${sweep_ref}" "${sweep_resumed}"
 echo "tier1: sweep SIGINT kill/resume smoke OK"
-
-# Sweep throughput smoke: the bench fails on any report divergence across
-# worker counts; the compare step re-checks the JSON (warn-only for the
-# speedup column, equivalence is the gate).
-DAMPI_BENCH_QUICK=1 DAMPI_BENCH_OUT=build/BENCH_sweep.json \
-  build/bench/bench_sweep
-if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/bench_compare.py --sweep build/BENCH_sweep.json --warn-only
-fi
-echo "tier1: sweep throughput smoke OK"
 
 if [[ "${1:-}" == "--skip-tsan" ]]; then
   echo "tier1: skipping ThreadSanitizer stage"

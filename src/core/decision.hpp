@@ -12,9 +12,8 @@ namespace dampi::core {
 
 /// Sorted flat map of epoch decisions. The map is consulted on every ND
 /// event of every replay (DampiLayer::guided_source), so lookups run a
-/// binary search over one contiguous allocation instead of chasing
-/// red-black-tree nodes; bench_micro's BM_ScheduleLookup measures the
-/// difference against the std::map it replaced. Iteration order and
+/// binary search over one contiguous allocation instead of chasing the
+/// red-black-tree nodes of the std::map it replaced. Iteration order and
 /// operator== match the old map exactly (key-ascending), so the decision
 /// file format, checkpoint grammar, and bug keys are unchanged.
 class ForcedDecisions {

@@ -621,13 +621,13 @@ TEST(MatchDifferentialPrograms, DeadlockVerdictParity) {
 }
 
 // match.scan_length is counted per MatchIndex and published once per run.
-// bench_matching reads it after its deep-queue wildcard program (3 ranks
-// each queue `queued` messages before a barrier, then rank 0 drains all
-// 3*queued with wildcard receives); the counts and bounds below are the
-// ones the per-query atomic histogram recorded for that program. Every
-// query counts once: one match_posted per send, and a candidate scan plus
-// a take per receive.
-TEST(MatchScanHistogram, DeepQueueProgramMatchesBenchMatching) {
+// The deep-queue wildcard program below (3 ranks each queue `queued`
+// messages before a barrier, then rank 0 drains all 3*queued with
+// wildcard receives) pins its shape: the indexed matcher examines one
+// entry per query at any depth, while the linear oracle's p99 scan grows
+// with the queue. Every query counts once: one match_posted per send, and
+// a candidate scan plus a take per receive.
+TEST(MatchScanHistogram, DeepQueueIndexedScansOneEntryPerQuery) {
   struct Case {
     MatchKind kind;
     int queued;

@@ -174,26 +174,29 @@ ExplorerOptions vector_options(int nprocs, PorMode por) {
 }
 
 TEST(Por, FanInGroupsPrunesTheCrossProduct) {
-  // 3 disjoint groups = 3 commuting binary decisions: off walks 2^3,
+  // k disjoint groups = k commuting binary decisions: off walks 2^k,
   // sleep needs one extra run per flip beyond the self-run.
-  const auto program = [](mpism::Proc& p) {
-    workloads::fan_in_groups(p, 3);
-  };
-  const auto off = sweep(vector_options(9, PorMode::kOff), program);
-  const auto sleep = sweep(vector_options(9, PorMode::kSleep), program);
+  for (const int k : {2, 3, 4}) {
+    SCOPED_TRACE(strfmt("k=%d", k));
+    const auto program = [k](mpism::Proc& p) {
+      workloads::fan_in_groups(p, k);
+    };
+    const auto off = sweep(vector_options(3 * k, PorMode::kOff), program);
+    const auto sleep = sweep(vector_options(3 * k, PorMode::kSleep), program);
 
-  EXPECT_EQ(off.result.interleavings, 8u);
-  EXPECT_EQ(sleep.result.interleavings, 4u);
-  EXPECT_GT(sleep.result.por_pruned, 0u);
-  EXPECT_EQ(off.result.por_pruned, 0u);
+    EXPECT_EQ(off.result.interleavings, 1u << k);
+    EXPECT_EQ(sleep.result.interleavings, static_cast<std::uint64_t>(k + 1));
+    EXPECT_GT(sleep.result.por_pruned, 0u);
+    EXPECT_EQ(off.result.por_pruned, 0u);
 
-  EXPECT_EQ(off.bug_keys, sleep.bug_keys);
-  EXPECT_EQ(off.outcomes, sleep.outcomes);
-  // Both receives per root are epochs; flipping the first hands the
-  // leftover to the second, so every outcome set holds both senders.
-  ASSERT_EQ(sleep.outcomes.size(), 6u);
-  for (const auto& [key, sources] : sleep.outcomes) {
-    EXPECT_EQ(sources.size(), 2u) << "rank " << key.rank;
+    EXPECT_EQ(off.bug_keys, sleep.bug_keys);
+    EXPECT_EQ(off.outcomes, sleep.outcomes);
+    // Both receives per root are epochs; flipping the first hands the
+    // leftover to the second, so every outcome set holds both senders.
+    ASSERT_EQ(sleep.outcomes.size(), static_cast<std::size_t>(2 * k));
+    for (const auto& [key, sources] : sleep.outcomes) {
+      EXPECT_EQ(sources.size(), 2u) << "rank " << key.rank;
+    }
   }
 }
 
@@ -212,17 +215,31 @@ TEST(Por, LamportModePrunesNothingEvenUnderSleep) {
 
 TEST(Por, AllPairsChurnPrunesNothing) {
   // Every candidate set overlaps with every other: nothing commutes,
-  // and sleep must match off run-for-run.
-  const auto program = [](mpism::Proc& p) {
-    workloads::all_pairs_churn(p, 1);
+  // and sleep must match off run-for-run. The single-root fan-ins are
+  // all-dependent too: every decision contests the same receiver.
+  struct Case {
+    const char* name;
+    int nprocs;
+    mpism::ProgramFn program;
   };
-  const auto off = sweep(vector_options(3, PorMode::kOff), program);
-  const auto sleep = sweep(vector_options(3, PorMode::kSleep), program);
-  EXPECT_EQ(off.result.interleavings, sleep.result.interleavings);
-  EXPECT_EQ(sleep.result.por_pruned, 0u);
-  EXPECT_GT(sleep.result.por_dependent_pairs, 0u);
-  EXPECT_EQ(off.bug_keys, sleep.bug_keys);
-  EXPECT_EQ(off.outcomes, sleep.outcomes);
+  const Case cases[] = {
+      {"all-pairs-churn", 3,
+       [](mpism::Proc& p) { workloads::all_pairs_churn(p, 1); }},
+      {"fan-in", 4, [](mpism::Proc& p) { workloads::fan_in_rounds(p, 2); }},
+      {"dist-fanout", 4,
+       [](mpism::Proc& p) { workloads::dist_fanout(p, 2, 5.0); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto off = sweep(vector_options(c.nprocs, PorMode::kOff), c.program);
+    const auto sleep =
+        sweep(vector_options(c.nprocs, PorMode::kSleep), c.program);
+    EXPECT_EQ(off.result.interleavings, sleep.result.interleavings);
+    EXPECT_EQ(sleep.result.por_pruned, 0u);
+    EXPECT_GT(sleep.result.por_dependent_pairs, 0u);
+    EXPECT_EQ(off.bug_keys, sleep.bug_keys);
+    EXPECT_EQ(off.outcomes, sleep.outcomes);
+  }
 }
 
 // ---------------------------------------------------------------------
