@@ -19,18 +19,18 @@
 #    speed itself is measured by perfbench/, not here);
 #  - a fault-sweep stage: sweep-labelled tests, the --sweep-faults
 #    exit-code contract and a SIGINT kill + --resume byte-identity smoke;
-#  - the concurrency, obs, match, enginelock, por, sweep and alloc labels
-#    again under ThreadSanitizer (-DDAMPI_SANITIZE=thread). Coop fibers
-#    are unsupported under TSan, so those builds default to the thread
-#    scheduler, which is exactly the path TSan can check — including one
-#    replay context reused across runs, whose rank threads must happen
-#    after the previous run's. The engine lock follows the scheduler:
-#    coop engines are single-threaded and take no lock, so the locking
-#    itself (global and sharded) is only exercised, and checked, here and
-#    in the DAMPI_SCHED=thread sweep;
-#  - the alloc, match and sched labels under AddressSanitizer plus
-#    UndefinedBehaviorSanitizer (-DDAMPI_SANITIZE=address,undefined), where
-#    recycled pool memory is poisoned until it is handed out again.
+#  - a ThreadSanitizer stage (-DDAMPI_SANITIZE=thread): the concurrency,
+#    obs, match, enginelock, por, sweep and alloc labels with
+#    DAMPI_SCHED=thread — the engine lock follows the scheduler, so the
+#    locking itself (global and sharded), and one replay context reused
+#    across runs whose rank threads must happen after the previous run's,
+#    is only exercised here and in the thread sweep — then the whole suite
+#    on the default coop scheduler, whose fiber switches are annotated;
+#  - an AddressSanitizer plus UndefinedBehaviorSanitizer stage
+#    (-DDAMPI_SANITIZE=address,undefined), where recycled pool memory is
+#    poisoned until it is handed out again: the whole suite on coop, the
+#    alloc, match and sched labels with DAMPI_SCHED=thread, and the dist
+#    label repeated until it fails, up to 10 times.
 #
 # Usage: scripts/tier1.sh [--skip-tsan]
 set -euo pipefail
@@ -377,20 +377,23 @@ if [[ "${1:-}" == "--skip-tsan" ]]; then
 fi
 
 cmake -B build-tsan -S . -DDAMPI_SANITIZE=thread
-cmake --build build-tsan -j "${jobs}" \
-  --target test_explorer_parallel test_obs test_match_index \
-           test_engine_lock test_por test_sweep test_alloc
-(cd build-tsan && ctest --output-on-failure \
+cmake --build build-tsan -j "${jobs}"
+(cd build-tsan && DAMPI_SCHED=thread ctest --output-on-failure \
   -L 'concurrency|obs|match|enginelock|por|sweep|alloc' -j "${jobs}")
+(cd build-tsan && ctest --output-on-failure -j "${jobs}")
 echo "tier1: TSan stage OK"
 
-# AddressSanitizer + UndefinedBehaviorSanitizer on the reused-storage
-# paths: pools poison what they recycle, so a stale request or envelope
-# pointer into a recycled slot is reported instead of silently reading
-# the next run's object. Any UBSan report fails the stage.
+# AddressSanitizer + UndefinedBehaviorSanitizer on the whole suite: pools
+# poison what they recycle, so a stale request or envelope pointer into a
+# recycled slot is reported instead of silently reading the next run's
+# object, and the coop fibers' stacks are known to ASan. Any UBSan report
+# fails the stage.
 cmake -B build-asan -S . -DDAMPI_SANITIZE=address,undefined
-cmake --build build-asan -j "${jobs}" \
-  --target test_alloc test_match_index test_sched
-(cd build-asan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-  ctest --output-on-failure -L 'alloc|match|sched' -j "${jobs}")
+cmake --build build-asan -j "${jobs}"
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+(cd build-asan && ctest --output-on-failure -j "${jobs}")
+(cd build-asan && DAMPI_SCHED=thread ctest --output-on-failure \
+  -L 'alloc|match|sched' -j "${jobs}")
+(cd build-asan && ctest --output-on-failure -L dist \
+  --repeat until-fail:10 -j "${jobs}")
 echo "tier1: OK (including the TSan and ASan+UBSan stages)"

@@ -5,8 +5,8 @@
 // Under coop every rank is a fiber on the calling thread, so the engine is
 // single-threaded by construction: the lock is built unlocked, every
 // EngineGuard form is a no-op that counts nothing, and all() is true.
-// Only the thread scheduler (the sanitized builds' fallback included) runs
-// ranks concurrently, and only there does EngineLockKind choose a mode.
+// Only the thread scheduler runs ranks concurrently, and only there does
+// EngineLockKind choose a mode.
 //
 // The engine's shared state decomposes almost perfectly by destination
 // rank: the match index, unexpected/posted queues, request table, pools,

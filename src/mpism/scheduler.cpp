@@ -19,19 +19,14 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-// Sanitizers instrument the OS-thread stack; a fiber switch moves
-// execution onto an mmap'd stack they know nothing about, so shadow state
-// corrupts (TSan) or redzones fire (ASan). Rather than annotate fibers we
-// fall back to ThreadScheduler in sanitized builds — the coop paths are
-// exercised by the unsanitized tier-1 stages.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define DAMPI_COOP_UNSUPPORTED 1
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
 #endif
-#if !defined(DAMPI_COOP_UNSUPPORTED) && defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define DAMPI_COOP_UNSUPPORTED 1
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
 #endif
+#if !defined(__x86_64__)
+#include <ucontext.h>
 #endif
 
 // ---------------------------------------------------------------------------
@@ -126,15 +121,31 @@ dampi_fiber_start:
   .size dampi_fiber_start, .-dampi_fiber_start
   .popsection
 )");
+#endif
 
 namespace dampi::mpism {
 namespace {
 
+/// A suspended execution context, plus what ASan and TSan must be told
+/// when execution moves onto or off its stack (see switch_context).
 struct FiberContext {
+#if defined(__x86_64__)
   void* sp = nullptr;
+#else
+  ucontext_t uc = {};
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  const void* stack_bottom = nullptr;  // the stack this context runs on
+  std::size_t stack_size = 0;
+  void* fake_stack = nullptr;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  void* tsan_fiber = nullptr;
+#endif
 };
 
-void switch_context(FiberContext* from, FiberContext* to) {
+#if defined(__x86_64__)
+void raw_switch(FiberContext* from, FiberContext* to) {
   dampi_fiber_switch(&from->sp, to->sp);
 }
 
@@ -164,16 +175,7 @@ void make_context(FiberContext* ctx, char* stack, std::size_t bytes,
   ctx->sp = frame;
 }
 #else
-#include <ucontext.h>
-
-namespace dampi::mpism {
-namespace {
-
-struct FiberContext {
-  ucontext_t uc = {};
-};
-
-void switch_context(FiberContext* from, FiberContext* to) {
+void raw_switch(FiberContext* from, FiberContext* to) {
   swapcontext(&from->uc, &to->uc);
 }
 
@@ -204,6 +206,53 @@ void make_context(FiberContext* ctx, char* stack, std::size_t bytes,
               static_cast<int>(static_cast<std::uint32_t>(a)));
 }
 #endif
+
+// ---------------------------------------------------------------------------
+// Sanitizer fiber annotations.
+//
+// ASan and TSan track the stack each thread runs on, and a raw switch
+// moves execution onto a stack they know nothing about. switch_context
+// tells them around every switch: ASan swaps the stack bounds it checks
+// against (and its use-after-return fake stack), TSan swaps its shadow
+// call stack and makes each switch a synchronization point, since the
+// fibers hand an unlocked engine to one another. In unsanitized builds
+// every hook compiles away and switch_context is the raw switch.
+// ---------------------------------------------------------------------------
+
+/// Readies `ctx` to start afresh on `stack`. A finished fiber never
+/// returned, so on a reused stack its frames' ASan redzones are still
+/// poisoned and its TSan fiber still holds an abandoned shadow stack.
+void sanitizer_prepare([[maybe_unused]] FiberContext* ctx,
+                       [[maybe_unused]] char* stack,
+                       [[maybe_unused]] std::size_t bytes) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(stack, bytes);
+  ctx->stack_bottom = stack;
+  ctx->stack_size = bytes;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  if (ctx->tsan_fiber != nullptr) __tsan_destroy_fiber(ctx->tsan_fiber);
+  ctx->tsan_fiber = __tsan_create_fiber(0);
+#endif
+}
+
+/// Suspends `from` and resumes `to`; returns when something switches
+/// back to `from`. `from_finished` marks the last switch off a finished
+/// fiber, which never resumes, so ASan drops its fake stack.
+void switch_context(FiberContext* from, FiberContext* to,
+                    [[maybe_unused]] bool from_finished = false) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(from_finished ? nullptr : &from->fake_stack,
+                                 to->stack_bottom, to->stack_size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(to->tsan_fiber, 0);
+#endif
+  raw_switch(from, to);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(from->fake_stack, nullptr, nullptr);
+#endif
+}
 
 // ---------------------------------------------------------------------------
 // Fiber stacks.
@@ -266,7 +315,7 @@ StackCache& stack_cache() {
 // ---------------------------------------------------------------------------
 // ThreadScheduler: one OS thread per rank, per-rank eventcount waiters
 // (the engine's original execution model, kept for differential testing
-// and for sanitized builds).
+// and `--sched thread`).
 //
 // The park/wake protocol is an eventcount rather than a cv-on-the-engine
 // -mutex because the engine mutex may be *sharded*: a waker completing a
@@ -403,12 +452,18 @@ class CoopScheduler final : public RankScheduler {
     for (Fiber& f : fibers_) {
       if (f.lane != nullptr) obs::Tracer::instance().release(f.lane);
       if (f.stack != nullptr) stack_cache().give(f.stack);
+#if defined(__SANITIZE_THREAD__)
+      if (f.ctx.tsan_fiber != nullptr) __tsan_destroy_fiber(f.ctx.tsan_fiber);
+#endif
     }
   }
 
   void run(const Callbacks& cb) override {
     cb_ = &cb;
     restart();
+#if defined(__SANITIZE_THREAD__)
+    sched_ctx_.tsan_fiber = __tsan_get_current_fiber();
+#endif
     if (obs::trace_on()) {
       for (Rank r = 0; r < nprocs_; ++r) {
         fibers_[static_cast<std::size_t>(r)].lane =
@@ -625,6 +680,7 @@ class CoopScheduler final : public RankScheduler {
 
   void prepare_fiber(Fiber& f) {
     if (f.stack == nullptr) f.stack = stack_cache().take();
+    sanitizer_prepare(&f.ctx, f.stack, kFiberStackBytes);
     make_context(&f.ctx, f.stack, kFiberStackBytes, &CoopScheduler::fiber_entry,
                  this);
   }
@@ -634,6 +690,12 @@ class CoopScheduler final : public RankScheduler {
   }
 
   void fiber_main() {
+#if defined(__SANITIZE_ADDRESS__)
+    // Completes the switch that started this fiber and learns the bounds
+    // of the dispatching thread's stack, which every switch back names.
+    __sanitizer_finish_switch_fiber(nullptr, &sched_ctx_.stack_bottom,
+                                    &sched_ctx_.stack_size);
+#endif
     const Rank r = current_;
     cb_->body(r);
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
@@ -642,7 +704,7 @@ class CoopScheduler final : public RankScheduler {
     // Switch away for good; the scheduler never resumes a finished
     // fiber, so the loop is unreachable after the first switch (it keeps
     // the fiber from ever returning into its start frame).
-    for (;;) switch_context(&f.ctx, &sched_ctx_);
+    for (;;) switch_context(&f.ctx, &sched_ctx_, /*from_finished=*/true);
   }
 
   SchedOptions opts_;
@@ -661,27 +723,13 @@ class CoopScheduler final : public RankScheduler {
 
 }  // namespace
 
-bool coop_supported() {
-#if defined(DAMPI_COOP_UNSUPPORTED)
-  return false;
-#else
-  return true;
-#endif
-}
+bool coop_supported() { return true; }
 
 std::unique_ptr<RankScheduler> make_scheduler(const SchedOptions& options,
                                               int nprocs) {
   DAMPI_CHECK(nprocs > 0);
   if (options.kind == SchedulerKind::kCoop) {
-    if (coop_supported()) {
-      return std::make_unique<CoopScheduler>(options, nprocs);
-    }
-    static bool warned = false;
-    if (!warned) {
-      warned = true;
-      DAMPI_LOG(kWarn) << "coop scheduler unavailable in sanitized builds; "
-                          "falling back to thread scheduler";
-    }
+    return std::make_unique<CoopScheduler>(options, nprocs);
   }
   return std::make_unique<ThreadScheduler>(nprocs);
 }
@@ -719,7 +767,6 @@ std::string sched_spec(const SchedOptions& options) {
 const SchedOptions& default_sched_options() {
   static const SchedOptions cached = [] {
     SchedOptions options;
-    if (!coop_supported()) options.kind = SchedulerKind::kThread;
     const char* env = std::getenv("DAMPI_SCHED");
     if (env != nullptr && env[0] != '\0' &&
         !parse_sched_spec(env, &options)) {

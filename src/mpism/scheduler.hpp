@@ -132,9 +132,9 @@ class RankScheduler {
   virtual const char* name() const = 0;
 };
 
-/// False when fibers cannot work in this build (thread/address sanitizer
-/// instrumentation does not track fiber stack switches); callers fall
-/// back to ThreadScheduler.
+/// Always true: the coop scheduler works in every build, sanitized ones
+/// included (its fiber switches are annotated for ASan and TSan). Kept
+/// only for callers that still guard on it.
 bool coop_supported();
 
 std::unique_ptr<RankScheduler> make_scheduler(const SchedOptions& options,
@@ -148,9 +148,9 @@ bool parse_sched_spec(const std::string& spec, SchedOptions* out);
 /// Canonical spec string for the given options (inverse of parse).
 std::string sched_spec(const SchedOptions& options);
 
-/// Process-wide default: SchedOptions{} (coop round-robin), or thread
-/// where coop_supported() is false, unless the DAMPI_SCHED environment
-/// variable holds a valid spec (read once, cached). DAMPI_SCHED=thread
+/// Process-wide default: SchedOptions{} (coop round-robin) unless the
+/// DAMPI_SCHED environment variable holds a valid spec (read once,
+/// cached). DAMPI_SCHED=thread
 /// lets tier-1 re-run the full test suite on OS threads without touching
 /// every call site.
 const SchedOptions& default_sched_options();

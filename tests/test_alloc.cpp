@@ -352,7 +352,7 @@ struct Scenario {
 // context's, and every pooled request and lane node must be back in its
 // pool after the reset. Under the coop scheduler every run is
 // deterministic and compared exactly; under the thread scheduler (the
-// DAMPI_SCHED=thread sweep, sanitized builds) a failing run's stopping
+// DAMPI_SCHED=thread sweep) a failing run's stopping
 // point is timing-dependent, so those compare by verdict, while the
 // clean runs after them — the state-bleed check proper — stay exact.
 TEST(AllocStateBleed, FailingRunsLeaveNothingBehind) {
@@ -365,8 +365,7 @@ TEST(AllocStateBleed, FailingRunsLeaveNothingBehind) {
   auto source = std::make_shared<mpism::CancelSource>();
   options.cancel = source;
   const bool exact_failures =
-      options.sched.kind == mpism::SchedulerKind::kCoop &&
-      mpism::coop_supported();
+      options.sched.kind == mpism::SchedulerKind::kCoop;
 
   // Fresh-context twin: its own fault plan (the context's fires once and
   // is then spent) and its own cancel source.
@@ -451,15 +450,12 @@ TEST(AllocStateBleed, FailingRunsLeaveNothingBehind) {
 }
 
 // Self-runs draw wildcard matches from the seeded policy; a context must
-// restart that stream (and the coop pick order) every run. Coop only:
-// under threads a self-run's matches race by design.
+// restart that stream (and the coop pick order) every run. Pinned to
+// coop: under threads a self-run's matches race by design.
 TEST(AllocStateBleed, SelfRunsReplayTheSameMatchStream) {
-  if (!mpism::coop_supported() ||
-      mpism::default_sched_options().kind != mpism::SchedulerKind::kCoop) {
-    GTEST_SKIP() << "self-run matches are only deterministic under coop";
-  }
   ExplorerOptions options;
   options.nprocs = 4;
+  options.sched.kind = mpism::SchedulerKind::kCoop;
   options.policy = mpism::PolicyKind::kSeededRandom;
   options.policy_seed = 3;
   options.sched.pick = mpism::SchedPolicy::kRandomSeeded;

@@ -41,11 +41,6 @@ using mpism::MatchKind;
 using mpism::pack;
 using mpism::RequestId;
 
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
-
 /// Every deterministic field of a RunReport, doubles in %a hex form
 /// (wall_seconds is excluded by design — it is the one
 /// non-deterministic field).
@@ -193,7 +188,6 @@ std::uint64_t digest_step(std::uint64_t h, const std::string& fp) {
 // vtime accounting, message counts, verdicts — changes it. The value
 // assumes IEEE doubles and glibc's %a formatting (x86-64 Linux).
 TEST(EngineLockDifferential, CoopFingerprintsIdenticalAcrossMatchSweep) {
-  SKIP_WITHOUT_COOP();
   constexpr std::uint64_t kLockedCoopDigest = 0x894aa75d578ebd01ull;
   std::uint64_t digest = 0xcbf29ce484222325ull;
   int checked = 0;
@@ -370,10 +364,6 @@ TEST(EngineLockDifferential, DeadlockVerdictParity) {
   for (const auto& pat : patterns) {
     for (const auto sched_kind : {mpism::SchedulerKind::kThread,
                                   mpism::SchedulerKind::kCoop}) {
-      if (sched_kind == mpism::SchedulerKind::kCoop &&
-          !mpism::coop_supported()) {
-        continue;
-      }
       std::optional<std::string> coop_fp;
       for (const EngineLockKind lock :
            {EngineLockKind::kGlobal, EngineLockKind::kSharded}) {
@@ -422,9 +412,7 @@ TEST(EngineLockObs, ShardedRunAccountsLockAndInlineTraffic) {
 
 // The lock follows the scheduler that was actually built: a coop engine
 // runs every rank on one thread and takes no lock at all — not even the
-// all-shards sections of its collectives. Where coop is unavailable
-// (sanitized builds) the same request falls back to threads, which must
-// lock.
+// all-shards sections of its collectives.
 TEST(EngineLockObs, CoopRunTakesNoLocks) {
   auto& reg = obs::Registry::instance();
   reg.reset();
@@ -436,12 +424,8 @@ TEST(EngineLockObs, CoopRunTakesNoLocks) {
     all_pairs_churn(p, /*rounds=*/4);
   });
   ASSERT_TRUE(report.ok()) << report.deadlock_detail;
-  if (mpism::coop_supported()) {
-    EXPECT_EQ(reg.counter("engine.lock.acquired").value(), 0u);
-    EXPECT_EQ(reg.counter("engine.lock.all_shards").value(), 0u);
-  } else {
-    EXPECT_GT(reg.counter("engine.lock.acquired").value(), 0u);
-  }
+  EXPECT_EQ(reg.counter("engine.lock.acquired").value(), 0u);
+  EXPECT_EQ(reg.counter("engine.lock.all_shards").value(), 0u);
   reg.reset();
 }
 

@@ -104,15 +104,12 @@ TEST(Isp, CentralizedCostScalesWorseThanDampi) {
 
   // Virtual-time growth depends on the order ranks arrive, which OS
   // threads leave to the kernel: pin both verifiers to coop round-robin
-  // (where fibers exist) so the DAMPI_SCHED=thread sweep cannot flake
-  // the comparison.
+  // so the DAMPI_SCHED=thread sweep cannot flake the comparison.
   auto pinned = [](int nprocs) {
     core::ExplorerOptions options = explorer_options(nprocs);
     options.max_interleavings = 1;
-    if (mpism::coop_supported()) {
-      options.sched.kind = mpism::SchedulerKind::kCoop;
-      options.sched.pick = mpism::SchedPolicy::kRoundRobin;
-    }
+    options.sched.kind = mpism::SchedulerKind::kCoop;
+    options.sched.pick = mpism::SchedPolicy::kRoundRobin;
     return options;
   };
   auto instrumented_vtime = [&](int nprocs, bool use_isp) {

@@ -50,11 +50,6 @@ using mpism::RequestId;
 using mpism::RequestRecord;
 using mpism::Tag;
 
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
-
 // ---------------------------------------------------------------------
 // Structure-level differential harness: every operation is applied to
 // both implementations; every query must answer identically.
@@ -505,7 +500,6 @@ mpism::RunOptions case_options(const ProgramCase& c, MatchKind match,
 // (different wildcard winner, different posted receive, different
 // message accounting) shows up as a fingerprint mismatch.
 TEST(MatchDifferentialPrograms, CoopFingerprintsIdentical1000) {
-  SKIP_WITHOUT_COOP();
   int checked = 0;
   for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
     ProgramCase c;
@@ -584,10 +578,6 @@ TEST(MatchDifferentialPrograms, DeadlockVerdictParity) {
   for (const auto& pat : patterns) {
     for (const auto sched_kind : {mpism::SchedulerKind::kThread,
                                   mpism::SchedulerKind::kCoop}) {
-      if (sched_kind == mpism::SchedulerKind::kCoop &&
-          !mpism::coop_supported()) {
-        continue;
-      }
       std::optional<std::string> coop_fp;
       for (const MatchKind kind :
            {MatchKind::kLinear, MatchKind::kIndexed}) {

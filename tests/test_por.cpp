@@ -48,11 +48,6 @@ using dampi::strfmt;
 using mpism::MatchKind;
 using mpism::SchedulerKind;
 
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
-
 /// Every deterministic field of a RunReport, doubles in %a hex form
 /// (wall_seconds is excluded by design — it is the one
 /// non-deterministic field).
@@ -248,7 +243,6 @@ TEST(Por, AllPairsChurnPrunesNothing) {
 // depend on the order the schedule was assembled in.
 
 TEST(Por, IndependentPairsCommuteOnRandomPrograms) {
-  SKIP_WITHOUT_COOP();
   // Random soups on few ranks are all-dependent (every candidate set
   // overlaps), so the sweep mixes wider random programs with the
   // disjoint-groups fixture that is guaranteed to contain commuting
@@ -330,7 +324,6 @@ TEST(Por, IndependentPairsCommuteOnRandomPrograms) {
 TEST(Por, DifferentialSleepEqualsOffAcrossSchedAndMatch) {
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     const bool coop = (seed % 2) == 1;
-    if (coop && !mpism::coop_supported()) continue;
     const int nprocs = 3 + static_cast<int>(seed % 2);
     const GeneratedProgram prog = generate_program(seed, nprocs, 5);
     const auto program = [&prog](mpism::Proc& p) { run_generated(p, prog); };

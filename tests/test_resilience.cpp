@@ -33,11 +33,6 @@ using core::Schedule;
 using mpism::CancelSource;
 using mpism::FaultPlan;
 
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
-
 mpism::SchedOptions sched_named(const char* spec) {
   mpism::SchedOptions sched;
   EXPECT_TRUE(mpism::parse_sched_spec(spec, &sched)) << spec;
@@ -65,7 +60,6 @@ TEST(Watchdog, WallDeadlineKillsLivelockUnderThreadSched) {
 }
 
 TEST(Watchdog, WallDeadlineKillsLivelockUnderCoopSched) {
-  SKIP_WITHOUT_COOP();
   RunOptions opts;
   opts.nprocs = 2;
   opts.sched = sched_named("coop");
@@ -282,9 +276,6 @@ TEST(ExplorerResilience, LivelockBecomesAHangVerdictUnderEveryConfig) {
   };
   for (const Config& config : {Config{"thread", 1}, Config{"thread", 4},
                                Config{"coop", 1}, Config{"coop", 4}}) {
-    if (std::string(config.sched) == "coop" && !mpism::coop_supported()) {
-      continue;
-    }
     ExplorerOptions options = explorer_options(2);
     options.sched = sched_named(config.sched);
     options.jobs = config.jobs;
@@ -349,7 +340,6 @@ TEST(ExplorerResilience, RetriesDoNotChangeTheOutcomeSet) {
   // still-failing subtree root is quarantined. Pinned to the coop
   // scheduler so the discovery run (and hence which interleaving fails)
   // is deterministic.
-  SKIP_WITHOUT_COOP();
   ExplorerOptions options = explorer_options(3);
   options.sched = sched_named("coop");
   const ExploreResult baseline =
@@ -509,9 +499,9 @@ TEST(Checkpoint, ValidateRejectsRanksOutsideTheCampaign) {
 }
 
 TEST(Checkpoint, KillAtKThenResumeMatchesTheUninterruptedWalk) {
-  SKIP_WITHOUT_COOP();  // pin the deterministic scheduler for equality
   auto base_options = [] {
     ExplorerOptions options = explorer_options(3);
+    // Pin the deterministic scheduler for equality.
     options.sched = sched_named("coop");
     return options;
   };
@@ -558,7 +548,6 @@ TEST(Checkpoint, KillAtKThenResumeMatchesTheUninterruptedWalk) {
 }
 
 TEST(Checkpoint, ResumeFindsABugTheInterruptedWalkHadNotReached) {
-  SKIP_WITHOUT_COOP();
   auto base_options = [] {
     ExplorerOptions options = explorer_options(3);
     options.sched = sched_named("coop");
@@ -603,7 +592,6 @@ TEST(Checkpoint, ResumeFindsABugTheInterruptedWalkHadNotReached) {
 // journal written on the linear matcher and the global lock resumes
 // under the defaults and ends with the uninterrupted walk's report.
 TEST(Checkpoint, OracleBackendJournalResumesUnderTheDefaults) {
-  SKIP_WITHOUT_COOP();
   auto base_options = [] {
     ExplorerOptions options = explorer_options(3);
     options.sched = sched_named("coop");

@@ -131,11 +131,6 @@ std::string fingerprint(const core::ExploreResult& r) {
   return s;
 }
 
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
-
 TEST(SchedSpec, ParseAndFormatRoundTrip) {
   for (const char* spec :
        {"thread", "coop", "coop-rr", "coop-random", "coop-priority"}) {
@@ -160,15 +155,15 @@ TEST(SchedSpec, ParseAndFormatRoundTrip) {
 
 // A default-constructed options struct gets the product backend: coop
 // round-robin, the indexed matcher, the sharded engine lock and
-// sleep-set POR. Builds without fiber support (sanitizers) fall back to
-// the thread scheduler, and DAMPI_SCHED overrides the scheduler (the
-// tier-1 thread sweep sets it).
+// sleep-set POR, in every build; DAMPI_SCHED overrides the scheduler
+// (the tier-1 thread sweep sets it).
 TEST(Defaults, OptionsDefaultToTheProductBackend) {
   EXPECT_EQ(mpism::SchedOptions{}.kind, mpism::SchedulerKind::kCoop);
   EXPECT_EQ(mpism::SchedOptions{}.pick, mpism::SchedPolicy::kRoundRobin);
+  EXPECT_STREQ(mpism::make_scheduler(mpism::SchedOptions{}, 2)->name(),
+               "coop-rr");
 
   mpism::SchedOptions want;
-  if (!mpism::coop_supported()) want.kind = mpism::SchedulerKind::kThread;
   if (const char* env = std::getenv("DAMPI_SCHED");
       env != nullptr && env[0] != '\0') {
     ASSERT_TRUE(mpism::parse_sched_spec(env, &want)) << env;
@@ -192,7 +187,6 @@ TEST(Defaults, OptionsDefaultToTheProductBackend) {
 // scheduler the match order (and hence message/stat details) may vary
 // run to run; under coop it must not.
 TEST(SchedDeterminism, RunReportBitIdentical100x) {
-  SKIP_WITHOUT_COOP();
   const auto program = [](Proc& p) {
     workloads::WavefrontConfig config;
     config.sweeps = 2;
@@ -223,7 +217,6 @@ TEST(SchedDeterminism, RunReportBitIdentical100x) {
 // Observed through a wildcard fan-in: whichever sender the seeded pick
 // order lets arrive first is the one rank 0's first wildcard matches.
 TEST(SchedDeterminism, SeedActuallySteersRandomPolicy) {
-  SKIP_WITHOUT_COOP();
   std::set<int> first_sources;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     int first_src = -1;
@@ -267,7 +260,6 @@ TEST(SchedDeterminism, SeedActuallySteersRandomPolicy) {
 // across repetitions and across every --jobs width under coop, with no
 // pinning. 100 repetitions total, split across pool widths.
 TEST(SchedDeterminism, ExplorationBitIdenticalAcrossJobs100x) {
-  SKIP_WITHOUT_COOP();
   std::optional<std::string> first;
   for (const int jobs : {1, 4}) {
     for (int i = 0; i < 50; ++i) {
@@ -293,7 +285,6 @@ TEST(SchedDeterminism, ExplorationBitIdenticalAcrossJobs100x) {
 // the brute-force reachability oracle (which forces every epoch, so it
 // is scheduler-independent).
 TEST(SchedDifferential, CoopThreadOracleAgreeOnFig3) {
-  SKIP_WITHOUT_COOP();
   core::ExplorerOptions options = explorer_options(3);
   const auto reachable =
       ReferenceEnumerator(options, workloads::fig3_benign).enumerate();
@@ -311,7 +302,6 @@ TEST(SchedDifferential, CoopThreadOracleAgreeOnFig3) {
 }
 
 TEST(SchedDifferential, CoopThreadOracleAgreeOnFig4VectorClocks) {
-  SKIP_WITHOUT_COOP();
   core::ExplorerOptions options = explorer_options(4);
   options.clock_mode = core::ClockMode::kVector;
   const auto reachable =
@@ -335,7 +325,6 @@ TEST(SchedDifferential, CoopThreadOracleAgreeOnFig4VectorClocks) {
 // agree on the outcome set, and the pin must still be honored exactly
 // when supplied.
 TEST(SchedPin, Fig4PinOptionalUnderCoop) {
-  SKIP_WITHOUT_COOP();
   core::Schedule canonical_first_run;
   canonical_first_run.forced[core::EpochKey{1, 0}] = 0;
   canonical_first_run.forced[core::EpochKey{2, 0}] = 3;
@@ -377,7 +366,6 @@ TEST(SchedPin, Fig4PinOptionalUnderCoop) {
 // running rank blocks while hundreds of peers wait for their first
 // dispatch. The scheduler's stall scan must not.
 TEST(SchedDeadlock, NoFalseDeadlockAtLargeNprocs) {
-  SKIP_WITHOUT_COOP();
   // Root blocks in its first wildcard receive while most of the other
   // 127 ranks have not run at all — the false-positive shape.
   const auto report = run_program(
@@ -387,7 +375,6 @@ TEST(SchedDeadlock, NoFalseDeadlockAtLargeNprocs) {
 }
 
 TEST(SchedDeadlock, GenuineDeadlocksStillDetected) {
-  SKIP_WITHOUT_COOP();
   for (const auto& sched :
        {coop(mpism::SchedPolicy::kRoundRobin),
         coop(mpism::SchedPolicy::kRandomSeeded, 3)}) {
@@ -411,7 +398,6 @@ TEST(SchedDeadlock, GenuineDeadlocksStillDetected) {
 // cede the host or the sender it is waiting for never runs. (The
 // thread scheduler passes trivially — the OS preempts.)
 TEST(SchedYield, TestPollLoopCompletesUnderCoop) {
-  SKIP_WITHOUT_COOP();
   const auto report = run_program(run_options(2, coop()), [](Proc& p) {
     if (p.rank() == 0) {
       const auto req = p.irecv(1, 7);
@@ -436,7 +422,6 @@ TEST(SchedYield, TestPollLoopCompletesUnderCoop) {
 // (jobs=1), so this exercises single-core scheduling at a rank count a
 // thread-per-rank engine would need 512 OS threads for.
 TEST(SchedScale, Wavefront512RankVerificationCompletes) {
-  SKIP_WITHOUT_COOP();
   core::ExplorerOptions options = explorer_options(512);
   options.sched = coop();
   options.max_interleavings = 2;  // discovery + one guided replay
@@ -468,7 +453,6 @@ std::uint64_t stacks_mapped() {
 // stacks, and shrinking back maps none. Reuse must be invisible to the
 // program: every fingerprint equals that of a run on a fresh thread.
 TEST(SchedStacks, BackToBackRunsReuseCachedStacksBitIdentically) {
-  SKIP_WITHOUT_COOP();
   const auto program = [](Proc& p) { workloads::fan_in_rounds(p, 3); };
   const auto run_fp = [&program](int nprocs) {
     return fingerprint(run_program(run_options(nprocs, coop()), program));
@@ -530,22 +514,28 @@ int recurse_deep(int depth) {
 // modest — 640 frames of over 512 bytes, some 64 KiB past the 256 KiB
 // stack — and rank 0 makes it only after rank 1, whose stack was mapped
 // just below rank 0's, has finished: without the guard the write would
-// land in that dead stack and the run would complete.
+// land in that dead stack and the run would complete. Under ASan or TSan
+// the sanitizer's own SEGV handler, which knows the fiber's stack bounds,
+// reports the stack overflow and exits before the signal can kill us.
 TEST(SchedStacksDeathTest, OverflowDiesAtGuardPage) {
-  SKIP_WITHOUT_COOP();
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_EXIT(
-      {
-        run_program(run_options(2, coop()), [](Proc& p) {
-          if (p.rank() == 0) {
-            p.recv(1, 1);  // rank 1 runs to completion meanwhile
-            p.require(recurse_deep(640) != 1, "");
-          } else {
-            p.send(0, 1, pack<int>(0));
-          }
-        });
-      },
-      ::testing::KilledBySignal(SIGSEGV), "");
+  const auto overflow = [] {
+    run_program(run_options(2, coop()), [](Proc& p) {
+      if (p.rank() == 0) {
+        p.recv(1, 1);  // rank 1 runs to completion meanwhile
+        p.require(recurse_deep(640) != 1, "");
+      } else {
+        p.send(0, 1, pack<int>(0));
+      }
+    });
+  };
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_EXIT(overflow(), ::testing::ExitedWithCode(1), "stack-overflow");
+#elif defined(__SANITIZE_THREAD__)
+  EXPECT_EXIT(overflow(), ::testing::ExitedWithCode(66), "stack-overflow");
+#else
+  EXPECT_EXIT(overflow(), ::testing::KilledBySignal(SIGSEGV), "");
+#endif
 }
 
 // Floating-point control state (MXCSR and the x87 control word) belongs
@@ -553,7 +543,6 @@ TEST(SchedStacksDeathTest, OverflowDiesAtGuardPage) {
 // must not hand that mode to the next rank dispatched, and gets its own
 // mode back when it resumes.
 TEST(SchedFloatingPoint, RoundingModeStaysWithItsFiber) {
-  SKIP_WITHOUT_COOP();
   volatile double one = 1.0;
   volatile double three = 3.0;
   const double nearest_third = one / three;

@@ -34,11 +34,6 @@ using sweep::SweepOptions;
 using sweep::SweepResult;
 using sweep::Verdict;
 
-#define SKIP_WITHOUT_COOP()                                              \
-  if (!mpism::coop_supported()) {                                        \
-    GTEST_SKIP() << "coop fibers unsupported in this build (sanitizer)"; \
-  }
-
 mpism::SchedOptions sched_named(const char* spec) {
   mpism::SchedOptions sched;
   EXPECT_TRUE(mpism::parse_sched_spec(spec, &sched)) << spec;
@@ -97,7 +92,6 @@ TEST(SweepTypes, KindsParseAndFormatCanonically) {
 // --- Inventory harvest -----------------------------------------------------
 
 TEST(SweepInventory, HarvestIsDeterministicUnderCoop) {
-  SKIP_WITHOUT_COOP();
   core::ExplorerOptions options = explorer_options(3);
   options.sched = sched_named("coop");
   const OpInventory a = sweep::harvest_inventory(options, workloads::fig3_benign);
@@ -463,7 +457,6 @@ TEST(Sweep, RejectsAPreInstalledFaultPlanAndBadResume) {
 }
 
 TEST(Sweep, AbortPointsSurfaceAndDelayPointsAreMasked) {
-  SKIP_WITHOUT_COOP();
   SweepOptions options = sweep_options(3, "fig3-benign");
   options.budget = 64;
   options.kinds = SweepKinds{true, false, true, false};  // abort + delay
@@ -500,7 +493,6 @@ TEST(Sweep, AbortPointsSurfaceAndDelayPointsAreMasked) {
 }
 
 TEST(Sweep, DeadlockVerdictsRaiseTheBugExitCode) {
-  SKIP_WITHOUT_COOP();
   // The fixture deadlocks only under one wildcard outcome; campaigns
   // replay the full interleaving space, so the deadlock surfaces in the
   // matrix and the sweep exits 1 (crash-tolerance bug found).
@@ -521,7 +513,6 @@ TEST(Sweep, DeadlockVerdictsRaiseTheBugExitCode) {
 }
 
 TEST(Sweep, FlakyPointsAreHealedByTheRetryPath) {
-  SKIP_WITHOUT_COOP();
   SweepOptions options = sweep_options(3, "fig3-benign");
   options.kinds = SweepKinds{false, false, false, true};  // flaky only
   options.flaky_samples = 4;
@@ -539,7 +530,6 @@ TEST(Sweep, FlakyPointsAreHealedByTheRetryPath) {
 }
 
 TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
-  SKIP_WITHOUT_COOP();
   SweepOptions options = sweep_options(3, "fig3-benign");
   options.budget = 24;
   options.seed = 7;
@@ -560,7 +550,6 @@ TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
 }
 
 TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
-  SKIP_WITHOUT_COOP();
   const std::string journal_path = temp_path("kill_resume");
   std::remove(journal_path.c_str());
 
@@ -621,7 +610,6 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
 }
 
 TEST(Sweep, ResumeRefusesAJournalFromADifferentSweep) {
-  SKIP_WITHOUT_COOP();
   const std::string journal_path = temp_path("foreign");
   std::remove(journal_path.c_str());
 
@@ -642,7 +630,6 @@ TEST(Sweep, ResumeRefusesAJournalFromADifferentSweep) {
 }
 
 TEST(Sweep, SummaryCarriesTheMatrixAndTheResumeAccounting) {
-  SKIP_WITHOUT_COOP();
   SweepOptions options = sweep_options(3, "fig3-benign");
   options.budget = 8;
   const SweepResult result = sweep::run_sweep(options, workloads::fig3_benign);
