@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Assemble one perfbench ledger entry's `workloads` block from paired runs.
+"""Assemble a perfbench ledger entry's measured blocks from paired runs.
 
 Run perfbench in checkouts of the parent and of the change, alternating
 parent/change on the same seeds (`python3 perfbench/run.py --workload W
@@ -23,6 +23,12 @@ median is not worse than the parent's by more than the metric's
 BENCHMARK.json bound. `failed_operations` sums the runs' failed
 operations.
 
+From the runs' context lines it also fills `parent_commit` and
+`change_commit` (each side's runs must come from one commit: a git
+commit, or perfbench's `tree-` digest of src/ and perfbench/ outside a
+repository) and `host.host_probe_s_median`, the median of every host
+probe taken during a workload's runs, per workload label and side.
+
 Exit codes: 0 ok, 1 a run reported incorrect results, 2 unreadable or
 unpaired input.
 """
@@ -42,8 +48,9 @@ def fail(message, code=2):
 
 
 def load_runs(path, held_out):
-    """Untraced runs of one results.jsonl, grouped by label then seed."""
-    groups = {}
+    """Untraced runs of one results.jsonl, grouped by label then seed,
+    with the commit they ran and their host probes by label."""
+    groups, commits, probes = {}, set(), {}
     try:
         with open(path) as f:
             records = [json.loads(line) for line in f if line.strip()]
@@ -61,7 +68,11 @@ def load_runs(path, held_out):
         if (workload, seed) in held_out:
             label = f"{workload} (held-out seed {seed})"
         groups.setdefault(label, {}).setdefault(seed, []).append(result)
-    return groups
+        commits.add(context["commit"])
+        probes.setdefault(label, []).extend(context["host_probe_s"])
+    if len(commits) > 1:
+        fail(f"{path}: runs from several commits: {sorted(commits)}")
+    return groups, commits.pop() if commits else None, probes
 
 
 def quartiles(values):
@@ -119,13 +130,19 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         specs = json.load(f)["end_to_end"]
 
-    parent = load_runs(args.parent, held_out)
-    change = load_runs(args.change, held_out)
+    parent, parent_commit, parent_probes = load_runs(args.parent, held_out)
+    change, change_commit, change_probes = load_runs(args.change, held_out)
     if sorted(parent) != sorted(change):
         fail(f"workloads differ: {sorted(parent)} vs {sorted(change)}")
 
+    probe_medians = {}
     workloads = {}
     for label in sorted(parent):
+        for side, probes in (("parent", parent_probes),
+                             ("change", change_probes)):
+            if probes[label]:
+                probe_medians[f"{label}/{side}"] = quartiles(
+                    probes[label])["median"]
         pairs = []
         for seed in sorted(set(parent[label]) | set(change[label])):
             p, c = parent[label].get(seed, []), change[label].get(seed, [])
@@ -141,7 +158,10 @@ def main():
         block["failed_operations"] = sum(
             run["failed"] for pair in pairs for run in pair)
         workloads[label] = block
-    print(json.dumps({"workloads": workloads}, indent=1))
+    print(json.dumps({"parent_commit": parent_commit,
+                      "change_commit": change_commit,
+                      "host": {"host_probe_s_median": probe_medians},
+                      "workloads": workloads}, indent=1))
     return 0
 
 

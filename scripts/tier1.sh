@@ -7,8 +7,8 @@
 # the defaults inside both sweeps. Then:
 #  - the resilience stage: resil-labelled tests, the verify_cli
 #    exit-code contract (including bad flag values and corrupt
-#    checkpoints), a repeat-until-fail flake stage for the sched, dist,
-#    alloc and enginelock labels,
+#    checkpoints), a repeat-until-fail flake stage for the whole suite
+#    on coop (3 times) and the sched, dist, alloc and enginelock labels,
 #    a livelock watchdog sweep across schedulers and jobs widths, and a
 #    SIGINT kill + --resume determinism smoke;
 #  - the distributed stage: 2-, 4- and 8-worker campaigns must match
@@ -124,12 +124,14 @@ fi
 rm -f "${bad_ckpt}" "${bad_ckpt}.good"
 echo "tier1: exit-code contract OK"
 
-# Flake stage: the scheduler tests must pass 20 times in a row, the
-# distributed tests (worker spawn, death detection, stealing), the
-# reused-replay-context tests and the engine-lock tests (the coop
-# fingerprint pin and the thread-mode lock stress) 10 times, and
+# Flake stage: the whole suite on the default coop scheduler must pass
+# 3 times in a row, the scheduler tests 20 times, the distributed tests
+# (worker spawn, death detection, stealing), the reused-replay-context
+# tests and the engine-lock tests (the coop fingerprint pin and the
+# thread-mode lock stress) 10 times, and
 # TestAny.ReturnsLowestReadyIndex, which once raced an eager send under
 # the thread scheduler, 500 times.
+(cd build && ctest --output-on-failure --repeat until-fail:3 -j "${jobs}")
 (cd build && ctest --output-on-failure -L sched --repeat until-fail:20 \
   -j "${jobs}")
 (cd build && ctest --output-on-failure -L dist --repeat until-fail:10 \
@@ -276,24 +278,34 @@ cmake --build build-off -j "${jobs}" --target verify_cli trace_check
 echo "tier1: DAMPI_TRACE=OFF build OK"
 
 # Ledger smoke: perf_ledger.py pairs two results.jsonl files run by run
-# and reports quartiles, wins and the verdict. Two pairs on one fixture:
+# and reports quartiles, wins and the verdict, plus each side's commit and
+# host-probe median from the context lines. Two pairs on one fixture:
 # the change wins both interleavings_per_s pairs and one campaign_s pair.
 if command -v python3 > /dev/null 2>&1; then
   ledger_dir="build/tier1-ledger"
   mkdir -p "${ledger_dir}"
-  ledger_run() {  # seed campaign_s interleavings_per_s
-    printf '{"context": {"workload": "explore-adlb", "seed": %s, "trace": 0},'\
-' "result": {"correct": true, "attempted": 100, "failed": 0, "metrics":'\
+  # commit seed probe probe campaign_s interleavings_per_s
+  ledger_run() {
+    printf '{"context": {"workload": "explore-adlb", "commit": "%s",'\
+' "seed": %s, "trace": 0, "host_probe_s": [%s, %s]}, "result":'\
+' {"correct": true, "attempted": 100, "failed": 0, "metrics":'\
 ' {"campaign_s": {"value": %s, "unit": "s"}, "interleavings_per_s":'\
 ' {"value": %s, "unit": "1/s"}}}}\n' "$@"
   }
-  { ledger_run 1 1.0 100; ledger_run 2 1.2 110; } > "${ledger_dir}/parent.jsonl"
-  { ledger_run 1 0.9 120; ledger_run 2 1.3 130; } > "${ledger_dir}/change.jsonl"
+  { ledger_run aaa 1 0.001 0.003 1.0 100
+    ledger_run aaa 2 0.002 0.009 1.2 110; } > "${ledger_dir}/parent.jsonl"
+  { ledger_run bbb 1 0.004 0.004 0.9 120
+    ledger_run bbb 2 0.005 0.001 1.3 130; } > "${ledger_dir}/change.jsonl"
   python3 scripts/perf_ledger.py "${ledger_dir}/parent.jsonl" \
     "${ledger_dir}/change.jsonl" > "${ledger_dir}/ledger.json"
   python3 - "${ledger_dir}/ledger.json" << 'EOF'
 import json, sys
-block = json.load(open(sys.argv[1]))["workloads"]["explore-adlb"]
+ledger = json.load(open(sys.argv[1]))
+assert ledger["parent_commit"] == "aaa", ledger
+assert ledger["change_commit"] == "bbb", ledger
+assert ledger["host"]["host_probe_s_median"] == {
+    "explore-adlb/parent": 0.0025, "explore-adlb/change": 0.004}, ledger
+block = ledger["workloads"]["explore-adlb"]
 rate, secs = block["interleavings_per_s"], block["campaign_s"]
 assert rate["parent"] == {"q1": 102.5, "median": 105.0, "q3": 107.5}, rate
 assert rate["change_wins"] == 2 and rate["pairs"] == 2, rate

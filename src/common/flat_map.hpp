@@ -1,12 +1,13 @@
 // Flat containers for per-operation tables that live across many runs.
 //
-// The verifier's hot tables (request ids, per-channel counters, an
-// epoch's potential matches) are tiny, churn constantly, and — once a
-// replay context keeps them alive across a walk — are cleared thousands
-// of times. Node-based std::map / std::unordered_map pay one heap
-// allocation per insert and free it again on erase or clear; these keep
-// one contiguous buffer whose capacity survives clear(), so a warm table
-// never touches the allocator.
+// The verifier's hot tables (per-channel send counters, a DAMPI layer's
+// wildcard requests, an epoch's potential matches) are tiny, churn
+// constantly, and — once a replay context keeps them alive across a
+// walk — are cleared thousands of times. Node-based std::map /
+// std::unordered_map pay one heap allocation per insert and free it
+// again on erase or clear; these keep one contiguous buffer whose
+// capacity survives clear(), so a warm table never touches the
+// allocator.
 //
 //  - FlatMap: a sorted vector of (key, value) pairs. Iteration is
 //    key-ascending exactly like std::map (callers rely on that order),

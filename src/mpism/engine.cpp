@@ -71,12 +71,6 @@ class ToolCtxImpl final : public ToolCtx {
                       const Bytes& payload) override {
     return e_->raw_isend(r_, dst, tag, comm, payload);
   }
-  RequestId raw_irecv(Rank src, Tag tag, CommId comm) override {
-    return e_->raw_irecv(r_, src, tag, comm);
-  }
-  Status raw_wait(RequestId req, Bytes* out) override {
-    return e_->raw_wait(r_, req, out);
-  }
   Status raw_recv(Rank src, Tag tag, CommId comm, Bytes* out) override {
     return e_->raw_recv(r_, src, tag, comm, out);
   }
@@ -311,10 +305,7 @@ void Engine::reset() {
     if (!keep) me.tools.clear();
     // Unconsumed requests (leaks, aborted runs) and unmatched messages
     // go back to the pools; the tables keep their capacity.
-    me.reqs.for_each([&me](std::uint64_t, RequestRecord* rec) {
-      me.req_pool.release(rec);
-    });
-    me.reqs.clear();
+    me.reqs.clear(me.req_pool);
     me.match->reset();
     me.req_pool.reset_counts();
     me.buf_pool.reset_counts();
@@ -332,7 +323,6 @@ void Engine::reset() {
   stats_.init(opts_.nprocs);
   lock_.reset_stats();
   next_msg_id_.store(1, std::memory_order_relaxed);
-  next_req_id_.store(1, std::memory_order_relaxed);
   blocked_count_.store(0, std::memory_order_relaxed);
   finished_count_.store(0, std::memory_order_relaxed);
   ops_executed_.store(0, std::memory_order_relaxed);
@@ -401,8 +391,8 @@ void Engine::rank_body(Rank r, const ProgramFn& program) {
   me.finished = true;
   finished_count_.fetch_add(1, std::memory_order_acq_rel);
   if (finished_normally && !stopped()) {
-    me.reqs.for_each([this](std::uint64_t, const RequestRecord* rec) {
-      if (!rec->tool_internal) {
+    me.reqs.for_each([this](const RequestRecord& rec) {
+      if (!rec.tool_internal) {
         request_leaks_.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -670,9 +660,9 @@ Engine::CollSlot& Engine::coll_slot(CommId comm, std::uint64_t gen) {
   return *spare;
 }
 
-RequestId Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
-                           CommId comm, Payload payload, bool tool_internal,
-                           bool synchronous, SendInfo* info) {
+void Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
+                      CommId comm, Payload payload, bool tool_internal,
+                      RequestRecord* sync_rec, SendInfo* info) {
   (void)g;  // Covers shards r and dst_world (EngineGuard::add).
   PerRank& me = pr(r);
   me.vt_add(opts_.cost.send_overhead_us +
@@ -706,34 +696,11 @@ RequestId Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
     info->dst_world = dst_world;
   }
 
-  RequestId id = kNullRequest;
-  if (!tool_internal) {
-    // Eager sends complete immediately; synchronous sends only complete
-    // when matched (rendezvous). Either way the user must still consume
-    // the request (wait/test) — unconsumed send requests are leaks.
-    RequestRecord& rec = new_request(me);
-    rec.kind = ReqKind::kSend;
-    rec.owner_world = r;
-    rec.comm = comm;
-    rec.complete.store(!synchronous, std::memory_order_relaxed);
-    rec.post_vtime = me.vt();
-    id = rec.id;
-    if (synchronous) {
-      env.sender_req = id;
-      env.sender_world = r;
-      env.sender_rec = &rec;
-    }
+  if (sync_rec != nullptr) {
+    env.sender_world = r;
+    env.sender_rec = sync_rec;
   }
-
   match_arrival(dst_world, std::move(env));
-  return id;
-}
-
-RequestRecord& Engine::new_request(PerRank& me) {
-  RequestRecord* rec = me.req_pool.acquire();
-  rec->id = next_req_id_.fetch_add(1, std::memory_order_relaxed);
-  me.reqs[rec->id] = rec;
-  return *rec;
 }
 
 bool Engine::match_arrival(Rank dst, Envelope&& env) {
@@ -755,7 +722,7 @@ bool Engine::match_arrival(Rank dst, Envelope&& env) {
   return false;
 }
 
-void Engine::complete_recv(Rank r, RequestRecord& rec, Envelope&& env) {
+void Engine::release_sender(Rank r, const Envelope& env) {
   if (env.sender_rec != nullptr) {
     // Rendezvous: the matching receive releases the synchronous sender;
     // the release (ack) reaches it one latency after the match. The
@@ -771,49 +738,61 @@ void Engine::complete_recv(Rank r, RequestRecord& rec, Envelope&& env) {
     env.sender_rec->complete.store(true, std::memory_order_release);
     sched_->wake(sender_world);
   }
+}
+
+Envelope Engine::take_matched(Rank r, std::uint64_t msg_id) {
+  Envelope msg = pr(r).match->take(msg_id);
+  release_sender(r, msg);
+  sched_->wake(r);
+  return msg;
+}
+
+void Engine::complete_recv(Rank r, RequestRecord& rec, Envelope&& env) {
+  release_sender(r, env);
   rec.msg = std::move(env);
   rec.complete.store(true, std::memory_order_release);
   sched_->wake(r);
 }
 
-RequestId Engine::do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
-                           CommId comm, bool tool_internal) {
-  (void)g;  // Covers shard r.
+std::uint64_t Engine::match_queued(Rank r, Rank src_world, Tag tag,
+                                   CommId comm) {
   PerRank& me = pr(r);
-  RequestRecord& rec_ref = new_request(me);
-  rec_ref.kind = ReqKind::kRecv;
-  rec_ref.owner_world = r;
-  rec_ref.posted_src_world = src_world;
-  rec_ref.posted_tag = tag;
-  rec_ref.comm = comm;
-  rec_ref.tool_internal = tool_internal;
-  rec_ref.post_vtime = me.vt();
-  const RequestId id = rec_ref.id;
-
   if (src_world == kAnySource) {
     std::vector<MatchCandidate>& cands = me.cand_buf;
     me.match->wildcard_candidates(tag, comm, &cands);
-    if (!cands.empty()) {
-      const std::size_t pick = choose_wildcard(cands);
-      DAMPI_CHECK(pick < cands.size());
-      DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
-                   cands[pick].src_world, r, cands[pick].tag);
-      complete_recv(r, rec_ref, me.match->take(cands[pick].msg_id));
-      return id;
-    }
-  } else {
-    const Envelope* env = me.match->find_specific(src_world, tag, comm);
-    if (env != nullptr) {
-      DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
-                   env->src_world, r, env->tag);
-      complete_recv(r, rec_ref, me.match->take(env->msg_id));
-      return id;
-    }
+    if (cands.empty()) return 0;
+    const std::size_t pick = choose_wildcard(cands);
+    DAMPI_CHECK(pick < cands.size());
+    DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
+                 cands[pick].src_world, r, cands[pick].tag);
+    return cands[pick].msg_id;
   }
+  const Envelope* env = me.match->find_specific(src_world, tag, comm);
+  if (env == nullptr) return 0;
+  DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
+               env->src_world, r, env->tag);
+  return env->msg_id;
+}
+
+RequestRecord& Engine::add_recv(Rank r, Rank src_world, Tag tag, CommId comm,
+                                bool tool_internal) {
+  PerRank& me = pr(r);
+  RequestRecord& rec = me.reqs.add(me.req_pool);
+  rec.kind = ReqKind::kRecv;
+  rec.posted_src_world = src_world;
+  rec.posted_tag = tag;
+  rec.comm = comm;
+  rec.tool_internal = tool_internal;
+  return rec;
+}
+
+RequestId Engine::post_recv(Rank r, Rank src_world, Tag tag, CommId comm,
+                            bool tool_internal) {
+  RequestRecord& rec = add_recv(r, src_world, tag, comm, tool_internal);
   DAMPI_TEVENT(obs::EventKind::kRecvPost, obs::Phase::kInstant, src_world, 0,
                tag);
-  me.match->post_recv(&rec_ref);
-  return id;
+  pr(r).match->post_recv(&rec);
+  return rec.id;
 }
 
 std::size_t Engine::choose_wildcard(
@@ -827,9 +806,8 @@ std::size_t Engine::choose_wildcard(
 }
 
 void Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
-  RequestRecord* const* found = pr(r).reqs.find(req);
-  DAMPI_CHECK(found != nullptr);
-  RequestRecord* rec = *found;
+  RequestRecord* rec = pr(r).reqs.find(req);
+  DAMPI_CHECK(rec != nullptr);
   if (rec->complete.load(std::memory_order_acquire)) return;
   BlockDesc desc;
   desc.comm = rec->comm;
@@ -850,48 +828,59 @@ Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
   PerRank& me = pr(r);
   // Take the record out of the table so hook-issued raw operations
   // cannot invalidate it; the guard returns it to the pool.
-  RequestRecord* taken = nullptr;
-  DAMPI_CHECK_MSG(me.reqs.erase(req, &taken),
-                  "request vanished during completion");
+  RequestRecord* taken = me.reqs.take(req);
+  DAMPI_CHECK_MSG(taken != nullptr, "request vanished during completion");
   PoolPtr<RequestRecord> rec(taken, PoolDeleter<RequestRecord>(&me.req_pool));
   DAMPI_CHECK(rec->complete.load(std::memory_order_acquire));
+  Done done;
+  done.id = rec->id;
+  done.kind = rec->kind;
+  done.comm = rec->comm;
+  done.posted_src_world = rec->posted_src_world;
+  done.posted_tag = rec->posted_tag;
+  done.complete_vtime = rec->complete_vtime.load(std::memory_order_relaxed);
+  return finish_op(g, r, done, rec->msg, out, run_hooks);
+}
 
+Status Engine::finish_op(EngineGuard& g, Rank r, const Done& done,
+                         Envelope& msg, Bytes* out, bool run_hooks) {
+  PerRank& me = pr(r);
   Status status;
   // A synchronous send's completion waits for the remote match.
-  me.vt_floor(rec->complete_vtime.load(std::memory_order_relaxed));
-  if (rec->kind == ReqKind::kRecv) {
-    me.vt_store(std::max(me.vt(), rec->msg.arrival_vtime) +
+  me.vt_floor(done.complete_vtime);
+  if (done.kind == ReqKind::kRecv) {
+    me.vt_store(std::max(me.vt(), msg.arrival_vtime) +
                 opts_.cost.recv_overhead_us);
-    status.source = comms_.to_rel(rec->comm, rec->msg.src_world);
-    status.tag = rec->msg.tag;
-    status.bytes = rec->msg.payload.size();
-    status.seq = rec->msg.seq;
-    status.msg_id = rec->msg.msg_id;
+    status.source = comms_.to_rel(done.comm, msg.src_world);
+    status.tag = msg.tag;
+    status.bytes = msg.payload.size();
+    status.seq = msg.seq;
+    status.msg_id = msg.msg_id;
   }
 
   if (run_hooks) {
     ReqCompletion completion;
-    completion.id = rec->id;
-    completion.kind = rec->kind;
-    completion.comm = rec->comm;
-    completion.posted_src = rec->kind == ReqKind::kRecv
-                                ? comms_.to_rel(rec->comm,
-                                                rec->posted_src_world)
-                                : kAnySource;
-    if (rec->posted_src_world == kAnySource) completion.posted_src = kAnySource;
-    completion.posted_tag = rec->posted_tag;
-    completion.src_world = rec->msg.src_world;
-    completion.tag = rec->msg.tag;
-    completion.seq = rec->msg.seq;
-    completion.msg_id = rec->msg.msg_id;
+    completion.id = done.id;
+    completion.kind = done.kind;
+    completion.comm = done.comm;
+    completion.posted_src =
+        done.kind == ReqKind::kRecv
+            ? comms_.to_rel(done.comm, done.posted_src_world)
+            : kAnySource;
+    if (done.posted_src_world == kAnySource) completion.posted_src = kAnySource;
+    completion.posted_tag = done.posted_tag;
+    completion.src_world = msg.src_world;
+    completion.tag = msg.tag;
+    completion.seq = msg.seq;
+    completion.msg_id = msg.msg_id;
     completion.status = status;
     // Materialize the payload (hooks mutate it in place — piggyback
     // strip) straight into the receiver's buffer when there is one; pool
     // access stays inside the critical section.
-    const bool deliver = rec->kind == ReqKind::kRecv && out != nullptr;
+    const bool deliver = done.kind == ReqKind::kRecv && out != nullptr;
     Bytes dropped;
     Bytes& hook_payload = deliver ? *out : dropped;
-    rec->msg.payload.release_into(&hook_payload, &me.buf_pool);
+    msg.payload.release_into(&hook_payload, &me.buf_pool);
     completion.payload = &hook_payload;
     g.unlock();
     hooks_post_wait(r, completion);
@@ -899,11 +888,11 @@ Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
     status = completion.status;
     // Dropped payload: keep its capacity for the next internal copy.
     if (!deliver) me.buf_pool.recycle(std::move(dropped));
-  } else if (rec->kind == ReqKind::kRecv) {
+  } else if (done.kind == ReqKind::kRecv) {
     if (out != nullptr) {
-      rec->msg.payload.release_into(out, &me.buf_pool);
+      msg.payload.release_into(out, &me.buf_pool);
     } else {
-      rec->msg.payload.recycle_into(me.buf_pool);
+      msg.payload.recycle_into(me.buf_pool);
     }
   }
   return status;
@@ -924,14 +913,8 @@ void Engine::validate_comm_member(EngineGuard& g, Rank r, CommId comm) {
   }
 }
 
-RequestId Engine::api_isend(Rank r, Rank dst, Tag tag, Bytes payload,
-                            CommId comm, bool blocking, bool synchronous) {
-  SendCall call;
-  call.dst = dst;
-  call.tag = tag;
-  call.comm = comm;
-  call.payload = &payload;
-  call.blocking = blocking;
+RequestId Engine::send_impl(Rank r, SendCall& call, bool synchronous,
+                            bool keep_record) {
   hooks_pre_isend(r, call);
 
   EngineGuard g(lock_, r);
@@ -945,34 +928,71 @@ RequestId Engine::api_isend(Rank r, Rank dst, Tag tag, Bytes payload,
   if (call.dst < 0 || call.dst >= csize) {
     throw_program_error(g, r, strfmt("send to invalid rank %d", call.dst));
   }
+  PerRank& me = pr(r);
   stats_.bump(OpCategory::kSendRecv, r);
-  pr(r).vt_add(opts_.cost.local_op_us);
+  me.vt_add(opts_.cost.local_op_us);
   const Rank dst_world = comms_.to_world(call.comm, call.dst);
   // Delivering into dst's queues needs its shard too. add() may drop and
   // reacquire to respect lock ordering; nothing resolved above is held by
   // reference across it, and the comm cannot be freed meanwhile (freeing
   // is collective over its members, which include the rank sending here).
   g.add(dst_world);
+  // Eager sends complete on injection; synchronous sends only when
+  // matched (rendezvous). A kept record must still be consumed by
+  // wait/test — unconsumed send requests are leaks.
+  RequestId id = kNullRequest;
+  RequestRecord* rec = nullptr;
+  if (keep_record) {
+    rec = &me.reqs.add(me.req_pool);
+    rec->kind = ReqKind::kSend;
+    rec->comm = call.comm;
+    rec->complete.store(!synchronous, std::memory_order_relaxed);
+    id = rec->id;
+  } else {
+    id = me.reqs.issue();
+  }
   SendInfo info;
-  const RequestId id =
-      do_isend(g, r, dst_world, call.tag, call.comm,
-               Payload(std::move(*call.payload), &pr(r).buf_pool), false,
-               synchronous, &info);
+  do_isend(g, r, dst_world, call.tag, call.comm,
+           Payload(std::move(*call.payload), &me.buf_pool), false,
+           synchronous ? rec : nullptr, &info);
   g.unlock();
   hooks_post_isend(r, call, id, info);
   return id;
 }
 
-RequestId Engine::api_irecv(Rank r, Rank src, Tag tag, CommId comm,
-                            bool blocking) {
-  RecvCall call;
-  call.src = src;
+RequestId Engine::api_isend(Rank r, Rank dst, Tag tag, Bytes payload,
+                            CommId comm, bool blocking, bool synchronous) {
+  SendCall call;
+  call.dst = dst;
   call.tag = tag;
   call.comm = comm;
+  call.payload = &payload;
   call.blocking = blocking;
-  hooks_pre_irecv(r, call);
+  return send_impl(r, call, synchronous, /*keep_record=*/true);
+}
 
+void Engine::api_send(Rank r, Rank dst, Tag tag, Bytes payload, CommId comm) {
+  SendCall call;
+  call.dst = dst;
+  call.tag = tag;
+  call.comm = comm;
+  call.payload = &payload;
+  call.blocking = true;
+  Done done;
+  done.id = send_impl(r, call, /*synchronous=*/false, /*keep_record=*/false);
+  done.comm = call.comm;
+
+  // The uncounted wait of a blocking send, on a send that completed when
+  // it was injected.
   EngineGuard g(lock_, r);
+  check_abort(g);
+  charge_op(g, r);
+  pr(r).vt_add(opts_.cost.local_op_us);
+  Envelope no_msg;
+  finish_op(g, r, done, no_msg, nullptr, /*run_hooks=*/true);
+}
+
+Rank Engine::enter_recv(EngineGuard& g, Rank r, const RecvCall& call) {
   check_abort(g);
   charge_op(g, r);
   validate_comm_member(g, r, call.comm);
@@ -985,11 +1005,71 @@ RequestId Engine::api_irecv(Rank r, Rank src, Tag tag, CommId comm,
   }
   stats_.bump(OpCategory::kSendRecv, r);
   pr(r).vt_add(opts_.cost.local_op_us);
-  const Rank src_world = comms_.to_world(call.comm, call.src);
-  const RequestId id = do_irecv(g, r, src_world, call.tag, call.comm, false);
+  return comms_.to_world(call.comm, call.src);
+}
+
+RequestId Engine::api_irecv(Rank r, Rank src, Tag tag, CommId comm,
+                            bool blocking) {
+  RecvCall call;
+  call.src = src;
+  call.tag = tag;
+  call.comm = comm;
+  call.blocking = blocking;
+  hooks_pre_irecv(r, call);
+
+  EngineGuard g(lock_, r);
+  const Rank src_world = enter_recv(g, r, call);
+  const std::uint64_t queued =
+      match_queued(r, src_world, call.tag, call.comm);
+  RequestId id = kNullRequest;
+  if (queued == 0) {
+    id = post_recv(r, src_world, call.tag, call.comm, false);
+  } else {
+    RequestRecord& rec = add_recv(r, src_world, call.tag, call.comm, false);
+    complete_recv(r, rec, pr(r).match->take(queued));
+    id = rec.id;
+  }
   g.unlock();
   hooks_post_irecv(r, call, id);
   return id;
+}
+
+Status Engine::api_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
+  RecvCall call;
+  call.src = src;
+  call.tag = tag;
+  call.comm = comm;
+  call.blocking = true;
+  hooks_pre_irecv(r, call);
+
+  EngineGuard g(lock_, r);
+  const Rank src_world = enter_recv(g, r, call);
+  const std::uint64_t queued =
+      match_queued(r, src_world, call.tag, call.comm);
+  if (queued == 0) {
+    // Nothing to match yet: post a record and wait on it.
+    const RequestId id = post_recv(r, src_world, call.tag, call.comm, false);
+    g.unlock();
+    hooks_post_irecv(r, call, id);
+    return api_wait(r, id, out, /*count_stat=*/false);
+  }
+  Envelope msg = take_matched(r, queued);
+  PerRank& me = pr(r);
+  Done done;
+  done.id = me.reqs.issue();
+  done.kind = ReqKind::kRecv;
+  done.comm = call.comm;
+  done.posted_src_world = src_world;
+  done.posted_tag = call.tag;
+  g.unlock();
+  hooks_post_irecv(r, call, done.id);
+
+  // The uncounted wait of a blocking receive, on one already matched.
+  g.lock();
+  check_abort(g);
+  charge_op(g, r);
+  me.vt_add(opts_.cost.local_op_us);
+  return finish_op(g, r, done, msg, out, /*run_hooks=*/true);
 }
 
 Status Engine::api_wait(Rank r, RequestId req, Bytes* out, bool count_stat) {
@@ -1013,13 +1093,13 @@ bool Engine::api_test(Rank r, RequestId req, Status* status, Bytes* out) {
   EngineGuard g(lock_, r);
   check_abort(g);
   charge_op(g, r);
-  RequestRecord* const* found = pr(r).reqs.find(req);
+  RequestRecord* found = pr(r).reqs.find(req);
   if (found == nullptr) {
     throw_program_error(g, r, "test on invalid or consumed request");
   }
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
-  if (!(*found)->complete.load(std::memory_order_acquire)) {
+  if (!found->complete.load(std::memory_order_acquire)) {
     // A failed poll is a scheduling point: under run-to-block execution
     // the polling rank must cede the host or a test loop starves the
     // very ranks that would complete the request.
@@ -1069,11 +1149,11 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
   bool any_live = false;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (reqs[i] == kNullRequest) continue;
-    RequestRecord* const* found = pr(r).reqs.find(reqs[i]);
+    RequestRecord* found = pr(r).reqs.find(reqs[i]);
     if (found == nullptr) {
       throw_program_error(g, r, "waitany on invalid or consumed request");
     }
-    recs[i] = *found;
+    recs[i] = found;
     any_live = true;
   }
   if (!any_live) {
@@ -1107,11 +1187,11 @@ bool Engine::api_testall(Rank r, std::span<RequestId> reqs) {
   pr(r).vt_add(opts_.cost.local_op_us);
   for (const RequestId req : reqs) {
     if (req == kNullRequest) continue;
-    RequestRecord* const* found = pr(r).reqs.find(req);
+    RequestRecord* found = pr(r).reqs.find(req);
     if (found == nullptr) {
       throw_program_error(g, r, "testall on invalid or consumed request");
     }
-    if (!(*found)->complete.load(std::memory_order_acquire)) {
+    if (!found->complete.load(std::memory_order_acquire)) {
       // MPI: consume all or none.
       sched_->yield(g, r);
       return false;
@@ -1135,11 +1215,11 @@ std::size_t Engine::api_testany(Rank r, std::span<RequestId> reqs,
   pr(r).vt_add(opts_.cost.local_op_us);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     if (reqs[i] == kNullRequest) continue;
-    RequestRecord* const* found = pr(r).reqs.find(reqs[i]);
+    RequestRecord* found = pr(r).reqs.find(reqs[i]);
     if (found == nullptr) {
       throw_program_error(g, r, "testany on invalid or consumed request");
     }
-    if ((*found)->complete.load(std::memory_order_acquire)) {
+    if (found->complete.load(std::memory_order_acquire)) {
       Status st = finish_request(g, r, reqs[i], out, /*run_hooks=*/true);
       if (status != nullptr) *status = st;
       reqs[i] = kNullRequest;
@@ -1676,29 +1756,30 @@ RequestId Engine::raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
   // Tool sends are eager and auto-consumed: piggyback senders never wait
   // on them (the paper's pb sends are waited trivially in MPI_Wait).
   do_isend(g, r, dst_world, tag, comm, std::move(copy), true,
-           /*synchronous=*/false, nullptr);
+           /*sync_rec=*/nullptr, nullptr);
   return kNullRequest;
 }
 
-RequestId Engine::raw_irecv(Rank r, Rank src, Tag tag, CommId comm) {
+Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
   EngineGuard g(lock_, r);
   check_abort(g);
   const Rank src_world = comms_.to_world(comm, src);
-  return do_irecv(g, r, src_world, tag, comm, true);
-}
-
-Status Engine::raw_wait(Rank r, RequestId req, Bytes* out) {
-  EngineGuard g(lock_, r);
-  check_abort(g);
-  DAMPI_CHECK_MSG(pr(r).reqs.find(req) != nullptr,
-                  "raw_wait on invalid request");
-  block_until_complete(g, r, req);
-  return finish_request(g, r, req, out, /*run_hooks=*/false);
-}
-
-Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
-  const RequestId req = raw_irecv(r, src, tag, comm);
-  return raw_wait(r, req, out);
+  const std::uint64_t queued = match_queued(r, src_world, tag, comm);
+  if (queued == 0) {
+    // Under coop a piggyback message is always queued before its
+    // receive (the sender deposits it before it can yield); thread-mode
+    // ranks and finalize drains may still have to wait.
+    const RequestId req = post_recv(r, src_world, tag, comm, true);
+    block_until_complete(g, r, req);
+    return finish_request(g, r, req, out, /*run_hooks=*/false);
+  }
+  Envelope msg = take_matched(r, queued);
+  Done done;
+  done.kind = ReqKind::kRecv;
+  done.comm = comm;
+  done.posted_src_world = src_world;
+  done.posted_tag = tag;
+  return finish_op(g, r, done, msg, out, /*run_hooks=*/false);
 }
 
 bool Engine::raw_iprobe(Rank r, Rank src, Tag tag, CommId comm,

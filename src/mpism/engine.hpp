@@ -11,9 +11,9 @@
 // shard r; a send acquires the {sender, receiver} shard pair in
 // ascending order; collectives, communicator management, and the
 // count-based deadlock scan take all shards (ascending); verdict flags,
-// counters, and id assignment are atomics. How ranks execute — one OS
-// thread each, or cooperative fibers multiplexed run-to-block onto the
-// calling thread — is delegated to a pluggable RankScheduler
+// counters, and message-id assignment are atomics. How ranks execute —
+// one OS thread each, or cooperative fibers multiplexed run-to-block onto
+// the calling thread — is delegated to a pluggable RankScheduler
 // (mpism/scheduler.hpp); the engine only tells it when a rank blocks and
 // whose wake predicate may have flipped. Matching is *eager*: every send
 // is matched against posted receives at injection time and every receive
@@ -21,6 +21,13 @@
 // receive is compatible with any queued unexpected message" holds at all
 // times. Under eager sends this makes "every live rank is blocked" an
 // exact deadlock criterion.
+//
+// A request gets a record only when it outlives its call (request.hpp):
+// an eager blocking send (api_send) and a blocking or tool receive whose
+// message is already queued (api_recv, raw_recv) complete in place, and
+// run the same hooks, charges and clocks as the isend/irecv + wait pair
+// they stand for. Records live in a rank-local slot table; request ids
+// are rank-local, with no engine-wide counter.
 //
 // An Engine runs any number of times (the reset contract of
 // runtime.hpp): every run ends with reset(), which returns each rank's
@@ -103,7 +110,14 @@ class Engine {
   // --- Proc-facing API (travels through the tool stack) -------------------
   RequestId api_isend(Rank r, Rank dst, Tag tag, Bytes payload, CommId comm,
                       bool blocking, bool synchronous);
+  /// Eager blocking send: api_isend + uncounted api_wait in one call
+  /// (same hooks, charges and clocks), with no request record.
+  void api_send(Rank r, Rank dst, Tag tag, Bytes payload, CommId comm);
   RequestId api_irecv(Rank r, Rank src, Tag tag, CommId comm, bool blocking);
+  /// Blocking receive: api_irecv + uncounted api_wait in one call. It
+  /// completes in place when the match is already queued; only otherwise
+  /// does it post a record and block.
+  Status api_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out);
   Status api_wait(Rank r, RequestId req, Bytes* out, bool count_stat);
   bool api_test(Rank r, RequestId req, Status* status, Bytes* out);
   void api_waitall(Rank r, std::span<RequestId> reqs);
@@ -131,8 +145,6 @@ class Engine {
   // --- ToolCtx raw services (bypass the tool stack) ------------------------
   RequestId raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
                       const Bytes& payload);
-  RequestId raw_irecv(Rank r, Rank src, Tag tag, CommId comm);
-  Status raw_wait(Rank r, RequestId req, Bytes* out);
   Status raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out);
   bool raw_iprobe(Rank r, Rank src, Tag tag, CommId comm, Status* status);
   void raw_barrier(Rank r, CommId comm);
@@ -185,9 +197,9 @@ class Engine {
     std::vector<MatchCandidate> cand_buf;
     /// waitany's record scratch, reused the same way.
     std::vector<RequestRecord*> wait_buf;
-    /// Live requests by id. Records come from req_pool; the table owns
-    /// them (finish_request and reset() release them).
-    IdMap<RequestRecord*> reqs;
+    /// Live request records by id. Records come from req_pool; the
+    /// table owns them (finish_request and reset() release them).
+    RequestTable reqs;
     /// Next collective generation per communicator id.
     std::vector<std::uint64_t> coll_gen;
     /// Per-(dst, comm) send sequence counters, owned by the *sender*
@@ -243,27 +255,65 @@ class Engine {
     void open(CommId c, std::uint64_t g);
   };
 
+  /// What finish_op completes: a request record's fields, or those of
+  /// an operation that completed inside its call without one.
+  struct Done {
+    RequestId id = kNullRequest;
+    ReqKind kind = ReqKind::kSend;
+    CommId comm = kCommWorld;
+    Rank posted_src_world = kAnySource;
+    Tag posted_tag = kAnyTag;
+    /// Synchronous sends: when the matching receive released them.
+    double complete_vtime = 0.0;
+  };
+
   // Internal primitives; `g` must cover the shards named per method (at
   // minimum shard r; do_isend additionally dst_world; collective paths
   // hold all shards).
-  RequestId do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
-                     CommId comm, Payload payload, bool tool_internal,
-                     bool synchronous, SendInfo* info);
-  RequestId do_irecv(EngineGuard& g, Rank r, Rank src_world, Tag tag,
-                     CommId comm, bool tool_internal);
+  /// The send every user send shares: pre_isend hooks, checks, charges,
+  /// injection, post_isend hooks. With `keep_record` the request gets a
+  /// record to wait on; without, it completed on injection and only
+  /// draws an id.
+  RequestId send_impl(Rank r, SendCall& call, bool synchronous,
+                      bool keep_record);
+  /// A user receive's checks, charges and stats (shard r held); returns
+  /// the world source.
+  Rank enter_recv(EngineGuard& g, Rank r, const RecvCall& call);
+  /// Injects a message. `sync_rec` is a synchronous sender's record,
+  /// completed when the message is matched.
+  void do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag, CommId comm,
+                Payload payload, bool tool_internal, RequestRecord* sync_rec,
+                SendInfo* info);
+  /// msg_id of the queued message a receive posted now matches (the
+  /// policy's pick among wildcard candidates), or 0 when none is queued.
+  std::uint64_t match_queued(Rank r, Rank src_world, Tag tag, CommId comm);
+  /// A fresh record for a receive, with its posted fields.
+  RequestRecord& add_recv(Rank r, Rank src_world, Tag tag, CommId comm,
+                          bool tool_internal);
+  /// Posts a receive that matched nothing queued; returns its id.
+  RequestId post_recv(Rank r, Rank src_world, Tag tag, CommId comm,
+                      bool tool_internal);
   /// Blocks until `req` completes; does not consume.
   void block_until_complete(EngineGuard& g, Rank r, RequestId req);
-  /// Runs post_wait hooks (guard dropped) and consumes the request.
+  /// Takes the record out of the table and completes it (finish_op).
   Status finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
                         bool run_hooks);
+  /// The one completion path: clocks, status and payload delivery, and
+  /// the post_wait hooks (guard dropped) when `run_hooks`. `msg` is the
+  /// matched message of a receive (an empty envelope for a send).
+  Status finish_op(EngineGuard& g, Rank r, const Done& done, Envelope& msg,
+                   Bytes* out, bool run_hooks);
   /// Try to match a newly arrived envelope against dst's posted receives
   /// (guard must cover shard dst). Returns true when matched (request
   /// completed).
   bool match_arrival(Rank dst, Envelope&& env);
+  /// Rank r's receive matched `env`: releases a synchronous sender.
+  void release_sender(Rank r, const Envelope& env);
+  /// Completes posted record `rec` with `env` and wakes r.
   void complete_recv(Rank r, RequestRecord& rec, Envelope&& env);
-  /// Fresh pooled request record from r's slab, entered into r's
-  /// request table under a new id (shard r held).
-  RequestRecord& new_request(PerRank& me);
+  /// The record-free twin of complete_recv: takes queued message
+  /// `msg_id` for a receive of r that matched it in its call.
+  Envelope take_matched(Rank r, std::uint64_t msg_id);
 
   /// Enter the blocked state and wait for `pred`; throws AbortRun when the
   /// run aborts or deadlocks while waiting.
@@ -373,7 +423,6 @@ class Engine {
   /// Collective bookkeeping: only touched under all-shards sections.
   std::vector<std::unique_ptr<CollSlot>> coll_slots_;
   std::atomic<std::uint64_t> next_msg_id_{1};
-  std::atomic<RequestId> next_req_id_{1};
 
   std::atomic<int> blocked_count_{0};
   std::atomic<int> finished_count_{0};

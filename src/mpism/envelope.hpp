@@ -171,15 +171,13 @@ struct Envelope {
   /// True for messages issued by tool layers (piggyback traffic); excluded
   /// from user-visible op statistics and leak accounting.
   bool tool_internal = false;
-  /// Non-null for synchronous sends: the sender's request, which only
-  /// completes when this envelope is matched by a receive (rendezvous
-  /// semantics — the MPI_Ssend mode eager buffering hides).
-  RequestId sender_req = kNullRequest;
+  /// Synchronous sends only: the sender's world rank and request
+  /// record, which only completes when this envelope is matched by a
+  /// receive (rendezvous semantics — the MPI_Ssend mode eager buffering
+  /// hides). The record is slab storage, address-stable for the run;
+  /// under sharded locking the receiver completes the rendezvous through
+  /// its atomics without touching the sender's shard.
   Rank sender_world = -1;
-  /// Direct pointer to the sender's request record for synchronous
-  /// sends (slab storage, address-stable for the run). Under sharded
-  /// locking the receiver completes the rendezvous through this
-  /// pointer's atomics without touching the sender's shard.
   RequestRecord* sender_rec = nullptr;
 };
 

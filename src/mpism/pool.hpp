@@ -1,14 +1,14 @@
 // Slab / freelist pools for the engine's per-message allocations.
 //
 // The matching hot path creates and destroys one RequestRecord per
-// nonblocking operation and one queue node per unexpected message; at
-// ADLB-style unexpected-queue depths that is a heap round trip per MPI
-// call. SlabPool turns both into freelist pops after warm-up: objects
-// are placement-constructed in cache-dense slabs and recycled without
-// returning memory to the allocator until the pool dies. BufferPool
-// does the same for payload byte buffers whose contents die inside the
-// engine (unextracted receives) — capacity is retained and handed back
-// to the next engine-internal copy.
+// request that outlives its call (request.hpp) and one queue node per
+// unexpected message; at ADLB-style unexpected-queue depths that is a
+// heap round trip per MPI call. SlabPool turns both into freelist pops
+// after warm-up: objects are placement-constructed in cache-dense slabs
+// and recycled without returning memory to the allocator until the pool
+// dies. BufferPool does the same for payload byte buffers whose contents
+// die inside the engine (unextracted receives) — capacity is retained
+// and handed back to the next engine-internal copy.
 //
 // Thread safety: none. Pools are per-rank in the engine and guarded by
 // that rank's lock shard (or the global engine mutex under
@@ -94,8 +94,15 @@ class SlabPool {
       }
       slot = &slabs_.back()[next_in_slab_++];
     }
-    return ::new (static_cast<void*>(slot->storage))
-        T(std::forward<Args>(args)...);
+    // Default-initialized when no arguments are given: a pooled type's
+    // members carry their own initializers, and value-initialization
+    // would first zero-fill the whole object.
+    if constexpr (sizeof...(Args) == 0) {
+      return ::new (static_cast<void*>(slot->storage)) T;
+    } else {
+      return ::new (static_cast<void*>(slot->storage))
+          T(std::forward<Args>(args)...);
+    }
   }
 
   void release(T* obj) {

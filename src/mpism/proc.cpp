@@ -23,11 +23,7 @@ RequestId Proc::irecv(Rank src, Tag tag, CommId comm) {
 }
 
 void Proc::send(Rank dst, Tag tag, Bytes payload, CommId comm) {
-  const RequestId req = engine_->api_isend(world_rank_, dst, tag,
-                                           std::move(payload), comm,
-                                           /*blocking=*/true,
-                                           /*synchronous=*/false);
-  engine_->api_wait(world_rank_, req, nullptr, /*count_stat=*/false);
+  engine_->api_send(world_rank_, dst, tag, std::move(payload), comm);
 }
 
 RequestId Proc::issend(Rank dst, Tag tag, Bytes payload, CommId comm) {
@@ -47,17 +43,12 @@ Status Proc::sendrecv(Rank dst, Tag send_tag, Bytes payload, Rank src,
                       Tag recv_tag, Bytes* out, CommId comm) {
   const RequestId recv_req =
       engine_->api_irecv(world_rank_, src, recv_tag, comm, /*blocking=*/true);
-  const RequestId send_req =
-      engine_->api_isend(world_rank_, dst, send_tag, std::move(payload), comm,
-                         /*blocking=*/true, /*synchronous=*/false);
-  engine_->api_wait(world_rank_, send_req, nullptr, /*count_stat=*/false);
+  engine_->api_send(world_rank_, dst, send_tag, std::move(payload), comm);
   return engine_->api_wait(world_rank_, recv_req, out, /*count_stat=*/false);
 }
 
 Status Proc::recv(Rank src, Tag tag, Bytes* out, CommId comm) {
-  const RequestId req =
-      engine_->api_irecv(world_rank_, src, tag, comm, /*blocking=*/true);
-  return engine_->api_wait(world_rank_, req, out, /*count_stat=*/false);
+  return engine_->api_recv(world_rank_, src, tag, comm, out);
 }
 
 Status Proc::wait(RequestId req, Bytes* out) {

@@ -3,10 +3,12 @@
 // The surface mirrors the MPI subset the paper's benchmarks exercise:
 // nonblocking and blocking point-to-point with MPI_ANY_SOURCE /
 // MPI_ANY_TAG, wait/test/waitall/waitany, probe/iprobe, the common
-// collectives, communicator management, and MPI_Pcontrol. Blocking
-// send/recv are composed from isend/irecv + wait so tool layers observe
-// a uniform call stream (the paper's Algorithm 1 likewise presents only
-// Irecv/Isend/Wait as the representative operations).
+// collectives, communicator management, and MPI_Pcontrol. Tool layers
+// see blocking send/recv as isend/irecv + wait, a uniform call stream
+// (the paper's Algorithm 1 likewise presents only Irecv/Isend/Wait as
+// the representative operations); the engine runs an eager send, or a
+// receive whose message is already queued, as one call with no request
+// record.
 //
 // Error-reporting contract: misuse (invalid ranks, mismatched
 // collectives) and explicit failures (fail/require) surface as errors in

@@ -117,9 +117,7 @@ class ToolCtx {
 
   virtual RequestId raw_isend(Rank dst, Tag tag, CommId comm,
                               const Bytes& payload) = 0;
-  virtual RequestId raw_irecv(Rank src, Tag tag, CommId comm) = 0;
-  /// Blocks until the request completes; returns its status.
-  virtual Status raw_wait(RequestId req, Bytes* out) = 0;
+  /// Blocking receive; returns its status.
   virtual Status raw_recv(Rank src, Tag tag, CommId comm, Bytes* out) = 0;
   /// Nonblocking probe over user (non-tool) messages.
   virtual bool raw_iprobe(Rank src, Tag tag, CommId comm, Status* status) = 0;

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/strutil.hpp"
 #include "core/explorer.hpp"
 #include "core/replay_context.hpp"
@@ -33,6 +34,8 @@
 #include "mpism/engine.hpp"
 #include "mpism/fault.hpp"
 #include "mpism/pool.hpp"
+#include "obs/metrics.hpp"
+#include "support/digest.hpp"
 #include "workloads/adlb.hpp"
 #include "workloads/patterns.hpp"
 
@@ -169,23 +172,33 @@ void fanout_program(mpism::Proc& p) {
   workloads::dist_fanout(p, /*rounds=*/2, /*spin_us=*/200.0);
 }
 
-/// Allocations per interleaving once warm: the difference between a
-/// walk of 2n and one of n interleavings, so discovery, explorer and
+/// Growth of `count` per interleaving once warm: the difference between
+/// a walk of 2n and one of n interleavings, so discovery, explorer and
 /// context construction cancel out.
-double steady_allocs_per_interleaving(ExplorerOptions options,
-                                      const mpism::ProgramFn& program,
-                                      std::uint64_t n) {
+double steady_per_interleaving(ExplorerOptions options,
+                               const mpism::ProgramFn& program,
+                               std::uint64_t n, std::uint64_t (*count)()) {
   auto walk = [&](std::uint64_t budget) {
     options.max_interleavings = budget;
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = count();
     const core::ExploreResult result = core::Explorer(options).explore(program);
     EXPECT_EQ(result.interleavings, budget);
     EXPECT_FALSE(result.found_bug());
-    return g_allocs.load() - before;
+    return count() - before;
   };
   const std::uint64_t small = walk(n);
   const std::uint64_t large = walk(2 * n);
   return static_cast<double>(large - small) / static_cast<double>(n);
+}
+
+std::uint64_t heap_allocations() { return g_allocs.load(); }
+
+/// Request records drawn from the engine's pools (every run publishes
+/// its count).
+std::uint64_t request_records() {
+  return obs::Registry::instance()
+      .counter("engine.pool.req_acquired")
+      .value();
 }
 
 // The explore-adlb workload made 443 heap allocations per interleaving
@@ -197,7 +210,8 @@ TEST(AllocSteadyState, ExploreAdlbInterleaving) {
   ExplorerOptions options = pinned_options(4);
   options.policy = mpism::PolicyKind::kSeededRandom;
   options.policy_seed = 1;
-  const double per = steady_allocs_per_interleaving(options, adlb_program, 500);
+  const double per =
+      steady_per_interleaving(options, adlb_program, 500, heap_allocations);
   EXPECT_LE(per, 40.0);
 }
 
@@ -205,9 +219,29 @@ TEST(AllocSteadyState, ExploreAdlbInterleaving) {
 // allocations per interleaving before, 25 with a warm context.
 TEST(AllocSteadyState, DistFanoutInterleaving) {
   SKIP_WHEN_SANITIZED();
-  const double per =
-      steady_allocs_per_interleaving(pinned_options(6), fanout_program, 500);
+  const double per = steady_per_interleaving(pinned_options(6), fanout_program,
+                                             500, heap_allocations);
   EXPECT_LE(per, 32.0);
+}
+
+// A request gets a record only when it outlives its call. explore-adlb
+// drew 78 records per interleaving when every blocking send and receive
+// made one; only its receives that must wait keep one now. dist-fanout
+// at 6 ranks drew 30, all blocking calls that complete in place, piggyback
+// receives included.
+TEST(AllocSteadyState, ExploreAdlbRequestRecords) {
+  ExplorerOptions options = pinned_options(4);
+  options.policy = mpism::PolicyKind::kSeededRandom;
+  options.policy_seed = 1;
+  const double per =
+      steady_per_interleaving(options, adlb_program, 200, request_records);
+  EXPECT_LE(per, 16.0);
+}
+
+TEST(AllocSteadyState, DistFanoutRequestRecords) {
+  const double per = steady_per_interleaving(pinned_options(6), fanout_program,
+                                             200, request_records);
+  EXPECT_EQ(per, 0.0);
 }
 
 // A warm context keeps at most one run's high-water storage: replaying
@@ -490,6 +524,206 @@ TEST(AllocStateBleed, EngineCancelDoesNotOutliveItsRun) {
   mpism::Engine fresh(options);
   EXPECT_TRUE(again.ok());
   EXPECT_EQ(fingerprint(again), fingerprint(fresh.run(workloads::fig3_benign)));
+}
+
+// ---------------------------------------------------------------------------
+// Blocking point-to-point pin
+// ---------------------------------------------------------------------------
+
+/// One eager message of a soup phase.
+struct SoupMessage {
+  int src;
+  int dst;
+  int tag;
+  int bytes;
+};
+
+/// How a rank takes its share of a soup phase.
+enum class RecvStyle { kSpecific, kAnySource, kAnyAny, kProbeFirst };
+
+/// How a pair phase's two partners exchange.
+enum class PairStyle { kSsendThenRecv, kSendrecv, kSendrecvAnyAny, kSendRecv };
+
+/// A barrier-ended phase of a blocking program. A soup phase has every
+/// rank send its messages with blocking eager sends and then receive its
+/// share in one style; a pair phase has disjoint partner pairs exchange
+/// one message each way. Both complete in every matching order.
+struct BlockingPhase {
+  bool pairs = false;
+  std::vector<SoupMessage> soup;
+  std::vector<RecvStyle> recv_style;  ///< per rank (soup)
+  std::vector<int> partner;           ///< per rank, -1 when unpaired
+  std::vector<PairStyle> pair_style;  ///< per rank (pairs)
+  bool iprobe = false;
+};
+
+struct BlockingScript {
+  int nprocs = 2;
+  std::vector<BlockingPhase> phases;
+};
+
+BlockingScript blocking_script(std::uint64_t seed) {
+  Rng rng(seed);
+  BlockingScript s;
+  s.nprocs = 2 + static_cast<int>(rng.next_below(4));  // 2..5
+  const auto n = static_cast<std::uint64_t>(s.nprocs);
+  s.phases.resize(2 + rng.next_below(2));
+  for (BlockingPhase& phase : s.phases) {
+    phase.pairs = rng.next_bool(0.35);
+    phase.iprobe = rng.next_bool(0.5);
+    if (phase.pairs) {
+      std::vector<int> order(n);
+      for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<int>(i);
+      for (std::size_t i = n; i-- > 1;) {
+        std::swap(order[i], order[rng.next_below(i + 1)]);
+      }
+      phase.partner.assign(n, -1);
+      phase.pair_style.assign(n, PairStyle::kSendrecv);
+      for (std::size_t i = 0; i + 1 < n; i += 2) {
+        const auto a = static_cast<std::size_t>(order[i]);
+        const auto b = static_cast<std::size_t>(order[i + 1]);
+        phase.partner[a] = order[i + 1];
+        phase.partner[b] = order[i];
+        phase.pair_style[a] = phase.pair_style[b] =
+            static_cast<PairStyle>(rng.next_below(4));
+      }
+      continue;
+    }
+    const std::uint64_t count = 1 + rng.next_below(2 * n);
+    for (std::uint64_t m = 0; m < count; ++m) {
+      SoupMessage msg;
+      msg.src = static_cast<int>(rng.next_below(n));
+      do {
+        msg.dst = static_cast<int>(rng.next_below(n));
+      } while (msg.dst == msg.src);
+      msg.tag = static_cast<int>(rng.next_below(3));
+      // ~1/4 of payloads spill past the 64-byte small-buffer arm.
+      msg.bytes = rng.next_bool(0.25)
+                      ? 64 + static_cast<int>(rng.next_below(192))
+                      : 1 + static_cast<int>(rng.next_below(64));
+      phase.soup.push_back(msg);
+    }
+    for (std::uint64_t r = 0; r < n; ++r) {
+      phase.recv_style.push_back(static_cast<RecvStyle>(rng.next_below(4)));
+    }
+  }
+  return s;
+}
+
+void run_blocking_script(mpism::Proc& p, const BlockingScript& s) {
+  using mpism::kAnySource;
+  using mpism::kAnyTag;
+  const int me = p.rank();
+  auto payload = [](int bytes, int tag) {
+    return mpism::Bytes(static_cast<std::size_t>(bytes),
+                        static_cast<std::byte>(tag + 1));
+  };
+  for (const BlockingPhase& phase : s.phases) {
+    if (phase.iprobe) p.iprobe(kAnySource, kAnyTag);
+    if (phase.pairs) {
+      const int q = phase.partner[static_cast<std::size_t>(me)];
+      const PairStyle style = phase.pair_style[static_cast<std::size_t>(me)];
+      if (q >= 0) {
+        switch (style) {
+          case PairStyle::kSsendThenRecv:
+            // The lower rank's ssend completes once the higher one has
+            // posted its (wildcard) receive.
+            if (me < q) {
+              p.ssend(q, 7, payload(16, 7));
+              p.recv(q, 7);
+            } else {
+              p.recv(kAnySource, 7);
+              p.ssend(q, 7, payload(80, 7));
+            }
+            break;
+          case PairStyle::kSendrecv:
+            p.sendrecv(q, 8, payload(24, 8), q, 8, nullptr);
+            break;
+          case PairStyle::kSendrecvAnyAny:
+            p.sendrecv(q, 8, payload(96, 8), kAnySource, kAnyTag, nullptr);
+            break;
+          case PairStyle::kSendRecv:
+            p.send(q, 9, payload(8, 9));
+            p.recv(q, 9);
+            break;
+        }
+      }
+    } else {
+      for (const SoupMessage& m : phase.soup) {
+        if (m.src == me) p.send(m.dst, m.tag, payload(m.bytes, m.tag));
+      }
+      const RecvStyle style = phase.recv_style[static_cast<std::size_t>(me)];
+      for (const SoupMessage& m : phase.soup) {
+        if (m.dst != me) continue;
+        switch (style) {
+          case RecvStyle::kSpecific: p.recv(m.src, m.tag); break;
+          case RecvStyle::kAnySource: p.recv(kAnySource, m.tag); break;
+          case RecvStyle::kAnyAny: p.recv(kAnySource, kAnyTag); break;
+          case RecvStyle::kProbeFirst: {
+            const mpism::Status st = p.probe(kAnySource, m.tag);
+            p.recv(st.source, st.tag);
+            break;
+          }
+        }
+      }
+    }
+    p.barrier();
+  }
+}
+
+// 300 seeded programs built from blocking send/recv/ssend/sendrecv,
+// specific and wildcard receives and probes run under the DAMPI stack
+// with the separate-message piggyback (one tool receive per user
+// receive). Each program's self run and the guided replays forcing its
+// first alternatives are fingerprinted into one digest, recorded at the
+// commit before blocking calls stopped allocating request records: any
+// drift in hook order, matching, virtual time, stats or verdicts moves
+// it. The value assumes IEEE doubles and glibc's %a formatting (x86-64
+// Linux).
+TEST(RequestPathPin, BlockingProgramsFingerprintToThePinnedDigest) {
+  constexpr std::uint64_t kPinnedDigest = 0x3b5854cfe59305c1ull;
+  std::uint64_t digest = test::kDigestSeed;
+  int runs = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const BlockingScript script = blocking_script(seed * 0x9e3779b97f4a7c15ull);
+    ExplorerOptions options;
+    options.nprocs = script.nprocs;
+    options.transport = piggyback::TransportKind::kSeparateMessage;
+    options.clock_mode =
+        seed % 2 == 0 ? core::ClockMode::kLamport : core::ClockMode::kVector;
+    options.sched.kind = mpism::SchedulerKind::kCoop;
+    options.sched.pick = seed % 3 == 0 ? mpism::SchedPolicy::kRandomSeeded
+                                       : mpism::SchedPolicy::kRoundRobin;
+    options.sched.seed = seed;
+    options.match =
+        seed % 4 < 2 ? mpism::MatchKind::kIndexed : mpism::MatchKind::kLinear;
+    options.policy = seed % 5 == 0 ? mpism::PolicyKind::kSeededRandom
+                                   : mpism::PolicyKind::kLowestSource;
+    options.policy_seed = seed;
+    const mpism::ProgramFn program = [&script](mpism::Proc& p) {
+      run_blocking_script(p, script);
+    };
+    const SingleRun self = core::run_guided_once(options, Schedule{}, program);
+    ASSERT_TRUE(self.report.ok()) << "seed " << seed << ": "
+                                  << fingerprint(self.report);
+    digest = test::digest_step(digest, fingerprint(self));
+    ++runs;
+    int forced_runs = 0;
+    for (const core::EpochRecord& epoch : self.trace.epochs) {
+      for (const auto& [src, match] : epoch.alternatives) {
+        if (forced_runs == 2) break;
+        digest = test::digest_step(
+            digest, fingerprint(core::run_guided_once(
+                        options, forced({{epoch.key, src}}), program)));
+        ++forced_runs;
+        ++runs;
+      }
+    }
+  }
+  EXPECT_GT(runs, 300);
+  EXPECT_EQ(digest, kPinnedDigest)
+      << std::hex << "blocking-program fingerprints drifted: digest 0x"
+      << digest << std::dec << " over " << runs << " runs";
 }
 
 // ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@
 #include "common/rng.hpp"
 #include "common/strutil.hpp"
 #include "obs/metrics.hpp"
+#include "support/digest.hpp"
 #include "support/run_helpers.hpp"
 #include "workloads/patterns.hpp"
 
@@ -169,17 +170,6 @@ mpism::RunOptions case_options(const ProgramCase& c, EngineLockKind lock,
   return options;
 }
 
-/// FNV-1a over `fp` plus a terminator, chained from `h`.
-std::uint64_t digest_step(std::uint64_t h, const std::string& fp) {
-  for (const unsigned char ch : fp) {
-    h ^= ch;
-    h *= 0x100000001b3ull;
-  }
-  h ^= 0xff;
-  h *= 0x100000001b3ull;
-  return h;
-}
-
 // Coop runs are deterministic, so 600 randomized programs across the
 // match sweep fingerprint to one fixed digest. It was recorded from the
 // coop engine while it still took its sharded (and, bit-identically,
@@ -189,7 +179,7 @@ std::uint64_t digest_step(std::uint64_t h, const std::string& fp) {
 // assumes IEEE doubles and glibc's %a formatting (x86-64 Linux).
 TEST(EngineLockDifferential, CoopFingerprintsIdenticalAcrossMatchSweep) {
   constexpr std::uint64_t kLockedCoopDigest = 0x894aa75d578ebd01ull;
-  std::uint64_t digest = 0xcbf29ce484222325ull;
+  std::uint64_t digest = kDigestSeed;
   int checked = 0;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     ProgramCase c;

@@ -352,6 +352,27 @@ TEST(Pt2Pt, WaitOnConsumedRequestIsAProgramError) {
   EXPECT_FALSE(report.ok());
 }
 
+// Request slots are reused: a consumed handle must still miss once a
+// newer request occupies its slot, and must not complete that request.
+TEST(Pt2Pt, WaitOnConsumedHandleWhoseSlotWasReusedIsAProgramError) {
+  auto report = run_program(2, [](Proc& p) {
+    if (p.rank() == 0) {
+      const RequestId first = p.isend(1, 1, pack<int>(1));
+      p.wait(first);
+      const RequestId second = p.isend(1, 2, pack<int>(2));
+      EXPECT_NE(second, first);
+      p.wait(first);  // stale: its slot now holds `second`
+    } else {
+      p.recv(0, 1);
+      p.recv(0, 2);
+    }
+  });
+  EXPECT_FALSE(report.ok());
+  ASSERT_EQ(report.errors.size(), 1u);
+  EXPECT_EQ(report.errors[0].rank, 0);
+  EXPECT_EQ(report.errors[0].message, "wait on invalid or consumed request");
+}
+
 // Message volume accounting feeds the Table I harness.
 TEST(Pt2Pt, OpStatsCountCategories) {
   auto report = run_program(2, [](Proc& p) {

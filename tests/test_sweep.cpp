@@ -14,11 +14,13 @@
 
 #include "mpism/cancel.hpp"
 #include "mpism/fault.hpp"
+#include "support/digest.hpp"
 #include "support/verify_helpers.hpp"
 #include "sweep/inventory.hpp"
 #include "sweep/journal.hpp"
 #include "sweep/sweep.hpp"
 #include "sweep/types.hpp"
+#include "workloads/adlb.hpp"
 #include "workloads/patterns.hpp"
 
 namespace dampi::test {
@@ -547,6 +549,33 @@ TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
     EXPECT_EQ(sweep::format_sweep_report_json(parallel, result), reference)
         << "workers=" << workers;
   }
+}
+
+// A small fault sweep of mini-ADLB (blocking sends and receives, a
+// wildcard server loop, separate-message piggyback): its report names
+// every fault point by the op index the fault layer counts at hook
+// entry, so a changed hook sequence shifts the points and the bytes.
+// The digest was recorded at the commit before blocking calls stopped
+// allocating request records.
+TEST(Sweep, AdlbReportMatchesThePinnedDigest) {
+  constexpr std::uint64_t kPinnedDigest = 0x2d4433b3efa96aadull;
+  SweepOptions options = sweep_options(4, "adlb");
+  options.budget = 100;  // every planned point, delay and flaky included
+  options.seed = 5;
+  options.explorer.transport = piggyback::TransportKind::kSeparateMessage;
+  const auto program = [](mpism::Proc& p) {
+    workloads::adlb::Config config;
+    config.roots_per_server = 3;
+    workloads::adlb::run(p, config);
+  };
+  const SweepResult result = sweep::run_sweep(options, program);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  EXPECT_EQ(result.records.size(), 100u);
+  const std::string report = sweep::format_sweep_report_json(options, result);
+  const std::uint64_t digest = digest_step(kDigestSeed, report);
+  EXPECT_EQ(digest, kPinnedDigest)
+      << std::hex << "sweep report drifted: digest 0x" << digest << "\n"
+      << report;
 }
 
 TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
