@@ -24,6 +24,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "common/line_record.hpp"
 #include "core/checkpoint.hpp"
 #include "core/decision_io.hpp"
 #include "core/report_format.hpp"
@@ -593,19 +594,15 @@ int main(int argc, char** argv) {
                   sweep_result.interrupted ? " (resume with --resume)" : "");
     }
     if (!sweep_report_path.empty() && sweep_result.error.empty()) {
-      std::FILE* out = std::fopen(sweep_report_path.c_str(), "w");
-      const std::string report =
-          sweep::format_sweep_report_json(sweep_options, sweep_result);
-      if (out == nullptr ||
-          std::fwrite(report.data(), 1, report.size(), out) !=
-              report.size()) {
+      if (!write_file_atomic(sweep_report_path,
+                             sweep::format_sweep_report_json(sweep_options,
+                                                             sweep_result))) {
         std::printf("could not write %s\n", sweep_report_path.c_str());
         code = code == 0 ? 3 : code;
       } else {
         std::printf("sweep report           : %s\n",
                     sweep_report_path.c_str());
       }
-      if (out != nullptr) std::fclose(out);
     }
     return finish(code);
   }

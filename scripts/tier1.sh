@@ -29,8 +29,10 @@
 #  - an AddressSanitizer plus UndefinedBehaviorSanitizer stage
 #    (-DDAMPI_SANITIZE=address,undefined), where recycled pool memory is
 #    poisoned until it is handed out again: the whole suite on coop, the
-#    alloc, match and sched labels with DAMPI_SCHED=thread, and the dist
-#    label repeated until it fails, up to 10 times.
+#    alloc, match and sched labels with DAMPI_SCHED=thread, the dist
+#    label repeated until it fails, up to 10 times, and the fuzz label
+#    (mutated decision files, checkpoints, sweep journals and DMP1
+#    payloads) up to 3 times.
 #
 # Usage: scripts/tier1.sh [--skip-tsan]
 set -euo pipefail
@@ -103,6 +105,16 @@ if cmp -s "${bad_ckpt}" "${bad_ckpt}.good"; then
   echo "tier1: FAIL: matmult checkpoint has no untried source to corrupt" >&2
   exit 1
 fi
+expect_exit 3 build/examples/verify_cli --program matmult --procs 4 \
+  --checkpoint "${bad_ckpt}" --resume
+# A count prefix larger than the tokens on its line used to size a vector
+# and abort (exit 134); a sign on an unsigned counter used to wrap and
+# resume (exit 0). Both are refused with a line-numbered diagnostic.
+awk '{ print } $1 == "counters" { print "ffires 4000000000000000000" }' \
+  "${bad_ckpt}.good" > "${bad_ckpt}"
+expect_exit 3 build/examples/verify_cli --program matmult --procs 4 \
+  --checkpoint "${bad_ckpt}" --resume
+awk '$1 == "interleavings" { $2 = -1 } 1' "${bad_ckpt}.good" > "${bad_ckpt}"
 expect_exit 3 build/examples/verify_cli --program matmult --procs 4 \
   --checkpoint "${bad_ckpt}" --resume
 # A worker's shard journal (<ckpt>.wN) flags its coordinator-owned frames
@@ -408,4 +420,6 @@ export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   -L 'alloc|match|sched' -j "${jobs}")
 (cd build-asan && ctest --output-on-failure -L dist \
   --repeat until-fail:10 -j "${jobs}")
+(cd build-asan && ctest --output-on-failure -L fuzz \
+  --repeat until-fail:3 -j "${jobs}")
 echo "tier1: OK (including the TSan and ASan+UBSan stages)"

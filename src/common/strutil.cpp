@@ -49,7 +49,7 @@ std::string escape_line(const std::string& text) {
   return out;
 }
 
-std::string unescape_line(const std::string& text) {
+std::string unescape_line(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (std::size_t i = 0; i < text.size(); ++i) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace dampi {
 
@@ -16,6 +17,6 @@ std::string fmt_fixed(double value, int decimals);
 /// file and wire formats (checkpoint journals, the dist protocol):
 /// backslash-escapes newlines and carriage returns.
 std::string escape_line(const std::string& text);
-std::string unescape_line(const std::string& text);
+std::string unescape_line(std::string_view text);
 
 }  // namespace dampi

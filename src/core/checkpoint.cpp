@@ -1,9 +1,6 @@
 #include "core/checkpoint.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
+#include "common/line_record.hpp"
 #include "common/strutil.hpp"
 #include "core/decision_io.hpp"
 
@@ -24,16 +21,6 @@ std::uint64_t hash_schedule(const Schedule& schedule) {
     }
   }
   return h;
-}
-
-// One-line-safe text encoding shared with the dist wire protocol.
-using dampi::escape_line;
-using dampi::unescape_line;
-
-/// The remainder of `line` after the leading keyword and one space.
-std::string rest_of_line(const std::string& line, std::size_t keyword_len) {
-  if (line.size() <= keyword_len + 1) return "";
-  return line.substr(keyword_len + 1);
 }
 
 /// One frame line under `keyword` ("frame" for the live stack, "pframe"
@@ -80,80 +67,22 @@ std::string serialize_frame(const DfsFrame& frame, const char* keyword) {
 
 /// Inverse of serialize_frame (past the keyword). Absent trailers parse
 /// to their defaults, so older journals load unchanged.
-bool parse_frame(std::istringstream& ls, DfsFrame* frame,
-                 std::string* error) {
-  int record_alts = 0;
-  std::string marker;
-  std::size_t count = 0;
-  if (!(ls >> frame->key.rank >> frame->key.nd_index >> frame->lc >>
-        frame->taken_src >> record_alts >> frame->mix_budget >> marker >>
-        count) ||
-      marker != "u") {
-    *error = "bad frame line";
+bool parse_frame(LineFields& f, DfsFrame* frame) {
+  if (!f.read(&frame->key.rank) || !f.read(&frame->key.nd_index) ||
+      !f.read(&frame->lc) || !f.read(&frame->taken_src) ||
+      !f.read(&frame->record_alts) || !f.read(&frame->mix_budget) ||
+      !f.expect("u") || !f.read_list(&frame->untried) || !f.expect("s") ||
+      !f.read_list(&frame->seen)) {
     return false;
   }
-  frame->record_alts = record_alts != 0;
-  frame->untried.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!(ls >> frame->untried[i])) {
-      *error = "truncated untried list";
-      return false;
-    }
-  }
-  if (!(ls >> marker >> count) || marker != "s") {
-    *error = "bad seen list";
-    return false;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    mpism::Rank src = -1;
-    if (!(ls >> src)) {
-      *error = "truncated seen list";
-      return false;
-    }
-    frame->seen.insert(src);
-  }
-  while (ls >> marker) {
-    if (marker == "e") {
-      int escape = 0;
-      if (!(ls >> escape)) {
-        *error = "bad frame trailer";
-        return false;
-      }
-      frame->escape_alts = escape != 0;
-    } else if (marker == "z") {
-      if (!(ls >> count)) {
-        *error = "bad sleep list";
-        return false;
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        mpism::Rank src = -1;
-        if (!(ls >> src)) {
-          *error = "truncated sleep list";
-          return false;
-        }
-        frame->sleep.insert(src);
-      }
-    } else if (marker == "f") {
-      if (!(ls >> frame->comm >> frame->tag)) {
-        *error = "bad footprint trailer";
-        return false;
-      }
-    } else if (marker == "v") {
-      if (!(ls >> count)) {
-        *error = "bad vector-clock trailer";
-        return false;
-      }
-      frame->vc.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        if (!(ls >> frame->vc[i])) {
-          *error = "truncated vector-clock trailer";
-          return false;
-        }
-      }
-    } else {
-      *error = "bad frame trailer";
-      return false;
-    }
+  std::string_view marker;
+  while (f.read(&marker)) {
+    const bool ok =
+        marker == "e"   ? f.read(&frame->escape_alts)
+        : marker == "z" ? f.read_list(&frame->sleep)
+        : marker == "f" ? f.read(&frame->comm) && f.read(&frame->tag)
+                        : marker == "v" && f.read_list(&frame->vc);
+    if (!ok) return false;
   }
   return true;
 }
@@ -256,164 +185,93 @@ std::string serialize_checkpoint(const Checkpoint& checkpoint) {
 std::optional<Checkpoint> parse_checkpoint(
     const std::string& text, const std::string& expected_fingerprint,
     std::string* error) {
-  auto fail = [error](std::string message) -> std::optional<Checkpoint> {
-    if (error != nullptr) *error = std::move(message);
-    return std::nullopt;
-  };
-
   Checkpoint cp;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  bool saw_header = false;
   bool saw_options = false;
-  bool saw_end = false;
   BugRecord* open_bug = nullptr;
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.pop_back();
-    }
-    if (line.empty()) continue;
-    if (saw_end) {
-      return fail(strfmt("line %d: content after 'end' trailer", line_no));
-    }
-    // Same header discipline as decision files: the version line must be
-    // the first non-blank line, or this is not a checkpoint at all.
-    if (!saw_header) {
-      if (line != kCheckpointHeader) {
-        return fail(
-            strfmt("line %d: first non-blank line must be the '%s' header",
-                   line_no, kCheckpointHeader));
-      }
-      saw_header = true;
-      continue;
-    }
-    if (line[0] == '#') continue;
-
-    std::istringstream ls(line);
-    std::string keyword;
-    ls >> keyword;
-
+  LineReader in(text, kCheckpointHeader);
+  while (in.next()) {
+    const std::string_view keyword = in.keyword();
+    LineFields& f = in.fields();
+    bool ok = true;
     if (keyword == "options") {
-      cp.fingerprint = rest_of_line(line, keyword.size());
+      cp.fingerprint = f.rest();
       if (!expected_fingerprint.empty() &&
           cp.fingerprint != expected_fingerprint) {
-        return fail(strfmt(
+        return refuse(error, in.at(strfmt(
             "options fingerprint mismatch — checkpoint was written by a "
             "different configuration\n  checkpoint: %s\n  current:    %s",
-            cp.fingerprint.c_str(), expected_fingerprint.c_str()));
+            cp.fingerprint.c_str(), expected_fingerprint.c_str())));
       }
       saw_options = true;
     } else if (keyword == "interleavings") {
-      if (!(ls >> cp.interleavings)) {
-        return fail(strfmt("line %d: bad interleavings count", line_no));
-      }
+      ok = f.read_exactly(&cp.interleavings);
     } else if (keyword == "counters") {
-      if (!(ls >> cp.retries >> cp.timeouts >> cp.quarantined >>
-            cp.divergences >> cp.prefix_mismatches)) {
-        return fail(strfmt("line %d: bad counters line", line_no));
-      }
+      ok = f.read_exactly(&cp.retries, &cp.timeouts, &cp.quarantined,
+                          &cp.divergences, &cp.prefix_mismatches);
     } else if (keyword == "ffires") {
-      std::size_t count = 0;
-      if (!(ls >> count)) {
-        return fail(strfmt("line %d: bad ffires line", line_no));
-      }
-      cp.fault_fires.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        if (!(ls >> cp.fault_fires[i])) {
-          return fail(strfmt("line %d: truncated ffires line", line_no));
-        }
-      }
+      ok = f.read_list(&cp.fault_fires) && f.done();
     } else if (keyword == "frame" || keyword == "pframe") {
       DfsFrame frame;
-      std::string frame_error;
-      if (!parse_frame(ls, &frame, &frame_error)) {
-        return fail(strfmt("line %d: %s", line_no, frame_error.c_str()));
-      }
+      ok = parse_frame(f, &frame);
       (keyword == "frame" ? cp.frames : cp.pending_sleep)
           .push_back(std::move(frame));
       open_bug = nullptr;
     } else if (keyword == "bug") {
       BugRecord bug;
       int kind = 0;
-      if (!(ls >> kind >> bug.interleaving) || kind < 0 ||
+      if (!f.read_exactly(&kind, &bug.interleaving) || kind < 0 ||
           kind > static_cast<int>(BugRecord::Kind::kHang)) {
-        return fail(strfmt("line %d: bad bug line", line_no));
+        return refuse(error, in.bad_line());
       }
       bug.kind = static_cast<BugRecord::Kind>(kind);
       cp.bugs.push_back(std::move(bug));
       open_bug = &cp.bugs.back();
+    } else if (open_bug == nullptr &&
+               (keyword == "berr" || keyword == "bdetail" ||
+                keyword == "bdec")) {
+      return refuse(error,
+                    in.at(std::string(keyword) + " outside a bug block"));
     } else if (keyword == "berr") {
       mpism::ErrorInfo err;
-      if (open_bug == nullptr || !(ls >> err.rank)) {
-        return fail(strfmt("line %d: berr outside a bug block", line_no));
-      }
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest[0] == ' ') rest.erase(0, 1);
-      err.message = unescape_line(rest);
+      ok = f.read(&err.rank);
+      err.message = f.unescaped_rest();
       open_bug->errors.push_back(std::move(err));
     } else if (keyword == "bdetail") {
-      if (open_bug == nullptr) {
-        return fail(strfmt("line %d: bdetail outside a bug block", line_no));
-      }
-      open_bug->deadlock_detail = unescape_line(rest_of_line(line, keyword.size()));
+      open_bug->deadlock_detail = f.unescaped_rest();
     } else if (keyword == "bdec") {
       EpochKey key;
       mpism::Rank src = -1;
-      if (open_bug == nullptr ||
-          !(ls >> key.rank >> key.nd_index >> src)) {
-        return fail(strfmt("line %d: bdec outside a bug block", line_no));
-      }
+      ok = read_decision(f, &key, &src);
       open_bug->schedule.forced[key] = src;
     } else if (keyword == "alert") {
-      cp.unsafe_alerts.push_back(unescape_line(rest_of_line(line, keyword.size())));
+      cp.unsafe_alerts.push_back(f.unescaped_rest());
       open_bug = nullptr;
     } else if (keyword == "end") {
-      saw_end = true;
+      if (!in.end_trailer()) return refuse(error, in.error());
     } else {
-      return fail(strfmt("line %d: unknown keyword '%s'", line_no,
-                         keyword.c_str()));
+      return refuse(error,
+                    in.at("unknown keyword '" + std::string(keyword) + "'"));
     }
+    if (!ok) return refuse(error, in.bad_line());
   }
-  if (!saw_header) {
-    return fail(strfmt("missing '%s' header", kCheckpointHeader));
-  }
-  if (!saw_options) {
-    return fail("missing 'options' fingerprint line");
-  }
-  if (!saw_end) {
-    return fail("truncated checkpoint (missing 'end' trailer)");
+  if (!in.error().empty()) return refuse(error, in.error());
+  if (!saw_options) return refuse(error, "missing 'options' fingerprint line");
+  if (!in.ended()) {
+    return refuse(error, "truncated checkpoint (missing 'end' trailer)");
   }
   return cp;
 }
 
 bool save_checkpoint(const Checkpoint& checkpoint, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << serialize_checkpoint(checkpoint);
-    if (!out) return false;
-  }
-  // rename(2) is atomic within a filesystem: readers see either the old
-  // complete checkpoint or the new one, never a torn write.
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return write_file_atomic(path, serialize_checkpoint(checkpoint));
 }
 
 std::optional<Checkpoint> load_checkpoint(
     const std::string& path, const std::string& expected_fingerprint,
     std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_checkpoint(buffer.str(), expected_fingerprint, error);
+  const auto text = read_file(path, error);
+  if (!text.has_value()) return std::nullopt;
+  return parse_checkpoint(*text, expected_fingerprint, error);
 }
 
 bool validate_checkpoint(const Checkpoint& checkpoint, int nprocs,

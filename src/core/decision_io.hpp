@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 
+#include "common/line_record.hpp"
 #include "core/decision.hpp"
 
 namespace dampi::core {
@@ -24,6 +25,13 @@ std::string serialize_schedule(const Schedule& schedule);
 /// on malformed input.
 std::optional<Schedule> parse_schedule(const std::string& text,
                                        std::string* error = nullptr);
+
+/// Reads the `<rank> <nd_index> <src>` fields of one decision: a
+/// decisions-file line, or a checkpoint `bdec` line past its keyword.
+inline bool read_decision(LineFields& fields, EpochKey* key,
+                          mpism::Rank* src) {
+  return fields.read_exactly(&key->rank, &key->nd_index, src);
+}
 
 /// The bound every loader checks a rank or source against: [0, nprocs).
 inline bool rank_in_range(mpism::Rank rank, int nprocs) {

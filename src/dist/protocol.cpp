@@ -9,6 +9,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "common/line_record.hpp"
 #include "common/strutil.hpp"
 #include "core/shard.hpp"
 
@@ -156,26 +157,17 @@ std::string serialize_hello(const Hello& hello) {
 std::optional<Hello> parse_hello(const std::string& payload,
                                  std::string* error) {
   Hello hello;
-  std::istringstream in(payload);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string keyword;
-    ls >> keyword;
-    if (keyword == "id") {
-      if (!(ls >> hello.worker_id)) {
-        if (error != nullptr) *error = "bad hello id line";
-        return std::nullopt;
-      }
-    } else if (keyword == "options") {
-      hello.fingerprint =
-          line.size() > keyword.size() + 1 ? line.substr(keyword.size() + 1)
-                                           : "";
+  LineReader in(payload);
+  while (in.next()) {
+    if (in.keyword() == "options") {
+      hello.fingerprint = in.fields().rest();
+    } else if (in.keyword() != "id" ||
+               !in.fields().read_exactly(&hello.worker_id)) {
+      return refuse(error, in.at("bad hello line"));
     }
   }
   if (hello.worker_id < 0 || hello.fingerprint.empty()) {
-    if (error != nullptr) *error = "incomplete hello";
-    return std::nullopt;
+    return refuse(error, "incomplete hello");
   }
   return hello;
 }
@@ -189,16 +181,13 @@ std::string serialize_shard(std::uint64_t shard_id,
 std::optional<core::Checkpoint> parse_shard(
     const std::string& payload, const std::string& expected_fingerprint,
     std::uint64_t* shard_id, std::string* error) {
-  const std::size_t eol = payload.find('\n');
-  unsigned long long id = 0;
-  if (eol == std::string::npos ||
-      std::sscanf(payload.c_str(), "shard %llu", &id) != 1) {
-    if (error != nullptr) *error = "bad shard id line";
-    return std::nullopt;
+  LineReader in(payload);
+  if (!in.next() || in.keyword() != "shard" ||
+      !in.fields().read_exactly(shard_id)) {
+    return refuse(error, "bad shard id line");
   }
-  *shard_id = id;
-  return core::parse_checkpoint(payload.substr(eol + 1), expected_fingerprint,
-                                error);
+  return core::parse_checkpoint(std::string(in.remaining()),
+                                expected_fingerprint, error);
 }
 
 std::string serialize_escape(const core::EscapedAlt& escape,
@@ -262,77 +251,60 @@ std::string serialize_worker_result(const WorkerResult& result,
 std::optional<WorkerResult> parse_worker_result(
     const std::string& payload, const std::string& expected_fingerprint,
     std::string* error) {
-  auto fail = [error](std::string message) -> std::optional<WorkerResult> {
-    if (error != nullptr) *error = std::move(message);
-    return std::nullopt;
-  };
-
   WorkerResult wr;
   core::ExploreResult& r = wr.result;
-  std::size_t pos = 0;
-  bool saw_header = false;
-  bool saw_end = false;
   bool saw_ckpt = false;
-  while (pos < payload.size()) {
-    std::size_t eol = payload.find('\n', pos);
-    if (eol == std::string::npos) eol = payload.size();
-    const std::string line = payload.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    if (!saw_header) {
-      if (line != kResultHeader) return fail("missing dist-result header");
-      saw_header = true;
-      continue;
-    }
-    std::istringstream ls(line);
-    std::string keyword;
-    ls >> keyword;
+  LineReader in(payload, kResultHeader);
+  while (in.next()) {
+    const std::string_view keyword = in.keyword();
+    LineFields& f = in.fields();
+    bool ok = true;
     if (keyword == "shard") {
-      if (!(ls >> wr.shard_id)) return fail("bad shard line");
+      ok = f.read_exactly(&wr.shard_id);
     } else if (keyword == "flags") {
-      int ib = 0, tb = 0, in = 0;
-      if (!(ls >> ib >> tb >> in)) return fail("bad flags line");
-      r.interleaving_budget_exhausted = ib != 0;
-      r.time_budget_exhausted = tb != 0;
-      r.interrupted = in != 0;
+      ok = f.read_exactly(&r.interleaving_budget_exhausted,
+                          &r.time_budget_exhausted, &r.interrupted);
     } else if (keyword == "vtime") {
-      if (!(ls >> r.total_vtime_us)) return fail("bad vtime line");
+      ok = f.read_exactly(&r.total_vtime_us);
     } else if (keyword == "wall") {
-      if (!(ls >> r.total_wall_seconds)) return fail("bad wall line");
+      ok = f.read_exactly(&r.total_wall_seconds);
     } else if (keyword == "ckwrites") {
-      if (!(ls >> r.checkpoint_writes)) return fail("bad ckwrites line");
+      ok = f.read_exactly(&r.checkpoint_writes);
     } else if (keyword == "pool") {
-      if (!(ls >> r.pool.jobs >> r.pool.inline_runs >> r.pool.worker_runs >>
-            r.pool.speculative_hits >> r.pool.speculative_waste >>
-            r.pool.max_in_flight >> r.pool.max_queue_depth)) {
-        return fail("bad pool line");
-      }
+      ok = f.read_exactly(&r.pool.jobs, &r.pool.inline_runs,
+                          &r.pool.worker_runs, &r.pool.speculative_hits,
+                          &r.pool.speculative_waste, &r.pool.max_in_flight,
+                          &r.pool.max_queue_depth);
     } else if (keyword == "metric") {
-      if (line.size() > keyword.size() + 1) {
-        wr.metrics_dump += line.substr(keyword.size() + 1);
+      if (!f.rest().empty()) {
+        wr.metrics_dump += f.rest();
         wr.metrics_dump += '\n';
       }
     } else if (keyword == "ckpt") {
       std::size_t nbytes = 0;
-      if (!(ls >> nbytes) || pos + nbytes > payload.size()) {
-        return fail("bad ckpt length");
+      std::string_view inner;
+      if (!f.read_exactly(&nbytes) || !in.take(nbytes, &inner)) {
+        return refuse(error, in.bad_line());
       }
       std::string inner_err;
-      const auto cp = core::parse_checkpoint(payload.substr(pos, nbytes),
+      const auto cp = core::parse_checkpoint(std::string(inner),
                                              expected_fingerprint, &inner_err);
-      if (!cp.has_value()) return fail("embedded checkpoint: " + inner_err);
+      if (!cp.has_value()) {
+        return refuse(error, "embedded checkpoint: " + inner_err);
+      }
       core::restore_counters(*cp, &r);
-      pos += nbytes;
       saw_ckpt = true;
     } else if (keyword == "end") {
-      saw_end = true;
-      break;
+      if (!in.end_trailer()) return refuse(error, in.error());
     } else {
-      return fail("unknown dist-result keyword '" + keyword + "'");
+      return refuse(error, in.at("unknown dist-result keyword '" +
+                                 std::string(keyword) + "'"));
     }
+    if (!ok) return refuse(error, in.bad_line());
   }
-  if (!saw_header || !saw_ckpt || !saw_end) {
-    return fail("truncated dist-result payload");
+  if (!in.error().empty()) return refuse(error, in.error());
+  if (!saw_ckpt || !in.ended()) {
+    return refuse(error, "truncated dist-result payload");
   }
   return wr;
 }

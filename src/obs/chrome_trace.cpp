@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 
+#include "common/line_record.hpp"
 #include "common/strutil.hpp"
 
 namespace dampi::obs {
@@ -64,12 +65,8 @@ std::string chrome_trace_json(const std::vector<LaneSnapshot>& lanes) {
 }
 
 bool write_chrome_trace(const std::string& path) {
-  const std::string json = chrome_trace_json(Tracer::instance().snapshot());
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return written == json.size();
+  return write_file_atomic(path,
+                           chrome_trace_json(Tracer::instance().snapshot()));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "common/line_record.hpp"
 #include "common/strutil.hpp"
 
 namespace dampi::obs {
@@ -117,21 +117,13 @@ std::string Registry::dump() const {
 
 void Registry::merge_dump(const std::string& dump,
                           const std::string& prefix) {
-  std::size_t pos = 0;
-  while (pos < dump.size()) {
-    std::size_t eol = dump.find('\n', pos);
-    if (eol == std::string::npos) eol = dump.size();
-    const std::string line = dump.substr(pos, eol - pos);
-    pos = eol + 1;
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos || space == 0) continue;
-    const std::string value_text = line.substr(space + 1);
-    if (value_text.empty() ||
-        value_text.find_first_not_of("0123456789") != std::string::npos) {
-      continue;  // gauge "v (max m)" or histogram "n=... p50<=..." line
-    }
-    const std::string name = line.substr(0, space);
-    const std::uint64_t value = std::strtoull(value_text.c_str(), nullptr, 10);
+  LineReader in(dump);
+  while (in.next()) {
+    // Counters only: a gauge "v (max m)" or histogram "n=... p50<=..."
+    // line is not one number.
+    std::uint64_t value = 0;
+    if (in.keyword().empty() || !in.fields().read_exactly(&value)) continue;
+    const std::string name(in.keyword());
     counter(prefix + "." + name).add(value);
     counter("dist." + name).add(value);
   }

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/line_record.hpp"
 #include "obs/chrome_trace.hpp"
 
 int main(int argc, char** argv) {
@@ -32,20 +33,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "trace_check: cannot open %s\n", path);
+  std::string error;
+  const auto json = dampi::read_file(path, &error);
+  if (!json.has_value()) {
+    std::fprintf(stderr, "trace_check: %s\n", error.c_str());
     return 1;
   }
-  std::string json;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) json.append(buf, n);
-  std::fclose(f);
-
-  std::string error;
   std::size_t lanes = 0;
-  if (!dampi::obs::validate_chrome_trace(json, &error, &lanes)) {
+  if (!dampi::obs::validate_chrome_trace(*json, &error, &lanes)) {
     std::fprintf(stderr, "trace_check: %s: INVALID: %s\n", path,
                  error.c_str());
     return 1;

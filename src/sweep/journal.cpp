@@ -1,22 +1,11 @@
 #include "sweep/journal.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
+#include "common/line_record.hpp"
 #include "common/strutil.hpp"
 
 namespace dampi::sweep {
-
-namespace {
-
-std::string rest_of_line(const std::string& line, std::size_t keyword_len) {
-  if (line.size() <= keyword_len + 1) return "";
-  return line.substr(keyword_len + 1);
-}
-
-}  // namespace
 
 std::string serialize_sweep_journal(const SweepJournal& journal) {
   std::string out = kSweepJournalHeader;
@@ -43,124 +32,71 @@ std::string serialize_sweep_journal(const SweepJournal& journal) {
 std::optional<SweepJournal> parse_sweep_journal(
     const std::string& text, const std::string& expected_fingerprint,
     std::string* error) {
-  auto fail = [error](std::string message) -> std::optional<SweepJournal> {
-    if (error != nullptr) *error = std::move(message);
-    return std::nullopt;
-  };
-
   SweepJournal journal;
-  std::istringstream in(text);
-  std::string line;
-  int line_no = 0;
-  bool saw_header = false;
   bool saw_options = false;
-  bool saw_end = false;
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.pop_back();
-    }
-    if (line.empty()) continue;
-    if (saw_end) {
-      return fail(strfmt("line %d: content after 'end' trailer", line_no));
-    }
-    if (!saw_header) {
-      if (line != kSweepJournalHeader) {
-        return fail(
-            strfmt("line %d: first non-blank line must be the '%s' header",
-                   line_no, kSweepJournalHeader));
-      }
-      saw_header = true;
-      continue;
-    }
-    if (line[0] == '#') continue;
-
-    std::istringstream ls(line);
-    std::string keyword;
-    ls >> keyword;
-
+  LineReader in(text, kSweepJournalHeader);
+  while (in.next()) {
+    const std::string_view keyword = in.keyword();
+    LineFields& f = in.fields();
     if (keyword == "options") {
-      journal.fingerprint = rest_of_line(line, keyword.size());
+      journal.fingerprint = f.rest();
       if (!expected_fingerprint.empty() &&
           journal.fingerprint != expected_fingerprint) {
-        return fail(strfmt(
+        return refuse(error, in.at(strfmt(
             "sweep fingerprint mismatch — journal was written by a "
             "different sweep configuration\n  journal: %s\n  current: %s",
-            journal.fingerprint.c_str(), expected_fingerprint.c_str()));
+            journal.fingerprint.c_str(), expected_fingerprint.c_str())));
       }
       saw_options = true;
     } else if (keyword == "plan") {
       PlanRecord record;
-      std::string verdict;
-      int partial = 0;
-      if (!(ls >> record.index >> verdict >> record.interleavings >>
-            record.fires >> record.bugs >> partial >> record.spec)) {
-        return fail(strfmt("line %d: bad plan line", line_no));
+      std::string_view verdict;
+      if (!f.read_exactly(&record.index, &verdict, &record.interleavings,
+                          &record.fires, &record.bugs, &record.partial,
+                          &record.spec)) {
+        return refuse(error, in.bad_line());
       }
-      if (!parse_verdict(verdict, &record.verdict)) {
-        return fail(strfmt("line %d: unknown verdict '%s'", line_no,
-                           verdict.c_str()));
+      if (!parse_verdict(std::string(verdict), &record.verdict)) {
+        return refuse(error,
+                      in.at("unknown verdict '" + std::string(verdict) + "'"));
       }
-      record.partial = partial != 0;
       record.from_journal = true;
       if (!journal.records.emplace(record.index, std::move(record)).second) {
-        return fail(strfmt("line %d: duplicate plan index", line_no));
+        return refuse(error, in.at("duplicate plan index"));
       }
     } else if (keyword == "latent") {
       std::uint64_t index = 0;
-      if (!(ls >> index)) {
-        return fail(strfmt("line %d: bad latent line", line_no));
-      }
+      if (!f.read(&index)) return refuse(error, in.bad_line());
       auto it = journal.records.find(index);
       if (it == journal.records.end()) {
-        return fail(strfmt("line %d: latent line without its plan", line_no));
+        return refuse(error, in.at("latent line without its plan"));
       }
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest[0] == ' ') rest.erase(0, 1);
-      it->second.latent_error = unescape_line(rest);
+      it->second.latent_error = f.unescaped_rest();
     } else if (keyword == "end") {
-      saw_end = true;
+      if (!in.end_trailer()) return refuse(error, in.error());
     } else {
-      return fail(
-          strfmt("line %d: unknown keyword '%s'", line_no, keyword.c_str()));
+      return refuse(error,
+                    in.at("unknown keyword '" + std::string(keyword) + "'"));
     }
   }
-  if (!saw_header) {
-    return fail(strfmt("missing '%s' header", kSweepJournalHeader));
-  }
-  if (!saw_options) {
-    return fail("missing 'options' fingerprint line");
-  }
-  if (!saw_end) {
-    return fail("truncated sweep journal (missing 'end' trailer)");
+  if (!in.error().empty()) return refuse(error, in.error());
+  if (!saw_options) return refuse(error, "missing 'options' fingerprint line");
+  if (!in.ended()) {
+    return refuse(error, "truncated sweep journal (missing 'end' trailer)");
   }
   return journal;
 }
 
 bool save_sweep_journal(const SweepJournal& journal, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << serialize_sweep_journal(journal);
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return write_file_atomic(path, serialize_sweep_journal(journal));
 }
 
 std::optional<SweepJournal> load_sweep_journal(
     const std::string& path, const std::string& expected_fingerprint,
     std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_sweep_journal(buffer.str(), expected_fingerprint, error);
+  const auto text = read_file(path, error);
+  if (!text.has_value()) return std::nullopt;
+  return parse_sweep_journal(*text, expected_fingerprint, error);
 }
 
 }  // namespace dampi::sweep

@@ -54,6 +54,14 @@ TEST(DecisionIo, RejectsMalformedInput) {
       "# dampi-epoch-decisions v1\nnot numbers\n", &error));
   EXPECT_FALSE(core::parse_schedule(
       "# dampi-epoch-decisions v1\n-1 0 2\n", &error));
+  // A sign on the unsigned nd index used to wrap; extra tokens used to be
+  // ignored.
+  EXPECT_FALSE(core::parse_schedule(
+      "# dampi-epoch-decisions v1\n0 -1 2\n", &error));
+  EXPECT_NE(error.find("line 2:"), std::string::npos) << error;
+  EXPECT_FALSE(core::parse_schedule(
+      "# dampi-epoch-decisions v1\n0 1 2 junk\n", &error));
+  EXPECT_NE(error.find("line 2:"), std::string::npos) << error;
   EXPECT_FALSE(core::parse_schedule(
       "# dampi-epoch-decisions v1\n1 0 2\n1 0 0\n", &error));  // duplicate
   EXPECT_NE(error.find("duplicate"), std::string::npos);

@@ -822,6 +822,18 @@ TEST(Dist, ProtocolRejectsFingerprintMismatch) {
   EXPECT_FALSE(error.empty());
 }
 
+// An untried count larger than the tokens on its frame line used to size
+// a vector and throw std::length_error out of the shard parser.
+TEST(Dist, ParseShardRefusesAnOversizedUntriedCount) {
+  const std::string payload =
+      "shard 3\n" + std::string(core::kCheckpointHeader) +
+      "\noptions fp\nframe 0 0 0 0 1 0 u 4000000000000000000 1 s 0\nend\n";
+  std::uint64_t id = 0;
+  std::string error;
+  EXPECT_FALSE(dist::parse_shard(payload, "fp", &id, &error).has_value());
+  EXPECT_NE(error.find("line 3:"), std::string::npos) << error;
+}
+
 // --- Cancel with a SIGKILLed straggler terminates --------------------------
 
 // Regression: a worker that ignores CANCEL while holding an assigned

@@ -455,6 +455,21 @@ TEST(Checkpoint, LoadRefusesCorruptOrForeignFiles) {
   EXPECT_FALSE(
       core::parse_checkpoint(good + "trailing garbage\n", "", &error)
           .has_value());
+
+  // Count prefixes larger than the tokens on their line used to size a
+  // vector and throw std::length_error; negative counters used to wrap.
+  for (const char* bad : {
+           "ffires 4000000000000000000",
+           "frame 0 0 0 0 1 0 u 4000000000000000000 1 s 0",
+           "frame 0 0 0 0 1 0 u 0 s 0 v 4000000000000000000 1",
+           "interleavings -1",
+           "counters -5 0 0 0 0",
+       }) {
+    const std::string text = std::string(core::kCheckpointHeader) +
+                             "\noptions x\n" + bad + "\nend\n";
+    EXPECT_FALSE(core::parse_checkpoint(text, "", &error).has_value()) << bad;
+    EXPECT_NE(error.find("line 3:"), std::string::npos) << bad << ": " << error;
+  }
 }
 
 // Rank bounds are the loaders' job, since the parser cannot know
