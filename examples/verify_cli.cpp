@@ -413,11 +413,6 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    if (!DAMPI_TRACE_ENABLED) {
-      std::printf(
-          "warning: this binary was built with DAMPI_TRACE=OFF; the "
-          "trace will contain no events\n");
-    }
     if (trace_capacity > 0) {
       obs::Tracer::instance().set_capacity(trace_capacity);
     }

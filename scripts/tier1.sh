@@ -14,7 +14,7 @@
 #  - the distributed stage: 2-, 4- and 8-worker campaigns must match
 #    the 1-worker one, kill-a-worker, and the dist label;
 #  - a trace smoke test (a real workload exported with --trace must
-#    validate under trace_check) and a DAMPI_TRACE=OFF configure+build;
+#    validate under trace_check);
 #  - a perf_ledger.py smoke on an inline two-pair fixture (wall-clock
 #    speed itself is measured by perfbench/, not here);
 #  - a fault-sweep stage: sweep-labelled tests, the --sweep-faults
@@ -283,11 +283,6 @@ if [[ "${trace_rc}" != 0 && "${trace_rc}" != 2 ]]; then
 fi
 build/src/obs/trace_check "${trace_out}" --min-lanes 8
 rm -f "${trace_out}"
-
-# The tracer must also compile out cleanly.
-cmake -B build-off -S . -DDAMPI_TRACE=OFF
-cmake --build build-off -j "${jobs}" --target verify_cli trace_check
-echo "tier1: DAMPI_TRACE=OFF build OK"
 
 # Ledger smoke: perf_ledger.py pairs two results.jsonl files run by run
 # and reports quartiles, wins and the verdict, plus each side's commit and

@@ -116,13 +116,14 @@ std::string options_fingerprint(const ExplorerOptions& options) {
   if (options.mixing_bound.has_value()) {
     mix = strfmt("%d", *options.mixing_bound);
   }
+  // `loopabs=1 unsafe=1` name two features that are always on; they stay
+  // in the text so existing checkpoints and sweep journals still resume.
   std::string fp = strfmt(
-      "nprocs=%d clock=%d transport=%d mix=%s loopabs=%d unsafe=%d "
+      "nprocs=%d clock=%d transport=%d mix=%s loopabs=1 unsafe=1 "
       "autoloop=%d defsync=%d sched=%s schedseed=%llu por=%s policy=%d "
       "pseed=%llu init=%016llx",
       options.nprocs, static_cast<int>(options.clock_mode),
       static_cast<int>(options.transport), mix.c_str(),
-      options.loop_abstraction ? 1 : 0, options.unsafe_monitor ? 1 : 0,
       options.auto_loop_threshold, options.deferred_clock_sync ? 1 : 0,
       mpism::sched_spec(options.sched).c_str(),
       static_cast<unsigned long long>(options.sched.seed),

@@ -153,7 +153,7 @@ EpochRecord& DampiLayer::record_epoch(mpism::CommId comm, mpism::Tag tag,
   rec.comm = comm;
   rec.tag = tag;
   rec.is_probe = is_probe;
-  rec.in_ignored_region = options_.loop_abstraction && region_depth_ > 0;
+  rec.in_ignored_region = region_depth_ > 0;
   rec.auto_abstracted = false;
   rec.matched_src_world = -1;
   rec.matched_seq = 0;
@@ -187,7 +187,7 @@ EpochRecord& DampiLayer::record_epoch(mpism::CommId comm, mpism::Tag tag,
 // --- sends -----------------------------------------------------------------
 
 void DampiLayer::pre_isend(mpism::ToolCtx& ctx, mpism::SendCall& call) {
-  if (options_.unsafe_monitor) unsafe_check(ctx, "send");
+  unsafe_check(ctx, "send");
   transmit_clock().serialize_into(&latch_send_clock_);
   DAMPI_TEVENT(obs::EventKind::kPiggybackAttach, obs::Phase::kInstant,
                static_cast<std::int32_t>(latch_send_clock_.size()));
@@ -326,7 +326,7 @@ void DampiLayer::post_probe(mpism::ToolCtx& ctx, const mpism::ProbeCall& call,
 // --- collectives ------------------------------------------------------------
 
 void DampiLayer::pre_collective(mpism::ToolCtx& ctx, mpism::CollCall& call) {
-  if (options_.unsafe_monitor) unsafe_check(ctx, "collective");
+  unsafe_check(ctx, "collective");
   transmit_clock().serialize_into(&call.pb_contribution);
 }
 
@@ -346,7 +346,6 @@ void DampiLayer::post_collective(mpism::ToolCtx& ctx,
 // --- misc --------------------------------------------------------------------
 
 void DampiLayer::on_pcontrol(mpism::ToolCtx&, int level, const std::string&) {
-  if (!options_.loop_abstraction) return;
   if (level == 1) {
     ++region_depth_;
   } else if (level == 0 && region_depth_ > 0) {

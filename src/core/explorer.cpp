@@ -15,7 +15,6 @@
 #include "core/por.hpp"
 #include "core/replay_pool.hpp"
 #include "mpism/fault.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dampi::core {
@@ -340,9 +339,9 @@ void Explorer::speculate_frontier(ReplayPool& pool,
   // Every untried alternative on the stack is a run the sequential walk
   // is guaranteed to request later with exactly this prefix: taken_src
   // above a frame cannot change before the frame itself is flipped.
-  // Speculation is therefore only ever wasted when a budget or
-  // stop_on_first_error ends the walk early. Deepest first matches
-  // consumption order; untried is consumed back() first.
+  // Speculation is therefore only ever wasted when a budget or a cancel
+  // ends the walk early. Deepest first matches consumption order;
+  // untried is consumed back() first.
   std::uint64_t planned =
       result.interleavings + static_cast<std::uint64_t>(pool.outstanding());
   Schedule schedule;
@@ -434,9 +433,6 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
                  static_cast<std::int32_t>(result.interleavings));
     if (ok) {
       ++result.checkpoint_writes;
-      static obs::Counter& writes_metric =
-          obs::Registry::instance().counter("checkpoint.writes");
-      writes_metric.add(1);
     } else {
       DAMPI_LOG(kWarn) << "checkpoint write failed: "
                        << options_.checkpoint_path;
@@ -445,8 +441,8 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
 
   // Retry wrapper: a retryably-failed run (error or watchdog expiry —
   // possibly transient, e.g. an injected flaky fault) is re-executed up
-  // to max_retries times with bounded exponential backoff. The final
-  // outcome, whatever it is, is the one judged.
+  // to max_retries times with exponential backoff (1 ms, doubling,
+  // capped at 1 s). The final outcome, whatever it is, is the one judged.
   auto take_with_retry = [&](const Schedule& schedule, std::uint64_t index) {
     SingleRun out = pool.take(schedule, index);
     int attempt = 0;
@@ -456,14 +452,8 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
       ++result.retries;
       DAMPI_TEVENT(obs::EventKind::kRetry, obs::Phase::kInstant, attempt, 0, 0,
                    static_cast<std::int32_t>(index));
-      const double backoff_ms =
-          std::min(options_.retry_backoff_ms *
-                       static_cast<double>(1ull << std::min(attempt - 1, 10)),
-                   1000.0);
-      if (backoff_ms > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff_ms));
-      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::min(1 << std::min(attempt - 1, 10), 1000)));
       pool.recycle(std::move(out));
       out = pool.take(schedule, index);
     }
@@ -524,8 +514,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     pool.recycle(std::move(first));
   }
 
-  const bool stop_now = aborted_discovery || options_.discovery_only ||
-                        (options_.stop_on_first_error && result.found_bug());
+  const bool stop_now = aborted_discovery || options_.discovery_only;
   while (!stop_now) {
     if (cancel->requested()) {
       // The cancel landed between runs (or a cancelled run already broke
@@ -629,7 +618,6 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     record_bug_if_any(outcome.report, schedule, outcome.trace,
                       result.interleavings, result);
     if (observer) observer(outcome.trace, outcome.report, schedule);
-    if (options_.stop_on_first_error && result.found_bug()) break;
 
     // Only completed runs contribute new decision points; a failed replay
     // is reported, not extended.
@@ -652,8 +640,8 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
       result.interrupted = true;
     }
   } else {
-    // Final flush at every walk exit (completion, budget, cancellation,
-    // first-error stop) so --resume always sees the newest frontier.
+    // Final flush at every walk exit (completion, budget, cancellation)
+    // so --resume always sees the newest frontier.
     flush_checkpoint();
   }
 
@@ -664,36 +652,6 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
   pool.shutdown();
   result.pool = pool.stats();
   result.total_wall_seconds = elapsed();
-  static obs::Counter& interleavings_metric =
-      obs::Registry::instance().counter("explorer.interleavings");
-  static obs::Counter& explorations_metric =
-      obs::Registry::instance().counter("explorer.explorations");
-  static obs::Counter& bugs_metric =
-      obs::Registry::instance().counter("explorer.bugs");
-  static obs::Counter& divergences_metric =
-      obs::Registry::instance().counter("explorer.divergences");
-  static obs::Counter& retries_metric =
-      obs::Registry::instance().counter("explorer.retries");
-  static obs::Counter& timeouts_metric =
-      obs::Registry::instance().counter("explorer.timeouts");
-  static obs::Counter& quarantined_metric =
-      obs::Registry::instance().counter("explorer.quarantined");
-  static obs::Counter& por_pruned_metric =
-      obs::Registry::instance().counter("explorer.por.pruned");
-  static obs::Counter& por_dependent_metric =
-      obs::Registry::instance().counter("explorer.por.dependent_pairs");
-  static obs::Counter& por_sleep_hits_metric =
-      obs::Registry::instance().counter("explorer.por.sleep_hits");
-  por_pruned_metric.add(result.por_pruned);
-  por_dependent_metric.add(result.por_dependent_pairs);
-  por_sleep_hits_metric.add(result.por_sleep_hits);
-  interleavings_metric.add(result.interleavings);
-  explorations_metric.add(1);
-  bugs_metric.add(result.bugs.size());
-  divergences_metric.add(result.divergences);
-  retries_metric.add(result.retries);
-  timeouts_metric.add(result.timeouts);
-  quarantined_metric.add(result.quarantined);
   return result;
 }
 

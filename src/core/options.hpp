@@ -64,15 +64,6 @@ struct ExplorerOptions {
   /// to ~(one flip per alternative of the initial trace).
   std::optional<int> mixing_bound;
 
-  /// Honor MPI_Pcontrol loop-abstraction regions (paper §III-B1):
-  /// wildcard epochs inside a bracketed region keep their self-run match
-  /// and contribute no alternatives.
-  bool loop_abstraction = true;
-
-  /// Dynamic monitor for the paper's §V omission pattern (clock escapes
-  /// between a wildcard Irecv and its Wait/Test).
-  bool unsafe_monitor = true;
-
   /// Future work from §VI, implemented: automatic loop-iteration
   /// detection. After this many *consecutive* ND events with an
   /// identical signature (communicator, tag, receive-vs-probe) on one
@@ -131,7 +122,6 @@ struct ExplorerOptions {
   /// Search budget.
   std::uint64_t max_interleavings = 1u << 20;
   double max_wall_seconds = 1e9;
-  bool stop_on_first_error = false;
 
   /// Replay workers. Guided replays are independent — each builds its own
   /// runtime from nothing but a decision file — so sibling alternatives
@@ -171,15 +161,14 @@ struct ExplorerOptions {
   /// any of them is reported as a kHang bug with its reproducing
   /// schedule, instead of wedging the campaign.
   double run_deadline_seconds = 0.0;
-  double max_run_vtime_us = 0.0;
   std::uint64_t max_run_ops = 0;
 
   /// Failed replays (program errors or watchdog timeouts — possibly
   /// transient, e.g. injected faults) are re-executed up to this many
-  /// times with bounded exponential backoff before their decision
-  /// subtree is quarantined. Deadlocks are verdicts, never retried.
+  /// times with exponential backoff (1 ms, doubling, capped at 1 s)
+  /// before their decision subtree is quarantined. Deadlocks are
+  /// verdicts, never retried.
   int max_retries = 0;
-  double retry_backoff_ms = 1.0;
 
   /// External cancellation (SIGINT bridge, tests). The explorer creates
   /// one internally when unset — its global wall-budget watchdog fires

@@ -17,7 +17,6 @@ mpism::RunOptions run_options_for(const ExplorerOptions& options) {
   run_options.match = options.match;
   run_options.engine_lock = options.engine_lock;
   run_options.max_run_wall_seconds = options.run_deadline_seconds;
-  run_options.max_run_vtime_us = options.max_run_vtime_us;
   run_options.max_ops = options.max_run_ops;
   run_options.cancel = options.cancel;
   return run_options;

@@ -87,14 +87,6 @@ SingleRun ReplayPool::execute(ReplayContext& context, const Schedule& schedule,
   const double wall = now_seconds() - t0;
   DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kEnd,
                static_cast<std::int32_t>(speculative), 0, 0, interleaving);
-  static obs::Counter& worker_runs_metric =
-      obs::Registry::instance().counter("pool.worker_runs");
-  static obs::Counter& inline_runs_metric =
-      obs::Registry::instance().counter("pool.inline_runs");
-  static obs::FixedHistogram& wall_metric =
-      obs::Registry::instance().histogram("pool.run_wall_seconds");
-  (speculative ? worker_runs_metric : inline_runs_metric).add(1);
-  wall_metric.add(wall);
   {
     std::lock_guard<std::mutex> lk(mu_);
     --in_flight_;
@@ -181,9 +173,6 @@ SingleRun ReplayPool::take(const Schedule& schedule,
   entries_.erase(it);
   --done_unconsumed_;
   ++stats_.speculative_hits;
-  static obs::Counter& hits_metric =
-      obs::Registry::instance().counter("pool.speculative_hits");
-  hits_metric.add(1);
   if (options_.run_stats) {
     // Re-announce the consumed run under its deterministic index so a
     // callback watching exploration order sees every interleaving once.
@@ -216,13 +205,8 @@ void ReplayPool::shutdown() {
   }
   for (std::thread& t : threads_) t.join();
   std::lock_guard<std::mutex> lk(mu_);
-  if (done_unconsumed_ > 0) {
-    static obs::Counter& waste_metric =
-        obs::Registry::instance().counter("pool.speculative_waste");
-    waste_metric.add(done_unconsumed_);
-    for (std::size_t i = 0; i < done_unconsumed_; ++i) {
-      DAMPI_TEVENT(obs::EventKind::kRunDiscard, obs::Phase::kInstant);
-    }
+  for (std::size_t i = 0; i < done_unconsumed_; ++i) {
+    DAMPI_TEVENT(obs::EventKind::kRunDiscard, obs::Phase::kInstant);
   }
   stats_.speculative_waste += done_unconsumed_;
   done_unconsumed_ = 0;

@@ -103,7 +103,6 @@ class CampaignMerge {
   void quarantine_shard();
 
   std::uint64_t interleavings() const { return merged_.interleavings; }
-  bool found_bug() const { return merged_.found_bug(); }
 
   /// Final merged result; bugs sorted canonically (by bug_key) so the
   /// campaign report is deterministic regardless of arrival order.

@@ -19,7 +19,6 @@
 #include "core/checkpoint.hpp"
 #include "core/shard.hpp"
 #include "dist/protocol.hpp"
-#include "obs/metrics.hpp"
 
 namespace dampi::dist {
 
@@ -72,8 +71,6 @@ DistResult run_distributed(const DistOptions& options,
 
   const bool discovery_aborted =
       discovered.interrupted || discovered.time_budget_exhausted;
-  const bool stop_early = options.explorer.stop_on_first_error &&
-                          !discovered.bugs.empty();
   core::CampaignMerge merge(std::move(discovered), options.explorer.por);
 
   // --- Shard bookkeeping ---------------------------------------------------
@@ -92,7 +89,7 @@ DistResult run_distributed(const DistOptions& options,
     queue.push_back(st.id);
     shards.emplace(st.id, std::move(st));
   };
-  if (!discovery_aborted && !stop_early) {
+  if (!discovery_aborted) {
     for (core::Checkpoint& cp :
          core::split_frontier(root, 0, options.explorer.por)) {
       add_shard(std::move(cp));
@@ -200,7 +197,7 @@ DistResult run_distributed(const DistOptions& options,
     ++out.stats.worker_deaths;
     if (!w.hello) {
       ++w.spawn_failures;
-      if (w.spawn_failures >= options.max_spawn_failures) {
+      if (w.spawn_failures >= kMaxSpawnFailures) {
         fatal("worker " + std::to_string(w.id) +
               " repeatedly died before HELLO (bad worker binary or "
               "options?)");
@@ -241,7 +238,7 @@ DistResult run_distributed(const DistOptions& options,
             merge.register_shard_sites(st.cp);
           }
         }
-        if (st.deaths > options.max_shard_respawns) {
+        if (st.deaths > kMaxShardRespawns) {
           merge.quarantine_shard();
           ++out.stats.shards_quarantined;
           shards.erase(it);
@@ -392,10 +389,6 @@ DistResult run_distributed(const DistOptions& options,
       budget_cancel = true;
       start_cancel();
     }
-    if (!cancel_broadcast && options.explorer.stop_on_first_error &&
-        merge.found_bug()) {
-      start_cancel();
-    }
 
     // Drain every channel, then reap, then hand out work.
     for (WorkerProc& w : workers) {
@@ -506,18 +499,6 @@ DistResult run_distributed(const DistOptions& options,
     }
   }
 
-  static obs::Counter& deaths_metric =
-      obs::Registry::instance().counter("dist.worker_deaths");
-  static obs::Counter& stolen_metric =
-      obs::Registry::instance().counter("dist.shards_stolen");
-  static obs::Counter& escaped_metric =
-      obs::Registry::instance().counter("dist.shards_escaped");
-  static obs::Counter& requeued_metric =
-      obs::Registry::instance().counter("dist.shards_requeued");
-  deaths_metric.add(static_cast<std::uint64_t>(out.stats.worker_deaths));
-  stolen_metric.add(out.stats.shards_stolen);
-  escaped_metric.add(out.stats.shards_escaped);
-  requeued_metric.add(out.stats.shards_requeued);
   return out;
 }
 

@@ -26,6 +26,12 @@
 
 namespace dampi::dist {
 
+/// A shard survives this many worker deaths before it is quarantined.
+inline constexpr int kMaxShardRespawns = 2;
+/// A worker slot that keeps dying before completing HELLO (e.g. the
+/// binary fails to exec) aborts the campaign after this many attempts.
+inline constexpr int kMaxSpawnFailures = 3;
+
 struct DistOptions {
   int workers = 2;
   /// Base argv of a worker (argv[0] = executable). The coordinator
@@ -33,11 +39,6 @@ struct DistOptions {
   /// --coordinator-socket fd:M`, where M is the worker's end of a
   /// socketpair it inherits across exec.
   std::vector<std::string> worker_argv;
-  /// A shard survives this many worker deaths before it is quarantined.
-  int max_shard_respawns = 2;
-  /// A worker slot that keeps dying before completing HELLO (e.g. the
-  /// binary fails to exec) aborts the campaign after this many attempts.
-  int max_spawn_failures = 3;
   /// After CANCEL/SHUTDOWN, stragglers get this long before SIGKILL.
   double shutdown_grace_seconds = 10.0;
   /// The campaign's search options; must produce the same

@@ -20,18 +20,16 @@
 
 namespace dampi::isp {
 
-struct IspCostParams {
-  /// One-way socket latency between an MPI process and the scheduler.
-  double sock_latency_us = 10.0;
-  /// Scheduler service time per intercepted call.
-  double scheduler_service_us = 3.0;
-  /// Additional stall for non-deterministic operations: ISP delays each
-  /// wildcard until the scheduler has discovered the full set of
-  /// potential senders before rewriting it ("ISP must delay
-  /// non-deterministic outcomes even at small scales, which leads to
-  /// long testing times", §I) — a quiescence wait, not a socket hop.
-  double wildcard_service_us = 3000.0;
-};
+/// One-way socket latency between an MPI process and the scheduler.
+inline constexpr double kSockLatencyUs = 10.0;
+/// Scheduler service time per intercepted call.
+inline constexpr double kSchedulerServiceUs = 3.0;
+/// Additional stall for non-deterministic operations: ISP delays each
+/// wildcard until the scheduler has discovered the full set of potential
+/// senders before rewriting it ("ISP must delay non-deterministic
+/// outcomes even at small scales, which leads to long testing times",
+/// §I) — a quiescence wait, not a socket hop.
+inline constexpr double kWildcardServiceUs = 3000.0;
 
 /// The scheduler's serialized virtual timeline. One per run, shared by
 /// every rank's IspCostLayer.
@@ -58,41 +56,37 @@ class SchedulerSim {
 /// Charges every intercepted user call with a scheduler round trip.
 class IspCostLayer final : public mpism::ToolLayer {
  public:
-  IspCostLayer(std::shared_ptr<SchedulerSim> sim, IspCostParams params)
-      : sim_(std::move(sim)), params_(params) {}
+  explicit IspCostLayer(std::shared_ptr<SchedulerSim> sim)
+      : sim_(std::move(sim)) {}
 
   void pre_isend(mpism::ToolCtx& ctx, mpism::SendCall&) override {
-    charge(ctx, params_.scheduler_service_us);
+    charge(ctx, kSchedulerServiceUs);
   }
   void pre_irecv(mpism::ToolCtx& ctx, mpism::RecvCall& call) override {
     charge(ctx, call.src == mpism::kAnySource
-                    ? params_.scheduler_service_us +
-                          params_.wildcard_service_us
-                    : params_.scheduler_service_us);
+                    ? kSchedulerServiceUs + kWildcardServiceUs
+                    : kSchedulerServiceUs);
   }
   void pre_wait(mpism::ToolCtx& ctx, mpism::RequestId) override {
-    charge(ctx, params_.scheduler_service_us);
+    charge(ctx, kSchedulerServiceUs);
   }
   void pre_probe(mpism::ToolCtx& ctx, mpism::ProbeCall& call) override {
     charge(ctx, call.src == mpism::kAnySource
-                    ? params_.scheduler_service_us +
-                          params_.wildcard_service_us
-                    : params_.scheduler_service_us);
+                    ? kSchedulerServiceUs + kWildcardServiceUs
+                    : kSchedulerServiceUs);
   }
   void pre_collective(mpism::ToolCtx& ctx, mpism::CollCall&) override {
-    charge(ctx, params_.scheduler_service_us);
+    charge(ctx, kSchedulerServiceUs);
   }
 
  private:
   void charge(mpism::ToolCtx& ctx, double service_us) {
     const double now = ctx.vtime();
-    const double done =
-        sim_->transact(now + params_.sock_latency_us, service_us);
-    ctx.add_cost(done + params_.sock_latency_us - now);
+    const double done = sim_->transact(now + kSockLatencyUs, service_us);
+    ctx.add_cost(done + kSockLatencyUs - now);
   }
 
   std::shared_ptr<SchedulerSim> sim_;
-  IspCostParams params_;
 };
 
 }  // namespace dampi::isp

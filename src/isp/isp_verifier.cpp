@@ -20,13 +20,12 @@ core::VerifyResult IspVerifier::verify(
   verify_options.explorer.epoch_record_cost_us = 0.0;
   verify_options.explorer.late_analysis_cost_us = 0.0;
 
-  const IspCostParams cost = options_.cost;
-  verify_options.explorer.extra_layers_per_run = [cost]() {
+  verify_options.explorer.extra_layers_per_run = []() {
     auto sim = std::make_shared<SchedulerSim>();
     return core::LayerStackFactory(
-        [sim, cost](int, int) {
+        [sim](int, int) {
           std::vector<std::unique_ptr<mpism::ToolLayer>> stack;
-          stack.push_back(std::make_unique<IspCostLayer>(sim, cost));
+          stack.push_back(std::make_unique<IspCostLayer>(sim));
           return stack;
         });
   };

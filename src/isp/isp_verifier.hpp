@@ -17,7 +17,6 @@ namespace dampi::isp {
 
 struct IspOptions {
   core::ExplorerOptions explorer;
-  IspCostParams cost;
   bool measure_native = true;
 };
 

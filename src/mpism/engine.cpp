@@ -169,8 +169,7 @@ void Engine::run(const ProgramFn& program, RunReport* out) {
                  std::chrono::duration<double>(opts_.max_run_wall_seconds));
     callbacks_.deadline = run_deadline_;
   }
-  budgets_armed_ = has_wall_deadline_ || opts_.max_run_vtime_us > 0.0 ||
-                   opts_.max_ops > 0;
+  budgets_armed_ = has_wall_deadline_ || opts_.max_ops > 0;
   sched_->run(callbacks_);
 
   RunReport& report = *out;
@@ -567,17 +566,13 @@ void Engine::cancel(const std::string& reason) {
   sched_->wake_all();
 }
 
-void Engine::charge_op(EngineGuard& g, Rank r) {
+void Engine::charge_op(EngineGuard& g) {
   if (!budgets_armed_) return;
   const std::uint64_t ops =
       ops_executed_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (opts_.max_ops > 0 && ops > opts_.max_ops) {
     declare_timeout(strfmt("op budget exhausted (%llu ops)",
                            static_cast<unsigned long long>(opts_.max_ops)));
-  } else if (opts_.max_run_vtime_us > 0.0 &&
-             pr(r).vt() > opts_.max_run_vtime_us) {
-    declare_timeout(strfmt("virtual-time budget exhausted (%.0f us)",
-                           opts_.max_run_vtime_us));
   } else if (has_wall_deadline_ && (ops & 31) == 0 &&
              std::chrono::steady_clock::now() >= run_deadline_) {
     // The clock read is amortized over 32 ops: a busy rank issues ops
@@ -919,7 +914,7 @@ RequestId Engine::send_impl(Rank r, SendCall& call, bool synchronous,
 
   EngineGuard g(lock_, r);
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   validate_comm_member(g, r, call.comm);
   if (call.tag < 0 || call.tag > kMaxUserTag) {
     throw_program_error(g, r, strfmt("invalid send tag %d", call.tag));
@@ -986,7 +981,7 @@ void Engine::api_send(Rank r, Rank dst, Tag tag, Bytes payload, CommId comm) {
   // it was injected.
   EngineGuard g(lock_, r);
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   pr(r).vt_add(opts_.cost.local_op_us);
   Envelope no_msg;
   finish_op(g, r, done, no_msg, nullptr, /*run_hooks=*/true);
@@ -994,7 +989,7 @@ void Engine::api_send(Rank r, Rank dst, Tag tag, Bytes payload, CommId comm) {
 
 Rank Engine::enter_recv(EngineGuard& g, Rank r, const RecvCall& call) {
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   validate_comm_member(g, r, call.comm);
   if (call.tag < kAnyTag || call.tag > kMaxUserTag) {
     throw_program_error(g, r, strfmt("invalid recv tag %d", call.tag));
@@ -1067,7 +1062,7 @@ Status Engine::api_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
   // The uncounted wait of a blocking receive, on one already matched.
   g.lock();
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   me.vt_add(opts_.cost.local_op_us);
   return finish_op(g, r, done, msg, out, /*run_hooks=*/true);
 }
@@ -1077,7 +1072,7 @@ Status Engine::api_wait(Rank r, RequestId req, Bytes* out, bool count_stat) {
 
   EngineGuard g(lock_, r);
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   if (pr(r).reqs.find(req) == nullptr) {
     throw_program_error(g, r, "wait on invalid or consumed request");
   }
@@ -1092,7 +1087,7 @@ bool Engine::api_test(Rank r, RequestId req, Status* status, Bytes* out) {
 
   EngineGuard g(lock_, r);
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   RequestRecord* found = pr(r).reqs.find(req);
   if (found == nullptr) {
     throw_program_error(g, r, "test on invalid or consumed request");
@@ -1118,7 +1113,7 @@ void Engine::api_waitall(Rank r, std::span<RequestId> reqs) {
     if (req == kNullRequest) continue;
     EngineGuard g(lock_, r);
     check_abort(g);
-    charge_op(g, r);
+    charge_op(g);
     if (pr(r).reqs.find(req) == nullptr) {
       throw_program_error(g, r, "waitall on invalid or consumed request");
     }
@@ -1140,7 +1135,7 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
 
   EngineGuard g(lock_, r);
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
 
@@ -1182,7 +1177,7 @@ bool Engine::api_testall(Rank r, std::span<RequestId> reqs) {
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
   EngineGuard g(lock_, r);
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
   for (const RequestId req : reqs) {
@@ -1210,7 +1205,7 @@ std::size_t Engine::api_testany(Rank r, std::span<RequestId> reqs,
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
   EngineGuard g(lock_, r);
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -1240,7 +1235,7 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
 
   EngineGuard g(lock_, r);
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   validate_comm_member(g, r, call.comm);
   stats_.bump(OpCategory::kSendRecv, r);
   pr(r).vt_add(opts_.cost.local_op_us);
@@ -1391,7 +1386,7 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
                                        CollResult* tool_result) {
   EngineGuard g(lock_, EngineGuard::kAllShards);
   check_abort(g);
-  if (!tool_internal) charge_op(g, r);
+  if (!tool_internal) charge_op(g);
   validate_comm_member(g, r, comm);
   DAMPI_TEVENT(obs::EventKind::kCollective, obs::Phase::kBegin,
                static_cast<std::int32_t>(kind), comm);
@@ -1687,7 +1682,7 @@ void Engine::api_pcontrol(Rank r, int level, const std::string& what) {
   {
     EngineGuard g(lock_, r);
     check_abort(g);
-    charge_op(g, r);
+    charge_op(g);
     stats_.bump(OpCategory::kOther, r);
     pr(r).vt_add(opts_.cost.local_op_us);
   }
@@ -1697,7 +1692,7 @@ void Engine::api_pcontrol(Rank r, int level, const std::string& what) {
 void Engine::api_compute(Rank r, double us) {
   EngineGuard g(lock_, r);
   check_abort(g);
-  charge_op(g, r);
+  charge_op(g);
   pr(r).vt_add(us);
 }
 

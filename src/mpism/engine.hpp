@@ -335,11 +335,11 @@ class Engine {
   /// already-declared abort/deadlock. Takes the verdict mutex itself;
   /// callable with or without shards held.
   void declare_timeout(std::string reason);
-  /// Budget accounting at MPI-call entry (shard r held): counts the op,
-  /// checks the op/vtime/wall budgets, and unwinds via AbortRun when one
-  /// expired. A single predicted-false branch when no budget is armed;
-  /// the wall-clock read is amortized over a 32-op stride.
-  void charge_op(EngineGuard& g, Rank r);
+  /// Budget accounting at MPI-call entry (the caller's shard held):
+  /// counts the op, checks the op/wall budgets, and unwinds via AbortRun
+  /// when one expired. A single predicted-false branch when no budget is
+  /// armed; the wall-clock read is amortized over a 32-op stride.
+  void charge_op(EngineGuard& g);
   void abort_all();
   [[noreturn]] void throw_program_error(EngineGuard& g, Rank r,
                                         const std::string& message);

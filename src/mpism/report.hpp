@@ -21,8 +21,8 @@ struct RunReport {
   /// Human-readable description of each blocked operation at deadlock.
   std::string deadlock_detail;
 
-  /// The run exceeded one of its RunOptions budgets (wall deadline,
-  /// vtime, or op count) — a watchdog verdict for a possible hang or
+  /// The run exceeded one of its RunOptions budgets (wall deadline or
+  /// op count) — a watchdog verdict for a possible hang or
   /// livelock; the explorer reports it as a kHang bug.
   bool timed_out = false;
   /// The run was ended early by an external CancelSource (global wall

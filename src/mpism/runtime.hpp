@@ -49,10 +49,8 @@ struct RunOptions {
   /// Per-run budgets, all 0 = unlimited. A run that exceeds any of them
   /// ends with RunReport::timed_out (watchdog verdict) instead of
   /// hanging: wall-clock deadline (enforced at scheduler block/yield
-  /// points and at every MPI-call entry), virtual-time ceiling, and
-  /// MPI-op-count ceiling.
+  /// points and at every MPI-call entry) and MPI-op-count ceiling.
   double max_run_wall_seconds = 0.0;
-  double max_run_vtime_us = 0.0;
   std::uint64_t max_ops = 0;
   /// External cancellation: when set, firing the source ends the run
   /// with RunReport::cancelled (neither a verdict nor a bug). One

@@ -8,10 +8,6 @@
 // can sit on the engine's matching hot path. The ring keeps the most
 // recent `capacity` events per lane (older ones are overwritten; the
 // drop count is reported at export time).
-//
-// Compile-time gate: when the CMake option DAMPI_TRACE is OFF the emit
-// macros expand to nothing and no call site survives; the library API
-// itself stays available so exporters and tests still link.
 #pragma once
 
 #include <atomic>
@@ -21,12 +17,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#if defined(DAMPI_TRACE) && DAMPI_TRACE
-#define DAMPI_TRACE_ENABLED 1
-#else
-#define DAMPI_TRACE_ENABLED 0
-#endif
 
 namespace dampi::obs {
 
@@ -186,13 +176,7 @@ extern thread_local Lane* tls_lane;
 /// ThreadLane remains the RAII path for threads that own one lane.
 Lane* exchange_thread_lane(Lane* lane);
 
-inline bool trace_on() {
-#if DAMPI_TRACE_ENABLED
-  return Tracer::instance().enabled();
-#else
-  return false;
-#endif
-}
+inline bool trace_on() { return Tracer::instance().enabled(); }
 
 /// Emit into the calling thread's lane (no-op for unclaimed threads).
 inline void emit(EventKind kind, Phase phase, std::int32_t a = 0,
@@ -218,10 +202,8 @@ class ThreadLane {
 
 }  // namespace dampi::obs
 
-// Hot-path emit macros: compiled out entirely under DAMPI_TRACE=OFF
-// (arguments are never evaluated), one relaxed load + branch when
-// compiled in but disabled at runtime.
-#if DAMPI_TRACE_ENABLED
+// Hot-path emit macros: one relaxed load + branch while tracing is
+// disabled at runtime (arguments are then never evaluated).
 #define DAMPI_TEVENT(kind, phase, ...)                              \
   do {                                                              \
     if (::dampi::obs::trace_on()) {                                 \
@@ -230,16 +212,3 @@ class ThreadLane {
   } while (0)
 #define DAMPI_TRACE_THREAD_LANE(name_expr) \
   ::dampi::obs::ThreadLane dampi_obs_thread_lane_ {(name_expr)}
-#else
-// Arguments are typechecked but never evaluated (unevaluated sizeof
-// operand), so variables used only for tracing don't warn under OFF.
-#define DAMPI_TEVENT(kind, phase, ...)                                        \
-  do {                                                                        \
-    (void)sizeof(                                                             \
-        (::dampi::obs::emit((kind), (phase)__VA_OPT__(, ) __VA_ARGS__), 0));  \
-  } while (0)
-#define DAMPI_TRACE_THREAD_LANE(name_expr) \
-  do {                                     \
-    (void)sizeof(name_expr);               \
-  } while (0)
-#endif

@@ -12,13 +12,24 @@
 #include "common/strutil.hpp"
 #include "core/checkpoint.hpp"
 #include "mpism/fault.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sweep/journal.hpp"
 
 namespace dampi::sweep {
 
 namespace {
+
+/// Deterministic hang watchdog for every campaign whose base options
+/// carry no op budget of their own: a run exceeding this many engine ops
+/// under an injection is a kHang verdict (livelock), independent of host
+/// speed. Verdict-affecting, so the fingerprint prints it (`planops=`).
+constexpr std::uint64_t kPlanMaxRunOps = 1u << 20;
+
+/// Campaign spawn failures (exceptions out of the explorer) are retried
+/// this many times, the backoff doubling from 10 ms, before the plan is
+/// recorded as sweep-error (a coverage hole, not a crash of the sweep).
+constexpr int kMaxPlanRespawns = 2;
+constexpr double kRespawnBackoffMs = 10.0;
 
 /// Dedup key over the coordinate a point occupies, ignoring its
 /// parameter (delay length, flaky cap): two delay plans at the same
@@ -77,7 +88,7 @@ core::ExplorerOptions campaign_options(
   opts.jobs = 1;
   opts.max_interleavings = sweep.plan_max_interleavings;
   opts.max_wall_seconds = sweep.plan_wall_seconds;
-  if (opts.max_run_ops == 0) opts.max_run_ops = sweep.plan_max_run_ops;
+  if (opts.max_run_ops == 0) opts.max_run_ops = kPlanMaxRunOps;
   opts.cancel = std::move(cancel);
   opts.checkpoint_path.clear();
   opts.resume_from.reset();
@@ -114,7 +125,7 @@ std::string sweep_fingerprint(const SweepOptions& options) {
       sweep_kinds_spec(options.kinds).c_str(), options.delay_samples,
       options.flaky_samples,
       static_cast<unsigned long long>(options.plan_max_interleavings),
-      static_cast<unsigned long long>(options.plan_max_run_ops));
+      static_cast<unsigned long long>(kPlanMaxRunOps));
   return fp;
 }
 
@@ -319,15 +330,6 @@ SweepResult run_sweep(const SweepOptions& options,
     }
   }
 
-  obs::Counter& plans_metric = obs::Registry::instance().counter("sweep.plans");
-  obs::Counter& executed_metric =
-      obs::Registry::instance().counter("sweep.executed");
-  obs::Counter& resumed_metric =
-      obs::Registry::instance().counter("sweep.resumed");
-  obs::Counter& respawn_metric =
-      obs::Registry::instance().counter("sweep.respawns");
-  resumed_metric.add(result.resumed);
-  plans_metric.add(result.resumed);
 
   std::mutex mu;  // journal writes, result counters, on_plan_done
   std::atomic<std::size_t> next{0};
@@ -380,8 +382,7 @@ SweepResult run_sweep(const SweepOptions& options,
             core::Explorer explorer(opts);
             return explorer.explore(program);
           },
-          options.max_plan_respawns, options.respawn_backoff_ms, &respawns,
-          &spawn_error);
+          kMaxPlanRespawns, kRespawnBackoffMs, &respawns, &spawn_error);
       if (options.cancel) options.cancel->unsubscribe(subscription);
 
       if (outcome.interrupted) {
@@ -406,9 +407,6 @@ SweepResult run_sweep(const SweepOptions& options,
                    static_cast<std::int32_t>(index),
                    static_cast<std::int32_t>(record.verdict), 0,
                    record.interleavings);
-      plans_metric.add(1);
-      executed_metric.add(1);
-      respawn_metric.add(respawns);
 
       std::lock_guard<std::mutex> lk(mu);
       slots[index] = record;

@@ -56,17 +56,6 @@ struct SweepOptions {
   std::uint64_t plan_max_interleavings = 256;
   /// Wall-clock safety net per campaign; expiry marks the plan partial.
   double plan_wall_seconds = 60.0;
-  /// Deterministic hang watchdog applied when the base options carry no
-  /// op budget of their own: a run exceeding this many engine ops under
-  /// an injection is a kHang verdict (livelock), independent of host
-  /// speed.
-  std::uint64_t plan_max_run_ops = 1u << 20;
-
-  /// Campaign spawn failures (exceptions out of the explorer) are
-  /// retried with doubling backoff this many times before the plan is
-  /// recorded as sweep-error (coverage hole, not a crash of the sweep).
-  int max_plan_respawns = 2;
-  double respawn_backoff_ms = 10.0;
 
   /// Crash-safe journal of completed plans (empty = none). With
   /// `resume`, a compatible journal's plans are not re-executed.
@@ -99,8 +88,8 @@ struct SweepResult {
 /// Identity of a sweep for journal/resume validation: the explorer
 /// fingerprint (fault-free, tagged with the program name) plus every
 /// sweep knob that changes which plans exist or how they are judged.
-/// Excludes workers, journal knobs, respawn policy and the wall-clock
-/// safety net — a resume may legitimately change those.
+/// Excludes workers, journal knobs and the wall-clock safety net — a
+/// resume may legitimately change those.
 std::string sweep_fingerprint(const SweepOptions& options);
 
 /// Deterministic plan enumeration (each plan is one canonical

@@ -207,28 +207,6 @@ TEST(DampiLayer, PcontrolRegionSuppressesAlternatives) {
   EXPECT_FALSE(outside->in_ignored_region);
 }
 
-TEST(DampiLayer, LoopAbstractionCanBeDisabled) {
-  ExplorerOptions options = explorer_options(3);
-  options.loop_abstraction = false;
-  auto result = run_dampi_once(options, {}, [](Proc& p) {
-    if (p.rank() == 1) {
-      p.barrier();
-      p.pcontrol(1, "loop");
-      p.recv(kAnySource, 0);
-      p.recv(kAnySource, 0);
-      p.pcontrol(0, "loop");
-    } else {
-      p.send(1, 0, pack<int>(p.rank()));
-      p.barrier();
-    }
-  });
-  ASSERT_TRUE(result.report.ok());
-  const auto* first = find_epoch(result.trace, 1, 0);
-  ASSERT_NE(first, nullptr);
-  EXPECT_FALSE(first->in_ignored_region);
-  EXPECT_EQ(first->alternatives.size(), 1u);
-}
-
 // §V monitor: fig10 raises an alert; compliant programs stay silent.
 TEST(DampiLayer, UnsafeMonitorFlagsFig10) {
   ExplorerOptions options = explorer_options(3);

@@ -323,7 +323,6 @@ TEST(DistFault, SaturatedFlakyCounterPropagatesIntoShards) {
   ExplorerOptions options = explorer_options(4);
   options.sched.kind = mpism::SchedulerKind::kCoop;
   options.max_retries = 3;
-  options.retry_backoff_ms = 0.1;
   const char* spec = "flaky@0:2:2";  // burned by the discovery run's retries
 
   std::string parse_error;
@@ -871,7 +870,7 @@ TEST(Dist, CancelWithSigkilledStragglerTerminates) {
 // A worker whose exec fails dies before HELLO, and its inherited
 // socketpair end closes with it. Each respawn fails the same way, so the
 // spawn-failure cap must end the campaign with an error after exactly
-// max_spawn_failures attempts instead of polling forever on a non-empty
+// kMaxSpawnFailures attempts instead of polling forever on a non-empty
 // queue.
 TEST(Dist, SpawnFailureAborts) {
   dist::DistOptions dopt;
@@ -882,8 +881,8 @@ TEST(Dist, SpawnFailureAborts) {
   dist::DistResult result = dist::run_distributed(dopt, fan_in(2));
   EXPECT_NE(result.error.find("died before HELLO"), std::string::npos)
       << result.error;
-  EXPECT_EQ(result.stats.workers_spawned, dopt.max_spawn_failures);
-  EXPECT_EQ(result.stats.worker_deaths, dopt.max_spawn_failures);
+  EXPECT_EQ(result.stats.workers_spawned, dist::kMaxSpawnFailures);
+  EXPECT_EQ(result.stats.worker_deaths, dist::kMaxSpawnFailures);
 }
 
 // --- Worker channel spec ----------------------------------------------------

@@ -158,15 +158,6 @@ TEST(Explorer, PrefixReplayIsExact) {
   EXPECT_EQ(result.divergences, 0u);
 }
 
-TEST(Explorer, StopOnFirstErrorHalts) {
-  ExplorerOptions options = explorer_options(3);
-  options.stop_on_first_error = true;
-  Explorer explorer(options);
-  auto result = explorer.explore(workloads::fig3_wildcard_bug);
-  EXPECT_TRUE(result.found_bug());
-  EXPECT_EQ(result.bugs.size(), 1u);
-}
-
 TEST(Explorer, InterleavingBudgetIsHonored) {
   ExplorerOptions options = explorer_options(4);
   options.max_interleavings = 3;

@@ -115,26 +115,25 @@ mpism::ProgramFn fig3_bug_determinized() {
   };
 }
 
-/// Deterministic buggy fan-in (3 ranks): both sends are queued before the
-/// barrier, so the root's first wildcard receive always sees two
-/// candidates and the lowest-source policy pins the self-run. The require
-/// fires only when rank 2's message is matched first — reachable solely
-/// through a replayed flip, at a byte-stable interleaving index.
+/// Deterministic buggy fan-in: every send is queued before the barrier,
+/// so the root's first wildcard receive always sees every other rank as a
+/// candidate and the lowest-source policy pins the self-run. The require
+/// fires only when the last rank's message is matched first — reachable
+/// solely through a replayed flip, at a byte-stable interleaving index.
 mpism::ProgramFn ordered_fan_in_bug() {
   return [](Proc& p) {
     if (p.rank() == 0) {
       p.barrier();
       mpism::Bytes data;
-      mpism::RequestId r1 = p.irecv(mpism::kAnySource, 0);
-      p.wait(r1, &data);
-      const int first = mpism::unpack<int>(data);
-      mpism::RequestId r2 = p.irecv(mpism::kAnySource, 0);
-      p.wait(r2, &data);
-      p.require(first != 2, "fan-in: first == 2");
-    } else if (p.rank() <= 2) {
-      p.send(0, 0, mpism::pack<int>(p.rank()));
-      p.barrier();
+      int first = -1;
+      for (int i = 1; i < p.size(); ++i) {
+        mpism::RequestId r = p.irecv(mpism::kAnySource, 0);
+        p.wait(r, &data);
+        if (first < 0) first = mpism::unpack<int>(data);
+      }
+      p.require(first != p.size() - 1, "fan-in: last rank matched first");
     } else {
+      p.send(0, 0, mpism::pack<int>(p.rank()));
       p.barrier();
     }
   };
@@ -219,27 +218,41 @@ TEST(ExplorerParallel, FanInWithMixingBoundIsJobsInvariant) {
       options, [](Proc& p) { workloads::fan_in_rounds(p, 2); }, "fan-in-k2");
 }
 
-TEST(ExplorerParallel, StopOnFirstErrorIsJobsInvariant) {
-  ExplorerOptions options = explorer_options(3);
-  options.stop_on_first_error = true;
-  expect_jobs_invariant(options, fig3_bug_determinized(),
-                        "fig3-stop-first");
-
-  // A bug reachable only through a replayed flip: the walk must cross
-  // the deterministic self-run, flip, and stop at the same index no
-  // matter how many workers were speculating ahead.
-  ExplorerOptions fan = explorer_options(3);
-  fan.stop_on_first_error = true;
-  expect_jobs_invariant(fan, ordered_fan_in_bug(), "fan-in-stop-first");
+/// `options` with the interleaving budget cut at the index where a full
+/// sequential walk of `program` records its first bug.
+ExplorerOptions cut_at_first_bug(ExplorerOptions options,
+                                 const mpism::ProgramFn& program) {
+  core::ExploreResult full;
+  explore_with_jobs(options, 1, program, &full);
+  EXPECT_TRUE(full.found_bug());
+  if (full.found_bug()) options.max_interleavings = full.bugs[0].interleaving;
+  return options;
 }
 
-// The raw buggy matmult under stop_on_first_error: the master's wildcard
-// matches race in the self-run, so interleaving indices are not
-// reproducible even sequentially — but every jobs value must still find
-// the order bug and hand back a replaying reproducer.
-TEST(ExplorerParallel, StopOnFirstErrorFindsRacyMatmultBug) {
+// A walk cut short right where the first bug lands, with workers still
+// speculating past the cut: the result, bug included, must not depend on
+// how many there were.
+TEST(ExplorerParallel, BudgetCutAtFirstBugIsJobsInvariant) {
+  const mpism::ProgramFn fig3 = fig3_bug_determinized();
+  expect_jobs_invariant(cut_at_first_bug(explorer_options(3), fig3), fig3,
+                        "fig3-cut-first");
+
+  // A bug reachable only through a replayed flip, with runs left after
+  // it: the walk must cross the deterministic self-run, flip, and stop
+  // at the same index no matter how many workers were speculating ahead.
+  const mpism::ProgramFn fan = ordered_fan_in_bug();
+  for (const int nprocs : {3, 4}) {
+    expect_jobs_invariant(cut_at_first_bug(explorer_options(nprocs), fan),
+                          fan, "fan-in-cut-first");
+  }
+}
+
+// The raw buggy matmult: the master's wildcard matches race in the
+// self-run, so interleaving indices are not reproducible even
+// sequentially — but every jobs value must still find the order bug and
+// hand back a replaying reproducer.
+TEST(ExplorerParallel, RacyMatmultBugFoundAtEveryJobsValue) {
   ExplorerOptions options = explorer_options(3);
-  options.stop_on_first_error = true;
   options.max_interleavings = 64;
   workloads::MatmultConfig config;
   config.n = 4;

@@ -15,7 +15,9 @@
 #include "common/rng.hpp"
 #include "core/checkpoint.hpp"
 #include "core/decision_io.hpp"
+#include "core/options.hpp"
 #include "dist/protocol.hpp"
+#include "mpism/scheduler.hpp"
 #include "sweep/journal.hpp"
 
 namespace dampi::test {
@@ -100,6 +102,16 @@ TEST(Formats, GoldenTextsRoundTripByteForByte) {
     ASSERT_TRUE(again.has_value()) << format.golden << ": " << error;
     EXPECT_EQ(*again, text) << format.golden;
   }
+}
+
+// The golden texts carry this fingerprint, so the options that write it
+// must still compute it: nprocs 4 on the coop round-robin scheduler,
+// everything else at its default.
+TEST(Formats, GoldenFingerprintIsTheComputedOne) {
+  core::ExplorerOptions options;
+  options.nprocs = 4;
+  options.sched = mpism::SchedOptions{};
+  EXPECT_EQ(core::options_fingerprint(options), kFingerprint);
 }
 
 /// One mutation of `text`: a byte flip, a deletion, a truncation, or a

@@ -1,7 +1,6 @@
 // Observability subsystem tests: lock-free tracer lanes (stress,
 // wraparound), Chrome trace_event export/validation, and the metrics
-// registry. The emit-macro and end-to-end sections compile only when the
-// tracer is compiled in (DAMPI_TRACE=ON, the default).
+// registry, plus the emit macros and an end-to-end traced exploration.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -244,8 +243,6 @@ TEST(Metrics, RegistryReturnsStableReferencesAndDumps) {
   c1.reset();
 }
 
-#if DAMPI_TRACE_ENABLED
-
 TEST(TraceMacros, EmitIsDroppedWithoutALane) {
   Tracer::instance().reset();
   Tracer::instance().set_enabled(true);
@@ -301,8 +298,6 @@ TEST(TraceEndToEnd, ExplorerRunProducesRankAndExploreLanes) {
   EXPECT_GE(event_lanes, 4u);
   Tracer::instance().reset();
 }
-
-#endif  // DAMPI_TRACE_ENABLED
 
 }  // namespace
 }  // namespace dampi::test

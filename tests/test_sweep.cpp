@@ -14,6 +14,7 @@
 
 #include "mpism/cancel.hpp"
 #include "mpism/fault.hpp"
+#include "mpism/scheduler.hpp"
 #include "support/digest.hpp"
 #include "support/verify_helpers.hpp"
 #include "sweep/inventory.hpp"
@@ -429,15 +430,28 @@ TEST(SweepFingerprint, CoversPlanShapingKnobsAndIgnoresExecutionKnobs) {
   changed.program_name = "other";
   EXPECT_NE(sweep::sweep_fingerprint(changed), fp);
 
-  // Worker count, journal knobs and respawn policy may change across a
-  // resume without invalidating the journal.
+  // Worker count, journal knobs and the wall-clock safety net may change
+  // across a resume without invalidating the journal.
   changed = base;
   changed.workers = 8;
   changed.journal_path = "/tmp/elsewhere";
   changed.resume = true;
-  changed.max_plan_respawns = 9;
   changed.plan_wall_seconds = 1.0;
   EXPECT_EQ(sweep::sweep_fingerprint(changed), fp);
+}
+
+// Existing sweep journals carry this text and a resume compares it byte
+// for byte, so it must not move.
+TEST(SweepFingerprint, DefaultAdlbTextIsPinned) {
+  SweepOptions options;
+  options.explorer.sched = mpism::SchedOptions{};
+  options.program_name = "adlb";
+  EXPECT_EQ(sweep::sweep_fingerprint(options),
+            "nprocs=2 clock=0 transport=0 mix=none loopabs=1 unsafe=1 "
+            "autoloop=0 defsync=0 sched=coop-rr schedseed=1 por=sleep "
+            "policy=0 pseed=1 init=14650fb0739d0383 fault=none tag=adlb "
+            "sweep budget=64 seed=1 kinds=abort,delay,error,flaky delays=8 "
+            "flakys=8 planil=256 planops=1048576");
 }
 
 // --- Whole-sweep contracts -------------------------------------------------
