@@ -9,9 +9,14 @@ parent/change on the same seeds (`python3 perfbench/run.py --workload W
   scripts/perf_ledger.py PARENT.jsonl CHANGE.jsonl [--held-out W:S ...]
 
 The k-th parent run of a workload and seed pairs with the k-th change run
-of the same workload and seed. Traced runs (`--trace 1`) carry per-layer
-metrics only and are skipped. Runs of a workload on a seed named by
+of the same workload and seed. Runs of a workload on a seed named by
 --held-out are reported under "W (held-out seed S)".
+
+Traced runs (`--trace 1`) carry per-layer metrics only. They are not
+paired: for every per-layer metric of BENCHMARK.json that all of a
+workload's traced runs on a side carry, `traced_per_layer` gives that
+side's runs (in file order) and their median, when both sides have
+traced runs of the workload.
 
 For every end-to-end metric of BENCHMARK.json that all runs carry, the
 block gives both sides' q1/median/q3 (linear interpolation), the number
@@ -49,8 +54,9 @@ def fail(message, code=2):
 
 def load_runs(path, held_out):
     """Untraced runs of one results.jsonl, grouped by label then seed,
-    with the commit they ran and their host probes by label."""
-    groups, commits, probes = {}, set(), {}
+    its traced runs by label, the commit they ran and their host probes
+    by label."""
+    groups, traced, commits, probes = {}, {}, set(), {}
     try:
         with open(path) as f:
             records = [json.loads(line) for line in f if line.strip()]
@@ -58,8 +64,6 @@ def load_runs(path, held_out):
         fail(f"cannot read {path} ({err})")
     for record in records:
         context, result = record["context"], record["result"]
-        if context.get("trace"):
-            continue
         workload, seed = context["workload"], context["seed"]
         if not result["correct"]:
             fail(f"{path}: {workload} seed {seed} reported incorrect "
@@ -67,12 +71,15 @@ def load_runs(path, held_out):
         label = workload
         if (workload, seed) in held_out:
             label = f"{workload} (held-out seed {seed})"
-        groups.setdefault(label, {}).setdefault(seed, []).append(result)
         commits.add(context["commit"])
+        if context.get("trace"):
+            traced.setdefault(label, []).append(result)
+            continue
+        groups.setdefault(label, {}).setdefault(seed, []).append(result)
         probes.setdefault(label, []).extend(context["host_probe_s"])
     if len(commits) > 1:
         fail(f"{path}: runs from several commits: {sorted(commits)}")
-    return groups, commits.pop() if commits else None, probes
+    return groups, traced, commits.pop() if commits else None, probes
 
 
 def quartiles(values):
@@ -112,6 +119,23 @@ def metric_block(spec, pairs):
     }
 
 
+def per_layer_block(specs, parent_runs, change_runs):
+    """Each side's runs and median of every per-layer metric that all of
+    both sides' traced runs carry."""
+    block = {}
+    for spec in specs:
+        name = spec["name"]
+        if not all(name in run["metrics"]
+                   for run in parent_runs + change_runs):
+            continue
+        block[name] = {}
+        for side, runs in (("parent", parent_runs), ("change", change_runs)):
+            values = [run["metrics"][name]["value"] for run in runs]
+            block[name][side] = {"median": quartiles(values)["median"],
+                                 "runs": values}
+    return block
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", help="the parent's results.jsonl")
@@ -128,10 +152,13 @@ def main():
             fail(f"--held-out wants WORKLOAD:SEED, got {item!r}")
         held_out.add((workload, int(seed)))
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        specs = json.load(f)["end_to_end"]
+        benchmark = json.load(f)
+    specs = benchmark["end_to_end"]
 
-    parent, parent_commit, parent_probes = load_runs(args.parent, held_out)
-    change, change_commit, change_probes = load_runs(args.change, held_out)
+    parent, parent_traced, parent_commit, parent_probes = load_runs(
+        args.parent, held_out)
+    change, change_traced, change_commit, change_probes = load_runs(
+        args.change, held_out)
     if sorted(parent) != sorted(change):
         fail(f"workloads differ: {sorted(parent)} vs {sorted(change)}")
 
@@ -158,10 +185,18 @@ def main():
         block["failed_operations"] = sum(
             run["failed"] for pair in pairs for run in pair)
         workloads[label] = block
-    print(json.dumps({"parent_commit": parent_commit,
-                      "change_commit": change_commit,
-                      "host": {"host_probe_s_median": probe_medians},
-                      "workloads": workloads}, indent=1))
+    entry = {"parent_commit": parent_commit,
+             "change_commit": change_commit,
+             "host": {"host_probe_s_median": probe_medians},
+             "workloads": workloads}
+    traced = {}
+    for label in sorted(set(parent_traced) & set(change_traced)):
+        traced[label] = per_layer_block(benchmark["per_layer"],
+                                        parent_traced[label],
+                                        change_traced[label])
+    if traced:
+        entry["traced_per_layer"] = traced
+    print(json.dumps(entry, indent=1))
     return 0
 
 

@@ -288,6 +288,8 @@ rm -f "${trace_out}"
 # and reports quartiles, wins and the verdict, plus each side's commit and
 # host-probe median from the context lines. Two pairs on one fixture:
 # the change wins both interleavings_per_s pairs and one campaign_s pair.
+# Each side also has two traced runs, whose per-layer metrics come out as
+# per-side runs and medians.
 if command -v python3 > /dev/null 2>&1; then
   ledger_dir="build/tier1-ledger"
   mkdir -p "${ledger_dir}"
@@ -299,10 +301,22 @@ if command -v python3 > /dev/null 2>&1; then
 ' {"campaign_s": {"value": %s, "unit": "s"}, "interleavings_per_s":'\
 ' {"value": %s, "unit": "1/s"}}}}\n' "$@"
   }
+  # commit seed mpism.us_per_op scheduler.switches_per_op
+  traced_run() {
+    printf '{"context": {"workload": "explore-adlb", "commit": "%s",'\
+' "seed": %s, "trace": 1, "host_probe_s": [0.001]}, "result":'\
+' {"correct": true, "attempted": 100, "failed": 0, "metrics":'\
+' {"mpism.us_per_op": {"value": %s, "unit": "us"},'\
+' "scheduler.switches_per_op": {"value": %s, "unit": "count"}}}}\n' "$@"
+  }
   { ledger_run aaa 1 0.001 0.003 1.0 100
-    ledger_run aaa 2 0.002 0.009 1.2 110; } > "${ledger_dir}/parent.jsonl"
+    traced_run aaa 1 0.5 0.25
+    ledger_run aaa 2 0.002 0.009 1.2 110
+    traced_run aaa 2 0.7 0.25; } > "${ledger_dir}/parent.jsonl"
   { ledger_run bbb 1 0.004 0.004 0.9 120
-    ledger_run bbb 2 0.005 0.001 1.3 130; } > "${ledger_dir}/change.jsonl"
+    traced_run bbb 1 0.3 0.25
+    ledger_run bbb 2 0.005 0.001 1.3 130
+    traced_run bbb 2 0.4 0.25; } > "${ledger_dir}/change.jsonl"
   python3 scripts/perf_ledger.py "${ledger_dir}/parent.jsonl" \
     "${ledger_dir}/change.jsonl" > "${ledger_dir}/ledger.json"
   python3 - "${ledger_dir}/ledger.json" << 'EOF'
@@ -319,6 +333,12 @@ assert rate["change_wins"] == 2 and rate["pairs"] == 2, rate
 assert all(rate["verdict"].values()), rate
 assert secs["change_wins"] == 1 and not secs["verdict"]["wins_9_of_10"], secs
 assert block["failed_operations"] == 0, block
+layers = ledger["traced_per_layer"]["explore-adlb"]
+assert sorted(layers) == ["mpism.us_per_op", "scheduler.switches_per_op"]
+assert layers["mpism.us_per_op"] == {
+    "parent": {"median": 0.6, "runs": [0.5, 0.7]},
+    "change": {"median": 0.35, "runs": [0.3, 0.4]}}, layers
+assert layers["scheduler.switches_per_op"]["change"]["median"] == 0.25
 EOF
   rm -rf "${ledger_dir}"
   echo "tier1: perf ledger smoke OK"

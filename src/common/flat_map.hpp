@@ -13,9 +13,11 @@
 //    key-ascending exactly like std::map (callers rely on that order),
 //    lookups are binary searches, inserts shift the tail. Meant for small
 //    maps (tens of entries).
-//  - IdMap: open addressing with linear probing over 64-bit ids, and
-//    backward-shift deletion (no tombstones). Iteration order is
-//    unspecified. Meant for id-keyed tables of any size.
+//  - HashTable: open addressing with linear probing and backward-shift
+//    deletion (no tombstones), over any small key type whose Traits name
+//    a hash and one reserved "free" key value. Iteration order is
+//    unspecified. Meant for tables of any size.
+//  - IdMap: a HashTable over 64-bit ids.
 #pragma once
 
 #include <algorithm>
@@ -90,11 +92,11 @@ class FlatMap {
   std::vector<value_type> entries_;  ///< sorted by key, unique
 };
 
-template <typename V>
-class IdMap {
+template <typename K, typename V, typename Traits>
+class HashTable {
  public:
   /// The one key value the table cannot hold (marks a free slot).
-  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+  static constexpr K kFree = Traits::kFree;
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
@@ -106,23 +108,23 @@ class IdMap {
     size_ = 0;
   }
 
-  V* find(std::uint64_t key) {
+  V* find(const K& key) {
     if (size_ == 0) return nullptr;
     for (std::size_t i = home(key);; i = (i + 1) & mask_) {
       if (slots_[i].key == key) return &slots_[i].value;
       if (slots_[i].key == kFree) return nullptr;
     }
   }
-  const V* find(std::uint64_t key) const {
-    return const_cast<IdMap*>(this)->find(key);
+  const V* find(const K& key) const {
+    return const_cast<HashTable*>(this)->find(key);
   }
 
   /// The value under `key`, default-constructed on first use.
-  V& operator[](std::uint64_t key) {
-    DAMPI_CHECK(key != kFree);
+  V& operator[](const K& key) {
+    DAMPI_CHECK(!(key == kFree));
     if (2 * (size_ + 1) > slots_.size()) grow();
     std::size_t i = home(key);
-    for (; slots_[i].key != kFree; i = (i + 1) & mask_) {
+    for (; !(slots_[i].key == kFree); i = (i + 1) & mask_) {
       if (slots_[i].key == key) return slots_[i].value;
     }
     slots_[i].key = key;
@@ -132,17 +134,17 @@ class IdMap {
 
   /// Removes `key`, moving its value to `*out` when given. Returns false
   /// when the key was absent.
-  bool erase(std::uint64_t key, V* out = nullptr) {
+  bool erase(const K& key, V* out = nullptr) {
     if (size_ == 0) return false;
     std::size_t i = home(key);
-    for (; slots_[i].key != key; i = (i + 1) & mask_) {
+    for (; !(slots_[i].key == key); i = (i + 1) & mask_) {
       if (slots_[i].key == kFree) return false;
     }
     if (out != nullptr) *out = std::move(slots_[i].value);
     // Backward-shift deletion: pull later members of the probe run into
     // the hole whenever their home position does not lie between the
     // hole and their current slot, so lookups never need tombstones.
-    for (std::size_t j = (i + 1) & mask_; slots_[j].key != kFree;
+    for (std::size_t j = (i + 1) & mask_; !(slots_[j].key == kFree);
          j = (j + 1) & mask_) {
       const std::size_t h = home(slots_[j].key);
       const bool stays = i <= j ? (i < h && h <= j) : (i < h || h <= j);
@@ -160,19 +162,18 @@ class IdMap {
   void for_each(F&& f) const {
     if (size_ == 0) return;
     for (const Slot& s : slots_) {
-      if (s.key != kFree) f(s.key, s.value);
+      if (!(s.key == kFree)) f(s.key, s.value);
     }
   }
 
  private:
   struct Slot {
-    std::uint64_t key = kFree;
+    K key = kFree;
     V value{};
   };
 
-  std::size_t home(std::uint64_t key) const {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
-           mask_;
+  std::size_t home(const K& key) const {
+    return static_cast<std::size_t>(Traits::hash(key) >> 32) & mask_;
   }
 
   void grow() {
@@ -181,7 +182,7 @@ class IdMap {
     mask_ = slots_.size() - 1;
     size_ = 0;
     for (Slot& s : old) {
-      if (s.key != kFree) (*this)[s.key] = std::move(s.value);
+      if (!(s.key == kFree)) (*this)[s.key] = std::move(s.value);
     }
   }
 
@@ -189,5 +190,15 @@ class IdMap {
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };
+
+struct IdKeyTraits {
+  static constexpr std::uint64_t kFree = ~std::uint64_t{0};
+  static std::uint64_t hash(std::uint64_t key) {
+    return key * 0x9E3779B97F4A7C15ull;
+  }
+};
+
+template <typename V>
+using IdMap = HashTable<std::uint64_t, V, IdKeyTraits>;
 
 }  // namespace dampi

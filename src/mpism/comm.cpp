@@ -1,6 +1,7 @@
 #include "mpism/comm.hpp"
 
 #include <numeric>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -18,14 +19,16 @@ void CommTable::init(int nprocs) {
   std::iota(world.world_to_comm.begin(), world.world_to_comm.end(), 0);
 }
 
-const CommRecord& CommTable::get(CommId id) const {
-  DAMPI_CHECK_MSG(valid(id), "invalid communicator " + std::to_string(id));
-  return *comms_[static_cast<std::size_t>(id)];
+void CommTable::invalid_comm(CommId id) {
+  detail::check_failed("valid(id)", __FILE__, __LINE__,
+                       "invalid communicator " + std::to_string(id));
 }
 
-bool CommTable::valid(CommId id) const {
-  return id >= 0 && static_cast<std::size_t>(id) < count_ &&
-         !comms_[static_cast<std::size_t>(id)]->freed;
+void CommTable::rank_out_of_range(CommId id, Rank rank) {
+  detail::check_failed("rank in range", __FILE__, __LINE__,
+                       "rank " + std::to_string(rank) +
+                           " out of range for communicator " +
+                           std::to_string(id));
 }
 
 CommId CommTable::create(std::span<const Rank> members, bool tool_internal) {
@@ -53,21 +56,6 @@ void CommTable::free(CommId id) {
 void CommTable::mark_tool_internal(CommId id) {
   DAMPI_CHECK(valid(id));
   comms_[static_cast<std::size_t>(id)]->tool_internal = true;
-}
-
-Rank CommTable::to_world(CommId id, Rank rel) const {
-  if (rel == kAnySource) return kAnySource;
-  const CommRecord& rec = get(id);
-  DAMPI_CHECK_MSG(rel >= 0 && rel < rec.size(),
-                  "rank out of range for communicator");
-  return rec.members[static_cast<std::size_t>(rel)];
-}
-
-Rank CommTable::to_rel(CommId id, Rank world) const {
-  if (world == kAnySource) return kAnySource;
-  const CommRecord& rec = get(id);
-  DAMPI_CHECK(world >= 0 && world < world_size_);
-  return rec.world_to_comm[static_cast<std::size_t>(world)];
 }
 
 int CommTable::leaked_user_comms() const {

@@ -43,8 +43,14 @@ class CommTable {
   /// communicator.
   void init(int nprocs);
 
-  const CommRecord& get(CommId id) const;
-  bool valid(CommId id) const;
+  const CommRecord& get(CommId id) const {
+    if (!valid(id)) invalid_comm(id);
+    return *comms_[static_cast<std::size_t>(id)];
+  }
+  bool valid(CommId id) const {
+    return id >= 0 && static_cast<std::size_t>(id) < count_ &&
+           !comms_[static_cast<std::size_t>(id)]->freed;
+  }
 
   /// New communicator with the given member list (world ranks).
   CommId create(std::span<const Rank> members, bool tool_internal);
@@ -56,9 +62,19 @@ class CommTable {
   void mark_tool_internal(CommId id);
 
   /// comm-relative -> world. `rel` may be kAnySource (passed through).
-  Rank to_world(CommId id, Rank rel) const;
+  Rank to_world(CommId id, Rank rel) const {
+    if (rel == kAnySource) return kAnySource;
+    const CommRecord& rec = get(id);
+    if (rel < 0 || rel >= rec.size()) rank_out_of_range(id, rel);
+    return rec.members[static_cast<std::size_t>(rel)];
+  }
   /// world -> comm-relative (kAnySource if not a member).
-  Rank to_rel(CommId id, Rank world) const;
+  Rank to_rel(CommId id, Rank world) const {
+    if (world == kAnySource) return kAnySource;
+    const CommRecord& rec = get(id);
+    if (world < 0 || world >= world_size_) rank_out_of_range(id, world);
+    return rec.world_to_comm[static_cast<std::size_t>(world)];
+  }
 
   /// Number of user communicators created and not freed (excludes world
   /// and tool-internal ones) — the C-Leak count.
@@ -67,6 +83,10 @@ class CommTable {
   int count() const { return static_cast<int>(count_); }
 
  private:
+  /// The checked failures of the queries above, kept out of line.
+  [[noreturn, gnu::cold]] static void invalid_comm(CommId id);
+  [[noreturn, gnu::cold]] static void rank_out_of_range(CommId id, Rank rank);
+
   /// comms_[0, count_) are this run's communicators; the rest are spare
   /// records kept for their capacity.
   std::vector<std::unique_ptr<CommRecord>> comms_;

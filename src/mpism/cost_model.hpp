@@ -10,8 +10,8 @@
 // is what reproduces the paper's Fig. 5 collapse).
 #pragma once
 
-#include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstddef>
 
 namespace dampi::mpism {
 
@@ -38,12 +38,16 @@ struct CostModel {
     return latency_us + per_byte_us * static_cast<double>(bytes);
   }
 
+  /// ceil(log2 P) stages, at least one; for P >= 2 that is the bit width
+  /// of P - 1, computed without libm on every collective arrival.
+  static int collective_stages(int nprocs) {
+    return nprocs <= 2 ? 1
+                       : static_cast<int>(std::bit_width(
+                             static_cast<unsigned>(nprocs - 1)));
+  }
+
   double collective_us(int nprocs) const {
-    const int stages =
-        nprocs <= 1 ? 1
-                    : static_cast<int>(std::ceil(std::log2(
-                          static_cast<double>(nprocs))));
-    return collective_alpha_us * std::max(stages, 1);
+    return collective_alpha_us * collective_stages(nprocs);
   }
 };
 

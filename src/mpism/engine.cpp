@@ -44,6 +44,23 @@ bool leaves_to_root(CollKind kind) {
   return kind == CollKind::kReduce || kind == CollKind::kGather;
 }
 
+/// Kinds whose members contribute CollUserData::single.
+bool carries_single(CollKind kind) {
+  return kind == CollKind::kBcast || kind == CollKind::kReduce ||
+         kind == CollKind::kAllreduce || kind == CollKind::kGather ||
+         kind == CollKind::kAllgather;
+}
+
+/// Kinds whose members contribute CollUserData::multi.
+bool carries_multi(CollKind kind) {
+  return kind == CollKind::kScatter || kind == CollKind::kAlltoall;
+}
+
+/// The open-slot key of collective (comm, gen).
+std::uint64_t coll_key(CommId comm, std::uint64_t gen) {
+  return (static_cast<std::uint64_t>(comm) << 40) | gen;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -104,15 +121,13 @@ Engine::Engine(RunOptions options)
     ranks_.back()->match = make_match_index(opts_.match);
     ranks_.back()->ctx = std::make_unique<ToolCtxImpl>(*this, i);
   }
+  waits_.resize(static_cast<std::size_t>(opts_.nprocs));
   comms_.init(opts_.nprocs);
   policy_ = make_policy(opts_.policy, opts_.policy_seed);
   stats_.init(opts_.nprocs);
 
   callbacks_.body = [this](Rank r) { rank_body(r, *program_); };
-  callbacks_.wake_ready = [this](Rank r) {
-    const PerRank& p = pr(r);
-    return p.block_pred && p.block_pred();
-  };
+  callbacks_.waits = waits_.data();
   callbacks_.stop = [this] { return stopped(); };
   callbacks_.on_stall = [this] {
     // Coop stall: every fiber is parked and the engine is unlocked, so
@@ -312,11 +327,14 @@ void Engine::reset() {
     me.coll_gen.clear();
     me.vt_store(0.0);
     me.finished = false;
-    me.blocked = false;
     me.block_desc = BlockDesc{};
-    me.block_pred = nullptr;
   }
-  for (const auto& slot : coll_slots_) slot->in_use = false;
+  for (WaitOn& wait : waits_) wait = WaitOn{};
+  open_coll_slots_.clear();
+  free_coll_slots_.clear();
+  for (const auto& slot : coll_slots_) {
+    free_coll_slots_.push_back(slot.get());
+  }
   comms_.init(opts_.nprocs);
   policy_->reset();
   stats_.init(opts_.nprocs);
@@ -431,16 +449,14 @@ std::string Engine::BlockDesc::describe() const {
   return "?";
 }
 
-template <typename Pred>
 void Engine::blocking_wait(EngineGuard& g, Rank r, const BlockDesc& desc,
-                           Pred pred) {
-  if (pred()) return;
+                           const WaitOn& wait) {
+  if (wait.ready()) return;
   check_abort(g);
   PerRank& me = pr(r);
   const BlockKind kind = desc.kind();
-  me.blocked = true;
   me.block_desc = desc;
-  me.block_pred = pred;
+  waits_[static_cast<std::size_t>(r)] = wait;
   blocked_count_.fetch_add(1, std::memory_order_acq_rel);
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kBegin, r,
                static_cast<std::int32_t>(kind));
@@ -449,8 +465,7 @@ void Engine::blocking_wait(EngineGuard& g, Rank r, const BlockDesc& desc,
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kEnd, r,
                static_cast<std::int32_t>(kind));
   blocked_count_.fetch_sub(1, std::memory_order_acq_rel);
-  me.blocked = false;
-  me.block_pred = nullptr;
+  waits_[static_cast<std::size_t>(r)] = WaitOn{};
   if (stopped()) {
     g.unlock();
     throw AbortRun{};
@@ -484,8 +499,8 @@ void Engine::maybe_declare_deadlock(EngineGuard& g, Rank) {
   // this guard holds fewer, re-validating the counts afterwards (a peer
   // may have woken while we held nothing).
   if (g.all()) {
-    for (const auto& p : ranks_) {
-      if (p->blocked && p->block_pred && p->block_pred()) return;
+    for (const WaitOn& wait : waits_) {
+      if (wait.ready()) return;
     }
     declare_deadlock(g);
     return;
@@ -503,8 +518,8 @@ void Engine::maybe_declare_deadlock(EngineGuard& g, Rank) {
             opts_.nprocs &&
         !stopped()) {
       bool satisfied = false;
-      for (const auto& p : ranks_) {
-        if (p->blocked && p->block_pred && p->block_pred()) {
+      for (const WaitOn& wait : waits_) {
+        if (wait.ready()) {
           satisfied = true;
           break;
         }
@@ -525,10 +540,9 @@ void Engine::declare_deadlock(EngineGuard& g) {
     DAMPI_TEVENT(obs::EventKind::kDeadlock, obs::Phase::kInstant);
     std::string detail;
     for (Rank r = 0; r < opts_.nprocs; ++r) {
-      const PerRank& p = pr(r);
-      if (p.blocked) {
+      if (waits_[static_cast<std::size_t>(r)].kind != WaitOn::Kind::kNone) {
         detail += strfmt("rank %d blocked in %s\n", r,
-                         p.block_desc.describe().c_str());
+                         pr(r).block_desc.describe().c_str());
       }
     }
     deadlock_detail_ = detail;
@@ -617,7 +631,6 @@ std::uint64_t& Engine::seq_counter(PerRank& sender, Rank dst, CommId comm) {
 }
 
 void Engine::CollSlot::open(CommId c, std::uint64_t g) {
-  in_use = true;
   comm = c;
   gen = g;
   kind = CollKind::kBarrier;
@@ -639,20 +652,22 @@ void Engine::CollSlot::open(CommId c, std::uint64_t g) {
 }
 
 Engine::CollSlot& Engine::coll_slot(CommId comm, std::uint64_t gen) {
-  CollSlot* spare = nullptr;
-  for (const auto& slot : coll_slots_) {
-    if (slot->in_use) {
-      if (slot->comm == comm && slot->gen == gen) return *slot;
-    } else if (spare == nullptr) {
-      spare = slot.get();
-    }
-  }
-  if (spare == nullptr) {
+  CollSlot*& slot = open_coll_slots_[coll_key(comm, gen)];
+  if (slot != nullptr) return *slot;
+  if (free_coll_slots_.empty()) {
     coll_slots_.push_back(std::make_unique<CollSlot>());
-    spare = coll_slots_.back().get();
+    slot = coll_slots_.back().get();
+  } else {
+    slot = free_coll_slots_.back();
+    free_coll_slots_.pop_back();
   }
-  spare->open(comm, gen);
-  return *spare;
+  slot->open(comm, gen);
+  return *slot;
+}
+
+void Engine::release_coll_slot(CollSlot& slot) {
+  open_coll_slots_.erase(coll_key(slot.comm, slot.gen));
+  free_coll_slots_.push_back(&slot);
 }
 
 void Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
@@ -735,8 +750,8 @@ void Engine::release_sender(Rank r, const Envelope& env) {
   }
 }
 
-Envelope Engine::take_matched(Rank r, std::uint64_t msg_id) {
-  Envelope msg = pr(r).match->take(msg_id);
+Envelope Engine::take_matched(Rank r, const Envelope* queued) {
+  Envelope msg = pr(r).match->take(queued);
   release_sender(r, msg);
   sched_->wake(r);
   return msg;
@@ -749,24 +764,24 @@ void Engine::complete_recv(Rank r, RequestRecord& rec, Envelope&& env) {
   sched_->wake(r);
 }
 
-std::uint64_t Engine::match_queued(Rank r, Rank src_world, Tag tag,
-                                   CommId comm) {
+const Envelope* Engine::match_queued(Rank r, Rank src_world, Tag tag,
+                                     CommId comm) {
   PerRank& me = pr(r);
   if (src_world == kAnySource) {
     std::vector<MatchCandidate>& cands = me.cand_buf;
     me.match->wildcard_candidates(tag, comm, &cands);
-    if (cands.empty()) return 0;
+    if (cands.empty()) return nullptr;
     const std::size_t pick = choose_wildcard(cands);
     DAMPI_CHECK(pick < cands.size());
     DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
                  cands[pick].src_world, r, cands[pick].tag);
-    return cands[pick].msg_id;
+    return cands[pick].env;
   }
   const Envelope* env = me.match->find_specific(src_world, tag, comm);
-  if (env == nullptr) return 0;
+  if (env == nullptr) return nullptr;
   DAMPI_TEVENT(obs::EventKind::kRecvMatch, obs::Phase::kInstant,
                env->src_world, r, env->tag);
-  return env->msg_id;
+  return env;
 }
 
 RequestRecord& Engine::add_recv(Rank r, Rank src_world, Tag tag, CommId comm,
@@ -813,9 +828,10 @@ void Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
     desc.src = rec->posted_src_world;
     desc.tag = rec->posted_tag;
   }
-  blocking_wait(g, r, desc, [rec] {
-    return rec->complete.load(std::memory_order_acquire);
-  });
+  WaitOn wait;
+  wait.kind = WaitOn::Kind::kRequest;
+  wait.rec = rec;
+  blocking_wait(g, r, desc, wait);
 }
 
 Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
@@ -1014,10 +1030,9 @@ RequestId Engine::api_irecv(Rank r, Rank src, Tag tag, CommId comm,
 
   EngineGuard g(lock_, r);
   const Rank src_world = enter_recv(g, r, call);
-  const std::uint64_t queued =
-      match_queued(r, src_world, call.tag, call.comm);
+  const Envelope* queued = match_queued(r, src_world, call.tag, call.comm);
   RequestId id = kNullRequest;
-  if (queued == 0) {
+  if (queued == nullptr) {
     id = post_recv(r, src_world, call.tag, call.comm, false);
   } else {
     RequestRecord& rec = add_recv(r, src_world, call.tag, call.comm, false);
@@ -1039,9 +1054,8 @@ Status Engine::api_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
 
   EngineGuard g(lock_, r);
   const Rank src_world = enter_recv(g, r, call);
-  const std::uint64_t queued =
-      match_queued(r, src_world, call.tag, call.comm);
-  if (queued == 0) {
+  const Envelope* queued = match_queued(r, src_world, call.tag, call.comm);
+  if (queued == nullptr) {
     // Nothing to match yet: post a record and wait on it.
     const RequestId id = post_recv(r, src_world, call.tag, call.comm, false);
     g.unlock();
@@ -1163,8 +1177,11 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
     }
     return recs.size();
   };
-  blocking_wait(g, r, BlockDesc{BlockDesc::Op::kWaitany},
-                [&] { return ready_index() < recs.size(); });
+  WaitOn wait;
+  wait.kind = WaitOn::Kind::kAnyRequest;
+  wait.recs = recs.data();
+  wait.count = recs.size();
+  blocking_wait(g, r, BlockDesc{BlockDesc::Op::kWaitany}, wait);
   const std::size_t idx = ready_index();
   DAMPI_CHECK(idx < recs.size());
   Status st = finish_request(g, r, reqs[idx], out, /*run_hooks=*/true);
@@ -1241,23 +1258,14 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
   pr(r).vt_add(opts_.cost.local_op_us);
   const Rank src_world = comms_.to_world(call.comm, call.src);
 
-  // The wake predicate captures one pointer so it fits std::function's
-  // inline storage (blocking must not allocate).
-  struct Target {
-    MatchIndex* match;
-    Rank src_world;
-    Tag tag;
-    CommId comm;
-  } const target{pr(r).match.get(), src_world, call.tag, call.comm};
-  auto exists = [&target]() -> bool {
-    if (target.src_world == kAnySource) {
-      return target.match->has_candidates(target.tag, target.comm);
-    }
-    return target.match->find_specific(target.src_world, target.tag,
-                                       target.comm) != nullptr;
-  };
+  WaitOn exists;
+  exists.kind = WaitOn::Kind::kMessage;
+  exists.match = pr(r).match.get();
+  exists.src_world = src_world;
+  exists.tag = call.tag;
+  exists.comm = call.comm;
 
-  bool found = exists();
+  bool found = exists.ready();
   if (!found && call.blocking) {
     BlockDesc desc;
     desc.op = BlockDesc::Op::kProbe;
@@ -1277,7 +1285,7 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
       std::vector<MatchCandidate>& cands = pr(r).cand_buf;
       pr(r).match->wildcard_candidates(call.tag, call.comm, &cands);
       DAMPI_CHECK(!cands.empty());
-      env = pr(r).match->find_by_id(cands[choose_wildcard(cands)].msg_id);
+      env = cands[choose_wildcard(cands)].env;
     } else {
       env = pr(r).match->find_specific(src_world, call.tag, call.comm);
     }
@@ -1414,14 +1422,17 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
   }
   const std::uint64_t gen = gens[static_cast<std::size_t>(comm)]++;
   CollSlot& slot = coll_slot(comm, gen);
+  const auto members = static_cast<std::size_t>(size);
   if (slot.arrived == 0) {
     slot.kind = kind;
     slot.root_world = root_world;
-    slot.pb.resize(static_cast<std::size_t>(size));
-    slot.data.resize(static_cast<std::size_t>(size));
-    slot.multi.resize(static_cast<std::size_t>(size));
-    slot.colors.assign(static_cast<std::size_t>(size), 0);
-    slot.keys.assign(static_cast<std::size_t>(size), 0);
+    slot.pb.resize(members);
+    if (carries_single(kind)) slot.data.resize(members);
+    if (carries_multi(kind)) slot.multi.resize(members);
+    if (kind == CollKind::kCommSplit) {
+      slot.colors.assign(members, 0);
+      slot.keys.assign(members, 0);
+    }
   } else {
     if (slot.kind != kind || slot.root_world != root_world) {
       throw_program_error(
@@ -1447,11 +1458,14 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
     throw_program_error(g, r, "alltoall requires one slice per member");
   }
 
-  slot.pb[static_cast<std::size_t>(cr)] = std::move(pb_contribution);
-  slot.data[static_cast<std::size_t>(cr)] = std::move(data.single);
-  slot.multi[static_cast<std::size_t>(cr)] = std::move(data.multi);
-  slot.colors[static_cast<std::size_t>(cr)] = data.color;
-  slot.keys[static_cast<std::size_t>(cr)] = data.key;
+  const auto me = static_cast<std::size_t>(cr);
+  slot.pb[me] = std::move(pb_contribution);
+  if (carries_single(kind)) slot.data[me] = std::move(data.single);
+  if (carries_multi(kind)) slot.multi[me] = std::move(data.multi);
+  if (kind == CollKind::kCommSplit) {
+    slot.colors[me] = data.color;
+    slot.keys[me] = data.key;
+  }
   ++slot.arrived;
   slot.max_arrival_vtime = std::max(slot.max_arrival_vtime, pr(r).vt());
   if (rooted && cr == root_rel) {
@@ -1469,31 +1483,24 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
     sched_->wake(root_world);
   }
 
-  // Completion predicate for this rank. It captures one pointer so it
-  // fits std::function's inline storage (blocking must not allocate).
-  struct Arrival {
-    const CollSlot* slot;
-    CollKind kind;
-    Rank cr;
-    Rank root_rel;
-    int size;
-  } const arrival{&slot, kind, cr, root_rel, size};
-  auto my_pred = [&arrival]() -> bool {
-    const CollSlot& s = *arrival.slot;
-    if (is_all_style(arrival.kind)) return s.arrived == arrival.size;
-    if (root_to_leaves(arrival.kind)) {
-      return arrival.cr == arrival.root_rel || s.root_arrived;
-    }
-    // leaves_to_root
-    return arrival.cr != arrival.root_rel || s.arrived == arrival.size;
-  };
-  if (!my_pred()) {
+  // Completion condition for this rank: everyone's arrival, except that
+  // a rooted fan-out's leaves wait only for the root, and its root and a
+  // fan-in's leaves do not wait at all.
+  const bool waits_for_root = root_to_leaves(kind) && cr != root_rel;
+  const bool waits_at_all = is_all_style(kind) || waits_for_root ||
+                            (leaves_to_root(kind) && cr == root_rel);
+  if (waits_at_all) {
+    WaitOn wait;
+    wait.kind = WaitOn::Kind::kCollective;
+    wait.arrived = &slot.arrived;
+    wait.want = size;
+    if (waits_for_root) wait.root_arrived = &slot.root_arrived;
     BlockDesc desc;
     desc.op = BlockDesc::Op::kColl;
     desc.coll = kind;
     desc.comm = comm;
     desc.gen = gen;
-    blocking_wait(g, r, desc, my_pred);
+    blocking_wait(g, r, desc, wait);
   }
 
   // Completion virtual time.
@@ -1633,7 +1640,10 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
     for (Bytes& b : slot.present) bufs.recycle(std::move(b));
     bufs.recycle(std::move(slot.merged_pb));
     bufs.recycle(std::move(slot.reduced));
-    slot.in_use = false;
+    slot.pb.clear();
+    slot.data.clear();
+    slot.multi.clear();
+    release_coll_slot(slot);
   }
   DAMPI_TEVENT(obs::EventKind::kCollective, obs::Phase::kEnd,
                static_cast<std::int32_t>(kind), comm);
@@ -1759,8 +1769,8 @@ Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
   EngineGuard g(lock_, r);
   check_abort(g);
   const Rank src_world = comms_.to_world(comm, src);
-  const std::uint64_t queued = match_queued(r, src_world, tag, comm);
-  if (queued == 0) {
+  const Envelope* queued = match_queued(r, src_world, tag, comm);
+  if (queued == nullptr) {
     // Under coop a piggyback message is always queued before its
     // receive (the sender deposits it before it can yield); thread-mode
     // ranks and finalize drains may still have to wait.
@@ -1788,7 +1798,7 @@ bool Engine::raw_iprobe(Rank r, Rank src, Tag tag, CommId comm,
     pr(r).match->wildcard_candidates(tag, comm, &cands);
     if (!cands.empty()) {
       // Deterministic head (lowest source) — tool drains need no policy.
-      env = pr(r).match->find_by_id(cands.front().msg_id);
+      env = cands.front().env;
     }
   } else {
     env = pr(r).match->find_specific(src_world, tag, comm);

@@ -56,6 +56,7 @@
 #include "mpism/runtime.hpp"
 #include "mpism/scheduler.hpp"
 #include "mpism/tool.hpp"
+#include "mpism/wait_on.hpp"
 
 namespace dampi::mpism {
 
@@ -98,7 +99,7 @@ class Engine {
   void set_tools(ToolSetup tools);
 
   /// Objects currently checked out of this engine's slab pools (request
-  /// records and match-index lane nodes) — zero between runs.
+  /// records and match-index queue nodes) — zero between runs.
   std::uint64_t pooled_live() const;
 
   /// External cancellation: ends the run (RunReport::cancelled) from any
@@ -182,12 +183,8 @@ class Engine {
     /// atomic with relaxed ordering.
     std::atomic<double> vtime{0.0};
     bool finished = false;
-    bool blocked = false;
+    /// What the rank is blocked in, for the deadlock report.
     BlockDesc block_desc;
-    /// Wake predicate of the blocked operation; consulted by the deadlock
-    /// detector so a satisfied-but-not-yet-woken rank is not misread as
-    /// stuck.
-    std::function<bool()> block_pred;
     /// Unexpected-message and posted-receive queues (linear or indexed,
     /// per RunOptions::match). Holds non-owning pointers into `reqs` for
     /// posted receives; a record stays indexed until matched.
@@ -221,9 +218,10 @@ class Engine {
 
   /// One in-flight collective (comm, gen). Slots are pooled: a departed
   /// slot keeps its vectors' capacity for the next collective, and a
-  /// slot's address is stable while ranks block on it.
+  /// slot's address is stable while ranks block on it. A first arrival
+  /// sizes only the member vectors its kind uses; the last departure
+  /// empties them again.
   struct CollSlot {
-    bool in_use = false;
     CommId comm = kCommNull;
     std::uint64_t gen = 0;
     CollKind kind = CollKind::kBarrier;
@@ -284,9 +282,9 @@ class Engine {
   void do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag, CommId comm,
                 Payload payload, bool tool_internal, RequestRecord* sync_rec,
                 SendInfo* info);
-  /// msg_id of the queued message a receive posted now matches (the
-  /// policy's pick among wildcard candidates), or 0 when none is queued.
-  std::uint64_t match_queued(Rank r, Rank src_world, Tag tag, CommId comm);
+  /// The queued message a receive posted now matches (the policy's pick
+  /// among wildcard candidates), or nullptr when none is queued.
+  const Envelope* match_queued(Rank r, Rank src_world, Tag tag, CommId comm);
   /// A fresh record for a receive, with its posted fields.
   RequestRecord& add_recv(Rank r, Rank src_world, Tag tag, CommId comm,
                           bool tool_internal);
@@ -313,13 +311,12 @@ class Engine {
   void complete_recv(Rank r, RequestRecord& rec, Envelope&& env);
   /// The record-free twin of complete_recv: takes queued message
   /// `msg_id` for a receive of r that matched it in its call.
-  Envelope take_matched(Rank r, std::uint64_t msg_id);
+  Envelope take_matched(Rank r, const Envelope* queued);
 
-  /// Enter the blocked state and wait for `pred`; throws AbortRun when the
+  /// Enter the blocked state and wait for `wait`; throws AbortRun when the
   /// run aborts or deadlocks while waiting.
-  template <typename Pred>
   void blocking_wait(EngineGuard& g, Rank r, const BlockDesc& desc,
-                     Pred pred);
+                     const WaitOn& wait);
   /// Called right before a rank would block (or after it finishes); if
   /// every other live rank is already blocked, declares a deadlock.
   /// Escalates `g` to all shards for the scan (dropping and retaking it
@@ -384,6 +381,8 @@ class Engine {
   /// The slot of collective (comm, gen), claiming a free one on first
   /// arrival (all shards held).
   CollSlot& coll_slot(CommId comm, std::uint64_t gen);
+  /// Returns a slot whose last member departed to the free list.
+  void release_coll_slot(CollSlot& slot);
 
   /// Publishes the run's engine.* metrics (pools, locks, envelopes,
   /// match scans).
@@ -412,6 +411,11 @@ class Engine {
   /// RunOptions::cancel subscription, held for the engine's lifetime.
   std::uint64_t cancel_sub_ = 0;
   std::vector<std::unique_ptr<PerRank>> ranks_;
+  /// Each rank's wait condition while it is blocked (kNone exactly when
+  /// it is not), written under the rank's shard; the scheduler evaluates
+  /// it to wake the rank, and the deadlock scan so a
+  /// satisfied-but-not-yet-woken rank is not misread as stuck.
+  std::vector<WaitOn> waits_;
   /// Guarded by all-shards sections for writes; readers hold any shard
   /// (writers exclude them by holding every shard).
   CommTable comms_;
@@ -421,7 +425,11 @@ class Engine {
   std::mutex policy_mu_;
   std::unique_ptr<MatchPolicy> policy_;
   /// Collective bookkeeping: only touched under all-shards sections.
+  /// Every slot ever claimed (storage, kept across runs); the open ones
+  /// by (comm, gen); the rest.
   std::vector<std::unique_ptr<CollSlot>> coll_slots_;
+  IdMap<CollSlot*> open_coll_slots_;
+  std::vector<CollSlot*> free_coll_slots_;
   std::atomic<std::uint64_t> next_msg_id_{1};
 
   std::atomic<int> blocked_count_{0};

@@ -6,23 +6,26 @@
 //    lookup; kept compiled in as the differential oracle (tests select
 //    it with RunOptions::match = kLinear) because its correctness is
 //    self-evident.
-//  - IndexedMatchIndex: per-source FIFO lanes hashed by (comm, tag,
-//    src) plus (comm, src), so specific-receive lookup, removal by
-//    msg_id, and posted-receive matching are O(1) amortized and
-//    wildcard candidates are read off precomputed lane heads instead of
-//    rescanning the queue. Lane nodes come from a slab pool
-//    (allocation-free steady state). Shallow queues (< 32 entries,
-//    separately for unexpected and posted) run the linear algorithms
-//    unchanged — hashing costs more than a three-entry scan — and the
-//    structure migrates to lanes permanently the first time a queue
-//    crosses the threshold.
+//  - IndexedMatchIndex: per-source FIFO lanes keyed by (comm, tag,
+//    src) plus (comm, src) in flat open-addressing tables, so
+//    specific-receive lookup, removal by msg_id, and posted-receive
+//    matching are O(1) amortized and wildcard candidates are read off
+//    lane heads instead of rescanning the queue. Queued messages and
+//    posted-lane entries are pooled nodes and every table keeps its
+//    capacity across runs (allocation-free steady state at any depth).
+//    Shallow queues (< 32 entries, separately for unexpected and posted)
+//    run the linear algorithms unchanged — hashing costs more than a
+//    three-entry scan — and the structure migrates to lanes permanently
+//    the first time a queue crosses the threshold.
 //
 // Equivalence contract (what the differential fuzz asserts): both
 // implementations must produce identical results for every query —
 // same candidate vectors (sorted by source, earliest message per
 // source), same find_specific winner, same earliest-posted receive from
 // match_posted — because the engine's visible behaviour (wildcard
-// nondeterminism included) is a function of exactly these answers.
+// nondeterminism included) is a function of exactly these answers. A
+// message leaves the queue only as such an answer (take), so the
+// indexed structure needs no id lookup at all.
 //
 // Key invariants the indexed structure leans on (engine holds one
 // global mutex around all of this):
@@ -80,8 +83,8 @@ class MatchIndex {
  public:
   virtual ~MatchIndex() = default;
 
-  /// Drops every queued message and posted receive, zeroes the lane-node
-  /// pool's per-run counts and returns to the freshly constructed state,
+  /// Drops every queued message and posted receive, zeroes the node
+  /// pools' per-run counts and returns to the freshly constructed state,
   /// keeping allocated storage for the next run. The posted records
   /// themselves belong to the engine.
   virtual void reset() = 0;
@@ -96,16 +99,16 @@ class MatchIndex {
   /// included). Pointer valid until the next mutation.
   virtual const Envelope* find_specific(Rank src_world, Tag tag,
                                         CommId comm) const = 0;
-  /// The queued message with this id, or nullptr.
-  virtual const Envelope* find_by_id(std::uint64_t msg_id) const = 0;
   /// True iff wildcard_candidates would be non-empty (cheaper).
   virtual bool has_candidates(Tag tag, CommId comm) const = 0;
   /// Per-source earliest compatible *user* message, sorted by source.
   /// Clears and fills `out` (caller-owned buffer, reused across calls).
   virtual void wildcard_candidates(Tag tag, CommId comm,
                                    std::vector<MatchCandidate>* out) const = 0;
-  /// Removes and returns the message with this id (checks it exists).
-  virtual Envelope take(std::uint64_t msg_id) = 0;
+  /// Removes and returns `queued`: an answer of find_specific, or a
+  /// candidate's `env`, with no mutation since (checked in the linear
+  /// walks; the indexed lanes take it by address).
+  virtual Envelope take(const Envelope* queued) = 0;
 
   // --- posted-receive queue -------------------------------------------
   virtual void post_recv(RequestRecord* rec) = 0;
@@ -113,7 +116,8 @@ class MatchIndex {
   /// `env`, or nullptr when none is.
   virtual RequestRecord* match_posted(const Envelope& env) = 0;
 
-  /// Lane-node pool stats (zero for the linear matcher).
+  /// Queue- and posted-node pool stats, summed (zero for the linear
+  /// matcher).
   virtual PoolStats pool_stats() const = 0;
 
  protected:

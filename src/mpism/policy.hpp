@@ -19,6 +19,8 @@
 
 namespace dampi::mpism {
 
+struct Envelope;
+
 /// One matchable candidate for a wildcard receive/probe: the head (lowest
 /// unmatched seq) message from one source.
 struct MatchCandidate {
@@ -26,6 +28,9 @@ struct MatchCandidate {
   Tag tag = kAnyTag;
   std::uint64_t seq = 0;
   std::uint64_t msg_id = 0;
+  /// The queued message itself, valid until its queue next changes
+  /// (what MatchIndex::take removes).
+  const Envelope* env = nullptr;
 };
 
 /// Strategy interface. choose() is called with a non-empty candidate list

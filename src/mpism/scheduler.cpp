@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/strutil.hpp"
+#include "mpism/wait_on.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -366,7 +368,7 @@ class ThreadScheduler final : public RankScheduler {
     // peer is, the stall detector declares deadlock. Timed waits cost
     // ~150ns each on the message critical path, so they stay out of it.
     for (;;) {
-      if (cb_->wake_ready(r) || cb_->stop()) return;
+      if (ready(r) || cb_->stop()) return;
       std::uint64_t gen;
       {
         std::lock_guard<std::mutex> wl(w.mu);
@@ -374,7 +376,7 @@ class ThreadScheduler final : public RankScheduler {
       }
       // Re-check after the snapshot: a waker that bumped gen first has
       // its published state made visible by the w.mu acquire above.
-      if (cb_->wake_ready(r) || cb_->stop()) return;
+      if (ready(r) || cb_->stop()) return;
       g.unlock();
       {
         std::unique_lock<std::mutex> wl(w.mu);
@@ -402,6 +404,10 @@ class ThreadScheduler final : public RankScheduler {
   const char* name() const override { return "thread"; }
 
  private:
+  bool ready(Rank r) const {
+    return cb_->waits[static_cast<std::size_t>(r)].ready();
+  }
+
   struct alignas(64) Waiter {
     std::mutex mu;
     std::condition_variable cv;
@@ -418,8 +424,19 @@ class ThreadScheduler final : public RankScheduler {
 // called run(). A fiber executes until its rank blocks in an
 // MPI operation (block() swaps back here), then the policy picks the
 // next runnable rank. Everything the policy consumes — fiber states,
-// wake hints, predicate results — is a deterministic function of program
-// behaviour, so a (policy, seed) pair fixes the entire interleaving.
+// wake hints, wait-condition results — is a deterministic function of
+// program behaviour, so a (policy, seed) pair fixes the entire
+// interleaving.
+//
+// A pick looks only at the ready set: one bit per rank that is
+// unstarted, poll-yielded, or woken since its wait condition was last
+// seen false. Visiting the set in ascending rank order yields exactly
+// the candidates (and order) a scan of every rank would, because a
+// blocked rank's condition only turns true together with a wake() of
+// that rank; so a pick costs the set's size, not the rank count, and a
+// round-robin pick stops at the first runnable rank after its cursor.
+// The full scan remains for the stop path (every unfinished rank runs
+// to unwind) and as the check before a stall is declared.
 //
 // Fibers and the dispatch loop share one OS thread, so the engine built
 // over this scheduler is single-threaded by construction and takes no
@@ -435,7 +452,9 @@ class CoopScheduler final : public RankScheduler {
       : opts_(options),
         nprocs_(nprocs),
         rng_(options.seed),
-        fibers_(static_cast<std::size_t>(nprocs)) {
+        fibers_(static_cast<std::size_t>(nprocs)),
+        ready_words_((static_cast<std::size_t>(nprocs) + 63) / 64),
+        ready_(std::make_unique<std::atomic<std::uint64_t>[]>(ready_words_)) {
     if (opts_.pick == SchedPolicy::kPriority) {
       // Static per-rank priorities drawn once from the seed; ties are
       // impossible in practice (64-bit draws) but break toward the
@@ -508,7 +527,7 @@ class CoopScheduler final : public RankScheduler {
 
   void block(EngineGuard& g, Rank r) override {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
-    while (!(cb_->wake_ready(r) || cb_->stop())) {
+    while (!(ready(r) || cb_->stop())) {
       f.state = State::kBlocked;
       // Keeps the guard contract; a no-op over the unlocked coop engine.
       g.unlock();
@@ -520,18 +539,16 @@ class CoopScheduler final : public RankScheduler {
   void yield(EngineGuard& g, Rank r) override {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
     f.state = State::kYielded;
+    mark(r);
     g.unlock();
     switch_context(&f.ctx, &sched_ctx_);
     g.lock();
   }
 
-  void wake(Rank r) override {
-    fibers_[static_cast<std::size_t>(r)].hint.store(
-        true, std::memory_order_relaxed);
-  }
+  void wake(Rank r) override { mark(r); }
 
   void wake_all() override {
-    for (Fiber& f : fibers_) f.hint.store(true, std::memory_order_relaxed);
+    for (Rank r = 0; r < nprocs_; ++r) mark(r);
   }
 
   bool detects_stall() const override { return true; }
@@ -551,11 +568,6 @@ class CoopScheduler final : public RankScheduler {
 
   struct Fiber {
     State state = State::kUnstarted;
-    /// Wake-hint: a wake() targeted this rank since it last ran. Purely
-    /// an optimization — candidates are re-validated against the wake
-    /// predicate, and an empty hinted set triggers a full scan. Atomic
-    /// because external cancellation calls wake_all from its own thread.
-    std::atomic<bool> hint{false};
     /// Taken from the thread's stack cache on first dispatch, so
     /// unstarted ranks cost nothing; kept across runs and returned when
     /// the scheduler dies.
@@ -567,10 +579,8 @@ class CoopScheduler final : public RankScheduler {
   /// Back to the state of a fresh scheduler, keeping each fiber's stack
   /// (every fiber of the previous run has finished).
   void restart() {
-    for (Fiber& f : fibers_) {
-      f.state = State::kUnstarted;
-      f.hint.store(false, std::memory_order_relaxed);
-    }
+    for (Fiber& f : fibers_) f.state = State::kUnstarted;
+    for (Rank r = 0; r < nprocs_; ++r) mark(r);
     rng_ = Rng(opts_.seed);
     current_ = -1;
     rr_cursor_ = 0;
@@ -578,42 +588,104 @@ class CoopScheduler final : public RankScheduler {
     stalls_ = 0;
   }
 
-  /// Selects the next rank to dispatch, declaring a stall first if
-  /// nothing is runnable. Returns -1 only when every rank has finished
-  /// (the run loop exits before asking again).
-  Rank pick() {
-    candidates_.clear();
-    const bool stopping = cb_->stop();
-    bool any_unfinished = false;
-    for (Rank r = 0; r < nprocs_; ++r) {
-      Fiber& f = fibers_[static_cast<std::size_t>(r)];
-      if (f.state == State::kFinished) continue;
-      any_unfinished = true;
-      if (stopping || f.state == State::kUnstarted ||
-          f.state == State::kYielded) {
-        // Stopping releases every parked rank so it can observe the
-        // abort and unwind; unstarted and poll-yielded ranks are always
-        // runnable.
-        candidates_.push_back(r);
-      } else if (f.hint.load(std::memory_order_relaxed) &&
-                 cb_->wake_ready(r)) {
-        candidates_.push_back(r);
+  // Ready-set bits. Atomic read-modify-writes: external cancellation
+  // calls wake_all from its own thread while the dispatch loop clears
+  // bits (a bit it loses that way does not matter, since cancellation
+  // also makes stop() true).
+  std::atomic<std::uint64_t>& ready_word(Rank r) {
+    return ready_[static_cast<std::size_t>(r) / 64];
+  }
+  static std::uint64_t ready_bit(Rank r) {
+    return std::uint64_t{1} << (static_cast<std::size_t>(r) % 64);
+  }
+  void mark(Rank r) {
+    ready_word(r).fetch_or(ready_bit(r), std::memory_order_relaxed);
+  }
+  void unmark(Rank r) {
+    ready_word(r).fetch_and(~ready_bit(r), std::memory_order_relaxed);
+  }
+
+  bool ready(Rank r) const {
+    return cb_->waits[static_cast<std::size_t>(r)].ready();
+  }
+
+  /// Whether ready-set member `r` can run now. A blocked rank whose
+  /// condition is still false leaves the set until the wake() that comes
+  /// with its flip; finished ranks leave it for good.
+  bool runnable(Rank r) {
+    switch (fibers_[static_cast<std::size_t>(r)].state) {
+      case State::kUnstarted:
+      case State::kYielded:
+        return true;  // always runnable
+      case State::kBlocked:
+        if (ready(r)) return true;
+        break;
+      case State::kRunning:
+      case State::kFinished:
+        break;
+    }
+    unmark(r);
+    return false;
+  }
+
+  /// The first runnable member of the ready set in [from, to), in
+  /// ascending rank order, or -1.
+  Rank first_runnable(Rank from, Rank to) {
+    for (auto w = static_cast<std::size_t>(from) / 64;
+         w * 64 < static_cast<std::size_t>(to); ++w) {
+      std::uint64_t bits = ready_[w].load(std::memory_order_relaxed);
+      if (w == static_cast<std::size_t>(from) / 64) {
+        bits &= ~std::uint64_t{0} << (static_cast<std::size_t>(from) % 64);
+      }
+      for (; bits != 0; bits &= bits - 1) {
+        const auto r = static_cast<Rank>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+        if (r >= to) return -1;
+        if (runnable(r)) return r;
       }
     }
-    if (!any_unfinished) return -1;
-    if (candidates_.empty()) {
-      // Hints are conservative; a predicate can flip without a wake()
-      // (e.g. a probe whose candidate set grew via an unrelated path).
-      // Re-scan every blocked rank before concluding anything.
+    return -1;
+  }
+
+  /// Selects the next rank to dispatch, declaring a stall first if
+  /// nothing is runnable. Candidates come out in ascending rank order.
+  Rank pick() {
+    candidates_.clear();
+    if (cb_->stop()) {
+      // Stopping releases every parked rank so it can observe the abort
+      // and unwind.
       for (Rank r = 0; r < nprocs_; ++r) {
-        const Fiber& f = fibers_[static_cast<std::size_t>(r)];
-        if (f.state == State::kBlocked && cb_->wake_ready(r)) {
+        if (fibers_[static_cast<std::size_t>(r)].state != State::kFinished) {
           candidates_.push_back(r);
         }
       }
+      return choose_from_candidates();
+    }
+    if (opts_.pick == SchedPolicy::kRoundRobin) {
+      // Round-robin takes the first candidate at or after the cursor,
+      // else the lowest: the first runnable rank of a wrapped walk from
+      // the cursor, with no need to build the candidate list.
+      Rank r = first_runnable(rr_cursor_, nprocs_);
+      if (r < 0) r = first_runnable(0, rr_cursor_);
+      if (r >= 0) {
+        rr_cursor_ = (r + 1) % nprocs_;
+        return r;
+      }
+    } else {
+      for (Rank r = first_runnable(0, nprocs_); r >= 0;
+           r = r + 1 < nprocs_ ? first_runnable(r + 1, nprocs_) : -1) {
+        candidates_.push_back(r);
+      }
     }
     if (candidates_.empty()) {
-      // Every live rank is blocked with a false predicate: with eager
+      // Re-scan every blocked rank before concluding anything.
+      for (Rank r = 0; r < nprocs_; ++r) {
+        const Fiber& f = fibers_[static_cast<std::size_t>(r)];
+        if (f.state == State::kBlocked && ready(r)) candidates_.push_back(r);
+      }
+    }
+    if (candidates_.empty()) {
+      // Every live rank is blocked with a false condition: with eager
       // matching nothing can make progress — an exact deadlock. The
       // engine marks the run stopped, after which all parked ranks
       // become dispatchable and unwind.
@@ -662,7 +734,7 @@ class CoopScheduler final : public RankScheduler {
 
   void dispatch(Rank r) {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
-    f.hint.store(false, std::memory_order_relaxed);
+    unmark(r);
     if (f.state == State::kUnstarted) prepare_fiber(f);
     f.state = State::kRunning;
     current_ = r;
@@ -712,6 +784,8 @@ class CoopScheduler final : public RankScheduler {
   Rng rng_;
   std::vector<Fiber> fibers_;
   std::vector<std::uint64_t> priorities_;
+  std::size_t ready_words_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> ready_;
   std::vector<Rank> candidates_;
   FiberContext sched_ctx_;
   const Callbacks* cb_ = nullptr;

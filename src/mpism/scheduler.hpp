@@ -22,14 +22,18 @@
 // engine whose guards are no-ops; the thread scheduler gets one global
 // mutex or per-rank shards. `block`/`yield` are called by a rank holding
 // an EngineGuard over its state and return with the same guard held once
-// `wake_ready(rank)` or `stop()` is true; the scheduler releases and
-// reacquires the guard around the actual park.
+// its wait condition `waits[rank].ready()` (wait_on.hpp) or `stop()` is
+// true; the scheduler releases and reacquires the guard around the
+// actual park.
 // `wake`/`wake_all` may be called from any thread, with or without
 // shards held (they only touch scheduler-internal leaf state), and are
 // hints — a scheduler may wake spuriously but must never lose a wakeup.
-// `wake_ready(r)` is only ever evaluated by rank r itself under its own
+// The engine wakes a blocked rank after every event that can make its
+// wait condition true, so a scheduler may re-check a blocked rank only
+// when it has been woken since its condition was last seen false.
+// `waits[r]` is only ever evaluated by rank r itself under its own
 // guard (ThreadScheduler) or by the single dispatch thread
-// (CoopScheduler), so the predicate reads rank-r state race-free. Under
+// (CoopScheduler), so the condition reads rank-r state race-free. Under
 // the coop scheduler a stall (no runnable rank, not all finished) is
 // reported through `on_stall`, which must acquire whatever engine locks
 // it needs itself; with eager matching this is an exact deadlock
@@ -61,18 +65,21 @@ struct SchedOptions {
   std::uint64_t seed = 1;
 };
 
+struct WaitOn;
+
 class RankScheduler {
  public:
   /// Engine-provided hooks. See the locking contract in the header
-  /// comment: wake_ready(r) is evaluated only by rank r (under its
-  /// guard) or by the coop dispatch thread; stop() reads only atomics;
+  /// comment: waits[r] is evaluated only by rank r (under its guard) or
+  /// by the coop dispatch thread; stop() reads only atomics;
   /// on_stall/on_deadline acquire their own engine locks.
   struct Callbacks {
     /// Runs one rank's program instance to completion; must not throw
     /// (the engine catches everything inside).
     std::function<void(Rank)> body;
-    /// True when the blocked rank's wake predicate holds.
-    std::function<bool(Rank)> wake_ready;
+    /// One wait condition per rank, indexed by rank: what a blocked rank
+    /// waits for (WaitOn::Kind::kNone while it is not blocked).
+    const WaitOn* waits = nullptr;
     /// True once the run is aborting or deadlocked: every parked rank
     /// must be released so it can unwind. Reads only atomics — callable
     /// from any thread without locks.
@@ -101,7 +108,7 @@ class RankScheduler {
   /// Called once per run of a reused engine: every call starts from the
   /// scheduler's initial state (same picks for the same program).
   virtual void run(const Callbacks& cb) = 0;
-  /// Parks the calling rank until wake_ready(r) or stop(). `g` holds
+  /// Parks the calling rank until waits[r] is ready or stop(). `g` holds
   /// the rank's engine guard on entry and on return; the scheduler
   /// releases it while parked.
   virtual void block(EngineGuard& g, Rank r) = 0;
@@ -114,7 +121,7 @@ class RankScheduler {
     (void)g;
     (void)r;
   }
-  /// Hints that r's wake predicate may have flipped. Callable from any
+  /// Hints that r's wait condition may have flipped. Callable from any
   /// thread; takes only scheduler-leaf locks, so it is safe (and usual)
   /// to call while holding engine shards.
   virtual void wake(Rank r) = 0;

@@ -6,6 +6,7 @@ namespace dampi::obs {
 
 namespace detail {
 thread_local Lane* tls_lane = nullptr;
+std::atomic<bool> trace_enabled{false};
 }  // namespace detail
 
 const KindInfo& kind_info(EventKind kind) {

@@ -125,6 +125,13 @@ struct LaneSnapshot {
   std::vector<TraceEvent> events;
 };
 
+namespace detail {
+/// The tracer's runtime switch, at namespace scope so that trace_on()
+/// is one relaxed load with no call into Tracer::instance(). Only
+/// Tracer::set_enabled writes it.
+extern std::atomic<bool> trace_enabled;
+}  // namespace detail
+
 /// Process-wide lane registry. Lanes are recycled by name: a thread
 /// claiming "rank 0" reuses the lane a previous run's rank 0 released,
 /// so sequential replays share lanes while concurrent ones get their
@@ -133,11 +140,13 @@ class Tracer {
  public:
   static Tracer& instance();
 
-  /// Runtime switch consulted by the emit macros (relaxed load).
+  /// Runtime switch consulted by the emit macros (trace_on()).
   void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
+    detail::trace_enabled.store(on, std::memory_order_relaxed);
   }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  bool enabled() const {
+    return detail::trace_enabled.load(std::memory_order_relaxed);
+  }
 
   /// Events retained per lane; applies to lanes created afterwards.
   /// Rounded up to a power of two.
@@ -163,7 +172,6 @@ class Tracer {
   std::vector<std::unique_ptr<Lane>> lanes_;  ///< index == exported tid
   std::vector<Lane*> free_;
   std::size_t capacity_ = 1u << 14;
-  std::atomic<bool> enabled_{false};
 };
 
 namespace detail {
@@ -176,7 +184,9 @@ extern thread_local Lane* tls_lane;
 /// ThreadLane remains the RAII path for threads that own one lane.
 Lane* exchange_thread_lane(Lane* lane);
 
-inline bool trace_on() { return Tracer::instance().enabled(); }
+inline bool trace_on() {
+  return detail::trace_enabled.load(std::memory_order_relaxed);
+}
 
 /// Emit into the calling thread's lane (no-op for unclaimed threads).
 inline void emit(EventKind kind, Phase phase, std::int32_t a = 0,

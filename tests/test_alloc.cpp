@@ -19,10 +19,12 @@
 // allocator and force the thread scheduler).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -242,6 +244,55 @@ TEST(AllocSteadyState, DistFanoutRequestRecords) {
   const double per = steady_per_interleaving(pinned_options(6), fanout_program,
                                              200, request_records);
   EXPECT_EQ(per, 0.0);
+}
+
+/// A fan-in that puts rank 0's matcher in lane mode on both sides for
+/// any `per_sender` of 11 or more: rank 0 posts 3 × per_sender specific
+/// receives before ranks 1-3 send to them, then ranks 1-3 queue
+/// per_sender messages each (plus their piggyback messages) before rank 0
+/// drains them with specific receives. Payloads are empty and the request
+/// array lives on the stack, so the program itself allocates nothing. A
+/// tail of six wildcard receives gives the walk its 90 interleavings
+/// whatever the depth.
+mpism::ProgramFn deep_fan_in(int per_sender) {
+  return [per_sender](mpism::Proc& p) {
+    const int queued = 3 * per_sender;
+    if (p.rank() == 0) {
+      std::array<mpism::RequestId, 96> reqs{};
+      for (int i = 0; i < queued; ++i) reqs[i] = p.irecv(1 + i % 3, 8);
+      p.barrier();
+      p.waitall(std::span(reqs.data(), static_cast<std::size_t>(queued)));
+      p.barrier();
+      for (int i = 0; i < queued; ++i) p.recv(1 + i % 3, 7);
+      for (int i = 0; i < 6; ++i) p.recv(mpism::kAnySource, 9);
+    } else {
+      p.barrier();
+      for (int i = 0; i < per_sender; ++i) p.send(0, 8, {});
+      for (int i = 0; i < per_sender; ++i) p.send(0, 7, {});
+      p.barrier();
+      for (int i = 0; i < 2; ++i) p.send(0, 9, {});
+    }
+  };
+}
+
+// Lane-mode matching (queues past 32 entries) keeps its tables, lane
+// nodes and posted-lane nodes across runs: once warm, doubling the depth
+// of every deep queue adds no allocation to an interleaving. What the
+// walk does allocate per interleaving (DFS frames, collective
+// piggybacks) is the same at both depths.
+TEST(AllocSteadyState, DeepQueueLanesAllocateNothing) {
+  SKIP_WHEN_SANITIZED();
+  // The first walk in a process also registers metrics; pay that here so
+  // neither measured depth does.
+  steady_per_interleaving(pinned_options(4), deep_fan_in(16), 2,
+                          heap_allocations);
+  const double deep = steady_per_interleaving(pinned_options(4),
+                                              deep_fan_in(16), 40,
+                                              heap_allocations);
+  const double deeper = steady_per_interleaving(pinned_options(4),
+                                                deep_fan_in(32), 40,
+                                                heap_allocations);
+  EXPECT_EQ(deeper, deep);
 }
 
 // A warm context keeps at most one run's high-water storage: replaying

@@ -4,7 +4,8 @@
 //    push/find/take/post/match operations driven against the linear and
 //    indexed MatchIndex side by side, asserting every query answer is
 //    identical (candidate vectors, specific winners, posted-receive
-//    matches, drained envelopes);
+//    matches, drained envelopes); takes remove a query's answer, as the
+//    engine's do;
 //  - directed non-overtaking properties: per-source FIFO delivery,
 //    wildcard candidates == set of lane heads (tool traffic excluded),
 //    earliest-posted-wins across the four posted lanes;
@@ -114,8 +115,16 @@ constexpr Rank kFuzzSources = 5;
 constexpr Tag kFuzzTags = 4;
 const CommId kFuzzComms[] = {kCommWorld, static_cast<CommId>(kCommWorld + 1)};
 
+/// One queued unexpected message, as the shadow state remembers it.
+struct LiveMsg {
+  std::uint64_t id;
+  Rank src;
+  Tag tag;
+  CommId comm;
+};
+
 struct ShadowState {
-  std::vector<std::uint64_t> live_ids;       // queued unexpected messages
+  std::vector<LiveMsg> live;                 // queued unexpected messages
   std::vector<RequestRecord*> live_posted;   // still-indexed receives
   std::vector<std::unique_ptr<RequestRecord>> records;  // owns all posted
   std::uint64_t next_msg_id = 1;
@@ -141,7 +150,7 @@ void fuzz_step(Rng& rng, IndexPair& p, ShadowState& st) {
     const std::uint64_t id = st.next_msg_id++;
     p.linear->push_unexpected(make_env(src, tag, comm, seq, id, tool));
     p.indexed->push_unexpected(make_env(src, tag, comm, seq, id, tool));
-    st.live_ids.push_back(id);
+    st.live.push_back({id, src, tag, comm});
   } else if (op < 45) {
     // Specific-receive lookup, concrete or wildcard tag.
     expect_same_specific(p, static_cast<Rank>(rng.next_below(kFuzzSources)),
@@ -149,22 +158,36 @@ void fuzz_step(Rng& rng, IndexPair& p, ShadowState& st) {
   } else if (op < 55) {
     expect_same_candidates(p, pick_tag(0.4), comm);
   } else if (op < 70) {
-    // Take a random live message by id (the engine always takes an id it
-    // found through a query, but removal must work for any queued id).
-    if (st.live_ids.empty()) return;
-    const std::size_t at = rng.next_below(st.live_ids.size());
-    const std::uint64_t id = st.live_ids[at];
-    const Envelope* qa = p.linear->find_by_id(id);
-    const Envelope* qb = p.indexed->find_by_id(id);
+    // Take what a receive would: the specific answer for a random live
+    // message's (src, tag, comm), or a wildcard candidate (the engine only
+    // ever takes a query's answer).
+    if (st.live.empty()) return;
+    const LiveMsg& m = st.live[rng.next_below(st.live.size())];
+    const Envelope* qa = nullptr;
+    const Envelope* qb = nullptr;
+    if (rng.next_bool(0.5)) {
+      const Tag tag = rng.next_bool(0.3) ? kAnyTag : m.tag;
+      qa = p.linear->find_specific(m.src, tag, m.comm);
+      qb = p.indexed->find_specific(m.src, tag, m.comm);
+    } else {
+      std::vector<MatchCandidate> ca;
+      std::vector<MatchCandidate> cb;
+      const Tag tag = rng.next_bool(0.3) ? kAnyTag : m.tag;
+      p.linear->wildcard_candidates(tag, m.comm, &ca);
+      p.indexed->wildcard_candidates(tag, m.comm, &cb);
+      ASSERT_EQ(ca.size(), cb.size());
+      if (ca.empty()) return;
+      const std::size_t pick = rng.next_below(ca.size());
+      qa = ca[pick].env;
+      qb = cb[pick].env;
+    }
     ASSERT_NE(qa, nullptr);
     ASSERT_NE(qb, nullptr);
     expect_env_eq(*qa, *qb);
-    Envelope a = p.linear->take(id);
-    Envelope b = p.indexed->take(id);
+    const Envelope a = p.linear->take(qa);
+    const Envelope b = p.indexed->take(qb);
     expect_env_eq(a, b);
-    st.live_ids.erase(st.live_ids.begin() + static_cast<std::ptrdiff_t>(at));
-    EXPECT_EQ(p.linear->find_by_id(id), nullptr);
-    EXPECT_EQ(p.indexed->find_by_id(id), nullptr);
+    std::erase_if(st.live, [&a](const LiveMsg& x) { return x.id == a.msg_id; });
   } else if (op < 85) {
     // Post a receive. Neither implementation mutates the record, so the
     // same object can be indexed by both; match_posted must then return
@@ -209,11 +232,15 @@ void final_sweep_and_drain(Rng& rng, IndexPair& p, ShadowState& st) {
       expect_same_specific(p, src, kAnyTag, comm);
     }
   }
-  while (!st.live_ids.empty()) {
-    const std::size_t at = rng.next_below(st.live_ids.size());
-    const std::uint64_t id = st.live_ids[at];
-    expect_env_eq(p.linear->take(id), p.indexed->take(id));
-    st.live_ids.erase(st.live_ids.begin() + static_cast<std::ptrdiff_t>(at));
+  while (!st.live.empty()) {
+    const LiveMsg& m = st.live[rng.next_below(st.live.size())];
+    const Envelope* qa = p.linear->find_specific(m.src, m.tag, m.comm);
+    const Envelope* qb = p.indexed->find_specific(m.src, m.tag, m.comm);
+    ASSERT_NE(qa, nullptr);
+    ASSERT_NE(qb, nullptr);
+    const Envelope a = p.linear->take(qa);
+    expect_env_eq(a, p.indexed->take(qb));
+    std::erase_if(st.live, [&a](const LiveMsg& x) { return x.id == a.msg_id; });
   }
   // Drain the posted side: walk every concrete (src, tag, comm) until
   // both say "no compatible receive"; they must hand out the same
@@ -290,7 +317,7 @@ TEST(MatchIndexProperty, PerSourceFifoOrder) {
       const Envelope* head = idx->find_specific(1, 7, kCommWorld);
       ASSERT_NE(head, nullptr) << mpism::match_spec(kind) << " seq " << s;
       EXPECT_EQ(head->seq, s) << mpism::match_spec(kind);
-      idx->take(head->msg_id);
+      idx->take(head);
     }
     EXPECT_EQ(idx->find_specific(1, 7, kCommWorld), nullptr);
     EXPECT_NE(idx->find_specific(2, 7, kCommWorld), nullptr);

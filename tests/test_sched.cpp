@@ -32,7 +32,9 @@
 
 #include "common/strutil.hpp"
 #include "core/explorer.hpp"
+#include "mpism/fault.hpp"
 #include "obs/metrics.hpp"
+#include "support/digest.hpp"
 #include "support/reference_enumerator.hpp"
 #include "support/run_helpers.hpp"
 #include "support/verify_helpers.hpp"
@@ -436,6 +438,95 @@ TEST(SchedScale, Wavefront512RankVerificationCompletes) {
   EXPECT_TRUE(result.bugs.empty());
   EXPECT_GE(result.interleavings, 1u);
   EXPECT_GT(result.wildcard_recv_epochs, 0u);
+}
+
+/// Every MPI call of the pick-pin program appends (rank, step) on return,
+/// so the log is the order in which the scheduler let ranks proceed.
+struct PickLog {
+  std::vector<std::pair<mpism::Rank, int>> entries;
+  void note(const Proc& p, int step) { entries.emplace_back(p.rank(), step); }
+};
+
+/// 256 ranks: an allreduce, two wildcard receives per rank, iprobe and
+/// test polls (yield points, each capped before falling back to a
+/// blocking call so no policy can starve the sender), a bcast, a gather
+/// and a barrier.
+void pick_pin_program(Proc& p, PickLog& log) {
+  const int n = p.size();
+  const mpism::Rank me = p.rank();
+  p.allreduce_u64(static_cast<std::uint64_t>(me), mpism::ReduceOp::kSumU64);
+  log.note(p, 0);
+  p.send((me + 1) % n, 1, {});
+  p.send((me + 7) % n, 1, {});
+  for (int i = 0; i < 2; ++i) {
+    const mpism::Status st = p.recv(mpism::kAnySource, 1);
+    log.note(p, 100 + st.source);
+  }
+  if (me % 2 == 0) {
+    int polls = 0;
+    while (polls < 3 && !p.iprobe(me + 1, 2)) ++polls;
+    log.note(p, 1000 + polls);
+    p.recv(me + 1, 2);
+    const mpism::RequestId req = p.irecv(me + 1, 3);
+    polls = 0;
+    while (polls < 3 && !p.test(req)) ++polls;
+    if (polls == 3) p.wait(req);
+    log.note(p, 2000 + polls);
+  } else {
+    p.compute(static_cast<double>(me % 5));
+    p.send(me - 1, 2, {});
+    p.compute(1.0);
+    p.send(me - 1, 3, {});
+    log.note(p, 3000);
+  }
+  Bytes data;
+  if (me == 3) data = pack<int>(7);
+  p.bcast(&data, 3);
+  log.note(p, 4000);
+  p.gather({}, 5);
+  log.note(p, 5000);
+  p.barrier();
+  log.note(p, 6000);
+}
+
+// The coop scheduler's picks at scale, pinned: a 256-rank program with
+// collectives, wildcard receives and iprobe/test polls runs clean and
+// again with rank 200 aborted by an injected fault at its 6th call,
+// under each coop policy. The digest covers every run's dispatch log and
+// report; a change to how the scheduler picks among runnable ranks (or
+// to which ranks it considers runnable) moves it.
+TEST(SchedPin, PickSequence256RanksDigestIsPinned) {
+  std::uint64_t h = kDigestSeed;
+  for (const auto& sched : {coop(mpism::SchedPolicy::kRoundRobin),
+                            coop(mpism::SchedPolicy::kRandomSeeded, 11),
+                            coop(mpism::SchedPolicy::kPriority, 5)}) {
+    for (const bool faulty : {false, true}) {
+      mpism::RunOptions options = run_options(256, sched);
+      if (faulty) {
+        std::string error;
+        std::shared_ptr<mpism::FaultPlan> plan =
+            mpism::parse_fault_plan("abort@200:6", &error);
+        ASSERT_NE(plan, nullptr) << error;
+        options.tools.make_stack = [plan](mpism::Rank r, int) {
+          std::vector<std::unique_ptr<mpism::ToolLayer>> stack;
+          stack.push_back(std::make_unique<mpism::FaultLayer>(plan, r));
+          return stack;
+        };
+      }
+      PickLog log;
+      const mpism::RunReport report = run_program(
+          std::move(options), [&log](Proc& p) { pick_pin_program(p, log); });
+      EXPECT_EQ(report.ok(), !faulty) << mpism::sched_spec(sched);
+      std::string fp = mpism::sched_spec(sched) + "\n" + fingerprint(report);
+      fp += strfmt("\npicks=%zu:", log.entries.size());
+      for (const auto& [rank, step] : log.entries) {
+        fp += strfmt(" %d.%d", rank, step);
+      }
+      h = digest_step(h, fp);
+    }
+  }
+  EXPECT_EQ(h, 0x0229a55f7475d13bull) << strfmt("digest 0x%016llx",
+                                 static_cast<unsigned long long>(h));
 }
 
 /// Runs `fn` on a new thread, whose fiber-stack cache starts empty.

@@ -3,6 +3,9 @@
 // foundation under every "time" number the benches report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "support/run_helpers.hpp"
 #include "support/verify_helpers.hpp"
 
@@ -19,6 +22,22 @@ RunOptions options_with(int nprocs, const CostModel& cost) {
   options.nprocs = nprocs;
   options.cost = cost;
   return options;
+}
+
+// The collective stage count is integer arithmetic; it must equal the
+// libm form it replaced, max(ceil(log2 P), 1), for every P up to 2^20.
+TEST(CostModel, CollectiveStagesEqualLibmCeilLog2) {
+  const mpism::CostModel cost;
+  for (int n = 1; n <= (1 << 20); ++n) {
+    const int libm =
+        n <= 1 ? 1
+               : std::max(static_cast<int>(std::ceil(
+                              std::log2(static_cast<double>(n)))),
+                          1);
+    ASSERT_EQ(mpism::CostModel::collective_stages(n), libm) << "P = " << n;
+    ASSERT_EQ(cost.collective_us(n), cost.collective_alpha_us * libm)
+        << "P = " << n;
+  }
 }
 
 TEST(Vtime, MessageChainAccumulatesLatency) {
