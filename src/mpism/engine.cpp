@@ -8,7 +8,6 @@
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/strutil.hpp"
-#include "mpism/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -84,24 +83,45 @@ class ToolCtxImpl final : public ToolCtx {
     return e_->to_rel(comm, world);
   }
 
+  // Tool code cannot tell a raw service's placeholder result from a real
+  // one, so a raw service of a stopped run unwinds the rank from here.
   RequestId raw_isend(Rank dst, Tag tag, CommId comm,
                       const Bytes& payload) override {
-    return e_->raw_isend(r_, dst, tag, comm, payload);
+    const RequestId id = e_->raw_isend(r_, dst, tag, comm, payload);
+    unwind_if_stopped();
+    return id;
   }
   Status raw_recv(Rank src, Tag tag, CommId comm, Bytes* out) override {
-    return e_->raw_recv(r_, src, tag, comm, out);
+    const Status status = e_->raw_recv(r_, src, tag, comm, out);
+    unwind_if_stopped();
+    return status;
   }
   bool raw_iprobe(Rank src, Tag tag, CommId comm, Status* status) override {
-    return e_->raw_iprobe(r_, src, tag, comm, status);
+    const bool found = e_->raw_iprobe(r_, src, tag, comm, status);
+    unwind_if_stopped();
+    return found;
   }
-  void raw_barrier(CommId comm) override { return e_->raw_barrier(r_, comm); }
+  void raw_barrier(CommId comm) override {
+    e_->raw_barrier(r_, comm);
+    unwind_if_stopped();
+  }
   CommId raw_comm_dup(CommId comm) override {
-    return e_->raw_comm_dup(r_, comm);
+    const CommId dup = e_->raw_comm_dup(r_, comm);
+    unwind_if_stopped();
+    return dup;
   }
   void add_cost(double us) override { e_->add_cost(r_, us); }
   double vtime() const override { return e_->vtime_of(r_); }
+  void fail_run(const std::string& message) override {
+    e_->pr(r_).failed_by_tool = true;
+    e_->record_error(r_, message);
+  }
 
  private:
+  void unwind_if_stopped() const {
+    if (e_->stopped()) throw AbortRun{};
+  }
+
   Engine* e_;
   Rank r_;
 };
@@ -327,6 +347,7 @@ void Engine::reset() {
     me.coll_gen.clear();
     me.vt_store(0.0);
     me.finished = false;
+    me.failed_by_tool = false;
     me.block_desc = BlockDesc{};
   }
   for (WaitOn& wait : waits_) wait = WaitOn{};
@@ -350,7 +371,7 @@ void Engine::reset() {
   payload_heap_spills_.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> vl(verdict_mu_);
-    aborted_.store(false, std::memory_order_relaxed);
+    stopped_.store(false, std::memory_order_relaxed);
     deadlocked_.store(false, std::memory_order_relaxed);
     timed_out_.store(false, std::memory_order_relaxed);
     cancelled_.store(false, std::memory_order_release);
@@ -381,27 +402,14 @@ void Engine::rank_body(Rank r, const ProgramFn& program) {
     hooks_finalize(r);
     finished_normally = true;
   } catch (const AbortRun&) {
-    // Another rank failed or a deadlock was declared; unwind quietly.
+    // The run stopped (a verdict, or this rank's own fault point, which
+    // recorded its error) and the program has unwound.
   } catch (const ProgramFailure&) {
     // Error already recorded by throw_program_error / api_fail.
   } catch (const InternalError& e) {
-    {
-      std::lock_guard<std::mutex> vl(verdict_mu_);
-      errors_.push_back({r, std::string("tool internal error: ") + e.what()});
-    }
-    abort_all();
-  } catch (const FaultInjected& e) {
-    {
-      std::lock_guard<std::mutex> vl(verdict_mu_);
-      errors_.push_back({r, std::string("fault injected: ") + e.what()});
-    }
-    abort_all();
+    record_error(r, std::string("tool internal error: ") + e.what());
   } catch (const std::exception& e) {
-    {
-      std::lock_guard<std::mutex> vl(verdict_mu_);
-      errors_.push_back({r, std::string("uncaught exception: ") + e.what()});
-    }
-    abort_all();
+    record_error(r, std::string("uncaught exception: ") + e.what());
   }
 
   EngineGuard g(lock_, r);
@@ -449,10 +457,10 @@ std::string Engine::BlockDesc::describe() const {
   return "?";
 }
 
-void Engine::blocking_wait(EngineGuard& g, Rank r, const BlockDesc& desc,
+bool Engine::blocking_wait(EngineGuard& g, Rank r, const BlockDesc& desc,
                            const WaitOn& wait) {
-  if (wait.ready()) return;
-  check_abort(g);
+  if (wait.ready()) return true;
+  if (stopped()) return false;
   PerRank& me = pr(r);
   const BlockKind kind = desc.kind();
   me.block_desc = desc;
@@ -466,10 +474,7 @@ void Engine::blocking_wait(EngineGuard& g, Rank r, const BlockDesc& desc,
                static_cast<std::int32_t>(kind));
   blocked_count_.fetch_sub(1, std::memory_order_acq_rel);
   waits_[static_cast<std::size_t>(r)] = WaitOn{};
-  if (stopped()) {
-    g.unlock();
-    throw AbortRun{};
-  }
+  return !stopped();
 }
 
 void Engine::maybe_declare_deadlock(EngineGuard& g, Rank) {
@@ -546,13 +551,14 @@ void Engine::declare_deadlock(EngineGuard& g) {
       }
     }
     deadlock_detail_ = detail;
-    deadlocked_.store(true, std::memory_order_release);
+    deadlocked_.store(true, std::memory_order_relaxed);
+    stopped_.store(true, std::memory_order_release);
   }
   sched_->wake_all();
 }
 
 void Engine::abort_all() {
-  aborted_.store(true, std::memory_order_release);
+  stopped_.store(true, std::memory_order_release);
   sched_->wake_all();
 }
 
@@ -563,7 +569,7 @@ void Engine::declare_timeout(std::string reason) {
     timed_out_.store(true, std::memory_order_relaxed);
     stop_reason_ = std::move(reason);
     DAMPI_TEVENT(obs::EventKind::kRunTimeout, obs::Phase::kInstant);
-    aborted_.store(true, std::memory_order_release);
+    stopped_.store(true, std::memory_order_release);
   }
   sched_->wake_all();
 }
@@ -575,13 +581,14 @@ void Engine::cancel(const std::string& reason) {
     cancelled_.store(true, std::memory_order_relaxed);
     stop_reason_ = reason.empty() ? "externally cancelled" : reason;
     DAMPI_TEVENT(obs::EventKind::kRunCancel, obs::Phase::kInstant);
-    aborted_.store(true, std::memory_order_release);
+    stopped_.store(true, std::memory_order_release);
   }
   sched_->wake_all();
 }
 
-void Engine::charge_op(EngineGuard& g) {
-  if (!budgets_armed_) return;
+bool Engine::charge_op() {
+  if (stopped()) return false;
+  if (!budgets_armed_) return true;
   const std::uint64_t ops =
       ops_executed_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (opts_.max_ops > 0 && ops > opts_.max_ops) {
@@ -596,25 +603,22 @@ void Engine::charge_op(EngineGuard& g) {
     declare_timeout(strfmt("run wall deadline exceeded (%.3f s)",
                            opts_.max_run_wall_seconds));
   }
-  check_abort(g);
+  return !stopped();
+}
+
+void Engine::record_error(Rank r, std::string message) {
+  {
+    std::lock_guard<std::mutex> vl(verdict_mu_);
+    errors_.push_back({r, std::move(message)});
+  }
+  abort_all();
 }
 
 void Engine::throw_program_error(EngineGuard& g, Rank r,
                                  const std::string& message) {
-  {
-    std::lock_guard<std::mutex> vl(verdict_mu_);
-    errors_.push_back({r, message});
-  }
-  abort_all();
+  record_error(r, message);
   g.unlock();
   throw ProgramFailure{message};
-}
-
-void Engine::check_abort(EngineGuard& g) {
-  if (stopped()) {
-    g.unlock();
-    throw AbortRun{};
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -815,10 +819,10 @@ std::size_t Engine::choose_wildcard(
   return policy_->choose(cands);
 }
 
-void Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
+bool Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
   RequestRecord* rec = pr(r).reqs.find(req);
   DAMPI_CHECK(rec != nullptr);
-  if (rec->complete.load(std::memory_order_acquire)) return;
+  if (rec->complete.load(std::memory_order_acquire)) return true;
   BlockDesc desc;
   desc.comm = rec->comm;
   if (rec->kind == ReqKind::kSend) {
@@ -831,7 +835,7 @@ void Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
   WaitOn wait;
   wait.kind = WaitOn::Kind::kRequest;
   wait.rec = rec;
-  blocking_wait(g, r, desc, wait);
+  return blocking_wait(g, r, desc, wait);
 }
 
 Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
@@ -929,8 +933,7 @@ RequestId Engine::send_impl(Rank r, SendCall& call, bool synchronous,
   hooks_pre_isend(r, call);
 
   EngineGuard g(lock_, r);
-  check_abort(g);
-  charge_op(g);
+  if (!charge_op()) return kNullRequest;
   validate_comm_member(g, r, call.comm);
   if (call.tag < 0 || call.tag > kMaxUserTag) {
     throw_program_error(g, r, strfmt("invalid send tag %d", call.tag));
@@ -996,16 +999,15 @@ void Engine::api_send(Rank r, Rank dst, Tag tag, Bytes payload, CommId comm) {
   // The uncounted wait of a blocking send, on a send that completed when
   // it was injected.
   EngineGuard g(lock_, r);
-  check_abort(g);
-  charge_op(g);
+  if (!charge_op()) return;
   pr(r).vt_add(opts_.cost.local_op_us);
   Envelope no_msg;
   finish_op(g, r, done, no_msg, nullptr, /*run_hooks=*/true);
 }
 
-Rank Engine::enter_recv(EngineGuard& g, Rank r, const RecvCall& call) {
-  check_abort(g);
-  charge_op(g);
+bool Engine::enter_recv(EngineGuard& g, Rank r, const RecvCall& call,
+                        Rank* src_world) {
+  if (!charge_op()) return false;
   validate_comm_member(g, r, call.comm);
   if (call.tag < kAnyTag || call.tag > kMaxUserTag) {
     throw_program_error(g, r, strfmt("invalid recv tag %d", call.tag));
@@ -1016,7 +1018,8 @@ Rank Engine::enter_recv(EngineGuard& g, Rank r, const RecvCall& call) {
   }
   stats_.bump(OpCategory::kSendRecv, r);
   pr(r).vt_add(opts_.cost.local_op_us);
-  return comms_.to_world(call.comm, call.src);
+  *src_world = comms_.to_world(call.comm, call.src);
+  return true;
 }
 
 RequestId Engine::api_irecv(Rank r, Rank src, Tag tag, CommId comm,
@@ -1029,7 +1032,8 @@ RequestId Engine::api_irecv(Rank r, Rank src, Tag tag, CommId comm,
   hooks_pre_irecv(r, call);
 
   EngineGuard g(lock_, r);
-  const Rank src_world = enter_recv(g, r, call);
+  Rank src_world = kAnySource;
+  if (!enter_recv(g, r, call, &src_world)) return kNullRequest;
   const Envelope* queued = match_queued(r, src_world, call.tag, call.comm);
   RequestId id = kNullRequest;
   if (queued == nullptr) {
@@ -1053,7 +1057,8 @@ Status Engine::api_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
   hooks_pre_irecv(r, call);
 
   EngineGuard g(lock_, r);
-  const Rank src_world = enter_recv(g, r, call);
+  Rank src_world = kAnySource;
+  if (!enter_recv(g, r, call, &src_world)) return {};
   const Envelope* queued = match_queued(r, src_world, call.tag, call.comm);
   if (queued == nullptr) {
     // Nothing to match yet: post a record and wait on it.
@@ -1075,8 +1080,7 @@ Status Engine::api_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
 
   // The uncounted wait of a blocking receive, on one already matched.
   g.lock();
-  check_abort(g);
-  charge_op(g);
+  if (!charge_op()) return {};
   me.vt_add(opts_.cost.local_op_us);
   return finish_op(g, r, done, msg, out, /*run_hooks=*/true);
 }
@@ -1085,14 +1089,13 @@ Status Engine::api_wait(Rank r, RequestId req, Bytes* out, bool count_stat) {
   if (count_stat) hooks_pre_wait(r, req);
 
   EngineGuard g(lock_, r);
-  check_abort(g);
-  charge_op(g);
+  if (!charge_op()) return {};
   if (pr(r).reqs.find(req) == nullptr) {
     throw_program_error(g, r, "wait on invalid or consumed request");
   }
   if (count_stat) stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
-  block_until_complete(g, r, req);
+  if (!block_until_complete(g, r, req)) return {};
   return finish_request(g, r, req, out, /*run_hooks=*/true);
 }
 
@@ -1100,8 +1103,7 @@ bool Engine::api_test(Rank r, RequestId req, Status* status, Bytes* out) {
   hooks_pre_wait(r, req);
 
   EngineGuard g(lock_, r);
-  check_abort(g);
-  charge_op(g);
+  if (!charge_op()) return false;
   RequestRecord* found = pr(r).reqs.find(req);
   if (found == nullptr) {
     throw_program_error(g, r, "test on invalid or consumed request");
@@ -1126,8 +1128,7 @@ void Engine::api_waitall(Rank r, std::span<RequestId> reqs) {
   for (RequestId& req : reqs) {
     if (req == kNullRequest) continue;
     EngineGuard g(lock_, r);
-    check_abort(g);
-    charge_op(g);
+    if (!charge_op()) return;
     if (pr(r).reqs.find(req) == nullptr) {
       throw_program_error(g, r, "waitall on invalid or consumed request");
     }
@@ -1136,7 +1137,7 @@ void Engine::api_waitall(Rank r, std::span<RequestId> reqs) {
       pr(r).vt_add(opts_.cost.local_op_us);
       first = false;
     }
-    block_until_complete(g, r, req);
+    if (!block_until_complete(g, r, req)) return;
     finish_request(g, r, req, nullptr, /*run_hooks=*/true);
     req = kNullRequest;
     g.unlock();
@@ -1148,8 +1149,7 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
 
   EngineGuard g(lock_, r);
-  check_abort(g);
-  charge_op(g);
+  if (!charge_op()) return reqs.size();
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
 
@@ -1181,7 +1181,9 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
   wait.kind = WaitOn::Kind::kAnyRequest;
   wait.recs = recs.data();
   wait.count = recs.size();
-  blocking_wait(g, r, BlockDesc{BlockDesc::Op::kWaitany}, wait);
+  if (!blocking_wait(g, r, BlockDesc{BlockDesc::Op::kWaitany}, wait)) {
+    return reqs.size();
+  }
   const std::size_t idx = ready_index();
   DAMPI_CHECK(idx < recs.size());
   Status st = finish_request(g, r, reqs[idx], out, /*run_hooks=*/true);
@@ -1193,8 +1195,7 @@ std::size_t Engine::api_waitany(Rank r, std::span<RequestId> reqs,
 bool Engine::api_testall(Rank r, std::span<RequestId> reqs) {
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
   EngineGuard g(lock_, r);
-  check_abort(g);
-  charge_op(g);
+  if (!charge_op()) return false;
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
   for (const RequestId req : reqs) {
@@ -1221,8 +1222,7 @@ std::size_t Engine::api_testany(Rank r, std::span<RequestId> reqs,
                                 Status* status, Bytes* out) {
   if (!reqs.empty()) hooks_pre_wait(r, reqs[0]);
   EngineGuard g(lock_, r);
-  check_abort(g);
-  charge_op(g);
+  if (!charge_op()) return reqs.size();
   stats_.bump(OpCategory::kWait, r);
   pr(r).vt_add(opts_.cost.local_op_us);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -1251,8 +1251,7 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
   hooks_pre_probe(r, call);
 
   EngineGuard g(lock_, r);
-  check_abort(g);
-  charge_op(g);
+  if (!charge_op()) return {};
   validate_comm_member(g, r, call.comm);
   stats_.bump(OpCategory::kSendRecv, r);
   pr(r).vt_add(opts_.cost.local_op_us);
@@ -1272,7 +1271,7 @@ Status Engine::api_probe(Rank r, Rank src, Tag tag, CommId comm, bool* flag) {
     desc.src = call.src;
     desc.tag = call.tag;
     desc.comm = call.comm;
-    blocking_wait(g, r, desc, exists);
+    if (!blocking_wait(g, r, desc, exists)) return {};
     found = true;
   } else if (!found) {
     sched_->yield(g, r);  // iprobe miss: see api_test
@@ -1393,8 +1392,7 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
                                        bool tool_internal,
                                        CollResult* tool_result) {
   EngineGuard g(lock_, EngineGuard::kAllShards);
-  check_abort(g);
-  if (!tool_internal) charge_op(g);
+  if (tool_internal ? stopped() : !charge_op()) return {};
   validate_comm_member(g, r, comm);
   DAMPI_TEVENT(obs::EventKind::kCollective, obs::Phase::kBegin,
                static_cast<std::int32_t>(kind), comm);
@@ -1500,7 +1498,7 @@ CollUserResult Engine::collective_impl(Rank r, CollKind kind, CommId comm,
     desc.coll = kind;
     desc.comm = comm;
     desc.gen = gen;
-    blocking_wait(g, r, desc, wait);
+    if (!blocking_wait(g, r, desc, wait)) return {};
   }
 
   // Completion virtual time.
@@ -1661,6 +1659,7 @@ CollUserResult Engine::api_collective(Rank r, CollKind kind, CommId comm,
   CollUserResult result =
       collective_impl(r, kind, call.comm, call.root, std::move(data),
                       std::move(call.pb_contribution), false, &tool_result);
+  if (stopped()) return {};
   hooks_post_collective(r, call, tool_result);
   if (tool_result.incoming.capacity() != 0) {
     // The routed piggyback copy is dead: keep its capacity.
@@ -1675,7 +1674,7 @@ void Engine::api_comm_free(Rank r, CommId comm) {
   // members (all-style), then release it exactly once.
   {
     EngineGuard g(lock_, r);
-    check_abort(g);
+    if (stopped()) return;
     if (comm == kCommWorld) {
       throw_program_error(g, r, "cannot free MPI_COMM_WORLD");
     }
@@ -1691,8 +1690,7 @@ void Engine::api_comm_free(Rank r, CommId comm) {
 void Engine::api_pcontrol(Rank r, int level, const std::string& what) {
   {
     EngineGuard g(lock_, r);
-    check_abort(g);
-    charge_op(g);
+    if (!charge_op()) return;
     stats_.bump(OpCategory::kOther, r);
     pr(r).vt_add(opts_.cost.local_op_us);
   }
@@ -1701,17 +1699,12 @@ void Engine::api_pcontrol(Rank r, int level, const std::string& what) {
 
 void Engine::api_compute(Rank r, double us) {
   EngineGuard g(lock_, r);
-  check_abort(g);
-  charge_op(g);
+  if (!charge_op()) return;
   pr(r).vt_add(us);
 }
 
 void Engine::api_fail(Rank r, const std::string& message) {
-  {
-    std::lock_guard<std::mutex> vl(verdict_mu_);
-    errors_.push_back({r, message});
-  }
-  abort_all();
+  record_error(r, message);
   throw ProgramFailure{message};
 }
 
@@ -1750,7 +1743,7 @@ Rank Engine::to_rel(CommId comm, Rank world) {
 RequestId Engine::raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
                             const Bytes& payload) {
   EngineGuard g(lock_, r);
-  check_abort(g);
+  if (stopped()) return kNullRequest;
   const Rank dst_world = comms_.to_world(comm, dst);
   g.add(dst_world);
   // Tool payloads (piggybacked clocks) are copied: inline when small,
@@ -1767,7 +1760,7 @@ RequestId Engine::raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
 
 Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
   EngineGuard g(lock_, r);
-  check_abort(g);
+  if (stopped()) return {};
   const Rank src_world = comms_.to_world(comm, src);
   const Envelope* queued = match_queued(r, src_world, tag, comm);
   if (queued == nullptr) {
@@ -1775,7 +1768,7 @@ Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
     // receive (the sender deposits it before it can yield); thread-mode
     // ranks and finalize drains may still have to wait.
     const RequestId req = post_recv(r, src_world, tag, comm, true);
-    block_until_complete(g, r, req);
+    if (!block_until_complete(g, r, req)) return {};
     return finish_request(g, r, req, out, /*run_hooks=*/false);
   }
   Envelope msg = take_matched(r, queued);
@@ -1790,7 +1783,7 @@ Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
 bool Engine::raw_iprobe(Rank r, Rank src, Tag tag, CommId comm,
                         Status* status) {
   EngineGuard g(lock_, r);
-  check_abort(g);
+  if (stopped()) return false;
   const Rank src_world = comms_.to_world(comm, src);
   const Envelope* env = nullptr;
   if (src_world == kAnySource) {
@@ -1825,6 +1818,7 @@ void Engine::raw_barrier(Rank r, CommId comm) {
 CommId Engine::raw_comm_dup(Rank r, CommId comm) {
   CollUserResult result = collective_impl(r, CollKind::kCommDup, comm, 0, {},
                                           {}, /*tool_internal=*/true, nullptr);
+  if (stopped()) return kCommNull;
   // Mark the product tool-internal (exempt from leak accounting). Every
   // participant executes this; the flag write is idempotent. Comm-table
   // writes take the all-shards section.
@@ -1844,6 +1838,10 @@ double Engine::vtime_of(Rank r) { return pr(r).vt(); }
 // ---------------------------------------------------------------------------
 // Tool hook dispatch (no shards held: hooks may re-enter)
 // ---------------------------------------------------------------------------
+//
+// A pre_* hook that stops the run (ToolCtx::fail_run) hides the call from
+// the layers below it; a run stopped by anything else still passes the
+// call down the whole stack before the engine refuses it.
 
 void Engine::hooks_init(Rank r) {
   auto& tools = pr(r).tools;
@@ -1858,7 +1856,11 @@ void Engine::hooks_finalize(Rank r) {
 }
 
 void Engine::hooks_pre_isend(Rank r, SendCall& call) {
-  for (auto& t : pr(r).tools) t->pre_isend(*pr(r).ctx, call);
+  PerRank& me = pr(r);
+  for (auto& t : me.tools) {
+    t->pre_isend(*me.ctx, call);
+    if (me.failed_by_tool) return;
+  }
 }
 
 void Engine::hooks_post_isend(Rank r, const SendCall& call, RequestId id,
@@ -1870,7 +1872,11 @@ void Engine::hooks_post_isend(Rank r, const SendCall& call, RequestId id,
 }
 
 void Engine::hooks_pre_irecv(Rank r, RecvCall& call) {
-  for (auto& t : pr(r).tools) t->pre_irecv(*pr(r).ctx, call);
+  PerRank& me = pr(r);
+  for (auto& t : me.tools) {
+    t->pre_irecv(*me.ctx, call);
+    if (me.failed_by_tool) return;
+  }
 }
 
 void Engine::hooks_post_irecv(Rank r, const RecvCall& call, RequestId id) {
@@ -1881,7 +1887,11 @@ void Engine::hooks_post_irecv(Rank r, const RecvCall& call, RequestId id) {
 }
 
 void Engine::hooks_pre_wait(Rank r, RequestId id) {
-  for (auto& t : pr(r).tools) t->pre_wait(*pr(r).ctx, id);
+  PerRank& me = pr(r);
+  for (auto& t : me.tools) {
+    t->pre_wait(*me.ctx, id);
+    if (me.failed_by_tool) return;
+  }
 }
 
 void Engine::hooks_post_wait(Rank r, ReqCompletion& completion) {
@@ -1892,7 +1902,11 @@ void Engine::hooks_post_wait(Rank r, ReqCompletion& completion) {
 }
 
 void Engine::hooks_pre_probe(Rank r, ProbeCall& call) {
-  for (auto& t : pr(r).tools) t->pre_probe(*pr(r).ctx, call);
+  PerRank& me = pr(r);
+  for (auto& t : me.tools) {
+    t->pre_probe(*me.ctx, call);
+    if (me.failed_by_tool) return;
+  }
 }
 
 void Engine::hooks_post_probe(Rank r, const ProbeCall& call, bool flag,
@@ -1904,7 +1918,11 @@ void Engine::hooks_post_probe(Rank r, const ProbeCall& call, bool flag,
 }
 
 void Engine::hooks_pre_collective(Rank r, CollCall& call) {
-  for (auto& t : pr(r).tools) t->pre_collective(*pr(r).ctx, call);
+  PerRank& me = pr(r);
+  for (auto& t : me.tools) {
+    t->pre_collective(*me.ctx, call);
+    if (me.failed_by_tool) return;
+  }
 }
 
 void Engine::hooks_post_collective(Rank r, const CollCall& call,

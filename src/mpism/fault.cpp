@@ -300,16 +300,18 @@ void FaultLayer::on_op(ToolCtx& ctx, const char* what) {
         ctx.add_cost(p.delay_us);
         break;
       case FaultPoint::Kind::kError:
-        throw FaultInjected(strfmt("MPI error injected at rank %d op %llu (%s)",
-                                   rank_,
-                                   static_cast<unsigned long long>(ops_),
-                                   what));
+        ctx.fail_run(strfmt("fault injected: MPI error injected at rank %d "
+                            "op %llu (%s)",
+                            rank_, static_cast<unsigned long long>(ops_),
+                            what));
+        return;
       case FaultPoint::Kind::kAbort:
       case FaultPoint::Kind::kFlaky:
-        throw FaultInjected(strfmt("rank abort injected at rank %d op %llu (%s)",
-                                   rank_,
-                                   static_cast<unsigned long long>(ops_),
-                                   what));
+        ctx.fail_run(strfmt("fault injected: rank abort injected at rank %d "
+                            "op %llu (%s)",
+                            rank_, static_cast<unsigned long long>(ops_),
+                            what));
+        return;
     }
   }
 }

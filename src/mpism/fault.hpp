@@ -5,7 +5,7 @@
 // stack, which is a deterministic coordinate under guided replay. Four
 // actions exist:
 //
-//   abort@R:OP      rank R's OP-th MPI call throws (rank crash)
+//   abort@R:OP      rank R's OP-th MPI call crashes the rank
 //   error@R:OP      rank R's OP-th MPI call returns an MPI error
 //   delay@R:OP:US   rank R's OP-th MPI call costs an extra US virtual us
 //   flaky@R:OP:N    like abort, but only the first N times the point is
@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,12 +32,6 @@
 #include "mpism/types.hpp"
 
 namespace dampi::mpism {
-
-/// Thrown by FaultLayer when an abort/error/flaky point fires; the
-/// engine records it as a program error prefixed "fault injected:".
-struct FaultInjected : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
 
 struct FaultPoint {
   enum class Kind { kAbort, kError, kDelay, kFlaky };
@@ -104,7 +97,9 @@ std::string validate_fault_plan(const FaultPlan& plan, int nprocs);
 
 /// The interposition layer: one per rank, stacked above every other tool
 /// so it sees user-facing MPI calls in program order. Counts this rank's
-/// calls across all pre_* hooks and fires matching plan points.
+/// calls across all pre_* hooks and fires matching plan points: an
+/// abort, error or flaky point stops the run (ToolCtx::fail_run) with the
+/// rank's error "fault injected: ...", so the call never executes.
 class FaultLayer final : public ToolLayer {
  public:
   FaultLayer(std::shared_ptr<FaultPlan> plan, Rank rank);

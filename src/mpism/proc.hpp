@@ -14,6 +14,12 @@
 // collectives) and explicit failures (fail/require) surface as errors in
 // the RunReport — they are findings about the program under test, not
 // tool crashes.
+//
+// Stopped runs: once the run stops (a rank failed, a fault fired, a
+// deadlock, watchdog or cancel verdict), a call returns only by throwing
+// AbortRun, which unwinds the program to the engine's rank body. The
+// engine returns from a stopped call at once; the throw happens here,
+// after one stop check per call, so it crosses only the program's frames.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +32,8 @@
 namespace dampi::mpism {
 
 class Engine;
+struct CollUserData;
+struct CollUserResult;
 
 class Proc {
  public:
@@ -131,6 +139,12 @@ class Proc {
   void require(bool condition, const std::string& message);
 
  private:
+  /// Throws AbortRun once the run has stopped.
+  void unwind_if_stopped() const;
+  /// One collective through the engine, then the stop check.
+  CollUserResult collective(CollKind kind, CommId comm, Rank root,
+                            CollUserData data);
+
   Engine* engine_;
   Rank world_rank_;
 };

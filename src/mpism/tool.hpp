@@ -134,6 +134,10 @@ class ToolCtx {
 
   /// Current virtual time of this rank, in microseconds.
   virtual double vtime() const = 0;
+  /// Records `message` as this rank's error and stops the run. From a
+  /// pre_* hook, the layers below and the engine never see the call, and
+  /// the rank unwinds from its Proc call.
+  virtual void fail_run(const std::string& message) = 0;
 };
 
 /// Base class for interposition layers. Default implementations are

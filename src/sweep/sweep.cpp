@@ -39,7 +39,7 @@ std::string point_key(const mpism::FaultPoint& point) {
                 static_cast<unsigned long long>(point.op_index));
 }
 
-/// Marker the engine prefixes onto errors raised by FaultLayer; any
+/// Marker FaultLayer puts at the start of the errors it raises; any
 /// error message without it is a latent program bug the injection
 /// exposed.
 constexpr const char* kInjectedMarker = "fault injected";
