@@ -84,10 +84,17 @@ rm -f "${bad_replay}"
 for bad in "--procs 0" "--procs abc" "--clock bogus" "--k -3" "--jobs 2x" \
   "--max-interleavings -1" "--sched-seed x" "--run-deadline abc" \
   "--retries -2" "--checkpoint-interval 0" "--match linear" \
-  "--engine-lock global" "--por off" "--dist-socket /tmp/x"; do
+  "--engine-lock global" "--por off" "--dist-socket /tmp/x" \
+  "--procs 300000000"; do
   # shellcheck disable=SC2086  # split "--flag value" into two words
   expect_exit 3 build/examples/verify_cli --program fig3-benign ${bad}
 done
+# A trace capacity past 2^63 used to spin the tracer's power-of-two
+# rounding forever; it is refused before anything is traced.
+cap_trace="build/tier1-capacity.json"
+expect_exit 3 timeout 10 build/examples/verify_cli --program fig3-benign \
+  --trace "${cap_trace}" --trace-capacity 9223372036854775809
+rm -f "${cap_trace}"
 # A checkpoint frame naming a rank or source outside [0, --procs) is
 # rejected at load: rank 9 used to abort (exit 134), an untried source
 # of 99 used to report a false bug (exit 1).

@@ -22,6 +22,16 @@
 
 namespace dampi {
 
+/// Parses all of `token` into *out: a base-10 integer in range (no sign
+/// on unsigned types) or a double. False on an empty token, junk or a
+/// value out of range.
+template <class T>
+bool read_token(std::string_view token, T* out) {
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, *out);
+  return ec == std::errc() && ptr == last;
+}
+
 /// A cursor over the fields of one record, past its keyword.
 class LineFields {
  public:
@@ -48,9 +58,7 @@ class LineFields {
       if (token != "0" && token != "1") return false;
       *out = token == "1";
     } else {
-      const char* last = token.data() + token.size();
-      const auto [ptr, ec] = std::from_chars(token.data(), last, *out);
-      return ec == std::errc() && ptr == last;
+      return read_token(token, out);
     }
     return true;
   }

@@ -82,7 +82,8 @@ Tracer& Tracer::instance() {
 
 void Tracer::set_capacity(std::size_t events) {
   std::lock_guard<std::mutex> lk(mu_);
-  capacity_ = round_up_pow2(std::max<std::size_t>(events, 2));
+  capacity_ =
+      round_up_pow2(std::clamp<std::size_t>(events, 2, kMaxTraceCapacity));
 }
 
 Lane* Tracer::acquire(std::string name) {

@@ -76,6 +76,9 @@ struct TraceEvent {
   std::uint64_t d = 0;
 };
 
+/// The most events a lane retains: 32 MB of TraceEvents per lane.
+constexpr std::size_t kMaxTraceCapacity = std::size_t{1} << 20;
+
 /// Nanoseconds since the process-wide trace origin (first use).
 std::uint64_t trace_now_ns();
 
@@ -149,7 +152,8 @@ class Tracer {
   }
 
   /// Events retained per lane; applies to lanes created afterwards.
-  /// Rounded up to a power of two.
+  /// Clamped to [2, kMaxTraceCapacity], then rounded up to a power of
+  /// two.
   void set_capacity(std::size_t events);
 
   /// Claim a lane for the calling thread (nullptr when tracing is

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,6 +78,22 @@ TEST_F(TracerFixture, RingWraparoundKeepsNewestEvents) {
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(lanes[0].events[i].d, total - 64 + i);
   }
+}
+
+// A capacity past 2^63 used to spin round_up_pow2 forever (its shift
+// wrapped to 0); capacities are clamped first, so lanes get the largest
+// ring instead.
+TEST_F(TracerFixture, OversizedCapacityIsClampedToTheMaximum) {
+  for (const std::size_t events :
+       {SIZE_MAX, std::size_t{1} << 63, obs::kMaxTraceCapacity + 1}) {
+    Tracer::instance().set_capacity(events);
+    obs::Lane* lane = Tracer::instance().acquire("big");
+    ASSERT_NE(lane, nullptr);
+    EXPECT_EQ(lane->capacity(), obs::kMaxTraceCapacity) << events;
+    Tracer::instance().release(lane);
+    Tracer::instance().reset();
+  }
+  Tracer::instance().set_capacity(1u << 14);
 }
 
 TEST_F(TracerFixture, ConcurrentLanesLoseNoEventsAndTearNone) {
