@@ -98,45 +98,5 @@ int main() {
   std::printf("(harness wall: DAMPI %.1fs, ISP %.1fs)\n\n", dampi_wall,
               isp_wall);
 
-  // Replay-worker pool: the same DAMPI exploration at increasing pool
-  // widths. Results are bit-identical at every width (enforced below);
-  // speedup is wall-clock only and needs free cores to show.
-  std::printf("Replay-worker pool speedup (same exploration, "
-              "DAMPI_BENCH_JOBS to widen):\n");
-  const int top_jobs = bench::env_jobs();
-  std::vector<int> widths = {1, 2};
-  if (top_jobs > 2) widths.push_back(top_jobs);
-  TextTable jt;
-  jt.header({"jobs", "interleavings", "wall (s)", "speedup"});
-  double base_wall = 0;
-  std::uint64_t base_count = 0;
-  for (const int jobs : widths) {
-    core::ExplorerOptions options;
-    options.nprocs = procs;
-    options.max_interleavings = checkpoints.back();
-    options.jobs = jobs;
-    core::Explorer explorer(options);
-    bench::WallTimer timer;
-    const auto result = explorer.explore(
-        [config](mpism::Proc& p) { workloads::matmult(p, config); });
-    const double wall = timer.seconds();
-    if (jobs == 1) {
-      base_wall = wall;
-      base_count = result.interleavings;
-    } else if (result.interleavings != base_count) {
-      std::printf("jobs=%d interleaving count diverged (%llu vs %llu)!\n",
-                  jobs,
-                  static_cast<unsigned long long>(result.interleavings),
-                  static_cast<unsigned long long>(base_count));
-      return 1;
-    }
-    jt.row({std::to_string(jobs), std::to_string(result.interleavings),
-            fmt_fixed(wall, 2),
-            fmt_fixed(base_wall / std::max(wall, 1e-9), 2) + "x"});
-  }
-  std::printf("%s\n", jt.str().c_str());
-  std::printf("Shape check: identical interleaving counts in every row; "
-              "on a >=%d-core host the jobs=%d row should run >=1.5x "
-              "faster than jobs=1.\n", top_jobs, top_jobs);
   return 0;
 }

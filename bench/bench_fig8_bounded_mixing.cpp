@@ -70,40 +70,5 @@ int main() {
               "proc counts (\">N\" marks the exploration cap).\n");
   std::printf("(harness wall time: %.1fs)\n\n", total.seconds());
 
-  // Replay-worker pool on the deepest bounded row (largest procs, k=2):
-  // same counts at every width, wall clock drops with free cores.
-  const int top_jobs = bench::env_jobs();
-  const int jprocs = proc_counts.back();
-  workloads::MatmultConfig jconfig;
-  jconfig.n = 2 * (jprocs - 1);
-  jconfig.chunk_rows = 1;
-  std::printf("Replay-worker pool on the procs=%d k=2 row:\n", jprocs);
-  TextTable jt;
-  jt.header({"jobs", "interleavings", "wall (s)", "speedup"});
-  double base_wall = 0;
-  std::uint64_t base_count = 0;
-  for (const int jobs : {1, top_jobs}) {
-    core::ExplorerOptions options;
-    options.nprocs = jprocs;
-    options.mixing_bound = 2;
-    options.max_interleavings = cap;
-    options.jobs = jobs;
-    core::Explorer explorer(options);
-    bench::WallTimer timer;
-    const auto result = explorer.explore(
-        [jconfig](mpism::Proc& p) { workloads::matmult(p, jconfig); });
-    const double wall = timer.seconds();
-    if (jobs == 1) {
-      base_wall = wall;
-      base_count = result.interleavings;
-    } else if (result.interleavings != base_count) {
-      std::printf("jobs=%d interleaving count diverged!\n", jobs);
-      return 1;
-    }
-    jt.row({std::to_string(jobs), std::to_string(result.interleavings),
-            fmt_fixed(wall, 2),
-            fmt_fixed(base_wall / std::max(wall, 1e-9), 2) + "x"});
-  }
-  std::printf("%s\n", jt.str().c_str());
   return 0;
 }

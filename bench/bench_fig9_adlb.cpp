@@ -63,47 +63,5 @@ int main() {
               "cap).\n");
   std::printf("(harness wall time: %.1fs)\n\n", total.seconds());
 
-  // Replay-worker pool on the smallest ADLB scale (quick to rerun).
-  // ADLB's self-run is natively racy, and bounded-mixing windows anchor
-  // to whatever it matched, so independent explorations land on slightly
-  // different counts at *any* jobs value — no equality check here; the
-  // jobs-determinism guarantee is enforced by test_explorer_parallel on
-  // deterministic fixtures.
-  const int top_jobs = bench::env_jobs();
-  const int jprocs = proc_counts.front();
-  workloads::adlb::Config jconfig;
-  jconfig.roots_per_server = 3;
-  jconfig.children_per_unit = 1;
-  jconfig.spawn_depth = 1;
-  jconfig.compute_us_per_unit = 25.0;
-  std::printf("Replay-worker pool on the procs=%d k=2 row:\n", jprocs);
-  TextTable jt;
-  jt.header({"jobs", "interleavings", "wall (s)", "speedup"});
-  double base_wall = 0;
-  std::uint64_t base_count = 0;
-  for (const int jobs : {1, top_jobs}) {
-    core::ExplorerOptions options;
-    options.nprocs = jprocs;
-    options.mixing_bound = 2;
-    options.max_interleavings = cap;
-    options.jobs = jobs;
-    core::Explorer explorer(options);
-    bench::WallTimer timer;
-    const auto result = explorer.explore(
-        [jconfig](mpism::Proc& p) { workloads::adlb::run(p, jconfig); });
-    const double wall = timer.seconds();
-    if (jobs == 1) {
-      base_wall = wall;
-      base_count = result.interleavings;
-    }
-    jt.row({std::to_string(jobs), std::to_string(result.interleavings),
-            fmt_fixed(wall, 2),
-            fmt_fixed(base_wall / std::max(wall, 1e-9), 2) + "x"});
-  }
-  std::printf("%s\n", jt.str().c_str());
-  std::printf("(counts may differ a little between rows: each row is an "
-              "independent exploration and ADLB's self-run is natively "
-              "racy; jobs never changes the result for a fixed self-run)\n");
-  (void)base_count;
   return 0;
 }

@@ -4,7 +4,6 @@
 // Environment knobs:
 //   DAMPI_BENCH_QUICK=1   shrink scales so the whole suite runs fast
 //   DAMPI_BENCH_PROCS=N   override the large-scale process count
-//   DAMPI_BENCH_JOBS=N    top replay-pool width for the jobs-speedup rows
 #pragma once
 
 #include <chrono>
@@ -28,17 +27,6 @@ inline int env_procs(int full_default, int quick_default) {
     if (n > 0) return n;
   }
   return quick_mode() ? quick_default : full_default;
-}
-
-/// Widest replay-pool setting the jobs-speedup sections measure (they
-/// always also time jobs=1 as the baseline). Results are identical at
-/// every width by construction; only the wall clock moves.
-inline int env_jobs(int def = 4) {
-  if (const char* v = std::getenv("DAMPI_BENCH_JOBS")) {
-    const int n = std::atoi(v);
-    if (n > 0) return n;
-  }
-  return def;
 }
 
 class WallTimer {

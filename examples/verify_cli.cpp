@@ -1,7 +1,7 @@
 // dampi-verify: a command-line front end over the verifier.
 //
 //   verify_cli --list
-//   verify_cli --program fig3 [--procs 3] [--clock vector] [--jobs N] ...
+//   verify_cli --program fig3 [--procs 3] [--clock vector] [--workers N] ...
 //   verify_cli          (no arguments: the usage text, every flag)
 //
 // The flags are one table (src/cli/flags.*); this file holds the program

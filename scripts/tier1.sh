@@ -9,7 +9,7 @@
 #    exit-code contract (including bad flag values and corrupt
 #    checkpoints), a repeat-until-fail flake stage for the whole suite
 #    on coop (3 times) and the sched, dist, alloc and enginelock labels,
-#    a livelock watchdog sweep across schedulers and jobs widths, and a
+#    a livelock watchdog sweep across both schedulers, and a
 #    SIGINT kill + --resume determinism smoke;
 #  - the distributed stage: 2-, 4- and 8-worker campaigns must match
 #    the 1-worker one, kill-a-worker, and the dist label;
@@ -80,8 +80,9 @@ expect_exit 3 build/examples/verify_cli --program fig3-benign --procs 3 \
   --replay "${bad_replay}"
 rm -f "${bad_replay}"
 # Every numeric flag takes exactly one number in range, --clock one of
-# its two names; the retired backend flags are unknown options.
-for bad in "--procs 0" "--procs abc" "--clock bogus" "--k -3" "--jobs 2x" \
+# its two names; retired flags (the backend oracles, --jobs,
+# --dist-socket) are unknown options even with a valid value.
+for bad in "--procs 0" "--procs abc" "--clock bogus" "--k -3" "--jobs 2" \
   "--max-interleavings -1" "--sched-seed x" "--run-deadline abc" \
   "--retries -2" "--checkpoint-interval 0" "--match linear" \
   "--engine-lock global" "--por off" "--dist-socket /tmp/x" \
@@ -164,18 +165,16 @@ echo "tier1: exit-code contract OK"
 echo "tier1: repeat (flake) stage OK"
 
 # Watchdog end-to-end: the livelocked example must become a HANG verdict
-# (exit 1) under both schedulers at every jobs width, well inside the
-# deadline instead of wedging the campaign.
+# (exit 1) under both schedulers, well inside the deadline instead of
+# wedging the campaign.
 for sched in thread coop; do
-  for w in 1 4; do
-    out="$(timeout 60 build/examples/verify_cli --program livelock \
-      --procs 2 --sched "${sched}" --jobs "${w}" --run-deadline 2 \
-      --max-interleavings 4)" && rc=0 || rc=$?
-    if [[ "${rc}" != 1 ]] || ! grep -q "HANG (watchdog)" <<< "${out}"; then
-      echo "tier1: FAIL: livelock sched=${sched} jobs=${w} rc=${rc}" >&2
-      exit 1
-    fi
-  done
+  out="$(timeout 60 build/examples/verify_cli --program livelock \
+    --procs 2 --sched "${sched}" --run-deadline 2 \
+    --max-interleavings 4)" && rc=0 || rc=$?
+  if [[ "${rc}" != 1 ]] || ! grep -q "HANG (watchdog)" <<< "${out}"; then
+    echo "tier1: FAIL: livelock sched=${sched} rc=${rc}" >&2
+    exit 1
+  fi
 done
 echo "tier1: livelock watchdog sweep OK"
 
@@ -276,14 +275,16 @@ echo "tier1: distributed kill-a-worker smoke OK"
 (cd build && ctest --output-on-failure -L dist -j "${jobs}")
 echo "tier1: dist sweep OK"
 
-# Trace smoke test: a parallel exploration traced end to end must export
-# a valid Chrome trace with a lane per rank (4), per worker (3), and the
-# explorer lane. Exit 2 is expected: 200 interleavings do not finish
-# matmult's decision space (partial coverage is the point of the smoke).
+# Trace smoke test: a fault sweep on 3 threads traced end to end must
+# export a valid Chrome trace with a lane per sweep thread, an explorer
+# lane per concurrent campaign, and the rank lanes (14 lanes at the time
+# of writing). Exit 2 would mean partial coverage, which is acceptable
+# here: the smoke checks the trace, not the verdict.
 trace_out="build/tier1-trace.json"
 trace_rc=0
-build/examples/verify_cli --program matmult --procs 4 --jobs 4 \
-  --max-interleavings 200 --trace "${trace_out}" > /dev/null || trace_rc=$?
+build/examples/verify_cli --program matmult --procs 4 --sweep-faults \
+  --sweep-budget 6 --workers 3 --max-interleavings 20 \
+  --trace "${trace_out}" > /dev/null || trace_rc=$?
 if [[ "${trace_rc}" != 0 && "${trace_rc}" != 2 ]]; then
   echo "tier1: FAIL: trace smoke exited ${trace_rc}" >&2
   exit 1

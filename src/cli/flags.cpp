@@ -129,8 +129,6 @@ const std::vector<Flag>& flags() {
          "enable the par-of-clocks fix for the S5 pattern"),
       number("--auto-loop", "N", &E::auto_loop_threshold, 0, kInt,
              "automatic loop detection threshold"),
-      number("--jobs", "N", &E::jobs, 1, kInt,
-             "replay threads, default 1; same results at any width"),
       text("--sched", "KIND",
            [](O& o, const std::string& v) -> Result {
              if (mpism::parse_sched_spec(v, &o.explorer.sched)) return {};

@@ -67,7 +67,7 @@ void restore_counters(const Checkpoint& checkpoint, ExploreResult* result);
 /// Canonical, human-readable fingerprint of the options that determine
 /// search semantics (nprocs, clocks, mixing, scheduler/POR/policy specs
 /// + seeds, fault plan, pinned initial schedule, checkpoint_tag).
-/// Excludes anything a resume may legitimately change: jobs, budgets,
+/// Excludes anything a resume may legitimately change: budgets,
 /// retry limits, checkpoint knobs, and the matcher and engine lock,
 /// whose modes walk bit-identically (the match and enginelock
 /// differential suites).

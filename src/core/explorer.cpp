@@ -13,7 +13,6 @@
 #include "common/logging.hpp"
 #include "core/checkpoint.hpp"
 #include "core/por.hpp"
-#include "core/replay_pool.hpp"
 #include "mpism/fault.hpp"
 #include "obs/trace.hpp"
 
@@ -21,9 +20,7 @@ namespace dampi::core {
 namespace {
 
 /// Dedup alerts through a keyed set instead of a linear scan (the vector
-/// in ExploreResult keeps first-seen order for reporting). Called only on
-/// the exploring thread — outcome merging is single-threaded by design,
-/// which is what keeps parallel exploration deterministic.
+/// in ExploreResult keeps first-seen order for reporting).
 void collect_alerts(const RunTrace& trace,
                     std::unordered_set<std::string>& seen,
                     ExploreResult& result) {
@@ -334,28 +331,6 @@ void Explorer::schedule_for(int frame_pos, mpism::Rank alt,
   out->forced[stack_[static_cast<std::size_t>(frame_pos)].key] = alt;
 }
 
-void Explorer::speculate_frontier(ReplayPool& pool,
-                                  const ExploreResult& result) {
-  // Every untried alternative on the stack is a run the sequential walk
-  // is guaranteed to request later with exactly this prefix: taken_src
-  // above a frame cannot change before the frame itself is flipped.
-  // Speculation is therefore only ever wasted when a budget or a cancel
-  // ends the walk early. Deepest first matches consumption order;
-  // untried is consumed back() first.
-  std::uint64_t planned =
-      result.interleavings + static_cast<std::uint64_t>(pool.outstanding());
-  Schedule schedule;
-  for (int i = static_cast<int>(stack_.size()) - 1; i >= 0; --i) {
-    const DfsFrame& frame = stack_[static_cast<std::size_t>(i)];
-    for (auto it = frame.untried.rbegin(); it != frame.untried.rend(); ++it) {
-      if (planned + 1 >= options_.max_interleavings) return;
-      schedule_for(i, *it, &schedule);
-      if (!pool.speculate(schedule)) return;
-      ++planned;
-    }
-  }
-}
-
 ExploreResult Explorer::explore(const mpism::ProgramFn& program,
                                 const RunObserver& observer) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -372,15 +347,18 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
 
   // One CancelSource per campaign: external callers (SIGINT bridge,
   // tests) may supply it; the global wall-budget watchdog below fires
-  // the same source. Must exist before the pool copies options into its
-  // per-run plumbing.
+  // the same source. Must exist before the context copies options into
+  // its per-run plumbing.
   if (!options_.cancel) {
     options_.cancel = std::make_shared<mpism::CancelSource>();
   }
   const std::shared_ptr<mpism::CancelSource> cancel = options_.cancel;
   const std::string fingerprint = options_fingerprint(options_);
 
-  ReplayPool pool(options_, program);
+  // Every replay of the walk runs in this one warm context, into `run`,
+  // whose storage the next replay reuses.
+  ReplayContext context(options_);
+  SingleRun run;
   DAMPI_TRACE_THREAD_LANE("explore");
 
   // Global wall budget enforced *inside* runs: a watchdog thread fires
@@ -439,14 +417,35 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     }
   };
 
+  // One timed replay of `schedule` into `run`, announced to the
+  // RunStats callback under its 1-based interleaving index.
+  auto replay = [&](const Schedule& schedule, std::uint64_t index) {
+    DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kBegin, 0, 0, 0, index);
+    const auto start = std::chrono::steady_clock::now();
+    context.run(schedule, program, &run);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kEnd, 0, 0, 0, index);
+    if (options_.run_stats) {
+      RunStats rs;
+      rs.interleaving = index;
+      rs.completed = run.report.completed;
+      rs.wall_seconds = wall;
+      rs.vtime_us = run.report.vtime_us;
+      options_.run_stats(rs);
+    }
+  };
+
   // Retry wrapper: a retryably-failed run (error or watchdog expiry —
   // possibly transient, e.g. an injected flaky fault) is re-executed up
   // to max_retries times with exponential backoff (1 ms, doubling,
   // capped at 1 s). The final outcome, whatever it is, is the one judged.
-  auto take_with_retry = [&](const Schedule& schedule, std::uint64_t index) {
-    SingleRun out = pool.take(schedule, index);
+  auto take_with_retry = [&](const Schedule& schedule,
+                             std::uint64_t index) -> const SingleRun& {
+    replay(schedule, index);
     int attempt = 0;
-    while (failed_retryably(out.report) && attempt < options_.max_retries &&
+    while (failed_retryably(run.report) && attempt < options_.max_retries &&
            !cancel->requested()) {
       ++attempt;
       ++result.retries;
@@ -454,10 +453,9 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
                    static_cast<std::int32_t>(index));
       std::this_thread::sleep_for(std::chrono::milliseconds(
           std::min(1 << std::min(attempt - 1, 10), 1000)));
-      pool.recycle(std::move(out));
-      out = pool.take(schedule, index);
+      replay(schedule, index);
     }
-    return out;
+    return run;
   };
 
   bool aborted_discovery = false;
@@ -489,7 +487,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
   } else {
     // Initial discovery execution: SELF_RUN unless the caller pinned the
     // root interleaving through options_.initial_schedule.
-    SingleRun first = take_with_retry(options_.initial_schedule, 1);
+    const SingleRun& first = take_with_retry(options_.initial_schedule, 1);
     result.interleavings = 1;
     result.first_report = first.report;
     result.wildcard_recv_epochs = first.trace.wildcard_recv_epochs;
@@ -511,7 +509,6 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
       extend_stack(first.trace, /*flip_pos=*/-1, result);
       flush_checkpoint();
     }
-    pool.recycle(std::move(first));
   }
 
   const bool stop_now = aborted_discovery || options_.discovery_only;
@@ -585,9 +582,9 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
 
     schedule_for(flip, frame.taken_src, &schedule_);
     const Schedule& schedule = schedule_;
-    if (pool.workers() > 0) speculate_frontier(pool, result);
 
-    SingleRun outcome = take_with_retry(schedule, result.interleavings + 1);
+    const SingleRun& outcome =
+        take_with_retry(schedule, result.interleavings + 1);
     if (outcome.report.cancelled) {
       // The run was torn down, not judged: put the alternative back so a
       // resumed walk re-executes it, and do not count the interleaving —
@@ -624,7 +621,6 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     if (outcome.report.completed) {
       extend_stack(outcome.trace, flip, result);
     }
-    pool.recycle(std::move(outcome));
     if (options_.checkpoint_interval > 0 &&
         result.interleavings % options_.checkpoint_interval == 0) {
       flush_checkpoint();
@@ -649,8 +645,6 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     result.frontier = stack_;
   }
   stop_watchdog();
-  pool.shutdown();
-  result.pool = pool.stats();
   result.total_wall_seconds = elapsed();
   return result;
 }

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "core/decision.hpp"
 #include "core/epoch.hpp"
 #include "core/options.hpp"
@@ -25,24 +24,6 @@
 #include "mpism/runtime.hpp"
 
 namespace dampi::core {
-
-class ReplayPool;
-
-/// Aggregate replay-pool observability counters for one explore() call.
-/// Populated for every jobs value (at jobs=1 all runs are inline).
-struct PoolStats {
-  int jobs = 1;
-  std::uint64_t inline_runs = 0;  ///< replays run on the exploring thread
-  std::uint64_t worker_runs = 0;  ///< speculative replays run by workers
-  /// Worker runs the walk consumed / never needed (early stop only).
-  std::uint64_t speculative_hits = 0;
-  std::uint64_t speculative_waste = 0;
-  std::size_t max_in_flight = 0;    ///< peak concurrent replays
-  std::size_t max_queue_depth = 0;  ///< peak speculation backlog
-  /// Per-run histograms over every replay (inline + speculative).
-  Histogram run_wall_seconds{1e-5, 28};
-  Histogram run_vtime_us{1.0, 40};
-};
 
 /// A bug found during exploration, with the decision file that reproduces
 /// the interleaving exposing it.
@@ -170,9 +151,6 @@ struct ExploreResult {
   /// original walk executed the discovery run.
   bool resumed = false;
 
-  /// Replay-pool counters (ExplorerOptions::jobs and friends).
-  PoolStats pool;
-
   /// --- Distributed sharding ---------------------------------------------
   /// Final frame stack, exported when ExplorerOptions::export_frontier
   /// (or discovery_only) is set — the unit of work split_frontier()
@@ -204,11 +182,6 @@ class Explorer {
   /// frames 0..i-1 plus frame i's key mapped to `alt` (into `*out`,
   /// whose storage is reused).
   void schedule_for(int frame_pos, mpism::Rank alt, Schedule* out) const;
-
-  /// Feed the worker pool every untried alternative currently on the
-  /// stack (deepest first — the order DFS will consume them), up to the
-  /// interleaving budget and the pool's backlog cap.
-  void speculate_frontier(ReplayPool& pool, const ExploreResult& result);
 
   ExplorerOptions options_;
   std::vector<DfsFrame> stack_;

@@ -37,18 +37,14 @@ using LayerStackFactory =
                                                                  int nprocs)>;
 
 /// Per-run observability record handed to ExplorerOptions::run_stats the
-/// moment a replay finishes (on whichever thread ran it; delivery is
-/// serialized so the callback itself need not be re-entrant).
+/// moment a replay finishes, on the exploring thread.
 struct RunStats {
-  /// 1-based index of the run in the deterministic exploration order, or
-  /// 0 for a speculative worker run whose position is not yet consumed.
+  /// 1-based index of the run in the exploration order (a retried run
+  /// is announced once per attempt, under the same index).
   std::uint64_t interleaving = 0;
-  bool speculative = false;   ///< executed by a pool worker ahead of need
   bool completed = false;     ///< run finished without deadlock/abort
   double wall_seconds = 0.0;  ///< real time this single replay took
   double vtime_us = 0.0;      ///< simulated virtual time of the replay
-  std::size_t runs_in_flight = 0;  ///< replays executing concurrently now
-  std::size_t queue_depth = 0;     ///< speculation queue backlog now
 };
 
 struct ExplorerOptions {
@@ -123,18 +119,13 @@ struct ExplorerOptions {
   std::uint64_t max_interleavings = 1u << 20;
   double max_wall_seconds = 1e9;
 
-  /// Replay workers. Guided replays are independent — each builds its own
-  /// runtime from nothing but a decision file — so sibling alternatives
-  /// of a flipped epoch decision run concurrently on `jobs - 1` worker
-  /// threads while the exploring thread consumes outcomes in sequential
-  /// DFS order. Results (interleaving indices, bugs, schedules, stack
-  /// growth) are bit-identical for every value; 1 = fully sequential.
-  /// Requires `extra_layers_per_run` (if set) to be callable from
-  /// multiple threads at once.
+  /// Unused: nothing in the verifier reads it. A walk replays on its
+  /// own thread; parallelism comes from sharding a campaign across
+  /// worker processes (src/dist/). Kept only so the perfbench harness,
+  /// which still assigns it, builds unchanged.
   int jobs = 1;
 
-  /// Observability: invoked once per completed replay (speculative worker
-  /// runs included), serialized by the explorer. See RunStats.
+  /// Observability: invoked once per completed replay. See RunStats.
   std::function<void(const RunStats&)> run_stats;
 
   /// Runtime knobs for each run.

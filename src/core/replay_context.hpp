@@ -18,7 +18,7 @@
 // exactly its constructed state (the reset contract in runtime.hpp), so
 // a run's report, trace and virtual times are bit-identical to a fresh
 // context's whatever ran before. run_guided_once is a one-shot context;
-// the explorer's thread and each replay-pool worker own one for a walk.
+// the explorer owns one for a walk.
 #pragma once
 
 #include <memory>

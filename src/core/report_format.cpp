@@ -66,20 +66,6 @@ std::string format_verify_result(const VerifyResult& result) {
   if (result.native_vtime_us > 0.0) {
     out += strfmt("slowdown vs native     : %.2fx\n", result.slowdown);
   }
-  if (e.pool.jobs > 1) {
-    out += strfmt(
-        "replay jobs            : %d (%llu worker runs: %llu consumed, "
-        "%llu wasted; peak in-flight %zu, peak queue %zu)\n",
-        e.pool.jobs,
-        static_cast<unsigned long long>(e.pool.worker_runs),
-        static_cast<unsigned long long>(e.pool.speculative_hits),
-        static_cast<unsigned long long>(e.pool.speculative_waste),
-        e.pool.max_in_flight, e.pool.max_queue_depth);
-    out += strfmt("per-run wall (s)       : %s\n",
-                  e.pool.run_wall_seconds.str().c_str());
-    out += strfmt("per-run vtime (us)     : %s\n",
-                  e.pool.run_vtime_us.str().c_str());
-  }
   out += strfmt("communicator leaks     : %d\n", result.comm_leaks);
   out += strfmt("request leaks          : %llu\n",
                 static_cast<unsigned long long>(result.request_leaks));

@@ -168,14 +168,6 @@ void CampaignMerge::add(const ExploreResult& shard) {
   merged_.interleaving_budget_exhausted |= shard.interleaving_budget_exhausted;
   merged_.time_budget_exhausted |= shard.time_budget_exhausted;
   merged_.interrupted |= shard.interrupted;
-  merged_.pool.inline_runs += shard.pool.inline_runs;
-  merged_.pool.worker_runs += shard.pool.worker_runs;
-  merged_.pool.speculative_hits += shard.pool.speculative_hits;
-  merged_.pool.speculative_waste += shard.pool.speculative_waste;
-  merged_.pool.max_in_flight =
-      std::max(merged_.pool.max_in_flight, shard.pool.max_in_flight);
-  merged_.pool.max_queue_depth =
-      std::max(merged_.pool.max_queue_depth, shard.pool.max_queue_depth);
   for (const BugRecord& bug : shard.bugs) {
     if (bug_keys_.insert(bug_key(bug)).second) merged_.bugs.push_back(bug);
   }

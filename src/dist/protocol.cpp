@@ -223,12 +223,6 @@ std::string serialize_worker_result(const WorkerResult& result,
   out += strfmt("wall %.17g\n", r.total_wall_seconds);
   out += strfmt("ckwrites %llu\n",
                 static_cast<unsigned long long>(r.checkpoint_writes));
-  out += strfmt("pool %d %llu %llu %llu %llu %zu %zu\n", r.pool.jobs,
-                static_cast<unsigned long long>(r.pool.inline_runs),
-                static_cast<unsigned long long>(r.pool.worker_runs),
-                static_cast<unsigned long long>(r.pool.speculative_hits),
-                static_cast<unsigned long long>(r.pool.speculative_waste),
-                r.pool.max_in_flight, r.pool.max_queue_depth);
   {
     std::istringstream metrics(result.metrics_dump);
     std::string line;
@@ -270,11 +264,6 @@ std::optional<WorkerResult> parse_worker_result(
       ok = f.read_exactly(&r.total_wall_seconds);
     } else if (keyword == "ckwrites") {
       ok = f.read_exactly(&r.checkpoint_writes);
-    } else if (keyword == "pool") {
-      ok = f.read_exactly(&r.pool.jobs, &r.pool.inline_runs,
-                          &r.pool.worker_runs, &r.pool.speculative_hits,
-                          &r.pool.speculative_waste, &r.pool.max_in_flight,
-                          &r.pool.max_queue_depth);
     } else if (keyword == "metric") {
       if (!f.rest().empty()) {
         wr.metrics_dump += f.rest();

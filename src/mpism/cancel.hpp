@@ -5,8 +5,8 @@
 // global wall-budget watchdog, a test); every Engine whose RunOptions
 // carry the token subscribes for its lifetime and aborts its current (or
 // next) run when the token fires. One token may span many concurrent runs —
-// the replay pool hands the same source to every speculative worker, so
-// a single cancel() stops the whole campaign.
+// the fault sweep chains every plan campaign's source to its own, so a
+// single cancel() stops the whole sweep.
 #pragma once
 
 #include <atomic>

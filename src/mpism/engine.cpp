@@ -289,13 +289,13 @@ void Engine::publish_run_metrics() {
       obs::Registry::instance().counter("engine.pool.buf_acquired");
   static obs::Counter& buf_reused_metric =
       obs::Registry::instance().counter("engine.pool.buf_reused");
-  PoolStats req_total;
-  PoolStats nodes;
+  PoolCounts req_total;
+  PoolCounts nodes;
   BufferPool::Stats buf_total;
   for (const auto& pr_ptr : ranks_) {
     req_total.acquired += pr_ptr->req_pool.stats().acquired;
     req_total.reused += pr_ptr->req_pool.stats().reused;
-    const PoolStats s = pr_ptr->match->pool_stats();
+    const PoolCounts s = pr_ptr->match->pool_stats();
     nodes.acquired += s.acquired;
     nodes.reused += s.reused;
     buf_total.acquired += pr_ptr->buf_pool.stats().acquired;

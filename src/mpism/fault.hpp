@@ -10,9 +10,7 @@
 //   delay@R:OP:US   rank R's OP-th MPI call costs an extra US virtual us
 //   flaky@R:OP:N    like abort, but only the first N times the point is
 //                   reached across the whole campaign — the
-//                   "transient fault" the explorer's retry path exists
-//                   for (deterministic at --jobs 1; wider pools race the
-//                   shared fire counter)
+//                   "transient fault" the explorer's retry path exists for
 //
 // One FaultPlan instance is shared by every run of an exploration, so
 // flaky fire-counters span the campaign, and its canonical spec string
@@ -50,7 +48,7 @@ class FaultPlan {
   const std::vector<FaultPoint>& points() const { return points_; }
 
   /// True when point `i` should fire now; counts the fire. Thread-safe
-  /// (replay-pool workers share the plan).
+  /// (under the thread scheduler each rank calls it from its own thread).
   bool should_fire(std::size_t i);
 
   /// How many times point `i` has fired so far.

@@ -167,7 +167,7 @@ class LinearMatchIndex final : public MatchIndex {
     return linear_match_posted(posted_, scans_, env);
   }
 
-  PoolStats pool_stats() const override { return {}; }
+  PoolCounts pool_stats() const override { return {}; }
 
  private:
   std::deque<Envelope> unexpected_;   ///< unmatched arrivals, arrival order
@@ -421,9 +421,9 @@ class IndexedMatchIndex final : public MatchIndex {
     return rec;
   }
 
-  PoolStats pool_stats() const override {
-    PoolStats s = nodes_.stats();
-    const PoolStats& p = posted_nodes_.stats();
+  PoolCounts pool_stats() const override {
+    PoolCounts s = nodes_.stats();
+    const PoolCounts& p = posted_nodes_.stats();
     s.acquired += p.acquired;
     s.reused += p.reused;
     s.slabs += p.slabs;

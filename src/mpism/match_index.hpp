@@ -118,7 +118,7 @@ class MatchIndex {
 
   /// Queue- and posted-node pool stats, summed (zero for the linear
   /// matcher).
-  virtual PoolStats pool_stats() const = 0;
+  virtual PoolCounts pool_stats() const = 0;
 
  protected:
   mutable ScanTally scans_;

@@ -47,7 +47,7 @@
 namespace dampi::mpism {
 
 /// Allocation/reuse counters published as `engine.pool.*` metrics.
-struct PoolStats {
+struct PoolCounts {
   std::uint64_t acquired = 0;  ///< acquire() calls since reset_counts()
   std::uint64_t reused = 0;    ///< of those, served from the freelist
   std::uint64_t slabs = 0;     ///< slab allocations (the only mallocs)
@@ -115,7 +115,7 @@ class SlabPool {
     --stats_.live;
   }
 
-  const PoolStats& stats() const { return stats_; }
+  const PoolCounts& stats() const { return stats_; }
 
   /// Zeroes the per-run counts (acquired, reused); `slabs` and `live`
   /// describe the pool itself and carry over.
@@ -136,7 +136,7 @@ class SlabPool {
   std::vector<std::unique_ptr<Slot[]>> slabs_;
   std::size_t next_in_slab_ = 0;
   Slot* free_ = nullptr;
-  PoolStats stats_;
+  PoolCounts stats_;
 };
 
 /// Deleter returning the object to its SlabPool; with it, pooled objects

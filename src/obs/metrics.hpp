@@ -2,12 +2,12 @@
 // fixed-bucket histograms with atomic update paths.
 //
 // Naming convention: dotted lowercase `<subsystem>.<metric>` —
-// e.g. `pool.worker_runs`, `engine.deadlocks`, `layer.epochs_recv`.
+// e.g. `engine.deadlocks`, `layer.epochs_recv`.
 // Instruments are created on first lookup and live for the process;
 // references returned by the registry are stable, so hot paths resolve
 // a name once (at construction) and update through the reference.
-// Unlike the per-explore PoolStats snapshot, the registry accumulates
-// across runs — reset() zeroes it between experiments.
+// Unlike the per-explore ExploreResult counters, the registry
+// accumulates across runs — reset() zeroes it between experiments.
 #pragma once
 
 #include <atomic>
@@ -52,10 +52,9 @@ class Gauge {
   std::atomic<std::int64_t> max_{0};
 };
 
-/// Power-of-two bucketed histogram over positive samples, same bucket
-/// geometry as dampi::Histogram but updatable concurrently: bucket i
-/// covers [first_limit * 2^(i-1), first_limit * 2^i), the last bucket
-/// is a catch-all.
+/// Power-of-two bucketed histogram over positive samples, updatable
+/// concurrently: bucket i covers [first_limit * 2^(i-1),
+/// first_limit * 2^i), the last bucket is a catch-all.
 class FixedHistogram {
  public:
   FixedHistogram(double first_limit, int buckets);

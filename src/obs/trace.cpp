@@ -25,8 +25,7 @@ const KindInfo& kind_info(EventKind kind) {
       {"decision.push", {"rank", "nd", "alts", nullptr}},
       {"decision.pop", {"rank", "nd", "src", nullptr}},
       {"por.prune", {"rank", "nd", "slept", nullptr}},
-      {"replay", {"speculative", nullptr, nullptr, "interleaving"}},
-      {"replay.discard", {nullptr, nullptr, nullptr, nullptr}},
+      {"replay", {nullptr, nullptr, nullptr, "interleaving"}},
       {"sched.run", {"rank", nullptr, nullptr, nullptr}},
       {"run.timeout", {nullptr, nullptr, nullptr, nullptr}},
       {"run.cancel", {nullptr, nullptr, nullptr, nullptr}},

@@ -36,12 +36,11 @@ enum class EventKind : std::uint16_t {
   kEpochClose,      ///< epoch bound to its match; a=rank b=nd_index c=src
   kLateSend,        ///< potential match recorded; a=src b=nd c=tag d=seq
   kPiggybackAttach, ///< clock attached to outgoing send; a=clock bytes
-  // explorer / replay pool (lanes: "explore", "worker N")
+  // explorer (lane: "explore")
   kDecisionPush,    ///< DFS frame added; a=rank b=nd_index c=alternatives
   kDecisionPop,     ///< DFS frame flipped; a=rank b=nd_index c=forced src
   kPorPrune,        ///< sleep-set prune; a=rank b=nd_index c=slept sources
-  kRun,             ///< span: one replay; a=speculative d=interleaving
-  kRunDiscard,      ///< instant: speculative result dropped at shutdown
+  kRun,             ///< span: one replay; d=interleaving
   // coop scheduler (emitted in the host thread's lane)
   kSchedSwitch,     ///< span: a rank fiber held the host thread; a=rank
   // resilience (engine / fault layer / explorer lanes)

@@ -77,15 +77,14 @@ std::string json_escape(const std::string& text) {
 
 /// The per-campaign verifier configuration: the base options with the
 /// plan installed, sweep budgets applied, and every cross-campaign
-/// facility (checkpoints, distributed hooks, replay pool) stripped —
-/// campaigns must be independent and deterministic so the report is a
-/// pure function of the sweep inputs.
+/// facility (checkpoints, distributed hooks) stripped — campaigns must
+/// be independent and deterministic so the report is a pure function of
+/// the sweep inputs.
 core::ExplorerOptions campaign_options(
     const SweepOptions& sweep, std::shared_ptr<mpism::FaultPlan> plan,
     std::shared_ptr<mpism::CancelSource> cancel) {
   core::ExplorerOptions opts = sweep.explorer;
   opts.fault = std::move(plan);
-  opts.jobs = 1;
   opts.max_interleavings = sweep.plan_max_interleavings;
   opts.max_wall_seconds = sweep.plan_wall_seconds;
   if (opts.max_run_ops == 0) opts.max_run_ops = kPlanMaxRunOps;

@@ -6,10 +6,9 @@
 // error point, plus seeded-RNG-sampled delay and flaky perturbations —
 // and each plan gets one bounded exploration campaign reusing the
 // explorer's watchdog/retry/quarantine machinery. Campaigns are
-// independent, so `workers` of them run concurrently; each is forced to
-// jobs=1 and classified into one Verdict, making the final report a
-// pure function of (program, options, budget, seed) at any worker
-// count.
+// independent, so `workers` of them run concurrently; each is
+// classified into one Verdict, making the final report a pure function
+// of (program, options, budget, seed) at any worker count.
 //
 // Robustness both ways: per-plan interleaving/wall budgets bound each
 // campaign, campaign spawn failures are respawned with bounded backoff,
@@ -33,8 +32,7 @@ namespace dampi::sweep {
 struct SweepOptions {
   /// Base verifier configuration for every campaign (and the discovery
   /// run). Must not carry a fault plan of its own — the sweep owns
-  /// injection. jobs is forced to 1 per campaign; `workers` below is
-  /// the sweep's parallelism.
+  /// injection. `workers` below is the sweep's parallelism.
   core::ExplorerOptions explorer;
   /// Folded into the sweep fingerprint (journal/report identity).
   std::string program_name;

@@ -150,7 +150,7 @@ constexpr bool DAMPI_SANITIZED_BUILD = false;
 
 /// The benchmark's backend pins (perfbench pinned_options): coop
 /// round-robin, indexed matcher, sharded lock, sleep-set POR, Lamport
-/// clocks, separate-message piggyback, jobs 1.
+/// clocks, separate-message piggyback.
 ExplorerOptions pinned_options(int nprocs) {
   ExplorerOptions o;
   o.nprocs = nprocs;
@@ -161,7 +161,6 @@ ExplorerOptions pinned_options(int nprocs) {
   o.match = mpism::MatchKind::kIndexed;
   o.engine_lock = mpism::EngineLockKind::kSharded;
   o.por = core::PorMode::kSleep;
-  o.jobs = 1;
   return o;
 }
 

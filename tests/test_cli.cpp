@@ -71,7 +71,6 @@ TEST(Cli, EveryRowParsesIntoItsField) {
        [](const O& o) { return o.explorer.deferred_clock_sync; }},
       {{"--auto-loop", "5"},
        [](const O& o) { return o.explorer.auto_loop_threshold == 5; }},
-      {{"--jobs", "3"}, [](const O& o) { return o.explorer.jobs == 3; }},
       {{"--sched", "coop-priority"},
        [](const O& o) {
          return o.explorer.sched.kind == mpism::SchedulerKind::kCoop &&
@@ -142,7 +141,7 @@ TEST(Cli, EveryRowParsesIntoItsField) {
     rows.insert(std::string(flag.name));
   }
   EXPECT_EQ(covered, rows);
-  EXPECT_EQ(rows.size(), 35u);
+  EXPECT_EQ(rows.size(), 34u);
 }
 
 TEST(Cli, DefaultsAndResets) {
@@ -221,7 +220,7 @@ TEST(Cli, EveryNumericRowRefusesWhatIsOutsideItsBounds) {
       EXPECT_FALSE(parsed.refusal->usage) << name;
     }
   }
-  EXPECT_EQ(numeric, 16);
+  EXPECT_EQ(numeric, 15);
 }
 
 TEST(Cli, SizingFlagsAreBounded) {
@@ -273,6 +272,7 @@ TEST(Cli, ModeConflictsAreRefused) {
        "unknown --clock value: bogus (want lamport or vector)"},
       {{"--sched", "bogus"}, "unknown --sched value: bogus"},
       {{"--match", "linear"}, "unknown option: --match"},
+      {{"--jobs", "2"}, "unknown option: --jobs"},
   };
   for (const auto& c : refused) {
     EXPECT_EQ(refusal_of(c.args), c.message);
@@ -302,7 +302,7 @@ TEST(Cli, WorkerArgvReproducesTheCoordinatorsOptions) {
   const Args coordinator = {
       "--program", "fig3", "--procs", "3", "--k", "2", "--clock", "vector",
       "--max-interleavings", "50", "--deferred-sync", "--auto-loop", "3",
-      "--jobs", "2", "--sched", "coop-random", "--sched-seed", "7",
+      "--sched", "coop-random", "--sched-seed", "7",
       "--save-repro", "r.txt", "--trace", "t.json", "--trace-capacity",
       "1024", "--metrics", "--run-deadline", "5", "--run-max-ops", "100000",
       "--max-wall-seconds", "60", "--retries", "1", "--fault",
@@ -331,7 +331,6 @@ TEST(Cli, WorkerArgvReproducesTheCoordinatorsOptions) {
   EXPECT_TRUE(child.options.worker);
   EXPECT_EQ(core::options_fingerprint(child.options.explorer),
             core::options_fingerprint(parent.options.explorer));
-  EXPECT_EQ(child.options.explorer.jobs, parent.options.explorer.jobs);
   EXPECT_EQ(child.options.explorer.max_interleavings,
             parent.options.explorer.max_interleavings);
   EXPECT_EQ(child.options.explorer.checkpoint_path,
@@ -344,7 +343,7 @@ TEST(Cli, AllFlagsFingerprintIsTheRecordedOne) {
   const Parsed parsed = parse(
       {"--program", "fig3", "--procs", "3", "--k", "2", "--clock", "vector",
        "--max-interleavings", "5", "--deferred-sync", "--auto-loop", "3",
-       "--jobs", "2", "--sched", "coop-random", "--sched-seed", "7",
+       "--sched", "coop-random", "--sched-seed", "7",
        "--run-deadline", "5", "--run-max-ops", "100000",
        "--max-wall-seconds", "60", "--retries", "1", "--fault",
        "delay@1:1:10", "--checkpoint", "fp.ckpt", "--checkpoint-interval",

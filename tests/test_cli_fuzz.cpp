@@ -29,16 +29,17 @@ const std::vector<Args> kTier1Lines = {
     {"--program", "fig3-benign", "--procs", "3", "--replay", "bad.txt"},
     {"--program", "matmult", "--procs", "4", "--checkpoint", "bad.ckpt",
      "--resume"},
-    {"--program", "livelock", "--procs", "2", "--sched", "coop", "--jobs",
-     "4", "--run-deadline", "2", "--max-interleavings", "4"},
+    {"--program", "livelock", "--procs", "2", "--sched", "coop",
+     "--run-deadline", "2", "--max-interleavings", "4"},
     {"--program", "matmult", "--procs", "4", "--sched", "coop",
      "--max-interleavings", "150", "--checkpoint", "r.ckpt",
      "--checkpoint-interval", "5"},
     {"--program", "dist-fanout", "--procs", "6", "--sched", "coop",
      "--max-interleavings", "100000", "--workers", "2", "--checkpoint",
      "d.ckpt"},
-    {"--program", "matmult", "--procs", "4", "--jobs", "4",
-     "--max-interleavings", "200", "--trace", "t.json"},
+    {"--program", "matmult", "--procs", "4", "--sweep-faults",
+     "--sweep-budget", "6", "--workers", "3", "--max-interleavings", "20",
+     "--trace", "t.json"},
     {"--program", "wildcard-deadlock", "--procs", "3", "--sched", "coop",
      "--sweep-faults", "--sweep-kinds", "delay", "--sweep-budget", "6",
      "--max-interleavings", "32"},

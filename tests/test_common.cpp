@@ -39,18 +39,6 @@ TEST(Stats, HumanCountMatchesPaperStyle) {
   EXPECT_EQ(human_count(23'500), "24K");  // rounds
 }
 
-TEST(Stats, RunningStatMoments) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-}
-
 TEST(Stats, TextTableAlignsColumns) {
   TextTable t;
   t.header({"a", "long-header"});

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "support/reference_enumerator.hpp"
 #include "support/verify_helpers.hpp"
@@ -336,6 +337,32 @@ TEST(Explorer, TimeBudgetHonored) {
       [config](Proc& p) { workloads::matmult(p, config); });
   EXPECT_EQ(result.interleavings, 1u);
   EXPECT_TRUE(result.time_budget_exhausted);
+}
+
+// Every run is announced once, as it finishes, under its 1-based
+// interleaving index, in exploration order.
+TEST(Explorer, RunStatsCallbackSeesEveryRun) {
+  ExplorerOptions options = explorer_options(3);
+  options.max_interleavings = 64;
+  std::vector<std::uint64_t> indices;
+  std::vector<bool> completed;
+  options.run_stats = [&](const core::RunStats& rs) {
+    indices.push_back(rs.interleaving);
+    completed.push_back(rs.completed);
+    EXPECT_GE(rs.wall_seconds, 0.0);
+  };
+  workloads::MatmultConfig config;
+  config.n = 4;
+  config.chunk_rows = 2;
+  Explorer explorer(options);
+  const auto result = explorer.explore(
+      [config](Proc& p) { workloads::matmult(p, config); });
+  ASSERT_GT(result.interleavings, 1u);
+  ASSERT_EQ(indices.size(), result.interleavings);
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    EXPECT_EQ(indices[i], i + 1);
+    EXPECT_TRUE(completed[i]) << "run " << i + 1;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The cooperative run-to-block scheduler (ctest label `sched`):
 //
 //  - determinism: under --sched=coop the RunReport and the full
-//    exploration result are bit-identical across repetitions and across
-//    every replay-pool width, with no initial_schedule pinning;
+//    exploration result are bit-identical across repetitions, with no
+//    initial_schedule pinning;
 //  - differential: the coop and thread schedulers visit the same
 //    *outcome set* on the paper's Fig. 3 / Fig. 4 patterns, both equal
 //    to the brute-force reachability oracle;
@@ -17,8 +17,8 @@
 //    guard page, and floating-point modes stay per fiber.
 //
 // Fingerprints deliberately exclude wall-clock fields (wall_seconds,
-// total_wall_seconds) and the replay-pool counters: speculation timing
-// is host-dependent by design while everything else must not be.
+// total_wall_seconds): they are host-dependent by design while
+// everything else must not be.
 // Doubles print as %a so "bit-identical" means bit-identical.
 #include <gtest/gtest.h>
 
@@ -104,8 +104,8 @@ std::string fingerprint(const core::Schedule& schedule) {
   return s;
 }
 
-/// Everything an exploration decides, excluding wall time and pool
-/// scheduling counters (both timing-dependent by design).
+/// Everything an exploration decides, excluding wall time
+/// (timing-dependent by design).
 std::string fingerprint(const core::ExploreResult& r) {
   std::string s = strfmt(
       "interleavings=%llu recv_epochs=%llu probe_epochs=%llu pm=%llu "
@@ -258,26 +258,21 @@ TEST(SchedDeterminism, SeedActuallySteersRandomPolicy) {
   EXPECT_GT(first_sources.size(), 1u);
 }
 
-// Full exploration (discovery run + DFS + replay pool) is bit-identical
-// across repetitions and across every --jobs width under coop, with no
-// pinning. 100 repetitions total, split across pool widths.
-TEST(SchedDeterminism, ExplorationBitIdenticalAcrossJobs100x) {
+// Full exploration (discovery run + DFS) is bit-identical across 100
+// repetitions under coop, with no pinning.
+TEST(SchedDeterminism, ExplorationBitIdentical100x) {
   std::optional<std::string> first;
-  for (const int jobs : {1, 4}) {
-    for (int i = 0; i < 50; ++i) {
-      core::ExplorerOptions options = explorer_options(3);
-      options.sched = coop();
-      options.jobs = jobs;
-      core::Explorer explorer(options);
-      const auto result = explorer.explore(workloads::fig3_wildcard_bug);
-      ASSERT_TRUE(result.found_bug());
-      const std::string fp = fingerprint(result);
-      if (!first.has_value()) {
-        first = fp;
-      } else {
-        ASSERT_EQ(fp, *first)
-            << "jobs=" << jobs << " diverged at repetition " << i;
-      }
+  for (int i = 0; i < 100; ++i) {
+    core::ExplorerOptions options = explorer_options(3);
+    options.sched = coop();
+    core::Explorer explorer(options);
+    const auto result = explorer.explore(workloads::fig3_wildcard_bug);
+    ASSERT_TRUE(result.found_bug());
+    const std::string fp = fingerprint(result);
+    if (!first.has_value()) {
+      first = fp;
+    } else {
+      ASSERT_EQ(fp, *first) << "diverged at repetition " << i;
     }
   }
 }
@@ -420,8 +415,8 @@ TEST(SchedYield, TestPollLoopCompletesUnderCoop) {
 }
 
 // Acceptance bar: a 512-rank wavefront completes a verification run
-// under --sched=coop. All 512 ranks are fibers on the exploring thread
-// (jobs=1), so this exercises single-core scheduling at a rank count a
+// under --sched=coop. All 512 ranks are fibers on the exploring thread,
+// so this exercises single-core scheduling at a rank count a
 // thread-per-rank engine would need 512 OS threads for.
 TEST(SchedScale, Wavefront512RankVerificationCompletes) {
   core::ExplorerOptions options = explorer_options(512);
@@ -566,9 +561,9 @@ TEST(SchedStacks, BackToBackRunsReuseCachedStacksBitIdentically) {
           << "nprocs " << step.nprocs;
     }
 
-    // An exploration at jobs 4 on a warm thread: every pool thread maps
-    // its stacks once and reuses them for each later replay, and the
-    // result equals a fresh single-threaded exploration.
+    // An exploration on the warm thread: its replays reuse the cached
+    // stacks, mapping none, and the result equals an exploration on a
+    // fresh thread.
     core::ExplorerOptions options = explorer_options(4);
     options.sched = coop();
     const auto explore_fp = [&options] {
@@ -578,7 +573,6 @@ TEST(SchedStacks, BackToBackRunsReuseCachedStacksBitIdentically) {
     };
     std::string fresh_explore;
     on_fresh_thread([&] { fresh_explore = explore_fp(); });
-    options.jobs = 4;
     obs::Counter& coop_runs =
         obs::Registry::instance().counter("scheduler.coop_runs");
     const std::uint64_t runs_before = coop_runs.value();
@@ -587,7 +581,7 @@ TEST(SchedStacks, BackToBackRunsReuseCachedStacksBitIdentically) {
     const std::uint64_t runs = coop_runs.value() - runs_before;
     const std::uint64_t mapped = stacks_mapped() - mapped_before;
     EXPECT_GT(runs, 10u);
-    EXPECT_LE(mapped, std::uint64_t{4} * 4) << "over " << runs << " runs";
+    EXPECT_EQ(mapped, 0u) << "over " << runs << " runs";
   });
 }
 
