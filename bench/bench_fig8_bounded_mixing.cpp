@@ -17,7 +17,11 @@ using namespace dampi;
 namespace {
 
 std::string count_str(std::uint64_t n, bool capped) {
-  return capped ? (">" + std::to_string(n)) : std::to_string(n);
+  // Appended, not `">" + std::to_string(n)`: gcc 12 at -O3 reports a
+  // false -Werror=restrict inside that operator+ on a temporary.
+  std::string out = capped ? ">" : "";
+  out += std::to_string(n);
+  return out;
 }
 
 }  // namespace

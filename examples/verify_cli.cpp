@@ -118,11 +118,16 @@ int main(int argc, char** argv) try {
     }
     obs::Tracer::instance().set_enabled(true);
   }
-  // Emits the trace/metrics on every exit path of the run below.
+  // Emits the trace/metrics on every exit path of the run below. A
+  // worker leaves its lanes in <trace>.w<id>, which its coordinator
+  // splices into its own export.
   auto finish = [&](int code) {
-    if (!o.trace.empty()) {
+    if (!o.trace.empty() && o.worker) {
       obs::Tracer::instance().set_enabled(false);
-      if (obs::write_chrome_trace(o.trace)) {
+      obs::write_chrome_trace(o.trace + ".w" + std::to_string(o.worker_id));
+    } else if (!o.trace.empty()) {
+      obs::Tracer::instance().set_enabled(false);
+      if (obs::write_chrome_trace(o.trace, o.workers)) {
         std::printf("trace written          : %s\n", o.trace.c_str());
       } else {
         std::printf("could not write trace %s\n", o.trace.c_str());
@@ -140,11 +145,22 @@ int main(int argc, char** argv) try {
     // must ignore it and let the coordinator cancel them cooperatively
     // over the channel, or every ^C would look like a crash storm.
     std::signal(SIGINT, SIG_IGN);
-    return dist::run_worker({.socket_spec = o.coordinator_socket,
-                             .worker_id = o.worker_id,
-                             .options = o.explorer},
-                            it->second);
+    if (o.sweep_faults) {
+      o.sweep.explorer = o.explorer;
+      return finish(sweep::run_sweep_worker(o.coordinator_socket, o.worker_id,
+                                            o.sweep, it->second));
+    }
+    return finish(dist::run_worker({.socket_spec = o.coordinator_socket,
+                                    .worker_id = o.worker_id,
+                                    .options = o.explorer},
+                                   it->second));
   }
+
+  // Workers re-run this binary with its arguments minus the
+  // coordinator-only flags (--resume among them: shards embed the
+  // restored state, and only the coordinator reads a sweep journal).
+  std::vector<std::string> worker_argv = o.worker_args;
+  worker_argv.insert(worker_argv.begin(), argv[0]);
 
   if (o.resume && !o.sweep_faults) {
     const std::string& path = o.explorer.checkpoint_path;
@@ -189,6 +205,7 @@ int main(int argc, char** argv) try {
   if (o.sweep_faults) {
     o.sweep.explorer = o.explorer;
     o.sweep.cancel = cancel;
+    o.sweep.worker_argv = worker_argv;
     const sweep::SweepResult result = sweep::run_sweep(o.sweep, it->second);
     std::printf("%s", sweep::format_sweep_summary(o.sweep, result).c_str());
     int code = sweep::sweep_exit_code(result);
@@ -256,17 +273,14 @@ int main(int argc, char** argv) try {
     dist::DistOptions dist_options;
     dist_options.workers = o.workers;
     dist_options.explorer = o.explorer;
-    // Workers re-parse this binary's arguments minus the coordinator-only
-    // flags (--resume among them: shards embed the restored state).
-    dist_options.worker_argv = o.worker_args;
-    dist_options.worker_argv.insert(dist_options.worker_argv.begin(), argv[0]);
+    dist_options.worker_argv = worker_argv;
 
     dist::DistResult dist_result = dist::run_distributed(dist_options,
                                                          it->second);
     dist_error = dist_result.error;
     dist_stats = dist_result.stats;
     for (const auto& [wid, dump] : dist_result.worker_metrics) {
-      obs::Registry::instance().merge_dump(dump, "w" + std::to_string(wid));
+      obs::Registry::instance().merge_dump(dump, strfmt("w%d", wid));
     }
     result = core::summarize_verify(std::move(dist_result.exploration),
                                     native_vtime_us);

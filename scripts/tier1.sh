@@ -18,7 +18,11 @@
 #  - a perf_ledger.py smoke on an inline two-pair fixture (wall-clock
 #    speed itself is measured by perfbench/, not here);
 #  - a fault-sweep stage: sweep-labelled tests, the --sweep-faults
-#    exit-code contract and a SIGINT kill + --resume byte-identity smoke;
+#    exit-code contract, adlb's sweep report byte-identical at 1, 2, 4
+#    and 8 workers, and a SIGINT kill + --resume byte-identity smoke in
+#    process and on 2 worker processes;
+#  - a gate keeping std::thread out of src/ but for the thread scheduler,
+#    and a Release build of the whole tree (no tests);
 #  - a ThreadSanitizer stage (-DDAMPI_SANITIZE=thread): the concurrency,
 #    obs, match, enginelock, por, sweep and alloc labels with
 #    DAMPI_SCHED=thread — the engine lock follows the scheduler, so the
@@ -275,10 +279,11 @@ echo "tier1: distributed kill-a-worker smoke OK"
 (cd build && ctest --output-on-failure -L dist -j "${jobs}")
 echo "tier1: dist sweep OK"
 
-# Trace smoke test: a fault sweep on 3 threads traced end to end must
-# export a valid Chrome trace with a lane per sweep thread, an explorer
-# lane per concurrent campaign, and the rank lanes (14 lanes at the time
-# of writing). Exit 2 would mean partial coverage, which is acceptable
+# Trace smoke test: a fault sweep on 3 worker processes traced end to
+# end must export a valid Chrome trace: the coordinator's lanes plus
+# each worker's explorer and rank lanes, spliced in under the worker's
+# pid from the <trace>.wN file it left (20 lanes at the time of
+# writing). Exit 2 would mean partial coverage, which is acceptable
 # here: the smoke checks the trace, not the verdict.
 trace_out="build/tier1-trace.json"
 trace_rc=0
@@ -290,6 +295,10 @@ if [[ "${trace_rc}" != 0 && "${trace_rc}" != 2 ]]; then
   exit 1
 fi
 build/src/obs/trace_check "${trace_out}" --min-lanes 8
+if compgen -G "${trace_out}.w*" > /dev/null; then
+  echo "tier1: FAIL: worker trace files left behind" >&2
+  exit 1
+fi
 rm -f "${trace_out}"
 
 # Ledger smoke: perf_ledger.py pairs two results.jsonl files run by run
@@ -374,49 +383,94 @@ expect_exit 3 build/examples/verify_cli --program fig3-benign --procs 3 \
   --fault abort@5:1
 echo "tier1: sweep exit-code contract OK"
 
+# Sweep reports at any worker count: adlb's full sweep at 8 ranks
+# (151 plans) run in process and on 2, 4 and 8 worker processes must
+# write byte-identical --sweep-report files.
+adlb_report="build/tier1-adlb-sweep"
+for w in 1 2 4 8; do
+  rc=0
+  build/examples/verify_cli --program adlb --procs 8 --sweep-faults \
+    --workers "${w}" --sweep-report "${adlb_report}.${w}.json" \
+    > /dev/null || rc=$?
+  if [[ "${rc}" == 3 || ! -s "${adlb_report}.${w}.json" ]]; then
+    echo "tier1: FAIL: adlb sweep at ${w} workers exited ${rc}" >&2
+    exit 1
+  fi
+  if ! cmp "${adlb_report}.1.json" "${adlb_report}.${w}.json"; then
+    echo "tier1: FAIL: adlb sweep report differs at ${w} workers" >&2
+    exit 1
+  fi
+done
+rm -f "${adlb_report}".*.json
+echo "tier1: adlb sweep reports identical at 1/2/4/8 workers OK"
+
 # Sweep SIGINT kill + --resume smoke: interrupt a journalled sweep
 # mid-flight, then --resume it. The resumed report must be byte-identical
 # to an uninterrupted run's, and the journalled plans must not re-execute
-# (resumed count == plans completed before the kill). Delay plans on
-# matmult keep the sweep alive long enough (~0.9s) for the signal to
-# land; if it races past the end anyway, the resume degrades to an
-# idempotence check — 0 executed, all resumed — same stance as the
-# checkpoint smoke above.
-sweep_journal="build/tier1-sweep.journal"
-sweep_ref="build/tier1-sweep-ref.json"
-sweep_resumed="build/tier1-sweep-resumed.json"
-rm -f "${sweep_journal}" "${sweep_ref}" "${sweep_resumed}"
-sweep_cmd=(build/examples/verify_cli --program matmult --procs 4 \
-  --sched coop --sweep-faults --sweep-kinds delay --sweep-budget 8 \
-  --max-interleavings 1024)
-ref_rc=0
-"${sweep_cmd[@]}" --sweep-report "${sweep_ref}" > /dev/null || ref_rc=$?
-"${sweep_cmd[@]}" --sweep-journal "${sweep_journal}" > /dev/null 2>&1 &
-sweep_pid=$!
-sleep 0.35
-kill -INT "${sweep_pid}" 2> /dev/null || true
-wait "${sweep_pid}" || true
-# grep -c prints 0 and exits 1 on a journal without plans, and prints
-# nothing on a missing one: default to 0 only in the second case.
-journalled="$(grep -c '^plan ' "${sweep_journal}" 2> /dev/null)" || true
-journalled="${journalled:-0}"
-resume_rc=0
-resume_out="$("${sweep_cmd[@]}" --sweep-journal "${sweep_journal}" \
-  --resume --sweep-report "${sweep_resumed}")" || resume_rc=$?
-if [[ "${resume_rc}" != "${ref_rc}" ]] || \
-   ! cmp -s "${sweep_ref}" "${sweep_resumed}"; then
-  echo "tier1: FAIL: sweep resume mismatch (rc ${ref_rc} vs ${resume_rc})" >&2
-  diff "${sweep_ref}" "${sweep_resumed}" >&2 || true
+# (resumed count == plans completed before the kill). The signal goes
+# out once the first of the 7 delay plans on matmult is journalled; if
+# it races past the end anyway, the resume degrades to an idempotence
+# check — 0 executed, all resumed — same stance as the checkpoint smoke
+# above. Run in process, then on 2 worker processes.
+for sweep_workers in "" "--workers 2"; do
+  sweep_journal="build/tier1-sweep.journal"
+  sweep_ref="build/tier1-sweep-ref.json"
+  sweep_resumed="build/tier1-sweep-resumed.json"
+  rm -f "${sweep_journal}" "${sweep_ref}" "${sweep_resumed}"
+  # shellcheck disable=SC2206  # split "--workers 2" into two words
+  sweep_cmd=(build/examples/verify_cli --program matmult --procs 4 \
+    --sched coop --sweep-faults --sweep-kinds delay --sweep-budget 8 \
+    --max-interleavings 1024 ${sweep_workers})
+  ref_rc=0
+  "${sweep_cmd[@]}" --sweep-report "${sweep_ref}" > /dev/null || ref_rc=$?
+  "${sweep_cmd[@]}" --sweep-journal "${sweep_journal}" > /dev/null 2>&1 &
+  sweep_pid=$!
+  # Interrupt as soon as the first plan is journalled (at most 2 s on).
+  for _ in $(seq 1 200); do
+    grep -q '^plan ' "${sweep_journal}" 2> /dev/null && break
+    sleep 0.01
+  done
+  kill -INT "${sweep_pid}" 2> /dev/null || true
+  wait "${sweep_pid}" || true
+  # grep -c prints 0 and exits 1 on a journal without plans, and prints
+  # nothing on a missing one: default to 0 only in the second case.
+  journalled="$(grep -c '^plan ' "${sweep_journal}" 2> /dev/null)" || true
+  journalled="${journalled:-0}"
+  resume_rc=0
+  resume_out="$("${sweep_cmd[@]}" --sweep-journal "${sweep_journal}" \
+    --resume --sweep-report "${sweep_resumed}")" || resume_rc=$?
+  if [[ "${resume_rc}" != "${ref_rc}" ]] || \
+     ! cmp -s "${sweep_ref}" "${sweep_resumed}"; then
+    echo "tier1: FAIL: sweep resume mismatch (rc ${ref_rc} vs ${resume_rc})" >&2
+    diff "${sweep_ref}" "${sweep_resumed}" >&2 || true
+    exit 1
+  fi
+  if ! grep -Eq "(^|[^0-9])${journalled} resumed" <<< "${resume_out}"; then
+    echo "tier1: FAIL: sweep resume re-executed journalled plans" \
+      "(expected ${journalled} resumed)" >&2
+    grep "resumed" <<< "${resume_out}" >&2 || true
+    exit 1
+  fi
+  rm -f "${sweep_journal}" "${sweep_ref}" "${sweep_resumed}"
+  echo "tier1: sweep SIGINT kill/resume smoke OK ${sweep_workers}"
+done
+
+# One parallel mechanism: worker processes. The thread scheduler is the
+# only product code left that starts a std::thread.
+thread_sites="$(grep -rln "std::thread" src | \
+  grep -v '^src/mpism/scheduler.cpp$' || true)"
+if [[ -n "${thread_sites}" ]]; then
+  echo "tier1: FAIL: std::thread outside the thread scheduler:" \
+    ${thread_sites} >&2
   exit 1
 fi
-if ! grep -Eq "(^|[^0-9])${journalled} resumed" <<< "${resume_out}"; then
-  echo "tier1: FAIL: sweep resume re-executed journalled plans" \
-    "(expected ${journalled} resumed)" >&2
-  grep "resumed" <<< "${resume_out}" >&2 || true
-  exit 1
-fi
-rm -f "${sweep_journal}" "${sweep_ref}" "${sweep_resumed}"
-echo "tier1: sweep SIGINT kill/resume smoke OK"
+echo "tier1: std::thread gate OK"
+
+# The Release build type (-O3) must build the whole tree under -Werror
+# too; gcc raises warnings there that RelWithDebInfo does not.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j "${jobs}"
+echo "tier1: Release build OK"
 
 if [[ "${1:-}" == "--skip-tsan" ]]; then
   echo "tier1: skipping ThreadSanitizer stage"

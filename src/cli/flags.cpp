@@ -144,10 +144,9 @@ const std::vector<Flag>& flags() {
       text("--replay", "FILE", &O::replay,
            "run once under a saved epoch-decisions file"),
       text("--trace", "FILE", &O::trace,
-           "write a Chrome trace_event JSON of the run", kCoordinatorOnly),
+           "write a Chrome trace_event JSON of the run"),
       number("--trace-capacity", "N", &O::trace_capacity, std::size_t{0},
-             obs::kMaxTraceCapacity, "events kept per lane, default 16384",
-             kCoordinatorOnly),
+             obs::kMaxTraceCapacity, "events kept per lane, default 16384"),
       on("--metrics", &O::metrics, "print the metrics registry after the run",
          kCoordinatorOnly),
       number("--run-deadline", "SEC", &E::run_deadline_seconds, 0.0, kReal,
@@ -192,11 +191,11 @@ const std::vector<Flag>& flags() {
       text("--sweep-journal", "FILE", &S::journal_path,
            "journal completed plans for --resume"),
       number("--workers", "N", &O::workers, 1, kMaxWorkers,
-             "shard the campaign across N worker processes\n"
-             "(threads in a sweep), same results",
+             "shard the campaign (or a sweep's plans) across\n"
+             "N worker processes, same results",
              kCoordinatorOnly),
       on("--worker", &O::worker,
-         "run as a campaign worker (set by the coordinator)"),
+         "run as a worker (set by the coordinator)"),
       number("--worker-id", "N", &O::worker_id, 0, kInt,
              "this worker's id within the campaign"),
       text("--coordinator-socket", "fd:N", &O::coordinator_socket,
@@ -218,13 +217,16 @@ Result check_modes(Options& o) {
     error = mpism::validate_fault_plan(*o.explorer.fault, o.explorer.nprocs);
     if (!error.empty()) return Refusal{"bad --fault spec: " + error};
   }
+  if (o.worker && o.coordinator_socket.empty()) {
+    return Refusal{"--worker requires --coordinator-socket", true};
+  }
   if (o.sweep_faults) {
     // The sweep owns fault injection, campaign scheduling and its own
-    // journal; modes that would fight over those are refused.
+    // journal; modes that would fight over those are refused. A
+    // --worker runs the plans a sweep's coordinator sends it.
     const std::pair<bool, std::string> conflicts[] = {
         {!o.save_repro.empty(), "--save-repro"},
         {!o.explorer.checkpoint_path.empty(), "--checkpoint"},
-        {o.worker, "--worker"},
         {!o.replay.empty(), "--replay"},
         {o.isp, "--isp"},
         {!o.fault.empty(), "--fault"}};
@@ -237,11 +239,7 @@ Result check_modes(Options& o) {
       return Refusal{"--resume in sweep mode requires --sweep-journal FILE",
                      true};
     }
-  } else if (o.worker) {
-    if (o.coordinator_socket.empty()) {
-      return Refusal{"--worker requires --coordinator-socket", true};
-    }
-  } else if (o.resume && o.explorer.checkpoint_path.empty()) {
+  } else if (o.resume && !o.worker && o.explorer.checkpoint_path.empty()) {
     return Refusal{"--resume requires --checkpoint FILE", true};
   } else if (o.workers > 0 && o.isp && o.replay.empty()) {
     // A replay runs once in process and ignores both.

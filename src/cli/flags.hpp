@@ -26,7 +26,7 @@ constexpr int kMaxWorkers = 256;
 /// Everything a command line sets. Fields other modes read as well are
 /// mirrored by parse(): the program name into the checkpoint tag and the
 /// sweep, and --max-interleavings, --max-wall-seconds, --workers and
-/// --resume into the sweep's per-plan budgets, threads and resume.
+/// --resume into the sweep's per-plan budgets, workers and resume.
 struct Options {
   bool list = false;
   std::string program;

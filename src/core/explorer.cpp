@@ -1,11 +1,8 @@
 #include "core/explorer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <map>
-#include <mutex>
 #include <thread>
 #include <unordered_set>
 
@@ -333,11 +330,10 @@ void Explorer::schedule_for(int frame_pos, mpism::Rank alt,
 
 ExploreResult Explorer::explore(const mpism::ProgramFn& program,
                                 const RunObserver& observer) {
-  const auto t0 = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
   auto elapsed = [&t0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+    return std::chrono::duration<double>(Clock::now() - t0).count();
   };
 
   ExploreResult result;
@@ -345,14 +341,8 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
   pending_sleep_.clear();
   std::unordered_set<std::string> alert_keys;
 
-  // One CancelSource per campaign: external callers (SIGINT bridge,
-  // tests) may supply it; the global wall-budget watchdog below fires
-  // the same source. Must exist before the context copies options into
-  // its per-run plumbing.
-  if (!options_.cancel) {
-    options_.cancel = std::make_shared<mpism::CancelSource>();
-  }
-  const std::shared_ptr<mpism::CancelSource> cancel = options_.cancel;
+  const std::shared_ptr<mpism::CancelSource>& cancel = options_.cancel;
+  auto cancelled = [&cancel] { return cancel && cancel->requested(); };
   const std::string fingerprint = options_fingerprint(options_);
 
   // Every replay of the walk runs in this one warm context, into `run`,
@@ -361,36 +351,23 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
   SingleRun run;
   DAMPI_TRACE_THREAD_LANE("explore");
 
-  // Global wall budget enforced *inside* runs: a watchdog thread fires
-  // the campaign CancelSource at the deadline, so even an in-flight
-  // replay unwinds promptly instead of the budget only being noticed
-  // between runs.
-  std::mutex wd_mu;
-  std::condition_variable wd_cv;
-  bool wd_stop = false;
-  std::atomic<bool> wall_budget_fired{false};
-  std::thread watchdog;
+  // The global wall budget is a deadline every replay is armed with, so
+  // even an in-flight run ends (cancelled) once it passes instead of
+  // the budget only being noticed between runs.
+  Clock::time_point deadline{};
   if (options_.max_wall_seconds < 1e9) {
-    const auto deadline =
-        t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                 std::chrono::duration<double>(options_.max_wall_seconds));
-    watchdog = std::thread([&, deadline] {
-      std::unique_lock<std::mutex> lk(wd_mu);
-      if (!wd_cv.wait_until(lk, deadline, [&] { return wd_stop; })) {
-        wall_budget_fired.store(true, std::memory_order_release);
-        lk.unlock();
-        cancel->cancel("global wall budget exhausted");
-      }
-    });
+    deadline = t0 + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(
+                            options_.max_wall_seconds));
   }
-  auto stop_watchdog = [&] {
-    if (!watchdog.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lk(wd_mu);
-      wd_stop = true;
+  // A walk cut short by a cancelled run or a cancel between runs: out
+  // of time once the deadline has passed, interrupted otherwise.
+  auto mark_stopped = [&] {
+    if (deadline != Clock::time_point{} && Clock::now() >= deadline) {
+      result.time_budget_exhausted = true;
+    } else {
+      result.interrupted = true;
     }
-    wd_cv.notify_all();
-    watchdog.join();
   };
 
   // Crash-safe frontier journal (no-op without a checkpoint path).
@@ -421,11 +398,10 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
   // RunStats callback under its 1-based interleaving index.
   auto replay = [&](const Schedule& schedule, std::uint64_t index) {
     DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kBegin, 0, 0, 0, index);
-    const auto start = std::chrono::steady_clock::now();
-    context.run(schedule, program, &run);
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
+    const Clock::time_point start = Clock::now();
+    context.run(schedule, program, &run, deadline);
+    const double wall =
+        std::chrono::duration<double>(Clock::now() - start).count();
     DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kEnd, 0, 0, 0, index);
     if (options_.run_stats) {
       RunStats rs;
@@ -446,7 +422,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     replay(schedule, index);
     int attempt = 0;
     while (failed_retryably(run.report) && attempt < options_.max_retries &&
-           !cancel->requested()) {
+           !cancelled()) {
       ++attempt;
       ++result.retries;
       DAMPI_TEVENT(obs::EventKind::kRetry, obs::Phase::kInstant, attempt, 0, 0,
@@ -513,14 +489,8 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
 
   const bool stop_now = aborted_discovery || options_.discovery_only;
   while (!stop_now) {
-    if (cancel->requested()) {
-      // The cancel landed between runs (or a cancelled run already broke
-      // out below); classify it before walking on.
-      if (wall_budget_fired.load(std::memory_order_acquire)) {
-        result.time_budget_exhausted = true;
-      } else {
-        result.interrupted = true;
-      }
+    if (cancelled()) {
+      result.interrupted = true;
       break;
     }
     if (result.interleavings >= options_.max_interleavings) {
@@ -530,7 +500,6 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
       break;
     }
     if (elapsed() > options_.max_wall_seconds) {
-      // Backstop for the watchdog (e.g. it lost the race to arm).
       result.time_budget_exhausted = true;
       break;
     }
@@ -538,16 +507,14 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     // Serve pending work-steal requests before committing to the next
     // flip: each poll consumes one request; the carve mutates the stack
     // on this thread, so the thief and the victim can never race.
-    if (options_.steal_poll && options_.on_steal) {
-      while (options_.steal_poll()) {
-        std::shared_ptr<Checkpoint> stolen = carve_steal(stack_, fingerprint);
-        // The thief may run in another process: ship the current flaky
-        // accounting with the shard, like every other checkpoint.
-        if (stolen && options_.fault) {
-          stolen->fault_fires = options_.fault->fire_counts();
-        }
-        options_.on_steal(std::move(stolen));
+    while (options_.steal_poll && options_.steal_poll()) {
+      std::shared_ptr<Checkpoint> stolen = carve_steal(stack_, fingerprint);
+      // The thief may run in another process: ship the current flaky
+      // accounting with the shard, like every other checkpoint.
+      if (stolen && options_.fault) {
+        stolen->fault_fires = options_.fault->fire_counts();
       }
+      options_.on_steal(std::move(stolen));
     }
 
     // Deepest frame with an untried alternative.
@@ -592,11 +559,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
       // an uninterrupted walk.
       DfsFrame& f = stack_[static_cast<std::size_t>(flip)];
       f.untried.push_back(f.taken_src);
-      if (wall_budget_fired.load(std::memory_order_acquire)) {
-        result.time_budget_exhausted = true;
-      } else {
-        result.interrupted = true;
-      }
+      mark_stopped();
       break;
     }
     ++result.interleavings;
@@ -630,11 +593,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
   if (aborted_discovery) {
     // Discovery itself was cancelled: report the partial campaign but do
     // not journal it — there is no judged frontier to resume from.
-    if (wall_budget_fired.load(std::memory_order_acquire)) {
-      result.time_budget_exhausted = true;
-    } else {
-      result.interrupted = true;
-    }
+    mark_stopped();
   } else {
     // Final flush at every walk exit (completion, budget, cancellation)
     // so --resume always sees the newest frontier.
@@ -644,7 +603,6 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
   if (options_.export_frontier || options_.discovery_only) {
     result.frontier = stack_;
   }
-  stop_watchdog();
   result.total_wall_seconds = elapsed();
   return result;
 }

@@ -161,10 +161,10 @@ struct ExplorerOptions {
   /// verdicts, never retried.
   int max_retries = 0;
 
-  /// External cancellation (SIGINT bridge, tests). The explorer creates
-  /// one internally when unset — its global wall-budget watchdog fires
-  /// the same source, so `max_wall_seconds` cancels even an in-flight
-  /// replay.
+  /// External cancellation (SIGINT bridge, tests); may be unset. The
+  /// wall budget does not go through it: every replay is armed with the
+  /// campaign's deadline (`max_wall_seconds`), which ends even an
+  /// in-flight replay.
   std::shared_ptr<mpism::CancelSource> cancel;
 
   /// Deterministic fault injection applied to every run (see
@@ -213,8 +213,9 @@ struct ExplorerOptions {
   /// true the explorer carves off half of the shallowest non-empty
   /// untried list as a shard checkpoint — transferring ownership of every
   /// prefix site to the coordinator (escape_alts) — and hands it to
-  /// on_steal; nullptr means there was nothing to steal. Both hooks run
-  /// on the exploring thread.
+  /// on_steal, which must then be set; nullptr means there was nothing
+  /// to steal. Both hooks run on the exploring thread. A sweep worker
+  /// reads its coordinator channel in a steal_poll that returns false.
   std::function<bool()> steal_poll;
   std::function<void(std::shared_ptr<const Checkpoint>)> on_steal;
 };

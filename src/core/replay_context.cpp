@@ -54,7 +54,8 @@ mpism::ToolSetup ReplayContext::make_tools() const {
 }
 
 void ReplayContext::run(const Schedule& schedule,
-                        const mpism::ProgramFn& program, SingleRun* out) {
+                        const mpism::ProgramFn& program, SingleRun* out,
+                        std::chrono::steady_clock::time_point campaign_deadline) {
   if (shared_->options.extra_layers_per_run) {
     // Extra layers are made per run (the ISP baseline shares one
     // scheduler model among a run's ranks), so their stacks are too.
@@ -65,7 +66,7 @@ void ReplayContext::run(const Schedule& schedule,
   if (board_) board_->clear();
   // The run ends with every layer flushed into the sink (the engine's
   // reset flushes aborted ranks too) before the trace is taken.
-  engine_->run(program, &out->report);
+  engine_->run(program, &out->report, campaign_deadline);
   out->trace = sink_->take();
   out->divergences = shared_->divergences.load(std::memory_order_relaxed);
 }

@@ -21,6 +21,7 @@
 // the explorer owns one for a walk.
 #pragma once
 
+#include <chrono>
 #include <memory>
 
 #include "core/decision.hpp"
@@ -68,9 +69,11 @@ class ReplayContext {
   /// One guided run of `program` under `schedule`, into `*out`. Whatever
   /// `*out` held is discarded, but its storage (trace epochs, report
   /// tables) is reused — hand back the previous outcome to run without
-  /// allocating.
+  /// allocating. `campaign_deadline`, when set, ends the run cancelled
+  /// once it passes (mpism::Engine::run).
   void run(const Schedule& schedule, const mpism::ProgramFn& program,
-           SingleRun* out);
+           SingleRun* out,
+           std::chrono::steady_clock::time_point campaign_deadline = {});
 
   /// Objects checked out of the engine's pools: zero between runs.
   std::uint64_t pooled_live() const;

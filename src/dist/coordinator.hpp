@@ -3,16 +3,16 @@
 //
 // The coordinator performs the discovery run itself (or restores a
 // --resume journal), splits the resulting frontier into per-subtree
-// shards, and farms them out to a pool of worker processes it spawns
-// from `worker_argv` (verify_cli --worker). It then event-loops over
-// the worker channels: merging shard results (CampaignMerge — bug
-// dedup, counter sums, exactly-once escape processing), rebalancing by
-// asking busy workers to carve off half of their shallowest untried
-// list for idle ones, requeueing the shard of any worker that dies
-// mid-shard (from the worker's `<ckpt>.wN` journal when loadable, else
-// from the original shard text), respawning replacement workers, and
-// quarantining a shard only after repeated deaths. The merged campaign
-// verdict is identical to a single-process walk's, modulo order.
+// shards, and farms them out through a WorkerPool (pool.hpp) of worker
+// processes spawned from `worker_argv` (verify_cli --worker). On top of
+// the pool it merges shard results (CampaignMerge — bug dedup, counter
+// sums, exactly-once escape processing), rebalances by asking busy
+// workers to carve off half of their shallowest untried list for idle
+// ones, resumes the shard of a worker that died mid-shard from the
+// worker's `<ckpt>.wN` journal when loadable (else the pool resends the
+// original shard text), and quarantines a shard only after repeated
+// deaths. The merged campaign verdict is identical to a single-process
+// walk's, modulo order.
 #pragma once
 
 #include <cstdint>
@@ -22,15 +22,10 @@
 
 #include "core/explorer.hpp"
 #include "core/options.hpp"
+#include "dist/pool.hpp"
 #include "mpism/runtime.hpp"
 
 namespace dampi::dist {
-
-/// A shard survives this many worker deaths before it is quarantined.
-inline constexpr int kMaxShardRespawns = 2;
-/// A worker slot that keeps dying before completing HELLO (e.g. the
-/// binary fails to exec) aborts the campaign after this many attempts.
-inline constexpr int kMaxSpawnFailures = 3;
 
 struct DistOptions {
   int workers = 2;
@@ -40,7 +35,7 @@ struct DistOptions {
   /// socketpair it inherits across exec.
   std::vector<std::string> worker_argv;
   /// After CANCEL/SHUTDOWN, stragglers get this long before SIGKILL.
-  double shutdown_grace_seconds = 10.0;
+  double shutdown_grace_seconds = kShutdownGraceSeconds;
   /// The campaign's search options; must produce the same
   /// options_fingerprint as the workers built from worker_argv.
   /// checkpoint_path (if any) is the campaign journal — discovery

@@ -190,6 +190,22 @@ std::optional<core::Checkpoint> parse_shard(
                                 expected_fingerprint, error);
 }
 
+std::string serialize_plan(const PlanTask& plan) {
+  return strfmt("plan %llu %s\n", static_cast<unsigned long long>(plan.index),
+                plan.spec.c_str());
+}
+
+std::optional<PlanTask> parse_plan(const std::string& payload,
+                                   std::string* error) {
+  PlanTask plan;
+  LineReader in(payload);
+  if (!in.next() || in.keyword() != "plan" ||
+      !in.fields().read_exactly(&plan.index, &plan.spec) || in.next()) {
+    return refuse(error, "bad plan payload: want one 'plan <index> <spec>'");
+  }
+  return plan;
+}
+
 std::string serialize_escape(const core::EscapedAlt& escape,
                              const std::string& fingerprint) {
   return core::serialize_checkpoint(

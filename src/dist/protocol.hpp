@@ -1,5 +1,5 @@
-// Wire protocol between the campaign coordinator and its worker
-// processes (DESIGN.md §4.12).
+// Wire protocol between a coordinator — a campaign's or a fault
+// sweep's — and its worker processes (DESIGN.md §4.12).
 //
 // Transport: one AF_UNIX socketpair per worker. The coordinator spawns
 // every worker itself and the worker inherits its end across exec
@@ -13,7 +13,7 @@
 // embed one by byte length — so every message is inspectable with
 // nothing fancier than cat.
 //
-// Conversation:
+// Conversation of a campaign:
 //   worker     -> coordinator   HELLO   {worker id, options fingerprint}
 //   coordinator-> worker        SHARD   {shard id, checkpoint}
 //   worker     -> coordinator   ESCAPE  {candidate shard checkpoint}
@@ -23,6 +23,12 @@
 //   worker     -> coordinator   STOLEN  {checkpoint} | NO_STEAL
 //   coordinator-> worker        CANCEL  (unwind the in-flight shard)
 //   coordinator-> worker        SHUTDOWN
+// and of a fault sweep (the same pool, HELLO carrying the sweep
+// fingerprint):
+//   coordinator-> worker        PLAN    {plan index, canonical fault spec}
+//   worker     -> coordinator   RESULT  {sweep journal holding the plan's
+//                                        record, or no record when a
+//                                        CANCEL interrupted its campaign}
 #pragma once
 
 #include <cstdint>
@@ -49,6 +55,8 @@ enum class MsgType : std::uint16_t {
   /// so a worker death never strands an escape. Payload: the candidate
   /// shard checkpoint (see serialize_escape).
   kEscape = 9,
+  /// Coordinator -> sweep worker: one fault plan to run (PlanTask).
+  kPlan = 10,
 };
 
 struct WireMessage {
@@ -121,6 +129,16 @@ std::string serialize_escape(const core::EscapedAlt& escape,
 std::optional<core::EscapedAlt> parse_escape(
     const std::string& payload, const std::string& expected_fingerprint,
     std::string* error);
+
+/// PLAN payload: `plan <index> <canonical fault spec>`.
+struct PlanTask {
+  std::uint64_t index = 0;
+  std::string spec;
+};
+
+std::string serialize_plan(const PlanTask& plan);
+std::optional<PlanTask> parse_plan(const std::string& payload,
+                                   std::string* error);
 
 /// Everything one shard walk sends home. `result` carries the subset of
 /// ExploreResult a merge consumes (counts, bugs, alerts, pool counters,

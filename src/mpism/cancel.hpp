@@ -1,11 +1,11 @@
 // External cancellation for in-flight runs.
 //
 // A CancelSource is a thread-safe, shareable token: anything holding a
-// reference may request cancellation once (SIGINT bridge, the explorer's
-// global wall-budget watchdog, a test); every Engine whose RunOptions
-// carry the token subscribes for its lifetime and aborts its current (or
-// next) run when the token fires. One token may span many concurrent runs —
-// the fault sweep chains every plan campaign's source to its own, so a
+// reference may request cancellation once (SIGINT bridge, a worker
+// told to CANCEL by its coordinator, a test); every Engine whose
+// RunOptions carry the token subscribes for its lifetime and aborts its
+// current (or next) run when the token fires. One token may span many
+// runs — every plan campaign of a fault sweep shares the sweep's, so a
 // single cancel() stops the whole sweep.
 #pragma once
 

@@ -156,9 +156,15 @@ Engine::Engine(RunOptions options)
     EngineGuard all(lock_, EngineGuard::kAllShards);
     declare_deadlock(all);
   };
+  // The armed wall deadline has passed: a cancel when it was the
+  // campaign's, a timeout verdict when it was the run's own.
   callbacks_.on_deadline = [this] {
-    declare_timeout(strfmt("run wall deadline exceeded (%.3f s)",
-                           opts_.max_run_wall_seconds));
+    if (deadline_is_campaigns_) {
+      cancel("global wall budget exhausted");
+    } else {
+      declare_timeout(strfmt("run wall deadline exceeded (%.3f s)",
+                             opts_.max_run_wall_seconds));
+    }
   };
 
   // Subscribe once for the engine's lifetime; if the source already
@@ -193,17 +199,23 @@ RunReport Engine::run(const ProgramFn& program) {
   return report;
 }
 
-void Engine::run(const ProgramFn& program, RunReport* out) {
-  const auto t0 = std::chrono::steady_clock::now();
+void Engine::run(const ProgramFn& program, RunReport* out,
+                 std::chrono::steady_clock::time_point campaign_deadline) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
   program_ = &program;
-  has_wall_deadline_ = opts_.max_run_wall_seconds > 0.0;
-  callbacks_.deadline = {};
-  if (has_wall_deadline_) {
-    run_deadline_ =
-        t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+  run_deadline_ = campaign_deadline;
+  if (opts_.max_run_wall_seconds > 0.0) {
+    const Clock::time_point own =
+        t0 + std::chrono::duration_cast<Clock::duration>(
                  std::chrono::duration<double>(opts_.max_run_wall_seconds));
-    callbacks_.deadline = run_deadline_;
+    run_deadline_ = campaign_deadline == Clock::time_point{}
+                        ? own
+                        : std::min(campaign_deadline, own);
   }
+  deadline_is_campaigns_ = run_deadline_ == campaign_deadline;
+  has_wall_deadline_ = run_deadline_ != Clock::time_point{};
+  callbacks_.deadline = run_deadline_;
   budgets_armed_ = has_wall_deadline_ || opts_.max_ops > 0;
   sched_->run(callbacks_);
 
@@ -220,8 +232,7 @@ void Engine::run(const ProgramFn& program, RunReport* out) {
     report.vtime_us = std::max(report.vtime_us, pr_ptr->vt());
   }
   report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+      std::chrono::duration<double>(Clock::now() - t0).count();
   report.stats = stats_;
   report.stats.tool_messages = tool_messages_.load(std::memory_order_relaxed);
   report.messages_sent = messages_sent_.load(std::memory_order_relaxed);
@@ -600,8 +611,7 @@ bool Engine::charge_op() {
     // microseconds apart, so the detection slack is negligible, while a
     // blocked rank is woken exactly at the deadline by the scheduler's
     // timed wait regardless of this stride.
-    declare_timeout(strfmt("run wall deadline exceeded (%.3f s)",
-                           opts_.max_run_wall_seconds));
+    callbacks_.on_deadline();
   }
   return !stopped();
 }

@@ -94,8 +94,12 @@ class Engine {
   ~Engine();
 
   RunReport run(const ProgramFn& program);
-  /// run() into a caller-owned report, whose buffers are reused.
-  void run(const ProgramFn& program, RunReport* report);
+  /// run() into a caller-owned report, whose buffers are reused. A set
+  /// `campaign_deadline` (the explorer's wall budget) arms the run with
+  /// the earlier of it and the run's own deadline: reaching the
+  /// campaign's ends the run cancelled, not timed out.
+  void run(const ProgramFn& program, RunReport* report,
+           std::chrono::steady_clock::time_point campaign_deadline = {});
 
   /// Replaces the tool setup for the following runs; every rank's stack
   /// is rebuilt from it. Call between runs only.
@@ -466,6 +470,7 @@ class Engine {
   std::vector<ErrorInfo> errors_;
   bool budgets_armed_ = false;
   bool has_wall_deadline_ = false;
+  bool deadline_is_campaigns_ = false;
   std::chrono::steady_clock::time_point run_deadline_{};
   std::atomic<std::uint64_t> ops_executed_{0};
   std::atomic<std::uint64_t> messages_sent_{0};

@@ -25,8 +25,9 @@ struct RunReport {
   /// op count) — a watchdog verdict for a possible hang or
   /// livelock; the explorer reports it as a kHang bug.
   bool timed_out = false;
-  /// The run was ended early by an external CancelSource (global wall
-  /// budget, SIGINT); the run's outcome is unusable, not a bug.
+  /// The run was ended early by an external CancelSource (SIGINT) or
+  /// by its campaign's wall deadline; the run's outcome is unusable,
+  /// not a bug.
   bool cancelled = false;
   /// Which budget or cancel reason ended the run; empty otherwise.
   std::string stop_reason;

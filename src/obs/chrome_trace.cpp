@@ -1,10 +1,13 @@
 #include "obs/chrome_trace.hpp"
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <utility>
 
 #include "common/line_record.hpp"
 #include "common/strutil.hpp"
@@ -31,21 +34,23 @@ void append_args(std::string& out, const KindInfo& info,
 }  // namespace
 
 std::string chrome_trace_json(const std::vector<LaneSnapshot>& lanes) {
+  const int pid = static_cast<int>(::getpid());
   std::string out = "[\n";
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-         "\"args\":{\"name\":\"dampi\"}}";
+  out += strfmt("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
+                "\"tid\":0,\"args\":{\"name\":\"dampi\"}}",
+                pid);
   for (std::size_t tid = 0; tid < lanes.size(); ++tid) {
     const LaneSnapshot& lane = lanes[tid];
-    out += strfmt(",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+    out += strfmt(",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
                   "\"tid\":%zu,\"args\":{\"name\":\"%s\"}}",
-                  tid + 1, lane.name.c_str());
+                  pid, tid + 1, lane.name.c_str());
     const std::uint64_t dropped =
         lane.emitted - static_cast<std::uint64_t>(lane.events.size());
     if (dropped > 0) {
       out += strfmt(",\n{\"name\":\"events dropped (ring wrapped)\","
-                    "\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%zu,"
+                    "\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%zu,"
                     "\"ts\":0.000,\"args\":{\"dropped\":%llu}}",
-                    tid + 1, static_cast<unsigned long long>(dropped));
+                    pid, tid + 1, static_cast<unsigned long long>(dropped));
     }
     for (const TraceEvent& event : lane.events) {
       const KindInfo& info = kind_info(event.kind);
@@ -55,7 +60,8 @@ std::string chrome_trace_json(const std::vector<LaneSnapshot>& lanes) {
                                                      : "i";
       out += strfmt(",\n{\"name\":\"%s\",\"ph\":\"%s\"", info.name, ph);
       if (event.phase == Phase::kInstant) out += ",\"s\":\"t\"";
-      out += strfmt(",\"pid\":1,\"tid\":%zu,\"ts\":%.3f", tid + 1, ts_us);
+      out += strfmt(",\"pid\":%d,\"tid\":%zu,\"ts\":%.3f", pid, tid + 1,
+                    ts_us);
       append_args(out, info, event);
       out += "}";
     }
@@ -64,9 +70,21 @@ std::string chrome_trace_json(const std::vector<LaneSnapshot>& lanes) {
   return out;
 }
 
-bool write_chrome_trace(const std::string& path) {
-  return write_file_atomic(path,
-                           chrome_trace_json(Tracer::instance().snapshot()));
+bool write_chrome_trace(const std::string& path, int workers) {
+  std::string json = chrome_trace_json(Tracer::instance().snapshot());
+  for (int w = 0; w < workers; ++w) {
+    const std::string part = path + ".w" + std::to_string(w);
+    const auto text = read_file(part, nullptr);
+    std::remove(part.c_str());
+    // Both are "[\n<events>\n]\n": the worker's events go in before the
+    // closing bracket.
+    const std::size_t first = text ? text->find('{') : std::string::npos;
+    const std::size_t last = text ? text->rfind('}') : std::string::npos;
+    if (first == std::string::npos || last == std::string::npos) continue;
+    json.insert(json.rfind("\n]"),
+                ",\n" + text->substr(first, last - first + 1));
+  }
+  return write_file_atomic(path, json);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,7 +216,7 @@ bool validate_chrome_trace(const std::string& json, std::string* error,
   JsonReader r(json);
   if (!r.eat('[')) return set_error(r.error());
 
-  std::map<double, double> last_ts_by_tid;
+  std::map<std::pair<double, double>, double> last_ts_by_lane;
   std::size_t events = 0;
   if (!r.peek(']')) {
     while (true) {
@@ -238,12 +256,12 @@ bool validate_chrome_trace(const std::string& json, std::string* error,
       }
       if (*ph != "M") {
         if (!ts) return set_error(strfmt("event %zu: missing ts", events));
-        auto [it, inserted] = last_ts_by_tid.try_emplace(*tid, *ts);
+        auto [it, inserted] = last_ts_by_lane.try_emplace({*pid, *tid}, *ts);
         if (!inserted) {
           if (*ts < it->second) {
             return set_error(strfmt(
-                "event %zu: ts went backwards on tid %g (%f < %f)", events,
-                *tid, *ts, it->second));
+                "event %zu: ts went backwards on pid %g tid %g (%f < %f)",
+                events, *pid, *tid, *ts, it->second));
           }
           it->second = *ts;
         }
@@ -257,7 +275,7 @@ bool validate_chrome_trace(const std::string& json, std::string* error,
   }
   if (!r.eat(']')) return set_error(r.error());
   if (!r.at_end()) return set_error("trailing content after array");
-  if (lanes_out != nullptr) *lanes_out = last_ts_by_tid.size();
+  if (lanes_out != nullptr) *lanes_out = last_ts_by_lane.size();
   return true;
 }
 

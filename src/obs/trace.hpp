@@ -1,7 +1,7 @@
 // Lock-free per-thread event tracer.
 //
-// Every participating thread (simulated rank, replay worker, the
-// exploring thread) claims a *lane*: a fixed-capacity single-producer
+// Every participating thread (simulated rank, the exploring thread, a
+// sweep's thread) claims a *lane*: a fixed-capacity single-producer
 // ring buffer of POD events stamped with monotonic timestamps. Emitting
 // is wait-free and allocation-free — one relaxed load of the global
 // enable flag, one slot write, one release store — so instrumentation
@@ -51,7 +51,7 @@ enum class EventKind : std::uint16_t {
   kQuarantine,      ///< instant: decision subtree quarantined; d=interleaving
   kCheckpoint,      ///< span: checkpoint write; a=frames d=interleaving
   // fault sweep (lane: "sweep")
-  kSweepPlan,       ///< span: one plan campaign; a=plan b=verdict d=interleavings
+  kSweepPlan,       ///< instant: plan recorded; a=plan b=verdict d=interleavings
   kKindCount
 };
 

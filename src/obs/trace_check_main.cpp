@@ -3,7 +3,9 @@
 //   trace_check out.json [--min-lanes N]
 //
 // Exits 0 when the file is a well-formed trace with monotonic per-lane
-// timestamps (and at least N event-carrying lanes when requested);
+// timestamps, a lane being one (pid, tid) — a thread of the coordinator
+// or of a worker process — (and at least N event-carrying lanes when
+// requested);
 // prints the failure and exits 1 otherwise. Used by scripts/tier1.sh as
 // the trace smoke-test gate.
 #include <cstdio>

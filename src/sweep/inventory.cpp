@@ -48,16 +48,10 @@ OpInventory harvest_inventory(const core::ExplorerOptions& base,
   auto ops = std::make_shared<std::vector<std::string>>(
       static_cast<std::size_t>(base.nprocs));
 
+  // One guided run: of the explorer's hooks and journals only the fault
+  // plan would reach it, and the harvest is fault-free.
   core::ExplorerOptions options = base;
   options.fault.reset();
-  options.checkpoint_path.clear();
-  options.resume_from.reset();
-  options.discovery_only = false;
-  options.export_frontier = false;
-  options.on_escape = nullptr;
-  options.steal_poll = nullptr;
-  options.on_steal = nullptr;
-  options.run_stats = nullptr;
   // Stack the counter exactly where FaultLayer will sit during the
   // injection campaigns: topmost, above any baseline extras, so both
   // see the same user-facing call sequence and the coordinates line up.

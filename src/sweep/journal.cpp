@@ -60,7 +60,6 @@ std::optional<SweepJournal> parse_sweep_journal(
         return refuse(error,
                       in.at("unknown verdict '" + std::string(verdict) + "'"));
       }
-      record.from_journal = true;
       if (!journal.records.emplace(record.index, std::move(record)).second) {
         return refuse(error, in.at("duplicate plan index"));
       }

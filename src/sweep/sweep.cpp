@@ -1,16 +1,17 @@
 #include "sweep/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <mutex>
+#include <exception>
+#include <optional>
 #include <random>
 #include <set>
-#include <thread>
 #include <utility>
 
+#include "common/logging.hpp"
 #include "common/strutil.hpp"
 #include "core/checkpoint.hpp"
+#include "dist/pool.hpp"
+#include "dist/worker.hpp"
 #include "mpism/fault.hpp"
 #include "obs/trace.hpp"
 #include "sweep/journal.hpp"
@@ -24,12 +25,6 @@ namespace {
 /// under an injection is a kHang verdict (livelock), independent of host
 /// speed. Verdict-affecting, so the fingerprint prints it (`planops=`).
 constexpr std::uint64_t kPlanMaxRunOps = 1u << 20;
-
-/// Campaign spawn failures (exceptions out of the explorer) are retried
-/// this many times, the backoff doubling from 10 ms, before the plan is
-/// recorded as sweep-error (a coverage hole, not a crash of the sweep).
-constexpr int kMaxPlanRespawns = 2;
-constexpr double kRespawnBackoffMs = 10.0;
 
 /// Dedup key over the coordinate a point occupies, ignoring its
 /// parameter (delay length, flaky cap): two delay plans at the same
@@ -81,20 +76,18 @@ std::string json_escape(const std::string& text) {
 /// be independent and deterministic so the report is a pure function of
 /// the sweep inputs.
 core::ExplorerOptions campaign_options(
-    const SweepOptions& sweep, std::shared_ptr<mpism::FaultPlan> plan,
-    std::shared_ptr<mpism::CancelSource> cancel) {
+    const SweepOptions& sweep, std::shared_ptr<mpism::FaultPlan> plan) {
   core::ExplorerOptions opts = sweep.explorer;
   opts.fault = std::move(plan);
   opts.max_interleavings = sweep.plan_max_interleavings;
   opts.max_wall_seconds = sweep.plan_wall_seconds;
   if (opts.max_run_ops == 0) opts.max_run_ops = kPlanMaxRunOps;
-  opts.cancel = std::move(cancel);
+  opts.cancel = sweep.cancel;
   opts.checkpoint_path.clear();
   opts.resume_from.reset();
   opts.discovery_only = false;
   opts.export_frontier = false;
   opts.on_escape = nullptr;
-  opts.steal_poll = nullptr;
   opts.on_steal = nullptr;
   opts.run_stats = nullptr;
   // A flaky point is the transient fault the retry path exists for:
@@ -107,6 +100,45 @@ core::ExplorerOptions campaign_options(
     }
   }
   return opts;
+}
+
+PlanRecord sweep_error(std::uint64_t index, const std::string& spec,
+                       std::string why) {
+  PlanRecord record;
+  record.index = index;
+  record.spec = spec;
+  record.verdict = Verdict::kSweepError;
+  record.latent_error = std::move(why);
+  return record;
+}
+
+/// One plan's bounded campaign, the same code in the serial loop and in
+/// a plan worker: its record, or nullopt when a cancel interrupted it (no
+/// verdict; never journalled, so a resume re-runs the plan from scratch
+/// — the kill/resume exactness contract). `poll` runs between the
+/// campaign's replays.
+std::optional<PlanRecord> run_plan(const SweepOptions& options,
+                                   std::uint64_t index, const std::string& spec,
+                                   const mpism::ProgramFn& program,
+                                   std::function<bool()> poll) {
+  std::string error;
+  const auto plan = mpism::parse_fault_plan(spec, &error);
+  if (plan) {
+    core::ExplorerOptions opts = campaign_options(options, plan);
+    opts.steal_poll = std::move(poll);
+    try {
+      const core::ExploreResult outcome =
+          core::Explorer(std::move(opts)).explore(program);
+      if (outcome.interrupted) return std::nullopt;
+      return classify_campaign(index, spec, outcome, plan->total_fires());
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  }
+  // Enumeration emits canonical specs, and the explorer throws only on
+  // an internal error: either is a coverage hole, not a crash of the
+  // sweep.
+  return sweep_error(index, spec, error);
 }
 
 }  // namespace
@@ -249,31 +281,6 @@ PlanRecord classify_campaign(std::uint64_t index, const std::string& spec,
   return record;
 }
 
-core::ExploreResult run_plan_with_respawn(
-    const std::function<core::ExploreResult()>& runner, int max_respawns,
-    double backoff_ms, std::uint64_t* respawns, std::string* error) {
-  double backoff = backoff_ms;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return runner();
-    } catch (const std::exception& e) {
-      if (attempt >= max_respawns) {
-        *error = e.what();
-        return core::ExploreResult{};
-      }
-    } catch (...) {
-      if (attempt >= max_respawns) {
-        *error = "unknown campaign spawn failure";
-        return core::ExploreResult{};
-      }
-    }
-    if (respawns != nullptr) ++*respawns;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(backoff));
-    backoff *= 2.0;
-  }
-}
-
 SweepResult run_sweep(const SweepOptions& options,
                       const mpism::ProgramFn& program) {
   SweepResult result;
@@ -299,10 +306,9 @@ SweepResult run_sweep(const SweepOptions& options,
   result.truncated = result.planned - specs.size();
   const std::string fingerprint = sweep_fingerprint(options);
 
-  // Completed-plan slots, filled by index so worker scheduling can
-  // never reorder the report.
-  std::vector<PlanRecord> slots(specs.size());
-  std::vector<char> done(specs.size(), 0);
+  // Completed-plan slots, filled by index so completion order can never
+  // reorder the report.
+  std::vector<std::optional<PlanRecord>> slots(specs.size());
 
   SweepJournal journal;
   journal.fingerprint = fingerprint;
@@ -324,122 +330,124 @@ SweepResult run_sweep(const SweepOptions& options,
         return result;
       }
       slots[index] = record;
-      done[index] = 1;
       ++result.resumed;
     }
   }
 
-
-  std::mutex mu;  // journal writes, result counters, on_plan_done
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> interrupted{false};
-
-  const auto worker_loop = [&](int worker_index) {
-    DAMPI_TRACE_THREAD_LANE(strfmt("sweep %d", worker_index));
-    while (true) {
-      const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= specs.size()) return;
-      if (done[index] != 0) continue;  // satisfied from the journal
-      if (options.cancel && options.cancel->requested()) {
-        interrupted.store(true, std::memory_order_relaxed);
-        return;
-      }
-
-      std::string parse_error;
-      auto plan = mpism::parse_fault_plan(specs[index], &parse_error);
-      if (!plan) {
-        // Enumeration emits canonical specs; a parse failure here is a
-        // sweep bug, recorded as a coverage hole rather than a crash.
-        PlanRecord record;
-        record.index = index;
-        record.spec = specs[index];
-        record.verdict = Verdict::kSweepError;
-        record.latent_error = parse_error;
-        std::lock_guard<std::mutex> lk(mu);
-        slots[index] = record;
-        done[index] = 1;
-        continue;
-      }
-
-      // Per-plan cancel chained to the sweep-wide source, so one SIGINT
-      // stops every in-flight campaign; the chain is detached before
-      // the plan's source dies.
-      auto plan_cancel = std::make_shared<mpism::CancelSource>();
-      std::uint64_t subscription = 0;
-      if (options.cancel) {
-        subscription = options.cancel->subscribe(
-            [plan_cancel](const std::string& reason) {
-              plan_cancel->cancel(reason);
-            });
-      }
-      const core::ExplorerOptions opts =
-          campaign_options(options, plan, plan_cancel);
-      std::uint64_t respawns = 0;
-      std::string spawn_error;
-      const core::ExploreResult outcome = run_plan_with_respawn(
-          [&opts, &program]() {
-            core::Explorer explorer(opts);
-            return explorer.explore(program);
-          },
-          kMaxPlanRespawns, kRespawnBackoffMs, &respawns, &spawn_error);
-      if (options.cancel) options.cancel->unsubscribe(subscription);
-
-      if (outcome.interrupted) {
-        // Cancelled mid-campaign: no verdict. Not journalled, so a
-        // resume re-runs this plan from scratch — the kill/resume
-        // exactness contract.
-        interrupted.store(true, std::memory_order_relaxed);
-        return;
-      }
-
-      PlanRecord record;
-      if (!spawn_error.empty()) {
-        record.index = index;
-        record.spec = specs[index];
-        record.verdict = Verdict::kSweepError;
-        record.latent_error = spawn_error;
-      } else {
-        record = classify_campaign(index, specs[index], outcome,
-                                   plan->total_fires());
-      }
-      DAMPI_TEVENT(obs::EventKind::kSweepPlan, obs::Phase::kInstant,
-                   static_cast<std::int32_t>(index),
-                   static_cast<std::int32_t>(record.verdict), 0,
-                   record.interleavings);
-
-      std::lock_guard<std::mutex> lk(mu);
-      slots[index] = record;
-      done[index] = 1;
-      ++result.executed;
-      result.respawns += respawns;
-      if (!options.journal_path.empty()) {
-        journal.records[index] = record;
-        save_sweep_journal(journal, options.journal_path);
-      }
-      if (options.on_plan_done) options.on_plan_done(record);
+  DAMPI_TRACE_THREAD_LANE("sweep");
+  const auto cancelled = [&options] {
+    return options.cancel && options.cancel->requested();
+  };
+  // Records a finished plan: its slot, the journal, the progress hook.
+  const auto record = [&](PlanRecord plan) {
+    DAMPI_TEVENT(obs::EventKind::kSweepPlan, obs::Phase::kInstant,
+                 static_cast<std::int32_t>(plan.index),
+                 static_cast<std::int32_t>(plan.verdict), 0,
+                 plan.interleavings);
+    const PlanRecord& slot = slots[plan.index].emplace(std::move(plan));
+    ++result.executed;
+    if (!options.journal_path.empty()) {
+      journal.records[slot.index] = slot;
+      save_sweep_journal(journal, options.journal_path);
     }
+    if (options.on_plan_done) options.on_plan_done(slot);
   };
 
-  const int workers =
-      std::max(1, std::min(options.workers,
-                           static_cast<int>(specs.empty() ? 1 : specs.size())));
-  if (workers == 1) {
-    worker_loop(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back(worker_loop, w);
+  if (options.workers <= 1) {
+    for (std::size_t index = 0; index < specs.size() && !cancelled();
+         ++index) {
+      if (slots[index].has_value()) continue;  // satisfied from the journal
+      auto plan = run_plan(options, index, specs[index], program, nullptr);
+      if (!plan.has_value()) break;
+      record(std::move(*plan));
     }
-    for (std::thread& t : pool) t.join();
+  } else if (options.worker_argv.empty()) {
+    result.error = "sweep: workers > 1 needs a worker argv";
+    return result;
+  } else {
+    dist::WorkerPool pool(options.workers, options.worker_argv, fingerprint,
+                          dist::kShutdownGraceSeconds);
+    for (std::size_t index = 0; index < specs.size(); ++index) {
+      if (slots[index].has_value()) continue;
+      pool.push({index, dist::MsgType::kPlan,
+                 dist::serialize_plan({index, specs[index]})});
+    }
+    dist::WorkerPool::Hooks hooks;
+    hooks.cancel_requested = cancelled;
+    hooks.on_message = [&](dist::Worker& w, dist::WireMessage& msg) {
+      // The answer holds the plan's record, or none when a cancel
+      // interrupted its campaign.
+      std::string error = "not a plan answer";
+      std::optional<SweepJournal> answer;
+      if (msg.type == dist::MsgType::kResult && w.task.has_value()) {
+        answer = parse_sweep_journal(msg.payload, fingerprint, &error);
+      }
+      if (!answer.has_value() ||
+          answer->records.size() != answer->records.count(w.task->id)) {
+        pool.protocol_error(w, "bad plan answer: " + error);
+        return;
+      }
+      pool.finish(w);
+      // Answers landing after a cancel are dropped like the plans still
+      // in flight: an interrupted sweep holds only the plans finished
+      // before it.
+      if (answer->records.size() == 1 && !cancelled()) {
+        record(std::move(answer->records.begin()->second));
+      }
+    };
+    hooks.on_abandoned = [&](const dist::Task& task) {
+      record(sweep_error(task.id, specs[task.id],
+                         strfmt("its worker died %d times", task.deaths)));
+    };
+    const std::string error = pool.run(hooks);
+    result.requeued = pool.requeued();
+    if (!error.empty()) {
+      result.error = "sweep workers: " + error;
+      return result;
+    }
   }
 
-  result.interrupted = interrupted.load(std::memory_order_relaxed) ||
-                       (options.cancel && options.cancel->requested());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (done[i] != 0) result.records.push_back(slots[i]);
+  result.interrupted = cancelled();
+  for (std::optional<PlanRecord>& slot : slots) {
+    if (slot.has_value()) result.records.push_back(std::move(*slot));
   }
   return result;
+}
+
+int run_sweep_worker(const std::string& socket_spec, int worker_id,
+                     SweepOptions options, const mpism::ProgramFn& program) {
+  const std::string fingerprint = sweep_fingerprint(options);
+  const std::unique_ptr<dist::MessageChannel> channel =
+      dist::join_pool(socket_spec, worker_id, fingerprint);
+  if (!channel) return 3;
+  // One cancel source for the worker's lifetime: a CANCEL ends the plan
+  // in flight (read between its runs) and every plan after it.
+  options.cancel = std::make_shared<mpism::CancelSource>();
+  bool shutdown = false;
+  const auto poll = [&] {
+    dist::poll_coordinator(*channel, *options.cancel, &shutdown);
+    return false;
+  };
+  while (auto msg = dist::next_task(*channel, *options.cancel, &shutdown)) {
+    std::string error = "unexpected message type";
+    const auto task = msg->type == dist::MsgType::kPlan
+                          ? dist::parse_plan(msg->payload, &error)
+                          : std::nullopt;
+    if (!task.has_value()) {
+      DAMPI_LOG(kError) << "worker " << worker_id << ": " << error;
+      return 3;
+    }
+    SweepJournal answer;
+    answer.fingerprint = fingerprint;
+    if (auto plan = run_plan(options, task->index, task->spec, program, poll)) {
+      answer.records[task->index] = std::move(*plan);
+    }
+    if (!channel->send(dist::MsgType::kResult,
+                       serialize_sweep_journal(answer))) {
+      break;
+    }
+  }
+  return shutdown ? 0 : 3;
 }
 
 std::string format_sweep_report_json(const SweepOptions& options,
@@ -515,12 +523,12 @@ std::string format_sweep_summary(const SweepOptions& options,
                 static_cast<unsigned long long>(result.inventory.total_ops()));
   out += strfmt(
       "  plans: %zu completed of %llu enumerated (%llu over budget); "
-      "%llu executed, %llu resumed, %llu respawns%s\n",
+      "%llu executed, %llu resumed, %llu requeued%s\n",
       result.records.size(), static_cast<unsigned long long>(result.planned),
       static_cast<unsigned long long>(result.truncated),
       static_cast<unsigned long long>(result.executed),
       static_cast<unsigned long long>(result.resumed),
-      static_cast<unsigned long long>(result.respawns),
+      static_cast<unsigned long long>(result.requeued),
       result.interrupted ? " — INTERRUPTED" : "");
 
   for (int v = 0; v < 6; ++v) {

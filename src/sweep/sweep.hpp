@@ -6,14 +6,17 @@
 // error point, plus seeded-RNG-sampled delay and flaky perturbations —
 // and each plan gets one bounded exploration campaign reusing the
 // explorer's watchdog/retry/quarantine machinery. Campaigns are
-// independent, so `workers` of them run concurrently; each is
-// classified into one Verdict, making the final report a pure function
-// of (program, options, budget, seed) at any worker count.
+// independent: with `workers` > 1 they run on worker processes, handed
+// out as PLAN frames through the same pool (dist/pool.hpp) a
+// distributed campaign shards over. Each is classified into one
+// Verdict, making the final report a pure function of (program,
+// options, budget, seed) at any worker count.
 //
 // Robustness both ways: per-plan interleaving/wall budgets bound each
-// campaign, campaign spawn failures are respawned with bounded backoff,
-// and completed plans stream into a crash-safe journal (journal.hpp) so
-// a killed sweep resumes without re-running anything it finished.
+// campaign, the plan of a worker that dies is requeued (and recorded
+// sweep-error after repeated deaths), and completed plans stream into a
+// crash-safe journal (journal.hpp), which only the coordinator writes,
+// so a killed sweep resumes without re-running anything it finished.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +49,14 @@ struct SweepOptions {
   int delay_samples = 8;
   int flaky_samples = 8;
 
-  /// Concurrent plan campaigns (threads in this process). Does not
-  /// affect the report payload.
+  /// Worker processes running plan campaigns; 1 runs them one after
+  /// another in this process. Does not affect the report payload.
   int workers = 1;
+  /// Base argv of a plan worker, as DistOptions::worker_argv: each is
+  /// spawned with `--worker --worker-id N --coordinator-socket fd:M`
+  /// appended and must HELLO with this sweep's sweep_fingerprint (a
+  /// verify_cli given this sweep's flags, say). Needed when workers > 1.
+  std::vector<std::string> worker_argv;
 
   /// Per-plan campaign budgets (verdict-affecting: fingerprinted).
   std::uint64_t plan_max_interleavings = 256;
@@ -65,7 +73,8 @@ struct SweepOptions {
   /// interrupted.
   std::shared_ptr<mpism::CancelSource> cancel;
 
-  /// Invoked once per completed plan, serialized (progress display).
+  /// Invoked once per completed plan, in the coordinating process
+  /// (progress display).
   std::function<void(const PlanRecord&)> on_plan_done;
 };
 
@@ -76,9 +85,9 @@ struct SweepResult {
   std::vector<PlanRecord> records;
   std::uint64_t planned = 0;    ///< plans enumerated before truncation
   std::uint64_t truncated = 0;  ///< dropped by the budget
-  std::uint64_t executed = 0;   ///< campaigns run by this process
+  std::uint64_t executed = 0;   ///< campaigns run for this sweep
   std::uint64_t resumed = 0;    ///< satisfied from the journal
-  std::uint64_t respawns = 0;   ///< campaign spawn retries
+  std::uint64_t requeued = 0;   ///< plans resent after their worker died
   bool interrupted = false;
   std::string error;  ///< fatal sweep failure (bad options, journal, ...)
 };
@@ -105,16 +114,15 @@ PlanRecord classify_campaign(std::uint64_t index, const std::string& spec,
                              const core::ExploreResult& result,
                              std::uint64_t fires);
 
-/// Bounded-backoff respawn wrapper around one campaign execution:
-/// retries `runner` up to `max_respawns` times when it throws,
-/// incrementing `*respawns` per retry; on exhaustion fills `*error`
-/// (the sweep-error verdict) and returns a default result.
-core::ExploreResult run_plan_with_respawn(
-    const std::function<core::ExploreResult()>& runner, int max_respawns,
-    double backoff_ms, std::uint64_t* respawns, std::string* error);
-
 SweepResult run_sweep(const SweepOptions& options,
                       const mpism::ProgramFn& program);
+
+/// A plan worker of a `workers` > 1 sweep: joins the coordinator over
+/// `socket_spec` ("fd:N"), then runs each PLAN's campaign with the code
+/// the serial loop runs and answers with a one-record sweep journal.
+/// Returns 0 after SHUTDOWN, nonzero when the channel or protocol fails.
+int run_sweep_worker(const std::string& socket_spec, int worker_id,
+                     SweepOptions options, const mpism::ProgramFn& program);
 
 /// Machine-readable crash-tolerance report. Byte-identical for the same
 /// (program, options, budget, seed) at any worker count and across

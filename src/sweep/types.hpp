@@ -61,10 +61,6 @@ struct PlanRecord {
   /// First program error not caused by the injection itself (empty when
   /// every error was the injected fault).
   std::string latent_error;
-  /// Satisfied from the sweep journal on --resume; not executed by this
-  /// process. Excluded from the report payload (byte-identity across
-  /// kill/resume), counted in SweepResult::resumed.
-  bool from_journal = false;
 };
 
 /// Which fault families the enumeration emits.

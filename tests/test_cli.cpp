@@ -250,8 +250,8 @@ TEST(Cli, ModeConflictsAreRefused) {
        "--sweep-faults cannot be combined with --isp"},
       {{"--sweep-faults", "--replay", "d.txt"},
        "--sweep-faults cannot be combined with --replay"},
-      {{"--sweep-faults", "--worker", "--coordinator-socket", "fd:3"},
-       "--sweep-faults cannot be combined with --worker"},
+      {{"--sweep-faults", "--worker"},
+       "--worker requires --coordinator-socket"},
       {{"--sweep-faults", "--checkpoint", "c.ckpt"},
        "--sweep-faults cannot be combined with --checkpoint"},
       {{"--sweep-faults", "--save-repro", "r.txt"},
@@ -279,6 +279,7 @@ TEST(Cli, ModeConflictsAreRefused) {
   }
   const Args accepted[] = {
       {"--sweep-faults", "--resume", "--sweep-journal", "s.journal"},
+      {"--sweep-faults", "--worker", "--coordinator-socket", "fd:3"},
       {"--worker", "--resume", "--coordinator-socket", "fd:3"},
       {"--resume", "--checkpoint", "c.ckpt"},
       {"--workers", "2", "--isp", "--replay", "d.txt"},
@@ -315,8 +316,7 @@ TEST(Cli, WorkerArgvReproducesTheCoordinatorsOptions) {
 
   const Args worker = parent.options.worker_args;
   Args expected = coordinator;
-  for (const char* gone : {"--save-repro", "--trace", "--trace-capacity",
-                           "--workers"}) {
+  for (const char* gone : {"--save-repro", "--workers"}) {
     const auto at = std::find(expected.begin(), expected.end(), gone);
     ASSERT_NE(at, expected.end());
     expected.erase(at, at + 2);

@@ -32,6 +32,7 @@
 #include "mpism/cancel.hpp"
 #include "mpism/fault.hpp"
 #include "support/verify_helpers.hpp"
+#include "sweep/journal.hpp"
 #include "workloads/patterns.hpp"
 
 namespace dampi::test {
@@ -787,6 +788,38 @@ TEST(Dist, ProtocolRoundTripOverSocketpair) {
   EXPECT_EQ(core::bug_key(parsed_result->result.bugs[0]),
             core::bug_key(bug));
   EXPECT_EQ(parsed_result->metrics_dump, wr.metrics_dump);
+
+  // A fault-sweep plan goes out as PLAN; its answer is a RESULT holding a
+  // one-record sweep journal.
+  ASSERT_TRUE(b.send(dist::MsgType::kPlan,
+                     dist::serialize_plan({17, "delay@1:3:1000"})));
+  ASSERT_EQ(a.recv(&msg, 1000), dist::MessageChannel::RecvStatus::kMessage);
+  ASSERT_EQ(msg.type, dist::MsgType::kPlan);
+  auto parsed_plan = dist::parse_plan(msg.payload, &error);
+  ASSERT_TRUE(parsed_plan.has_value()) << error;
+  EXPECT_EQ(parsed_plan->index, 17u);
+  EXPECT_EQ(parsed_plan->spec, "delay@1:3:1000");
+  sweep::SweepJournal answer;
+  answer.fingerprint = "fp sweep budget=64";
+  sweep::PlanRecord& record = answer.records[parsed_plan->index];
+  record.index = parsed_plan->index;
+  record.spec = parsed_plan->spec;
+  record.verdict = sweep::Verdict::kMasked;
+  record.interleavings = 4;
+  record.fires = 1;
+  ASSERT_TRUE(a.send(dist::MsgType::kResult,
+                     sweep::serialize_sweep_journal(answer)));
+  ASSERT_EQ(b.recv(&msg, 1000), dist::MessageChannel::RecvStatus::kMessage);
+  ASSERT_EQ(msg.type, dist::MsgType::kResult);
+  auto parsed_answer =
+      sweep::parse_sweep_journal(msg.payload, answer.fingerprint, &error);
+  ASSERT_TRUE(parsed_answer.has_value()) << error;
+  ASSERT_EQ(parsed_answer->records.size(), 1u);
+  const sweep::PlanRecord& got = parsed_answer->records.at(17);
+  EXPECT_EQ(got.spec, record.spec);
+  EXPECT_EQ(got.verdict, sweep::Verdict::kMasked);
+  EXPECT_EQ(got.interleavings, 4u);
+  EXPECT_EQ(got.fires, 1u);
 
   // EOF: closing one end turns the other into kClosed, after any
   // buffered frames have been drained.

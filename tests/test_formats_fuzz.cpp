@@ -1,6 +1,6 @@
 // Every line-oriented format the verifier reads back — epoch-decision
-// files, checkpoints, sweep journals and the DMP1 hello, shard and result
-// payloads — pinned by a golden text (tests/golden/, recorded from the
+// files, checkpoints, sweep journals and the DMP1 hello, shard, plan and
+// result payloads — pinned by a golden text (tests/golden/, recorded from the
 // serializers) and mutation-fuzzed from it with a fixed seed.
 #include <gtest/gtest.h>
 
@@ -74,6 +74,10 @@ const Format kFormats[] = {
                      return dist::serialize_shard(
                          id, core::serialize_checkpoint(cp));
                    });
+     }},
+    {"dmp1_plan.txt",
+     [](const std::string& text, std::string* error) {
+       return then(dist::parse_plan(text, error), dist::serialize_plan);
      }},
     {"dmp1_result.txt",
      [](const std::string& text, std::string* error) {

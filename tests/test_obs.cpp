@@ -5,10 +5,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/line_record.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -210,6 +212,48 @@ TEST(ChromeTraceValidator, RejectsMalformedInput) {
   EXPECT_TRUE(obs::validate_chrome_trace(two_lanes, &error, &event_lanes))
       << error;
   EXPECT_EQ(event_lanes, 2u);
+}
+
+// A worker process numbers its lanes from tid 1 like the coordinator,
+// under its own pid: the validator keeps one clock per (pid, tid).
+TEST(ChromeTraceValidator, LanesAreKeyedByPidAndTid) {
+  const std::string two_processes =
+      "[{\"name\":\"a\",\"ph\":\"i\",\"pid\":7,\"tid\":1,\"ts\":5.0},"
+      "{\"name\":\"b\",\"ph\":\"i\",\"pid\":8,\"tid\":1,\"ts\":4.0}]";
+  std::string error;
+  std::size_t event_lanes = 0;
+  EXPECT_TRUE(obs::validate_chrome_trace(two_processes, &error, &event_lanes))
+      << error;
+  EXPECT_EQ(event_lanes, 2u);
+}
+
+// The coordinator's export splices in the events a worker left in
+// <trace>.w<id> and removes that file; a worker that left none is
+// skipped.
+TEST_F(TracerFixture, ExportSplicesWorkerTraceFiles) {
+  const std::string path = ::testing::TempDir() + "dampi_obs_splice.json";
+  const std::string part = path + ".w1";
+  ASSERT_TRUE(write_file_atomic(
+      part,
+      "[\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":999999,"
+      "\"tid\":1,\"args\":{\"name\":\"explore\"}},\n"
+      "{\"name\":\"deadlock\",\"ph\":\"i\",\"s\":\"t\",\"pid\":999999,"
+      "\"tid\":1,\"ts\":1.000,\"args\":{}}\n]\n"));
+  obs::Lane* lane = Tracer::instance().acquire("explore");
+  lane->emit(EventKind::kDeadlock, Phase::kInstant, 0, 0, 0, 0);
+  Tracer::instance().release(lane);
+  ASSERT_TRUE(obs::write_chrome_trace(path, /*workers=*/2));
+
+  std::string error;
+  const auto json = read_file(path, &error);
+  ASSERT_TRUE(json.has_value()) << error;
+  std::size_t event_lanes = 0;
+  EXPECT_TRUE(obs::validate_chrome_trace(*json, &error, &event_lanes))
+      << error << "\n" << *json;
+  EXPECT_EQ(event_lanes, 2u);
+  EXPECT_NE(json->find("\"pid\":999999"), std::string::npos);
+  EXPECT_FALSE(read_file(part, nullptr).has_value());
+  std::remove(path.c_str());
 }
 
 TEST(Metrics, CountersAccumulateAcrossThreads) {

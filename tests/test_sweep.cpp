@@ -1,17 +1,26 @@
 // Fault-sweep campaigns: inventory discovery, deterministic plan
 // enumeration under a budget, per-plan verdict classification, the
-// crash-safe journal, and the two acceptance contracts — report
+// crash-safe journal, the two acceptance contracts — report
 // byte-identity at any worker count and kill-at-K + --resume
 // reproducing the uninterrupted sweep without re-running finished
-// plans.
+// plans — and the plan workers: real worker processes (this binary
+// re-executed), whose deaths requeue their plan.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+
+#include <algorithm>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <numeric>
 #include <set>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/line_record.hpp"
+#include "dist/pool.hpp"
 #include "mpism/cancel.hpp"
 #include "mpism/fault.hpp"
 #include "mpism/scheduler.hpp"
@@ -45,6 +54,18 @@ mpism::SchedOptions sched_named(const char* spec) {
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "dampi_sweep_" + name;
+}
+
+/// The argv of a plan worker for a sweep_options(3, "fig3-benign")
+/// sweep: this test binary re-executed as sweep_worker_main below, which
+/// rebuilds the options from the budget and seed. `mode` picks the
+/// worker's program: "clean" runs fig3-benign, "die-once:<file>" SIGKILLs
+/// the one worker that creates <file> in the middle of a plan, and
+/// "always-die" SIGKILLs every worker as soon as a plan's campaign runs.
+std::vector<std::string> plan_worker_argv(const SweepOptions& options,
+                                          const std::string& mode) {
+  return {"/proc/self/exe", "--dampi-sweep-worker",
+          std::to_string(options.budget), std::to_string(options.seed), mode};
 }
 
 /// Sweep options pinned to the deterministic coop scheduler with tiny
@@ -282,35 +303,6 @@ TEST(SweepClassify, VerdictPriorityAndLatentErrorDetection) {
   EXPECT_TRUE(sweep::classify_campaign(5, "abort@0:1", quiet, 0).partial);
 }
 
-TEST(SweepRespawn, TransientSpawnFailuresAreRetriedWithBackoff) {
-  int calls = 0;
-  std::uint64_t respawns = 0;
-  std::string error;
-  const ExploreResult result = sweep::run_plan_with_respawn(
-      [&calls]() -> ExploreResult {
-        if (++calls < 3) throw std::runtime_error("spawn failed");
-        ExploreResult ok;
-        ok.interleavings = 7;
-        return ok;
-      },
-      3, 0.1, &respawns, &error);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(respawns, 2u);
-  EXPECT_TRUE(error.empty()) << error;
-  EXPECT_EQ(result.interleavings, 7u);
-}
-
-TEST(SweepRespawn, ExhaustedRespawnsFillTheErrorInsteadOfThrowing) {
-  std::uint64_t respawns = 0;
-  std::string error;
-  const ExploreResult result = sweep::run_plan_with_respawn(
-      []() -> ExploreResult { throw std::runtime_error("always down"); }, 1,
-      0.1, &respawns, &error);
-  EXPECT_EQ(respawns, 1u);
-  EXPECT_EQ(error, "always down");
-  EXPECT_EQ(result.interleavings, 0u);
-}
-
 // --- Journal ---------------------------------------------------------------
 
 SweepJournal sample_journal() {
@@ -353,7 +345,6 @@ TEST(SweepJournalTest, SerializeParseRoundTrip) {
   EXPECT_EQ(a.bugs, 1u);
   EXPECT_FALSE(a.partial);
   EXPECT_TRUE(a.latent_error.empty());
-  EXPECT_TRUE(a.from_journal);
   const PlanRecord& b = parsed->records.at(2);
   EXPECT_EQ(b.spec, "delay@1:2:100");
   EXPECT_TRUE(b.partial);
@@ -557,6 +548,7 @@ TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
   for (const int workers : {2, 4}) {
     SweepOptions parallel = options;
     parallel.workers = workers;
+    parallel.worker_argv = plan_worker_argv(options, "clean");
     const SweepResult result =
         sweep::run_sweep(parallel, workloads::fig3_benign);
     ASSERT_TRUE(result.error.empty()) << result.error;
@@ -608,9 +600,12 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
   ASSERT_GT(reference.records.size(), 3u);
 
   // Kill at K: cancel fires after the third completed plan, exactly as
-  // the SIGINT bridge would.
+  // the SIGINT bridge would. Plans run on two worker processes; answers
+  // landing after the cancel are not recorded.
   constexpr std::uint64_t kKill = 3;
   SweepOptions killed = options;
+  killed.workers = 2;
+  killed.worker_argv = plan_worker_argv(options, "clean");
   killed.journal_path = journal_path;
   killed.cancel = std::make_shared<mpism::CancelSource>();
   std::uint64_t completed = 0;
@@ -631,7 +626,8 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
   SweepOptions resumed = options;
   resumed.journal_path = journal_path;
   resumed.resume = true;
-  resumed.workers = 2;  // resume may change execution knobs freely
+  resumed.workers = 3;  // resume may change execution knobs freely
+  resumed.worker_argv = plan_worker_argv(options, "clean");
   const SweepResult finished = sweep::run_sweep(resumed, workloads::fig3_benign);
   ASSERT_TRUE(finished.error.empty()) << finished.error;
   EXPECT_FALSE(finished.interrupted);
@@ -650,6 +646,61 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
   EXPECT_EQ(sweep::format_sweep_report_json(resumed, idempotent),
             reference_report);
   std::remove(journal_path.c_str());
+}
+
+// A worker SIGKILLed in the middle of a plan loses only that plan's
+// campaign: the plan is requeued to another worker and every plan is
+// recorded exactly once, so the report is the serial sweep's.
+TEST(SweepWorkers, KilledWorkersPlanIsRequeuedAndEveryPlanRecordedOnce) {
+  const std::string marker = temp_path("die_once");
+  std::remove(marker.c_str());
+  SweepOptions options = sweep_options(3, "fig3-benign");
+  options.budget = 12;
+  options.seed = 3;
+  const SweepResult serial = sweep::run_sweep(options, workloads::fig3_benign);
+  ASSERT_TRUE(serial.error.empty()) << serial.error;
+
+  SweepOptions pooled = options;
+  pooled.workers = 2;
+  pooled.worker_argv = plan_worker_argv(options, "die-once:" + marker);
+  std::vector<std::uint64_t> recorded;
+  pooled.on_plan_done = [&recorded](const PlanRecord& record) {
+    recorded.push_back(record.index);
+  };
+  const SweepResult result = sweep::run_sweep(pooled, workloads::fig3_benign);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  EXPECT_TRUE(read_file(marker, nullptr).has_value());  // a worker died
+  EXPECT_EQ(result.requeued, 1u);
+  std::sort(recorded.begin(), recorded.end());
+  std::vector<std::uint64_t> every(serial.records.size());
+  std::iota(every.begin(), every.end(), 0);
+  EXPECT_EQ(recorded, every);
+  EXPECT_EQ(result.executed, serial.records.size());
+  EXPECT_EQ(sweep::format_sweep_report_json(pooled, result),
+            sweep::format_sweep_report_json(options, serial));
+  std::remove(marker.c_str());
+}
+
+// A plan whose every worker dies is given up after the respawn limit:
+// it becomes a sweep-error record (a coverage hole, exit 2), and the
+// sweep goes on with the next plan.
+TEST(SweepWorkers, PlanWhoseWorkerAlwaysDiesBecomesSweepError) {
+  SweepOptions options = sweep_options(3, "fig3-benign");
+  options.budget = 2;
+  options.workers = 2;
+  options.worker_argv = plan_worker_argv(options, "always-die");
+  const SweepResult result = sweep::run_sweep(options, workloads::fig3_benign);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  ASSERT_EQ(result.records.size(), 2u);
+  for (const PlanRecord& record : result.records) {
+    EXPECT_EQ(record.verdict, Verdict::kSweepError) << record.spec;
+    EXPECT_EQ(record.latent_error,
+              "its worker died " +
+                  std::to_string(dist::kMaxShardRespawns + 1) + " times");
+  }
+  EXPECT_EQ(result.requeued, 2u * dist::kMaxShardRespawns);
+  EXPECT_EQ(result.executed, 2u);
+  EXPECT_EQ(sweep::sweep_exit_code(result), 2);
 }
 
 TEST(Sweep, ResumeRefusesAJournalFromADifferentSweep) {
@@ -687,4 +738,50 @@ TEST(Sweep, SummaryCarriesTheMatrixAndTheResumeAccounting) {
 }
 
 }  // namespace
+
+/// A plan worker for the tests above: `<exe> --dampi-sweep-worker
+/// <budget> <seed> <mode>` followed by the worker flags the pool
+/// appends (see plan_worker_argv).
+int sweep_worker_main(int argc, char** argv) {
+  if (argc < 5) return 2;
+  SweepOptions options = sweep_options(3, "fig3-benign");
+  options.budget = std::strtoull(argv[2], nullptr, 10);
+  options.seed = std::strtoull(argv[3], nullptr, 10);
+  const std::string mode = argv[4];
+  std::string socket_spec;
+  int worker_id = -1;
+  for (int i = 5; i + 1 < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--worker-id") worker_id = std::atoi(argv[i + 1]);
+    if (arg == "--coordinator-socket") socket_spec = argv[i + 1];
+  }
+  mpism::ProgramFn program = workloads::fig3_benign;
+  if (mode == "always-die") {
+    program = [](mpism::Proc&) { ::raise(SIGKILL); };
+  } else if (mode.rfind("die-once:", 0) == 0) {
+    // The fourth rank body this process runs is inside a plan's
+    // campaign; only the worker that creates the marker dies there.
+    program = [marker = mode.substr(9)](mpism::Proc& p) {
+      static int bodies = 0;
+      if (++bodies == 4 &&
+          ::open(marker.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0600) >= 0) {
+        ::raise(SIGKILL);
+      }
+      workloads::fig3_benign(p);
+    };
+  }
+  return sweep::run_sweep_worker(socket_spec, worker_id, options, program);
+}
+
 }  // namespace dampi::test
+
+// Custom main (overrides gtest_main): a first argument of
+// --dampi-sweep-worker turns this binary into a plan worker instead of
+// running the test suite.
+int main(int argc, char** argv) {
+  if (argc > 1 && std::string_view(argv[1]) == "--dampi-sweep-worker") {
+    return dampi::test::sweep_worker_main(argc, argv);
+  }
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}
