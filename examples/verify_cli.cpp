@@ -247,7 +247,7 @@ int main(int argc, char** argv) try {
         std::printf("  rank %d: %s\n", error_info.rank,
                     error_info.message.c_str());
       }
-    } else if (report.timed_out) {
+    } else if (report.timed_out()) {
       std::printf("HANG reproduced: %s\n", report.stop_reason.c_str());
     } else if (report.cancelled) {
       std::printf("replay interrupted: %s\n", report.stop_reason.c_str());

@@ -19,8 +19,10 @@
 #    speed itself is measured by perfbench/, not here);
 #  - a fault-sweep stage: sweep-labelled tests, the --sweep-faults
 #    exit-code contract, adlb's sweep report byte-identical at 1, 2, 4
-#    and 8 workers, and a SIGINT kill + --resume byte-identity smoke in
-#    process and on 2 worker processes;
+#    and 8 workers, a flaky adlb sweep that takes no retry backoff and
+#    counts the same retries at 1 and 2 workers (worker metrics reach
+#    the coordinator), and a SIGINT kill + --resume byte-identity smoke
+#    in process and on 2 worker processes;
 #  - a gate keeping std::thread out of src/ but for the thread scheduler,
 #    and a Release build of the whole tree (no tests);
 #  - a ThreadSanitizer stage (-DDAMPI_SANITIZE=thread): the concurrency,
@@ -403,6 +405,30 @@ for w in 1 2 4 8; do
 done
 rm -f "${adlb_report}".*.json
 echo "tier1: adlb sweep reports identical at 1/2/4/8 workers OK"
+
+# Flaky plans heal by retries, and an injected fault replays identically,
+# so no retry may sleep first: explorer.retry_backoffs must read 0 in
+# process and on 2 worker processes, whose metrics reach the
+# coordinator's dump (the same explorer.retries in both).
+flaky_metrics="build/tier1-adlb-flaky"
+for w in 1 2; do
+  build/examples/verify_cli --program adlb --procs 8 --sweep-faults \
+    --sweep-kinds flaky --metrics --workers "${w}" \
+    > "${flaky_metrics}.${w}.txt" || true
+  if ! grep -qx 'explorer.retry_backoffs 0' "${flaky_metrics}.${w}.txt"; then
+    echo "tier1: FAIL: flaky adlb sweep at ${w} workers backed off" >&2
+    exit 1
+  fi
+done
+retries_1="$(grep '^explorer.retries ' "${flaky_metrics}.1.txt")" || true
+retries_2="$(grep '^explorer.retries ' "${flaky_metrics}.2.txt")" || true
+if [[ -z "${retries_1}" || "${retries_1}" != "${retries_2}" ]]; then
+  echo "tier1: FAIL: flaky adlb sweep retries '${retries_1}' at 1 worker," \
+    "'${retries_2}' at 2" >&2
+  exit 1
+fi
+rm -f "${flaky_metrics}".*.txt
+echo "tier1: flaky adlb sweep takes no backoff at 1/2 workers OK (${retries_1})"
 
 # Sweep SIGINT kill + --resume smoke: interrupt a journalled sweep
 # mid-flight, then --resume it. The resumed report must be byte-identical

@@ -11,6 +11,7 @@
 #include "core/checkpoint.hpp"
 #include "core/por.hpp"
 #include "mpism/fault.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dampi::core {
@@ -61,7 +62,7 @@ void record_bug_if_any(const mpism::RunReport& report,
     bug.errors = report.errors;
     bug.schedule = reproducer_schedule(schedule, trace);
     result.bugs.push_back(std::move(bug));
-  } else if (report.timed_out) {
+  } else if (report.timed_out()) {
     // Watchdog expiry: the interleaving wedged (livelock, unbounded
     // spin, pathological slowness) instead of deadlocking. The partial
     // trace still pins every match the run made before it was killed,
@@ -75,13 +76,13 @@ void record_bug_if_any(const mpism::RunReport& report,
   }
 }
 
-/// A run whose failure may be transient (injected fault, watchdog expiry
-/// under load, program error): worth re-executing. Deadlocks are
-/// verdicts — deterministic by construction — and cancellation means the
-/// campaign itself is being torn down.
+/// A run whose failure may heal on a replay (an injected flaky fault, a
+/// wall deadline hit under host load, a program error): worth
+/// re-executing. Deadlocks are verdicts — deterministic by construction
+/// — and cancellation means the campaign itself is being torn down.
 bool failed_retryably(const mpism::RunReport& report) {
   return !report.deadlocked && !report.cancelled &&
-         (report.timed_out || !report.errors.empty());
+         (report.timed_out() || !report.errors.empty());
 }
 
 /// Steal granularity floor: a frontier list must hold at least this many
@@ -413,22 +414,36 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     }
   };
 
-  // Retry wrapper: a retryably-failed run (error or watchdog expiry —
-  // possibly transient, e.g. an injected flaky fault) is re-executed up
-  // to max_retries times with exponential backoff (1 ms, doubling,
-  // capped at 1 s). The final outcome, whatever it is, is the one judged.
+  // Retry wrapper: a retryably-failed run (an error or a watchdog
+  // expiry; an injected flaky fault heals this way) is re-executed up to
+  // max_retries times. The final outcome, whatever it is, is the one
+  // judged. A replay re-runs the same schedule, so it fails the same way
+  // unless the failure came from outside the run: only the run's own
+  // wall deadline, which host load can exhaust, is retried after a
+  // backoff (1 ms, doubling, capped at 1 s); every other failure is
+  // retried at once.
+  static obs::Counter& retries_metric =
+      obs::Registry::instance().counter("explorer.retries");
+  static obs::Counter& backoffs_metric =
+      obs::Registry::instance().counter("explorer.retry_backoffs");
   auto take_with_retry = [&](const Schedule& schedule,
                              std::uint64_t index) -> const SingleRun& {
     replay(schedule, index);
     int attempt = 0;
+    int backoffs = 0;
     while (failed_retryably(run.report) && attempt < options_.max_retries &&
            !cancelled()) {
       ++attempt;
       ++result.retries;
+      retries_metric.add(1);
       DAMPI_TEVENT(obs::EventKind::kRetry, obs::Phase::kInstant, attempt, 0, 0,
                    static_cast<std::int32_t>(index));
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          std::min(1 << std::min(attempt - 1, 10), 1000)));
+      if (run.report.expired == mpism::RunBudget::kWallDeadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            std::min(1 << std::min(backoffs, 10), 1000)));
+        ++backoffs;
+        backoffs_metric.add(1);
+      }
       replay(schedule, index);
     }
     return run;
@@ -475,7 +490,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     if (first.report.cancelled) {
       aborted_discovery = true;
     } else {
-      if (first.report.timed_out) ++result.timeouts;
+      if (first.report.timed_out()) ++result.timeouts;
       collect_alerts(first.trace, alert_keys, result);
       record_bug_if_any(first.report, options_.initial_schedule, first.trace,
                         1, result);
@@ -565,7 +580,7 @@ ExploreResult Explorer::explore(const mpism::ProgramFn& program,
     ++result.interleavings;
     result.total_vtime_us += outcome.report.vtime_us;
     result.divergences += outcome.divergences;
-    if (outcome.report.timed_out) ++result.timeouts;
+    if (outcome.report.timed_out()) ++result.timeouts;
     if (!outcome.report.completed && !outcome.report.deadlocked) {
       // Still failing after every retry: the subtree below this root is
       // quarantined — its bug (if any) is recorded, nothing under it is

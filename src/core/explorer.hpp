@@ -135,7 +135,9 @@ struct ExploreResult {
   bool time_budget_exhausted = false;
 
   /// --- Resilience accounting -------------------------------------------
-  /// Failed (errored/timed-out) replays re-executed with backoff.
+  /// Failed (errored/timed-out) replays re-executed; also counted in the
+  /// registry as explorer.retries, beside explorer.retry_backoffs (the
+  /// retries that first slept because a run wall deadline ended the run).
   std::uint64_t retries = 0;
   /// Runs ended by the per-run watchdog (each also yields a kHang bug).
   std::uint64_t timeouts = 0;

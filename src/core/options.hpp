@@ -154,11 +154,13 @@ struct ExplorerOptions {
   double run_deadline_seconds = 0.0;
   std::uint64_t max_run_ops = 0;
 
-  /// Failed replays (program errors or watchdog timeouts — possibly
-  /// transient, e.g. injected faults) are re-executed up to this many
-  /// times with exponential backoff (1 ms, doubling, capped at 1 s)
-  /// before their decision subtree is quarantined. Deadlocks are
-  /// verdicts, never retried.
+  /// Failed replays (program errors, injected faults, watchdog
+  /// timeouts) are re-executed up to this many times before their
+  /// decision subtree is quarantined. A replay of the same schedule
+  /// fails the same way unless host load caused the failure, so the
+  /// retry runs at once, with a backoff (1 ms, doubling, capped at 1 s)
+  /// only after a run wall deadline (`run_deadline_seconds`) expired.
+  /// Deadlocks are verdicts, never retried.
   int max_retries = 0;
 
   /// External cancellation (SIGINT bridge, tests); may be unset. The

@@ -23,6 +23,23 @@ constexpr std::size_t kHeaderBytes = 4 + 2 + 4;
 constexpr std::uint32_t kMaxPayload = 64u * 1024u * 1024u;
 
 constexpr const char* kResultHeader = "# dampi-dist-result v1";
+constexpr const char* kPlanResultHeader = "# dampi-dist-plan-result v1";
+
+/// A registry dump as `metric <name> <value>` lines.
+void append_metric_lines(const std::string& dump, std::string* out) {
+  std::istringstream metrics(dump);
+  std::string line;
+  while (std::getline(metrics, line)) {
+    if (!line.empty()) *out += "metric " + line + '\n';
+  }
+}
+
+/// Appends a `metric` line's dump line to *dump.
+void read_metric_line(LineFields& f, std::string* dump) {
+  if (f.rest().empty()) return;
+  *dump += f.rest();
+  *dump += '\n';
+}
 
 bool write_all(int fd, const char* data, std::size_t len) {
   while (len > 0) {
@@ -206,6 +223,46 @@ std::optional<PlanTask> parse_plan(const std::string& payload,
   return plan;
 }
 
+std::string serialize_plan_result(const PlanResult& result) {
+  std::string out = kPlanResultHeader;
+  out += '\n';
+  append_metric_lines(result.metrics_dump, &out);
+  out += strfmt("journal %zu\n", result.journal.size());
+  out += result.journal;
+  out += "end\n";
+  return out;
+}
+
+std::optional<PlanResult> parse_plan_result(const std::string& payload,
+                                            std::string* error) {
+  PlanResult result;
+  bool saw_journal = false;
+  LineReader in(payload, kPlanResultHeader);
+  while (in.next()) {
+    const std::string_view keyword = in.keyword();
+    LineFields& f = in.fields();
+    if (keyword == "metric" && !saw_journal) {
+      read_metric_line(f, &result.metrics_dump);
+    } else if (keyword == "journal" && !saw_journal) {
+      std::size_t nbytes = 0;
+      std::string_view journal;
+      if (!f.read_exactly(&nbytes) || !in.take(nbytes, &journal)) {
+        return refuse(error, in.bad_line());
+      }
+      result.journal = journal;
+      saw_journal = true;
+    } else if (keyword == "end" && saw_journal) {
+      if (!in.end_trailer()) return refuse(error, in.error());
+    } else {
+      return refuse(error, in.at("unexpected plan-result line '" +
+                                 std::string(keyword) + "'"));
+    }
+  }
+  if (!in.error().empty()) return refuse(error, in.error());
+  if (!in.ended()) return refuse(error, "truncated plan-result payload");
+  return result;
+}
+
 std::string serialize_escape(const core::EscapedAlt& escape,
                              const std::string& fingerprint) {
   return core::serialize_checkpoint(
@@ -239,13 +296,7 @@ std::string serialize_worker_result(const WorkerResult& result,
   out += strfmt("wall %.17g\n", r.total_wall_seconds);
   out += strfmt("ckwrites %llu\n",
                 static_cast<unsigned long long>(r.checkpoint_writes));
-  {
-    std::istringstream metrics(result.metrics_dump);
-    std::string line;
-    while (std::getline(metrics, line)) {
-      if (!line.empty()) out += "metric " + line + '\n';
-    }
-  }
+  append_metric_lines(result.metrics_dump, &out);
   // The counters, bugs, and alerts ride in an embedded checkpoint so the
   // wire format reuses the journal grammar instead of duplicating it.
   core::Checkpoint cp;
@@ -281,10 +332,7 @@ std::optional<WorkerResult> parse_worker_result(
     } else if (keyword == "ckwrites") {
       ok = f.read_exactly(&r.checkpoint_writes);
     } else if (keyword == "metric") {
-      if (!f.rest().empty()) {
-        wr.metrics_dump += f.rest();
-        wr.metrics_dump += '\n';
-      }
+      read_metric_line(f, &wr.metrics_dump);
     } else if (keyword == "ckpt") {
       std::size_t nbytes = 0;
       std::string_view inner;

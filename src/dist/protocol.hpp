@@ -26,9 +26,10 @@
 // and of a fault sweep (the same pool, HELLO carrying the sweep
 // fingerprint):
 //   coordinator-> worker        PLAN    {plan index, canonical fault spec}
-//   worker     -> coordinator   RESULT  {sweep journal holding the plan's
-//                                        record, or no record when a
-//                                        CANCEL interrupted its campaign}
+//   worker     -> coordinator   RESULT  {metrics, sweep journal holding
+//                                        the plan's record, or no record
+//                                        when a CANCEL interrupted its
+//                                        campaign}
 #pragma once
 
 #include <cstdint>
@@ -139,6 +140,19 @@ struct PlanTask {
 std::string serialize_plan(const PlanTask& plan);
 std::optional<PlanTask> parse_plan(const std::string& payload,
                                    std::string* error);
+
+/// A sweep worker's RESULT for one PLAN: the sweep journal holding the
+/// plan's record, embedded by byte length (the sweep library parses
+/// it), and the worker registry's increment over the plan, so a
+/// sweep's --metrics counts the same at any worker count.
+struct PlanResult {
+  std::string journal;
+  std::string metrics_dump;
+};
+
+std::string serialize_plan_result(const PlanResult& result);
+std::optional<PlanResult> parse_plan_result(const std::string& payload,
+                                            std::string* error);
 
 /// Everything one shard walk sends home. `result` carries the subset of
 /// ExploreResult a merge consumes (counts, bugs, alerts, pool counters,

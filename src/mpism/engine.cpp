@@ -162,7 +162,8 @@ Engine::Engine(RunOptions options)
     if (deadline_is_campaigns_) {
       cancel("global wall budget exhausted");
     } else {
-      declare_timeout(strfmt("run wall deadline exceeded (%.3f s)",
+      declare_timeout(RunBudget::kWallDeadline,
+                      strfmt("run wall deadline exceeded (%.3f s)",
                              opts_.max_run_wall_seconds));
     }
   };
@@ -224,7 +225,7 @@ void Engine::run(const ProgramFn& program, RunReport* out,
   report.deadlocked = deadlocked_.load(std::memory_order_acquire);
   report.errors = errors_;
   report.deadlock_detail = deadlock_detail_;
-  report.timed_out = timed_out_.load(std::memory_order_acquire);
+  report.expired = expired_;
   report.cancelled = cancelled_.load(std::memory_order_acquire);
   report.stop_reason = stop_reason_;
   report.vtime_us = 0.0;
@@ -234,14 +235,16 @@ void Engine::run(const ProgramFn& program, RunReport* out,
   report.wall_seconds =
       std::chrono::duration<double>(Clock::now() - t0).count();
   report.stats = stats_;
-  report.stats.tool_messages = tool_messages_.load(std::memory_order_relaxed);
-  report.messages_sent = messages_sent_.load(std::memory_order_relaxed);
+  report.stats.tool_messages = 0;
+  report.messages_sent = 0;
   report.comm_leaks = 0;
   report.request_leaks = 0;
-  if (report.completed) {
-    report.comm_leaks = comms_.leaked_user_comms();
-    report.request_leaks = request_leaks_.load(std::memory_order_relaxed);
+  for (const auto& pr_ptr : ranks_) {
+    report.stats.tool_messages += pr_ptr->tool_messages;
+    report.messages_sent += pr_ptr->messages_sent;
+    if (report.completed) report.request_leaks += pr_ptr->request_leaks;
   }
+  if (report.completed) report.comm_leaks = comms_.leaked_user_comms();
 
   // Once-per-run registry updates (off every per-op hot path).
   static obs::Counter& runs_metric =
@@ -257,7 +260,7 @@ void Engine::run(const ProgramFn& program, RunReport* out,
   runs_metric.add(1);
   messages_metric.add(report.messages_sent);
   if (report.deadlocked) deadlocks_metric.add(1);
-  if (report.timed_out) timeouts_metric.add(1);
+  if (report.timed_out()) timeouts_metric.add(1);
   if (report.cancelled) cancelled_metric.add(1);
   publish_run_metrics();
   reset();
@@ -303,7 +306,11 @@ void Engine::publish_run_metrics() {
   PoolCounts req_total;
   PoolCounts nodes;
   BufferPool::Stats buf_total;
+  std::uint64_t inline_hits = 0;
+  std::uint64_t heap_spills = 0;
   for (const auto& pr_ptr : ranks_) {
+    inline_hits += pr_ptr->payload_inline_hits;
+    heap_spills += pr_ptr->payload_heap_spills;
     req_total.acquired += pr_ptr->req_pool.stats().acquired;
     req_total.reused += pr_ptr->req_pool.stats().reused;
     const PoolCounts s = pr_ptr->match->pool_stats();
@@ -335,8 +342,8 @@ void Engine::publish_run_metrics() {
   lock_acquired_metric.add(ls.acquires);
   lock_contended_metric.add(ls.contended);
   lock_all_shards_metric.add(ls.all_shards);
-  env_inline_metric.add(payload_inline_hits_.load(std::memory_order_relaxed));
-  env_spill_metric.add(payload_heap_spills_.load(std::memory_order_relaxed));
+  env_inline_metric.add(inline_hits);
+  env_spill_metric.add(heap_spills);
 }
 
 void Engine::reset() {
@@ -360,6 +367,11 @@ void Engine::reset() {
     me.finished = false;
     me.failed_by_tool = false;
     me.block_desc = BlockDesc{};
+    me.messages_sent = 0;
+    me.tool_messages = 0;
+    me.payload_inline_hits = 0;
+    me.payload_heap_spills = 0;
+    me.request_leaks = 0;
   }
   for (WaitOn& wait : waits_) wait = WaitOn{};
   open_coll_slots_.clear();
@@ -375,16 +387,11 @@ void Engine::reset() {
   blocked_count_.store(0, std::memory_order_relaxed);
   finished_count_.store(0, std::memory_order_relaxed);
   ops_executed_.store(0, std::memory_order_relaxed);
-  messages_sent_.store(0, std::memory_order_relaxed);
-  tool_messages_.store(0, std::memory_order_relaxed);
-  request_leaks_.store(0, std::memory_order_relaxed);
-  payload_inline_hits_.store(0, std::memory_order_relaxed);
-  payload_heap_spills_.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> vl(verdict_mu_);
     stopped_.store(false, std::memory_order_relaxed);
     deadlocked_.store(false, std::memory_order_relaxed);
-    timed_out_.store(false, std::memory_order_relaxed);
+    expired_ = RunBudget::kNone;
     cancelled_.store(false, std::memory_order_release);
     stop_reason_.clear();
     deadlock_detail_.clear();
@@ -425,12 +432,10 @@ void Engine::rank_body(Rank r, const ProgramFn& program) {
 
   EngineGuard g(lock_, r);
   me.finished = true;
-  finished_count_.fetch_add(1, std::memory_order_acq_rel);
+  bump(finished_count_, 1);
   if (finished_normally && !stopped()) {
-    me.reqs.for_each([this](const RequestRecord& rec) {
-      if (!rec.tool_internal) {
-        request_leaks_.fetch_add(1, std::memory_order_relaxed);
-      }
+    me.reqs.for_each([&me](const RequestRecord& rec) {
+      if (!rec.tool_internal) ++me.request_leaks;
     });
   }
   if (blocked_count_.load(std::memory_order_acquire) > 0) {
@@ -476,14 +481,14 @@ bool Engine::blocking_wait(EngineGuard& g, Rank r, const BlockDesc& desc,
   const BlockKind kind = desc.kind();
   me.block_desc = desc;
   waits_[static_cast<std::size_t>(r)] = wait;
-  blocked_count_.fetch_add(1, std::memory_order_acq_rel);
+  bump(blocked_count_, 1);
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kBegin, r,
                static_cast<std::int32_t>(kind));
   maybe_declare_deadlock(g, r);
   sched_->block(g, r);
   DAMPI_TEVENT(obs::EventKind::kBlock, obs::Phase::kEnd, r,
                static_cast<std::int32_t>(kind));
-  blocked_count_.fetch_sub(1, std::memory_order_acq_rel);
+  bump(blocked_count_, -1);
   waits_[static_cast<std::size_t>(r)] = WaitOn{};
   return !stopped();
 }
@@ -573,11 +578,11 @@ void Engine::abort_all() {
   sched_->wake_all();
 }
 
-void Engine::declare_timeout(std::string reason) {
+void Engine::declare_timeout(RunBudget budget, std::string reason) {
   {
     std::lock_guard<std::mutex> vl(verdict_mu_);
     if (stopped()) return;
-    timed_out_.store(true, std::memory_order_relaxed);
+    expired_ = budget;
     stop_reason_ = std::move(reason);
     DAMPI_TEVENT(obs::EventKind::kRunTimeout, obs::Phase::kInstant);
     stopped_.store(true, std::memory_order_release);
@@ -600,10 +605,10 @@ void Engine::cancel(const std::string& reason) {
 bool Engine::charge_op() {
   if (stopped()) return false;
   if (!budgets_armed_) return true;
-  const std::uint64_t ops =
-      ops_executed_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::uint64_t ops = bump(ops_executed_, std::uint64_t{1}) + 1;
   if (opts_.max_ops > 0 && ops > opts_.max_ops) {
-    declare_timeout(strfmt("op budget exhausted (%llu ops)",
+    declare_timeout(RunBudget::kOps,
+                    strfmt("op budget exhausted (%llu ops)",
                            static_cast<unsigned long long>(opts_.max_ops)));
   } else if (has_wall_deadline_ && (ops & 31) == 0 &&
              std::chrono::steady_clock::now() >= run_deadline_) {
@@ -698,21 +703,21 @@ void Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
   env.tag = tag;
   env.comm = comm;
   env.seq = seq_counter(me, dst_world, comm)++;
-  env.msg_id = next_msg_id_.fetch_add(1, std::memory_order_relaxed);
+  env.msg_id = bump(next_msg_id_, std::uint64_t{1});
   env.arrival_vtime =
       me.vt() + opts_.cost.message_transit_us(payload.size());
   env.payload = std::move(payload);
   env.tool_internal = tool_internal;
   if (env.payload.is_inline()) {
-    payload_inline_hits_.fetch_add(1, std::memory_order_relaxed);
+    ++me.payload_inline_hits;
   } else {
-    payload_heap_spills_.fetch_add(1, std::memory_order_relaxed);
+    ++me.payload_heap_spills;
   }
 
   if (tool_internal) {
-    tool_messages_.fetch_add(1, std::memory_order_relaxed);
+    ++me.tool_messages;
   } else {
-    messages_sent_.fetch_add(1, std::memory_order_relaxed);
+    ++me.messages_sent;
   }
   if (info != nullptr) {
     info->seq = env.seq;

@@ -11,7 +11,10 @@
 // shard r; a send acquires the {sender, receiver} shard pair in
 // ascending order; collectives, communicator management, and the
 // count-based deadlock scan take all shards (ascending); verdict flags,
-// counters, and message-id assignment are atomics. How ranks execute —
+// the engine-wide counts and message-id assignment are atomics, bumped
+// with a locked read-modify-write only when the engine is locked (see
+// bump()), and per-sender counts are plain PerRank fields under the
+// sender's shard. How ranks execute —
 // one OS thread each, or cooperative fibers multiplexed run-to-block onto
 // the calling thread — is delegated to a pluggable RankScheduler
 // (mpism/scheduler.hpp); the engine only tells it when a rank blocks and
@@ -201,6 +204,15 @@ class Engine {
     bool failed_by_tool = false;
     /// What the rank is blocked in, for the deadlock report.
     BlockDesc block_desc;
+    /// This rank's counts as a sender (its shard held), summed when the
+    /// run is reported: user and tool messages injected, envelopes
+    /// whose payload fit the inline store or spilled to the heap, and
+    /// requests its program left incomplete.
+    std::uint64_t messages_sent = 0;
+    std::uint64_t tool_messages = 0;
+    std::uint64_t payload_inline_hits = 0;
+    std::uint64_t payload_heap_spills = 0;
+    std::uint64_t request_leaks = 0;
     /// Unexpected-message and posted-receive queues (linear or indexed,
     /// per RunOptions::match). Holds non-owning pointers into `reqs` for
     /// posted receives; a record stays indexed until matched.
@@ -354,7 +366,7 @@ class Engine {
   /// Watchdog verdict: a per-run budget expired. Idempotent; loses to an
   /// already-declared abort/deadlock. Takes the verdict mutex itself;
   /// callable with or without shards held.
-  void declare_timeout(std::string reason);
+  void declare_timeout(RunBudget budget, std::string reason);
   /// The stop check and budget accounting at MPI-call entry (the
   /// caller's shard held): counts the op and checks the op/wall budgets.
   /// Returns false when the run had stopped or this charge stopped it;
@@ -417,6 +429,18 @@ class Engine {
 
   PerRank& pr(Rank r) { return *ranks_[static_cast<std::size_t>(r)]; }
 
+  /// Adds `n` to an engine-wide count and returns its prior value. Only
+  /// ranks on several host threads (a locked engine) need the locked
+  /// read-modify-write; on the unlocked coop engine one thread does
+  /// every update, so a plain load and store suffice.
+  template <class T>
+  T bump(std::atomic<T>& count, T n) {
+    if (lock_.locked()) return count.fetch_add(n, std::memory_order_acq_rel);
+    const T prior = count.load(std::memory_order_relaxed);
+    count.store(prior + n, std::memory_order_relaxed);
+    return prior;
+  }
+
   /// One rank's whole life: tool-stack setup, the program, finalize, and
   /// result accounting. Runs on whatever execution context (OS thread or
   /// fiber) the scheduler provides; must not leak exceptions into it.
@@ -452,19 +476,20 @@ class Engine {
   std::vector<std::unique_ptr<CollSlot>> coll_slots_;
   IdMap<CollSlot*> open_coll_slots_;
   std::vector<CollSlot*> free_coll_slots_;
+  /// Engine-wide counts, changed only through bump().
   std::atomic<std::uint64_t> next_msg_id_{1};
-
   std::atomic<int> blocked_count_{0};
   std::atomic<int> finished_count_{0};
   /// Set by every verdict that ends the run early: an error, a deadlock,
   /// a timeout or a cancel.
   std::atomic<bool> stopped_{false};
   std::atomic<bool> deadlocked_{false};
-  std::atomic<bool> timed_out_{false};
   std::atomic<bool> cancelled_{false};
-  /// Leaf mutex (ordered after all shards) guarding the verdict strings
-  /// and one-winner arbitration between deadlock/timeout/cancel/error.
+  /// Leaf mutex (ordered after all shards) guarding the verdict strings,
+  /// expired_, and one-winner arbitration between
+  /// deadlock/timeout/cancel/error.
   std::mutex verdict_mu_;
+  RunBudget expired_ = RunBudget::kNone;
   std::string stop_reason_;
   std::string deadlock_detail_;
   std::vector<ErrorInfo> errors_;
@@ -473,15 +498,9 @@ class Engine {
   bool deadline_is_campaigns_ = false;
   std::chrono::steady_clock::time_point run_deadline_{};
   std::atomic<std::uint64_t> ops_executed_{0};
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> tool_messages_{0};
-  std::atomic<std::uint64_t> request_leaks_{0};
   /// Per-rank slots are written under the owning rank's shard; the
-  /// tool-message total lives in tool_messages_ above (cross-rank).
+  /// tool-message total is summed from PerRank::tool_messages.
   OpStats stats_;
-  /// Envelope small-buffer counters (published as engine.envelope.*).
-  std::atomic<std::uint64_t> payload_inline_hits_{0};
-  std::atomic<std::uint64_t> payload_heap_spills_{0};
 
   friend class ToolCtxImpl;
 };

@@ -10,6 +10,17 @@
 
 namespace dampi::mpism {
 
+/// The run budget (RunOptions) whose expiry ended a run.
+enum class RunBudget : std::uint8_t {
+  kNone,
+  /// max_ops: counts the run's own operations, so a replay of the same
+  /// schedule expires at the same point.
+  kOps,
+  /// max_run_wall_seconds: host wall time, which load on the host can
+  /// exhaust where a quieter replay would not.
+  kWallDeadline,
+};
+
 struct RunReport {
   /// Every rank returned from the program without error.
   bool completed = false;
@@ -21,10 +32,10 @@ struct RunReport {
   /// Human-readable description of each blocked operation at deadlock.
   std::string deadlock_detail;
 
-  /// The run exceeded one of its RunOptions budgets (wall deadline or
-  /// op count) — a watchdog verdict for a possible hang or
+  /// The RunOptions budget (wall deadline or op count) the run
+  /// exceeded, if any: a watchdog verdict for a possible hang or
   /// livelock; the explorer reports it as a kHang bug.
-  bool timed_out = false;
+  RunBudget expired = RunBudget::kNone;
   /// The run was ended early by an external CancelSource (SIGINT) or
   /// by its campaign's wall deadline; the run's outcome is unusable,
   /// not a bug.
@@ -49,6 +60,7 @@ struct RunReport {
   /// User payload messages injected (excludes tool traffic).
   std::uint64_t messages_sent = 0;
 
+  bool timed_out() const { return expired != RunBudget::kNone; }
   bool ok() const { return completed && errors.empty() && !deadlocked; }
 };
 

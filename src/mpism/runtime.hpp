@@ -47,7 +47,7 @@ struct RunOptions {
   /// Interposition stack; empty means a native (uninstrumented) run.
   ToolSetup tools;
   /// Per-run budgets, all 0 = unlimited. A run that exceeds any of them
-  /// ends with RunReport::timed_out (watchdog verdict) instead of
+  /// ends with RunReport::expired naming it (watchdog verdict) instead of
   /// hanging: wall-clock deadline (enforced at scheduler block/yield
   /// points and at every MPI-call entry) and MPI-op-count ceiling.
   double max_run_wall_seconds = 0.0;

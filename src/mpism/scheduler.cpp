@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <bit>
 #include <condition_variable>
 #include <cstddef>
@@ -453,8 +452,7 @@ class CoopScheduler final : public RankScheduler {
         nprocs_(nprocs),
         rng_(options.seed),
         fibers_(static_cast<std::size_t>(nprocs)),
-        ready_words_((static_cast<std::size_t>(nprocs) + 63) / 64),
-        ready_(std::make_unique<std::atomic<std::uint64_t>[]>(ready_words_)) {
+        ready_((static_cast<std::size_t>(nprocs) + 63) / 64) {
     if (opts_.pick == SchedPolicy::kPriority) {
       // Static per-rank priorities drawn once from the seed; ties are
       // impossible in practice (64-bit draws) but break toward the
@@ -547,9 +545,10 @@ class CoopScheduler final : public RankScheduler {
 
   void wake(Rank r) override { mark(r); }
 
-  void wake_all() override {
-    for (Rank r = 0; r < nprocs_; ++r) mark(r);
-  }
+  /// Nothing to do: wake_all comes with a stop, and once the run has
+  /// stopped pick() scans every unfinished rank, marked or not. So a
+  /// cancel from another thread never touches the ready set.
+  void wake_all() override {}
 
   bool detects_stall() const override { return true; }
   bool single_threaded() const override { return true; }
@@ -588,22 +587,17 @@ class CoopScheduler final : public RankScheduler {
     stalls_ = 0;
   }
 
-  // Ready-set bits. Atomic read-modify-writes: external cancellation
-  // calls wake_all from its own thread while the dispatch loop clears
-  // bits (a bit it loses that way does not matter, since cancellation
-  // also makes stop() true).
-  std::atomic<std::uint64_t>& ready_word(Rank r) {
+  // Ready-set bits, plain words: only the dispatch thread and its
+  // fibers touch them (wake_all, the one call other threads make, leaves
+  // them alone).
+  std::uint64_t& ready_word(Rank r) {
     return ready_[static_cast<std::size_t>(r) / 64];
   }
   static std::uint64_t ready_bit(Rank r) {
     return std::uint64_t{1} << (static_cast<std::size_t>(r) % 64);
   }
-  void mark(Rank r) {
-    ready_word(r).fetch_or(ready_bit(r), std::memory_order_relaxed);
-  }
-  void unmark(Rank r) {
-    ready_word(r).fetch_and(~ready_bit(r), std::memory_order_relaxed);
-  }
+  void mark(Rank r) { ready_word(r) |= ready_bit(r); }
+  void unmark(Rank r) { ready_word(r) &= ~ready_bit(r); }
 
   bool ready(Rank r) const {
     return cb_->waits[static_cast<std::size_t>(r)].ready();
@@ -633,7 +627,7 @@ class CoopScheduler final : public RankScheduler {
   Rank first_runnable(Rank from, Rank to) {
     for (auto w = static_cast<std::size_t>(from) / 64;
          w * 64 < static_cast<std::size_t>(to); ++w) {
-      std::uint64_t bits = ready_[w].load(std::memory_order_relaxed);
+      std::uint64_t bits = ready_[w];
       if (w == static_cast<std::size_t>(from) / 64) {
         bits &= ~std::uint64_t{0} << (static_cast<std::size_t>(from) % 64);
       }
@@ -784,8 +778,7 @@ class CoopScheduler final : public RankScheduler {
   Rng rng_;
   std::vector<Fiber> fibers_;
   std::vector<std::uint64_t> priorities_;
-  std::size_t ready_words_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> ready_;
+  std::vector<std::uint64_t> ready_;
   std::vector<Rank> candidates_;
   FiberContext sched_ctx_;
   const Callbacks* cb_ = nullptr;

@@ -125,6 +125,10 @@ class RankScheduler {
   /// thread; takes only scheduler-leaf locks, so it is safe (and usual)
   /// to call while holding engine shards.
   virtual void wake(Rank r) = 0;
+  /// Called after stop() turned true, possibly from another thread
+  /// (external cancellation): every parked rank must come back to see
+  /// it. The coop scheduler needs no hint, since its dispatch loop
+  /// checks stop() before every pick.
   virtual void wake_all() = 0;
   /// True when this scheduler performs its own stall (deadlock)
   /// detection via on_stall, making the engine's count-based check both

@@ -124,6 +124,10 @@ void Registry::merge_dump(const std::string& dump,
     std::uint64_t value = 0;
     if (in.keyword().empty() || !in.fields().read_exactly(&value)) continue;
     const std::string name(in.keyword());
+    if (prefix.empty()) {
+      counter(name).add(value);
+      continue;
+    }
     counter(prefix + "." + name).add(value);
     counter("dist." + name).add(value);
   }

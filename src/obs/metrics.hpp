@@ -93,8 +93,11 @@ class Registry {
   /// Import another process's dump() into this registry: every counter
   /// line (`name value`) is added both under `<prefix>.<name>` — the
   /// per-worker namespace, so concurrent workers' counters never
-  /// collide — and into a `dist.<name>` campaign aggregate. Gauge and
-  /// histogram lines are not single integers and are skipped.
+  /// collide — and into a `dist.<name>` campaign aggregate. An empty
+  /// prefix adds each counter under its own name instead, as if this
+  /// process had counted it (a sweep's plan workers do work the serial
+  /// sweep does in process). Gauge and histogram lines are not single
+  /// integers and are skipped.
   void merge_dump(const std::string& dump, const std::string& prefix);
 
  private:

@@ -13,6 +13,7 @@
 #include "dist/pool.hpp"
 #include "dist/worker.hpp"
 #include "mpism/fault.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sweep/journal.hpp"
 
@@ -376,11 +377,15 @@ SweepResult run_sweep(const SweepOptions& options,
     hooks.cancel_requested = cancelled;
     hooks.on_message = [&](dist::Worker& w, dist::WireMessage& msg) {
       // The answer holds the plan's record, or none when a cancel
-      // interrupted its campaign.
+      // interrupted its campaign, and the worker's metrics over the plan.
       std::string error = "not a plan answer";
+      std::optional<dist::PlanResult> plan_result;
       std::optional<SweepJournal> answer;
       if (msg.type == dist::MsgType::kResult && w.task.has_value()) {
-        answer = parse_sweep_journal(msg.payload, fingerprint, &error);
+        plan_result = dist::parse_plan_result(msg.payload, &error);
+      }
+      if (plan_result.has_value()) {
+        answer = parse_sweep_journal(plan_result->journal, fingerprint, &error);
       }
       if (!answer.has_value() ||
           answer->records.size() != answer->records.count(w.task->id)) {
@@ -388,6 +393,7 @@ SweepResult run_sweep(const SweepOptions& options,
         return;
       }
       pool.finish(w);
+      obs::Registry::instance().merge_dump(plan_result->metrics_dump, "");
       // Answers landing after a cancel are dropped like the plans still
       // in flight: an interrupted sweep holds only the plans finished
       // before it.
@@ -442,8 +448,12 @@ int run_sweep_worker(const std::string& socket_spec, int worker_id,
     if (auto plan = run_plan(options, task->index, task->spec, program, poll)) {
       answer.records[task->index] = std::move(*plan);
     }
+    dist::PlanResult result;
+    result.journal = serialize_sweep_journal(answer);
+    result.metrics_dump = obs::Registry::instance().dump();
+    obs::Registry::instance().reset();
     if (!channel->send(dist::MsgType::kResult,
-                       serialize_sweep_journal(answer))) {
+                       dist::serialize_plan_result(result))) {
       break;
     }
   }

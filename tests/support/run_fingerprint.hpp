@@ -17,7 +17,7 @@ inline std::string fingerprint(const mpism::RunReport& r) {
   std::string s = strfmt(
       "completed=%d deadlocked=%d timed_out=%d cancelled=%d vtime=%a "
       "comm_leaks=%d req_leaks=%llu msgs=%llu tool_msgs=%llu",
-      r.completed ? 1 : 0, r.deadlocked ? 1 : 0, r.timed_out ? 1 : 0,
+      r.completed ? 1 : 0, r.deadlocked ? 1 : 0, r.timed_out() ? 1 : 0,
       r.cancelled ? 1 : 0, r.vtime_us, r.comm_leaks,
       static_cast<unsigned long long>(r.request_leaks),
       static_cast<unsigned long long>(r.messages_sent),

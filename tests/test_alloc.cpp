@@ -424,7 +424,7 @@ TEST(AllocStateBleed, FailingRunsLeaveNothingBehind) {
                 r.errors.front().message == "fig3: x == 33";
        }},
       {"watchdog timeout", workloads::livelock, Schedule{},
-       [](const mpism::RunReport& r) { return r.timed_out; }},
+       [](const mpism::RunReport& r) { return r.timed_out(); }},
   };
 
   ReplayContext context(options);

@@ -790,7 +790,7 @@ TEST(Dist, ProtocolRoundTripOverSocketpair) {
   EXPECT_EQ(parsed_result->metrics_dump, wr.metrics_dump);
 
   // A fault-sweep plan goes out as PLAN; its answer is a RESULT holding a
-  // one-record sweep journal.
+  // one-record sweep journal and the worker's metrics.
   ASSERT_TRUE(b.send(dist::MsgType::kPlan,
                      dist::serialize_plan({17, "delay@1:3:1000"})));
   ASSERT_EQ(a.recv(&msg, 1000), dist::MessageChannel::RecvStatus::kMessage);
@@ -807,12 +807,18 @@ TEST(Dist, ProtocolRoundTripOverSocketpair) {
   record.verdict = sweep::Verdict::kMasked;
   record.interleavings = 4;
   record.fires = 1;
+  dist::PlanResult plan_result;
+  plan_result.journal = sweep::serialize_sweep_journal(answer);
+  plan_result.metrics_dump = "engine.runs 5\nexplorer.retries 2\n";
   ASSERT_TRUE(a.send(dist::MsgType::kResult,
-                     sweep::serialize_sweep_journal(answer)));
+                     dist::serialize_plan_result(plan_result)));
   ASSERT_EQ(b.recv(&msg, 1000), dist::MessageChannel::RecvStatus::kMessage);
   ASSERT_EQ(msg.type, dist::MsgType::kResult);
-  auto parsed_answer =
-      sweep::parse_sweep_journal(msg.payload, answer.fingerprint, &error);
+  auto parsed_plan_result = dist::parse_plan_result(msg.payload, &error);
+  ASSERT_TRUE(parsed_plan_result.has_value()) << error;
+  EXPECT_EQ(parsed_plan_result->metrics_dump, plan_result.metrics_dump);
+  auto parsed_answer = sweep::parse_sweep_journal(
+      parsed_plan_result->journal, answer.fingerprint, &error);
   ASSERT_TRUE(parsed_answer.has_value()) << error;
   ASSERT_EQ(parsed_answer->records.size(), 1u);
   const sweep::PlanRecord& got = parsed_answer->records.at(17);

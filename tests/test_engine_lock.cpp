@@ -15,7 +15,9 @@
 //    coop;
 //  - observability: the sharded mode accounts lock acquisitions and
 //    envelope inline hits in the metrics registry, and a coop run
-//    accounts none (its engine is single-threaded by construction).
+//    accounts none (its engine is single-threaded by construction);
+//    the per-sender message, envelope and leak counts sum to the same
+//    totals under both schedulers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "support/digest.hpp"
 #include "support/run_helpers.hpp"
+#include "support/verify_helpers.hpp"
 #include "workloads/patterns.hpp"
 
 namespace dampi::test {
@@ -417,6 +420,60 @@ TEST(EngineLockObs, CoopRunTakesNoLocks) {
   EXPECT_EQ(reg.counter("engine.lock.acquired").value(), 0u);
   EXPECT_EQ(reg.counter("engine.lock.all_shards").value(), 0u);
   reg.reset();
+}
+
+// The per-sender counts are plain PerRank fields summed at report and
+// publish time: a DAMPI-instrumented run (piggybacks travel as tool
+// messages) of a wildcard-free ring must report the same totals on the
+// coop engine, which bumps them with plain stores, and on OS threads.
+TEST(EngineLockObs, PerSenderCountsAgreeAcrossSchedulers) {
+  auto ring = [](mpism::Proc& p) {
+    const int next = (p.rank() + 1) % p.size();
+    const int prev = (p.rank() + p.size() - 1) % p.size();
+    for (int round = 0; round < 3; ++round) {
+      p.send(next, 1, pack<int>(round));  // inline payload
+      p.send(next, 2, Bytes(200));         // spills to the heap
+      p.recv(prev, 1);
+      p.recv(prev, 2);
+    }
+    p.isend(next, 3, pack<int>(7));  // never completed: one leak per rank
+    p.recv(prev, 3);
+  };
+  struct Totals {
+    std::uint64_t messages = 0;
+    std::uint64_t tool_messages = 0;
+    std::uint64_t leaks = 0;
+    std::uint64_t inline_hits = 0;
+    std::uint64_t heap_spills = 0;
+  };
+  auto& reg = obs::Registry::instance();
+  std::vector<Totals> totals;
+  for (const mpism::SchedulerKind kind :
+       {mpism::SchedulerKind::kCoop, mpism::SchedulerKind::kThread}) {
+    reg.reset();
+    core::ExplorerOptions options = explorer_options(4);
+    options.sched.kind = kind;
+    const core::SingleRun run = run_dampi_once(options, {}, ring);
+    ASSERT_TRUE(run.report.ok()) << run.report.deadlock_detail;
+    totals.push_back({run.report.messages_sent,
+                      run.report.stats.tool_messages,
+                      run.report.request_leaks,
+                      reg.counter("engine.envelope.inline_hits").value(),
+                      reg.counter("engine.envelope.heap_spills").value()});
+  }
+  reg.reset();
+  const Totals& coop = totals[0];
+  const Totals& thread = totals[1];
+  EXPECT_EQ(coop.messages, 4u * 7u);
+  EXPECT_GT(coop.tool_messages, 0u);
+  EXPECT_EQ(coop.leaks, 4u);
+  EXPECT_EQ(coop.heap_spills, 4u * 3u);
+  EXPECT_GT(coop.inline_hits, 0u);
+  EXPECT_EQ(thread.messages, coop.messages);
+  EXPECT_EQ(thread.tool_messages, coop.tool_messages);
+  EXPECT_EQ(thread.leaks, coop.leaks);
+  EXPECT_EQ(thread.inline_hits, coop.inline_hits);
+  EXPECT_EQ(thread.heap_spills, coop.heap_spills);
 }
 
 }  // namespace

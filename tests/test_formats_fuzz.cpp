@@ -1,7 +1,8 @@
 // Every line-oriented format the verifier reads back — epoch-decision
-// files, checkpoints, sweep journals and the DMP1 hello, shard, plan and
-// result payloads — pinned by a golden text (tests/golden/, recorded from the
-// serializers) and mutation-fuzzed from it with a fixed seed.
+// files, checkpoints, sweep journals and the DMP1 hello, shard, plan,
+// result and plan-result payloads — pinned by a golden text
+// (tests/golden/, recorded from the serializers) and mutation-fuzzed
+// from it with a fixed seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -78,6 +79,18 @@ const Format kFormats[] = {
     {"dmp1_plan.txt",
      [](const std::string& text, std::string* error) {
        return then(dist::parse_plan(text, error), dist::serialize_plan);
+     }},
+    {"dmp1_plan_result.txt",
+     [](const std::string& text, std::string* error) {
+       // The embedded journal is read too, as the sweep coordinator
+       // reads it.
+       auto result = dist::parse_plan_result(text, error);
+       if (!result.has_value()) return std::optional<std::string>();
+       const auto journal = sweep::parse_sweep_journal(result->journal, "",
+                                                       error);
+       if (!journal.has_value()) return std::optional<std::string>();
+       result->journal = sweep::serialize_sweep_journal(*journal);
+       return std::optional<std::string>(dist::serialize_plan_result(*result));
      }},
     {"dmp1_result.txt",
      [](const std::string& text, std::string* error) {

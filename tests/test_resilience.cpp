@@ -17,6 +17,7 @@
 #include "core/report_format.hpp"
 #include "mpism/cancel.hpp"
 #include "mpism/fault.hpp"
+#include "obs/metrics.hpp"
 #include "support/run_helpers.hpp"
 #include "support/verify_helpers.hpp"
 #include "workloads/patterns.hpp"
@@ -39,6 +40,11 @@ mpism::SchedOptions sched_named(const char* spec) {
   return sched;
 }
 
+/// Retries that slept first, process-wide (a registry counter).
+std::uint64_t retry_backoffs() {
+  return obs::Registry::instance().counter("explorer.retry_backoffs").value();
+}
+
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "dampi_resil_" + name;
 }
@@ -51,7 +57,7 @@ TEST(Watchdog, WallDeadlineKillsLivelockUnderThreadSched) {
   opts.sched = sched_named("thread");
   opts.max_run_wall_seconds = 0.5;
   const auto report = run_program(std::move(opts), workloads::livelock);
-  EXPECT_TRUE(report.timed_out);
+  EXPECT_TRUE(report.timed_out());
   EXPECT_FALSE(report.completed);
   EXPECT_FALSE(report.deadlocked);
   EXPECT_FALSE(report.cancelled);
@@ -65,7 +71,7 @@ TEST(Watchdog, WallDeadlineKillsLivelockUnderCoopSched) {
   opts.sched = sched_named("coop");
   opts.max_run_wall_seconds = 0.5;
   const auto report = run_program(std::move(opts), workloads::livelock);
-  EXPECT_TRUE(report.timed_out);
+  EXPECT_TRUE(report.timed_out());
   EXPECT_FALSE(report.completed);
   EXPECT_NE(report.stop_reason.find("wall deadline"), std::string::npos);
 }
@@ -75,7 +81,7 @@ TEST(Watchdog, OpBudgetExpires) {
   opts.nprocs = 2;
   opts.max_ops = 200;  // the spinner alone burns this in milliseconds
   const auto report = run_program(std::move(opts), workloads::livelock);
-  EXPECT_TRUE(report.timed_out);
+  EXPECT_TRUE(report.timed_out());
   EXPECT_NE(report.stop_reason.find("op budget"), std::string::npos);
 }
 
@@ -87,7 +93,7 @@ TEST(Watchdog, BudgetsDoNotMisfireOnRealDeadlocks) {
   opts.max_run_wall_seconds = 60.0;
   const auto report = run_program(std::move(opts), workloads::simple_deadlock);
   EXPECT_TRUE(report.deadlocked);
-  EXPECT_FALSE(report.timed_out);
+  EXPECT_FALSE(report.timed_out());
   EXPECT_FALSE(report.cancelled);
 }
 
@@ -104,7 +110,7 @@ TEST(Cancel, ExternalCancelUnwindsAnInFlightRun) {
   firer.join();
   EXPECT_TRUE(report.cancelled);
   EXPECT_FALSE(report.completed);
-  EXPECT_FALSE(report.timed_out);
+  EXPECT_FALSE(report.timed_out());
   EXPECT_EQ(report.stop_reason, "test cancel");
 }
 
@@ -246,14 +252,17 @@ TEST(Fault, FlakyFaultIsHealedByRetries) {
   // flaky@1:1:2 fires twice campaign-wide; with three retries allowed
   // the third attempt of the discovery run goes through and the
   // exploration ends clean — the retry counter records the recovery.
+  // An injected fault is no host hiccup, so no retry sleeps first.
   ExplorerOptions options = explorer_options(3);
   std::string error;
   options.fault = mpism::parse_fault_plan("flaky@1:1:2", &error);
   ASSERT_NE(options.fault, nullptr) << error;
   options.max_retries = 3;
+  const std::uint64_t backoffs = retry_backoffs();
   const ExploreResult result =
       Explorer(options).explore(workloads::fig3_benign);
   EXPECT_EQ(result.retries, 2u);
+  EXPECT_EQ(retry_backoffs() - backoffs, 0u);
   EXPECT_FALSE(result.found_bug());
   EXPECT_EQ(result.quarantined, 0u);
 }
@@ -276,6 +285,36 @@ TEST(ExplorerResilience, LivelockBecomesAHangVerdictUnderEveryConfig) {
   }
 }
 
+// An op budget counts the run's own operations, so its hang replays
+// identically: both retries run at once.
+TEST(ExplorerResilience, OpBudgetHangIsRetriedWithoutBackoff) {
+  ExplorerOptions options = explorer_options(2);
+  options.max_run_ops = 200;
+  options.max_retries = 2;
+  options.max_interleavings = 1;
+  const std::uint64_t backoffs = retry_backoffs();
+  const ExploreResult result = Explorer(options).explore(workloads::livelock);
+  EXPECT_EQ(result.retries, 2u);
+  EXPECT_EQ(retry_backoffs() - backoffs, 0u);
+  ASSERT_TRUE(result.found_bug());
+  EXPECT_EQ(result.bugs.front().kind, BugRecord::Kind::kHang);
+}
+
+// A run wall deadline is the one expiry host load can cause, so its
+// retry sleeps first.
+TEST(ExplorerResilience, RunDeadlineHangBacksOffBeforeItsRetry) {
+  ExplorerOptions options = explorer_options(2);
+  options.run_deadline_seconds = 0.02;
+  options.max_retries = 1;
+  options.max_interleavings = 1;
+  const std::uint64_t backoffs = retry_backoffs();
+  const ExploreResult result = Explorer(options).explore(workloads::livelock);
+  EXPECT_EQ(result.retries, 1u);
+  EXPECT_EQ(retry_backoffs() - backoffs, 1u);
+  ASSERT_TRUE(result.found_bug());
+  EXPECT_EQ(result.bugs.front().kind, BugRecord::Kind::kHang);
+}
+
 TEST(ExplorerResilience, HangScheduleReproducesTheHang) {
   ExplorerOptions options = explorer_options(2);
   options.run_deadline_seconds = 0.5;
@@ -284,7 +323,7 @@ TEST(ExplorerResilience, HangScheduleReproducesTheHang) {
   ASSERT_EQ(result.bugs.front().kind, BugRecord::Kind::kHang);
   const auto rerun = core::run_guided_once(options, result.bugs.front().schedule,
                                            workloads::livelock);
-  EXPECT_TRUE(rerun.report.timed_out);
+  EXPECT_TRUE(rerun.report.timed_out());
 }
 
 TEST(ExplorerResilience, GlobalWallBudgetCancelsAnInFlightRun) {

@@ -13,13 +13,17 @@
 //    (point-to-point waits, probes, synchronous sends, each collective,
 //    test/iprobe poll loops) is stopped by every cause under both
 //    schedulers: every object it built is destroyed, every pooled record
-//    is back in its pool, and a stopped rank never blocks again.
+//    is back in its pool, and a stopped rank never blocks again;
+//  - a coop run cancelled from another thread while its ranks are
+//    parked unwinds every rank, though the cancel never touches the
+//    coop scheduler's ready set.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/strutil.hpp"
@@ -342,7 +346,7 @@ bool stopped_by(Cause cause, const mpism::RunReport& report) {
     case Cause::kErrorFault:
       return error.starts_with("fault injected: MPI error injected at rank 1");
     case Cause::kDeadlock: return report.deadlocked;
-    case Cause::kOpBudget: return report.timed_out;
+    case Cause::kOpBudget: return report.timed_out();
     case Cause::kCancel: return report.cancelled;
     case Cause::kSiblingError:
       return error == "send to invalid rank 9";
@@ -377,6 +381,52 @@ TEST(StopUnwind, EveryBlockingKindUnwindsWithoutLeaks) {
     }
   }
   g_cancel = nullptr;
+}
+
+// A cancel from another thread lands while every rank but the last is
+// parked in a blocking receive and the last polls. The coop scheduler's
+// wake_all is a no-op, so only pick()'s stop scan can release the
+// parked ranks: each must unwind once and destroy what it holds.
+TEST(StopUnwind, CancelFromAnotherThreadReleasesParkedCoopRanks) {
+  constexpr int kRanks = 4;
+  auto source = std::make_shared<mpism::CancelSource>();
+  g_built = 0;
+  g_destroyed = 0;
+  g_victim_unwinds = 0;
+  std::atomic<bool> polling{false};
+  mpism::RunOptions options;
+  options.nprocs = kRanks;
+  options.sched = coop(mpism::SchedPolicy::kRoundRobin, 1);
+  options.cancel = source;
+  mpism::Engine engine(options);
+  std::thread canceller([&polling, &source] {
+    while (!polling.load(std::memory_order_acquire)) std::this_thread::yield();
+    source->cancel("cancelled from another thread");
+  });
+  const mpism::RunReport report = engine.run([&polling](Proc& p) {
+    Held held;
+    const int last = p.size() - 1;
+    try {
+      if (p.rank() == last) {
+        // Round-robin runs this rank after every other one has parked.
+        polling.store(true, std::memory_order_release);
+        while (!p.iprobe(0, kVictimTag)) {
+        }
+      } else {
+        p.recv(last, kVictimTag);
+      }
+    } catch (const mpism::AbortRun&) {
+      g_victim_unwinds.fetch_add(1, std::memory_order_relaxed);
+      throw;
+    }
+  });
+  canceller.join();
+  EXPECT_TRUE(report.cancelled) << fingerprint(report);
+  EXPECT_EQ(report.stop_reason, "cancelled from another thread");
+  EXPECT_EQ(g_built.load(), kRanks);
+  EXPECT_EQ(g_destroyed.load(), kRanks);
+  EXPECT_EQ(g_victim_unwinds.load(), kRanks);
+  EXPECT_EQ(engine.pooled_live(), 0u);
 }
 
 /// Block-span begins in rank `r`'s trace lane.
