@@ -387,13 +387,16 @@ echo "tier1: sweep exit-code contract OK"
 
 # Sweep reports at any worker count: adlb's full sweep at 8 ranks
 # (151 plans) run in process and on 2, 4 and 8 worker processes must
-# write byte-identical --sweep-report files.
+# write byte-identical --sweep-report files. Its 68 abort/error pairs
+# run one campaign each, at every worker count: 83 campaigns run and 68
+# records are copies.
 adlb_report="build/tier1-adlb-sweep"
 for w in 1 2 4 8; do
   rc=0
   build/examples/verify_cli --program adlb --procs 8 --sweep-faults \
-    --workers "${w}" --sweep-report "${adlb_report}.${w}.json" \
-    > /dev/null || rc=$?
+    --sweep-budget 512 --workers "${w}" \
+    --sweep-report "${adlb_report}.${w}.json" \
+    > "${adlb_report}.${w}.txt" || rc=$?
   if [[ "${rc}" == 3 || ! -s "${adlb_report}.${w}.json" ]]; then
     echo "tier1: FAIL: adlb sweep at ${w} workers exited ${rc}" >&2
     exit 1
@@ -402,9 +405,16 @@ for w in 1 2 4 8; do
     echo "tier1: FAIL: adlb sweep report differs at ${w} workers" >&2
     exit 1
   fi
+  if ! grep -q "83 executed, 68 shared" "${adlb_report}.${w}.txt"; then
+    echo "tier1: FAIL: adlb sweep at ${w} workers did not run 83 and" \
+      "share 68 plans" >&2
+    grep "executed" "${adlb_report}.${w}.txt" >&2 || true
+    exit 1
+  fi
 done
-rm -f "${adlb_report}".*.json
-echo "tier1: adlb sweep reports identical at 1/2/4/8 workers OK"
+rm -f "${adlb_report}".*.json "${adlb_report}".*.txt
+echo "tier1: adlb sweep reports identical and 68 plans shared at" \
+  "1/2/4/8 workers OK"
 
 # Flaky plans heal by retries, and an injected fault replays identically,
 # so no retry may sleep first: explorer.retry_backoffs must read 0 in

@@ -3,7 +3,6 @@
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/strutil.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dampi::core {
@@ -80,18 +79,8 @@ void DampiLayer::drain_unreceived(mpism::ToolCtx& ctx) {
 void DampiLayer::flush(bool) {
   if (flushed_) return;
   flushed_ = true;
-  static obs::Counter& epochs_recv_metric =
-      obs::Registry::instance().counter("layer.epochs_recv");
-  static obs::Counter& epochs_probe_metric =
-      obs::Registry::instance().counter("layer.epochs_probe");
-  static obs::Counter& potential_metric =
-      obs::Registry::instance().counter("layer.potential_matches");
-  static obs::Counter& late_metric =
-      obs::Registry::instance().counter("layer.late_messages");
-  epochs_recv_metric.add(recv_epoch_count_);
-  epochs_probe_metric.add(probe_epoch_count_);
-  potential_metric.add(potential_count_);
-  late_metric.add(late_count_);
+  // The sink sums these counts over the run's ranks; the replay context
+  // publishes the sums to the layer.* metrics once per run.
   shared_->sink->flush_rank({epochs_.data(), epoch_count_}, alerts_,
                             recv_epoch_count_, probe_epoch_count_,
                             potential_count_, late_count_);

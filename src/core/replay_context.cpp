@@ -3,6 +3,7 @@
 #include "core/dampi_layer.hpp"
 #include "mpism/engine.hpp"
 #include "mpism/fault.hpp"
+#include "obs/metrics.hpp"
 #include "piggyback/telepathic.hpp"
 
 namespace dampi::core {
@@ -68,6 +69,18 @@ void ReplayContext::run(const Schedule& schedule,
   // reset flushes aborted ranks too) before the trace is taken.
   engine_->run(program, &out->report, campaign_deadline);
   out->trace = sink_->take();
+  static obs::Counter& epochs_recv_metric =
+      obs::Registry::instance().counter("layer.epochs_recv");
+  static obs::Counter& epochs_probe_metric =
+      obs::Registry::instance().counter("layer.epochs_probe");
+  static obs::Counter& potential_metric =
+      obs::Registry::instance().counter("layer.potential_matches");
+  static obs::Counter& late_metric =
+      obs::Registry::instance().counter("layer.late_messages");
+  epochs_recv_metric.add(out->trace.wildcard_recv_epochs);
+  epochs_probe_metric.add(out->trace.wildcard_probe_epochs);
+  potential_metric.add(out->trace.potential_matches);
+  late_metric.add(out->trace.late_messages_seen);
   out->divergences = shared_->divergences.load(std::memory_order_relaxed);
 }
 

@@ -129,22 +129,33 @@ FaultPlan::FaultPlan(std::vector<FaultPoint> points)
   }
 }
 
-bool FaultPlan::should_fire(std::size_t i) {
-  const FaultPoint& point = points_[i];
-  const std::uint64_t prior = fired_[i].fetch_add(1, std::memory_order_relaxed);
-  if (point.kind == FaultPoint::Kind::kFlaky) {
-    return prior < point.max_fires;
+FaultEffect fault_effect(const FaultPoint& point) {
+  FaultEffect effect;
+  switch (point.kind) {
+    case FaultPoint::Kind::kAbort:
+    case FaultPoint::Kind::kError:
+      break;
+    case FaultPoint::Kind::kDelay:
+      effect.action = FaultEffect::Action::kDelay;
+      effect.delay_us = point.delay_us;
+      break;
+    case FaultPoint::Kind::kFlaky:
+      effect.max_fires = point.max_fires;
+      break;
   }
-  return true;
+  return effect;
+}
+
+bool FaultPlan::should_fire(std::size_t i) {
+  const std::uint64_t cap = fault_effect(points_[i]).max_fires;
+  const std::uint64_t prior = fired_[i].fetch_add(1, std::memory_order_relaxed);
+  return cap == 0 || prior < cap;
 }
 
 std::uint64_t FaultPlan::fires(std::size_t i) const {
-  std::uint64_t count = fired_[i].load(std::memory_order_relaxed);
-  if (points_[i].kind == FaultPoint::Kind::kFlaky &&
-      count > points_[i].max_fires) {
-    count = points_[i].max_fires;
-  }
-  return count;
+  const std::uint64_t cap = fault_effect(points_[i]).max_fires;
+  const std::uint64_t count = fired_[i].load(std::memory_order_relaxed);
+  return cap == 0 ? count : std::min(count, cap);
 }
 
 std::uint64_t FaultPlan::total_fires() const {
@@ -295,20 +306,16 @@ void FaultLayer::on_op(ToolCtx& ctx, const char* what) {
                  static_cast<std::uint32_t>(rank_),
                  static_cast<std::uint32_t>(ops_),
                  static_cast<std::uint32_t>(p.kind));
-    switch (p.kind) {
-      case FaultPoint::Kind::kDelay:
-        ctx.add_cost(p.delay_us);
+    const FaultEffect effect = fault_effect(p);
+    switch (effect.action) {
+      case FaultEffect::Action::kDelay:
+        ctx.add_cost(effect.delay_us);
         break;
-      case FaultPoint::Kind::kError:
-        ctx.fail_run(strfmt("fault injected: MPI error injected at rank %d "
-                            "op %llu (%s)",
-                            rank_, static_cast<unsigned long long>(ops_),
-                            what));
-        return;
-      case FaultPoint::Kind::kAbort:
-      case FaultPoint::Kind::kFlaky:
-        ctx.fail_run(strfmt("fault injected: rank abort injected at rank %d "
-                            "op %llu (%s)",
+      case FaultEffect::Action::kStop:
+        ctx.fail_run(strfmt("fault injected: %s injected at rank %d op %llu "
+                            "(%s)",
+                            p.kind == FaultPoint::Kind::kError ? "MPI error"
+                                                               : "rank abort",
                             rank_, static_cast<unsigned long long>(ops_),
                             what));
         return;

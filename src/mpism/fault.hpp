@@ -6,11 +6,18 @@
 // actions exist:
 //
 //   abort@R:OP      rank R's OP-th MPI call crashes the rank
-//   error@R:OP      rank R's OP-th MPI call returns an MPI error
+//   error@R:OP      rank R's OP-th MPI call fails with an MPI error; under
+//                   MPI_ERRORS_ARE_FATAL (the default error handler) that
+//                   ends the job, so the run stops exactly as for abort
 //   delay@R:OP:US   rank R's OP-th MPI call costs an extra US virtual us
 //   flaky@R:OP:N    like abort, but only the first N times the point is
 //                   reached across the whole campaign — the
 //                   "transient fault" the explorer's retry path exists for
+//
+// What a point does is its FaultEffect (fault_effect below): abort and
+// error share one, so a fault sweep runs an abort/error pair at the same
+// (rank, op) once and records the outcome under both specs. Only the
+// injected error message names the kind.
 //
 // One FaultPlan instance is shared by every run of an exploration, so
 // flaky fire-counters span the campaign, and its canonical spec string
@@ -39,6 +46,22 @@ struct FaultPoint {
   double delay_us = 0.0;       ///< kDelay only
   std::uint64_t max_fires = 0; ///< kFlaky only: campaign-wide fire cap
 };
+
+/// What a point does when it fires, whatever its kind is called: stop
+/// the run (abort, error, flaky) or add virtual time (delay). Two points
+/// at the same (rank, op) with equal effects give equal campaigns.
+struct FaultEffect {
+  enum class Action { kStop, kDelay };
+  Action action = Action::kStop;
+  double delay_us = 0.0;        ///< kDelay: extra virtual us
+  std::uint64_t max_fires = 0;  ///< campaign-wide fire cap; 0 = uncapped
+
+  bool operator==(const FaultEffect&) const = default;
+};
+
+/// The effect of `point`. FaultPlan and FaultLayer act on this alone, so
+/// a key built from it cannot drift from what the layer does.
+FaultEffect fault_effect(const FaultPoint& point);
 
 /// A parsed fault campaign plus its shared fire counters.
 class FaultPlan {
@@ -95,9 +118,10 @@ std::string validate_fault_plan(const FaultPlan& plan, int nprocs);
 
 /// The interposition layer: one per rank, stacked above every other tool
 /// so it sees user-facing MPI calls in program order. Counts this rank's
-/// calls across all pre_* hooks and fires matching plan points: an
-/// abort, error or flaky point stops the run (ToolCtx::fail_run) with the
-/// rank's error "fault injected: ...", so the call never executes.
+/// calls across all pre_* hooks and fires matching plan points by their
+/// effect: a stop (abort, error, flaky) ends the run (ToolCtx::fail_run)
+/// with the rank's error "fault injected: ...", so the call never
+/// executes; a delay adds its virtual time.
 class FaultLayer final : public ToolLayer {
  public:
   FaultLayer(std::shared_ptr<FaultPlan> plan, Rank rank);

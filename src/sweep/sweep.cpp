@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <map>
 #include <optional>
 #include <random>
 #include <set>
@@ -95,12 +96,46 @@ core::ExplorerOptions campaign_options(
   // give every campaign enough retries to burn through the cap, so the
   // sweep can observe masking instead of quarantining the subtree.
   for (const mpism::FaultPoint& point : opts.fault->points()) {
-    if (point.kind == mpism::FaultPoint::Kind::kFlaky) {
-      opts.max_retries = std::max(opts.max_retries,
-                                  static_cast<int>(point.max_fires));
-    }
+    opts.max_retries =
+        std::max(opts.max_retries,
+                 static_cast<int>(mpism::fault_effect(point).max_fires));
   }
   return opts;
+}
+
+/// What a plan does, and where: each point's (rank, op) and effect. A
+/// campaign depends on its plan through this alone (campaign_options and
+/// FaultLayer read effects, not kinds), so plans with equal keys — an
+/// abort/error pair — give equal records. A spec that does not parse
+/// keys on its text and shares with nothing.
+std::string effect_key(const std::string& spec) {
+  std::string error;
+  const auto plan = mpism::parse_fault_plan(spec, &error);
+  if (!plan) return "spec " + spec;
+  std::string key;
+  for (const mpism::FaultPoint& point : plan->points()) {
+    const mpism::FaultEffect effect = mpism::fault_effect(point);
+    key += strfmt("%d@%d:%llu:%a:%llu,", static_cast<int>(effect.action),
+                  point.rank, static_cast<unsigned long long>(point.op_index),
+                  effect.delay_us,
+                  static_cast<unsigned long long>(effect.max_fires));
+  }
+  return key;
+}
+
+/// The enumerated plans grouped by effect_key, each group's indices in
+/// enumeration order and groups in order of their first member.
+std::vector<std::vector<std::size_t>> effect_groups(
+    const std::vector<std::string>& specs) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::map<std::string, std::size_t> by_key;
+  for (std::size_t index = 0; index < specs.size(); ++index) {
+    const auto [it, fresh] = by_key.emplace(effect_key(specs[index]),
+                                            groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(index);
+  }
+  return groups;
 }
 
 PlanRecord sweep_error(std::uint64_t index, const std::string& spec,
@@ -335,32 +370,66 @@ SweepResult run_sweep(const SweepOptions& options,
     }
   }
 
+  // Plans with one effect run one campaign: the first member without a
+  // record runs it, and the others record copies of its record.
+  const std::vector<std::vector<std::size_t>> groups = effect_groups(specs);
+  std::vector<std::size_t> group_of(specs.size());
+  for (std::size_t group = 0; group < groups.size(); ++group) {
+    for (const std::size_t index : groups[group]) group_of[index] = group;
+  }
+
   DAMPI_TRACE_THREAD_LANE("sweep");
   const auto cancelled = [&options] {
     return options.cancel && options.cancel->requested();
   };
-  // Records a finished plan: its slot, the journal, the progress hook.
-  const auto record = [&](PlanRecord plan) {
+  // Records a finished plan: its slot, the journal, the progress hook,
+  // and `*counter` (executed or shared).
+  const auto record = [&](PlanRecord plan, std::uint64_t* counter) {
     DAMPI_TEVENT(obs::EventKind::kSweepPlan, obs::Phase::kInstant,
                  static_cast<std::int32_t>(plan.index),
                  static_cast<std::int32_t>(plan.verdict), 0,
                  plan.interleavings);
     const PlanRecord& slot = slots[plan.index].emplace(std::move(plan));
-    ++result.executed;
+    ++*counter;
     if (!options.journal_path.empty()) {
       journal.records[slot.index] = slot;
       save_sweep_journal(journal, options.journal_path);
     }
     if (options.on_plan_done) options.on_plan_done(slot);
   };
+  // Settles a group as far as recorded members allow: once one holds a
+  // campaign's verdict (a sweep-error is none), each member still
+  // without a record records a copy of it. Returns the member that must
+  // run its own campaign, if any; nothing once the sweep is cancelled.
+  const auto settle = [&](std::size_t group) -> std::optional<std::size_t> {
+    const PlanRecord* source = nullptr;
+    for (const std::size_t index : groups[group]) {
+      if (slots[index].has_value() &&
+          slots[index]->verdict != Verdict::kSweepError) {
+        source = &*slots[index];
+        break;
+      }
+    }
+    for (const std::size_t index : groups[group]) {
+      if (slots[index].has_value()) continue;
+      if (cancelled()) return std::nullopt;
+      if (source == nullptr) return index;
+      PlanRecord copy = *source;
+      copy.index = index;
+      copy.spec = specs[index];
+      record(std::move(copy), &result.shared);
+    }
+    return std::nullopt;
+  };
 
   if (options.workers <= 1) {
-    for (std::size_t index = 0; index < specs.size() && !cancelled();
-         ++index) {
-      if (slots[index].has_value()) continue;  // satisfied from the journal
-      auto plan = run_plan(options, index, specs[index], program, nullptr);
-      if (!plan.has_value()) break;
-      record(std::move(*plan));
+    for (std::size_t group = 0; group < groups.size() && !cancelled();
+         ++group) {
+      while (const auto index = settle(group)) {
+        auto plan = run_plan(options, *index, specs[*index], program, nullptr);
+        if (!plan.has_value()) break;
+        record(std::move(*plan), &result.executed);
+      }
     }
   } else if (options.worker_argv.empty()) {
     result.error = "sweep: workers > 1 needs a worker argv";
@@ -368,10 +437,16 @@ SweepResult run_sweep(const SweepOptions& options,
   } else {
     dist::WorkerPool pool(options.workers, options.worker_argv, fingerprint,
                           dist::kShutdownGraceSeconds);
-    for (std::size_t index = 0; index < specs.size(); ++index) {
-      if (slots[index].has_value()) continue;
-      pool.push({index, dist::MsgType::kPlan,
-                 dist::serialize_plan({index, specs[index]})});
+    // One PLAN frame per group at a time: the next member's goes out
+    // only if this one's answer settles nothing.
+    const auto push_next = [&](std::size_t group) {
+      if (const auto index = settle(group)) {
+        pool.push({*index, dist::MsgType::kPlan,
+                   dist::serialize_plan({*index, specs[*index]})});
+      }
+    };
+    for (std::size_t group = 0; group < groups.size(); ++group) {
+      push_next(group);
     }
     dist::WorkerPool::Hooks hooks;
     hooks.cancel_requested = cancelled;
@@ -392,18 +467,22 @@ SweepResult run_sweep(const SweepOptions& options,
         pool.protocol_error(w, "bad plan answer: " + error);
         return;
       }
+      const std::size_t group = group_of[w.task->id];
       pool.finish(w);
       obs::Registry::instance().merge_dump(plan_result->metrics_dump, "");
       // Answers landing after a cancel are dropped like the plans still
       // in flight: an interrupted sweep holds only the plans finished
       // before it.
       if (answer->records.size() == 1 && !cancelled()) {
-        record(std::move(answer->records.begin()->second));
+        record(std::move(answer->records.begin()->second), &result.executed);
+        push_next(group);
       }
     };
     hooks.on_abandoned = [&](const dist::Task& task) {
       record(sweep_error(task.id, specs[task.id],
-                         strfmt("its worker died %d times", task.deaths)));
+                         strfmt("its worker died %d times", task.deaths)),
+             &result.executed);
+      push_next(group_of[task.id]);
     };
     const std::string error = pool.run(hooks);
     result.requeued = pool.requeued();
@@ -533,10 +612,11 @@ std::string format_sweep_summary(const SweepOptions& options,
                 static_cast<unsigned long long>(result.inventory.total_ops()));
   out += strfmt(
       "  plans: %zu completed of %llu enumerated (%llu over budget); "
-      "%llu executed, %llu resumed, %llu requeued%s\n",
+      "%llu executed, %llu shared, %llu resumed, %llu requeued%s\n",
       result.records.size(), static_cast<unsigned long long>(result.planned),
       static_cast<unsigned long long>(result.truncated),
       static_cast<unsigned long long>(result.executed),
+      static_cast<unsigned long long>(result.shared),
       static_cast<unsigned long long>(result.resumed),
       static_cast<unsigned long long>(result.requeued),
       result.interrupted ? " — INTERRUPTED" : "");

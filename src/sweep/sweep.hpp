@@ -4,8 +4,11 @@
 // (inventory.hpp); a deterministic enumeration turns it into
 // single-point fault plans under a budget — every (rank, op) abort and
 // error point, plus seeded-RNG-sampled delay and flaky perturbations —
-// and each plan gets one bounded exploration campaign reusing the
-// explorer's watchdog/retry/quarantine machinery. Campaigns are
+// and each distinct behaviour gets one bounded exploration campaign
+// reusing the explorer's watchdog/retry/quarantine machinery: plans
+// whose points do the same thing at the same (rank, op) — abort@R:OP and
+// error@R:OP, an MPI error being fatal under MPI_ERRORS_ARE_FATAL — run
+// one campaign and record its outcome under each spec. Campaigns are
 // independent: with `workers` > 1 they run on worker processes, handed
 // out as PLAN frames through the same pool (dist/pool.hpp) a
 // distributed campaign shards over. Each is classified into one
@@ -85,7 +88,13 @@ struct SweepResult {
   std::vector<PlanRecord> records;
   std::uint64_t planned = 0;    ///< plans enumerated before truncation
   std::uint64_t truncated = 0;  ///< dropped by the budget
-  std::uint64_t executed = 0;   ///< campaigns run for this sweep
+  /// Campaigns run for this sweep, one per plan that ran its own
+  /// (sweep-error records of abandoned plans included).
+  std::uint64_t executed = 0;
+  /// Plans recorded with a copy of another plan's record: plans whose
+  /// points have one effect at one (rank, op) (mpism::fault_effect), such
+  /// as abort@R:OP and error@R:OP, run one campaign between them.
+  std::uint64_t shared = 0;
   std::uint64_t resumed = 0;    ///< satisfied from the journal
   std::uint64_t requeued = 0;   ///< plans resent after their worker died
   bool interrupted = false;
@@ -126,7 +135,8 @@ int run_sweep_worker(const std::string& socket_spec, int worker_id,
 
 /// Machine-readable crash-tolerance report. Byte-identical for the same
 /// (program, options, budget, seed) at any worker count and across
-/// kill/resume: it carries no timing and no executed/resumed split.
+/// kill/resume: it carries no timing and no executed/shared/resumed
+/// split.
 std::string format_sweep_report_json(const SweepOptions& options,
                                      const SweepResult& result);
 

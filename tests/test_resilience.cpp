@@ -140,6 +140,32 @@ TEST(Fault, SpecParsesAndFormatsCanonically) {
             "error@0:2,flaky@1:1:2,abort@1:3,delay@2:5:1500");
 }
 
+// A point's effect is what the layer does when it fires: an MPI error
+// under MPI_ERRORS_ARE_FATAL stops the run as an abort does, while delay
+// and flaky points keep their parameter.
+TEST(Fault, AbortAndErrorHaveOneEffectDelayAndFlakyKeepTheirParameter) {
+  std::string error;
+  const auto plan = mpism::parse_fault_plan(
+      "abort@0:1,error@0:2,delay@0:3:1500,flaky@0:4:2,delay@0:5:100", &error);
+  ASSERT_NE(plan, nullptr) << error;
+  const std::vector<mpism::FaultPoint>& points = plan->points();
+  using Action = mpism::FaultEffect::Action;
+  const mpism::FaultEffect stop = mpism::fault_effect(points[0]);
+  EXPECT_EQ(stop.action, Action::kStop);
+  EXPECT_EQ(stop.max_fires, 0u);
+  EXPECT_EQ(mpism::fault_effect(points[1]), stop);
+
+  const mpism::FaultEffect delay = mpism::fault_effect(points[2]);
+  EXPECT_EQ(delay.action, Action::kDelay);
+  EXPECT_EQ(delay.delay_us, 1500.0);
+  EXPECT_FALSE(mpism::fault_effect(points[4]) == delay);
+
+  const mpism::FaultEffect flaky = mpism::fault_effect(points[3]);
+  EXPECT_EQ(flaky.action, Action::kStop);
+  EXPECT_EQ(flaky.max_fires, 2u);
+  EXPECT_FALSE(flaky == stop);
+}
+
 TEST(Fault, SpellingOrderDoesNotChangeTheCanonicalSpec) {
   // Identical plans in different spellings must fingerprint (and
   // journal-dedup) identically: checkpoint fingerprints embed

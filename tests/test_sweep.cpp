@@ -31,6 +31,7 @@
 #include "sweep/sweep.hpp"
 #include "sweep/types.hpp"
 #include "workloads/adlb.hpp"
+#include "workloads/matmult.hpp"
 #include "workloads/patterns.hpp"
 
 namespace dampi::test {
@@ -470,7 +471,9 @@ TEST(Sweep, AbortPointsSurfaceAndDelayPointsAreMasked) {
   const SweepResult result = sweep::run_sweep(options, workloads::fig3_benign);
   ASSERT_TRUE(result.error.empty()) << result.error;
   ASSERT_FALSE(result.records.empty());
+  // Without error plans no two plans share an effect: each runs itself.
   EXPECT_EQ(result.executed, result.records.size());
+  EXPECT_EQ(result.shared, 0u);
   EXPECT_FALSE(result.interrupted);
 
   std::uint64_t aborts_surfaced = 0;
@@ -544,6 +547,11 @@ TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
   ASSERT_TRUE(one.error.empty()) << one.error;
   const std::string reference = sweep::format_sweep_report_json(options, one);
   EXPECT_NE(reference.find("\"plans\""), std::string::npos);
+  // Four abort/error pairs, each run once, and seven delay and flaky
+  // plans: 11 campaigns for 15 records.
+  ASSERT_EQ(one.records.size(), 15u);
+  EXPECT_EQ(one.executed, 11u);
+  EXPECT_EQ(one.shared, 4u);
 
   for (const int workers : {2, 4}) {
     SweepOptions parallel = options;
@@ -554,7 +562,127 @@ TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
     ASSERT_TRUE(result.error.empty()) << result.error;
     EXPECT_EQ(sweep::format_sweep_report_json(parallel, result), reference)
         << "workers=" << workers;
+    // Workers receive one PLAN per effect, as the serial loop runs one
+    // campaign per effect.
+    EXPECT_EQ(result.executed, one.executed) << "workers=" << workers;
+    EXPECT_EQ(result.shared, one.shared) << "workers=" << workers;
   }
+}
+
+/// The record of `spec`'s campaign run straight through the explorer,
+/// with the per-plan budgets a sweep documents (plan interleaving and
+/// wall budgets, the sweep's 2^20-op hang watchdog), not through
+/// run_sweep.
+PlanRecord own_campaign(const SweepOptions& options, std::uint64_t index,
+                        const std::string& spec,
+                        const mpism::ProgramFn& program) {
+  std::string error;
+  const auto plan = mpism::parse_fault_plan(spec, &error);
+  EXPECT_NE(plan, nullptr) << error;
+  if (plan == nullptr) return PlanRecord{};
+  core::ExplorerOptions opts = options.explorer;
+  opts.fault = plan;
+  opts.max_interleavings = options.plan_max_interleavings;
+  opts.max_wall_seconds = options.plan_wall_seconds;
+  opts.max_run_ops = std::uint64_t{1} << 20;
+  const ExploreResult outcome = core::Explorer(opts).explore(program);
+  return sweep::classify_campaign(index, spec, outcome, plan->total_fires());
+}
+
+void expect_same_record(const PlanRecord& got, const PlanRecord& want) {
+  EXPECT_EQ(got.index, want.index) << want.spec;
+  EXPECT_EQ(got.spec, want.spec);
+  EXPECT_EQ(got.verdict, want.verdict) << want.spec;
+  EXPECT_EQ(got.interleavings, want.interleavings) << want.spec;
+  EXPECT_EQ(got.fires, want.fires) << want.spec;
+  EXPECT_EQ(got.bugs, want.bugs) << want.spec;
+  EXPECT_EQ(got.partial, want.partial) << want.spec;
+  EXPECT_EQ(got.latent_error, want.latent_error) << want.spec;
+}
+
+// A shared record is the record its own campaign would give: under the
+// default kinds every error@R:OP plan copies the abort@R:OP record
+// enumerated just before it, and running the error plan's campaign
+// directly gives the same record field by field.
+TEST(Sweep, SharedRecordsEqualTheirOwnCampaigns) {
+  struct Case {
+    const char* name;
+    mpism::ProgramFn program;
+  };
+  const Case cases[] = {
+      {"adlb", [](mpism::Proc& p) { workloads::adlb::run(p, {}); }},
+      {"matmult", [](mpism::Proc& p) { workloads::matmult(p, {}); }},
+  };
+  for (const Case& c : cases) {
+    SweepOptions options = sweep_options(4, c.name);
+    options.budget = 512;  // every planned point
+    const SweepResult result = sweep::run_sweep(options, c.program);
+    ASSERT_TRUE(result.error.empty()) << c.name << ": " << result.error;
+    std::uint64_t errors = 0;
+    for (const PlanRecord& record : result.records) {
+      if (record.spec.rfind("error@", 0) != 0) continue;
+      ++errors;
+      expect_same_record(
+          record, own_campaign(options, record.index, record.spec, c.program));
+    }
+    EXPECT_GT(errors, 0u) << c.name;
+    EXPECT_EQ(result.shared, errors) << c.name;
+    EXPECT_EQ(result.executed + result.shared, result.records.size())
+        << c.name;
+  }
+}
+
+// On --resume, either journalled half of an abort/error pair satisfies
+// the pair: the other half is shared from the journal, not run, and the
+// report is the uninterrupted sweep's byte for byte.
+TEST(Sweep, AJournalledHalfOfAPairSharesWithTheOtherHalf) {
+  const std::string journal_path = temp_path("half_pair");
+  SweepOptions options = sweep_options(3, "fig3-benign");
+  options.budget = 8;  // the four abort/error pairs of fig3-benign
+  const SweepResult reference = sweep::run_sweep(options, workloads::fig3_benign);
+  ASSERT_TRUE(reference.error.empty()) << reference.error;
+  ASSERT_EQ(reference.records.size(), 8u);
+  EXPECT_EQ(reference.executed, 4u);
+  EXPECT_EQ(reference.shared, 4u);
+  const std::string reference_report =
+      sweep::format_sweep_report_json(options, reference);
+
+  SweepOptions resumed = options;
+  resumed.journal_path = journal_path;
+  resumed.resume = true;
+  for (const auto& [index, spec] :
+       {std::pair<std::uint64_t, const char*>{0, "abort@0:1"},
+        {3, "error@1:1"}}) {
+    ASSERT_EQ(reference.records[index].spec, spec);
+    SweepJournal journal;
+    journal.fingerprint = sweep::sweep_fingerprint(options);
+    journal.records[index] = reference.records[index];
+    std::remove(journal_path.c_str());
+    ASSERT_TRUE(sweep::save_sweep_journal(journal, journal_path));
+
+    const SweepResult finished =
+        sweep::run_sweep(resumed, workloads::fig3_benign);
+    ASSERT_TRUE(finished.error.empty()) << finished.error;
+    EXPECT_EQ(finished.resumed, 1u) << spec;
+    EXPECT_EQ(finished.executed, 3u) << spec;
+    EXPECT_EQ(finished.shared, 4u) << spec;
+    EXPECT_EQ(sweep::format_sweep_report_json(resumed, finished),
+              reference_report)
+        << spec;
+  }
+  std::remove(journal_path.c_str());
+}
+
+// Sharing is between plans with one effect, not a discount on error
+// plans: a sweep of error plans alone runs every one of them.
+TEST(Sweep, ErrorPlansAloneShareNothing) {
+  SweepOptions options = sweep_options(3, "fig3-benign");
+  options.kinds = SweepKinds{false, true, false, false};  // error only
+  const SweepResult result = sweep::run_sweep(options, workloads::fig3_benign);
+  ASSERT_TRUE(result.error.empty()) << result.error;
+  ASSERT_EQ(result.records.size(), 4u);
+  EXPECT_EQ(result.executed, 4u);
+  EXPECT_EQ(result.shared, 0u);
 }
 
 // A small fault sweep of mini-ADLB (blocking sends and receives, a
@@ -597,11 +725,16 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
   ASSERT_TRUE(reference.error.empty()) << reference.error;
   const std::string reference_report =
       sweep::format_sweep_report_json(options, reference);
-  ASSERT_GT(reference.records.size(), 3u);
+  // Four abort/error pairs and four delay/flaky plans: 8 campaigns.
+  ASSERT_EQ(reference.records.size(), 12u);
+  EXPECT_EQ(reference.executed, 8u);
+  EXPECT_EQ(reference.shared, 4u);
 
   // Kill at K: cancel fires after the third completed plan, exactly as
   // the SIGINT bridge would. Plans run on two worker processes; answers
-  // landing after the cancel are not recorded.
+  // landing after the cancel are not recorded. The first two in flight
+  // are the aborts of two pairs, and the first answer's error copy lands
+  // with it, so the three are one whole pair and one lone abort.
   constexpr std::uint64_t kKill = 3;
   SweepOptions killed = options;
   killed.workers = 2;
@@ -621,8 +754,9 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
   EXPECT_EQ(sweep::sweep_exit_code(interrupted), 2);
 
   // Resume: completed plans come from the journal (provably not
-  // re-executed — the executed/resumed counters split exactly) and the
-  // final report is byte-identical to the uninterrupted run.
+  // re-executed — the executed/shared/resumed counters split exactly:
+  // the lone abort's error is shared from the journal) and the final
+  // report is byte-identical to the uninterrupted run.
   SweepOptions resumed = options;
   resumed.journal_path = journal_path;
   resumed.resume = true;
@@ -632,7 +766,8 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
   ASSERT_TRUE(finished.error.empty()) << finished.error;
   EXPECT_FALSE(finished.interrupted);
   EXPECT_EQ(finished.resumed, kKill);
-  EXPECT_EQ(finished.executed, reference.records.size() - kKill);
+  EXPECT_EQ(finished.executed, 6u);
+  EXPECT_EQ(finished.shared, 3u);
   EXPECT_EQ(finished.records.size(), reference.records.size());
   EXPECT_EQ(sweep::format_sweep_report_json(resumed, finished),
             reference_report);
@@ -642,6 +777,7 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
       sweep::run_sweep(resumed, workloads::fig3_benign);
   ASSERT_TRUE(idempotent.error.empty()) << idempotent.error;
   EXPECT_EQ(idempotent.executed, 0u);
+  EXPECT_EQ(idempotent.shared, 0u);
   EXPECT_EQ(idempotent.resumed, reference.records.size());
   EXPECT_EQ(sweep::format_sweep_report_json(resumed, idempotent),
             reference_report);
@@ -675,7 +811,10 @@ TEST(SweepWorkers, KilledWorkersPlanIsRequeuedAndEveryPlanRecordedOnce) {
   std::vector<std::uint64_t> every(serial.records.size());
   std::iota(every.begin(), every.end(), 0);
   EXPECT_EQ(recorded, every);
-  EXPECT_EQ(result.executed, serial.records.size());
+  EXPECT_EQ(serial.executed, 8u);
+  EXPECT_EQ(serial.shared, 4u);
+  EXPECT_EQ(result.executed, 8u);
+  EXPECT_EQ(result.shared, 4u);
   EXPECT_EQ(sweep::format_sweep_report_json(pooled, result),
             sweep::format_sweep_report_json(options, serial));
   std::remove(marker.c_str());
@@ -699,7 +838,10 @@ TEST(SweepWorkers, PlanWhoseWorkerAlwaysDiesBecomesSweepError) {
                   std::to_string(dist::kMaxShardRespawns + 1) + " times");
   }
   EXPECT_EQ(result.requeued, 2u * dist::kMaxShardRespawns);
+  // The abort@0:1 campaign is a sweep-error, which shares nothing, so its
+  // pair's error@0:1 is sent out as a plan of its own.
   EXPECT_EQ(result.executed, 2u);
+  EXPECT_EQ(result.shared, 0u);
   EXPECT_EQ(sweep::sweep_exit_code(result), 2);
 }
 
@@ -732,7 +874,8 @@ TEST(Sweep, SummaryCarriesTheMatrixAndTheResumeAccounting) {
   EXPECT_NE(summary.find("fault sweep: fig3-benign"), std::string::npos)
       << summary;
   EXPECT_NE(summary.find("plans: 8 completed"), std::string::npos) << summary;
-  EXPECT_NE(summary.find("8 executed, 0 resumed"), std::string::npos)
+  EXPECT_NE(summary.find("4 executed, 4 shared, 0 resumed"),
+            std::string::npos)
       << summary;
   EXPECT_EQ(summary.find("INTERRUPTED"), std::string::npos) << summary;
 }
