@@ -388,8 +388,9 @@ echo "tier1: sweep exit-code contract OK"
 # Sweep reports at any worker count: adlb's full sweep at 8 ranks
 # (151 plans) run in process and on 2, 4 and 8 worker processes must
 # write byte-identical --sweep-report files. Its 68 abort/error pairs
-# run one campaign each, at every worker count: 83 campaigns run and 68
-# records are copies.
+# run one campaign each, and its 15 delay and flaky plans are observed
+# on one fault-free walk in the coordinator, at every worker count: 68
+# campaigns run and 83 records are shared (68 copies, 15 observed).
 adlb_report="build/tier1-adlb-sweep"
 for w in 1 2 4 8; do
   rc=0
@@ -405,46 +406,68 @@ for w in 1 2 4 8; do
     echo "tier1: FAIL: adlb sweep report differs at ${w} workers" >&2
     exit 1
   fi
-  if ! grep -q "83 executed, 68 shared" "${adlb_report}.${w}.txt"; then
-    echo "tier1: FAIL: adlb sweep at ${w} workers did not run 83 and" \
-      "share 68 plans" >&2
+  if ! grep -q "68 executed, 83 shared" "${adlb_report}.${w}.txt"; then
+    echo "tier1: FAIL: adlb sweep at ${w} workers did not run 68 and" \
+      "share 83 plans" >&2
     grep "executed" "${adlb_report}.${w}.txt" >&2 || true
     exit 1
   fi
 done
 rm -f "${adlb_report}".*.json "${adlb_report}".*.txt
-echo "tier1: adlb sweep reports identical and 68 plans shared at" \
+echo "tier1: adlb sweep reports identical and 83 plans shared at" \
   "1/2/4/8 workers OK"
 
-# Flaky plans heal by retries, and an injected fault replays identically,
-# so no retry may sleep first: explorer.retry_backoffs must read 0 in
-# process and on 2 worker processes, whose metrics reach the
-# coordinator's dump (the same explorer.retries in both).
+# A flaky fault heals by retries, and an injected fault replays
+# identically, so no retry may sleep first: every process of an adlb
+# explore with flaky@0:1:3 and 3 retries, on 1 and on 2 worker
+# processes, must read explorer.retry_backoffs 0. The point is reached on
+# the discovery run, which the coordinator makes at any width, so its 3
+# fires are retried there and explorer.retries reads the same non-zero
+# count at both widths (a point reached only off the discovery path
+# would fire once per worker that reaches it). A sweep's flaky plans do
+# not retry: they are observed on the fault-free walk.
 flaky_metrics="build/tier1-adlb-flaky"
 for w in 1 2; do
-  build/examples/verify_cli --program adlb --procs 8 --sweep-faults \
-    --sweep-kinds flaky --metrics --workers "${w}" \
-    > "${flaky_metrics}.${w}.txt" || true
-  if ! grep -qx 'explorer.retry_backoffs 0' "${flaky_metrics}.${w}.txt"; then
-    echo "tier1: FAIL: flaky adlb sweep at ${w} workers backed off" >&2
+  build/examples/verify_cli --program adlb --procs 8 --sched coop \
+    --fault flaky@0:1:3 --retries 3 --max-interleavings 256 --metrics \
+    --workers "${w}" > "${flaky_metrics}.${w}.txt" || true
+  if ! grep -qx 'explorer.retry_backoffs 0' "${flaky_metrics}.${w}.txt" || \
+     grep -Eq 'explorer\.retry_backoffs [1-9]' "${flaky_metrics}.${w}.txt"; then
+    echo "tier1: FAIL: flaky adlb explore at ${w} workers backed off" >&2
     exit 1
   fi
 done
 retries_1="$(grep '^explorer.retries ' "${flaky_metrics}.1.txt")" || true
 retries_2="$(grep '^explorer.retries ' "${flaky_metrics}.2.txt")" || true
-if [[ -z "${retries_1}" || "${retries_1}" != "${retries_2}" ]]; then
-  echo "tier1: FAIL: flaky adlb sweep retries '${retries_1}' at 1 worker," \
+if [[ -z "${retries_1}" || "${retries_1}" == "explorer.retries 0" || \
+      "${retries_1}" != "${retries_2}" ]]; then
+  echo "tier1: FAIL: flaky adlb explore retries '${retries_1}' at 1 worker," \
     "'${retries_2}' at 2" >&2
   exit 1
 fi
 rm -f "${flaky_metrics}".*.txt
-echo "tier1: flaky adlb sweep takes no backoff at 1/2 workers OK (${retries_1})"
+echo "tier1: flaky adlb explore takes no backoff at 1/2 workers OK (${retries_1})"
+
+# A livelocked baseline: the inventory harvest stops at the sweep's op
+# budget like every campaign run, so the sweep finishes in bounded
+# memory. Every plan of the default budget stops rank 0 or 1 at a
+# shallow op, and the injection propagates: exit 0.
+livelock_rc=0
+(ulimit -v 2000000
+ timeout 120 build/examples/verify_cli --program livelock --procs 3 \
+   --sched coop --sweep-faults > /dev/null) || livelock_rc=$?
+if [[ "${livelock_rc}" != 0 ]]; then
+  echo "tier1: FAIL: livelock sweep exited ${livelock_rc}" >&2
+  exit 1
+fi
+echo "tier1: livelock sweep bounded OK"
 
 # Sweep SIGINT kill + --resume smoke: interrupt a journalled sweep
 # mid-flight, then --resume it. The resumed report must be byte-identical
 # to an uninterrupted run's, and the journalled plans must not re-execute
 # (resumed count == plans completed before the kill). The signal goes
-# out once the first of the 7 delay plans on matmult is journalled; if
+# out once the first of adlb's 68 abort plans is journalled, before the
+# observing walk of its 7 delay plans, which a resume must then run; if
 # it races past the end anyway, the resume degrades to an idempotence
 # check — 0 executed, all resumed — same stance as the checkpoint smoke
 # above. Run in process, then on 2 worker processes.
@@ -454,9 +477,9 @@ for sweep_workers in "" "--workers 2"; do
   sweep_resumed="build/tier1-sweep-resumed.json"
   rm -f "${sweep_journal}" "${sweep_ref}" "${sweep_resumed}"
   # shellcheck disable=SC2206  # split "--workers 2" into two words
-  sweep_cmd=(build/examples/verify_cli --program matmult --procs 4 \
-    --sched coop --sweep-faults --sweep-kinds delay --sweep-budget 8 \
-    --max-interleavings 1024 ${sweep_workers})
+  sweep_cmd=(build/examples/verify_cli --program adlb --procs 8 \
+    --sched coop --sweep-faults --sweep-kinds abort,delay --sweep-budget 512 \
+    --max-interleavings 256 ${sweep_workers})
   ref_rc=0
   "${sweep_cmd[@]}" --sweep-report "${sweep_ref}" > /dev/null || ref_rc=$?
   "${sweep_cmd[@]}" --sweep-journal "${sweep_journal}" > /dev/null 2>&1 &

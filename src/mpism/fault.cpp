@@ -120,8 +120,9 @@ bool parse_point(const std::string& item, FaultPoint* out, std::string* error) {
 
 }  // namespace
 
-FaultPlan::FaultPlan(std::vector<FaultPoint> points)
+FaultPlan::FaultPlan(std::vector<FaultPoint> points, bool count_only)
     : points_(std::move(points)),
+      count_only_(count_only),
       fired_(new std::atomic<std::uint64_t>[points_.empty() ? 1
                                                             : points_.size()]) {
   for (std::size_t i = 0; i < points_.size(); ++i) {
@@ -149,7 +150,7 @@ FaultEffect fault_effect(const FaultPoint& point) {
 bool FaultPlan::should_fire(std::size_t i) {
   const std::uint64_t cap = fault_effect(points_[i]).max_fires;
   const std::uint64_t prior = fired_[i].fetch_add(1, std::memory_order_relaxed);
-  return cap == 0 || prior < cap;
+  return !count_only_ && (cap == 0 || prior < cap);
 }
 
 std::uint64_t FaultPlan::fires(std::size_t i) const {

@@ -19,6 +19,13 @@
 // (rank, op) once and records the outcome under both specs. Only the
 // injected error message names the kind.
 //
+// A plan can also be count-only: its points count every time they are
+// reached and never act. Neither a delay nor a flaky point can change a
+// DAMPI walk (nothing decides on virtual time, and a flaky point always
+// heals under its retries), so a fault sweep gives all its delay and
+// flaky plans their records from one fault-free walk that counts them
+// this way, instead of one campaign each.
+//
 // One FaultPlan instance is shared by every run of an exploration, so
 // flaky fire-counters span the campaign, and its canonical spec string
 // is folded into checkpoint fingerprints. Plans are canonicalized at
@@ -66,15 +73,19 @@ FaultEffect fault_effect(const FaultPoint& point);
 /// A parsed fault campaign plus its shared fire counters.
 class FaultPlan {
  public:
-  explicit FaultPlan(std::vector<FaultPoint> points);
+  /// A `count_only` plan counts its points and fires none of them.
+  explicit FaultPlan(std::vector<FaultPoint> points, bool count_only = false);
 
   const std::vector<FaultPoint>& points() const { return points_; }
+  bool count_only() const { return count_only_; }
 
   /// True when point `i` should fire now; counts the fire. Thread-safe
   /// (under the thread scheduler each rank calls it from its own thread).
+  /// Always false for a count-only plan, which still counts the call.
   bool should_fire(std::size_t i);
 
-  /// How many times point `i` has fired so far.
+  /// How many times point `i` has fired so far (for a count-only plan,
+  /// been reached), clamped to a flaky point's cap.
   std::uint64_t fires(std::size_t i) const;
   std::uint64_t total_fires() const;
 
@@ -91,6 +102,7 @@ class FaultPlan {
 
  private:
   std::vector<FaultPoint> points_;
+  bool count_only_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> fired_;
 };
 
@@ -121,7 +133,8 @@ std::string validate_fault_plan(const FaultPlan& plan, int nprocs);
 /// calls across all pre_* hooks and fires matching plan points by their
 /// effect: a stop (abort, error, flaky) ends the run (ToolCtx::fail_run)
 /// with the rank's error "fault injected: ...", so the call never
-/// executes; a delay adds its virtual time.
+/// executes; a delay adds its virtual time. Under a count-only plan it
+/// counts the points at the same hooks and does nothing else.
 class FaultLayer final : public ToolLayer {
  public:
   FaultLayer(std::shared_ptr<FaultPlan> plan, Rank rank);

@@ -52,6 +52,8 @@ OpInventory harvest_inventory(const core::ExplorerOptions& base,
   // plan would reach it, and the harvest is fault-free.
   core::ExplorerOptions options = base;
   options.fault.reset();
+  // A livelocked baseline would otherwise run, and grow, without end.
+  if (options.max_run_ops == 0) options.max_run_ops = kSweepMaxRunOps;
   // Stack the counter exactly where FaultLayer will sit during the
   // injection campaigns: topmost, above any baseline extras, so both
   // see the same user-facing call sequence and the coordinates line up.
@@ -79,6 +81,7 @@ OpInventory harvest_inventory(const core::ExplorerOptions& base,
   inventory.ops = std::move(*ops);
   inventory.baseline_deadlocked = run.report.deadlocked;
   inventory.baseline_errored = !run.report.errors.empty();
+  inventory.baseline_hung = run.report.timed_out();
   if (run.report.cancelled) {
     inventory.error =
         strfmt("inventory: discovery run cancelled (%s)",

@@ -20,6 +20,13 @@
 
 namespace dampi::sweep {
 
+/// Deterministic hang watchdog for every run a sweep makes (the
+/// inventory harvest and each campaign) whose base options carry no op
+/// budget of their own: a run exceeding this many engine ops is a kHang
+/// verdict (livelock), independent of host speed. Verdict-affecting, so
+/// the sweep fingerprint prints it (`planops=`).
+inline constexpr std::uint64_t kSweepMaxRunOps = 1u << 20;
+
 struct OpInventory {
   /// ops[rank][i] is the kind of rank's (i+1)-th MPI call.
   std::vector<std::string> ops;
@@ -28,6 +35,7 @@ struct OpInventory {
   /// every injection point.
   bool baseline_deadlocked = false;
   bool baseline_errored = false;
+  bool baseline_hung = false;  ///< stopped by an op budget or run deadline
   std::string error;  ///< non-empty when the harvest itself failed
 
   std::uint64_t total_ops() const {
@@ -45,9 +53,10 @@ struct OpInventory {
 };
 
 /// One fault-free guided run of `program` under `base` (fault plan and
-/// resilience hooks stripped), harvesting the per-rank op inventory.
-/// A deadlocking/erroring baseline still yields the ops counted up to
-/// the stop — those are valid injection coordinates.
+/// resilience hooks stripped, kSweepMaxRunOps applied when `base` sets
+/// no op budget), harvesting the per-rank op inventory. A deadlocking,
+/// erroring or hung baseline still yields the ops counted up to the
+/// stop — those are valid injection coordinates.
 OpInventory harvest_inventory(const core::ExplorerOptions& base,
                               const mpism::ProgramFn& program);
 

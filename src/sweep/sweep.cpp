@@ -22,12 +22,6 @@ namespace dampi::sweep {
 
 namespace {
 
-/// Deterministic hang watchdog for every campaign whose base options
-/// carry no op budget of their own: a run exceeding this many engine ops
-/// under an injection is a kHang verdict (livelock), independent of host
-/// speed. Verdict-affecting, so the fingerprint prints it (`planops=`).
-constexpr std::uint64_t kPlanMaxRunOps = 1u << 20;
-
 /// Dedup key over the coordinate a point occupies, ignoring its
 /// parameter (delay length, flaky cap): two delay plans at the same
 /// (rank, op) probe the same cell of the matrix.
@@ -83,7 +77,7 @@ core::ExplorerOptions campaign_options(
   opts.fault = std::move(plan);
   opts.max_interleavings = sweep.plan_max_interleavings;
   opts.max_wall_seconds = sweep.plan_wall_seconds;
-  if (opts.max_run_ops == 0) opts.max_run_ops = kPlanMaxRunOps;
+  if (opts.max_run_ops == 0) opts.max_run_ops = kSweepMaxRunOps;
   opts.cancel = sweep.cancel;
   opts.checkpoint_path.clear();
   opts.resume_from.reset();
@@ -94,13 +88,38 @@ core::ExplorerOptions campaign_options(
   opts.run_stats = nullptr;
   // A flaky point is the transient fault the retry path exists for:
   // give every campaign enough retries to burn through the cap, so the
-  // sweep can observe masking instead of quarantining the subtree.
-  for (const mpism::FaultPoint& point : opts.fault->points()) {
-    opts.max_retries =
-        std::max(opts.max_retries,
-                 static_cast<int>(mpism::fault_effect(point).max_fires));
+  // sweep can observe masking instead of quarantining the subtree. A
+  // count-only plan fires nothing and keeps the base retries.
+  if (!opts.fault->count_only()) {
+    for (const mpism::FaultPoint& point : opts.fault->points()) {
+      opts.max_retries =
+          std::max(opts.max_retries,
+                   static_cast<int>(mpism::fault_effect(point).max_fires));
+    }
   }
   return opts;
+}
+
+/// The point of `spec` when its record can be read off the fault-free
+/// walk (observe_plans) instead of its own campaign: a single delay or
+/// flaky point, under base options that stack no extra layers (the ISP
+/// layer decides on virtual time) on the coop scheduler (whose replay
+/// of a schedule repeats its run exactly, which a healing retry needs).
+std::optional<mpism::FaultPoint> observable_point(const SweepOptions& options,
+                                                  const std::string& spec) {
+  if (options.explorer.extra_layers_per_run ||
+      options.explorer.sched.kind != mpism::SchedulerKind::kCoop) {
+    return std::nullopt;
+  }
+  std::string error;
+  const auto plan = mpism::parse_fault_plan(spec, &error);
+  if (!plan || plan->points().size() != 1) return std::nullopt;
+  const mpism::FaultPoint& point = plan->points().front();
+  if (point.kind != mpism::FaultPoint::Kind::kDelay &&
+      point.kind != mpism::FaultPoint::Kind::kFlaky) {
+    return std::nullopt;
+  }
+  return point;
 }
 
 /// What a plan does, and where: each point's (rank, op) and effect. A
@@ -123,13 +142,15 @@ std::string effect_key(const std::string& spec) {
   return key;
 }
 
-/// The enumerated plans grouped by effect_key, each group's indices in
-/// enumeration order and groups in order of their first member.
+/// The plans at `indices` (in enumeration order) grouped by effect_key,
+/// each group's indices in enumeration order and groups in order of
+/// their first member.
 std::vector<std::vector<std::size_t>> effect_groups(
-    const std::vector<std::string>& specs) {
+    const std::vector<std::string>& specs,
+    const std::vector<std::size_t>& indices) {
   std::vector<std::vector<std::size_t>> groups;
   std::map<std::string, std::size_t> by_key;
-  for (std::size_t index = 0; index < specs.size(); ++index) {
+  for (const std::size_t index : indices) {
     const auto [it, fresh] = by_key.emplace(effect_key(specs[index]),
                                             groups.size());
     if (fresh) groups.emplace_back();
@@ -177,6 +198,47 @@ std::optional<PlanRecord> run_plan(const SweepOptions& options,
   return sweep_error(index, spec, error);
 }
 
+/// The records of the observable plans at `indices`, `points` their
+/// points, from one campaign: the fault-free walk with every point
+/// installed count-only. Neither kind changes a DAMPI walk. A delay
+/// only adds virtual time, which no match policy or scheduler reads. A
+/// flaky point fires at most its cap times per campaign, and its
+/// campaign grants at least that many retries of a deterministic
+/// replay, so every judged run is the fault-free run of its schedule.
+/// So each record takes the walk's interleavings, bugs and partial
+/// flag, and its fires from its point's count: a delay fires each time
+/// it is reached, and a flaky point reached at all spends its whole cap
+/// on the first schedule that reaches it (each retry reaches it again).
+/// nullopt when a cancel interrupted the walk; a sweep-error for every
+/// plan when the explorer throws, as run_plan gives one plan.
+std::optional<std::vector<PlanRecord>> observe_plans(
+    const SweepOptions& options, const std::vector<std::string>& specs,
+    const std::vector<std::size_t>& indices,
+    std::vector<mpism::FaultPoint> points, const mpism::ProgramFn& program) {
+  const auto plan = std::make_shared<mpism::FaultPlan>(std::move(points),
+                                                       /*count_only=*/true);
+  std::vector<PlanRecord> records;
+  try {
+    const core::ExploreResult outcome =
+        core::Explorer(campaign_options(options, plan)).explore(program);
+    if (outcome.interrupted) return std::nullopt;
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      const std::uint64_t cap =
+          mpism::fault_effect(plan->points()[i]).max_fires;
+      std::uint64_t fires = plan->fires(i);
+      if (cap > 0 && fires > 0) fires = cap;
+      records.push_back(
+          classify_campaign(indices[i], specs[indices[i]], outcome, fires));
+    }
+  } catch (const std::exception& e) {
+    records.clear();
+    for (const std::size_t index : indices) {
+      records.push_back(sweep_error(index, specs[index], e.what()));
+    }
+  }
+  return records;
+}
+
 }  // namespace
 
 std::string sweep_fingerprint(const SweepOptions& options) {
@@ -192,19 +254,22 @@ std::string sweep_fingerprint(const SweepOptions& options) {
       sweep_kinds_spec(options.kinds).c_str(), options.delay_samples,
       options.flaky_samples,
       static_cast<unsigned long long>(options.plan_max_interleavings),
-      static_cast<unsigned long long>(kPlanMaxRunOps));
+      static_cast<unsigned long long>(kSweepMaxRunOps));
   return fp;
 }
 
 std::vector<std::string> enumerate_plans(const OpInventory& inventory,
                                          const SweepOptions& options,
                                          std::uint64_t* planned) {
+  // Only the first `budget` plans become specs; the rest are counted, so
+  // a deep inventory (a hung baseline's million ops) costs no memory.
   std::vector<std::string> specs;
-  std::set<std::string> seen;
-  const auto push = [&specs, &seen](const mpism::FaultPoint& point) {
-    if (seen.insert(point_key(point)).second) {
+  std::uint64_t count = 0;
+  const auto push = [&](const mpism::FaultPoint& point) {
+    if (specs.size() < options.budget) {
       specs.push_back(mpism::fault_point_spec(point));
     }
+    ++count;
   };
 
   // Exhaustive families first, op-major: shallow ops across all ranks
@@ -230,42 +295,45 @@ std::vector<std::string> enumerate_plans(const OpInventory& inventory,
 
   // Sampled perturbation families, drawn from the seeded generator in a
   // fixed order (delays before flakys; every draw happens whether or
-  // not dedup keeps the point) so the enumeration is reproducible.
-  std::vector<std::pair<mpism::Rank, std::uint64_t>> coords;
-  for (std::size_t rank = 0; rank < inventory.ops.size(); ++rank) {
-    for (std::size_t i = 0; i < inventory.ops[rank].size(); ++i) {
-      coords.emplace_back(static_cast<mpism::Rank>(rank), i + 1);
+  // not dedup keeps the point) so the enumeration is reproducible. A
+  // draw indexes the inventory's coordinates rank-major.
+  std::set<std::string> seen;
+  const auto push_sampled = [&](const mpism::FaultPoint& point) {
+    if (seen.insert(point_key(point)).second) push(point);
+  };
+  const std::uint64_t coords = inventory.total_ops();
+  const auto draw = [&inventory](std::uint64_t coord,
+                                  mpism::FaultPoint* point) {
+    std::size_t rank = 0;
+    while (coord >= inventory.ops[rank].size()) {
+      coord -= inventory.ops[rank].size();
+      ++rank;
     }
-  }
+    point->rank = static_cast<mpism::Rank>(rank);
+    point->op_index = coord + 1;
+  };
   std::mt19937_64 rng(options.seed);
   static constexpr double kDelaysUs[] = {100.0, 1000.0, 10000.0};
-  if (options.kinds.delay_ && !coords.empty()) {
+  if (options.kinds.delay_ && coords > 0) {
     for (int i = 0; i < options.delay_samples; ++i) {
-      const auto [rank, op] = coords[rng() % coords.size()];
       mpism::FaultPoint point;
       point.kind = mpism::FaultPoint::Kind::kDelay;
-      point.rank = rank;
-      point.op_index = op;
+      draw(rng() % coords, &point);
       point.delay_us = kDelaysUs[rng() % 3];
-      push(point);
+      push_sampled(point);
     }
   }
-  if (options.kinds.flaky_ && !coords.empty()) {
+  if (options.kinds.flaky_ && coords > 0) {
     for (int i = 0; i < options.flaky_samples; ++i) {
-      const auto [rank, op] = coords[rng() % coords.size()];
       mpism::FaultPoint point;
       point.kind = mpism::FaultPoint::Kind::kFlaky;
-      point.rank = rank;
-      point.op_index = op;
+      draw(rng() % coords, &point);
       point.max_fires = 1 + rng() % 3;
-      push(point);
+      push_sampled(point);
     }
   }
 
-  if (planned != nullptr) *planned = specs.size();
-  if (specs.size() > options.budget) {
-    specs.resize(options.budget);
-  }
+  if (planned != nullptr) *planned = count;
   return specs;
 }
 
@@ -370,9 +438,23 @@ SweepResult run_sweep(const SweepOptions& options,
     }
   }
 
-  // Plans with one effect run one campaign: the first member without a
-  // record runs it, and the others record copies of its record.
-  const std::vector<std::vector<std::size_t>> groups = effect_groups(specs);
+  // Observable plans without a record are observed together, after the
+  // others. Those run one campaign per effect: the first member without
+  // a record runs it, and the others record copies of its record.
+  std::vector<std::size_t> observed;
+  std::vector<mpism::FaultPoint> observed_points;
+  std::vector<std::size_t> grouped;
+  for (std::size_t index = 0; index < specs.size(); ++index) {
+    if (const auto point = observable_point(options, specs[index])) {
+      if (slots[index].has_value()) continue;
+      observed.push_back(index);
+      observed_points.push_back(*point);
+    } else {
+      grouped.push_back(index);
+    }
+  }
+  const std::vector<std::vector<std::size_t>> groups =
+      effect_groups(specs, grouped);
   std::vector<std::size_t> group_of(specs.size());
   for (std::size_t group = 0; group < groups.size(); ++group) {
     for (const std::size_t index : groups[group]) group_of[index] = group;
@@ -489,6 +571,18 @@ SweepResult run_sweep(const SweepOptions& options,
     if (!error.empty()) {
       result.error = "sweep workers: " + error;
       return result;
+    }
+  }
+
+  // The observing campaign runs here, in this process, at any worker
+  // count; its records count as shared, since none ran a campaign.
+  if (!observed.empty() && !cancelled()) {
+    if (auto records = observe_plans(options, specs, observed,
+                                     std::move(observed_points), program)) {
+      for (PlanRecord& plan : *records) {
+        if (cancelled()) break;
+        record(std::move(plan), &result.shared);
+      }
     }
   }
 

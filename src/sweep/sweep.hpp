@@ -8,12 +8,16 @@
 // reusing the explorer's watchdog/retry/quarantine machinery: plans
 // whose points do the same thing at the same (rank, op) — abort@R:OP and
 // error@R:OP, an MPI error being fatal under MPI_ERRORS_ARE_FATAL — run
-// one campaign and record its outcome under each spec. Campaigns are
-// independent: with `workers` > 1 they run on worker processes, handed
-// out as PLAN frames through the same pool (dist/pool.hpp) a
-// distributed campaign shards over. Each is classified into one
-// Verdict, making the final report a pure function of (program,
-// options, budget, seed) at any worker count.
+// one campaign and record its outcome under each spec. Delay and flaky
+// plans cannot change the walk (a delay adds only virtual time, a flaky
+// point always heals under its retries), so they run no campaign of
+// their own: one observing campaign, the fault-free walk counting their
+// points, gives each its record. Campaigns are independent: with
+// `workers` > 1 they run on worker processes, handed out as PLAN frames
+// through the same pool (dist/pool.hpp) a distributed campaign shards
+// over, and the observing campaign runs in the coordinator. Each is
+// classified into one Verdict, making the final report a pure function
+// of (program, options, budget, seed) at any worker count.
 //
 // Robustness both ways: per-plan interleaving/wall budgets bound each
 // campaign, the plan of a worker that dies is requeued (and recorded
@@ -91,9 +95,11 @@ struct SweepResult {
   /// Campaigns run for this sweep, one per plan that ran its own
   /// (sweep-error records of abandoned plans included).
   std::uint64_t executed = 0;
-  /// Plans recorded with a copy of another plan's record: plans whose
-  /// points have one effect at one (rank, op) (mpism::fault_effect), such
-  /// as abort@R:OP and error@R:OP, run one campaign between them.
+  /// Plans recorded without a campaign of their own: copies of another
+  /// plan's record — plans whose points have one effect at one
+  /// (rank, op) (mpism::fault_effect), such as abort@R:OP and error@R:OP,
+  /// run one campaign between them — and the delay and flaky plans
+  /// observed on the fault-free walk.
   std::uint64_t shared = 0;
   std::uint64_t resumed = 0;    ///< satisfied from the journal
   std::uint64_t requeued = 0;   ///< plans resent after their worker died

@@ -13,6 +13,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
@@ -149,6 +150,29 @@ TEST(SweepInventory, DeadlockedBaselineIsReportedNotFatal) {
   ASSERT_TRUE(inv.error.empty()) << inv.error;
   EXPECT_TRUE(inv.baseline_deadlocked);
   EXPECT_GT(inv.total_ops(), 0u);
+}
+
+TEST(SweepInventory, HungBaselineIsBoundedNotFatal) {
+  // A livelocked program never finishes fault-free: the harvest stops it
+  // at the sweep's op budget, like every campaign run, and keeps the ops
+  // counted up to the stop as injection coordinates.
+  core::ExplorerOptions options = explorer_options(3);
+  options.sched = sched_named("coop");
+  const OpInventory inv =
+      sweep::harvest_inventory(options, workloads::livelock);
+  ASSERT_TRUE(inv.error.empty()) << inv.error;
+  EXPECT_TRUE(inv.baseline_hung);
+  EXPECT_FALSE(inv.baseline_deadlocked);
+  ASSERT_EQ(inv.ops.size(), 3u);
+  EXPECT_GT(inv.ops[1].size(), 1000u);  // rank 1's iprobe loop
+  EXPECT_LE(inv.total_ops(), sweep::kSweepMaxRunOps);
+
+  // Enumerating its million coordinates keeps only the budget's plans.
+  SweepOptions sweep_opts;
+  std::uint64_t planned = 0;
+  const auto specs = sweep::enumerate_plans(inv, sweep_opts, &planned);
+  EXPECT_EQ(specs.size(), sweep_opts.budget);
+  EXPECT_GE(planned, 2 * inv.total_ops());  // every abort and error point
 }
 
 TEST(SweepInventory, FaultAndResilienceHooksAreStrippedFromTheHarvest) {
@@ -470,10 +494,12 @@ TEST(Sweep, AbortPointsSurfaceAndDelayPointsAreMasked) {
   options.kinds = SweepKinds{true, false, true, false};  // abort + delay
   const SweepResult result = sweep::run_sweep(options, workloads::fig3_benign);
   ASSERT_TRUE(result.error.empty()) << result.error;
-  ASSERT_FALSE(result.records.empty());
-  // Without error plans no two plans share an effect: each runs itself.
-  EXPECT_EQ(result.executed, result.records.size());
-  EXPECT_EQ(result.shared, 0u);
+  // Without error plans no two plans share an effect: each of the four
+  // abort plans runs itself, and the three delay plans are observed on
+  // one walk.
+  ASSERT_EQ(result.records.size(), 7u);
+  EXPECT_EQ(result.executed, 4u);
+  EXPECT_EQ(result.shared, 3u);
   EXPECT_FALSE(result.interrupted);
 
   std::uint64_t aborts_surfaced = 0;
@@ -548,10 +574,10 @@ TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
   const std::string reference = sweep::format_sweep_report_json(options, one);
   EXPECT_NE(reference.find("\"plans\""), std::string::npos);
   // Four abort/error pairs, each run once, and seven delay and flaky
-  // plans: 11 campaigns for 15 records.
+  // plans observed on one walk: 4 campaigns for 15 records.
   ASSERT_EQ(one.records.size(), 15u);
-  EXPECT_EQ(one.executed, 11u);
-  EXPECT_EQ(one.shared, 4u);
+  EXPECT_EQ(one.executed, 4u);
+  EXPECT_EQ(one.shared, 11u);
 
   for (const int workers : {2, 4}) {
     SweepOptions parallel = options;
@@ -563,7 +589,7 @@ TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
     EXPECT_EQ(sweep::format_sweep_report_json(parallel, result), reference)
         << "workers=" << workers;
     // Workers receive one PLAN per effect, as the serial loop runs one
-    // campaign per effect.
+    // campaign per effect, and the coordinator observes the rest.
     EXPECT_EQ(result.executed, one.executed) << "workers=" << workers;
     EXPECT_EQ(result.shared, one.shared) << "workers=" << workers;
   }
@@ -571,8 +597,8 @@ TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
 
 /// The record of `spec`'s campaign run straight through the explorer,
 /// with the per-plan budgets a sweep documents (plan interleaving and
-/// wall budgets, the sweep's 2^20-op hang watchdog), not through
-/// run_sweep.
+/// wall budgets, the sweep's 2^20-op hang watchdog, as many retries as a
+/// flaky point's cap), not through run_sweep.
 PlanRecord own_campaign(const SweepOptions& options, std::uint64_t index,
                         const std::string& spec,
                         const mpism::ProgramFn& program) {
@@ -585,8 +611,17 @@ PlanRecord own_campaign(const SweepOptions& options, std::uint64_t index,
   opts.max_interleavings = options.plan_max_interleavings;
   opts.max_wall_seconds = options.plan_wall_seconds;
   opts.max_run_ops = std::uint64_t{1} << 20;
+  for (const mpism::FaultPoint& point : plan->points()) {
+    opts.max_retries =
+        std::max(opts.max_retries, static_cast<int>(point.max_fires));
+  }
   const ExploreResult outcome = core::Explorer(opts).explore(program);
   return sweep::classify_campaign(index, spec, outcome, plan->total_fires());
+}
+
+/// Delay and flaky plans: the plans a sweep observes on one walk.
+bool observed_spec(const std::string& spec) {
+  return spec.rfind("delay@", 0) == 0 || spec.rfind("flaky@", 0) == 0;
 }
 
 void expect_same_record(const PlanRecord& got, const PlanRecord& want) {
@@ -619,14 +654,16 @@ TEST(Sweep, SharedRecordsEqualTheirOwnCampaigns) {
     const SweepResult result = sweep::run_sweep(options, c.program);
     ASSERT_TRUE(result.error.empty()) << c.name << ": " << result.error;
     std::uint64_t errors = 0;
+    std::uint64_t observed = 0;
     for (const PlanRecord& record : result.records) {
+      if (observed_spec(record.spec)) ++observed;
       if (record.spec.rfind("error@", 0) != 0) continue;
       ++errors;
       expect_same_record(
           record, own_campaign(options, record.index, record.spec, c.program));
     }
     EXPECT_GT(errors, 0u) << c.name;
-    EXPECT_EQ(result.shared, errors) << c.name;
+    EXPECT_EQ(result.shared, errors + observed) << c.name;
     EXPECT_EQ(result.executed + result.shared, result.records.size())
         << c.name;
   }
@@ -671,6 +708,135 @@ TEST(Sweep, AJournalledHalfOfAPairSharesWithTheOtherHalf) {
         << spec;
   }
   std::remove(journal_path.c_str());
+}
+
+// An observed record is the record its own campaign would give: every
+// delay and flaky plan's record, read off one fault-free walk, equals
+// the one its campaign run directly through the explorer gives, field
+// by field — on matmult-bug, whose runs fail with program errors that
+// the flaky retries compete with, and on wildcard-deadlock, whose
+// deadlock verdict must come out of the observation.
+TEST(Sweep, ObservedRecordsEqualTheirOwnCampaigns) {
+  struct Case {
+    const char* name;
+    int nprocs;
+    mpism::ProgramFn program;
+  };
+  const Case cases[] = {
+      {"adlb", 4, [](mpism::Proc& p) { workloads::adlb::run(p, {}); }},
+      {"matmult", 4, [](mpism::Proc& p) { workloads::matmult(p, {}); }},
+      {"matmult-bug", 4,
+       [](mpism::Proc& p) {
+         workloads::matmult(p, {.inject_order_bug = true});
+       }},
+      {"wildcard-deadlock", 3, workloads::wildcard_dependent_deadlock},
+  };
+  for (const Case& c : cases) {
+    SweepOptions options = sweep_options(c.nprocs, c.name);
+    options.budget = 512;  // every planned point
+    const SweepResult result = sweep::run_sweep(options, c.program);
+    ASSERT_TRUE(result.error.empty()) << c.name << ": " << result.error;
+    std::uint64_t observed = 0;
+    std::uint64_t errors = 0;
+    std::set<Verdict> verdicts;
+    for (const PlanRecord& record : result.records) {
+      if (record.spec.rfind("error@", 0) == 0) ++errors;
+      if (!observed_spec(record.spec)) continue;
+      ++observed;
+      verdicts.insert(record.verdict);
+      expect_same_record(
+          record, own_campaign(options, record.index, record.spec, c.program));
+    }
+    EXPECT_GT(observed, 0u) << c.name;
+    EXPECT_EQ(result.shared, errors + observed) << c.name;
+    EXPECT_EQ(result.executed + result.shared, result.records.size())
+        << c.name;
+    if (std::string_view(c.name) == "matmult-bug") {
+      EXPECT_TRUE(verdicts.count(Verdict::kErrorPropagated)) << c.name;
+    }
+    if (std::string_view(c.name) == "wildcard-deadlock") {
+      EXPECT_TRUE(verdicts.count(Verdict::kDeadlock)) << c.name;
+    }
+  }
+}
+
+// On --resume, journalled delay and flaky plans are not derived again:
+// the observing walk records only the others, and the report is the
+// uninterrupted sweep's byte for byte.
+TEST(Sweep, AJournalledHalfOfTheObservedPlansIsNotDerivedAgain) {
+  const std::string journal_path = temp_path("half_observed");
+  SweepOptions options = sweep_options(3, "fig3-benign");
+  options.budget = 12;
+  options.seed = 3;
+  const SweepResult reference = sweep::run_sweep(options, workloads::fig3_benign);
+  ASSERT_TRUE(reference.error.empty()) << reference.error;
+  ASSERT_EQ(reference.records.size(), 12u);
+  const std::string reference_report =
+      sweep::format_sweep_report_json(options, reference);
+
+  SweepJournal journal;
+  journal.fingerprint = sweep::sweep_fingerprint(options);
+  std::vector<std::uint64_t> observed;
+  for (const PlanRecord& record : reference.records) {
+    if (observed_spec(record.spec)) observed.push_back(record.index);
+  }
+  ASSERT_EQ(observed.size(), 4u);
+  for (std::size_t i = 0; i < observed.size() / 2; ++i) {
+    journal.records[observed[i]] = reference.records[observed[i]];
+  }
+  std::remove(journal_path.c_str());
+  ASSERT_TRUE(sweep::save_sweep_journal(journal, journal_path));
+
+  SweepOptions resumed = options;
+  resumed.journal_path = journal_path;
+  resumed.resume = true;
+  std::vector<std::uint64_t> recorded;
+  resumed.on_plan_done = [&recorded](const PlanRecord& record) {
+    if (observed_spec(record.spec)) recorded.push_back(record.index);
+  };
+  const SweepResult finished = sweep::run_sweep(resumed, workloads::fig3_benign);
+  ASSERT_TRUE(finished.error.empty()) << finished.error;
+  EXPECT_EQ(finished.resumed, 2u);
+  EXPECT_EQ(finished.executed, 4u);
+  EXPECT_EQ(finished.shared, 6u);  // four error copies, two observed
+  EXPECT_EQ(recorded,
+            std::vector<std::uint64_t>(observed.begin() + 2, observed.end()));
+  EXPECT_EQ(sweep::format_sweep_report_json(resumed, finished),
+            reference_report);
+  std::remove(journal_path.c_str());
+}
+
+// Observation needs a walk that only DAMPI instruments, on the coop
+// scheduler: with extra layers stacked (the ISP layer decides on virtual
+// time) or with a thread per rank (a retry need not repeat its run),
+// every delay and flaky plan runs its own campaign again.
+TEST(Sweep, ExtraLayersOrThreadsRunDelayAndFlakyPlansThemselves) {
+  SweepOptions options = sweep_options(3, "fig3-benign");
+  options.budget = 12;
+  options.seed = 3;
+  const SweepResult plain = sweep::run_sweep(options, workloads::fig3_benign);
+  ASSERT_TRUE(plain.error.empty()) << plain.error;
+
+  SweepOptions layered = options;
+  layered.explorer.extra_layers_per_run = [] {
+    return core::LayerStackFactory([](int, int) {
+      return std::vector<std::unique_ptr<mpism::ToolLayer>>();
+    });
+  };
+  SweepOptions threaded = options;
+  threaded.explorer.sched = sched_named("thread");
+  for (const SweepOptions* variant : {&layered, &threaded}) {
+    const SweepResult result =
+        sweep::run_sweep(*variant, workloads::fig3_benign);
+    ASSERT_TRUE(result.error.empty()) << result.error;
+    // Four abort/error pairs and four delay/flaky plans, none observed.
+    EXPECT_EQ(result.executed, 8u);
+    EXPECT_EQ(result.shared, 4u);
+    if (variant == &layered) {
+      EXPECT_EQ(sweep::format_sweep_report_json(layered, result),
+                sweep::format_sweep_report_json(options, plain));
+    }
+  }
 }
 
 // Sharing is between plans with one effect, not a discount on error
@@ -725,10 +891,11 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
   ASSERT_TRUE(reference.error.empty()) << reference.error;
   const std::string reference_report =
       sweep::format_sweep_report_json(options, reference);
-  // Four abort/error pairs and four delay/flaky plans: 8 campaigns.
+  // Four abort/error pairs, one campaign each, and four delay/flaky
+  // plans observed on one walk: 4 campaigns for 12 records.
   ASSERT_EQ(reference.records.size(), 12u);
-  EXPECT_EQ(reference.executed, 8u);
-  EXPECT_EQ(reference.shared, 4u);
+  EXPECT_EQ(reference.executed, 4u);
+  EXPECT_EQ(reference.shared, 8u);
 
   // Kill at K: cancel fires after the third completed plan, exactly as
   // the SIGINT bridge would. Plans run on two worker processes; answers
@@ -755,8 +922,9 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
 
   // Resume: completed plans come from the journal (provably not
   // re-executed — the executed/shared/resumed counters split exactly:
-  // the lone abort's error is shared from the journal) and the final
-  // report is byte-identical to the uninterrupted run.
+  // the lone abort's error is shared from the journal, two pairs run,
+  // and the four delay/flaky plans are observed) and the final report
+  // is byte-identical to the uninterrupted run.
   SweepOptions resumed = options;
   resumed.journal_path = journal_path;
   resumed.resume = true;
@@ -766,8 +934,8 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
   ASSERT_TRUE(finished.error.empty()) << finished.error;
   EXPECT_FALSE(finished.interrupted);
   EXPECT_EQ(finished.resumed, kKill);
-  EXPECT_EQ(finished.executed, 6u);
-  EXPECT_EQ(finished.shared, 3u);
+  EXPECT_EQ(finished.executed, 2u);
+  EXPECT_EQ(finished.shared, 7u);
   EXPECT_EQ(finished.records.size(), reference.records.size());
   EXPECT_EQ(sweep::format_sweep_report_json(resumed, finished),
             reference_report);
@@ -811,10 +979,10 @@ TEST(SweepWorkers, KilledWorkersPlanIsRequeuedAndEveryPlanRecordedOnce) {
   std::vector<std::uint64_t> every(serial.records.size());
   std::iota(every.begin(), every.end(), 0);
   EXPECT_EQ(recorded, every);
-  EXPECT_EQ(serial.executed, 8u);
-  EXPECT_EQ(serial.shared, 4u);
-  EXPECT_EQ(result.executed, 8u);
-  EXPECT_EQ(result.shared, 4u);
+  EXPECT_EQ(serial.executed, 4u);
+  EXPECT_EQ(serial.shared, 8u);
+  EXPECT_EQ(result.executed, 4u);
+  EXPECT_EQ(result.shared, 8u);
   EXPECT_EQ(sweep::format_sweep_report_json(pooled, result),
             sweep::format_sweep_report_json(options, serial));
   std::remove(marker.c_str());
