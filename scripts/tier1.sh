@@ -19,7 +19,9 @@
 #    speed itself is measured by perfbench/, not here);
 #  - a fault-sweep stage: sweep-labelled tests, the --sweep-faults
 #    exit-code contract, adlb's sweep report byte-identical at 1, 2, 4
-#    and 8 workers, a flaky adlb sweep that takes no retry backoff and
+#    and 8 workers with the same run count (at most 1500 runs at 256
+#    interleavings per plan: its abort and error walks share
+#    replays), a flaky adlb sweep that takes no retry backoff and
 #    counts the same retries at 1 and 2 workers (worker metrics reach
 #    the coordinator), and a SIGINT kill + --resume byte-identity smoke
 #    in process and on 2 worker processes;
@@ -283,8 +285,8 @@ echo "tier1: dist sweep OK"
 
 # Trace smoke test: a fault sweep on 3 worker processes traced end to
 # end must export a valid Chrome trace: the coordinator's lanes plus
-# each worker's explorer and rank lanes, spliced in under the worker's
-# pid from the <trace>.wN file it left (20 lanes at the time of
+# each worker's sweep, explorer and rank lanes, spliced in under the
+# worker's pid from the <trace>.wN file it left (23 lanes at the time of
 # writing). Exit 2 would mean partial coverage, which is acceptable
 # here: the smoke checks the trace, not the verdict.
 trace_out="build/tier1-trace.json"
@@ -388,14 +390,20 @@ echo "tier1: sweep exit-code contract OK"
 # Sweep reports at any worker count: adlb's full sweep at 8 ranks
 # (151 plans) run in process and on 2, 4 and 8 worker processes must
 # write byte-identical --sweep-report files. Its 68 abort/error pairs
-# run one campaign each, and its 15 delay and flaky plans are observed
-# on one fault-free walk in the coordinator, at every worker count: 68
-# campaigns run and 83 records are shared (68 copies, 15 observed).
+# have one walk each, and its 15 delay and flaky plans are observed on
+# one fault-free walk in the coordinator, at every worker count: 68
+# plans are executed and 83 records are shared (68 copies, 15
+# observed). The walks of one fault rank share their replays, so the
+# sweep makes the same number of runs (engine.runs, workers' runs
+# included) at every width. At the per-plan budget of perfbench's
+# sweep-adlb (256 interleavings) that is at most 1500 runs — one
+# campaign per abort/error pair made 3661.
 adlb_report="build/tier1-adlb-sweep"
+runs_of() { awk '$1 == "engine.runs" { print $2 }' "$1"; }
 for w in 1 2 4 8; do
   rc=0
   build/examples/verify_cli --program adlb --procs 8 --sweep-faults \
-    --sweep-budget 512 --workers "${w}" \
+    --sweep-budget 512 --workers "${w}" --metrics \
     --sweep-report "${adlb_report}.${w}.json" \
     > "${adlb_report}.${w}.txt" || rc=$?
   if [[ "${rc}" == 3 || ! -s "${adlb_report}.${w}.json" ]]; then
@@ -407,15 +415,37 @@ for w in 1 2 4 8; do
     exit 1
   fi
   if ! grep -q "68 executed, 83 shared" "${adlb_report}.${w}.txt"; then
-    echo "tier1: FAIL: adlb sweep at ${w} workers did not run 68 and" \
+    echo "tier1: FAIL: adlb sweep at ${w} workers did not execute 68 and" \
       "share 83 plans" >&2
     grep "executed" "${adlb_report}.${w}.txt" >&2 || true
     exit 1
   fi
+  if [[ -z "$(runs_of "${adlb_report}.${w}.txt")" ||
+        "$(runs_of "${adlb_report}.${w}.txt")" != \
+          "$(runs_of "${adlb_report}.1.txt")" ]]; then
+    echo "tier1: FAIL: adlb sweep at ${w} workers made" \
+      "$(runs_of "${adlb_report}.${w}.txt") runs, in process" \
+      "$(runs_of "${adlb_report}.1.txt")" >&2
+    exit 1
+  fi
 done
+for w in 1 4; do
+  build/examples/verify_cli --program adlb --procs 8 --sweep-faults \
+    --sweep-budget 512 --max-interleavings 256 --workers "${w}" --metrics \
+    > "${adlb_report}.256.${w}.txt" || true
+done
+runs="$(runs_of "${adlb_report}.256.1.txt")"
+if [[ -z "${runs}" || "${runs}" -gt 1500 ||
+      "$(runs_of "${adlb_report}.256.4.txt")" != "${runs}" ]]; then
+  echo "tier1: FAIL: adlb sweep at 256 interleavings per plan made" \
+    "${runs:-no} runs in process and" \
+    "$(runs_of "${adlb_report}.256.4.txt") on 4 workers (want equal," \
+    "at most 1500)" >&2
+  exit 1
+fi
 rm -f "${adlb_report}".*.json "${adlb_report}".*.txt
-echo "tier1: adlb sweep reports identical and 83 plans shared at" \
-  "1/2/4/8 workers OK"
+echo "tier1: adlb sweep reports identical, 83 plans shared and the same" \
+  "runs at 1/2/4/8 workers, ${runs} runs at 256 interleavings OK"
 
 # A flaky fault heals by retries, and an injected fault replays
 # identically, so no retry may sleep first: every process of an adlb

@@ -47,6 +47,11 @@ class FlatMap {
 
   /// Drops every entry, keeping the buffer.
   void clear() { entries_.clear(); }
+  /// Drops the entries `pred` holds for, keeping the others' order.
+  template <class Pred>
+  void erase_if(Pred pred) {
+    std::erase_if(entries_, pred);
+  }
 
   iterator find(const K& key) {
     auto it = lower_bound(key);

@@ -125,7 +125,8 @@ mpism::Rank DampiLayer::guided_source() {
   return forced;
 }
 
-EpochRecord& DampiLayer::record_epoch(mpism::CommId comm, mpism::Tag tag,
+EpochRecord& DampiLayer::record_epoch(mpism::ToolCtx& ctx,
+                                      mpism::CommId comm, mpism::Tag tag,
                                       bool is_probe) {
   // The ND event is itself a clock event: tick first, then stamp the
   // epoch with the post-increment value. This is what makes both
@@ -146,6 +147,8 @@ EpochRecord& DampiLayer::record_epoch(mpism::CommId comm, mpism::Tag tag,
   rec.auto_abstracted = false;
   rec.matched_src_world = -1;
   rec.matched_seq = 0;
+  rec.opened_at = ctx.call_seq();
+  rec.matched_at = 0;
   rec.alternatives.clear();
   // Automatic loop detection: after `auto_loop_threshold` consecutive ND
   // events with the same signature, the streak is a fixed communication
@@ -207,7 +210,7 @@ void DampiLayer::post_irecv(mpism::ToolCtx& ctx, const mpism::RecvCall& call,
                             mpism::RequestId id) {
   if (!latch_irecv_was_wildcard_) return;
   latch_irecv_was_wildcard_ = false;
-  record_epoch(call.comm, call.tag, /*is_probe=*/false);
+  record_epoch(ctx, call.comm, call.tag, /*is_probe=*/false);
   wildcard_reqs_[id] = epoch_count_ - 1;
   ctx.add_cost(options_.epoch_record_cost_us);
 }
@@ -225,6 +228,7 @@ void DampiLayer::post_wait(mpism::ToolCtx& ctx, mpism::ReqCompletion& c) {
     EpochRecord& epoch = epochs_[index];
     epoch.matched_src_world = c.src_world;
     epoch.matched_seq = c.seq;
+    epoch.matched_at = ctx.call_seq();
     DAMPI_TEVENT(obs::EventKind::kEpochClose, obs::Phase::kInstant, rank_,
                  static_cast<std::int32_t>(epoch.key.nd_index),
                  c.src_world, c.seq);
@@ -264,13 +268,14 @@ void DampiLayer::find_potential_matches(mpism::ToolCtx& ctx,
     // Keep the earliest late send per source — MPI non-overtaking means
     // only the head of each channel could have matched instead.
     auto [slot, inserted] = epoch.alternatives.try_emplace(
-        src_world, PotentialMatch{src_world, seq, tag, 0});
+        src_world, PotentialMatch{src_world, seq, tag, 0, ctx.call_seq()});
     if (inserted) {
       ++potential_count_;
       DAMPI_TEVENT(obs::EventKind::kLateSend, obs::Phase::kInstant, src_world,
                    static_cast<std::int32_t>(epoch.key.nd_index), tag, seq);
     } else if (seq < slot->second.seq) {
-      slot->second = PotentialMatch{src_world, seq, tag, 0};
+      slot->second = PotentialMatch{src_world, seq, tag, 0,
+                                    slot->second.seen_at};
     }
   }
   if (late_for_any) ++late_count_;
@@ -298,9 +303,11 @@ void DampiLayer::post_probe(mpism::ToolCtx& ctx, const mpism::ProbeCall& call,
   // Only a successful probe is a committed ND event (paper: record an
   // Iprobe only when the runtime sets its flag).
   if (!flag) return;
-  EpochRecord& epoch = record_epoch(call.comm, call.tag, /*is_probe=*/true);
+  EpochRecord& epoch =
+      record_epoch(ctx, call.comm, call.tag, /*is_probe=*/true);
   epoch.matched_src_world = ctx.to_world(call.comm, status.source);
   epoch.matched_seq = status.seq;
+  epoch.matched_at = epoch.opened_at;
   DAMPI_TEVENT(obs::EventKind::kEpochClose, obs::Phase::kInstant, rank_,
                static_cast<std::int32_t>(epoch.key.nd_index),
                epoch.matched_src_world, epoch.matched_seq);
@@ -342,7 +349,7 @@ void DampiLayer::on_pcontrol(mpism::ToolCtx&, int level, const std::string&) {
   }
 }
 
-void DampiLayer::unsafe_check(mpism::ToolCtx&, const char* op) {
+void DampiLayer::unsafe_check(mpism::ToolCtx& ctx, const char* op) {
   if (wildcard_reqs_.empty()) return;
   // With deferred clock sync the transmitted clock excludes pending
   // epochs, so the pattern is handled, not merely detected.
@@ -354,7 +361,8 @@ void DampiLayer::unsafe_check(mpism::ToolCtx&, const char* op) {
   alerts_.push_back(UnsafeAlert{
       rank_, strfmt("rank %d issued a clock-transmitting %s while %zu "
                     "wildcard receive(s) were pending completion",
-                    rank_, op, wildcard_reqs_.size())});
+                    rank_, op, wildcard_reqs_.size()),
+      ctx.call_seq()});
 }
 
 // --- setup -------------------------------------------------------------------

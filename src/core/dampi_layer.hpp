@@ -85,8 +85,8 @@ class DampiLayer final : public mpism::ToolLayer {
   mpism::Rank guided_source();
 
   /// Record a new epoch for the ND event that just committed.
-  EpochRecord& record_epoch(mpism::CommId comm, mpism::Tag tag,
-                            bool is_probe);
+  EpochRecord& record_epoch(mpism::ToolCtx& ctx, mpism::CommId comm,
+                            mpism::Tag tag, bool is_probe);
 
   /// The paper's FindPotentialMatches: classify a completed incoming
   /// message against this rank's open epochs (newest first, early exit

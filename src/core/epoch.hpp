@@ -41,6 +41,10 @@ struct PotentialMatch {
   std::uint64_t seq = 0;
   mpism::Tag tag = mpism::kAnyTag;
   std::uint64_t msg_id = 0;
+  /// ToolCtx::call_seq when this source was first seen late for the
+  /// epoch (a later, earlier-sequenced send may replace the fields above
+  /// but not this).
+  std::uint64_t seen_at = 0;
 };
 
 struct EpochRecord {
@@ -68,6 +72,12 @@ struct EpochRecord {
   mpism::Rank matched_src_world = -1;
   std::uint64_t matched_seq = 0;
 
+  /// ToolCtx::call_seq when the epoch opened and when its match was
+  /// bound (0 while unmatched): what cut_view (replay_context.hpp) keeps
+  /// of a run stopped at a given call.
+  std::uint64_t opened_at = 0;
+  std::uint64_t matched_at = 0;
+
   /// Earliest late send per source (excluding the matched source),
   /// ascending by source — the order the explorer pushes alternatives
   /// onto its DFS stack.
@@ -78,6 +88,7 @@ struct EpochRecord {
 struct UnsafeAlert {
   int rank = -1;
   std::string detail;
+  std::uint64_t raised_at = 0;  ///< ToolCtx::call_seq when raised
 };
 
 /// Everything one run left behind, flushed per rank by the DAMPI layer

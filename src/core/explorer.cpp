@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 
@@ -42,38 +43,17 @@ Schedule reproducer_schedule(const Schedule& forced, const RunTrace& trace) {
   return out;
 }
 
-void record_bug_if_any(const mpism::RunReport& report,
-                       const Schedule& schedule, const RunTrace& trace,
-                       std::uint64_t interleaving, ExploreResult& result) {
-  // External cancellation is an interruption of the campaign, not a
-  // property of the program: the run is torn down, never judged.
-  if (report.cancelled) return;
-  if (report.deadlocked) {
-    BugRecord bug;
-    bug.kind = BugRecord::Kind::kDeadlock;
-    bug.interleaving = interleaving;
-    bug.deadlock_detail = report.deadlock_detail;
-    bug.schedule = reproducer_schedule(schedule, trace);
-    result.bugs.push_back(std::move(bug));
-  } else if (!report.errors.empty()) {
-    BugRecord bug;
-    bug.kind = BugRecord::Kind::kError;
-    bug.interleaving = interleaving;
-    bug.errors = report.errors;
-    bug.schedule = reproducer_schedule(schedule, trace);
-    result.bugs.push_back(std::move(bug));
-  } else if (report.timed_out()) {
-    // Watchdog expiry: the interleaving wedged (livelock, unbounded
-    // spin, pathological slowness) instead of deadlocking. The partial
-    // trace still pins every match the run made before it was killed,
-    // so the schedule reproduces the hang deterministically.
-    BugRecord bug;
-    bug.kind = BugRecord::Kind::kHang;
-    bug.interleaving = interleaving;
-    bug.deadlock_detail = report.stop_reason;
-    bug.schedule = reproducer_schedule(schedule, trace);
-    result.bugs.push_back(std::move(bug));
-  }
+/// The bug a judged run shows, if any. External cancellation is an
+/// interruption of the campaign, not a property of the program: the run
+/// is torn down, never judged. A watchdog expiry (kHang) means the
+/// interleaving wedged (livelock, unbounded spin, pathological slowness)
+/// instead of deadlocking.
+std::optional<BugRecord::Kind> bug_kind(const mpism::RunReport& report) {
+  if (report.cancelled) return std::nullopt;
+  if (report.deadlocked) return BugRecord::Kind::kDeadlock;
+  if (!report.errors.empty()) return BugRecord::Kind::kError;
+  if (report.timed_out()) return BugRecord::Kind::kHang;
+  return std::nullopt;
 }
 
 /// A run whose failure may heal on a replay (an injected flaky fault, a
@@ -158,10 +138,371 @@ DecisionFootprint frame_footprint(const DfsFrame& frame) {
   return fp;
 }
 
+Walk::Walk(ExplorerOptions options, RunObserver observer, Clock clock,
+           BugHook on_bug)
+    : options_(std::move(options)),
+      observer_(std::move(observer)),
+      clock_(clock),
+      on_bug_(std::move(on_bug)),
+      fingerprint_(options_fingerprint(options_)),
+      t0_(std::chrono::steady_clock::now()) {
+  if (options_.resume_from) {
+    // Continue a journalled walk: restore the frontier and accumulated
+    // verdicts, skip discovery entirely (only the original walk executed
+    // the SELF_RUN, so first-run stats stay zero).
+    const Checkpoint& cp = *options_.resume_from;
+    stack_ = cp.frames;
+    pending_sleep_ = cp.pending_sleep;
+    restore_counters(cp, &result_);
+    // Alerts are re-admitted through the walk's dedup set, which the
+    // runs below keep extending.
+    result_.unsafe_alerts.clear();
+    for (const std::string& alert : cp.unsafe_alerts) {
+      if (alert_keys_.insert(alert).second) {
+        result_.unsafe_alerts.push_back(alert);
+      }
+    }
+    // Restore fault-plan fire counters: a flaky cap exhausted before the
+    // kill (or during a distributed campaign's discovery) must stay
+    // exhausted, or the resumed walk fires faults the uninterrupted walk
+    // would not. Monotone, so a worker reusing one plan across shards
+    // never loses fires it accumulated itself.
+    if (options_.fault && !cp.fault_fires.empty()) {
+      options_.fault->seed_fires(cp.fault_fires);
+    }
+    result_.resumed = true;
+  } else {
+    // Initial discovery execution: SELF_RUN unless the caller pinned the
+    // root interleaving through options_.initial_schedule.
+    schedule_ = options_.initial_schedule;
+    pending_ = true;
+  }
+}
+
+double Walk::elapsed() const {
+  if (clock_ == Clock::kCharged) return charged_;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
+      .count();
+}
+
+bool Walk::cancelled() const {
+  return options_.cancel && options_.cancel->requested();
+}
+
+std::chrono::steady_clock::time_point Walk::deadline() {
+  // The global wall budget is a deadline every replay is armed with, so
+  // even an in-flight run ends (cancelled) once it passes instead of
+  // the budget only being noticed between runs.
+  using SteadyClock = std::chrono::steady_clock;
+  if (options_.max_wall_seconds >= 1e9) return {};
+  const auto after = [](SteadyClock::time_point from, double seconds) {
+    return from + std::chrono::duration_cast<SteadyClock::duration>(
+                      std::chrono::duration<double>(seconds));
+  };
+  if (clock_ == Clock::kWall) return after(t0_, options_.max_wall_seconds);
+  deadline_ =
+      after(SteadyClock::now(), options_.max_wall_seconds - charged_);
+  return deadline_;
+}
+
+void Walk::mark_stopped() {
+  if (options_.max_wall_seconds < 1e9 &&
+      elapsed() >= options_.max_wall_seconds) {
+    result_.time_budget_exhausted = true;
+  } else {
+    result_.interrupted = true;
+  }
+}
+
+// Crash-safe frontier journal (no-op without a checkpoint path).
+void Walk::flush_checkpoint() {
+  if (options_.checkpoint_path.empty()) return;
+  Checkpoint cp;
+  cp.fingerprint = fingerprint_;
+  store_counters(result_, &cp);
+  cp.frames = stack_;
+  cp.pending_sleep = pending_sleep_;
+  if (options_.fault) cp.fault_fires = options_.fault->fire_counts();
+  DAMPI_TEVENT(obs::EventKind::kCheckpoint, obs::Phase::kBegin,
+               static_cast<std::int32_t>(stack_.size()), 0, 0,
+               static_cast<std::int32_t>(result_.interleavings));
+  const bool ok = save_checkpoint(cp, options_.checkpoint_path);
+  DAMPI_TEVENT(obs::EventKind::kCheckpoint, obs::Phase::kEnd,
+               static_cast<std::int32_t>(stack_.size()), 0, 0,
+               static_cast<std::int32_t>(result_.interleavings));
+  if (ok) {
+    ++result_.checkpoint_writes;
+  } else {
+    DAMPI_LOG(kWarn) << "checkpoint write failed: "
+                     << options_.checkpoint_path;
+  }
+}
+
+void Walk::record_bug(const mpism::RunReport& report,
+                      const Schedule& schedule, const RunTrace& trace) {
+  const std::optional<BugRecord::Kind> kind = bug_kind(report);
+  if (!kind.has_value()) return;
+  if (on_bug_) {
+    on_bug_(*kind, report);
+    return;
+  }
+  BugRecord bug;
+  bug.kind = *kind;
+  bug.interleaving = result_.interleavings;
+  switch (*kind) {
+    case BugRecord::Kind::kDeadlock:
+      bug.deadlock_detail = report.deadlock_detail;
+      break;
+    case BugRecord::Kind::kError:
+      bug.errors = report.errors;
+      break;
+    case BugRecord::Kind::kHang:
+      bug.deadlock_detail = report.stop_reason;
+      break;
+  }
+  // Even a hung run's partial trace pins every match it made before it
+  // was stopped, so the schedule reproduces the bug deterministically.
+  bug.schedule = reproducer_schedule(schedule, trace);
+  result_.bugs.push_back(std::move(bug));
+}
+
+const Schedule* Walk::next() {
+  if (done_) return nullptr;
+  if (pending_) return &schedule_;
+  if (aborted_discovery_ || options_.discovery_only) {
+    done_ = true;
+    return nullptr;
+  }
+  if (cancelled()) {
+    result_.interrupted = true;
+    done_ = true;
+    return nullptr;
+  }
+  if (result_.interleavings >= options_.max_interleavings) {
+    result_.interleaving_budget_exhausted =
+        std::any_of(stack_.begin(), stack_.end(),
+                    [](const DfsFrame& f) { return !f.untried.empty(); });
+    done_ = true;
+    return nullptr;
+  }
+  if (elapsed() > options_.max_wall_seconds) {
+    result_.time_budget_exhausted = true;
+    done_ = true;
+    return nullptr;
+  }
+
+  // Serve pending work-steal requests before committing to the next
+  // flip: each poll consumes one request; the carve mutates the stack
+  // on this thread, so the thief and the victim can never race.
+  while (options_.steal_poll && options_.steal_poll()) {
+    std::shared_ptr<Checkpoint> stolen = carve_steal(stack_, fingerprint_);
+    // The thief may run in another process: ship the current flaky
+    // accounting with the shard, like every other checkpoint.
+    if (stolen && options_.fault) {
+      stolen->fault_fires = options_.fault->fire_counts();
+    }
+    options_.on_steal(std::move(stolen));
+  }
+
+  // Deepest frame with an untried alternative.
+  int flip = -1;
+  for (int i = static_cast<int>(stack_.size()) - 1; i >= 0; --i) {
+    if (!stack_[static_cast<std::size_t>(i)].untried.empty()) {
+      flip = i;
+      break;
+    }
+  }
+  if (flip < 0) {  // all epoch decisions exhausted
+    done_ = true;
+    return nullptr;
+  }
+
+  // Frames deeper than the flip are fully explored (the flip is the
+  // deepest frame with untried work). Under POR sleep they are
+  // harvested before the truncation discards them: the next
+  // extend_stack at this flip inherits their covered sources into the
+  // sibling subtree's sleep sets where the decisions commute.
+  if (options_.por == PorMode::kSleep) {
+    for (std::size_t i = static_cast<std::size_t>(flip) + 1; i < stack_.size();
+         ++i) {
+      pending_sleep_.push_back(std::move(stack_[i]));
+    }
+  }
+  stack_.resize(static_cast<std::size_t>(flip) + 1);
+  DfsFrame& frame = stack_[static_cast<std::size_t>(flip)];
+  frame.taken_src = frame.untried.back();
+  frame.untried.pop_back();
+  DAMPI_TEVENT(obs::EventKind::kDecisionPop, obs::Phase::kInstant,
+               frame.key.rank, static_cast<std::int32_t>(frame.key.nd_index),
+               frame.taken_src);
+
+  schedule_for(flip, frame.taken_src, &schedule_);
+  flip_ = flip;
+  pending_ = true;
+  return &schedule_;
+}
+
+void Walk::take(const SingleRun& run, double wall_seconds) {
+  DAMPI_CHECK_MSG(pending_, "Walk::take without a pending schedule");
+  if (clock_ == Clock::kCharged && run.report.cancelled && !cancelled()) {
+    if (deadline_ == std::chrono::steady_clock::time_point{} ||
+        std::chrono::steady_clock::now() < deadline_) {
+      return;  // another walk's deadline ended the shared replay
+    }
+    // This walk's own deadline ended it: its budget is spent.
+    charged_ = std::max(charged_ + wall_seconds, options_.max_wall_seconds);
+  } else {
+    charged_ += wall_seconds;
+  }
+  const std::uint64_t interleaving = index();
+  if (options_.run_stats) {
+    RunStats rs;
+    rs.interleaving = interleaving;
+    rs.completed = run.report.completed;
+    rs.wall_seconds = wall_seconds;
+    rs.vtime_us = run.report.vtime_us;
+    options_.run_stats(rs);
+  }
+
+  // Retry: a retryably-failed run (an error or a watchdog expiry; an
+  // injected flaky fault heals this way) is re-executed up to
+  // max_retries times, and the final outcome, whatever it is, is the one
+  // judged. A replay re-runs the same schedule, so it fails the same way
+  // unless the failure came from outside the run: only the run's own
+  // wall deadline, which host load can exhaust, is retried after a
+  // backoff (1 ms, doubling, capped at 1 s); every other failure is
+  // retried at once.
+  static obs::Counter& retries_metric =
+      obs::Registry::instance().counter("explorer.retries");
+  static obs::Counter& backoffs_metric =
+      obs::Registry::instance().counter("explorer.retry_backoffs");
+  if (failed_retryably(run.report) && attempt_ < options_.max_retries &&
+      !cancelled()) {
+    ++attempt_;
+    ++result_.retries;
+    retries_metric.add(1);
+    DAMPI_TEVENT(obs::EventKind::kRetry, obs::Phase::kInstant, attempt_, 0, 0,
+                 static_cast<std::int32_t>(interleaving));
+    if (run.report.expired == mpism::RunBudget::kWallDeadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::min(1 << std::min(backoffs_, 10), 1000)));
+      ++backoffs_;
+      backoffs_metric.add(1);
+    }
+    return;  // the same schedule again
+  }
+  pending_ = false;
+  attempt_ = 0;
+  backoffs_ = 0;
+  if (flip_ < 0) {
+    judge_discovery(run);
+  } else {
+    judge_flip(run);
+  }
+}
+
+void Walk::judge_discovery(const SingleRun& first) {
+  result_.interleavings = 1;
+  result_.first_report = first.report;
+  result_.wildcard_recv_epochs = first.trace.wildcard_recv_epochs;
+  result_.wildcard_probe_epochs = first.trace.wildcard_probe_epochs;
+  result_.potential_matches_first_run = first.trace.potential_matches;
+  result_.first_run_vtime_us = first.report.vtime_us;
+  result_.total_vtime_us += first.report.vtime_us;
+  result_.divergences += first.divergences;
+  if (first.report.cancelled) {
+    // Discovery itself was cancelled: the campaign is reported partial
+    // but not journalled — there is no judged frontier to resume from.
+    aborted_discovery_ = true;
+    done_ = true;
+    return;
+  }
+  if (first.report.timed_out()) ++result_.timeouts;
+  collect_alerts(first.trace, alert_keys_, result_);
+  record_bug(first.report, options_.initial_schedule, first.trace);
+  if (observer_) observer_(first.trace, first.report, options_.initial_schedule);
+  extend_stack(first.trace, /*flip_pos=*/-1);
+  flush_checkpoint();
+}
+
+void Walk::judge_flip(const SingleRun& outcome) {
+  if (outcome.report.cancelled) {
+    // The run was torn down, not judged: put the alternative back so a
+    // resumed walk re-executes it, and do not count the interleaving —
+    // this is what makes kill/resume produce the same run sequence as
+    // an uninterrupted walk.
+    DfsFrame& f = stack_[static_cast<std::size_t>(flip_)];
+    f.untried.push_back(f.taken_src);
+    mark_stopped();
+    done_ = true;
+    return;
+  }
+  ++result_.interleavings;
+  result_.total_vtime_us += outcome.report.vtime_us;
+  result_.divergences += outcome.divergences;
+  if (outcome.report.timed_out()) ++result_.timeouts;
+  if (!outcome.report.completed && !outcome.report.deadlocked) {
+    // Still failing after every retry: the subtree below this root is
+    // quarantined — its bug (if any) is recorded, nothing under it is
+    // extended, and the walk degrades gracefully instead of aborting.
+    ++result_.quarantined;
+    DAMPI_TEVENT(obs::EventKind::kQuarantine, obs::Phase::kInstant, 0, 0, 0,
+                 static_cast<std::int32_t>(result_.interleavings));
+  }
+  collect_alerts(outcome.trace, alert_keys_, result_);
+  record_bug(outcome.report, schedule_, outcome.trace);
+  if (observer_) observer_(outcome.trace, outcome.report, schedule_);
+
+  // Only completed runs contribute new decision points; a failed replay
+  // is reported, not extended.
+  if (outcome.report.completed) extend_stack(outcome.trace, flip_);
+  if (options_.checkpoint_interval > 0 &&
+      result_.interleavings % options_.checkpoint_interval == 0) {
+    flush_checkpoint();
+  }
+}
+
+ExploreResult Walk::finish() {
+  if (aborted_discovery_) {
+    mark_stopped();
+  } else {
+    // Final flush at every walk exit (completion, budget, cancellation)
+    // so --resume always sees the newest frontier.
+    flush_checkpoint();
+  }
+  if (options_.export_frontier || options_.discovery_only) {
+    result_.frontier = stack_;
+  }
+  result_.total_wall_seconds = elapsed();
+  return std::move(result_);
+}
+
 Explorer::Explorer(ExplorerOptions options) : options_(std::move(options)) {}
 
-void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
-                            ExploreResult& result) {
+ExploreResult Explorer::explore(const mpism::ProgramFn& program,
+                                const RunObserver& observer) {
+  using SteadyClock = std::chrono::steady_clock;
+  Walk walk(options_, observer);
+  // Every replay of the walk runs in this one warm context, into `run`,
+  // whose storage the next replay reuses.
+  ReplayContext context(options_);
+  SingleRun run;
+  DAMPI_TRACE_THREAD_LANE("explore");
+  while (const Schedule* schedule = walk.next()) {
+    const std::uint64_t index = walk.index();
+    DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kBegin, 0, 0, 0, index);
+    const SteadyClock::time_point start = SteadyClock::now();
+    context.run(*schedule, program, &run, walk.deadline());
+    const double wall =
+        std::chrono::duration<double>(SteadyClock::now() - start).count();
+    DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kEnd, 0, 0, 0, index);
+    walk.take(run, wall);
+  }
+  return walk.finish();
+}
+
+void Walk::extend_stack(const RunTrace& trace, int flip_pos) {
+  ExploreResult& result = result_;
   const std::vector<const EpochRecord*>& sorted = trace.sorted();
   // Epoch lookup by key for the prefix frames: a sorted flat index into
   // `sorted`, rebuilt in place each run (keys are unique per trace).
@@ -319,307 +660,14 @@ void Explorer::extend_stack(const RunTrace& trace, int flip_pos,
   if (flip_pos >= 0) pending_sleep_.clear();
 }
 
-void Explorer::schedule_for(int frame_pos, mpism::Rank alt,
-                            Schedule* out) const {
+void Walk::schedule_for(int frame_pos, mpism::Rank alt,
+                        Schedule* out) const {
   out->forced.clear();
   for (int j = 0; j < frame_pos; ++j) {
     const DfsFrame& f = stack_[static_cast<std::size_t>(j)];
     out->forced[f.key] = f.taken_src;
   }
   out->forced[stack_[static_cast<std::size_t>(frame_pos)].key] = alt;
-}
-
-ExploreResult Explorer::explore(const mpism::ProgramFn& program,
-                                const RunObserver& observer) {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point t0 = Clock::now();
-  auto elapsed = [&t0] {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-
-  ExploreResult result;
-  stack_.clear();
-  pending_sleep_.clear();
-  std::unordered_set<std::string> alert_keys;
-
-  const std::shared_ptr<mpism::CancelSource>& cancel = options_.cancel;
-  auto cancelled = [&cancel] { return cancel && cancel->requested(); };
-  const std::string fingerprint = options_fingerprint(options_);
-
-  // Every replay of the walk runs in this one warm context, into `run`,
-  // whose storage the next replay reuses.
-  ReplayContext context(options_);
-  SingleRun run;
-  DAMPI_TRACE_THREAD_LANE("explore");
-
-  // The global wall budget is a deadline every replay is armed with, so
-  // even an in-flight run ends (cancelled) once it passes instead of
-  // the budget only being noticed between runs.
-  Clock::time_point deadline{};
-  if (options_.max_wall_seconds < 1e9) {
-    deadline = t0 + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(
-                            options_.max_wall_seconds));
-  }
-  // A walk cut short by a cancelled run or a cancel between runs: out
-  // of time once the deadline has passed, interrupted otherwise.
-  auto mark_stopped = [&] {
-    if (deadline != Clock::time_point{} && Clock::now() >= deadline) {
-      result.time_budget_exhausted = true;
-    } else {
-      result.interrupted = true;
-    }
-  };
-
-  // Crash-safe frontier journal (no-op without a checkpoint path).
-  auto flush_checkpoint = [&] {
-    if (options_.checkpoint_path.empty()) return;
-    Checkpoint cp;
-    cp.fingerprint = fingerprint;
-    store_counters(result, &cp);
-    cp.frames = stack_;
-    cp.pending_sleep = pending_sleep_;
-    if (options_.fault) cp.fault_fires = options_.fault->fire_counts();
-    DAMPI_TEVENT(obs::EventKind::kCheckpoint, obs::Phase::kBegin,
-                 static_cast<std::int32_t>(stack_.size()), 0, 0,
-                 static_cast<std::int32_t>(result.interleavings));
-    const bool ok = save_checkpoint(cp, options_.checkpoint_path);
-    DAMPI_TEVENT(obs::EventKind::kCheckpoint, obs::Phase::kEnd,
-                 static_cast<std::int32_t>(stack_.size()), 0, 0,
-                 static_cast<std::int32_t>(result.interleavings));
-    if (ok) {
-      ++result.checkpoint_writes;
-    } else {
-      DAMPI_LOG(kWarn) << "checkpoint write failed: "
-                       << options_.checkpoint_path;
-    }
-  };
-
-  // One timed replay of `schedule` into `run`, announced to the
-  // RunStats callback under its 1-based interleaving index.
-  auto replay = [&](const Schedule& schedule, std::uint64_t index) {
-    DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kBegin, 0, 0, 0, index);
-    const Clock::time_point start = Clock::now();
-    context.run(schedule, program, &run, deadline);
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kEnd, 0, 0, 0, index);
-    if (options_.run_stats) {
-      RunStats rs;
-      rs.interleaving = index;
-      rs.completed = run.report.completed;
-      rs.wall_seconds = wall;
-      rs.vtime_us = run.report.vtime_us;
-      options_.run_stats(rs);
-    }
-  };
-
-  // Retry wrapper: a retryably-failed run (an error or a watchdog
-  // expiry; an injected flaky fault heals this way) is re-executed up to
-  // max_retries times. The final outcome, whatever it is, is the one
-  // judged. A replay re-runs the same schedule, so it fails the same way
-  // unless the failure came from outside the run: only the run's own
-  // wall deadline, which host load can exhaust, is retried after a
-  // backoff (1 ms, doubling, capped at 1 s); every other failure is
-  // retried at once.
-  static obs::Counter& retries_metric =
-      obs::Registry::instance().counter("explorer.retries");
-  static obs::Counter& backoffs_metric =
-      obs::Registry::instance().counter("explorer.retry_backoffs");
-  auto take_with_retry = [&](const Schedule& schedule,
-                             std::uint64_t index) -> const SingleRun& {
-    replay(schedule, index);
-    int attempt = 0;
-    int backoffs = 0;
-    while (failed_retryably(run.report) && attempt < options_.max_retries &&
-           !cancelled()) {
-      ++attempt;
-      ++result.retries;
-      retries_metric.add(1);
-      DAMPI_TEVENT(obs::EventKind::kRetry, obs::Phase::kInstant, attempt, 0, 0,
-                   static_cast<std::int32_t>(index));
-      if (run.report.expired == mpism::RunBudget::kWallDeadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::min(1 << std::min(backoffs, 10), 1000)));
-        ++backoffs;
-        backoffs_metric.add(1);
-      }
-      replay(schedule, index);
-    }
-    return run;
-  };
-
-  bool aborted_discovery = false;
-  if (options_.resume_from) {
-    // Continue a journalled walk: restore the frontier and accumulated
-    // verdicts, skip discovery entirely (only the original walk executed
-    // the SELF_RUN, so first-run stats stay zero).
-    const Checkpoint& cp = *options_.resume_from;
-    stack_ = cp.frames;
-    pending_sleep_ = cp.pending_sleep;
-    restore_counters(cp, &result);
-    // Alerts are re-admitted through the walk's dedup set, which the
-    // runs below keep extending.
-    result.unsafe_alerts.clear();
-    for (const std::string& alert : cp.unsafe_alerts) {
-      if (alert_keys.insert(alert).second) {
-        result.unsafe_alerts.push_back(alert);
-      }
-    }
-    // Restore fault-plan fire counters: a flaky cap exhausted before the
-    // kill (or during a distributed campaign's discovery) must stay
-    // exhausted, or the resumed walk fires faults the uninterrupted walk
-    // would not. Monotone, so a worker reusing one plan across shards
-    // never loses fires it accumulated itself.
-    if (options_.fault && !cp.fault_fires.empty()) {
-      options_.fault->seed_fires(cp.fault_fires);
-    }
-    result.resumed = true;
-  } else {
-    // Initial discovery execution: SELF_RUN unless the caller pinned the
-    // root interleaving through options_.initial_schedule.
-    const SingleRun& first = take_with_retry(options_.initial_schedule, 1);
-    result.interleavings = 1;
-    result.first_report = first.report;
-    result.wildcard_recv_epochs = first.trace.wildcard_recv_epochs;
-    result.wildcard_probe_epochs = first.trace.wildcard_probe_epochs;
-    result.potential_matches_first_run = first.trace.potential_matches;
-    result.first_run_vtime_us = first.report.vtime_us;
-    result.total_vtime_us += first.report.vtime_us;
-    result.divergences += first.divergences;
-    if (first.report.cancelled) {
-      aborted_discovery = true;
-    } else {
-      if (first.report.timed_out()) ++result.timeouts;
-      collect_alerts(first.trace, alert_keys, result);
-      record_bug_if_any(first.report, options_.initial_schedule, first.trace,
-                        1, result);
-      if (observer) {
-        observer(first.trace, first.report, options_.initial_schedule);
-      }
-      extend_stack(first.trace, /*flip_pos=*/-1, result);
-      flush_checkpoint();
-    }
-  }
-
-  const bool stop_now = aborted_discovery || options_.discovery_only;
-  while (!stop_now) {
-    if (cancelled()) {
-      result.interrupted = true;
-      break;
-    }
-    if (result.interleavings >= options_.max_interleavings) {
-      result.interleaving_budget_exhausted =
-          std::any_of(stack_.begin(), stack_.end(),
-                      [](const DfsFrame& f) { return !f.untried.empty(); });
-      break;
-    }
-    if (elapsed() > options_.max_wall_seconds) {
-      result.time_budget_exhausted = true;
-      break;
-    }
-
-    // Serve pending work-steal requests before committing to the next
-    // flip: each poll consumes one request; the carve mutates the stack
-    // on this thread, so the thief and the victim can never race.
-    while (options_.steal_poll && options_.steal_poll()) {
-      std::shared_ptr<Checkpoint> stolen = carve_steal(stack_, fingerprint);
-      // The thief may run in another process: ship the current flaky
-      // accounting with the shard, like every other checkpoint.
-      if (stolen && options_.fault) {
-        stolen->fault_fires = options_.fault->fire_counts();
-      }
-      options_.on_steal(std::move(stolen));
-    }
-
-    // Deepest frame with an untried alternative.
-    int flip = -1;
-    for (int i = static_cast<int>(stack_.size()) - 1; i >= 0; --i) {
-      if (!stack_[static_cast<std::size_t>(i)].untried.empty()) {
-        flip = i;
-        break;
-      }
-    }
-    if (flip < 0) break;  // all epoch decisions exhausted
-
-    // Frames deeper than the flip are fully explored (the flip is the
-    // deepest frame with untried work). Under POR sleep they are
-    // harvested before the truncation discards them: the next
-    // extend_stack at this flip inherits their covered sources into the
-    // sibling subtree's sleep sets where the decisions commute.
-    if (options_.por == PorMode::kSleep) {
-      for (std::size_t i = static_cast<std::size_t>(flip) + 1;
-           i < stack_.size(); ++i) {
-        pending_sleep_.push_back(std::move(stack_[i]));
-      }
-    }
-    stack_.resize(static_cast<std::size_t>(flip) + 1);
-    DfsFrame& frame = stack_[static_cast<std::size_t>(flip)];
-    frame.taken_src = frame.untried.back();
-    frame.untried.pop_back();
-    DAMPI_TEVENT(obs::EventKind::kDecisionPop, obs::Phase::kInstant,
-                 frame.key.rank,
-                 static_cast<std::int32_t>(frame.key.nd_index),
-                 frame.taken_src);
-
-    schedule_for(flip, frame.taken_src, &schedule_);
-    const Schedule& schedule = schedule_;
-
-    const SingleRun& outcome =
-        take_with_retry(schedule, result.interleavings + 1);
-    if (outcome.report.cancelled) {
-      // The run was torn down, not judged: put the alternative back so a
-      // resumed walk re-executes it, and do not count the interleaving —
-      // this is what makes kill/resume produce the same run sequence as
-      // an uninterrupted walk.
-      DfsFrame& f = stack_[static_cast<std::size_t>(flip)];
-      f.untried.push_back(f.taken_src);
-      mark_stopped();
-      break;
-    }
-    ++result.interleavings;
-    result.total_vtime_us += outcome.report.vtime_us;
-    result.divergences += outcome.divergences;
-    if (outcome.report.timed_out()) ++result.timeouts;
-    if (!outcome.report.completed && !outcome.report.deadlocked) {
-      // Still failing after every retry: the subtree below this root is
-      // quarantined — its bug (if any) is recorded, nothing under it is
-      // extended, and the walk degrades gracefully instead of aborting.
-      ++result.quarantined;
-      DAMPI_TEVENT(obs::EventKind::kQuarantine, obs::Phase::kInstant, 0, 0, 0,
-                   static_cast<std::int32_t>(result.interleavings));
-    }
-    collect_alerts(outcome.trace, alert_keys, result);
-    record_bug_if_any(outcome.report, schedule, outcome.trace,
-                      result.interleavings, result);
-    if (observer) observer(outcome.trace, outcome.report, schedule);
-
-    // Only completed runs contribute new decision points; a failed replay
-    // is reported, not extended.
-    if (outcome.report.completed) {
-      extend_stack(outcome.trace, flip, result);
-    }
-    if (options_.checkpoint_interval > 0 &&
-        result.interleavings % options_.checkpoint_interval == 0) {
-      flush_checkpoint();
-    }
-  }
-
-  if (aborted_discovery) {
-    // Discovery itself was cancelled: report the partial campaign but do
-    // not journal it — there is no judged frontier to resume from.
-    mark_stopped();
-  } else {
-    // Final flush at every walk exit (completion, budget, cancellation)
-    // so --resume always sees the newest frontier.
-    flush_checkpoint();
-  }
-
-  if (options_.export_frontier || options_.discovery_only) {
-    result.frontier = stack_;
-  }
-  result.total_wall_seconds = elapsed();
-  return result;
 }
 
 }  // namespace dampi::core

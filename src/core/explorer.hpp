@@ -7,12 +7,15 @@
 // Stateless search: every interleaving is a fresh run of the program
 // under a decision file (executed in a reused ReplayContext, so "fresh"
 // costs a reset, not a rebuild). Bounded mixing caps how deep below a
-// freshly flipped decision new alternatives are recorded.
+// freshly flipped decision new alternatives are recorded. The search
+// itself is a Walk, stepped by whoever replays its schedules.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/decision.hpp"
@@ -162,23 +165,69 @@ struct ExploreResult {
   bool found_bug() const { return !bugs.empty(); }
 };
 
-class Explorer {
+/// Called after every judged run; lets tests collect per-interleaving
+/// outcomes (e.g. to compare coverage against a brute-force oracle).
+using RunObserver = std::function<void(
+    const RunTrace&, const mpism::RunReport&, const Schedule&)>;
+
+/// One exploration, one step at a time: next() names the schedule to
+/// replay, take() judges the run of it, and finish() gives the result
+/// once next() has nothing left. The walk never replays anything itself,
+/// so whoever drives it chooses how: Explorer::explore replays each
+/// schedule in one ReplayContext; a fault sweep feeds many walks the
+/// views (cut_view) of replays they share.
+class Walk {
  public:
-  explicit Explorer(ExplorerOptions options);
+  /// How the wall budget (ExplorerOptions::max_wall_seconds) is spent:
+  /// by the wall clock since the walk began, or only by the replay time
+  /// handed to take() — a walk fed shared replays is charged for the
+  /// replays it consumed, not for those it waited on.
+  enum class Clock { kWall, kCharged };
+  /// Receives each bug the walk finds in place of ExploreResult::bugs,
+  /// which then stays empty (no reproducer schedule is built): a caller
+  /// that only tallies bugs keeps its memory flat.
+  using BugHook =
+      std::function<void(BugRecord::Kind, const mpism::RunReport&)>;
 
-  /// Called after every run; lets tests collect per-interleaving
-  /// outcomes (e.g. to compare coverage against a brute-force oracle).
-  using RunObserver = std::function<void(
-      const RunTrace&, const mpism::RunReport&, const Schedule&)>;
+  explicit Walk(ExplorerOptions options, RunObserver observer = {},
+                Clock clock = Clock::kWall, BugHook on_bug = {});
 
-  ExploreResult explore(const mpism::ProgramFn& program,
-                        const RunObserver& observer = {});
+  /// The schedule to replay next, or nullptr once the walk is over. The
+  /// same schedule comes back until take() judges a run of it (a retry
+  /// asks for the schedule again too).
+  const Schedule* next();
+  /// 1-based interleaving index of the schedule next() returned.
+  std::uint64_t index() const { return result_.interleavings + 1; }
+  /// The deadline the replay of that schedule must be armed with ({} =
+  /// none), asked for just before the replay: a run still going when the
+  /// wall budget runs out ends cancelled.
+  std::chrono::steady_clock::time_point deadline();
+  /// Judges a run of the schedule next() returned, which took
+  /// `wall_seconds` to replay. Under Clock::kCharged a cancelled run that
+  /// neither the walk's cancel source nor its own deadline ended is not
+  /// the walk's to judge (a replay shared with a walk whose deadline
+  /// came first): it is ignored, uncharged, and next() asks again.
+  void take(const SingleRun& run, double wall_seconds);
+  /// The outcome (after the final checkpoint flush).
+  ExploreResult finish();
 
  private:
+  double elapsed() const;
+  bool cancelled() const;
+  /// Marks a walk cut short by a cancelled run or a cancel between
+  /// runs: out of time once the wall budget is spent, interrupted
+  /// otherwise.
+  void mark_stopped();
+  void flush_checkpoint();
+  void record_bug(const mpism::RunReport& report, const Schedule& schedule,
+                  const RunTrace& trace);
+  /// Judges the run of the discovery schedule / of a flip.
+  void judge_discovery(const SingleRun& run);
+  void judge_flip(const SingleRun& run);
+
   /// Append new frames discovered by a run; `flip_pos` is the stack index
   /// that was flipped to trigger it (-1 for the initial run).
-  void extend_stack(const RunTrace& trace, int flip_pos,
-                    ExploreResult& result);
+  void extend_stack(const RunTrace& trace, int flip_pos);
 
   /// Prefix of the schedule a flip of stack_[i] would force: decisions of
   /// frames 0..i-1 plus frame i's key mapped to `alt` (into `*out`,
@@ -186,6 +235,18 @@ class Explorer {
   void schedule_for(int frame_pos, mpism::Rank alt, Schedule* out) const;
 
   ExplorerOptions options_;
+  RunObserver observer_;
+  Clock clock_;
+  BugHook on_bug_;
+  std::string fingerprint_;
+  std::chrono::steady_clock::time_point t0_;
+  /// Replay time taken so far, and the last deadline() handed out
+  /// (Clock::kCharged).
+  double charged_ = 0.0;
+  std::chrono::steady_clock::time_point deadline_{};
+
+  ExploreResult result_;
+  std::unordered_set<std::string> alert_keys_;
   std::vector<DfsFrame> stack_;
   /// extend_stack scratch, kept across runs: the trace's epochs by key
   /// (binary-searched for the prefix frames) and which of the sorted
@@ -202,6 +263,29 @@ class Explorer {
   /// the truncation and the extension does not lose pruning state (the
   /// resumed walk must replay the uninterrupted walk exactly).
   std::vector<DfsFrame> pending_sleep_;
+
+  /// schedule_ awaits its run; flip_ is the frame it flips (-1: the
+  /// discovery run), attempt_ the retries it has had.
+  bool pending_ = false;
+  int flip_ = -1;
+  int attempt_ = 0;
+  int backoffs_ = 0;
+  bool done_ = false;
+  bool aborted_discovery_ = false;
+};
+
+class Explorer {
+ public:
+  explicit Explorer(ExplorerOptions options);
+
+  using RunObserver = core::RunObserver;
+
+  /// A Walk over one warm ReplayContext.
+  ExploreResult explore(const mpism::ProgramFn& program,
+                        const RunObserver& observer = {});
+
+ private:
+  ExplorerOptions options_;
 };
 
 }  // namespace dampi::core

@@ -1,5 +1,7 @@
 #include "core/replay_context.hpp"
 
+#include <algorithm>
+
 #include "core/dampi_layer.hpp"
 #include "mpism/engine.hpp"
 #include "mpism/fault.hpp"
@@ -95,6 +97,71 @@ SingleRun run_guided_once(const ExplorerOptions& options,
   SingleRun out;
   context.run(schedule, program, &out);
   return out;
+}
+
+const SingleRun& cut_view(const SingleRun& run, const RunCut& cut,
+                          SingleRun* scratch) {
+  if (cut.call_seq == 0) return run;
+  const std::uint64_t at = cut.call_seq;
+
+  mpism::RunReport& report = scratch->report;
+  report.completed = false;
+  report.deadlocked = false;
+  report.errors.assign(1, cut.error);
+  report.deadlock_detail.clear();
+  report.expired = mpism::RunBudget::kNone;
+  report.cancelled = false;
+  report.stop_reason.clear();
+  report.vtime_us = 0.0;
+  report.wall_seconds = 0.0;
+  report.stats = mpism::OpStats{};
+  report.comm_leaks = 0;
+  report.request_leaks = 0;
+  report.messages_sent = 0;
+
+  // A fresh trace (cold sort cache) on the scratch trace's storage; the
+  // spare records are assigned into, so their buffers are reused too.
+  RunTrace trace;
+  trace.epochs = std::move(scratch->trace.epochs);
+  trace.alerts = std::move(scratch->trace.alerts);
+  trace.alerts.clear();
+  std::size_t kept = 0;
+  for (const EpochRecord& epoch : run.trace.epochs) {
+    if (epoch.opened_at >= at) continue;
+    if (kept == trace.epochs.size()) trace.epochs.emplace_back();
+    EpochRecord& view = trace.epochs[kept++];
+    view = epoch;
+    if (epoch.matched_at >= at) {
+      view.matched_src_world = -1;
+      view.matched_seq = 0;
+      view.matched_at = 0;
+    }
+    view.alternatives.erase_if([at](const auto& entry) {
+      return entry.second.seen_at >= at;
+    });
+    if (view.is_probe) {
+      ++trace.wildcard_probe_epochs;
+    } else {
+      ++trace.wildcard_recv_epochs;
+    }
+    if (view.auto_abstracted) ++trace.auto_abstracted_epochs;
+    trace.potential_matches += view.alternatives.size();
+  }
+  trace.epochs.resize(kept);
+  std::sort(trace.epochs.begin(), trace.epochs.end(),
+            [](const EpochRecord& a, const EpochRecord& b) {
+              return a.key < b.key;
+            });
+  for (const UnsafeAlert& alert : run.trace.alerts) {
+    if (alert.raised_at < at) trace.alerts.push_back(alert);
+  }
+  std::stable_sort(trace.alerts.begin(), trace.alerts.end(),
+                   [](const UnsafeAlert& a, const UnsafeAlert& b) {
+                     return a.rank < b.rank;
+                   });
+  scratch->trace = std::move(trace);
+  scratch->divergences = 0;
+  return *scratch;
 }
 
 }  // namespace dampi::core

@@ -92,4 +92,27 @@ SingleRun run_guided_once(const ExplorerOptions& options,
                           const Schedule& schedule,
                           const mpism::ProgramFn& program);
 
+/// Where a stop point was reached in a replay: the call (ToolCtx::
+/// call_seq, 0 = never reached) and the error the point raises there.
+struct RunCut {
+  std::uint64_t call_seq = 0;
+  mpism::ErrorInfo error;
+};
+
+/// The run the explorer would have judged had the stop at `cut` fired in
+/// the replay that produced `run`: under the coop scheduler a replay of
+/// a schedule is the same run up to the stopping call, the stop ends it
+/// there, and a stopped rank leaves no epoch, match or alternative
+/// behind. So the view keeps the epochs opened before the call, matched
+/// only if the match was bound before it, with the alternatives first
+/// seen before it and the alerts raised before it, in the rank-major
+/// order a stopped run flushes them; its report is a stopped run's —
+/// not completed, no deadlock, no budget expiry, and the cut's error.
+/// A view knows nothing the stamps do not tell: its virtual time, op
+/// statistics, late-message count and divergences read zero. Returns
+/// `run` itself when the point was never reached, else `*scratch`
+/// (whose storage is reused) holding the view.
+const SingleRun& cut_view(const SingleRun& run, const RunCut& cut,
+                          SingleRun* scratch);
+
 }  // namespace dampi::core

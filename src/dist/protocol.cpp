@@ -207,20 +207,35 @@ std::optional<core::Checkpoint> parse_shard(
                                 expected_fingerprint, error);
 }
 
-std::string serialize_plan(const PlanTask& plan) {
-  return strfmt("plan %llu %s\n", static_cast<unsigned long long>(plan.index),
-                plan.spec.c_str());
+std::string serialize_plan(const std::vector<PlanTask>& plans) {
+  std::string out;
+  for (const PlanTask& plan : plans) {
+    out += strfmt("plan %llu %s\n", static_cast<unsigned long long>(plan.index),
+                  plan.spec.c_str());
+  }
+  return out;
 }
 
-std::optional<PlanTask> parse_plan(const std::string& payload,
-                                   std::string* error) {
-  PlanTask plan;
+std::optional<std::vector<PlanTask>> parse_plan(const std::string& payload,
+                                                std::string* error) {
+  std::vector<PlanTask> plans;
   LineReader in(payload);
-  if (!in.next() || in.keyword() != "plan" ||
-      !in.fields().read_exactly(&plan.index, &plan.spec) || in.next()) {
-    return refuse(error, "bad plan payload: want one 'plan <index> <spec>'");
+  while (in.next()) {
+    PlanTask plan;
+    if (in.keyword() != "plan" ||
+        !in.fields().read_exactly(&plan.index, &plan.spec)) {
+      return refuse(error, in.at("bad plan line: want 'plan <index> <spec>'"));
+    }
+    for (const PlanTask& earlier : plans) {
+      if (earlier.index == plan.index) {
+        return refuse(error, in.at("plan index listed twice"));
+      }
+    }
+    plans.push_back(std::move(plan));
   }
-  return plan;
+  if (!in.error().empty()) return refuse(error, in.error());
+  if (plans.empty()) return refuse(error, "bad plan payload: no plan line");
+  return plans;
 }
 
 std::string serialize_plan_result(const PlanResult& result) {

@@ -25,17 +25,18 @@
 //   coordinator-> worker        SHUTDOWN
 // and of a fault sweep (the same pool, HELLO carrying the sweep
 // fingerprint):
-//   coordinator-> worker        PLAN    {plan index, canonical fault spec}
+//   coordinator-> worker        PLAN    {a batch: plan index and
+//                                        canonical fault spec, per plan}
 //   worker     -> coordinator   RESULT  {metrics, sweep journal holding
-//                                        the plan's record, or no record
-//                                        when a CANCEL interrupted its
-//                                        campaign}
+//                                        a record per plan, less those a
+//                                        CANCEL interrupted}
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/explorer.hpp"
@@ -131,20 +132,23 @@ std::optional<core::EscapedAlt> parse_escape(
     const std::string& payload, const std::string& expected_fingerprint,
     std::string* error);
 
-/// PLAN payload: `plan <index> <canonical fault spec>`.
+/// One plan of a PLAN payload: a `plan <index> <canonical fault spec>`
+/// line. A payload lists one batch of plans, a line each, in the order
+/// given (at least one, no index twice).
 struct PlanTask {
   std::uint64_t index = 0;
   std::string spec;
 };
 
-std::string serialize_plan(const PlanTask& plan);
-std::optional<PlanTask> parse_plan(const std::string& payload,
-                                   std::string* error);
+std::string serialize_plan(const std::vector<PlanTask>& plans);
+std::optional<std::vector<PlanTask>> parse_plan(const std::string& payload,
+                                                std::string* error);
 
-/// A sweep worker's RESULT for one PLAN: the sweep journal holding the
-/// plan's record, embedded by byte length (the sweep library parses
-/// it), and the worker registry's increment over the plan, so a
-/// sweep's --metrics counts the same at any worker count.
+/// A sweep worker's RESULT for one PLAN: the sweep journal holding a
+/// record for each of its plans (none for a plan a CANCEL interrupted),
+/// embedded by byte length (the sweep library parses it), and the worker
+/// registry's increment over the batch, so a sweep's --metrics counts
+/// the same at any worker count.
 struct PlanResult {
   std::string journal;
   std::string metrics_dump;

@@ -112,6 +112,9 @@ class ToolCtxImpl final : public ToolCtx {
   }
   void add_cost(double us) override { e_->add_cost(r_, us); }
   double vtime() const override { return e_->vtime_of(r_); }
+  std::uint64_t call_seq() const override {
+    return e_->call_seq_.load(std::memory_order_relaxed);
+  }
   void fail_run(const std::string& message) override {
     e_->pr(r_).failed_by_tool = true;
     e_->record_error(r_, message);
@@ -387,6 +390,7 @@ void Engine::reset() {
   blocked_count_.store(0, std::memory_order_relaxed);
   finished_count_.store(0, std::memory_order_relaxed);
   ops_executed_.store(0, std::memory_order_relaxed);
+  call_seq_.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> vl(verdict_mu_);
     stopped_.store(false, std::memory_order_relaxed);
@@ -1872,6 +1876,7 @@ void Engine::hooks_finalize(Rank r) {
 
 void Engine::hooks_pre_isend(Rank r, SendCall& call) {
   PerRank& me = pr(r);
+  bump(call_seq_, std::uint64_t{1});
   for (auto& t : me.tools) {
     t->pre_isend(*me.ctx, call);
     if (me.failed_by_tool) return;
@@ -1888,6 +1893,7 @@ void Engine::hooks_post_isend(Rank r, const SendCall& call, RequestId id,
 
 void Engine::hooks_pre_irecv(Rank r, RecvCall& call) {
   PerRank& me = pr(r);
+  bump(call_seq_, std::uint64_t{1});
   for (auto& t : me.tools) {
     t->pre_irecv(*me.ctx, call);
     if (me.failed_by_tool) return;
@@ -1903,6 +1909,7 @@ void Engine::hooks_post_irecv(Rank r, const RecvCall& call, RequestId id) {
 
 void Engine::hooks_pre_wait(Rank r, RequestId id) {
   PerRank& me = pr(r);
+  bump(call_seq_, std::uint64_t{1});
   for (auto& t : me.tools) {
     t->pre_wait(*me.ctx, id);
     if (me.failed_by_tool) return;
@@ -1918,6 +1925,7 @@ void Engine::hooks_post_wait(Rank r, ReqCompletion& completion) {
 
 void Engine::hooks_pre_probe(Rank r, ProbeCall& call) {
   PerRank& me = pr(r);
+  bump(call_seq_, std::uint64_t{1});
   for (auto& t : me.tools) {
     t->pre_probe(*me.ctx, call);
     if (me.failed_by_tool) return;
@@ -1934,6 +1942,7 @@ void Engine::hooks_post_probe(Rank r, const ProbeCall& call, bool flag,
 
 void Engine::hooks_pre_collective(Rank r, CollCall& call) {
   PerRank& me = pr(r);
+  bump(call_seq_, std::uint64_t{1});
   for (auto& t : me.tools) {
     t->pre_collective(*me.ctx, call);
     if (me.failed_by_tool) return;

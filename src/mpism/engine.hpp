@@ -498,6 +498,9 @@ class Engine {
   bool deadline_is_campaigns_ = false;
   std::chrono::steady_clock::time_point run_deadline_{};
   std::atomic<std::uint64_t> ops_executed_{0};
+  /// User calls that entered a rank's tool stack this run (every
+  /// hooks_pre_* bumps it first): ToolCtx::call_seq.
+  std::atomic<std::uint64_t> call_seq_{0};
   /// Per-rank slots are written under the owning rank's shard; the
   /// tool-message total is summed from PerRank::tool_messages.
   OpStats stats_;

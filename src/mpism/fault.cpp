@@ -124,10 +124,26 @@ FaultPlan::FaultPlan(std::vector<FaultPoint> points, bool count_only)
     : points_(std::move(points)),
       count_only_(count_only),
       fired_(new std::atomic<std::uint64_t>[points_.empty() ? 1
-                                                            : points_.size()]) {
+                                                            : points_.size()]),
+      reach_(count_only ? points_.size() : 0),
+      stop_(count_only ? points_.size() : 0, 0) {
   for (std::size_t i = 0; i < points_.size(); ++i) {
     fired_[i].store(0, std::memory_order_relaxed);
   }
+}
+
+void FaultPlan::arm(const std::vector<std::size_t>& stops) {
+  std::fill(reach_.begin(), reach_.end(), Reach{});
+  std::fill(stop_.begin(), stop_.end(), 0);
+  for (const std::size_t i : stops) stop_[i] = 1;
+  stops_left_.store(stops.size(), std::memory_order_relaxed);
+}
+
+bool FaultPlan::note_reach(std::size_t i, std::uint64_t call_seq,
+                           const char* call) {
+  reach_[i] = Reach{call_seq, call};
+  return stop_[i] != 0 &&
+         stops_left_.fetch_sub(1, std::memory_order_relaxed) == 1;
 }
 
 FaultEffect fault_effect(const FaultPoint& point) {
@@ -289,6 +305,16 @@ bool FaultLayer::reset_for_next_run() {
   return true;
 }
 
+ErrorInfo injected_error(const FaultPoint& point, const char* call) {
+  return ErrorInfo{
+      point.rank,
+      strfmt("%s: %s injected at rank %d op %llu (%s)", kInjectedMarker,
+             point.kind == FaultPoint::Kind::kError ? "MPI error"
+                                                    : "rank abort",
+             point.rank, static_cast<unsigned long long>(point.op_index),
+             call)};
+}
+
 void FaultLayer::on_op(ToolCtx& ctx, const char* what) {
   ++ops_;
   const std::vector<FaultPoint>& points = plan_->points();
@@ -298,6 +324,10 @@ void FaultLayer::on_op(ToolCtx& ctx, const char* what) {
       continue;
     }
     if (!plan_->should_fire(i)) {
+      if (plan_->count_only() && plan_->note_reach(i, ctx.call_seq(), what)) {
+        ctx.fail_run("fault sweep: every armed point reached");
+        return;
+      }
       continue;
     }
     static obs::Counter& fires_metric =
@@ -313,12 +343,7 @@ void FaultLayer::on_op(ToolCtx& ctx, const char* what) {
         ctx.add_cost(effect.delay_us);
         break;
       case FaultEffect::Action::kStop:
-        ctx.fail_run(strfmt("fault injected: %s injected at rank %d op %llu "
-                            "(%s)",
-                            p.kind == FaultPoint::Kind::kError ? "MPI error"
-                                                               : "rank abort",
-                            rank_, static_cast<unsigned long long>(ops_),
-                            what));
+        ctx.fail_run(injected_error(p, what).message);
         return;
     }
   }

@@ -24,7 +24,11 @@
 // DAMPI walk (nothing decides on virtual time, and a flaky point always
 // heals under its retries), so a fault sweep gives all its delay and
 // flaky plans their records from one fault-free walk that counts them
-// this way, instead of one campaign each.
+// this way, instead of one campaign each. A count-only plan also notes,
+// per run, the call (ToolCtx::call_seq) at which each point was reached,
+// and can end the run once every point it was armed with is reached: a
+// sweep cuts one fault-free replay at each abort or error point it
+// reached (core::cut_view) instead of running the stopped run itself.
 //
 // One FaultPlan instance is shared by every run of an exploration, so
 // flaky fire-counters span the campaign, and its canonical spec string
@@ -92,6 +96,19 @@ class FaultPlan {
   /// Per-point fire counters in point order (same clamping as fires()).
   std::vector<std::uint64_t> fire_counts() const;
 
+  /// Where a count-only plan's point was reached in the current run.
+  struct Reach {
+    std::uint64_t call_seq = 0;  ///< 0 = not reached since arm()
+    const char* call = nullptr;  ///< "isend", "wait", ... (FaultLayer)
+  };
+  /// Count-only plans: starts a run's reach records afresh. Once every
+  /// point in `stops` has been reached, the layer that reaches the last
+  /// of them ends the run there (ToolCtx::fail_run), since nothing the
+  /// run would do after that call is wanted. Empty `stops`: run to the
+  /// end. Call between runs only.
+  void arm(const std::vector<std::size_t>& stops);
+  const Reach& reach(std::size_t i) const { return reach_[i]; }
+
   /// Restore fire counters from a checkpoint: each counter becomes
   /// max(current, seed[i]) — monotone, so seeding never re-arms a flaky
   /// point this process already exhausted. Sizes must match; a mismatch
@@ -101,10 +118,29 @@ class FaultPlan {
   void seed_fires(const std::vector<std::uint64_t>& seed);
 
  private:
+  friend class FaultLayer;
+  /// Records that point `i` was reached at `call_seq` during call `call`
+  /// and returns true when that was the last armed stop left.
+  bool note_reach(std::size_t i, std::uint64_t call_seq, const char* call);
+
   std::vector<FaultPoint> points_;
   bool count_only_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> fired_;
+  /// Count-only bookkeeping of the current run (arm()). Each slot is
+  /// written only by its point's rank.
+  std::vector<Reach> reach_;
+  std::vector<char> stop_;
+  std::atomic<std::size_t> stops_left_{0};
 };
+
+/// Marker at the start of every injected error's message; an error
+/// without it is the program's own.
+inline constexpr const char* kInjectedMarker = "fault injected";
+
+/// The error a stop point (abort, error, flaky) raises when it fires at
+/// `point`'s call `call` ("isend", "wait", ...).
+ErrorInfo injected_error(const FaultPoint& point, const char* call);
+
 
 /// Parse a comma-separated fault spec (grammar above). Points are
 /// canonicalized — sorted by (rank, op, kind) — and duplicate

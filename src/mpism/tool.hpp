@@ -134,6 +134,13 @@ class ToolCtx {
 
   /// Current virtual time of this rank, in microseconds.
   virtual double vtime() const = 0;
+  /// How many user calls have entered a tool stack this run, on any
+  /// rank, this one included: a call's pre_* hooks see its own 1-based
+  /// number, and anything a layer does later sees a larger one. Under the
+  /// coop scheduler a replay of a schedule repeats the sequence, so a
+  /// layer that stamps its events with it can tell which of them happened
+  /// before a given call started.
+  virtual std::uint64_t call_seq() const = 0;
   /// Records `message` as this rank's error and stops the run. From a
   /// pre_* hook, the layers below and the engine never see the call, and
   /// the rank unwinds from its Proc call.

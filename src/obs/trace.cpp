@@ -34,6 +34,7 @@ const KindInfo& kind_info(EventKind kind) {
       {"replay.quarantine", {nullptr, nullptr, nullptr, "interleaving"}},
       {"checkpoint.write", {"frames", nullptr, nullptr, "interleaving"}},
       {"sweep.plan", {"plan", "verdict", nullptr, "interleavings"}},
+      {"sweep.batch", {"fault_rank", "walks", nullptr, "replays"}},
   };
   static_assert(sizeof(kTable) / sizeof(kTable[0]) ==
                 static_cast<std::size_t>(EventKind::kKindCount));

@@ -52,6 +52,7 @@ enum class EventKind : std::uint16_t {
   kCheckpoint,      ///< span: checkpoint write; a=frames d=interleaving
   // fault sweep (lane: "sweep")
   kSweepPlan,       ///< instant: plan recorded; a=plan b=verdict d=interleavings
+  kSweepBatch,      ///< span: one batch of plans; a=fault rank b=walks d=replays
   kKindCount
 };
 

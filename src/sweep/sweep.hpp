@@ -4,26 +4,33 @@
 // (inventory.hpp); a deterministic enumeration turns it into
 // single-point fault plans under a budget — every (rank, op) abort and
 // error point, plus seeded-RNG-sampled delay and flaky perturbations —
-// and each distinct behaviour gets one bounded exploration campaign
-// reusing the explorer's watchdog/retry/quarantine machinery: plans
-// whose points do the same thing at the same (rank, op) — abort@R:OP and
-// error@R:OP, an MPI error being fatal under MPI_ERRORS_ARE_FATAL — run
-// one campaign and record its outcome under each spec. Delay and flaky
-// plans cannot change the walk (a delay adds only virtual time, a flaky
-// point always heals under its retries), so they run no campaign of
-// their own: one observing campaign, the fault-free walk counting their
-// points, gives each its record. Campaigns are independent: with
-// `workers` > 1 they run on worker processes, handed out as PLAN frames
-// through the same pool (dist/pool.hpp) a distributed campaign shards
-// over, and the observing campaign runs in the coordinator. Each is
-// classified into one Verdict, making the final report a pure function
-// of (program, options, budget, seed) at any worker count.
+// and each distinct behaviour gets the outcome of one bounded
+// exploration campaign, with the explorer's watchdog/retry/quarantine
+// machinery: plans whose points do the same thing at the same (rank,
+// op) — abort@R:OP and error@R:OP, an MPI error being fatal under
+// MPI_ERRORS_ARE_FATAL — share one walk and record its outcome under
+// each spec. None of them runs a campaign of its own on the default
+// coop scheduler without extra layers. Delay and flaky plans cannot
+// change the walk (a delay adds only virtual time, a flaky point always
+// heals under its retries): one observing walk, the fault-free walk
+// counting their points, gives each its record. An abort or error
+// campaign replays the fault-free run of each schedule up to its point,
+// where the run stops: so the walks of one fault rank's plans form a
+// batch that steps in lockstep over shared fault-free replays, each
+// walk fed the replay cut at its point (core::cut_view). Batches are
+// independent: with `workers` > 1 they run on worker processes, handed
+// out as PLAN frames through the same pool (dist/pool.hpp) a
+// distributed campaign shards over, and the observing walk runs in the
+// coordinator. Each plan is classified into one Verdict, making the
+// final report a pure function of (program, options, budget, seed) at
+// any worker count.
 //
 // Robustness both ways: per-plan interleaving/wall budgets bound each
-// campaign, the plan of a worker that dies is requeued (and recorded
-// sweep-error after repeated deaths), and completed plans stream into a
-// crash-safe journal (journal.hpp), which only the coordinator writes,
-// so a killed sweep resumes without re-running anything it finished.
+// walk, the batch of a worker that dies is requeued (and its plans
+// recorded sweep-error after repeated deaths), and completed plans
+// stream into a crash-safe journal (journal.hpp), which only the
+// coordinator writes, so a killed sweep resumes without re-running
+// anything it finished.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +63,7 @@ struct SweepOptions {
   int delay_samples = 8;
   int flaky_samples = 8;
 
-  /// Worker processes running plan campaigns; 1 runs them one after
+  /// Worker processes running batches of plans; 1 runs them one after
   /// another in this process. Does not affect the report payload.
   int workers = 1;
   /// Base argv of a plan worker, as DistOptions::worker_argv: each is
@@ -67,7 +74,8 @@ struct SweepOptions {
 
   /// Per-plan campaign budgets (verdict-affecting: fingerprinted).
   std::uint64_t plan_max_interleavings = 256;
-  /// Wall-clock safety net per campaign; expiry marks the plan partial.
+  /// Wall-clock safety net per campaign, spent by the replays its walk
+  /// takes; expiry marks the plan partial.
   double plan_wall_seconds = 60.0;
 
   /// Crash-safe journal of completed plans (empty = none). With
@@ -92,17 +100,22 @@ struct SweepResult {
   std::vector<PlanRecord> records;
   std::uint64_t planned = 0;    ///< plans enumerated before truncation
   std::uint64_t truncated = 0;  ///< dropped by the budget
-  /// Campaigns run for this sweep, one per plan that ran its own
-  /// (sweep-error records of abandoned plans included).
+  /// Plans that ran a walk of their own — their own campaign, or a walk
+  /// derived from replays shared with the other plans of their batch —
+  /// sweep-error records of abandoned plans included.
   std::uint64_t executed = 0;
-  /// Plans recorded without a campaign of their own: copies of another
+  /// Plans recorded without a walk of their own: copies of another
   /// plan's record — plans whose points have one effect at one
   /// (rank, op) (mpism::fault_effect), such as abort@R:OP and error@R:OP,
-  /// run one campaign between them — and the delay and flaky plans
+  /// have one walk between them — and the delay and flaky plans
   /// observed on the fault-free walk.
   std::uint64_t shared = 0;
   std::uint64_t resumed = 0;    ///< satisfied from the journal
-  std::uint64_t requeued = 0;   ///< plans resent after their worker died
+  std::uint64_t requeued = 0;   ///< batches resent after their worker died
+  /// Program runs this sweep made, in this process and on its workers
+  /// (the registry's engine.runs over the sweep, the inventory harvest's
+  /// included).
+  std::uint64_t replays = 0;
   bool interrupted = false;
   std::string error;  ///< fatal sweep failure (bad options, journal, ...)
 };
@@ -133,8 +146,9 @@ SweepResult run_sweep(const SweepOptions& options,
                       const mpism::ProgramFn& program);
 
 /// A plan worker of a `workers` > 1 sweep: joins the coordinator over
-/// `socket_spec` ("fd:N"), then runs each PLAN's campaign with the code
-/// the serial loop runs and answers with a one-record sweep journal.
+/// `socket_spec` ("fd:N"), then runs each PLAN's batch with the code the
+/// serial loop runs and answers with a sweep journal holding a record
+/// per plan.
 /// Returns 0 after SHUTDOWN, nonzero when the channel or protocol fails.
 int run_sweep_worker(const std::string& socket_spec, int worker_id,
                      SweepOptions options, const mpism::ProgramFn& program);

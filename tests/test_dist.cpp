@@ -789,14 +789,17 @@ TEST(Dist, ProtocolRoundTripOverSocketpair) {
             core::bug_key(bug));
   EXPECT_EQ(parsed_result->metrics_dump, wr.metrics_dump);
 
-  // A fault-sweep plan goes out as PLAN; its answer is a RESULT holding a
-  // one-record sweep journal and the worker's metrics.
+  // A batch of fault-sweep plans goes out as PLAN; its answer is a
+  // RESULT holding a sweep journal with a record per plan and the
+  // worker's metrics.
   ASSERT_TRUE(b.send(dist::MsgType::kPlan,
-                     dist::serialize_plan({17, "delay@1:3:1000"})));
+                     dist::serialize_plan({{17, "delay@1:3:1000"}})));
   ASSERT_EQ(a.recv(&msg, 1000), dist::MessageChannel::RecvStatus::kMessage);
   ASSERT_EQ(msg.type, dist::MsgType::kPlan);
-  auto parsed_plan = dist::parse_plan(msg.payload, &error);
-  ASSERT_TRUE(parsed_plan.has_value()) << error;
+  auto parsed_batch = dist::parse_plan(msg.payload, &error);
+  ASSERT_TRUE(parsed_batch.has_value()) << error;
+  ASSERT_EQ(parsed_batch->size(), 1u);
+  const dist::PlanTask* parsed_plan = &parsed_batch->front();
   EXPECT_EQ(parsed_plan->index, 17u);
   EXPECT_EQ(parsed_plan->spec, "delay@1:3:1000");
   sweep::SweepJournal answer;

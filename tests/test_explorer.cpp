@@ -6,8 +6,12 @@
 #include <set>
 #include <vector>
 
+#include "core/replay_context.hpp"
+#include "core/shard.hpp"
+#include "mpism/scheduler.hpp"
 #include "support/reference_enumerator.hpp"
 #include "support/verify_helpers.hpp"
+#include "workloads/adlb.hpp"
 #include "workloads/matmult.hpp"
 #include "workloads/patterns.hpp"
 
@@ -363,6 +367,116 @@ TEST(Explorer, RunStatsCallbackSeesEveryRun) {
     EXPECT_EQ(indices[i], i + 1);
     EXPECT_TRUE(completed[i]) << "run " << i + 1;
   }
+}
+
+// explore() is a loop over a Walk: driving a Walk by hand over a
+// ReplayContext of the same options gives the same result, field by
+// field (wall time aside), on a buggy, a clean and a deep program. Both
+// run on the coop scheduler, whose runs repeat exactly, whatever
+// DAMPI_SCHED says.
+TEST(Explorer, WalkLoopEqualsExplore) {
+  struct Case {
+    const char* name;
+    int nprocs;
+    mpism::ProgramFn program;
+  };
+  const Case cases[] = {
+      {"fig3", 3, workloads::fig3_wildcard_bug},
+      {"matmult", 4, [](Proc& p) { workloads::matmult(p, {}); }},
+      {"adlb", 4, [](Proc& p) { workloads::adlb::run(p, {}); }},
+  };
+  for (const Case& c : cases) {
+    ExplorerOptions options = explorer_options(c.nprocs);
+    options.sched = mpism::SchedOptions{};
+    options.max_interleavings = 200;
+    const core::ExploreResult want = Explorer(options).explore(c.program);
+
+    core::Walk walk(options);
+    core::ReplayContext context(options);
+    core::SingleRun run;
+    std::uint64_t replays = 0;
+    while (const Schedule* schedule = walk.next()) {
+      EXPECT_EQ(walk.index(), replays + 1) << c.name;
+      context.run(*schedule, c.program, &run, walk.deadline());
+      walk.take(run, 0.0);
+      ++replays;
+    }
+    const core::ExploreResult got = walk.finish();
+
+    EXPECT_GT(got.interleavings, 1u) << c.name;
+    EXPECT_EQ(got.interleavings, want.interleavings) << c.name;
+    EXPECT_EQ(replays, want.interleavings + want.retries) << c.name;
+    ASSERT_EQ(got.bugs.size(), want.bugs.size()) << c.name;
+    for (std::size_t i = 0; i < got.bugs.size(); ++i) {
+      EXPECT_EQ(core::bug_key(got.bugs[i]), core::bug_key(want.bugs[i]))
+          << c.name;
+      EXPECT_EQ(got.bugs[i].interleaving, want.bugs[i].interleaving) << c.name;
+    }
+    EXPECT_EQ(got.por_pruned, want.por_pruned) << c.name;
+    EXPECT_EQ(got.por_dependent_pairs, want.por_dependent_pairs) << c.name;
+    EXPECT_EQ(got.por_sleep_hits, want.por_sleep_hits) << c.name;
+    EXPECT_EQ(got.wildcard_recv_epochs, want.wildcard_recv_epochs) << c.name;
+    EXPECT_EQ(got.wildcard_probe_epochs, want.wildcard_probe_epochs)
+        << c.name;
+    EXPECT_EQ(got.potential_matches_first_run,
+              want.potential_matches_first_run)
+        << c.name;
+    EXPECT_EQ(got.first_run_vtime_us, want.first_run_vtime_us) << c.name;
+    EXPECT_EQ(got.total_vtime_us, want.total_vtime_us) << c.name;
+    EXPECT_EQ(got.unsafe_alerts, want.unsafe_alerts) << c.name;
+    EXPECT_EQ(got.divergences, want.divergences) << c.name;
+    EXPECT_EQ(got.prefix_mismatches, want.prefix_mismatches) << c.name;
+    EXPECT_EQ(got.interleaving_budget_exhausted,
+              want.interleaving_budget_exhausted)
+        << c.name;
+    EXPECT_EQ(got.time_budget_exhausted, want.time_budget_exhausted)
+        << c.name;
+    EXPECT_EQ(got.retries, want.retries) << c.name;
+    EXPECT_EQ(got.timeouts, want.timeouts) << c.name;
+    EXPECT_EQ(got.quarantined, want.quarantined) << c.name;
+    EXPECT_EQ(got.interrupted, want.interrupted) << c.name;
+  }
+}
+
+// A walk charged only for the replays it takes (Clock::kCharged) judges
+// a cancelled run only when its own cancel source or deadline ended it: a
+// shared replay that another walk's deadline cut short is not its run,
+// so it asks for the same schedule again and its budget is untouched. A
+// run that its own deadline ended spends the budget.
+TEST(Explorer, ChargedWalkJudgesOnlyTheCancelsItCaused) {
+  ExplorerOptions options = explorer_options(3);
+  options.sched = mpism::SchedOptions{};
+  core::SingleRun cut_short;
+  cut_short.report.cancelled = true;
+
+  options.max_wall_seconds = 3600.0;
+  core::Walk patient(options, {}, core::Walk::Clock::kCharged);
+  const Schedule* first = patient.next();
+  ASSERT_NE(first, nullptr);
+  patient.deadline();
+  patient.take(cut_short, 1.0);
+  EXPECT_EQ(patient.next(), first);
+  core::ReplayContext context(options);
+  core::SingleRun run;
+  while (const Schedule* schedule = patient.next()) {
+    context.run(*schedule, workloads::fig3_benign, &run, patient.deadline());
+    patient.take(run, 0.0);
+  }
+  const core::ExploreResult done = patient.finish();
+  EXPECT_GE(done.interleavings, 1u);
+  EXPECT_FALSE(done.interrupted);
+  EXPECT_FALSE(done.time_budget_exhausted);
+  EXPECT_LT(done.total_wall_seconds, 1.0);  // the ignored replay's second
+
+  options.max_wall_seconds = 1e-9;
+  core::Walk hurried(options, {}, core::Walk::Clock::kCharged);
+  ASSERT_NE(hurried.next(), nullptr);
+  hurried.deadline();
+  hurried.take(cut_short, 1e-12);
+  EXPECT_EQ(hurried.next(), nullptr);
+  const core::ExploreResult spent = hurried.finish();
+  EXPECT_TRUE(spent.time_budget_exhausted);
+  EXPECT_FALSE(spent.interrupted);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Every line-oriented format the verifier reads back — epoch-decision
-// files, checkpoints, sweep journals and the DMP1 hello, shard, plan,
-// result and plan-result payloads — pinned by a golden text
-// (tests/golden/, recorded from the serializers) and mutation-fuzzed
-// from it with a fixed seed.
+// files, checkpoints, sweep journals and the DMP1 hello, shard, plan
+// (one plan and a batch of them), result and plan-result payloads —
+// pinned by a golden text (tests/golden/, recorded from the
+// serializers) and mutation-fuzzed from it with a fixed seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,6 +77,10 @@ const Format kFormats[] = {
                    });
      }},
     {"dmp1_plan.txt",
+     [](const std::string& text, std::string* error) {
+       return then(dist::parse_plan(text, error), dist::serialize_plan);
+     }},
+    {"dmp1_plan_batch.txt",
      [](const std::string& text, std::string* error) {
        return then(dist::parse_plan(text, error), dist::serialize_plan);
      }},
