@@ -19,12 +19,13 @@
 #    speed itself is measured by perfbench/, not here);
 #  - a fault-sweep stage: sweep-labelled tests, the --sweep-faults
 #    exit-code contract, adlb's sweep report byte-identical at 1, 2, 4
-#    and 8 workers with the same run count (at most 1500 runs at 256
-#    interleavings per plan: its abort and error walks share
-#    replays), a flaky adlb sweep that takes no retry backoff and
-#    counts the same retries at 1 and 2 workers (worker metrics reach
-#    the coordinator), and a SIGINT kill + --resume byte-identity smoke
-#    in process and on 2 worker processes;
+#    and 8 workers with the same run count at 2, 4 and 8 and no more in
+#    process (at most 1400 runs at 256 interleavings per plan: every
+#    plan is a lane of one loop over shared replays), a flaky adlb
+#    sweep that takes no retry backoff and counts the same retries at 1
+#    and 2 workers (worker metrics reach the coordinator), and a SIGINT
+#    kill + --resume byte-identity smoke in process and on 2 worker
+#    processes;
 #  - a gate keeping std::thread out of src/ but for the thread scheduler,
 #    and a Release build of the whole tree (no tests);
 #  - a ThreadSanitizer stage (-DDAMPI_SANITIZE=thread): the concurrency,
@@ -390,14 +391,16 @@ echo "tier1: sweep exit-code contract OK"
 # Sweep reports at any worker count: adlb's full sweep at 8 ranks
 # (151 plans) run in process and on 2, 4 and 8 worker processes must
 # write byte-identical --sweep-report files. Its 68 abort/error pairs
-# have one walk each, and its 15 delay and flaky plans are observed on
-# one fault-free walk in the coordinator, at every worker count: 68
-# plans are executed and 83 records are shared (68 copies, 15
-# observed). The walks of one fault rank share their replays, so the
-# sweep makes the same number of runs (engine.runs, workers' runs
-# included) at every width. At the per-plan budget of perfbench's
-# sweep-adlb (256 interleavings) that is at most 1500 runs — one
-# campaign per abort/error pair made 3661.
+# have one walk each, and its 15 delay and flaky plans are read off one
+# fault-free walk, at every worker count: 68 plans are executed and 83
+# records are shared (68 copies, 15 observed). Every walk is a lane fed
+# shared replays: one batch of lanes in process, and on workers a batch
+# per fault rank plus one for the fault-free walk. So the sweep makes
+# the same number of runs (engine.runs, workers' runs included) at 2, 4
+# and 8 workers, and no more in process, where all lanes share. At the
+# per-plan budget of perfbench's sweep-adlb (256 interleavings) that is
+# at most 1400 runs in process — one campaign per abort/error pair made
+# 3661.
 adlb_report="build/tier1-adlb-sweep"
 runs_of() { awk '$1 == "engine.runs" { print $2 }' "$1"; }
 for w in 1 2 4 8; do
@@ -420,32 +423,43 @@ for w in 1 2 4 8; do
     grep "executed" "${adlb_report}.${w}.txt" >&2 || true
     exit 1
   fi
-  if [[ -z "$(runs_of "${adlb_report}.${w}.txt")" ||
-        "$(runs_of "${adlb_report}.${w}.txt")" != \
-          "$(runs_of "${adlb_report}.1.txt")" ]]; then
-    echo "tier1: FAIL: adlb sweep at ${w} workers made" \
-      "$(runs_of "${adlb_report}.${w}.txt") runs, in process" \
-      "$(runs_of "${adlb_report}.1.txt")" >&2
+  if [[ -z "$(runs_of "${adlb_report}.${w}.txt")" ]]; then
+    echo "tier1: FAIL: adlb sweep at ${w} workers reported no runs" >&2
     exit 1
   fi
 done
+if [[ "$(runs_of "${adlb_report}.4.txt")" != \
+        "$(runs_of "${adlb_report}.2.txt")" ||
+      "$(runs_of "${adlb_report}.8.txt")" != \
+        "$(runs_of "${adlb_report}.2.txt")" ||
+      "$(runs_of "${adlb_report}.1.txt")" -gt \
+        "$(runs_of "${adlb_report}.2.txt")" ]]; then
+  echo "tier1: FAIL: adlb sweep runs: $(runs_of "${adlb_report}.1.txt")" \
+    "in process, $(runs_of "${adlb_report}.2.txt")," \
+    "$(runs_of "${adlb_report}.4.txt") and" \
+    "$(runs_of "${adlb_report}.8.txt") at 2, 4 and 8 workers (want" \
+    "equal on workers, no more in process)" >&2
+  exit 1
+fi
 for w in 1 4; do
   build/examples/verify_cli --program adlb --procs 8 --sweep-faults \
     --sweep-budget 512 --max-interleavings 256 --workers "${w}" --metrics \
     > "${adlb_report}.256.${w}.txt" || true
 done
 runs="$(runs_of "${adlb_report}.256.1.txt")"
-if [[ -z "${runs}" || "${runs}" -gt 1500 ||
-      "$(runs_of "${adlb_report}.256.4.txt")" != "${runs}" ]]; then
+if [[ -z "${runs}" || "${runs}" -gt 1400 ||
+      -z "$(runs_of "${adlb_report}.256.4.txt")" ||
+      "${runs}" -gt "$(runs_of "${adlb_report}.256.4.txt")" ]]; then
   echo "tier1: FAIL: adlb sweep at 256 interleavings per plan made" \
     "${runs:-no} runs in process and" \
-    "$(runs_of "${adlb_report}.256.4.txt") on 4 workers (want equal," \
-    "at most 1500)" >&2
+    "$(runs_of "${adlb_report}.256.4.txt") on 4 workers (want at most" \
+    "1400 in process, and no more than on workers)" >&2
   exit 1
 fi
 rm -f "${adlb_report}".*.json "${adlb_report}".*.txt
 echo "tier1: adlb sweep reports identical, 83 plans shared and the same" \
-  "runs at 1/2/4/8 workers, ${runs} runs at 256 interleavings OK"
+  "runs at 2/4/8 workers, no more in process, ${runs} runs at 256" \
+  "interleavings OK"
 
 # A flaky fault heals by retries, and an injected fault replays
 # identically, so no retry may sleep first: every process of an adlb
@@ -479,9 +493,10 @@ rm -f "${flaky_metrics}".*.txt
 echo "tier1: flaky adlb explore takes no backoff at 1/2 workers OK (${retries_1})"
 
 # A livelocked baseline: the inventory harvest stops at the sweep's op
-# budget like every campaign run, so the sweep finishes in bounded
-# memory. Every plan of the default budget stops rank 0 or 1 at a
-# shallow op, and the injection propagates: exit 0.
+# budget like every campaign run, and so does the shared replay the
+# plans are cut from, so the sweep finishes in bounded memory. Every
+# plan of the default budget stops rank 0 or 1 at a shallow op, and the
+# injection propagates: exit 0.
 livelock_rc=0
 (ulimit -v 2000000
  timeout 120 build/examples/verify_cli --program livelock --procs 3 \
@@ -497,10 +512,10 @@ echo "tier1: livelock sweep bounded OK"
 # to an uninterrupted run's, and the journalled plans must not re-execute
 # (resumed count == plans completed before the kill). The signal goes
 # out once the first of adlb's 68 abort plans is journalled, before the
-# observing walk of its 7 delay plans, which a resume must then run; if
-# it races past the end anyway, the resume degrades to an idempotence
-# check — 0 executed, all resumed — same stance as the checkpoint smoke
-# above. Run in process, then on 2 worker processes.
+# fault-free walk of its 7 delay plans ends, which a resume must then
+# run; if it races past the end anyway, the resume degrades to an
+# idempotence check — 0 executed, all resumed — same stance as the
+# checkpoint smoke above. Run in process, then on 2 worker processes.
 for sweep_workers in "" "--workers 2"; do
   sweep_journal="build/tier1-sweep.journal"
   sweep_ref="build/tier1-sweep-ref.json"

@@ -342,12 +342,12 @@ const Schedule* Walk::next() {
   return &schedule_;
 }
 
-void Walk::take(const SingleRun& run, double wall_seconds) {
+bool Walk::take(const SingleRun& run, double wall_seconds) {
   DAMPI_CHECK_MSG(pending_, "Walk::take without a pending schedule");
   if (clock_ == Clock::kCharged && run.report.cancelled && !cancelled()) {
     if (deadline_ == std::chrono::steady_clock::time_point{} ||
         std::chrono::steady_clock::now() < deadline_) {
-      return;  // another walk's deadline ended the shared replay
+      return false;  // another walk's deadline ended the shared replay
     }
     // This walk's own deadline ended it: its budget is spent.
     charged_ = std::max(charged_ + wall_seconds, options_.max_wall_seconds);
@@ -389,7 +389,7 @@ void Walk::take(const SingleRun& run, double wall_seconds) {
       ++backoffs_;
       backoffs_metric.add(1);
     }
-    return;  // the same schedule again
+    return true;  // the same schedule again
   }
   pending_ = false;
   attempt_ = 0;
@@ -399,6 +399,7 @@ void Walk::take(const SingleRun& run, double wall_seconds) {
   } else {
     judge_flip(run);
   }
+  return true;
 }
 
 void Walk::judge_discovery(const SingleRun& first) {

@@ -207,7 +207,8 @@ class Walk {
   /// neither the walk's cancel source nor its own deadline ended is not
   /// the walk's to judge (a replay shared with a walk whose deadline
   /// came first): it is ignored, uncharged, and next() asks again.
-  void take(const SingleRun& run, double wall_seconds);
+  /// Returns false for such a run, true for every run it took.
+  bool take(const SingleRun& run, double wall_seconds);
   /// The outcome (after the final checkpoint flush).
   ExploreResult finish();
 

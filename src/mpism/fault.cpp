@@ -125,25 +125,14 @@ FaultPlan::FaultPlan(std::vector<FaultPoint> points, bool count_only)
       count_only_(count_only),
       fired_(new std::atomic<std::uint64_t>[points_.empty() ? 1
                                                             : points_.size()]),
-      reach_(count_only ? points_.size() : 0),
-      stop_(count_only ? points_.size() : 0, 0) {
+      reach_(count_only ? points_.size() : 0) {
   for (std::size_t i = 0; i < points_.size(); ++i) {
     fired_[i].store(0, std::memory_order_relaxed);
   }
 }
 
-void FaultPlan::arm(const std::vector<std::size_t>& stops) {
+void FaultPlan::reset_reach() {
   std::fill(reach_.begin(), reach_.end(), Reach{});
-  std::fill(stop_.begin(), stop_.end(), 0);
-  for (const std::size_t i : stops) stop_[i] = 1;
-  stops_left_.store(stops.size(), std::memory_order_relaxed);
-}
-
-bool FaultPlan::note_reach(std::size_t i, std::uint64_t call_seq,
-                           const char* call) {
-  reach_[i] = Reach{call_seq, call};
-  return stop_[i] != 0 &&
-         stops_left_.fetch_sub(1, std::memory_order_relaxed) == 1;
 }
 
 FaultEffect fault_effect(const FaultPoint& point) {
@@ -290,7 +279,16 @@ std::string validate_fault_plan(const FaultPlan& plan, int nprocs) {
 }
 
 FaultLayer::FaultLayer(std::shared_ptr<FaultPlan> plan, Rank rank)
-    : plan_(std::move(plan)), rank_(rank) {}
+    : plan_(std::move(plan)), rank_(rank) {
+  const std::vector<FaultPoint>& points = plan_->points();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (points[i].rank == rank_) mine_.push_back(i);
+  }
+  std::stable_sort(mine_.begin(), mine_.end(),
+                   [&points](std::size_t a, std::size_t b) {
+                     return points[a].op_index < points[b].op_index;
+                   });
+}
 
 void FaultLayer::pre_isend(ToolCtx& ctx, SendCall&) { on_op(ctx, "isend"); }
 void FaultLayer::pre_irecv(ToolCtx& ctx, RecvCall&) { on_op(ctx, "irecv"); }
@@ -302,6 +300,7 @@ void FaultLayer::pre_collective(ToolCtx& ctx, CollCall&) {
 
 bool FaultLayer::reset_for_next_run() {
   ops_ = 0;
+  next_ = 0;
   return true;
 }
 
@@ -318,16 +317,17 @@ ErrorInfo injected_error(const FaultPoint& point, const char* call) {
 void FaultLayer::on_op(ToolCtx& ctx, const char* what) {
   ++ops_;
   const std::vector<FaultPoint>& points = plan_->points();
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  // Points of ops this rank passed without acting on them (a stop ended
+  // their call) never match again.
+  while (next_ < mine_.size() && points[mine_[next_]].op_index < ops_) {
+    ++next_;
+  }
+  for (; next_ < mine_.size() && points[mine_[next_]].op_index == ops_;
+       ++next_) {
+    const std::size_t i = mine_[next_];
     const FaultPoint& p = points[i];
-    if (p.rank != rank_ || p.op_index != ops_) {
-      continue;
-    }
     if (!plan_->should_fire(i)) {
-      if (plan_->count_only() && plan_->note_reach(i, ctx.call_seq(), what)) {
-        ctx.fail_run("fault sweep: every armed point reached");
-        return;
-      }
+      if (plan_->count_only()) plan_->reach_[i] = {ctx.call_seq(), what};
       continue;
     }
     static obs::Counter& fires_metric =

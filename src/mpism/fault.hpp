@@ -20,15 +20,14 @@
 // injected error message names the kind.
 //
 // A plan can also be count-only: its points count every time they are
-// reached and never act. Neither a delay nor a flaky point can change a
-// DAMPI walk (nothing decides on virtual time, and a flaky point always
-// heals under its retries), so a fault sweep gives all its delay and
-// flaky plans their records from one fault-free walk that counts them
-// this way, instead of one campaign each. A count-only plan also notes,
-// per run, the call (ToolCtx::call_seq) at which each point was reached,
-// and can end the run once every point it was armed with is reached: a
-// sweep cuts one fault-free replay at each abort or error point it
-// reached (core::cut_view) instead of running the stopped run itself.
+// reached and never act, and it notes, per run, the call
+// (ToolCtx::call_seq) at which each point was reached. A fault sweep
+// installs all its plans' points this way in one fault-free replay and
+// runs it whole: an abort or error plan takes that replay cut at its
+// point (core::cut_view) in place of the stopped run, and a delay or
+// flaky plan, which cannot change a DAMPI walk (nothing decides on
+// virtual time, and a flaky point always heals under its retries),
+// takes the replay itself and counts its point's reaches as fires.
 //
 // One FaultPlan instance is shared by every run of an exploration, so
 // flaky fire-counters span the campaign, and its canonical spec string
@@ -98,15 +97,12 @@ class FaultPlan {
 
   /// Where a count-only plan's point was reached in the current run.
   struct Reach {
-    std::uint64_t call_seq = 0;  ///< 0 = not reached since arm()
+    std::uint64_t call_seq = 0;  ///< 0 = not reached since reset_reach()
     const char* call = nullptr;  ///< "isend", "wait", ... (FaultLayer)
   };
-  /// Count-only plans: starts a run's reach records afresh. Once every
-  /// point in `stops` has been reached, the layer that reaches the last
-  /// of them ends the run there (ToolCtx::fail_run), since nothing the
-  /// run would do after that call is wanted. Empty `stops`: run to the
-  /// end. Call between runs only.
-  void arm(const std::vector<std::size_t>& stops);
+  /// Count-only plans: clears the reach records for the next run. Call
+  /// between runs only.
+  void reset_reach();
   const Reach& reach(std::size_t i) const { return reach_[i]; }
 
   /// Restore fire counters from a checkpoint: each counter becomes
@@ -119,18 +115,13 @@ class FaultPlan {
 
  private:
   friend class FaultLayer;
-  /// Records that point `i` was reached at `call_seq` during call `call`
-  /// and returns true when that was the last armed stop left.
-  bool note_reach(std::size_t i, std::uint64_t call_seq, const char* call);
 
   std::vector<FaultPoint> points_;
   bool count_only_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> fired_;
-  /// Count-only bookkeeping of the current run (arm()). Each slot is
-  /// written only by its point's rank.
+  /// Count-only: where each point was reached in the current run
+  /// (reset_reach()). Each slot is written only by its point's rank.
   std::vector<Reach> reach_;
-  std::vector<char> stop_;
-  std::atomic<std::size_t> stops_left_{0};
 };
 
 /// Marker at the start of every injected error's message; an error
@@ -170,9 +161,11 @@ std::string validate_fault_plan(const FaultPlan& plan, int nprocs);
 /// effect: a stop (abort, error, flaky) ends the run (ToolCtx::fail_run)
 /// with the rank's error "fault injected: ...", so the call never
 /// executes; a delay adds its virtual time. Under a count-only plan it
-/// counts the points at the same hooks and does nothing else.
+/// counts the points at the same hooks and does nothing else. Points at
+/// one call act in plan order, and a stop ends the call's points.
 class FaultLayer final : public ToolLayer {
  public:
+  /// Indexes `plan`'s points on `rank` by op index.
   FaultLayer(std::shared_ptr<FaultPlan> plan, Rank rank);
 
   void pre_isend(ToolCtx& ctx, SendCall&) override;
@@ -180,7 +173,8 @@ class FaultLayer final : public ToolLayer {
   void pre_wait(ToolCtx& ctx, RequestId) override;
   void pre_probe(ToolCtx& ctx, ProbeCall&) override;
   void pre_collective(ToolCtx& ctx, CollCall&) override;
-  /// Rewinds the op counter; fire accounting lives in the shared plan.
+  /// Rewinds the op counter and the cursor; fire accounting lives in the
+  /// shared plan.
   bool reset_for_next_run() override;
 
  private:
@@ -189,6 +183,11 @@ class FaultLayer final : public ToolLayer {
   std::shared_ptr<FaultPlan> plan_;
   Rank rank_;
   std::uint64_t ops_ = 0;
+  /// This rank's points (plan indices) by op index, ties in plan order,
+  /// and the first of them not yet passed in this run: each op looks at
+  /// its own points only.
+  std::vector<std::size_t> mine_;
+  std::size_t next_ = 0;
 };
 
 }  // namespace dampi::mpism

@@ -99,13 +99,19 @@ core::ExplorerOptions campaign_options(
 /// How a plan's record is had without running its own campaign, under
 /// base options that stack no extra layers (the ISP layer decides on
 /// virtual time) on the coop scheduler (whose replay of a schedule
-/// repeats its run exactly, which both need):
-///  - observed: a single delay or flaky point, read off the fault-free
-///    walk (observe_plans);
-///  - derived: a single abort or error point, whose walk is fed the
-///    fault-free replays it shares with other plans, cut at its point
-///    (derive_plans).
+/// repeats its run exactly, which both need). Either plan is a lane of
+/// derive_plans, which feeds it fault-free replays shared with the other
+/// lanes:
+///  - derived: a single abort or error point, each replay cut at it;
+///  - observed: a single delay or flaky point, each replay whole.
 enum class Shortcut { kNone, kObserved, kDerived };
+
+/// A delay or flaky point: one whose record is read off the fault-free
+/// walk.
+bool observable(const mpism::FaultPoint& point) {
+  return point.kind == mpism::FaultPoint::Kind::kDelay ||
+         point.kind == mpism::FaultPoint::Kind::kFlaky;
+}
 
 /// How the record of `spec` can be had; `*point` is its first point
 /// (untouched when the spec does not parse).
@@ -119,15 +125,7 @@ Shortcut shortcut_for(const SweepOptions& options, const std::string& spec,
       options.explorer.sched.kind != mpism::SchedulerKind::kCoop) {
     return Shortcut::kNone;
   }
-  switch (point->kind) {
-    case mpism::FaultPoint::Kind::kDelay:
-    case mpism::FaultPoint::Kind::kFlaky:
-      return Shortcut::kObserved;
-    case mpism::FaultPoint::Kind::kAbort:
-    case mpism::FaultPoint::Kind::kError:
-      return Shortcut::kDerived;
-  }
-  return Shortcut::kNone;
+  return observable(*point) ? Shortcut::kObserved : Shortcut::kDerived;
 }
 
 /// What a plan does, and where: each point's (rank, op) and effect. A
@@ -150,15 +148,13 @@ std::string effect_key(const std::string& spec) {
   return key;
 }
 
-/// The plans at `indices` (in enumeration order) grouped by effect_key,
-/// each group's indices in enumeration order and groups in order of
-/// their first member.
+/// The plans grouped by effect_key, each group's indices in enumeration
+/// order and groups in order of their first member.
 std::vector<std::vector<std::size_t>> effect_groups(
-    const std::vector<std::string>& specs,
-    const std::vector<std::size_t>& indices) {
+    const std::vector<std::string>& specs) {
   std::vector<std::vector<std::size_t>> groups;
   std::map<std::string, std::size_t> by_key;
-  for (const std::size_t index : indices) {
+  for (std::size_t index = 0; index < specs.size(); ++index) {
     const auto [it, fresh] = by_key.emplace(effect_key(specs[index]),
                                             groups.size());
     if (fresh) groups.emplace_back();
@@ -267,67 +263,34 @@ std::optional<PlanRecord> run_plan(const SweepOptions& options,
   return sweep_error(index, spec, error);
 }
 
-/// The records of the observed plans `plans`, `points` their points,
-/// from one campaign: the fault-free walk with every point installed
-/// count-only. Neither kind changes a DAMPI walk. A delay only adds
-/// virtual time, which no match policy or scheduler reads. A flaky point
-/// fires at most its cap times per campaign, and its campaign grants at
-/// least that many retries of a deterministic replay, so every judged
-/// run is the fault-free run of its schedule. So each record takes the
-/// walk's interleavings, bugs and partial flag, and its fires from its
-/// point's count: a delay fires each time it is reached, and a flaky
-/// point reached at all spends its whole cap on the first schedule that
-/// reaches it (each retry reaches it again). No records when a cancel
-/// interrupted the walk; a sweep-error for every plan when the explorer
-/// throws, as run_plan gives one plan. Each record goes to `sink`.
-void observe_plans(const SweepOptions& options,
-                   const std::vector<dist::PlanTask>& plans,
-                   std::vector<mpism::FaultPoint> points,
-                   const mpism::ProgramFn& program, std::function<bool()> poll,
-                   const RecordSink& sink) {
-  const auto plan = std::make_shared<mpism::FaultPlan>(std::move(points),
-                                                       /*count_only=*/true);
-  std::optional<core::ExploreResult> outcome;
-  std::string error;
-  try {
-    core::ExplorerOptions opts = campaign_options(options, plan);
-    opts.steal_poll = std::move(poll);
-    outcome = core::Explorer(std::move(opts)).explore(program);
-  } catch (const std::exception& e) {
-    error = e.what();
-  }
-  if (outcome.has_value() && outcome->interrupted) return;
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    if (!outcome.has_value()) {
-      sink(sweep_error(plans[i].index, plans[i].spec, error));
-      continue;
-    }
-    const std::uint64_t cap = mpism::fault_effect(plan->points()[i]).max_fires;
-    std::uint64_t fires = plan->fires(i);
-    if (cap > 0 && fires > 0) fires = cap;
-    sink(classify_campaign(plans[i].index, plans[i].spec, *outcome, fires));
-  }
-}
-
-/// The records of the derived plans `plans`, `points` their abort or
-/// error points, each the record its own campaign gives, from replays
-/// the plans' walks share. A stop point's campaign replays the
-/// fault-free run of each of its schedules up to the point, where the
-/// run stops; so each plan keeps a Walk of its own and is fed, for each
-/// schedule it asks for, the fault-free replay of that schedule cut at
-/// its point (core::cut_view) — the replay itself when the point was
-/// not reached. Each step replays the schedule most walks ask for next
-/// (ties to the earliest walk) once, with every point installed
-/// count-only and the askers' points armed, so the replay ends at the
-/// last of them it reaches; each asker takes its view, and is charged
-/// the replay's wall time against its plan budget (a replay its walk
-/// did not take, ended by another walk's deadline, is not charged; see
-/// core::Walk::take). A plan's fires are the runs of its walk that
-/// reached its point, each also counted in the fault.fires metric, as
-/// the firing layer of its own campaign would. Each plan's record goes
-/// to `sink` as soon as its walk is over, so an interrupted batch keeps
-/// the plans it finished. No record for a walk a cancel interrupted; a
-/// sweep-error for every unfinished plan when a replay throws.
+/// The records of the plans `plans` with a shortcut, `points` their
+/// points, each the record its own campaign gives, from fault-free
+/// replays their walks share. Each derived plan is a lane with a Walk of
+/// its own: its campaign replays the fault-free run of each of its
+/// schedules up to its point, where the run stops, so it takes, for each
+/// schedule it asks for, the shared replay of that schedule cut at its
+/// point (core::cut_view) — the replay itself when the point was not
+/// reached. The observed plans are one more lane, last: the fault-free
+/// walk, which takes each replay whole. Neither a delay nor a flaky
+/// point changes a DAMPI walk. A delay only adds virtual time, which no
+/// match policy or scheduler reads. A flaky point fires at most its cap
+/// times per campaign, and its campaign grants at least that many
+/// retries of a deterministic replay, so every judged run is the
+/// fault-free run of its schedule. So each observed record takes the
+/// lane's interleavings, bugs and partial flag. Each step replays the
+/// schedule most lanes ask for next (ties to the earliest lane) once, to
+/// its end, with every point installed count-only; each asker takes its
+/// view, and is charged the replay's wall time against its plan budget
+/// (a replay its walk did not take, ended by another walk's deadline, is
+/// not charged; see core::Walk::take). A plan's fires are the runs its
+/// lane took that reached its point, a flaky point's its whole cap once
+/// reached at all (the first schedule that reaches it spends the cap on
+/// retries); a derived plan's are also counted in the fault.fires
+/// metric, as the firing layer of its own campaign would. A lane's
+/// records go to `sink` as soon as its walk is over, so an interrupted
+/// batch keeps the plans it finished. No record for a walk a cancel
+/// interrupted; a sweep-error for every unfinished plan when a replay
+/// throws.
 void derive_plans(const SweepOptions& options,
                   const std::vector<dist::PlanTask>& plans,
                   const std::vector<mpism::FaultPoint>& points,
@@ -337,22 +300,51 @@ void derive_plans(const SweepOptions& options,
   static obs::Counter& fires_metric =
       obs::Registry::instance().counter("fault.fires");
   struct Lane {
+    std::vector<std::size_t> plans;  ///< indices into `plans` and `points`
+    bool cut = true;                 ///< derived: views cut at its point
     std::unique_ptr<core::Walk> walk;
     BugTally tally;
-    std::uint64_t fires = 0;
+    std::vector<std::uint64_t> fires;  ///< per plan of the lane
     const core::Schedule* wants = nullptr;
+    bool done = false;
   };
-  const std::size_t n = plans.size();
-  std::vector<Lane> lanes(n);
-  std::vector<char> done(n, 0);
+  std::vector<Lane> lanes;
+  Lane observing;
+  observing.cut = false;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    if (observable(points[i])) {
+      observing.plans.push_back(i);
+    } else {
+      lanes.emplace_back().plans.assign(1, i);
+    }
+  }
+  if (!observing.plans.empty()) lanes.push_back(std::move(observing));
+  const std::size_t n = lanes.size();
+  const auto finish = [&](Lane& lane) {
+    lane.done = true;
+    const core::ExploreResult result = lane.walk->finish();
+    if (result.interrupted) return;
+    for (std::size_t k = 0; k < lane.plans.size(); ++k) {
+      const dist::PlanTask& plan = plans[lane.plans[k]];
+      const std::uint64_t cap =
+          mpism::fault_effect(points[lane.plans[k]]).max_fires;
+      const std::uint64_t fires =
+          cap > 0 && lane.fires[k] > 0 ? cap : lane.fires[k];
+      sink(classify(plan.index, plan.spec, result, lane.tally, fires));
+    }
+  };
   std::optional<std::string> error;
   try {
-    for (std::size_t i = 0; i < n; ++i) {
-      Lane& lane = lanes[i];
+    for (Lane& lane : lanes) {
+      std::vector<mpism::FaultPoint> own;
+      for (const std::size_t i : lane.plans) own.push_back(points[i]);
+      lane.fires.assign(own.size(), 0);
+      // A derived lane's walk is its own campaign's; the observing
+      // lane's is the fault-free walk, its points only counted.
       lane.walk = std::make_unique<core::Walk>(
           campaign_options(options,
                            std::make_shared<mpism::FaultPlan>(
-                               std::vector<mpism::FaultPoint>{points[i]})),
+                               std::move(own), /*count_only=*/!lane.cut)),
           core::RunObserver{}, core::Walk::Clock::kCharged,
           [&lane](core::BugRecord::Kind kind, const mpism::RunReport& report) {
             lane.tally.add(kind, report.errors);
@@ -370,26 +362,20 @@ void derive_plans(const SweepOptions& options,
     std::vector<char> grouped(n);
     while (true) {
       if (poll) poll();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (done[i] != 0) continue;
-        lanes[i].wants = lanes[i].walk->next();
-        if (lanes[i].wants != nullptr) continue;
-        done[i] = 1;
-        const core::ExploreResult result = lanes[i].walk->finish();
-        if (!result.interrupted) {
-          sink(classify(plans[i].index, plans[i].spec, result, lanes[i].tally,
-                        lanes[i].fires));
-        }
+      for (Lane& lane : lanes) {
+        if (lane.done) continue;
+        lane.wants = lane.walk->next();
+        if (lane.wants == nullptr) finish(lane);
       }
-      // The largest set of walks asking for one schedule; groups are
-      // formed in walk order, so a tie goes to the earliest walk.
+      // The largest set of lanes asking for one schedule; groups are
+      // formed in lane order, so a tie goes to the earliest lane.
       askers.clear();
       std::fill(grouped.begin(), grouped.end(), 0);
       for (std::size_t i = 0; i < n; ++i) {
-        if (done[i] != 0 || grouped[i] != 0) continue;
+        if (lanes[i].done || grouped[i] != 0) continue;
         group.assign(1, i);
         for (std::size_t j = i + 1; j < n; ++j) {
-          if (done[j] == 0 && grouped[j] == 0 &&
+          if (!lanes[j].done && grouped[j] == 0 &&
               lanes[j].wants->forced == lanes[i].wants->forced) {
             grouped[j] = 1;
             group.push_back(j);
@@ -407,7 +393,7 @@ void derive_plans(const SweepOptions& options,
           deadline = d;
         }
       }
-      shared->arm(askers);
+      shared->reset_reach();
       ++replays;
       DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kBegin, 0, 0, 0, replays);
       const SteadyClock::time_point start = SteadyClock::now();
@@ -416,72 +402,83 @@ void derive_plans(const SweepOptions& options,
           std::chrono::duration<double>(SteadyClock::now() - start).count();
       DAMPI_TEVENT(obs::EventKind::kRun, obs::Phase::kEnd, 0, 0, 0, replays);
       for (const std::size_t i : askers) {
-        const mpism::FaultPlan::Reach& reach = shared->reach(i);
+        Lane& lane = lanes[i];
+        if (!lane.cut) {
+          if (!lane.walk->take(run, wall)) continue;
+          for (std::size_t k = 0; k < lane.plans.size(); ++k) {
+            if (shared->reach(lane.plans[k]).call_seq != 0) ++lane.fires[k];
+          }
+          continue;
+        }
+        const std::size_t plan = lane.plans.front();
+        const mpism::FaultPlan::Reach& reach = shared->reach(plan);
         core::RunCut cut;
         if (reach.call_seq != 0) {
           cut.call_seq = reach.call_seq;
-          cut.error = mpism::injected_error(points[i], reach.call);
-          ++lanes[i].fires;
+          cut.error = mpism::injected_error(points[plan], reach.call);
+          ++lane.fires.front();
           fires_metric.add(1);
         }
-        lanes[i].walk->take(core::cut_view(run, cut, &scratch), wall);
+        lane.walk->take(core::cut_view(run, cut, &scratch), wall);
       }
     }
   } catch (const std::exception& e) {
     error = e.what();
   }
   if (!error.has_value()) return;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (done[i] == 0) sink(sweep_error(plans[i].index, plans[i].spec, *error));
+  for (const Lane& lane : lanes) {
+    if (lane.done) continue;
+    for (const std::size_t i : lane.plans) {
+      sink(sweep_error(plans[i].index, plans[i].spec, *error));
+    }
   }
 }
 
 /// One batch of plans, the unit of work the serial loop runs in process
 /// and a plan worker runs per PLAN frame: each plan's record goes to
 /// `sink` as it finishes (none for a plan a cancel interrupted). The
-/// sweep builds batches of one kind: the derived plans of one fault rank
-/// share replays (derive_plans), the observed plans one walk
-/// (observe_plans), and any other plan is a batch of its own that runs
-/// its own campaign (run_plan), as does each plan of a batch that mixes
-/// kinds. `poll` runs between replays. Traced as one sweep.batch span:
-/// fault rank (-1 when the plans' ranks differ), walks and replays.
+/// plans with a shortcut are the lanes of one derive_plans loop; any
+/// other plan runs its own campaign (run_plan). `poll` runs between
+/// replays. Traced as one sweep.batch span: fault rank (-1 when the
+/// plans' ranks differ), walks and replays.
 void run_batch(const SweepOptions& options,
                const std::vector<dist::PlanTask>& plans,
                const mpism::ProgramFn& program,
                const std::function<bool()>& poll, const RecordSink& sink) {
   if (plans.empty()) return;
-  std::vector<mpism::FaultPoint> points(plans.size());
-  Shortcut kind = shortcut_for(options, plans.front().spec, &points.front());
-  std::int32_t fault_rank = points.front().rank;
-  for (std::size_t i = 1; i < plans.size(); ++i) {
-    if (shortcut_for(options, plans[i].spec, &points[i]) != kind) {
-      kind = Shortcut::kNone;
+  std::vector<dist::PlanTask> laned;
+  std::vector<mpism::FaultPoint> points;
+  std::vector<dist::PlanTask> own;
+  std::int32_t fault_rank = -1;
+  // A derived or own plan is a walk of its own, the observed plans one.
+  std::int32_t walks = 0;
+  bool observed = false;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    mpism::FaultPoint point;
+    const Shortcut kind = shortcut_for(options, plans[i].spec, &point);
+    if (kind == Shortcut::kNone) {
+      own.push_back(plans[i]);
+    } else {
+      laned.push_back(plans[i]);
+      points.push_back(point);
     }
-    if (points[i].rank != fault_rank) fault_rank = -1;
+    if (kind != Shortcut::kObserved || !observed) ++walks;
+    observed |= kind == Shortcut::kObserved;
+    if (i == 0) fault_rank = point.rank;
+    if (point.rank != fault_rank) fault_rank = -1;
   }
-  const std::int32_t walks = kind == Shortcut::kObserved
-                                 ? 1
-                                 : static_cast<std::int32_t>(plans.size());
   static obs::Counter& runs_metric =
       obs::Registry::instance().counter("engine.runs");
   const std::uint64_t runs_before = runs_metric.value();
   DAMPI_TEVENT(obs::EventKind::kSweepBatch, obs::Phase::kBegin, fault_rank,
                walks);
-  switch (kind) {
-    case Shortcut::kDerived:
-      derive_plans(options, plans, points, program, poll, sink);
-      break;
-    case Shortcut::kObserved:
-      observe_plans(options, plans, std::move(points), program, poll, sink);
-      break;
-    case Shortcut::kNone:
-      for (const dist::PlanTask& plan : plans) {
-        if (auto record =
-                run_plan(options, plan.index, plan.spec, program, poll)) {
-          sink(std::move(*record));
-        }
-      }
-      break;
+  if (!laned.empty()) {
+    derive_plans(options, laned, points, program, poll, sink);
+  }
+  for (const dist::PlanTask& plan : own) {
+    if (auto record = run_plan(options, plan.index, plan.spec, program, poll)) {
+      sink(std::move(*record));
+    }
   }
   DAMPI_TEVENT(obs::EventKind::kSweepBatch, obs::Phase::kEnd, fault_rank,
                walks, 0, runs_metric.value() - runs_before);
@@ -649,34 +646,31 @@ SweepResult run_sweep(const SweepOptions& options,
     }
   }
 
-  // Plans read off the fault-free walk and still without a record are
-  // observed together, after the others. The others share a record per
-  // effect: the first member without a record runs (its runner), the
-  // rest copy its record. Groups whose runner is derived join their
-  // fault rank's batch — one unit of work, whose walks share replays —
-  // and every other group is a batch of its own.
-  std::vector<dist::PlanTask> observed;
-  std::vector<std::size_t> grouped;
-  for (std::size_t index = 0; index < specs.size(); ++index) {
-    mpism::FaultPoint point;
-    if (shortcut_for(options, specs[index], &point) == Shortcut::kObserved) {
-      if (!slots[index].has_value()) observed.push_back({index, specs[index]});
-    } else {
-      grouped.push_back(index);
-    }
-  }
-  const std::vector<std::vector<std::size_t>> groups =
-      effect_groups(specs, grouped);
+  // Plans share a record per effect: the first member of a group
+  // without a record runs (its runner), the rest copy its record. A
+  // group whose runner has a shortcut is a lane of a shared batch, whose
+  // lanes share replays: in process there is one such batch; on workers
+  // the derived groups of one fault rank are a batch, and so are the
+  // observed groups, so the pool runs them side by side. Every other
+  // group is a batch of its own. An observed record counts as shared,
+  // since no campaign of its own ran.
+  const std::vector<std::vector<std::size_t>> groups = effect_groups(specs);
   std::vector<std::vector<std::size_t>> batches;
   std::vector<std::size_t> batch_of(specs.size());
   std::vector<std::size_t> group_of(specs.size());
-  std::map<mpism::Rank, std::size_t> batch_of_rank;
+  std::vector<char> observed(groups.size());
+  std::map<std::int64_t, std::size_t> batch_of_key;
   for (std::size_t group = 0; group < groups.size(); ++group) {
     mpism::FaultPoint point;
+    const Shortcut kind =
+        shortcut_for(options, specs[groups[group].front()], &point);
+    observed[group] = kind == Shortcut::kObserved;
     std::size_t batch = batches.size();
-    if (shortcut_for(options, specs[groups[group].front()], &point) ==
-        Shortcut::kDerived) {
-      batch = batch_of_rank.emplace(point.rank, batches.size()).first->second;
+    if (kind != Shortcut::kNone) {
+      const std::int64_t key = options.workers <= 1 ? 0
+                               : kind == Shortcut::kDerived ? point.rank
+                                                            : -1;
+      batch = batch_of_key.emplace(key, batches.size()).first->second;
     }
     if (batch == batches.size()) batches.emplace_back();
     batches[batch].push_back(group);
@@ -743,7 +737,8 @@ SweepResult run_sweep(const SweepOptions& options,
   // Records a runner's record and settles its group with it.
   const auto record_runner = [&](PlanRecord plan) {
     const std::size_t group = group_of[plan.index];
-    record(std::move(plan), &result.executed);
+    record(std::move(plan),
+           observed[group] != 0 ? &result.shared : &result.executed);
     settle(group);
   };
 
@@ -840,14 +835,6 @@ SweepResult run_sweep(const SweepOptions& options,
       result.error = "sweep workers: " + error;
       return result;
     }
-  }
-
-  // The observing walk runs here, in this process, at any worker count;
-  // its records count as shared, since none ran a campaign.
-  if (!observed.empty() && !cancelled()) {
-    run_batch(options, observed, program, nullptr, [&](PlanRecord plan) {
-      if (!cancelled()) record(std::move(plan), &result.shared);
-    });
   }
 
   result.replays = runs_metric.value() - runs_before;

@@ -12,18 +12,18 @@
 // each spec. None of them runs a campaign of its own on the default
 // coop scheduler without extra layers. Delay and flaky plans cannot
 // change the walk (a delay adds only virtual time, a flaky point always
-// heals under its retries): one observing walk, the fault-free walk
-// counting their points, gives each its record. An abort or error
-// campaign replays the fault-free run of each schedule up to its point,
-// where the run stops: so the walks of one fault rank's plans form a
-// batch that steps in lockstep over shared fault-free replays, each
-// walk fed the replay cut at its point (core::cut_view). Batches are
-// independent: with `workers` > 1 they run on worker processes, handed
-// out as PLAN frames through the same pool (dist/pool.hpp) a
-// distributed campaign shards over, and the observing walk runs in the
-// coordinator. Each plan is classified into one Verdict, making the
-// final report a pure function of (program, options, budget, seed) at
-// any worker count.
+// heals under its retries): the fault-free walk, counting their points,
+// gives each its record. An abort or error campaign replays the
+// fault-free run of each schedule up to its point, where the run stops.
+// So every walk is a lane of one loop that steps in lockstep over
+// shared fault-free replays, run whole: an abort or error lane takes
+// each replay cut at its point (core::cut_view), the fault-free lane
+// takes it as it is. In process all lanes are one batch; with
+// `workers` > 1 the lanes of one fault rank are a batch and the
+// fault-free lane another, handed out as PLAN frames through the same
+// pool (dist/pool.hpp) a distributed campaign shards over. Each plan
+// is classified into one Verdict, making the final report a pure
+// function of (program, options, budget, seed) at any worker count.
 //
 // Robustness both ways: per-plan interleaving/wall budgets bound each
 // walk, the batch of a worker that dies is requeued (and its plans
@@ -63,8 +63,8 @@ struct SweepOptions {
   int delay_samples = 8;
   int flaky_samples = 8;
 
-  /// Worker processes running batches of plans; 1 runs them one after
-  /// another in this process. Does not affect the report payload.
+  /// Worker processes running batches of plans; 1 runs the plans in
+  /// this process. Does not affect the report payload.
   int workers = 1;
   /// Base argv of a plan worker, as DistOptions::worker_argv: each is
   /// spawned with `--worker --worker-id N --coordinator-socket fd:M`
@@ -108,7 +108,7 @@ struct SweepResult {
   /// plan's record — plans whose points have one effect at one
   /// (rank, op) (mpism::fault_effect), such as abort@R:OP and error@R:OP,
   /// have one walk between them — and the delay and flaky plans
-  /// observed on the fault-free walk.
+  /// observed on the fault-free walk, sweep-error records included.
   std::uint64_t shared = 0;
   std::uint64_t resumed = 0;    ///< satisfied from the journal
   std::uint64_t requeued = 0;   ///< batches resent after their worker died

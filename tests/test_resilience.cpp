@@ -8,11 +8,16 @@
 // it MUST arm a budget or a cancel source.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/strutil.hpp"
 #include "core/checkpoint.hpp"
 #include "core/report_format.hpp"
 #include "mpism/cancel.hpp"
@@ -226,6 +231,176 @@ TEST(Fault, SeedFiresIsAMonotoneMerge) {
   // Third arm of flaky@0:1:3 still fires (2 < 3), fourth does not.
   EXPECT_TRUE(plan->should_fire(0));
   EXPECT_FALSE(plan->should_fire(0));
+}
+
+/// A tool context that only counts calls and records what a fault
+/// layer does to them: the cost it adds and the run it fails.
+class RecordingCtx final : public mpism::ToolCtx {
+ public:
+  explicit RecordingCtx(std::vector<std::string>* events) : events_(events) {}
+  /// Starts call `call_seq`, made by rank `rank` as its op `op`.
+  void begin(mpism::Rank rank, std::uint64_t op, std::uint64_t call_seq) {
+    rank_ = rank;
+    op_ = op;
+    call_seq_ = call_seq;
+  }
+  bool failed(mpism::Rank rank) const { return failed_.count(rank) != 0; }
+
+  mpism::Rank world_rank() const override { return rank_; }
+  int world_size() const override { return 2; }
+  int comm_size(mpism::CommId) const override { return 2; }
+  mpism::Rank comm_rank(mpism::CommId) const override { return rank_; }
+  mpism::Rank to_world(mpism::CommId, mpism::Rank rel) const override {
+    return rel;
+  }
+  mpism::Rank to_rel(mpism::CommId, mpism::Rank world) const override {
+    return world;
+  }
+  mpism::RequestId raw_isend(mpism::Rank, mpism::Tag, mpism::CommId,
+                             const mpism::Bytes&) override {
+    return 0;
+  }
+  mpism::Status raw_recv(mpism::Rank, mpism::Tag, mpism::CommId,
+                         mpism::Bytes*) override {
+    return {};
+  }
+  bool raw_iprobe(mpism::Rank, mpism::Tag, mpism::CommId,
+                  mpism::Status*) override {
+    return false;
+  }
+  void raw_barrier(mpism::CommId) override {}
+  mpism::CommId raw_comm_dup(mpism::CommId comm) override { return comm; }
+  void add_cost(double us) override {
+    events_->push_back(strfmt("rank %d op %llu cost %.0f", rank_,
+                              static_cast<unsigned long long>(op_), us));
+  }
+  double vtime() const override { return 0.0; }
+  std::uint64_t call_seq() const override { return call_seq_; }
+  void fail_run(const std::string& message) override {
+    failed_.insert(rank_);
+    events_->push_back(strfmt("rank %d op %llu fail %s", rank_,
+                              static_cast<unsigned long long>(op_),
+                              message.c_str()));
+  }
+
+ private:
+  std::vector<std::string>* events_;
+  std::set<mpism::Rank> failed_;
+  mpism::Rank rank_ = 0;
+  std::uint64_t op_ = 0;
+  std::uint64_t call_seq_ = 0;
+};
+
+/// What the fault layer does to `runs` runs in which ranks 0 and 1 take
+/// turns making `ops` calls each (a failed rank makes no more), as
+/// events, then each point's reach call and fire count.
+std::vector<std::string> layer_events(std::shared_ptr<FaultPlan> plan,
+                                      int runs, std::uint64_t ops) {
+  std::vector<std::string> events;
+  mpism::FaultLayer layers[] = {{plan, 0}, {plan, 1}};
+  for (int run = 0; run < runs; ++run) {
+    RecordingCtx ctx(&events);
+    if (plan->count_only()) plan->reset_reach();
+    std::uint64_t call_seq = 0;
+    for (std::uint64_t op = 1; op <= ops; ++op) {
+      for (mpism::Rank rank = 0; rank < 2; ++rank) {
+        if (ctx.failed(rank)) continue;
+        ctx.begin(rank, op, ++call_seq);
+        layers[rank].pre_wait(ctx, mpism::RequestId{});
+      }
+    }
+    for (std::size_t i = 0; i < plan->points().size(); ++i) {
+      events.push_back(strfmt(
+          "run %d point %zu reached at %llu fires %llu", run, i,
+          static_cast<unsigned long long>(
+              plan->count_only() ? plan->reach(i).call_seq : 0),
+          static_cast<unsigned long long>(plan->fires(i))));
+    }
+    for (mpism::FaultLayer& layer : layers) layer.reset_for_next_run();
+  }
+  return events;
+}
+
+/// The same runs as layer_events, each call matched against the plan by
+/// scanning every point in plan order.
+std::vector<std::string> scanned_events(std::shared_ptr<FaultPlan> plan,
+                                        int runs, std::uint64_t ops) {
+  std::vector<std::string> events;
+  std::vector<std::uint64_t> reached(plan->points().size());
+  for (int run = 0; run < runs; ++run) {
+    RecordingCtx ctx(&events);
+    std::fill(reached.begin(), reached.end(), 0);
+    std::uint64_t call_seq = 0;
+    for (std::uint64_t op = 1; op <= ops; ++op) {
+      for (mpism::Rank rank = 0; rank < 2; ++rank) {
+        if (ctx.failed(rank)) continue;
+        ctx.begin(rank, op, ++call_seq);
+        for (std::size_t i = 0; i < plan->points().size(); ++i) {
+          const mpism::FaultPoint& p = plan->points()[i];
+          if (p.rank != rank || p.op_index != op) continue;
+          if (!plan->should_fire(i)) {
+            if (plan->count_only()) reached[i] = call_seq;
+            continue;
+          }
+          const mpism::FaultEffect effect = mpism::fault_effect(p);
+          if (effect.action == mpism::FaultEffect::Action::kDelay) {
+            ctx.add_cost(effect.delay_us);
+            continue;
+          }
+          ctx.fail_run(mpism::injected_error(p, "wait").message);
+          break;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < plan->points().size(); ++i) {
+      events.push_back(strfmt("run %d point %zu reached at %llu fires %llu",
+                              run, i,
+                              static_cast<unsigned long long>(reached[i]),
+                              static_cast<unsigned long long>(plan->fires(i))));
+    }
+  }
+  return events;
+}
+
+// The fault layer finds a call's points by an index over its rank's
+// points, not by scanning the plan: given points out of (rank, op) order,
+// as a fault sweep's shared plan holds them, with two kinds at one
+// (rank, op) and a point past the runs' last op, every point fires, or
+// is reached, exactly where a scan of the plan puts it, run after run.
+TEST(Fault, TheLayersIndexActsWhereAScanOfThePlanDoes) {
+  std::vector<mpism::FaultPoint> points;
+  const auto add = [&points](const char* spec) {
+    std::string error;
+    const auto plan = mpism::parse_fault_plan(spec, &error);
+    ASSERT_NE(plan, nullptr) << error;
+    points.push_back(plan->points().front());
+  };
+  for (const char* spec : {"abort@1:4", "delay@0:2:100", "flaky@0:2:1",
+                           "abort@0:9", "delay@1:1:50", "error@0:5",
+                           "delay@0:5:10"}) {
+    add(spec);
+  }
+  for (const bool count_only : {false, true}) {
+    constexpr int kRuns = 3;
+    constexpr std::uint64_t kOps = 6;
+    const std::vector<std::string> indexed = layer_events(
+        std::make_shared<FaultPlan>(points, count_only), kRuns, kOps);
+    const std::vector<std::string> scanned = scanned_events(
+        std::make_shared<FaultPlan>(points, count_only), kRuns, kOps);
+    EXPECT_EQ(indexed, scanned) << "count_only=" << count_only;
+    // The runs exercise what the plan sets up: a delay and a flaky stop
+    // at one call, and the flaky point spent after its first run.
+    if (!count_only) {
+      EXPECT_NE(std::find(indexed.begin(), indexed.end(),
+                          "rank 0 op 2 cost 100"),
+                indexed.end());
+      EXPECT_EQ(std::count_if(indexed.begin(), indexed.end(),
+                              [](const std::string& e) {
+                                return e.rfind("rank 0 op 2 fail", 0) == 0;
+                              }),
+                1);
+    }
+  }
 }
 
 TEST(Fault, InjectedAbortFailsTheRunAndCleanRerunsAreUnaffected) {

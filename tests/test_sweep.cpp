@@ -10,9 +10,11 @@
 #include <fcntl.h>
 
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <numeric>
@@ -591,8 +593,8 @@ TEST(Sweep, ReportIsByteIdenticalAtAnyWorkerCount) {
     ASSERT_TRUE(result.error.empty()) << result.error;
     EXPECT_EQ(sweep::format_sweep_report_json(parallel, result), reference)
         << "workers=" << workers;
-    // Workers receive one PLAN per effect, as the serial loop runs one
-    // campaign per effect, and the coordinator observes the rest.
+    // Workers run one walk per effect, as the serial loop does, and
+    // the fault-free walk of the delay and flaky plans as a batch.
     EXPECT_EQ(result.executed, one.executed) << "workers=" << workers;
     EXPECT_EQ(result.shared, one.shared) << "workers=" << workers;
   }
@@ -765,7 +767,7 @@ TEST(CutView, EqualsTheStoppedRunAtEveryAbortPoint) {
     core::SingleRun scratch;
     std::size_t reached = 0;
     for (const core::Schedule& schedule : schedules) {
-      counted->arm({});
+      counted->reset_reach();
       context.run(schedule, c.program, &run);
       for (std::size_t i = 0; i < points.size(); ++i) {
         const std::string where =
@@ -863,6 +865,56 @@ TEST(Sweep, DerivedRecordsEqualTheirOwnCampaigns) {
   }
 }
 
+// A shared replay runs whole: no rank body of a derived or observed
+// lane's replay exits by unwinding, since a lane takes its cut view of
+// the finished replay instead of stopping it. A campaign of its own
+// still stops at its fault: a --fault explore, and a sweep on the
+// thread scheduler, whose plans run their own campaigns, unwind.
+TEST(Sweep, SharedReplaysRunWholeAndOwnCampaignsStillStop) {
+  struct Guard {
+    std::atomic<std::uint64_t>* unwound;
+    ~Guard() {
+      if (std::uncaught_exceptions() > 0) ++*unwound;
+    }
+  };
+  std::atomic<std::uint64_t> bodies{0};
+  std::atomic<std::uint64_t> unwound{0};
+  const mpism::ProgramFn program = [&](mpism::Proc& p) {
+    ++bodies;
+    Guard guard{&unwound};
+    workloads::adlb::run(p, {});
+  };
+
+  SweepOptions options = sweep_options(4, "adlb");
+  options.budget = 512;  // every abort, error, delay and flaky plan
+  const SweepResult shared = sweep::run_sweep(options, program);
+  ASSERT_TRUE(shared.error.empty()) << shared.error;
+  EXPECT_GT(shared.shared, 0u);
+  EXPECT_TRUE(std::any_of(shared.records.begin(), shared.records.end(),
+                          [](const PlanRecord& r) {
+                            return r.verdict == Verdict::kErrorPropagated;
+                          }));
+  EXPECT_GT(bodies.load(), 0u);
+  EXPECT_EQ(unwound.load(), 0u);
+
+  unwound = 0;
+  core::ExplorerOptions faulted = options.explorer;
+  std::string error;
+  faulted.fault = mpism::parse_fault_plan("abort@1:2", &error);
+  ASSERT_NE(faulted.fault, nullptr) << error;
+  faulted.max_interleavings = 4;
+  core::Explorer(faulted).explore(program);
+  EXPECT_GT(unwound.load(), 0u) << "--fault";
+
+  unwound = 0;
+  SweepOptions threaded = options;
+  threaded.budget = 4;
+  threaded.explorer.sched = sched_named("thread");
+  const SweepResult own = sweep::run_sweep(threaded, program);
+  ASSERT_TRUE(own.error.empty()) << own.error;
+  EXPECT_GT(unwound.load(), 0u) << "--sched thread";
+}
+
 // On --resume, either journalled half of an abort/error pair satisfies
 // the pair: the other half is shared from the journal, not run, and the
 // report is the uninterrupted sweep's byte for byte.
@@ -955,7 +1007,7 @@ TEST(Sweep, ObservedRecordsEqualTheirOwnCampaigns) {
 }
 
 // On --resume, journalled delay and flaky plans are not derived again:
-// the observing walk records only the others, and the report is the
+// the fault-free walk records only the others, and the report is the
 // uninterrupted sweep's byte for byte.
 TEST(Sweep, AJournalledHalfOfTheObservedPlansIsNotDerivedAgain) {
   const std::string journal_path = temp_path("half_observed");
@@ -1147,15 +1199,16 @@ TEST(Sweep, KillAtKThenResumeReproducesTheUninterruptedReport) {
 }
 
 // A serial sweep records and journals each plan of a batch as its walk
-// ends, not when the batch does: a cancel that lands inside a batch,
-// after its first walk ended, keeps that walk's plan, and a resume
-// completes the uninterrupted report.
+// ends, not when the batch does: a cancel that lands inside the batch,
+// after its first walk ended, keeps the plans whose walks ended before
+// it, each the uninterrupted sweep's record, and a resume completes the
+// uninterrupted report.
 TEST(Sweep, ACancelInsideABatchKeepsThePlansItFinished) {
   const std::string journal_path = temp_path("cancel_in_batch");
   std::remove(journal_path.c_str());
   SweepOptions options = sweep_options(4, "adlb");
   options.budget = 512;
-  options.kinds = SweepKinds{true, false, false, false};  // a batch per rank
+  options.kinds = SweepKinds{true, false, false, false};  // one batch
 
   // Rank 0 starts each replay's program once; the kill lands at the
   // start of replay `kill_at`.
@@ -1187,18 +1240,8 @@ TEST(Sweep, ACancelInsideABatchKeepsThePlansItFinished) {
   const SweepResult interrupted = sweep::run_sweep(killed, program);
   ASSERT_TRUE(interrupted.error.empty()) << interrupted.error;
   EXPECT_TRUE(interrupted.interrupted);
-  // Batches run in enumeration order, so the first is rank 0's; the
-  // kill lands before its last walk ends.
-  const auto on_rank_0 = [](const PlanRecord& r) {
-    return r.spec.rfind("abort@0:", 0) == 0;
-  };
   ASSERT_FALSE(interrupted.records.empty());
-  EXPECT_TRUE(std::all_of(interrupted.records.begin(),
-                          interrupted.records.end(), on_rank_0));
-  EXPECT_LT(interrupted.records.size(),
-            static_cast<std::size_t>(std::count_if(reference.records.begin(),
-                                                   reference.records.end(),
-                                                   on_rank_0)));
+  EXPECT_LT(interrupted.records.size(), reference.planned);
   for (const PlanRecord& record : interrupted.records) {
     expect_same_record(record, reference.records[record.index]);
   }
