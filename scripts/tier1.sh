@@ -31,9 +31,11 @@
 #  - a ThreadSanitizer stage (-DDAMPI_SANITIZE=thread): the concurrency,
 #    obs, match, enginelock, por, sweep and alloc labels with
 #    DAMPI_SCHED=thread — the engine lock follows the scheduler, so the
-#    locking itself (global and sharded), and one replay context reused
+#    locking itself (global and sharded), one replay context reused
 #    across runs whose rank threads must happen after the previous run's,
-#    is only exercised here and in the thread sweep — then the whole suite
+#    and a piggybacked clock that its sender writes on the envelope and its
+#    receiver reads after completion (alloc's RequestPathPin on threads),
+#    are only exercised here and in the thread sweep — then the whole suite
 #    on the default coop scheduler, whose fiber switches are annotated;
 #  - an AddressSanitizer plus UndefinedBehaviorSanitizer stage
 #    (-DDAMPI_SANITIZE=address,undefined), where recycled pool memory is

@@ -33,21 +33,17 @@ const char* level_name(Level level) {
 
 Level g_threshold = parse_level(std::getenv("DAMPI_LOG_LEVEL"));
 std::mutex g_mutex;
-thread_local int t_rank = -1;
 
 }  // namespace
 
 Level threshold() { return g_threshold; }
 void set_threshold(Level level) { g_threshold = level; }
 
-void set_thread_rank(int rank) { t_rank = rank; }
-int thread_rank() { return t_rank; }
-
 void write(Level level, const std::string& line) {
   if (level < g_threshold) return;
   std::lock_guard<std::mutex> lock(g_mutex);
-  if (t_rank >= 0) {
-    std::fprintf(stderr, "[%s r%d] %s\n", level_name(level), t_rank,
+  if (detail::t_rank >= 0) {
+    std::fprintf(stderr, "[%s r%d] %s\n", level_name(level), detail::t_rank,
                  line.c_str());
   } else {
     std::fprintf(stderr, "[%s] %s\n", level_name(level), line.c_str());

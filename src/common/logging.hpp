@@ -21,10 +21,16 @@ void set_threshold(Level level);
 /// Emit one line (no trailing newline required) if `level` >= threshold.
 void write(Level level, const std::string& line);
 
+namespace detail {
+/// The calling thread's rank tag, defined here so that the coop
+/// scheduler's per-dispatch swaps compile to plain TLS accesses.
+inline constinit thread_local int t_rank = -1;
+}  // namespace detail
+
 /// Per-thread rank tag included in log prefixes; -1 means "no rank"
 /// (scheduler / driver threads). Set by the runtime when a rank starts.
-void set_thread_rank(int rank);
-int thread_rank();
+inline void set_thread_rank(int rank) { detail::t_rank = rank; }
+inline int thread_rank() { return detail::t_rank; }
 
 namespace detail {
 struct LineStream {

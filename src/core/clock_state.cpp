@@ -31,19 +31,31 @@ void ClockState::tick() {
   if (mode_ == ClockMode::kVector) vector_.tick();
 }
 
-void ClockState::merge(const mpism::Bytes& remote) {
-  if (remote.empty()) return;
+void ClockState::decode(const mpism::Bytes& remote, Received* out) const {
+  out->present = !remote.empty();
+  if (!out->present) return;
   if (mode_ == ClockMode::kLamport) {
-    lamport_.merge(mpism::unpack<std::uint64_t>(remote));
+    out->lc = mpism::unpack<std::uint64_t>(remote);
+    return;
+  }
+  DAMPI_CHECK_MSG(remote.size() % sizeof(VcValue) == 0,
+                  "payload size mismatch");
+  out->vc.resize(remote.size() / sizeof(VcValue));
+  std::memcpy(out->vc.data(), remote.data(), remote.size());
+}
+
+void ClockState::merge(const Received& remote) {
+  if (!remote.present) return;
+  if (mode_ == ClockMode::kLamport) {
+    lamport_.merge(remote.lc);
   } else {
-    const auto components = decode_vc(remote);
-    vector_.merge(components);
+    vector_.merge(remote.vc);
     // Keep the scalar view consistent: the Lamport analogue of a vector
     // merge is max over the remote's own-entries... a scalar max over the
     // sum is not meaningful, so track the max component instead, which
     // preserves per-rank monotonicity for trace ordering.
     std::uint64_t max_c = 0;
-    for (VcValue v : components) max_c = std::max(max_c, v);
+    for (VcValue v : remote.vc) max_c = std::max(max_c, v);
     lamport_.merge(max_c);
   }
 }
@@ -70,24 +82,19 @@ void ClockState::serialize_into(mpism::Bytes* out) const {
 }
 
 bool ClockState::is_late(
-    const mpism::Bytes& msg_clock, std::uint64_t epoch_lc,
+    const Received& msg_clock, std::uint64_t epoch_lc,
     const std::vector<VcValue>& epoch_vc) const {
-  if (msg_clock.empty()) return false;
-  if (mode_ == ClockMode::kLamport) {
-    return mpism::unpack<std::uint64_t>(msg_clock) < epoch_lc;
-  }
-  return clocks::VectorClock::not_after(decode_vc(msg_clock), epoch_vc);
+  if (!msg_clock.present) return false;
+  if (mode_ == ClockMode::kLamport) return msg_clock.lc < epoch_lc;
+  return clocks::VectorClock::not_after(msg_clock.vc, epoch_vc);
 }
 
 bool ClockState::is_after(
-    const mpism::Bytes& msg_clock, std::uint64_t epoch_lc,
+    const Received& msg_clock, std::uint64_t epoch_lc,
     const std::vector<VcValue>& epoch_vc) const {
-  if (msg_clock.empty()) return true;
-  if (mode_ == ClockMode::kLamport) {
-    return mpism::unpack<std::uint64_t>(msg_clock) >= epoch_lc;
-  }
-  const auto o =
-      clocks::VectorClock::compare(decode_vc(msg_clock), epoch_vc);
+  if (!msg_clock.present) return true;
+  if (mode_ == ClockMode::kLamport) return msg_clock.lc >= epoch_lc;
+  const auto o = clocks::VectorClock::compare(msg_clock.vc, epoch_vc);
   return o == clocks::Ordering::kAfter || o == clocks::Ordering::kEqual;
 }
 

@@ -17,15 +17,25 @@ namespace dampi::core {
 
 class ClockState {
  public:
+  /// A received clock, decoded once per message for the late-message
+  /// scan and the merge. decode() reuses its vector's capacity.
+  struct Received {
+    bool present = false;  ///< false: the message carried no clock
+    std::uint64_t lc = 0;  ///< Lamport mode
+    std::vector<clocks::VectorClock::Value> vc;  ///< vector mode
+  };
+
   ClockState(ClockMode mode, int nprocs, int rank);
 
   /// Back to the zero clock (a replay context reuses its layers).
   void reset();
 
   void tick();
-  /// Merge a serialized remote clock (no-op if empty — e.g. a message
-  /// that predates instrumentation in tests).
-  void merge(const mpism::Bytes& remote);
+  /// Decode a serialized remote clock into `*out` (not present if empty
+  /// — e.g. a message that predates instrumentation in tests).
+  void decode(const mpism::Bytes& remote, Received* out) const;
+  /// Merge a received clock (no-op if not present).
+  void merge(const Received& remote);
   mpism::Bytes serialize() const;
   /// serialize() into a caller-owned buffer, reusing its capacity — the
   /// per-send piggyback attach path latches into the same buffer every
@@ -38,17 +48,17 @@ class ClockState {
     return vector_.components();
   }
 
-  /// Is a message carrying `msg_clock` (serialized) late with respect to
-  /// an epoch whose clocks were (epoch_lc, epoch_vc)? Lamport mode:
-  /// msg.LC < epoch.LC (paper §II-C). Vector mode: msg not causally after
-  /// the epoch.
-  bool is_late(const mpism::Bytes& msg_clock, std::uint64_t epoch_lc,
+  /// Is a message carrying `msg_clock` late with respect to an epoch
+  /// whose clocks were (epoch_lc, epoch_vc)? Lamport mode: msg.LC <
+  /// epoch.LC (paper §II-C). Vector mode: msg not causally after the
+  /// epoch.
+  bool is_late(const Received& msg_clock, std::uint64_t epoch_lc,
                const std::vector<clocks::VectorClock::Value>& epoch_vc) const;
 
   /// True when the message is causally *after* the epoch — the early-exit
   /// condition when scanning a rank's epochs newest-to-oldest (anything
   /// after epoch_i is also after every older epoch of the same rank).
-  bool is_after(const mpism::Bytes& msg_clock, std::uint64_t epoch_lc,
+  bool is_after(const Received& msg_clock, std::uint64_t epoch_lc,
                 const std::vector<clocks::VectorClock::Value>& epoch_vc) const;
 
   ClockMode mode() const { return mode_; }

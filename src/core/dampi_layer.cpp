@@ -57,9 +57,9 @@ void DampiLayer::drain_unreceived(mpism::ToolCtx& ctx) {
   for (const mpism::CommId comm : known_comms_) {
     mpism::Status st;
     while (ctx.raw_iprobe(mpism::kAnySource, mpism::kAnyTag, comm, &st)) {
-      mpism::Bytes payload;
-      const mpism::Status got =
-          ctx.raw_recv(st.source, st.tag, comm, &payload);
+      const mpism::Status got = ctx.raw_recv(st.source, st.tag, comm,
+                                             &drained_payload_,
+                                             &drained_clock_);
       mpism::ReqCompletion c;
       c.kind = mpism::ReqKind::kRecv;
       c.comm = comm;
@@ -68,10 +68,10 @@ void DampiLayer::drain_unreceived(mpism::ToolCtx& ctx) {
       c.seq = got.seq;
       c.msg_id = got.msg_id;
       c.status = got;
-      c.payload = &payload;
-      const mpism::Bytes& msg_clock = transport_->on_recv_complete(ctx, c);
-      find_potential_matches(ctx, c.src_world, c.seq, c.tag, comm, msg_clock);
-      merge_incoming(msg_clock);
+      c.payload = &drained_payload_;
+      c.carried = &drained_clock_;
+      receive_clock(ctx, c.src_world, c.seq, c.tag, comm,
+                    transport_->on_recv_complete(ctx, c));
     }
   }
 }
@@ -180,15 +180,10 @@ EpochRecord& DampiLayer::record_epoch(mpism::ToolCtx& ctx,
 
 void DampiLayer::pre_isend(mpism::ToolCtx& ctx, mpism::SendCall& call) {
   unsafe_check(ctx, "send");
-  transmit_clock().serialize_into(&latch_send_clock_);
+  transmit_clock().serialize_into(&send_clock_);
   DAMPI_TEVENT(obs::EventKind::kPiggybackAttach, obs::Phase::kInstant,
-               static_cast<std::int32_t>(latch_send_clock_.size()));
-  transport_->on_pre_send(ctx, call, latch_send_clock_);
-}
-
-void DampiLayer::post_isend(mpism::ToolCtx& ctx, const mpism::SendCall& call,
-                            mpism::RequestId, const mpism::SendInfo& info) {
-  transport_->on_post_send(ctx, call, info, latch_send_clock_);
+               static_cast<std::int32_t>(send_clock_.size()));
+  transport_->on_pre_send(ctx, call, send_clock_);
 }
 
 // --- receives ---------------------------------------------------------------
@@ -239,26 +234,35 @@ void DampiLayer::post_wait(mpism::ToolCtx& ctx, mpism::ReqCompletion& c) {
     }
   }
 
-  find_potential_matches(ctx, c.src_world, c.seq, c.tag, c.comm, msg_clock);
-
-  // LCi = max(LCi, m.LC).
-  merge_incoming(msg_clock);
+  receive_clock(ctx, c.src_world, c.seq, c.tag, c.comm, msg_clock);
 }
 
-void DampiLayer::find_potential_matches(mpism::ToolCtx& ctx,
-                                        mpism::Rank src_world,
-                                        std::uint64_t seq, mpism::Tag tag,
-                                        mpism::CommId comm,
-                                        const mpism::Bytes& msg_clock) {
-  if (msg_clock.empty()) return;
+void DampiLayer::receive_clock(mpism::ToolCtx& ctx, mpism::Rank src_world,
+                               std::uint64_t seq, mpism::Tag tag,
+                               mpism::CommId comm,
+                               const mpism::Bytes& msg_clock) {
+  clock_.decode(msg_clock, &received_);
+  find_potential_matches(ctx, src_world, seq, tag, comm, received_);
+  // LCi = max(LCi, m.LC).
+  merge_incoming(received_);
+}
+
+void DampiLayer::find_potential_matches(
+    mpism::ToolCtx& ctx, mpism::Rank src_world, std::uint64_t seq,
+    mpism::Tag tag, mpism::CommId comm,
+    const ClockState::Received& msg_clock) {
+  if (!msg_clock.present) return;
   bool late_for_any = false;
+  // Every epoch the scan reaches costs late_analysis_cost_us, charged in
+  // one call after the scan: nothing in it reads the rank's clock.
+  std::uint64_t scanned = 0;
   // Newest-to-oldest; epochs of one rank are totally ordered by program
   // order, so once the message is causally after an epoch it is after all
   // older ones too.
   for (std::size_t i = epoch_count_; i-- > 0;) {
     EpochRecord& epoch = epochs_[i];
     if (clock_.is_after(msg_clock, epoch.lc, epoch.vc)) break;
-    ctx.add_cost(options_.late_analysis_cost_us);
+    ++scanned;
     if (!clock_.is_late(msg_clock, epoch.lc, epoch.vc)) continue;
     late_for_any = true;
     if (epoch.in_ignored_region) continue;      // loop abstraction
@@ -278,6 +282,7 @@ void DampiLayer::find_potential_matches(mpism::ToolCtx& ctx,
                                     slot->second.seen_at};
     }
   }
+  if (scanned != 0) ctx.add_cost_times(options_.late_analysis_cost_us, scanned);
   if (late_for_any) ++late_count_;
 }
 
@@ -329,7 +334,10 @@ void DampiLayer::pre_collective(mpism::ToolCtx& ctx, mpism::CollCall& call) {
 void DampiLayer::post_collective(mpism::ToolCtx& ctx,
                                  const mpism::CollCall& call,
                                  const mpism::CollResult& result) {
-  if (result.has_incoming) merge_incoming(result.incoming);
+  if (result.has_incoming) {
+    clock_.decode(result.incoming, &received_);
+    merge_incoming(received_);
+  }
   if (result.new_comm != mpism::kCommNull) {
     transport_->on_new_comm(ctx, result.new_comm);
     known_comms_.push_back(result.new_comm);
@@ -367,25 +375,21 @@ void DampiLayer::unsafe_check(mpism::ToolCtx& ctx, const char* op) {
 
 // --- setup -------------------------------------------------------------------
 
-mpism::ToolSetup make_dampi_setup(
-    std::shared_ptr<DampiShared> shared,
-    std::shared_ptr<piggyback::TelepathicBoard> board) {
+mpism::ToolSetup make_dampi_setup(std::shared_ptr<DampiShared> shared) {
   mpism::ToolSetup setup;
   LayerStackFactory extra;
   if (shared->options.extra_layers_per_run) {
     extra = shared->options.extra_layers_per_run();
   }
-  setup.make_stack = [shared, board, extra](int rank, int nprocs) {
+  setup.make_stack = [shared, extra](int rank, int nprocs) {
     std::vector<std::unique_ptr<mpism::ToolLayer>> stack;
     if (extra) {
       auto extras = extra(rank, nprocs);
       for (auto& layer : extras) stack.push_back(std::move(layer));
     }
-    piggyback::TransportFactoryState state;
-    state.board = board;
     stack.push_back(std::make_unique<DampiLayer>(
         rank, nprocs, shared,
-        piggyback::make_transport(shared->options.transport, state)));
+        piggyback::make_transport(shared->options.transport)));
     return stack;
   };
   setup.coll_merge = &ClockState::merge_serialized;

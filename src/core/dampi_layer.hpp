@@ -54,8 +54,6 @@ class DampiLayer final : public mpism::ToolLayer {
   void on_finalize(mpism::ToolCtx& ctx) override;
 
   void pre_isend(mpism::ToolCtx& ctx, mpism::SendCall& call) override;
-  void post_isend(mpism::ToolCtx& ctx, const mpism::SendCall& call,
-                  mpism::RequestId id, const mpism::SendInfo& info) override;
 
   void pre_irecv(mpism::ToolCtx& ctx, mpism::RecvCall& call) override;
   void post_irecv(mpism::ToolCtx& ctx, const mpism::RecvCall& call,
@@ -94,7 +92,13 @@ class DampiLayer final : public mpism::ToolLayer {
   void find_potential_matches(mpism::ToolCtx& ctx, mpism::Rank src_world,
                               std::uint64_t seq, mpism::Tag tag,
                               mpism::CommId comm,
-                              const mpism::Bytes& msg_clock);
+                              const ClockState::Received& msg_clock);
+
+  /// Decodes the clock of a completed incoming message into received_,
+  /// classifies the message against the open epochs and merges its clock.
+  void receive_clock(mpism::ToolCtx& ctx, mpism::Rank src_world,
+                     std::uint64_t seq, mpism::Tag tag, mpism::CommId comm,
+                     const mpism::Bytes& msg_clock);
 
   void unsafe_check(mpism::ToolCtx& ctx, const char* op);
 
@@ -104,7 +108,7 @@ class DampiLayer final : public mpism::ToolLayer {
     return options_.deferred_clock_sync ? xmit_clock_ : clock_;
   }
   /// Apply an incoming remote clock to both trackers.
-  void merge_incoming(const mpism::Bytes& remote) {
+  void merge_incoming(const ClockState::Received& remote) {
     clock_.merge(remote);
     if (options_.deferred_clock_sync) xmit_clock_.merge(remote);
   }
@@ -124,6 +128,8 @@ class DampiLayer final : public mpism::ToolLayer {
   /// per epoch at completion.
   ClockState xmit_clock_;
   std::uint64_t nd_index_ = 0;
+  /// The last received clock, decoded (its capacity is reused).
+  ClockState::Received received_;
 
   /// Epochs recorded by this rank this run: epochs_[0, epoch_count_)
   /// (flushed at finalize or reset). Records past the count are spares
@@ -145,7 +151,9 @@ class DampiLayer final : public mpism::ToolLayer {
   /// hook (hooks on a rank are strictly sequential).
   bool latch_irecv_was_wildcard_ = false;
   bool latch_probe_was_wildcard_ = false;
-  mpism::Bytes latch_send_clock_;
+  /// The clock of the send in progress (its capacity is reused): the
+  /// engine reads it through SendCall::carry while injecting the send.
+  mpism::Bytes send_clock_;
 
   /// MPI_Pcontrol loop-abstraction nesting depth.
   int region_depth_ = 0;
@@ -167,14 +175,15 @@ class DampiLayer final : public mpism::ToolLayer {
   /// received (their piggybacks would otherwise never impinge; the
   /// paper's Fig. 3 relies on the unreceived competitor being analyzed).
   std::vector<mpism::CommId> known_comms_{mpism::kCommWorld};
+  /// The drain's receive buffers (their capacity is reused).
+  mpism::Bytes drained_payload_;
+  mpism::CarriedClock drained_clock_;
 
   void drain_unreceived(mpism::ToolCtx& ctx);
 };
 
 /// Build the ToolSetup for one DAMPI-instrumented run. `shared` carries
 /// the run configuration (shared->options), the schedule, and the sink.
-mpism::ToolSetup make_dampi_setup(
-    std::shared_ptr<DampiShared> shared,
-    std::shared_ptr<piggyback::TelepathicBoard> board);
+mpism::ToolSetup make_dampi_setup(std::shared_ptr<DampiShared> shared);
 
 }  // namespace dampi::core

@@ -6,7 +6,6 @@
 #include "mpism/engine.hpp"
 #include "mpism/fault.hpp"
 #include "obs/metrics.hpp"
-#include "piggyback/telepathic.hpp"
 
 namespace dampi::core {
 
@@ -28,9 +27,6 @@ mpism::RunOptions run_options_for(const ExplorerOptions& options) {
 ReplayContext::ReplayContext(const ExplorerOptions& options)
     : sink_(std::make_shared<TraceSink>()),
       shared_(std::make_shared<DampiShared>(options, Schedule{}, sink_)) {
-  if (options.transport == piggyback::TransportKind::kTelepathic) {
-    board_ = std::make_shared<piggyback::TelepathicBoard>();
-  }
   mpism::RunOptions run_options = run_options_for(options);
   run_options.tools = make_tools();
   engine_ = std::make_unique<mpism::Engine>(std::move(run_options));
@@ -39,7 +35,7 @@ ReplayContext::ReplayContext(const ExplorerOptions& options)
 ReplayContext::~ReplayContext() = default;
 
 mpism::ToolSetup ReplayContext::make_tools() const {
-  mpism::ToolSetup tools = make_dampi_setup(shared_, board_);
+  mpism::ToolSetup tools = make_dampi_setup(shared_);
   if (shared_->options.fault) {
     // Fault layers sit at the very top of each rank's stack so an
     // injected abort/error/delay hits before DAMPI's bookkeeping, the
@@ -66,7 +62,6 @@ void ReplayContext::run(const Schedule& schedule,
   }
   shared_->reset(schedule);
   sink_->reset(std::move(out->trace));
-  if (board_) board_->clear();
   // The run ends with every layer flushed into the sink (the engine's
   // reset flushes aborted ranks too) before the trace is taken.
   engine_->run(program, &out->report, campaign_deadline);

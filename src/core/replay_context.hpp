@@ -34,10 +34,6 @@ namespace dampi::mpism {
 class Engine;
 }  // namespace dampi::mpism
 
-namespace dampi::piggyback {
-class TelepathicBoard;
-}  // namespace dampi::piggyback
-
 namespace dampi::core {
 
 struct DampiShared;
@@ -83,7 +79,6 @@ class ReplayContext {
 
   std::shared_ptr<TraceSink> sink_;
   std::shared_ptr<DampiShared> shared_;
-  std::shared_ptr<piggyback::TelepathicBoard> board_;
   std::unique_ptr<mpism::Engine> engine_;
 };
 

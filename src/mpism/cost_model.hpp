@@ -4,10 +4,10 @@
 // replaces that with deterministic virtual time: each rank accumulates
 // virtual microseconds, message receipt propagates max(local, arrival),
 // and collectives cost alpha * ceil(log2 P) on top of the participants'
-// maximum. Tool layers add their own costs (piggyback messages travel
-// through the engine and therefore pay these costs naturally; the ISP
-// layer serializes every call through a single scheduler timeline, which
-// is what reproduces the paper's Fig. 5 collapse).
+// maximum. Tool layers add their own costs (a separate-message piggyback
+// is charged these send and receive costs as a message of its own; the
+// ISP layer serializes every call through a single scheduler timeline,
+// which is what reproduces the paper's Fig. 5 collapse).
 #pragma once
 
 #include <bit>

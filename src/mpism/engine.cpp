@@ -85,14 +85,9 @@ class ToolCtxImpl final : public ToolCtx {
 
   // Tool code cannot tell a raw service's placeholder result from a real
   // one, so a raw service of a stopped run unwinds the rank from here.
-  RequestId raw_isend(Rank dst, Tag tag, CommId comm,
-                      const Bytes& payload) override {
-    const RequestId id = e_->raw_isend(r_, dst, tag, comm, payload);
-    unwind_if_stopped();
-    return id;
-  }
-  Status raw_recv(Rank src, Tag tag, CommId comm, Bytes* out) override {
-    const Status status = e_->raw_recv(r_, src, tag, comm, out);
+  Status raw_recv(Rank src, Tag tag, CommId comm, Bytes* out,
+                  CarriedClock* carried) override {
+    const Status status = e_->raw_recv(r_, src, tag, comm, out, carried);
     unwind_if_stopped();
     return status;
   }
@@ -111,6 +106,13 @@ class ToolCtxImpl final : public ToolCtx {
     return dup;
   }
   void add_cost(double us) override { e_->add_cost(r_, us); }
+  void add_cost_times(double us, std::uint64_t times) override {
+    e_->add_cost_times(r_, us, times);
+  }
+  void charge_arrival(double arrival_vtime) override {
+    e_->charge_arrival(r_, arrival_vtime);
+    unwind_if_stopped();
+  }
   double vtime() const override { return e_->vtime_of(r_); }
   std::uint64_t call_seq() const override {
     return e_->call_seq_.load(std::memory_order_relaxed);
@@ -269,22 +271,24 @@ void Engine::run(const ProgramFn& program, RunReport* out,
   reset();
 }
 
-void Engine::rebalance_buffers() {
-  // Payload buffers travel with the messages: a sender's pool recycles
-  // what the receiver's pool then has to acquire, so one-directional
-  // traffic (servers handing out work) fills some freelists and drains
-  // others, run after run. With no rank executing, every rank whose pool
-  // ran dry this run is topped up by its shortfall from ranks holding
-  // spares, so the same traffic next run finds a buffer every time.
+void Engine::rebalance_buffers(BufferPool PerRank::* pool) {
+  // Buffers travel with the messages: a sender's pool recycles what the
+  // receiver's pool then has to acquire (payloads), or the other way
+  // round (carried clocks), so one-directional traffic (servers handing
+  // out work) fills some freelists and drains others, run after run.
+  // With no rank executing, every rank whose pool ran dry this run is
+  // topped up by its shortfall from ranks holding spares, so the same
+  // traffic next run finds a buffer every time.
   std::size_t donor = 0;
   for (const auto& p : ranks_) {
-    for (std::int64_t need = p->buf_pool.shortfall(); need > 0; --need) {
+    BufferPool& needy = (*p).*pool;
+    for (std::int64_t need = needy.shortfall(); need > 0; --need) {
       while (donor < ranks_.size() &&
-             ranks_[donor]->buf_pool.shortfall() >= 0) {
+             ((*ranks_[donor]).*pool).shortfall() >= 0) {
         ++donor;
       }
       if (donor == ranks_.size() ||
-          !ranks_[donor]->buf_pool.give_one(p->buf_pool)) {
+          !((*ranks_[donor]).*pool).give_one(needy)) {
         return;
       }
     }
@@ -306,9 +310,14 @@ void Engine::publish_run_metrics() {
       obs::Registry::instance().counter("engine.pool.buf_acquired");
   static obs::Counter& buf_reused_metric =
       obs::Registry::instance().counter("engine.pool.buf_reused");
+  static obs::Counter& clock_acquired_metric =
+      obs::Registry::instance().counter("engine.pool.clock_acquired");
+  static obs::Counter& clock_reused_metric =
+      obs::Registry::instance().counter("engine.pool.clock_reused");
   PoolCounts req_total;
   PoolCounts nodes;
   BufferPool::Stats buf_total;
+  BufferPool::Stats clock_total;
   std::uint64_t inline_hits = 0;
   std::uint64_t heap_spills = 0;
   for (const auto& pr_ptr : ranks_) {
@@ -321,6 +330,8 @@ void Engine::publish_run_metrics() {
     nodes.reused += s.reused;
     buf_total.acquired += pr_ptr->buf_pool.stats().acquired;
     buf_total.reused += pr_ptr->buf_pool.stats().reused;
+    clock_total.acquired += pr_ptr->clock_pool.stats().acquired;
+    clock_total.reused += pr_ptr->clock_pool.stats().reused;
     pr_ptr->match->publish_scans();
   }
   req_acquired_metric.add(req_total.acquired);
@@ -329,6 +340,8 @@ void Engine::publish_run_metrics() {
   node_reused_metric.add(nodes.reused);
   buf_acquired_metric.add(buf_total.acquired);
   buf_reused_metric.add(buf_total.reused);
+  clock_acquired_metric.add(clock_total.acquired);
+  clock_reused_metric.add(clock_total.reused);
 
   // Lock-shard contention and envelope small-buffer effectiveness.
   static obs::Counter& lock_acquired_metric =
@@ -350,7 +363,8 @@ void Engine::publish_run_metrics() {
 }
 
 void Engine::reset() {
-  rebalance_buffers();
+  rebalance_buffers(&PerRank::buf_pool);
+  rebalance_buffers(&PerRank::clock_pool);
   for (const auto& p : ranks_) {
     PerRank& me = *p;
     // Every layer flushes and resets (no short-circuit); one that cannot
@@ -364,6 +378,7 @@ void Engine::reset() {
     me.match->reset();
     me.req_pool.reset_counts();
     me.buf_pool.reset_counts();
+    me.clock_pool.reset_counts();
     me.seq_counters.clear();
     me.coll_gen.clear();
     me.vt_store(0.0);
@@ -693,8 +708,8 @@ void Engine::release_coll_slot(CollSlot& slot) {
   free_coll_slots_.push_back(&slot);
 }
 
-void Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
-                      CommId comm, Payload payload, bool tool_internal,
+void Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world,
+                      const SendCall& call, Payload payload,
                       RequestRecord* sync_rec, SendInfo* info) {
   (void)g;  // Covers shards r and dst_world (EngineGuard::add).
   PerRank& me = pr(r);
@@ -704,24 +719,33 @@ void Engine::do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag,
   Envelope env;
   env.src_world = r;
   env.dst_world = dst_world;
-  env.tag = tag;
-  env.comm = comm;
-  env.seq = seq_counter(me, dst_world, comm)++;
+  env.tag = call.tag;
+  env.comm = call.comm;
+  env.seq = seq_counter(me, dst_world, call.comm)++;
   env.msg_id = bump(next_msg_id_, std::uint64_t{1});
   env.arrival_vtime =
       me.vt() + opts_.cost.message_transit_us(payload.size());
   env.payload = std::move(payload);
-  env.tool_internal = tool_internal;
   if (env.payload.is_inline()) {
     ++me.payload_inline_hits;
   } else {
     ++me.payload_heap_spills;
   }
-
-  if (tool_internal) {
-    ++me.tool_messages;
-  } else {
-    ++me.messages_sent;
+  ++me.messages_sent;
+  if (call.carry != nullptr) {
+    env.carried.clock = me.clock_pool.copy_of(*call.carry);
+    if (call.carry_charged) {
+      // The clock's own message, sent right after its payload: charged
+      // as that send would be, with the next message id, and arriving
+      // one transit after its own injection.
+      const double bytes = static_cast<double>(call.carry->size());
+      me.vt_add(opts_.cost.send_overhead_us +
+                opts_.cost.send_per_byte_us * bytes);
+      bump(next_msg_id_, std::uint64_t{1});
+      ++me.tool_messages;
+      env.carried.arrival_vtime =
+          me.vt() + opts_.cost.message_transit_us(call.carry->size());
+    }
   }
   if (info != nullptr) {
     info->seq = env.seq;
@@ -858,7 +882,7 @@ bool Engine::block_until_complete(EngineGuard& g, Rank r, RequestId req) {
 }
 
 Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
-                              bool run_hooks) {
+                              bool run_hooks, CarriedClock* carried) {
   PerRank& me = pr(r);
   // Take the record out of the table so hook-issued raw operations
   // cannot invalidate it; the guard returns it to the pool.
@@ -873,11 +897,12 @@ Status Engine::finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
   done.posted_src_world = rec->posted_src_world;
   done.posted_tag = rec->posted_tag;
   done.complete_vtime = rec->complete_vtime.load(std::memory_order_relaxed);
-  return finish_op(g, r, done, rec->msg, out, run_hooks);
+  return finish_op(g, r, done, rec->msg, out, run_hooks, carried);
 }
 
 Status Engine::finish_op(EngineGuard& g, Rank r, const Done& done,
-                         Envelope& msg, Bytes* out, bool run_hooks) {
+                         Envelope& msg, Bytes* out, bool run_hooks,
+                         CarriedClock* carried) {
   PerRank& me = pr(r);
   Status status;
   // A synchronous send's completion waits for the remote match.
@@ -916,6 +941,7 @@ Status Engine::finish_op(EngineGuard& g, Rank r, const Done& done,
     Bytes& hook_payload = deliver ? *out : dropped;
     msg.payload.release_into(&hook_payload, &me.buf_pool);
     completion.payload = &hook_payload;
+    completion.carried = &msg.carried;
     g.unlock();
     hooks_post_wait(r, completion);
     g.lock();
@@ -928,7 +954,13 @@ Status Engine::finish_op(EngineGuard& g, Rank r, const Done& done,
     } else {
       msg.payload.recycle_into(me.buf_pool);
     }
+    if (carried != nullptr) {
+      carried->clock.swap(msg.carried.clock);
+      carried->arrival_vtime = msg.carried.arrival_vtime;
+    }
   }
+  // The carried clock's buffer (or the one swapped for it) stays here.
+  me.clock_pool.recycle(std::move(msg.carried.clock));
   return status;
 }
 
@@ -985,8 +1017,8 @@ RequestId Engine::send_impl(Rank r, SendCall& call, bool synchronous,
     id = me.reqs.issue();
   }
   SendInfo info;
-  do_isend(g, r, dst_world, call.tag, call.comm,
-           Payload(std::move(*call.payload), &me.buf_pool), false,
+  do_isend(g, r, dst_world, call,
+           Payload(std::move(*call.payload), &me.buf_pool),
            synchronous ? rec : nullptr, &info);
   g.unlock();
   hooks_post_isend(r, call, id, info);
@@ -1759,36 +1791,16 @@ Rank Engine::to_rel(CommId comm, Rank world) {
 // Raw (tool) operations
 // ---------------------------------------------------------------------------
 
-RequestId Engine::raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
-                            const Bytes& payload) {
-  EngineGuard g(lock_, r);
-  if (stopped()) return kNullRequest;
-  const Rank dst_world = comms_.to_world(comm, dst);
-  g.add(dst_world);
-  // Tool payloads (piggybacked clocks) are copied: inline when small,
-  // else into a recycled buffer, so the tool keeps its own buffer.
-  Payload copy = payload.size() <= Payload::kInlineCapacity
-                     ? Payload(payload)
-                     : Payload(pr(r).buf_pool.copy_of(payload), nullptr);
-  // Tool sends are eager and auto-consumed: piggyback senders never wait
-  // on them (the paper's pb sends are waited trivially in MPI_Wait).
-  do_isend(g, r, dst_world, tag, comm, std::move(copy), true,
-           /*sync_rec=*/nullptr, nullptr);
-  return kNullRequest;
-}
-
-Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
+Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out,
+                        CarriedClock* carried) {
   EngineGuard g(lock_, r);
   if (stopped()) return {};
   const Rank src_world = comms_.to_world(comm, src);
   const Envelope* queued = match_queued(r, src_world, tag, comm);
   if (queued == nullptr) {
-    // Under coop a piggyback message is always queued before its
-    // receive (the sender deposits it before it can yield); thread-mode
-    // ranks and finalize drains may still have to wait.
     const RequestId req = post_recv(r, src_world, tag, comm, true);
     if (!block_until_complete(g, r, req)) return {};
-    return finish_request(g, r, req, out, /*run_hooks=*/false);
+    return finish_request(g, r, req, out, /*run_hooks=*/false, carried);
   }
   Envelope msg = take_matched(r, queued);
   Done done;
@@ -1796,7 +1808,7 @@ Status Engine::raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out) {
   done.comm = comm;
   done.posted_src_world = src_world;
   done.posted_tag = tag;
-  return finish_op(g, r, done, msg, out, /*run_hooks=*/false);
+  return finish_op(g, r, done, msg, out, /*run_hooks=*/false, carried);
 }
 
 bool Engine::raw_iprobe(Rank r, Rank src, Tag tag, CommId comm,
@@ -1850,6 +1862,17 @@ void Engine::add_cost(Rank r, double us) {
   // Called by tools in rank r's own execution context: the clock is
   // single-writer, so this needs no shard.
   pr(r).vt_add(us);
+}
+
+void Engine::add_cost_times(Rank r, double us, std::uint64_t times) {
+  PerRank& me = pr(r);
+  for (std::uint64_t i = 0; i < times; ++i) me.vt_add(us);
+}
+
+void Engine::charge_arrival(Rank r, double arrival_vtime) {
+  if (stopped()) return;
+  PerRank& me = pr(r);
+  me.vt_store(std::max(me.vt(), arrival_vtime) + opts_.cost.recv_overhead_us);
 }
 
 double Engine::vtime_of(Rank r) { return pr(r).vt(); }

@@ -160,13 +160,15 @@ class Engine {
   Rank to_rel(CommId comm, Rank world);
 
   // --- ToolCtx raw services (bypass the tool stack) ------------------------
-  RequestId raw_isend(Rank r, Rank dst, Tag tag, CommId comm,
-                      const Bytes& payload);
-  Status raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out);
+  Status raw_recv(Rank r, Rank src, Tag tag, CommId comm, Bytes* out,
+                  CarriedClock* carried);
   bool raw_iprobe(Rank r, Rank src, Tag tag, CommId comm, Status* status);
   void raw_barrier(Rank r, CommId comm);
   CommId raw_comm_dup(Rank r, CommId comm);
   void add_cost(Rank r, double us);
+  void add_cost_times(Rank r, double us, std::uint64_t times);
+  /// Charges nothing once the run has stopped.
+  void charge_arrival(Rank r, double arrival_vtime);
   double vtime_of(Rank r);
 
  private:
@@ -194,6 +196,9 @@ class Engine {
     /// Owned by this rank's shard (every access holds it).
     SlabPool<RequestRecord> req_pool;
     BufferPool buf_pool;
+    /// Carried clocks' buffers, apart from the payload buffers (which
+    /// come in every size), so a reused one always fits the next clock.
+    BufferPool clock_pool;
     /// Virtual clock. Single-writer (the owning rank, under its shard);
     /// read cross-shard by budget charges and the final report, so it is
     /// atomic with relaxed ordering.
@@ -205,7 +210,8 @@ class Engine {
     /// What the rank is blocked in, for the deadlock report.
     BlockDesc block_desc;
     /// This rank's counts as a sender (its shard held), summed when the
-    /// run is reported: user and tool messages injected, envelopes
+    /// run is reported: user messages injected, carried clocks charged
+    /// as messages of their own (tool messages), envelopes
     /// whose payload fit the inline store or spilled to the heap, and
     /// requests its program left incomplete.
     std::uint64_t messages_sent = 0;
@@ -306,11 +312,11 @@ class Engine {
   /// world source. False when the run has stopped.
   bool enter_recv(EngineGuard& g, Rank r, const RecvCall& call,
                   Rank* src_world);
-  /// Injects a message. `sync_rec` is a synchronous sender's record,
-  /// completed when the message is matched.
-  void do_isend(EngineGuard& g, Rank r, Rank dst_world, Tag tag, CommId comm,
-                Payload payload, bool tool_internal, RequestRecord* sync_rec,
-                SendInfo* info);
+  /// Injects the message of `call` (and the clock it carries) to
+  /// `dst_world`. `sync_rec` is a synchronous sender's record, completed
+  /// when the message is matched.
+  void do_isend(EngineGuard& g, Rank r, Rank dst_world, const SendCall& call,
+                Payload payload, RequestRecord* sync_rec, SendInfo* info);
   /// The queued message a receive posted now matches (the policy's pick
   /// among wildcard candidates), or nullptr when none is queued.
   const Envelope* match_queued(Rank r, Rank src_world, Tag tag, CommId comm);
@@ -325,12 +331,14 @@ class Engine {
   bool block_until_complete(EngineGuard& g, Rank r, RequestId req);
   /// Takes the record out of the table and completes it (finish_op).
   Status finish_request(EngineGuard& g, Rank r, RequestId req, Bytes* out,
-                        bool run_hooks);
+                        bool run_hooks, CarriedClock* carried = nullptr);
   /// The one completion path: clocks, status and payload delivery, and
   /// the post_wait hooks (guard dropped) when `run_hooks`. `msg` is the
-  /// matched message of a receive (an empty envelope for a send).
+  /// matched message of a receive (an empty envelope for a send); the
+  /// hooks see the clock it carries, and a raw receive takes it into
+  /// `carried`.
   Status finish_op(EngineGuard& g, Rank r, const Done& done, Envelope& msg,
-                   Bytes* out, bool run_hooks);
+                   Bytes* out, bool run_hooks, CarriedClock* carried = nullptr);
   /// Try to match a newly arrived envelope against dst's posted receives
   /// (guard must cover shard dst). Returns true when matched (request
   /// completed).
@@ -423,9 +431,9 @@ class Engine {
   void publish_run_metrics();
   /// End-of-run reset (see the header comment). No rank is executing.
   void reset();
-  /// Part of reset(): moves recycled payload buffers from ranks with
-  /// spares to ranks whose pools ran dry this run.
-  void rebalance_buffers();
+  /// Part of reset(): moves recycled buffers of pool `pool` from ranks
+  /// with spares to ranks whose pools ran dry this run.
+  void rebalance_buffers(BufferPool PerRank::* pool);
 
   PerRank& pr(Rank r) { return *ranks_[static_cast<std::size_t>(r)]; }
 

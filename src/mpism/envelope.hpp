@@ -168,9 +168,9 @@ struct Envelope {
   /// (sender's clock at injection + latency + bandwidth term).
   double arrival_vtime = 0.0;
   Payload payload;
-  /// True for messages issued by tool layers (piggyback traffic); excluded
-  /// from user-visible op statistics and leak accounting.
-  bool tool_internal = false;
+  /// The sender's piggybacked clock (SendCall::carry), in a buffer from
+  /// the sender's pool that the receiver's pool takes back.
+  CarriedClock carried;
   /// Synchronous sends only: the sender's world rank and request
   /// record, which only completes when this envelope is matched by a
   /// receive (rendezvous semantics — the MPI_Ssend mode eager buffering

@@ -59,7 +59,6 @@ bool linear_has_candidates(const Queue& q, ScanTally& scans, Tag tag,
   std::size_t examined = 0;
   for (const Envelope& env : q) {
     ++examined;
-    if (env.tool_internal) continue;
     if (env_matches(env, kAnySource, tag, comm)) {
       scans.add(examined);
       return true;
@@ -80,7 +79,6 @@ void linear_candidates(const Queue& q, ScanTally& scans, Tag tag, CommId comm,
   out->clear();
   for (const Envelope& env : q) {
     if (!env_matches(env, kAnySource, tag, comm)) continue;
-    if (env.tool_internal) continue;
     auto it = std::lower_bound(
         out->begin(), out->end(), env.src_world,
         [](const MatchCandidate& c, Rank s) { return c.src_world < s; });
@@ -182,7 +180,7 @@ class LinearMatchIndex final : public MatchIndex {
 /// cross-tag per-source lanes, ANY-tag posted receives, and the
 /// per-communicator source set); `src` may be kAnySource (wildcard posted
 /// receives). `table` says which of the per-kind lanes or sets the key
-/// names, so user and tool lanes share one table without colliding.
+/// names, so they share one table without colliding.
 struct LaneKey {
   CommId comm;
   Tag tag;
@@ -253,7 +251,7 @@ class IndexedMatchIndex final : public MatchIndex {
     small_posted_.clear();
     // In lane mode every queued node sits on exactly one tag lane.
     lanes_.for_each([this](const LaneKey& key, const Lane& lane) {
-      if (key.table != kUserTag && key.table != kToolTag) return;
+      if (key.table != kTag) return;
       for (Node* n = lane.head; n != nullptr;) {
         Node* next = n->tag_next;
         nodes_.release(n);
@@ -302,21 +300,10 @@ class IndexedMatchIndex final : public MatchIndex {
     if (!migrated_) {
       return linear_find_specific(envelopes(small_), scans_, src_world, tag, comm);
     }
-    // Tool traffic is visible to specific receives, so the winner is the
-    // queue-order-earliest of the user and tool lane heads. Queue order
-    // == msg_id order (ids are assigned in the same critical section as
-    // the insertion), so comparing head ids is exact.
     scans_.add(1);
-    const bool by_tag = tag != kAnyTag;
-    const Node* a =
-        head_of({comm, tag, src_world, by_tag ? kUserTag : kUserSrc});
-    const Node* b =
-        head_of({comm, tag, src_world, by_tag ? kToolTag : kToolSrc});
-    const Node* best = a;
-    if (b != nullptr && (best == nullptr || b->env.msg_id < best->env.msg_id)) {
-      best = b;
-    }
-    return best == nullptr ? nullptr : &best->env;
+    const Node* head =
+        head_of({comm, tag, src_world, tag == kAnyTag ? kSrc : kTag});
+    return head == nullptr ? nullptr : &head->env;
   }
 
   bool has_candidates(Tag tag, CommId comm) const override {
@@ -344,7 +331,7 @@ class IndexedMatchIndex final : public MatchIndex {
         const auto src = static_cast<Rank>(
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
         const Node* head =
-            head_of({comm, tag, src, tag == kAnyTag ? kUserSrc : kUserTag});
+            head_of({comm, tag, src, tag == kAnyTag ? kSrc : kTag});
         DAMPI_CHECK_MSG(head != nullptr, "stale source bit in match index");
         const Envelope& e = head->env;
         out->push_back(
@@ -447,7 +434,7 @@ class IndexedMatchIndex final : public MatchIndex {
     PostedNode* head = nullptr;
     PostedNode* tail = nullptr;
   };
-  /// The sources with a non-empty user lane under one (comm, tag) or one
+  /// The sources with a non-empty lane under one (comm, tag) or one
   /// comm: a bitmap block in src_words_ plus its population count.
   struct SrcSet {
     std::uint32_t block = 0;
@@ -455,12 +442,10 @@ class IndexedMatchIndex final : public MatchIndex {
   };
 
   /// LaneKey::table values.
-  static constexpr std::int32_t kUserTag = 0;  ///< (comm, tag, src) user FIFO
-  static constexpr std::int32_t kToolTag = 1;  ///< same, tool traffic
-  static constexpr std::int32_t kUserSrc = 2;  ///< (comm, src) cross-tag FIFO
-  static constexpr std::int32_t kToolSrc = 3;
-  static constexpr std::int32_t kPosted = 4;   ///< (comm, tag, src) receives
-  static constexpr std::int32_t kSources = 5;  ///< (comm, tag) source set
+  static constexpr std::int32_t kTag = 0;      ///< (comm, tag, src) FIFO
+  static constexpr std::int32_t kSrc = 1;      ///< (comm, src) cross-tag FIFO
+  static constexpr std::int32_t kPosted = 2;   ///< (comm, tag, src) receives
+  static constexpr std::int32_t kSources = 3;  ///< (comm, tag) source set
 
   const Node* head_of(const LaneKey& key) const {
     const Lane* lane = lanes_.find(key);
@@ -495,42 +480,39 @@ class IndexedMatchIndex final : public MatchIndex {
 
   void index_push(Node* n) {
     const Envelope& e = n->env;
-    const bool tool = e.tool_internal;
-    Lane& tl = lanes_[{e.comm, e.tag, e.src_world, tool ? kToolTag : kUserTag}];
-    if (tl.head == nullptr && !tool) add_source({e.comm, e.tag, 0, kSources},
-                                                e.src_world);
+    Lane& tl = lanes_[{e.comm, e.tag, e.src_world, kTag}];
+    if (tl.head == nullptr) {
+      add_source({e.comm, e.tag, 0, kSources}, e.src_world);
+    }
     append(tl, n, &Node::tag_prev, &Node::tag_next);
     // The reference above may dangle once the table grows: look up again.
-    Lane& sl =
-        lanes_[{e.comm, kAnyTag, e.src_world, tool ? kToolSrc : kUserSrc}];
-    if (sl.head == nullptr && !tool) {
+    Lane& sl = lanes_[{e.comm, kAnyTag, e.src_world, kSrc}];
+    if (sl.head == nullptr) {
       add_source({e.comm, kAnyTag, 0, kSources}, e.src_world);
     }
     append(sl, n, &Node::src_prev, &Node::src_next);
   }
 
-  /// Removes `n` from both of its lanes, erasing emptied lanes (tool
-  /// piggyback tags are unique per message, so lane entries must not
-  /// outlive their last message) and clearing emptied source bits.
+  /// Removes `n` from both of its lanes, erasing emptied lanes (so lane
+  /// entries do not outlive their last message) and clearing emptied
+  /// source bits.
   void detach(Node* n) {
     const Envelope& e = n->env;
-    const bool tool = e.tool_internal;
-    const LaneKey tkey{e.comm, e.tag, e.src_world, tool ? kToolTag : kUserTag};
+    const LaneKey tkey{e.comm, e.tag, e.src_world, kTag};
     Lane* tl = lanes_.find(tkey);
     DAMPI_CHECK(tl != nullptr);
     unlink(*tl, n, &Node::tag_prev, &Node::tag_next);
     if (tl->head == nullptr) {
       lanes_.erase(tkey);
-      if (!tool) remove_source({e.comm, e.tag, 0, kSources}, e.src_world);
+      remove_source({e.comm, e.tag, 0, kSources}, e.src_world);
     }
-    const LaneKey skey{e.comm, kAnyTag, e.src_world,
-                       tool ? kToolSrc : kUserSrc};
+    const LaneKey skey{e.comm, kAnyTag, e.src_world, kSrc};
     Lane* sl = lanes_.find(skey);
     DAMPI_CHECK(sl != nullptr);
     unlink(*sl, n, &Node::src_prev, &Node::src_next);
     if (sl->head == nullptr) {
       lanes_.erase(skey);
-      if (!tool) remove_source({e.comm, kAnyTag, 0, kSources}, e.src_world);
+      remove_source({e.comm, kAnyTag, 0, kSources}, e.src_world);
     }
   }
 
@@ -616,12 +598,12 @@ class IndexedMatchIndex final : public MatchIndex {
 
   SlabPool<Node> nodes_{16};
   SlabPool<PostedNode> posted_nodes_{64};
-  LaneTable<Lane> lanes_;          ///< the four message lane kinds
+  LaneTable<Lane> lanes_;          ///< the two message lane kinds
   LaneTable<PostedLane> posted_;   ///< posted receives by (comm, tag, src)
   /// Non-empty posted lanes per shape, indexed like match_posted's keys:
   /// (src, tag), (src, ANY), (ANY, tag), (ANY, ANY).
   std::array<std::size_t, 4> posted_shapes_{};
-  LaneTable<SrcSet> sources_;      ///< user sources by (comm, tag|ANY)
+  LaneTable<SrcSet> sources_;      ///< sources by (comm, tag|ANY)
   std::vector<std::uint64_t> src_words_;  ///< blocks_ × block_width_ words
   std::vector<std::uint32_t> free_blocks_;
   std::uint32_t blocks_ = 0;

@@ -31,8 +31,8 @@
 // global mutex around all of this):
 //  - Arrival order within one rank's unexpected queue == msg_id order:
 //    msg_id assignment and queue insertion happen in the same critical
-//    section, so lane heads can be compared by msg_id to find the
-//    queue-order-earliest message.
+//    section, so a lane head's msg_id orders it against the other heads
+//    (the earliest-arrival match policy compares them).
 //  - Per-source lanes are FIFO ⇒ each lane head is the oldest
 //    compatible message from that source ⇒ the wildcard candidate set
 //    is exactly the set of lane heads (MPI non-overtaking).
@@ -95,13 +95,13 @@ class MatchIndex {
 
   // --- unexpected-message queue ---------------------------------------
   virtual void push_unexpected(Envelope&& env) = 0;
-  /// Earliest compatible message from a concrete source (tool traffic
-  /// included). Pointer valid until the next mutation.
+  /// Earliest compatible message from a concrete source. Pointer valid
+  /// until the next mutation.
   virtual const Envelope* find_specific(Rank src_world, Tag tag,
                                         CommId comm) const = 0;
   /// True iff wildcard_candidates would be non-empty (cheaper).
   virtual bool has_candidates(Tag tag, CommId comm) const = 0;
-  /// Per-source earliest compatible *user* message, sorted by source.
+  /// Per-source earliest compatible message, sorted by source.
   /// Clears and fills `out` (caller-owned buffer, reused across calls).
   virtual void wildcard_candidates(Tag tag, CommId comm,
                                    std::vector<MatchCandidate>* out) const = 0;

@@ -17,7 +17,8 @@ struct OpStats {
 
   /// counts[category][rank]
   std::array<std::vector<std::uint64_t>, kNumCategories> counts;
-  /// Messages injected by tool layers (piggyback traffic), total.
+  /// Tool messages, total: piggybacked clocks charged as messages of
+  /// their own (SendCall::carry_charged).
   std::uint64_t tool_messages = 0;
 
   void init(int nprocs) {

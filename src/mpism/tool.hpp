@@ -3,9 +3,10 @@
 //
 // This is the moral equivalent of the paper's "DAMPI-PnMPI modules": a
 // layer may rewrite call arguments (DAMPI's GUIDED_RUN determinizes
-// MPI_ANY_SOURCE this way), issue additional raw operations that bypass
-// the stack (piggyback messages on shadow communicators), and account
-// extra virtual time (the ISP layer's per-call scheduler round-trips).
+// MPI_ANY_SOURCE this way), hand the engine a piggybacked clock to carry
+// on a send's envelope, issue raw operations that bypass the stack (the
+// finalize drain, shadow communicator dups), and account extra virtual
+// time (the ISP layer's per-call scheduler round-trips).
 //
 // Hook discipline: pre_* hooks run top-to-bottom, post_* hooks run
 // bottom-to-top, mirroring how a PMPI wrapper wraps the layer beneath it.
@@ -30,6 +31,15 @@ struct SendCall {
   CommId comm = kCommWorld;
   Bytes* payload = nullptr;  ///< mutable: packed-payload piggyback rewrites it
   bool blocking = false;
+  /// A piggybacked clock for the engine to carry on the payload's
+  /// envelope, set by a pre_isend hook and read while the send is
+  /// injected; the receiver's hooks find it in ReqCompletion::carried.
+  /// With `carry_charged` it is charged as a message of its own, as the
+  /// separate-message piggyback's shadow send would be: the send
+  /// overhead and bytes, a message id and a tool message at the sender,
+  /// and an arrival time for the receiver's ToolCtx::charge_arrival.
+  const Bytes* carry = nullptr;
+  bool carry_charged = false;
 };
 
 /// Identity of an injected message, reported to post_isend hooks.
@@ -98,12 +108,16 @@ struct ReqCompletion {
   /// Receive payload; hooks may rewrite (packed piggyback strips its
   /// prefix here) before the engine hands it to the user.
   Bytes* payload = nullptr;
+  /// Receives: the clock the message carries (SendCall::carry; empty
+  /// when it carries none), valid while the post_wait hooks run.
+  const CarriedClock* carried = nullptr;
 };
 
 /// Runtime services available to tool layers. Raw operations bypass the
 /// tool stack (they are the PMPI_* calls of the paper's pseudocode) but
 /// still travel through the engine, so they pay virtual-time costs and
-/// obey matching semantics. All ranks are communicator-relative.
+/// obey matching semantics; in a stopped run they unwind the rank. All
+/// ranks are communicator-relative.
 class ToolCtx {
  public:
   virtual ~ToolCtx() = default;
@@ -115,11 +129,11 @@ class ToolCtx {
   virtual Rank to_world(CommId comm, Rank rel) const = 0;
   virtual Rank to_rel(CommId comm, Rank world) const = 0;
 
-  virtual RequestId raw_isend(Rank dst, Tag tag, CommId comm,
-                              const Bytes& payload) = 0;
-  /// Blocking receive; returns its status.
-  virtual Status raw_recv(Rank src, Tag tag, CommId comm, Bytes* out) = 0;
-  /// Nonblocking probe over user (non-tool) messages.
+  /// Blocking receive; returns its status and moves the clock the
+  /// message carries into `*carried`.
+  virtual Status raw_recv(Rank src, Tag tag, CommId comm, Bytes* out,
+                          CarriedClock* carried) = 0;
+  /// Nonblocking probe.
   virtual bool raw_iprobe(Rank src, Tag tag, CommId comm, Status* status) = 0;
   /// Tool-internal barrier over `comm` (used by the finalize-time drain
   /// that mirrors MPI_Finalize's collective semantics).
@@ -131,6 +145,15 @@ class ToolCtx {
 
   /// Charge `us` of virtual time to this rank (tool bookkeeping costs).
   virtual void add_cost(double us) = 0;
+  /// Charge `us` `times` over: the same additions, in the same order, as
+  /// that many add_cost calls.
+  virtual void add_cost_times(double us, std::uint64_t times) = 0;
+  /// Receive a message that reaches this rank at `arrival_vtime` as the
+  /// engine receives a matched one: the clock waits for the arrival, then
+  /// pays the receive overhead. A charged carried clock's receive
+  /// (SendCall::carry_charged). Unwinds the rank of a stopped run, as the
+  /// raw services do.
+  virtual void charge_arrival(double arrival_vtime) = 0;
 
   /// Current virtual time of this rank, in microseconds.
   virtual double vtime() const = 0;

@@ -23,7 +23,7 @@ namespace dampi::mpism {
 using Rank = int;
 
 /// Message tag. Non-negative in user code; negative values are reserved
-/// for the wildcards below and for tool-internal traffic.
+/// for the wildcards below.
 using Tag = int;
 
 /// Communicator handle. kCommWorld is always valid.
@@ -80,6 +80,14 @@ std::vector<T> unpack_vec(const Bytes& payload) {
   return out;
 }
 
+/// A piggybacked clock riding its payload's envelope (SendCall::carry):
+/// the serialized clock, empty when the send carried none, and when the
+/// clock reaches the receiver if it is charged as a message of its own.
+struct CarriedClock {
+  Bytes clock;
+  double arrival_vtime = 0.0;
+};
+
 /// Completion status of a receive or probe, mirroring MPI_Status.
 /// `source` is relative to the communicator of the operation.
 struct Status {
@@ -87,10 +95,10 @@ struct Status {
   Tag tag = kAnyTag;
   std::uint64_t bytes = 0;
   /// Per-(sender, receiver, communicator) send sequence number. Not part
-  /// of MPI_Status; exposed so tool layers can pair piggyback messages
-  /// with their payloads robustly (see piggyback/separate_message.cpp).
+  /// of MPI_Status; tool layers name a message by it (DAMPI's potential
+  /// matches).
   std::uint64_t seq = 0;
-  /// Globally unique message id (diagnostics and the telepathic transport).
+  /// Globally unique message id (diagnostics).
   std::uint64_t msg_id = 0;
 };
 

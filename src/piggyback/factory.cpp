@@ -6,17 +6,14 @@
 
 namespace dampi::piggyback {
 
-std::unique_ptr<Transport> make_transport(TransportKind kind,
-                                          const TransportFactoryState& state) {
+std::unique_ptr<Transport> make_transport(TransportKind kind) {
   switch (kind) {
     case TransportKind::kSeparateMessage:
       return std::make_unique<SeparateMessageTransport>();
     case TransportKind::kPackedPayload:
       return std::make_unique<PackedPayloadTransport>();
     case TransportKind::kTelepathic:
-      DAMPI_CHECK_MSG(state.board != nullptr,
-                      "telepathic transport needs a shared board");
-      return std::make_unique<TelepathicTransport>(state.board);
+      return std::make_unique<TelepathicTransport>();
   }
   DAMPI_CHECK_MSG(false, "unknown transport kind");
   return nullptr;

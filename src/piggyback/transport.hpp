@@ -4,10 +4,17 @@
 // mechanisms — payload packing, datatype packing, separate messages — and
 // picks separate messages for DAMPI. This library implements the chosen
 // mechanism plus the payload-packing alternative (for the overhead
-// ablation) and a "telepathic" transport that moves clocks through shared
-// memory without any messages: the latter models ISP's centralized
-// scheduler, which has a global view and needs no piggybacking, and is
-// also handy as a test oracle.
+// ablation) and a "telepathic" transport that moves clocks with no
+// messages at all: the latter models ISP's centralized scheduler, which
+// has a global view and needs no piggybacking, and is also handy as a
+// test oracle.
+//
+// The separate-message and telepathic transports hand their clock to the
+// engine (mpism::SendCall::carry), which carries it on the payload's
+// envelope and hands it to the receiver with the payload's completion
+// (mpism::ReqCompletion::carried); the separate-message transport has it
+// charged as the message of its own the real tool sends. Payload packing
+// rewrites the payload itself.
 //
 // A transport is owned and driven by the DAMPI tool layer; it is not a
 // ToolLayer itself. One instance per rank, reused across the runs of a
@@ -30,18 +37,14 @@ class Transport {
   virtual void on_init(mpism::ToolCtx&) {}
 
   /// Called before the payload send is injected. `clock` is the sender's
-  /// current clock, serialized. May rewrite the call's payload.
+  /// current clock, serialized, and outlives the send. May rewrite the
+  /// call's payload or have the engine carry the clock
+  /// (SendCall::carry).
   virtual void on_pre_send(mpism::ToolCtx&, mpism::SendCall&,
                            const mpism::Bytes& /*clock*/) {}
 
-  /// Called after the payload send was injected (its sequence number is
-  /// known here).
-  virtual void on_post_send(mpism::ToolCtx&, const mpism::SendCall&,
-                            const mpism::SendInfo&,
-                            const mpism::Bytes& /*clock*/) {}
-
   /// Called when a receive completes; returns the sender's clock for this
-  /// message, in a transport-owned buffer valid until the next call. May
+  /// message, in a buffer valid until the completion's hooks return. May
   /// rewrite the completion's payload/status (the packed mechanism strips
   /// its prefix here). For a wildcard receive this runs only once the
   /// source is known — the paper's deferred-posting rule that avoids
@@ -60,16 +63,7 @@ class Transport {
 
 enum class TransportKind { kSeparateMessage, kPackedPayload, kTelepathic };
 
-/// Shared cross-rank state for the telepathic transport (one per run).
-class TelepathicBoard;
-
-struct TransportFactoryState {
-  std::shared_ptr<TelepathicBoard> board;  ///< only for kTelepathic
-};
-
-/// Create one rank's transport. For kTelepathic, `state.board` must be a
-/// run-wide shared board.
-std::unique_ptr<Transport> make_transport(TransportKind kind,
-                                          const TransportFactoryState& state);
+/// Create one rank's transport.
+std::unique_ptr<Transport> make_transport(TransportKind kind);
 
 }  // namespace dampi::piggyback

@@ -217,6 +217,21 @@ TEST(AllocSteadyState, ExploreAdlbInterleaving) {
   EXPECT_LE(per, 40.0);
 }
 
+// The same walk under vector clocks made 184 allocations per
+// interleaving while each received clock was decoded into a fresh vector
+// for every epoch the late-message scan passed (twice) and again for the
+// merge; decoded once into a reused buffer, it makes 36.
+TEST(AllocSteadyState, ExploreAdlbVectorClockInterleaving) {
+  SKIP_WHEN_SANITIZED();
+  ExplorerOptions options = pinned_options(4);
+  options.clock_mode = core::ClockMode::kVector;
+  options.policy = mpism::PolicyKind::kSeededRandom;
+  options.policy_seed = 1;
+  const double per =
+      steady_per_interleaving(options, adlb_program, 500, heap_allocations);
+  EXPECT_LE(per, 44.0);
+}
+
 // dist-fanout at 6 ranks (the campaign-fanout workload's program): 435
 // allocations per interleaving before, 25 with a warm context.
 TEST(AllocSteadyState, DistFanoutInterleaving) {
@@ -229,8 +244,7 @@ TEST(AllocSteadyState, DistFanoutInterleaving) {
 // A request gets a record only when it outlives its call. explore-adlb
 // drew 78 records per interleaving when every blocking send and receive
 // made one; only its receives that must wait keep one now. dist-fanout
-// at 6 ranks drew 30, all blocking calls that complete in place, piggyback
-// receives included.
+// at 6 ranks drew 30, all blocking calls that complete in place.
 TEST(AllocSteadyState, ExploreAdlbRequestRecords) {
   ExplorerOptions options = pinned_options(4);
   options.policy = mpism::PolicyKind::kSeededRandom;
@@ -249,11 +263,11 @@ TEST(AllocSteadyState, DistFanoutRequestRecords) {
 /// A fan-in that puts rank 0's matcher in lane mode on both sides for
 /// any `per_sender` of 11 or more: rank 0 posts 3 × per_sender specific
 /// receives before ranks 1-3 send to them, then ranks 1-3 queue
-/// per_sender messages each (plus their piggyback messages) before rank 0
-/// drains them with specific receives. Payloads are empty and the request
-/// array lives on the stack, so the program itself allocates nothing. A
-/// tail of six wildcard receives gives the walk its 90 interleavings
-/// whatever the depth.
+/// per_sender messages each before rank 0 drains them with specific
+/// receives. Payloads are empty and the request array lives on the
+/// stack, so the program itself allocates nothing. A tail of six
+/// wildcard receives gives the walk its 90 interleavings whatever the
+/// depth.
 mpism::ProgramFn deep_fan_in(int per_sender) {
   return [per_sender](mpism::Proc& p) {
     const int queued = 3 * per_sender;
@@ -553,6 +567,8 @@ struct BlockingPhase {
 struct BlockingScript {
   int nprocs = 2;
   std::vector<BlockingPhase> phases;
+  /// Every receive and probe names its source (see specific_sources).
+  bool specific = false;
 };
 
 BlockingScript blocking_script(std::uint64_t seed) {
@@ -625,7 +641,7 @@ void run_blocking_script(mpism::Proc& p, const BlockingScript& s) {
               p.ssend(q, 7, payload(16, 7));
               p.recv(q, 7);
             } else {
-              p.recv(kAnySource, 7);
+              p.recv(s.specific ? q : kAnySource, 7);
               p.ssend(q, 7, payload(80, 7));
             }
             break;
@@ -664,43 +680,64 @@ void run_blocking_script(mpism::Proc& p, const BlockingScript& s) {
   }
 }
 
-// 300 seeded programs built from blocking send/recv/ssend/sendrecv,
-// specific and wildcard receives and probes run under the DAMPI stack
-// with the separate-message piggyback (one tool receive per user
-// receive). Each program's self run and the guided replays forcing its
-// first alternatives are fingerprinted into one digest, recorded at the
-// commit before blocking calls stopped allocating request records: any
-// drift in hook order, matching, virtual time, stats or verdicts moves
-// it. The value assumes IEEE doubles and glibc's %a formatting (x86-64
-// Linux).
-TEST(RequestPathPin, BlockingProgramsFingerprintToThePinnedDigest) {
-  constexpr std::uint64_t kPinnedDigest = 0x3b5854cfe59305c1ull;
+/// `s` with every wildcard taken out: receives and probes name their
+/// source, iprobes go, and each matching order is the only one.
+BlockingScript specific_sources(BlockingScript s) {
+  s.specific = true;
+  for (BlockingPhase& phase : s.phases) {
+    phase.iprobe = false;
+    for (RecvStyle& style : phase.recv_style) style = RecvStyle::kSpecific;
+    for (PairStyle& style : phase.pair_style) {
+      if (style == PairStyle::kSendrecvAnyAny) style = PairStyle::kSendrecv;
+    }
+  }
+  return s;
+}
+
+/// Blocking program `seed` of the pins below, with the backend knobs the
+/// seed picks, under `transport` and `clock`.
+ExplorerOptions blocking_options(std::uint64_t seed, const BlockingScript& s,
+                                 piggyback::TransportKind transport,
+                                 core::ClockMode clock) {
+  ExplorerOptions options;
+  options.nprocs = s.nprocs;
+  options.transport = transport;
+  options.clock_mode = clock;
+  options.sched.kind = mpism::SchedulerKind::kCoop;
+  options.sched.pick = seed % 3 == 0 ? mpism::SchedPolicy::kRandomSeeded
+                                     : mpism::SchedPolicy::kRoundRobin;
+  options.sched.seed = seed;
+  options.match =
+      seed % 4 < 2 ? mpism::MatchKind::kIndexed : mpism::MatchKind::kLinear;
+  options.policy = seed % 5 == 0 ? mpism::PolicyKind::kSeededRandom
+                                 : mpism::PolicyKind::kLowestSource;
+  options.policy_seed = seed;
+  return options;
+}
+
+core::ClockMode alternate_clock(std::uint64_t seed) {
+  return seed % 2 == 0 ? core::ClockMode::kLamport : core::ClockMode::kVector;
+}
+
+/// Digest of the 300 blocking programs under `transport`, each with the
+/// clock `clock_of(seed)` picks: every program's self run, then guided
+/// replays forcing up to two of its alternatives. Counts the runs.
+std::uint64_t blocking_digest(piggyback::TransportKind transport,
+                              core::ClockMode (*clock_of)(std::uint64_t),
+                              int* runs) {
   std::uint64_t digest = test::kDigestSeed;
-  int runs = 0;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const BlockingScript script = blocking_script(seed * 0x9e3779b97f4a7c15ull);
-    ExplorerOptions options;
-    options.nprocs = script.nprocs;
-    options.transport = piggyback::TransportKind::kSeparateMessage;
-    options.clock_mode =
-        seed % 2 == 0 ? core::ClockMode::kLamport : core::ClockMode::kVector;
-    options.sched.kind = mpism::SchedulerKind::kCoop;
-    options.sched.pick = seed % 3 == 0 ? mpism::SchedPolicy::kRandomSeeded
-                                       : mpism::SchedPolicy::kRoundRobin;
-    options.sched.seed = seed;
-    options.match =
-        seed % 4 < 2 ? mpism::MatchKind::kIndexed : mpism::MatchKind::kLinear;
-    options.policy = seed % 5 == 0 ? mpism::PolicyKind::kSeededRandom
-                                   : mpism::PolicyKind::kLowestSource;
-    options.policy_seed = seed;
+    const ExplorerOptions options =
+        blocking_options(seed, script, transport, clock_of(seed));
     const mpism::ProgramFn program = [&script](mpism::Proc& p) {
       run_blocking_script(p, script);
     };
     const SingleRun self = core::run_guided_once(options, Schedule{}, program);
-    ASSERT_TRUE(self.report.ok()) << "seed " << seed << ": "
+    EXPECT_TRUE(self.report.ok()) << "seed " << seed << ": "
                                   << fingerprint(self.report);
     digest = test::digest_step(digest, fingerprint(self));
-    ++runs;
+    ++*runs;
     int forced_runs = 0;
     for (const core::EpochRecord& epoch : self.trace.epochs) {
       for (const auto& [src, match] : epoch.alternatives) {
@@ -709,14 +746,101 @@ TEST(RequestPathPin, BlockingProgramsFingerprintToThePinnedDigest) {
             digest, fingerprint(core::run_guided_once(
                         options, forced({{epoch.key, src}}), program)));
         ++forced_runs;
-        ++runs;
+        ++*runs;
       }
     }
   }
+  return digest;
+}
+
+// 300 seeded programs built from blocking send/recv/ssend/sendrecv,
+// specific and wildcard receives and probes run under the DAMPI stack
+// with the separate-message piggyback (one piggybacked clock per user
+// receive). Each program's self run and the guided replays forcing its
+// first alternatives are fingerprinted into one digest, recorded at the
+// commit before blocking calls stopped allocating request records: any
+// drift in hook order, matching, virtual time, stats or verdicts moves
+// it. The value assumes IEEE doubles and glibc's %a formatting (x86-64
+// Linux).
+TEST(RequestPathPin, BlockingProgramsFingerprintToThePinnedDigest) {
+  int runs = 0;
+  const std::uint64_t digest = blocking_digest(
+      piggyback::TransportKind::kSeparateMessage, alternate_clock, &runs);
   EXPECT_GT(runs, 300);
-  EXPECT_EQ(digest, kPinnedDigest)
+  EXPECT_EQ(digest, 0x3b5854cfe59305c1ull)
       << std::hex << "blocking-program fingerprints drifted: digest 0x"
       << digest << std::dec << " over " << runs << " runs";
+}
+
+core::ClockMode lamport_clock(std::uint64_t) {
+  return core::ClockMode::kLamport;
+}
+core::ClockMode vector_clock(std::uint64_t) {
+  return core::ClockMode::kVector;
+}
+
+// The same programs under every transport and each clock, pinned at the
+// commit before piggybacked clocks rode their payload's envelope (when
+// the separate-message clock still travelled as a second message through
+// the matcher, and the telepathic one through a shared board).
+TEST(RequestPathPin, EveryTransportAndClockFingerprintsToItsPinnedDigest) {
+  struct Pin {
+    piggyback::TransportKind transport;
+    core::ClockMode (*clock_of)(std::uint64_t);
+    const char* name;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {piggyback::TransportKind::kSeparateMessage, lamport_clock,
+       "separate/lamport", 0x9e145b916593c9bfull},
+      {piggyback::TransportKind::kSeparateMessage, vector_clock,
+       "separate/vector", 0x5e07c501424fced2ull},
+      {piggyback::TransportKind::kPackedPayload, lamport_clock,
+       "packed/lamport", 0x285c652770e9d5ceull},
+      {piggyback::TransportKind::kPackedPayload, vector_clock,
+       "packed/vector", 0xcbe07bf8fa4c86c5ull},
+      {piggyback::TransportKind::kTelepathic, lamport_clock,
+       "telepathic/lamport", 0xdb87e4c05a71881dull},
+      {piggyback::TransportKind::kTelepathic, vector_clock,
+       "telepathic/vector", 0xc0c80f13c14ae136ull},
+  };
+  for (const Pin& pin : pins) {
+    int runs = 0;
+    const std::uint64_t digest =
+        blocking_digest(pin.transport, pin.clock_of, &runs);
+    EXPECT_GT(runs, 300) << pin.name;
+    EXPECT_EQ(digest, pin.digest)
+        << std::hex << pin.name << " fingerprints drifted: digest 0x"
+        << digest << std::dec << " over " << runs << " runs";
+  }
+}
+
+// The pinned programs with their wildcards taken out have one outcome,
+// so OS threads must reproduce the coop fingerprint exactly under every
+// transport and clock: a receiver reads its piggybacked clock the moment
+// its payload completes, never waiting on the sender.
+TEST(RequestPathPin, SpecificSourceProgramsFingerprintAlikeOnThreads) {
+  for (const auto transport : {piggyback::TransportKind::kSeparateMessage,
+                               piggyback::TransportKind::kPackedPayload,
+                               piggyback::TransportKind::kTelepathic}) {
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+      const BlockingScript script = specific_sources(
+          blocking_script(seed * 0x9e3779b97f4a7c15ull));
+      const mpism::ProgramFn program = [&script](mpism::Proc& p) {
+        run_blocking_script(p, script);
+      };
+      ExplorerOptions options =
+          blocking_options(seed, script, transport, alternate_clock(seed));
+      const SingleRun coop =
+          core::run_guided_once(options, Schedule{}, program);
+      ASSERT_TRUE(coop.report.ok()) << "seed " << seed;
+      ASSERT_TRUE(coop.trace.epochs.empty()) << "seed " << seed;
+      options.sched.kind = mpism::SchedulerKind::kThread;
+      const SingleRun threads =
+          core::run_guided_once(options, Schedule{}, program);
+      ASSERT_EQ(fingerprint(threads), fingerprint(coop)) << "seed " << seed;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

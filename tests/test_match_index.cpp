@@ -7,7 +7,7 @@
 //    matches, drained envelopes); takes remove a query's answer, as the
 //    engine's do;
 //  - directed non-overtaking properties: per-source FIFO delivery,
-//    wildcard candidates == set of lane heads (tool traffic excluded),
+//    wildcard candidates == set of lane heads,
 //    earliest-posted-wins across the four posted lanes;
 //  - program-level differential: >= 1000 randomized small programs run
 //    under the deterministic coop scheduler with both matchers,
@@ -63,7 +63,7 @@ struct IndexPair {
 };
 
 Envelope make_env(Rank src, Tag tag, CommId comm, std::uint64_t seq,
-                  std::uint64_t msg_id, bool tool) {
+                  std::uint64_t msg_id) {
   Envelope e;
   e.src_world = src;
   e.dst_world = 0;
@@ -71,7 +71,6 @@ Envelope make_env(Rank src, Tag tag, CommId comm, std::uint64_t seq,
   e.comm = comm;
   e.seq = seq;
   e.msg_id = msg_id;
-  e.tool_internal = tool;
   e.payload = pack<std::uint64_t>(msg_id * 31 + 7);
   return e;
 }
@@ -82,7 +81,6 @@ void expect_env_eq(const Envelope& a, const Envelope& b) {
   EXPECT_EQ(a.comm, b.comm);
   EXPECT_EQ(a.seq, b.seq);
   EXPECT_EQ(a.msg_id, b.msg_id);
-  EXPECT_EQ(a.tool_internal, b.tool_internal);
   EXPECT_EQ(a.payload, b.payload);
 }
 
@@ -145,11 +143,10 @@ void fuzz_step(Rng& rng, IndexPair& p, ShadowState& st) {
     // Push one unexpected message into both (two identical copies).
     const Rank src = static_cast<Rank>(rng.next_below(kFuzzSources));
     const Tag tag = static_cast<Tag>(rng.next_below(kFuzzTags));
-    const bool tool = rng.next_bool(0.15);
     const std::uint64_t seq = st.next_seq[src][comm_idx]++;
     const std::uint64_t id = st.next_msg_id++;
-    p.linear->push_unexpected(make_env(src, tag, comm, seq, id, tool));
-    p.indexed->push_unexpected(make_env(src, tag, comm, seq, id, tool));
+    p.linear->push_unexpected(make_env(src, tag, comm, seq, id));
+    p.indexed->push_unexpected(make_env(src, tag, comm, seq, id));
     st.live.push_back({id, src, tag, comm});
   } else if (op < 45) {
     // Specific-receive lookup, concrete or wildcard tag.
@@ -209,7 +206,7 @@ void fuzz_step(Rng& rng, IndexPair& p, ShadowState& st) {
     // Probe the posted side with a synthetic arrival.
     Envelope e = make_env(static_cast<Rank>(rng.next_below(kFuzzSources)),
                           static_cast<Tag>(rng.next_below(kFuzzTags)), comm,
-                          0, 0, rng.next_bool(0.1));
+                          0, 0);
     RequestRecord* a = p.linear->match_posted(e);
     RequestRecord* b = p.indexed->match_posted(e);
     ASSERT_EQ(a, b) << "match_posted diverged";
@@ -249,7 +246,7 @@ void final_sweep_and_drain(Rng& rng, IndexPair& p, ShadowState& st) {
     for (Rank src = 0; src < kFuzzSources; ++src) {
       for (Tag tag = 0; tag < kFuzzTags; ++tag) {
         for (;;) {
-          const Envelope e = make_env(src, tag, comm, 0, 0, false);
+          const Envelope e = make_env(src, tag, comm, 0, 0);
           RequestRecord* a = p.linear->match_posted(e);
           RequestRecord* b = p.indexed->match_posted(e);
           ASSERT_EQ(a, b);
@@ -308,9 +305,9 @@ TEST(MatchIndexProperty, PerSourceFifoOrder) {
     // tag. Specific receives from source 1 must drain in seq order no
     // matter how the streams interleave.
     for (std::uint64_t s = 0; s < 10; ++s) {
-      idx->push_unexpected(make_env(1, 7, kCommWorld, s, id++, false));
+      idx->push_unexpected(make_env(1, 7, kCommWorld, s, id++));
       if (s % 2 == 0) {
-        idx->push_unexpected(make_env(2, 7, kCommWorld, s / 2, id++, false));
+        idx->push_unexpected(make_env(2, 7, kCommWorld, s / 2, id++));
       }
     }
     for (std::uint64_t s = 0; s < 10; ++s) {
@@ -327,13 +324,10 @@ TEST(MatchIndexProperty, PerSourceFifoOrder) {
 TEST(MatchIndexProperty, WildcardCandidatesAreLaneHeads) {
   for (const MatchKind kind : {MatchKind::kLinear, MatchKind::kIndexed}) {
     auto idx = mpism::make_match_index(kind);
-    // Tool traffic arrives first from source 0 — it must be visible to
-    // find_specific but never to wildcard_candidates.
-    idx->push_unexpected(make_env(0, 3, kCommWorld, 0, 1, /*tool=*/true));
-    idx->push_unexpected(make_env(3, 5, kCommWorld, 0, 2, false));
-    idx->push_unexpected(make_env(1, 5, kCommWorld, 0, 3, false));
-    idx->push_unexpected(make_env(3, 5, kCommWorld, 1, 4, false));
-    idx->push_unexpected(make_env(1, 9, kCommWorld, 1, 5, false));
+    idx->push_unexpected(make_env(3, 5, kCommWorld, 0, 2));
+    idx->push_unexpected(make_env(1, 5, kCommWorld, 0, 3));
+    idx->push_unexpected(make_env(3, 5, kCommWorld, 1, 4));
+    idx->push_unexpected(make_env(1, 9, kCommWorld, 1, 5));
 
     std::vector<MatchCandidate> c;
     idx->wildcard_candidates(5, kCommWorld, &c);
@@ -344,18 +338,13 @@ TEST(MatchIndexProperty, WildcardCandidatesAreLaneHeads) {
     EXPECT_EQ(c[1].msg_id, 2u);  // lane head = earliest from source 3
 
     // ANY_TAG: source 1's earliest across tags is msg 3 (tag 5), source
-    // 3's is msg 2; the tool message from source 0 stays invisible.
+    // 3's is msg 2.
     idx->wildcard_candidates(kAnyTag, kCommWorld, &c);
     ASSERT_EQ(c.size(), 2u) << mpism::match_spec(kind);
     EXPECT_EQ(c[0].src_world, 1);
     EXPECT_EQ(c[0].msg_id, 3u);
     EXPECT_EQ(c[1].src_world, 3);
     EXPECT_EQ(c[1].msg_id, 2u);
-
-    // The tool message is reachable for the piggyback receive path.
-    const Envelope* tool_head = idx->find_specific(0, 3, kCommWorld);
-    ASSERT_NE(tool_head, nullptr) << mpism::match_spec(kind);
-    EXPECT_TRUE(tool_head->tool_internal);
   }
 }
 
@@ -375,7 +364,7 @@ TEST(MatchIndexProperty, EarliestPostedWinsAcrossLaneShapes) {
       recs[i].posted_tag = tags[i];
       idx->post_recv(&recs[i]);
     }
-    const Envelope arrival = make_env(1, 5, kCommWorld, 0, 1, false);
+    const Envelope arrival = make_env(1, 5, kCommWorld, 0, 1);
     for (int i = 0; i < 4; ++i) {
       RequestRecord* got = idx->match_posted(arrival);
       ASSERT_NE(got, nullptr) << mpism::match_spec(kind) << " i=" << i;
@@ -391,7 +380,7 @@ TEST(MatchIndexProperty, EarliestPostedWinsAcrossLaneShapes) {
     strict.posted_tag = 5;
     idx->post_recv(&strict);
     EXPECT_EQ(idx->match_posted(arrival), nullptr);
-    const Envelope from2 = make_env(2, 5, kCommWorld, 0, 2, false);
+    const Envelope from2 = make_env(2, 5, kCommWorld, 0, 2);
     EXPECT_EQ(idx->match_posted(from2), &strict);
   }
 }

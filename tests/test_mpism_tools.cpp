@@ -175,30 +175,31 @@ TEST(Tools, RewritingWildcardSourceForcesTheMatch) {
   EXPECT_TRUE(report.ok());
 }
 
-/// A layer exercising raw ops: every user payload send is mirrored by a
-/// tool message on a shadow communicator; the receiver fetches it at
-/// completion — a miniature of the separate-message piggyback protocol.
-class ShadowEchoLayer final : public ToolLayer {
+/// A miniature of the separate-message piggyback: every user send on the
+/// world communicator carries a tool value on its envelope, charged as a
+/// message of its own, and the receiver reads it when the payload
+/// completes.
+class CarryEchoLayer final : public ToolLayer {
  public:
-  void on_init(ToolCtx& ctx) override { shadow_ = ctx.raw_comm_dup(kCommWorld); }
-  void post_isend(ToolCtx& ctx, const SendCall& call, RequestId,
-                  const SendInfo& info) override {
+  void pre_isend(ToolCtx&, SendCall& call) override {
     if (call.comm != kCommWorld) return;
-    ctx.raw_isend(call.dst, static_cast<int>(info.seq % 1024), shadow_,
-                  pack<std::uint64_t>(info.seq + 1000));
+    value_ = pack<std::uint64_t>(1000 + sent_++);
+    call.carry = &value_;
+    call.carry_charged = true;
   }
   void post_wait(ToolCtx& ctx, ReqCompletion& c) override {
     if (c.kind != ReqKind::kRecv || c.comm != kCommWorld) return;
-    Bytes pb;
-    ctx.raw_recv(c.status.source, static_cast<int>(c.seq % 1024), shadow_,
-                 &pb);
-    last_pb = unpack<std::uint64_t>(pb);
+    ctx.charge_arrival(c.carried->arrival_vtime);
+    last_pb = unpack<std::uint64_t>(c.carried->clock);
   }
   std::uint64_t last_pb = 0;
-  CommId shadow_ = mpism::kCommNull;
+
+ private:
+  Bytes value_;
+  std::uint64_t sent_ = 0;
 };
 
-TEST(Tools, RawOpsOnShadowCommunicatorDeliverToolData) {
+TEST(Tools, CarriedToolDataArrivesWithItsPayload) {
   auto values = std::make_shared<std::mutex>();
   auto seen = std::make_shared<std::vector<std::uint64_t>>();
   ToolSetup setup;
@@ -208,11 +209,9 @@ TEST(Tools, RawOpsOnShadowCommunicatorDeliverToolData) {
       Checker(std::shared_ptr<std::mutex> mu,
               std::shared_ptr<std::vector<std::uint64_t>> out)
           : mu_(std::move(mu)), out_(std::move(out)) {}
-      ShadowEchoLayer inner;
-      void on_init(ToolCtx& ctx) override { inner.on_init(ctx); }
-      void post_isend(ToolCtx& ctx, const SendCall& c, RequestId r,
-                      const SendInfo& i) override {
-        inner.post_isend(ctx, c, r, i);
+      CarryEchoLayer inner;
+      void pre_isend(ToolCtx& ctx, SendCall& c) override {
+        inner.pre_isend(ctx, c);
       }
       void post_wait(ToolCtx& ctx, ReqCompletion& c) override {
         inner.post_wait(ctx, c);
@@ -240,11 +239,11 @@ TEST(Tools, RawOpsOnShadowCommunicatorDeliverToolData) {
     }
   });
   EXPECT_TRUE(report.ok());
-  // seq 0 and 1 -> pb payloads 1000, 1001, in order.
+  // Sends 0 and 1 -> carried values 1000, 1001, in order.
   ASSERT_EQ(seen->size(), 2u);
   EXPECT_EQ((*seen)[0], 1000u);
   EXPECT_EQ((*seen)[1], 1001u);
-  EXPECT_GT(report.stats.tool_messages, 0u);
+  EXPECT_EQ(report.stats.tool_messages, 2u);
 }
 
 /// Collective piggyback routing: each rank contributes its rank value;
@@ -345,22 +344,21 @@ TEST(Tools, AddCostInflatesVirtualTime) {
   EXPECT_GT(tooled.vtime_us, native.vtime_us + 10 * 500.0 - 1.0);
 }
 
-/// Tool raw messages are excluded from user stats and leak accounting.
+/// Charged carried clocks and shadow communicators are excluded from user
+/// stats and leak accounting.
 TEST(Tools, ToolTrafficDoesNotPolluteUserAccounting) {
   ToolSetup setup;
   setup.make_stack = [](int, int) {
     struct NoisyLayer final : ToolLayer {
-      CommId shadow = mpism::kCommNull;
-      void on_init(ToolCtx& ctx) override {
-        shadow = ctx.raw_comm_dup(kCommWorld);
-      }
-      void post_isend(ToolCtx& ctx, const SendCall& call, RequestId,
-                      const SendInfo&) override {
-        ctx.raw_isend(call.dst, 0, shadow, pack<int>(0));
+      Bytes pb = pack<int>(0);
+      void on_init(ToolCtx& ctx) override { ctx.raw_comm_dup(kCommWorld); }
+      void pre_isend(ToolCtx&, SendCall& call) override {
+        call.carry = &pb;
+        call.carry_charged = true;
       }
       void post_wait(ToolCtx& ctx, ReqCompletion& c) override {
         if (c.kind == ReqKind::kRecv) {
-          ctx.raw_recv(c.status.source, 0, shadow, nullptr);
+          ctx.charge_arrival(c.carried->arrival_vtime);
         }
       }
     };

@@ -134,8 +134,8 @@ TEST(Regression, Fig4ExplorationDeterministicFromPinnedRoot) {
 }
 
 // Regression: a deterministic program must always be exactly one
-// interleaving, whatever the thread timing (checks that raw tool traffic
-// and the finalize barrier never masquerade as ND events).
+// interleaving, whatever the thread timing (checks that piggybacked
+// clocks and the finalize barrier never masquerade as ND events).
 TEST(Regression, DeterministicProgramsStayDeterministic) {
   for (int i = 0; i < 100; ++i) {
     core::ExplorerOptions options = explorer_options(4);

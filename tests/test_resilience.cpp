@@ -256,12 +256,8 @@ class RecordingCtx final : public mpism::ToolCtx {
   mpism::Rank to_rel(mpism::CommId, mpism::Rank world) const override {
     return world;
   }
-  mpism::RequestId raw_isend(mpism::Rank, mpism::Tag, mpism::CommId,
-                             const mpism::Bytes&) override {
-    return 0;
-  }
   mpism::Status raw_recv(mpism::Rank, mpism::Tag, mpism::CommId,
-                         mpism::Bytes*) override {
+                         mpism::Bytes*, mpism::CarriedClock*) override {
     return {};
   }
   bool raw_iprobe(mpism::Rank, mpism::Tag, mpism::CommId,
@@ -274,6 +270,10 @@ class RecordingCtx final : public mpism::ToolCtx {
     events_->push_back(strfmt("rank %d op %llu cost %.0f", rank_,
                               static_cast<unsigned long long>(op_), us));
   }
+  void add_cost_times(double us, std::uint64_t times) override {
+    for (std::uint64_t i = 0; i < times; ++i) add_cost(us);
+  }
+  void charge_arrival(double) override {}
   double vtime() const override { return 0.0; }
   std::uint64_t call_seq() const override { return call_seq_; }
   void fail_run(const std::string& message) override {

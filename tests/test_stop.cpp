@@ -113,8 +113,8 @@ std::vector<PinCase> pin_corpus() {
     // Workers (ranks 0-6) and the server (rank 7), early and late.
     for (const auto& [rank, op] : {std::pair{0, 1}, {0, 4}, {3, 2}, {3, 4},
                                    {6, 3}, {6, 4}, {7, 1}, {7, 9}, {7, 20}}) {
-      // Abort plans piggyback in the payload, error plans in separate
-      // tool messages (the default), whose receives can block.
+      // Abort plans piggyback in the payload, error plans on the
+      // separate-message transport (the default).
       const std::string spec = strfmt("%s@%d:%d", kind, rank, op);
       const bool packed = kind[0] == 'a';
       cases.push_back({"adlb " + spec, 8, adlb_program,
